@@ -23,6 +23,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .fields import ConjugatePair, field_from_dict, random_field
+from .fields import ConjugatePair, RealPair, field_from_dict, random_field
 from .grid import SpectralGrid
 from .integrate import IntegratorConfig, TrajectoryRecord, integrate
 from .kirchhoff import hamiltonian, momenta, random_state
+from .normal_form import METHODS
 from .suites import REGISTRY, SuiteConfig, measure_quartic_constant, run_suites
 from .transforms import change_of_variables
 
@@ -55,10 +57,11 @@ EXIT_NUMERICAL = 3
 
 
 def build_id() -> str:
+    """Abbreviated git revision of the source tree, suffixed -dirty when it has changes."""
     here = os.path.dirname(os.path.abspath(__file__))
     try:
         rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty"],
             cwd=here,
             capture_output=True,
             text=True,
@@ -80,36 +83,96 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+#: schema kind -> (name in error messages, value test, flag type)
+_KINDS = {
+    "int": ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "number": ("number", _is_number, float),
+    "str": ("string", lambda v: isinstance(v, str), str),
+    "bool": ("boolean", lambda v: isinstance(v, bool), None),
+    "list": ("list", lambda v: isinstance(v, list), None),
+}
+
+
 def _check_field(path: str, value, spec: dict) -> None:
     kind = spec["kind"]
-    if kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected integer, got {value!r}")
-    elif kind == "number":
-        if not _is_number(value):
-            raise ConfigError(f"{path}: expected number, got {value!r}")
-    elif kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected string, got {value!r}")
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected boolean, got {value!r}")
-    elif kind == "list":
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected list, got {value!r}")
+    noun, accepts, _ = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    if kind == "list":
         for i, item in enumerate(value):
             _check_field(f"{path}[{i}]", item, spec["item"])
         if "min_len" in spec and len(value) < spec["min_len"]:
             raise ConfigError(f"{path}: needs at least {spec['min_len']} entries")
         return
-    else:  # pragma: no cover
-        raise ConfigError(f"{path}: unknown schema kind {kind!r}")
     if "choices" in spec and value not in spec["choices"]:
         raise ConfigError(f"{path}: must be one of {spec['choices']}, got {value!r}")
     if "min" in spec and value < spec["min"]:
         raise ConfigError(f"{path}: must be >= {spec['min']}, got {value!r}")
     if "max" in spec and value > spec["max"]:
         raise ConfigError(f"{path}: must be <= {spec['max']}, got {value!r}")
+
+
+class Option(NamedTuple):
+    """One config field of a command: the single source of its default, its
+    schema spec and its ``--field-name`` flag."""
+
+    name: str
+    default: object
+    spec: dict
+    help: str | None = None
+
+
+def _tables(options) -> tuple[dict, dict]:
+    """The defaults and the schema of a command, from its option table."""
+    return {opt.name: opt.default for opt in options}, {opt.name: opt.spec for opt in options}
+
+
+def _int(**limits) -> dict:
+    return {"kind": "int", **limits}
+
+
+def _str(*choices: str) -> dict:
+    return {"kind": "str", "choices": choices} if choices else {"kind": "str"}
+
+
+def _list(item: dict, **limits) -> dict:
+    return {"kind": "list", "item": item, **limits}
+
+
+_BOOL = {"kind": "bool"}
+_NONNEGATIVE = {"kind": "number", "min": 0.0}
+_OUT = Option("out", "out", _str(), "output directory")
+_D = Option("d", 1, _int(min=1, max=3))
+_N_MODES = Option("n_modes", 8, _int(min=1))
+
+
+def _add_flags(parser: argparse.ArgumentParser, options) -> None:
+    """One flag per option; list values stay strings until :func:`_parse_list`."""
+    parser.add_argument("--config", help="JSON config document")
+    for opt in options:
+        flag = "--" + opt.name.replace("_", "-")
+        kind = opt.spec["kind"]
+        if kind == "bool":
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=opt.help)
+        elif kind == "list":
+            parser.add_argument(flag, metavar="LIST", help=opt.help or "comma-separated values")
+        else:
+            parser.add_argument(
+                flag, type=_KINDS[kind][2], choices=opt.spec.get("choices"), help=opt.help
+            )
+
+
+def _parse_list(name: str, text: str, spec: dict) -> list:
+    """Comma-separated items; the entries of a nested list item are joined by ':'."""
+    item = spec["item"]
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    try:
+        if item["kind"] == "list":
+            convert = _KINDS[item["item"]["kind"]][2]
+            return [[convert(x) for x in part.split(":")] for part in parts]
+        return [_KINDS[item["kind"]][2](part) for part in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot parse {text!r} as a list ({exc})") from exc
 
 
 def merge_config(defaults: dict, schema: dict, json_path: str | None, overrides: dict) -> dict:
@@ -165,38 +228,26 @@ def _grid_meta(grid: SpectralGrid) -> dict:
 
 # -- verify ---------------------------------------------------------------------
 
-VERIFY_DEFAULTS = {
-    "grids": [[1, 4], [1, 8], [2, 4], [2, 8]],
-    "samples": 200,
-    "seed": 20260808,
-    "suites": [],  # empty means all
-    "corrupt_diff_sign": False,
-    "divisor_radius": 50,
-    "divisor_dims": [2, 3],
-    "workers": 1,
-    "out": "out",
-}
-
-VERIFY_SCHEMA = {
-    "grids": {
-        "kind": "list",
-        "min_len": 1,
-        "item": {"kind": "list", "min_len": 2, "item": {"kind": "int", "min": 1}},
-    },
-    "samples": {"kind": "int", "min": 0},
-    "seed": {"kind": "int"},
-    "suites": {"kind": "list", "item": {"kind": "str", "choices": tuple(REGISTRY)}},
-    "corrupt_diff_sign": {"kind": "bool"},
-    "divisor_radius": {"kind": "int", "min": 2},
-    "divisor_dims": {"kind": "list", "item": {"kind": "int", "min": 2, "max": 3}},
-    "workers": {"kind": "int", "min": 1},
-    "out": {"kind": "str"},
-}
+VERIFY_OPTIONS = (
+    Option("grids", [[1, 4], [1, 8], [2, 4], [2, 8]],
+           _list(_list(_int(min=1), min_len=2), min_len=1), "grids d:N, comma-separated"),
+    Option("samples", 200, _int(min=0)),
+    Option("seed", 20260808, _int()),
+    Option("suites", [], _list({"kind": "str", "choices": tuple(REGISTRY)}),
+           "comma-separated subset of suites (empty means all)"),
+    Option("corrupt_diff_sign", False, _BOOL, "debug: flip the sign of the difference-coupling "
+           "table (negative control; exact-identity suites must fail)"),
+    Option("divisor_radius", 50, _int(min=2)),
+    Option("divisor_dims", [2, 3], _list(_int(min=2, max=3))),
+    Option("workers", 1, _int(min=1), "suite-level worker pool size"),
+    _OUT,
+)
+VERIFY_DEFAULTS, VERIFY_SCHEMA = _tables(VERIFY_OPTIONS)
 
 
 def cmd_verify(cfg: dict) -> int:
     report = _report_header("verify", cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg["samples"] == 0:
         results = []
     else:
@@ -221,7 +272,7 @@ def cmd_verify(cfg: dict) -> int:
     all_pass = all(r.passed for r in results)
     report["suites"] = [r.to_dict() for r in results]
     report["pass"] = all_pass
-    report["runtime_s"] = time.time() - t0
+    report["runtime_s"] = time.perf_counter() - t0
     _write_json(os.path.join(cfg["out"], "verify_report.json"), report)
     for r in results:
         print(
@@ -238,48 +289,27 @@ def cmd_verify(cfg: dict) -> int:
 
 # -- simulate ---------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "d": 1,
-    "n_modes": 8,
-    "seed": 1,
-    "eps": 0.1,
-    "representation": "original",
-    "method": "structured",
-    "scheme": "rk45_adaptive",
-    "dt": 1e-2,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-13,
-    "t_end": 10.0,
-    "monitor_stride": 20,
-    "s_values": [],  # empty -> [m0, m0+1, m0+2]
-    "track_modes": [],  # per-mode momentum channels (original representation)
-    "initial_file": "",
-    "ball_threshold": 0.0,  # 0 disables
-    "out": "out",
-}
-
-SIMULATE_SCHEMA = {
-    "d": {"kind": "int", "min": 1, "max": 3},
-    "n_modes": {"kind": "int", "min": 1},
-    "seed": {"kind": "int"},
-    "eps": {"kind": "number", "min": 0.0},
-    "representation": {
-        "kind": "str",
-        "choices": ("original", "diagonalized", "normal_form"),
-    },
-    "method": {"kind": "str", "choices": ("structured", "direct")},
-    "scheme": {"kind": "str", "choices": ("rk4", "rk45_adaptive")},
-    "dt": {"kind": "number", "min": 0.0},
-    "rel_tol": {"kind": "number", "min": 0.0},
-    "abs_tol": {"kind": "number", "min": 0.0},
-    "t_end": {"kind": "number", "min": 0.0},
-    "monitor_stride": {"kind": "int", "min": 1},
-    "s_values": {"kind": "list", "item": {"kind": "number", "min": 0.0}},
-    "track_modes": {"kind": "list", "item": {"kind": "list", "min_len": 1, "item": {"kind": "int"}}},
-    "initial_file": {"kind": "str"},
-    "ball_threshold": {"kind": "number", "min": 0.0},
-    "out": {"kind": "str"},
-}
+SIMULATE_OPTIONS = (
+    _D,
+    _N_MODES,
+    Option("seed", 1, _int()),
+    Option("eps", 0.1, _NONNEGATIVE),
+    Option("representation", "original", _str("original", "diagonalized", "normal_form")),
+    Option("method", "structured", _str(*METHODS)),
+    Option("scheme", "rk45_adaptive", _str("rk4", "rk45_adaptive")),
+    Option("dt", 1e-2, _NONNEGATIVE),
+    Option("rel_tol", 1e-10, _NONNEGATIVE),
+    Option("abs_tol", 1e-13, _NONNEGATIVE),
+    Option("t_end", 10.0, _NONNEGATIVE),
+    Option("monitor_stride", 20, _int(min=1)),
+    Option("s_values", [], _list(_NONNEGATIVE), "monitored orders (empty means m0, m0+1, m0+2)"),
+    Option("track_modes", [], _list(_list(_int(), min_len=1)),
+           "modes j:k:... with per-mode momentum channels (original representation)"),
+    Option("initial_file", "", _str()),
+    Option("ball_threshold", 0.0, _NONNEGATIVE, "stop above this ball norm; 0 disables"),
+    _OUT,
+)
+SIMULATE_DEFAULTS, SIMULATE_SCHEMA = _tables(SIMULATE_OPTIONS)
 
 
 def _initial_state(cfg: dict, grid: SpectralGrid):
@@ -288,8 +318,6 @@ def _initial_state(cfg: dict, grid: SpectralGrid):
         with open(cfg["initial_file"], encoding="utf-8") as fh:
             data = json.load(fh)
         if rep == "original":
-            from .fields import RealPair
-
             return RealPair(
                 field_from_dict(data["u"], grid), field_from_dict(data["v"], grid)
             )
@@ -373,9 +401,9 @@ def cmd_simulate(cfg: dict) -> int:
         ball_threshold=cfg["ball_threshold"] or None,
         store_states=False,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec = integrate(dyn, state0, icfg, monitors=monitors)
-    runtime = time.time() - t0
+    runtime = time.perf_counter() - t0
 
     os.makedirs(cfg["out"], exist_ok=True)
     csv_path = os.path.join(cfg["out"], "trajectory.csv")
@@ -389,6 +417,7 @@ def cmd_simulate(cfg: dict) -> int:
     summary["n_rejected"] = rec.n_rejected
     summary["max_projection_defect"] = rec.max_projection_defect
     summary["runtime_s"] = runtime
+    summary.update(rec.notes)  # why the run stopped early, if it did
     summary["channels"] = _channel_summary(rec)
     # growth ratio per monitored norm; for the physical system the max/initial
     # ratio should be essentially independent of the order s
@@ -410,31 +439,19 @@ def cmd_simulate(cfg: dict) -> int:
 
 # -- conjugacy ----------------------------------------------------------------------
 
-CONJUGACY_DEFAULTS = {
-    "d": 1,
-    "n_modes": 8,
-    "seed": 3,
-    "eps": 0.05,
-    "t_end": 5.0,
-    "n_samples": 20,
-    "base_rel_tol": 4e-12,
-    "levels": 3,
-    "defect_bound": 1e-7,
-    "out": "out",
-}
-
-CONJUGACY_SCHEMA = {
-    "d": {"kind": "int", "min": 1, "max": 3},
-    "n_modes": {"kind": "int", "min": 1},
-    "seed": {"kind": "int"},
-    "eps": {"kind": "number", "min": 0.0},
-    "t_end": {"kind": "number", "min": 0.0},
-    "n_samples": {"kind": "int", "min": 1},
-    "base_rel_tol": {"kind": "number", "min": 0.0},
-    "levels": {"kind": "int", "min": 1},
-    "defect_bound": {"kind": "number", "min": 0.0},
-    "out": {"kind": "str"},
-}
+CONJUGACY_OPTIONS = (
+    _D,
+    _N_MODES,
+    Option("seed", 3, _int()),
+    Option("eps", 0.05, _NONNEGATIVE),
+    Option("t_end", 5.0, _NONNEGATIVE),
+    Option("n_samples", 20, _int(min=1)),
+    Option("base_rel_tol", 4e-12, _NONNEGATIVE),
+    Option("levels", 3, _int(min=1)),
+    Option("defect_bound", 1e-7, _NONNEGATIVE),
+    _OUT,
+)
+CONJUGACY_DEFAULTS, CONJUGACY_SCHEMA = _tables(CONJUGACY_OPTIONS)
 
 
 def conjugacy_defect(
@@ -451,19 +468,9 @@ def conjugacy_defect(
     except DomainError as exc:
         return {"status": "inconclusive", "reason": f"initial ball violation: {exc}"}
     ts = np.linspace(0.0, t_end, n_samples + 1)
-    icfg = IntegratorConfig(
-        scheme="rk45_adaptive", rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_end=t_end,
-        dt=1e-2,
-    )
+    icfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_end=t_end)
     rec_uv = integrate(KirchhoffDynamics(grid), uv0, icfg, t_eval=ts)
-    rec_w = integrate(
-        make_dynamics("normal_form", grid), w0,
-        IntegratorConfig(
-            scheme="rk45_adaptive", rel_tol=rel_tol, abs_tol=rel_tol * 1e-2,
-            t_end=t_end, dt=1e-2,
-        ),
-        t_eval=ts,
-    )
+    rec_w = integrate(make_dynamics("normal_form", grid), w0, icfg, t_eval=ts)
     if rec_uv.exit_reason != "completed" or rec_w.exit_reason != "completed":
         return {"status": "inconclusive", "reason": f"{rec_uv.exit_reason}/{rec_w.exit_reason}"}
     defect = 0.0
@@ -517,45 +524,29 @@ def cmd_conjugacy(cfg: dict) -> int:
 
 # -- sweep --------------------------------------------------------------------------
 
-SWEEP_DEFAULTS = {
-    "d": 1,
-    "n_modes": 8,
-    "eps_list": [0.2, 0.14, 0.1, 0.07, 0.05],
-    "seeds_per_eps": 1,
-    "seed": 100,
-    "c1_op": 0.1,
-    "t_cap": 1e6,
-    "w0_scale": 0.2,
-    "rel_tol": 1e-8,
-    "n_samples": 200,
-    "s_offsets": [0.0, 1.0, 2.0],
-    "representation": "original",
-    "measure_constants": True,
-    "workers": 0,  # 0 -> auto
-    "out": "out",
-}
-
-SWEEP_SCHEMA = {
-    "d": {"kind": "int", "min": 1, "max": 3},
-    "n_modes": {"kind": "int", "min": 1},
-    "eps_list": {"kind": "list", "min_len": 1, "item": {"kind": "number", "min": 1e-6}},
-    "seeds_per_eps": {"kind": "int", "min": 1},
-    "seed": {"kind": "int"},
-    "c1_op": {"kind": "number", "min": 0.0},
-    "t_cap": {"kind": "number", "min": 0.0},
-    "w0_scale": {"kind": "number", "min": 0.0},
-    "rel_tol": {"kind": "number", "min": 0.0},
-    "n_samples": {"kind": "int", "min": 2},
-    "s_offsets": {"kind": "list", "min_len": 1, "item": {"kind": "number", "min": 0.0}},
-    "representation": {"kind": "str", "choices": ("original", "normal_form")},
-    "measure_constants": {"kind": "bool"},
-    "workers": {"kind": "int", "min": 0},
-    "out": {"kind": "str"},
-}
+SWEEP_OPTIONS = (
+    _D,
+    _N_MODES,
+    Option("eps_list", [0.2, 0.14, 0.1, 0.07, 0.05],
+           _list({"kind": "number", "min": 1e-6}, min_len=1), "comma-separated amplitudes"),
+    Option("seeds_per_eps", 1, _int(min=1)),
+    Option("seed", 100, _int()),
+    Option("c1_op", 0.1, _NONNEGATIVE),
+    Option("t_cap", 1e6, _NONNEGATIVE),
+    Option("w0_scale", 0.2, _NONNEGATIVE),
+    Option("rel_tol", 1e-8, _NONNEGATIVE),
+    Option("n_samples", 200, _int(min=2)),
+    Option("s_offsets", [0.0, 1.0, 2.0], _list(_NONNEGATIVE, min_len=1), "orders above m0"),
+    Option("representation", "original", _str("original", "normal_form")),
+    Option("measure_constants", True, _BOOL, "also measure C*, C0 and the implied C1"),
+    Option("workers", 0, _int(min=0), "process pool size (0: one per row, at most one per CPU)"),
+    _OUT,
+)
+SWEEP_DEFAULTS, SWEEP_SCHEMA = _tables(SWEEP_OPTIONS)
 
 
 def _sweep_row(params: dict) -> dict:
-    """One (eps, seed) row; self-contained for process pools."""
+    """One (eps, seed) row from the sweep config plus eps and row_seed (picklable)."""
     grid = SpectralGrid(params["d"], params["n_modes"])
     m0 = grid.m0
     eps = params["eps"]
@@ -573,17 +564,14 @@ def _sweep_row(params: dict) -> dict:
         "t_target": t_target,
         "t_end": t_end,
     }
-    icfg = IntegratorConfig(
-        scheme="rk45_adaptive",
-        rel_tol=params["rel_tol"],
-        abs_tol=1e-12,
-        t_end=t_end,
-        dt=1e-2,
-        store_states=True,
-    )
+    icfg = IntegratorConfig(rel_tol=params["rel_tol"], abs_tol=1e-12, t_end=t_end)
     try:
         if params["representation"] == "original":
-            state0 = change_of_variables("fwd", w0)
+            try:
+                state0 = change_of_variables("fwd", w0)
+            except DomainError as exc:
+                row.update(status="initial_ball_exit", error=str(exc), pass_2x=False)
+                return row
             rec = integrate(KirchhoffDynamics(grid), state0, icfg, t_eval=ts)
             states_w = []
             uv_norms = []
@@ -617,8 +605,11 @@ def _sweep_row(params: dict) -> dict:
         row["pass_2x"] = False
         return row
 
-    row["achieved_time"] = float(rec.exit_time if status is None else ts[len(states_w) - 1])
+    # a row whose first inverse transform fails has achieved nothing
+    achieved = ts[len(states_w) - 1] if states_w else 0.0
+    row["achieved_time"] = float(rec.exit_time if status is None else achieved)
     row["exit_reason"] = rec.exit_reason
+    row.update(rec.notes)  # why the run stopped early, if it did
     row["n_steps"] = rec.n_steps
     for s in s_list:
         series = norms[s]
@@ -637,28 +628,12 @@ def _sweep_row(params: dict) -> dict:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    t0 = time.time()
-    params_common = {
-        k: cfg[k]
-        for k in (
-            "d",
-            "n_modes",
-            "c1_op",
-            "t_cap",
-            "w0_scale",
-            "rel_tol",
-            "n_samples",
-            "s_offsets",
-            "representation",
-        )
-    }
-    tasks = []
-    for i, eps in enumerate(sorted(cfg["eps_list"], reverse=True)):
-        for k in range(cfg["seeds_per_eps"]):
-            p = dict(params_common)
-            p["eps"] = eps
-            p["row_seed"] = cfg["seed"] + 37 * i + k
-            tasks.append(p)
+    t0 = time.perf_counter()
+    tasks = [
+        dict(cfg, eps=eps, row_seed=cfg["seed"] + 37 * i + k)
+        for i, eps in enumerate(sorted(cfg["eps_list"], reverse=True))
+        for k in range(cfg["seeds_per_eps"])
+    ]
 
     workers = cfg["workers"] or min(len(tasks), os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
@@ -716,7 +691,7 @@ def cmd_sweep(cfg: dict) -> int:
             else None,
         }
 
-    report["runtime_s"] = time.time() - t0
+    report["runtime_s"] = time.perf_counter() - t0
     all_pass = all(r.get("pass_2x", False) for r in rows)
     report["pass"] = all_pass
 
@@ -746,10 +721,42 @@ def cmd_sweep(cfg: dict) -> int:
 # -- entry point -----------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config document")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
+COMMANDS = {
+    # name: (function, options, help, epilog)
+    "verify": (
+        cmd_verify,
+        VERIFY_OPTIONS,
+        "run the registered property suites",
+        "Available suites: " + ", ".join(REGISTRY),
+    ),
+    "simulate": (
+        cmd_simulate,
+        SIMULATE_OPTIONS,
+        "integrate one trajectory and summarize",
+        "trajectory.csv columns: time, then the monitor channels in "
+        "alphabetical order. original: ham_drift_rel, hamiltonian, "
+        "momentum_drift_max, uv_norm_s<order> (the physical pair norm per "
+        "monitored order); diagonalized/normal_form: w_norm_s<order>, plus "
+        "speed_shift and energy_derivative_m0 for normal_form. Floats carry "
+        "17 significant digits.",
+    ),
+    "conjugacy": (
+        cmd_conjugacy,
+        CONJUGACY_OPTIONS,
+        "compare the two flows through the change of variables",
+        None,
+    ),
+    "sweep": (
+        cmd_sweep,
+        SWEEP_OPTIONS,
+        "lifespan surrogate over a list of amplitudes",
+        "sweep_rows.csv columns (alphabetical): achieved_time, eps, "
+        "exit_reason, ham_drift_rel, max_uv_norm, n_steps, pass_2x, "
+        "pass_2x_s<order> and ratio_s<order> per monitored order, seed, "
+        "status, t_end, t_target, uv_ratio, w0_norm_m0. Rows are sorted by "
+        "eps descending; floats carry 17 significant digits.",
+    ),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -759,114 +766,34 @@ def make_parser() -> argparse.ArgumentParser:
         "Kirchhoff equation on the d-torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify",
-        help="run the registered property suites",
-        epilog="Available suites: " + ", ".join(REGISTRY),
-    )
-    _add_common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--suites", help="comma-separated subset of suites")
-    p.add_argument("--corrupt-diff-sign", action="store_true", default=None,
-                   help="debug: flip the sign of the difference-coupling table "
-                   "(negative control; exact-identity suites must fail)")
-    p.add_argument("--divisor-radius", type=int)
-    p.add_argument("--workers", type=int, help="suite-level worker pool size")
-
-    p = sub.add_parser(
-        "simulate",
-        help="integrate one trajectory and summarize",
-        epilog="trajectory.csv columns: time, then the monitor channels in "
-        "alphabetical order. original: ham_drift_rel, hamiltonian, "
-        "momentum_drift_max, uv_norm_s<order> (the physical pair norm per "
-        "monitored order); diagonalized/normal_form: w_norm_s<order>, plus "
-        "speed_shift and energy_derivative_m0 for normal_form. Floats carry "
-        "17 significant digits.",
-    )
-    _add_common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-modes", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--representation", choices=("original", "diagonalized", "normal_form"))
-    p.add_argument("--method", choices=("structured", "direct"))
-    p.add_argument("--scheme", choices=("rk4", "rk45_adaptive"))
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--abs-tol", type=float)
-    p.add_argument("--monitor-stride", type=int)
-    p.add_argument("--initial-file")
-
-    p = sub.add_parser("conjugacy", help="compare the two flows through the change of variables")
-    _add_common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-modes", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--base-rel-tol", type=float)
-    p.add_argument("--levels", type=int)
-
-    p = sub.add_parser(
-        "sweep",
-        help="lifespan surrogate over a list of amplitudes",
-        epilog="sweep_rows.csv columns (alphabetical): achieved_time, eps, "
-        "exit_reason, ham_drift_rel, max_uv_norm, n_steps, pass_2x, "
-        "pass_2x_s<order> and ratio_s<order> per monitored order, seed, "
-        "status, t_end, t_target, uv_ratio, w0_norm_m0. Rows are sorted by "
-        "eps descending; floats carry 17 significant digits.",
-    )
-    _add_common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-modes", type=int)
-    p.add_argument("--eps-list", help="comma-separated amplitudes")
-    p.add_argument("--seeds-per-eps", type=int)
-    p.add_argument("--c1-op", type=float)
-    p.add_argument("--t-cap", type=float)
-    p.add_argument("--w0-scale", type=float)
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--representation", choices=("original", "normal_form"))
-    p.add_argument("--workers", type=int)
+    for name, (_, options, help_, epilog) in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_, epilog=epilog), options)
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
+def _overrides_from_args(args: argparse.Namespace, options) -> dict:
     out = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        if key == "suites" and isinstance(value, str):
-            value = [s.strip() for s in value.split(",") if s.strip()]
-        if key == "eps_list" and isinstance(value, str):
-            try:
-                value = [float(s) for s in value.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"eps_list: expected comma-separated numbers ({exc})")
-        out[key] = value
+    for opt in options:
+        value = getattr(args, opt.name)
+        if isinstance(value, str) and opt.spec["kind"] == "list":
+            value = _parse_list(opt.name, value, opt.spec)
+        if value is not None:
+            out[opt.name] = value
     return out
 
 
-COMMANDS = {
-    "verify": (cmd_verify, VERIFY_DEFAULTS, VERIFY_SCHEMA),
-    "simulate": (cmd_simulate, SIMULATE_DEFAULTS, SIMULATE_SCHEMA),
-    "conjugacy": (cmd_conjugacy, CONJUGACY_DEFAULTS, CONJUGACY_SCHEMA),
-    "sweep": (cmd_sweep, SWEEP_DEFAULTS, SWEEP_SCHEMA),
-}
+def parse_config(argv=None) -> tuple[str, dict]:
+    """The command named on a command line and its merged, checked config."""
+    args = make_parser().parse_args(argv)
+    options = COMMANDS[args.command][1]
+    overrides = _overrides_from_args(args, options)
+    return args.command, merge_config(*_tables(options), args.config, overrides)
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    fn, defaults, schema = COMMANDS[args.command]
     try:
-        cfg = merge_config(defaults, schema, args.config, _overrides_from_args(args))
-    except (ConfigError, ParameterError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return fn(cfg)
+        command, cfg = parse_config(argv)
+        return COMMANDS[command][0](cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

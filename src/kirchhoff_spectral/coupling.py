@@ -27,14 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ParameterError
-from .fields import ComplexField, _same_grid
+from .fields import ArrayPair, ComplexField, _same_grid
 from .grid import SpectralGrid
 
 NEUMANN_TERM_TOL = 1e-15
 NEUMANN_MAX_TERMS = 400
 SOLVE_RESIDUAL_TOL = 1e-12
-
-ArrayPair = tuple[np.ndarray, np.ndarray]
 
 
 def coupling_coefficient(kind: str, j, k) -> float:
@@ -109,11 +107,8 @@ def jac_arrays(grid, w, z, alpha, beta) -> ArrayPair:
 
 
 def _pair_norm(grid: SpectralGrid, pair: ArrayPair) -> float:
-    wgt = grid.weight(grid.m0)
-    a, b = pair
-    na = np.sqrt(np.dot(wgt, a.real * a.real + a.imag * a.imag))
-    nb = np.sqrt(np.dot(wgt, b.real * b.real + b.imag * b.imag))
-    return float(max(na, nb))
+    m0 = grid.m0
+    return max(grid.coeff_norm(pair[0], m0), grid.coeff_norm(pair[1], m0))
 
 
 def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "neumann") -> ArrayPair:
@@ -191,36 +186,11 @@ def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
 
 # -- field layer -------------------------------------------------------------
 
-FieldPair = tuple[ComplexField, ComplexField]
-
 
 def apply_coupling(kind: str, u: ComplexField, v: ComplexField, h: ComplexField) -> ComplexField:
     _same_grid(u, v)
     _same_grid(u, h)
     return ComplexField(u.grid, coupling_arrays(u.grid, kind, u.coeffs, v.coeffs, h.coeffs))
-
-
-def apply_mix(w: ComplexField, z: ComplexField, vec: FieldPair) -> FieldPair:
-    _same_grid(w, z)
-    _same_grid(w, vec[0])
-    a, b = mix_arrays(w.grid, w.coeffs, z.coeffs, vec[0].coeffs, vec[1].coeffs)
-    return ComplexField(w.grid, a), ComplexField(w.grid, b)
-
-
-def apply_jac(w: ComplexField, z: ComplexField, vec: FieldPair) -> FieldPair:
-    _same_grid(w, z)
-    _same_grid(w, vec[0])
-    a, b = jac_arrays(w.grid, w.coeffs, z.coeffs, vec[0].coeffs, vec[1].coeffs)
-    return ComplexField(w.grid, a), ComplexField(w.grid, b)
-
-
-def solve_jac(w: ComplexField, z: ComplexField, rhs: FieldPair, method: str = "neumann") -> FieldPair:
-    _same_grid(w, z)
-    _same_grid(w, rhs[0])
-    a, b = solve_jacobian_arrays(
-        w.grid, w.coeffs, z.coeffs, (rhs[0].coeffs, rhs[1].coeffs), method=method
-    )
-    return ComplexField(w.grid, a), ComplexField(w.grid, b)
 
 
 # -- small divisors ----------------------------------------------------------

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .fields import ComplexField, ConjugatePair, RealPair
 from .grid import SpectralGrid
 from .normal_form import (
+    METHODS,
     complexified_rhs_arrays,
     diagonalized_rhs_arrays,
     normal_form_rhs_arrays,
@@ -107,6 +109,8 @@ class NormalFormDynamics(_ConjugateDynamics):
     name = "normal_form"
 
     def __init__(self, grid: SpectralGrid, method: str = "structured"):
+        if method not in METHODS:
+            raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
         super().__init__(grid)
         self.method = method
 

@@ -70,6 +70,15 @@ class ComplexField:
         return cls(grid, c)
 
 
+ArrayPair = tuple[np.ndarray, np.ndarray]
+FieldPair = tuple[ComplexField, ComplexField]
+
+
+def field_pair(grid: SpectralGrid, arrays: ArrayPair) -> FieldPair:
+    """Two coefficient vectors on one grid as a pair of fields."""
+    return ComplexField(grid, arrays[0]), ComplexField(grid, arrays[1])
+
+
 def _same_grid(f: ComplexField, g: ComplexField) -> None:
     if f.grid is not g.grid and not f.grid.compatible(g.grid):
         raise GridMismatchError(
@@ -81,8 +90,7 @@ def sobolev_norm(field: ComplexField, s: float) -> float:
     """Norm with weights |j|^(2s); the zero-mean lattice makes it a norm for all s >= 0."""
     if s < 0:
         raise ParameterError(f"Sobolev order must be >= 0, got {s}")
-    c = field.coeffs
-    return float(np.sqrt(np.dot(field.grid.weight(s), c.real * c.real + c.imag * c.imag)))
+    return field.grid.coeff_norm(field.coeffs, s)
 
 
 def lambda_power(field: ComplexField, sigma: float) -> ComplexField:
@@ -93,7 +101,7 @@ def lambda_power(field: ComplexField, sigma: float) -> ComplexField:
 def pairing(f: ComplexField, g: ComplexField) -> complex:
     """Bilinear (not sesquilinear) pairing: integral of the product, sum of f_j g_{-j}."""
     _same_grid(f, g)
-    return complex(np.dot(f.coeffs, g.coeffs[g.grid.neg_index]))
+    return g.grid.pairing(f.coeffs, g.coeffs)
 
 
 def conj_function(field: ComplexField) -> ComplexField:

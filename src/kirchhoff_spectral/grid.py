@@ -152,9 +152,15 @@ class SpectralGrid:
         return np.add.reduceat(prod, self.class_starts)
 
     def coeff_norm(self, coeffs: np.ndarray, s: float) -> float:
-        """Sobolev norm of a raw coefficient vector (array-layer hot path)."""
+        """Sobolev norm with weights |j|^(2s) of a raw coefficient vector."""
         c = coeffs
         return float(np.sqrt(np.dot(self.weight(s), c.real * c.real + c.imag * c.imag)))
+
+    def pairing(self, a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> complex:
+        """Bilinear (not sesquilinear) pairing sum_j weight_j a_j b_{-j}; weight 1 if None."""
+        if weight is not None:
+            a = weight * a
+        return complex(np.dot(a, b[self.neg_index]))
 
     @property
     def m0(self) -> float:

@@ -160,7 +160,9 @@ def integrate(
     the times in ``t_eval`` when given (step sizes are clamped to land on
     them). The run stops early with a distinct exit reason on numerical
     blowup, on leaving the admissible ball (``config.ball_threshold`` against
-    the evaluator's ball norm), or on adaptive step-size underflow.
+    the evaluator's ball norm, or a field evaluation that raises a domain,
+    convergence or numerical error, whose cause goes to ``notes["error"]``),
+    or on adaptive step-size underflow.
     """
     config.validate()
     monitors = monitors or {}
@@ -196,6 +198,12 @@ def integrate(
         if eval_times is not None:
             eval_idx = 1
 
+    notes: dict = {}
+
+    def stopped_by(exc: Exception) -> str:
+        notes["error"] = f"{type(exc).__name__}: {exc}"
+        return "ball_exit"
+
     def finish(reason: str) -> TrajectoryRecord:
         return TrajectoryRecord(
             times=np.asarray(times),
@@ -206,6 +214,7 @@ def integrate(
             n_steps=n_steps,
             n_rejected=n_rejected,
             max_projection_defect=max_defect,
+            notes=notes,
         )
 
     if config.t_end == 0.0:
@@ -215,8 +224,8 @@ def integrate(
     adaptive = config.scheme == "rk45_adaptive"
     try:
         k1 = rhs(t, y)
-    except (DomainError, ConvergenceError, NumericalError):
-        return finish("ball_exit")
+    except (DomainError, ConvergenceError, NumericalError) as exc:
+        return finish(stopped_by(exc))
     err_prev = 1e-4
     since_sample = 0
 
@@ -252,8 +261,8 @@ def integrate(
                     y_new = _rk4_step(rhs, t, y, dt_try)
                     k_fsal = None
                     err = 0.0
-        except (DomainError, ConvergenceError, NumericalError):
-            exit_reason = "ball_exit"
+        except (DomainError, ConvergenceError, NumericalError) as exc:
+            exit_reason = stopped_by(exc)
             break
         if not np.all(np.isfinite(y_new.view(np.float64))):
             exit_reason = "blowup"

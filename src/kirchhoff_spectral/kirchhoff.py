@@ -100,7 +100,7 @@ def total_momentum(state: RealPair) -> np.ndarray:
     v = state.v.coeffs
     for axis in range(g.d):
         grad_u = 1j * g.modes[:, axis].astype(np.float64) * state.u.coeffs
-        val = complex(np.dot(v, grad_u[g.neg_index]))
+        val = g.pairing(v, grad_u)
         if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
             raise NumericalError(f"momentum component {axis} not real: {val!r}")
         out[axis] = val.real

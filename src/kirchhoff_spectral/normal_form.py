@@ -31,16 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import mix_arrays, solve_jacobian_arrays
-from .errors import DomainError
-from .fields import ComplexField, ConjugatePair, _same_grid
+from .errors import DomainError, ParameterError
+from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
-from .transforms import phi_inv
+from .transforms import _q_value_arrays, phi_inv
 
 #: Neumann-series validity ball for the normal-form field
 JACOBIAN_BALL = 0.5
-
-ArrayPair = tuple[np.ndarray, np.ndarray]
-FieldPair = tuple[ComplexField, ComplexField]
+#: the two evaluations of the normal-form field
+METHODS = ("structured", "direct")
 
 
 # -- array layer --------------------------------------------------------------
@@ -51,29 +50,16 @@ def diag_linear_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> Arra
     return -1j * grid.absj * a, 1j * grid.absj * b
 
 
-def _lam2_pairing(grid, a, b) -> complex:
-    """<Lambda a, Lambda b> = sum |j|^2 a_j b_{-j}."""
-    return complex(np.dot(grid.j2f * a, b[grid.neg_index]))
-
-
 def _offdiag_scalar(grid, a, b) -> complex:
-    """<Lb, Lb> - <La, La>; purely imaginary on conjugate pairs."""
-    return _lam2_pairing(grid, b, b) - _lam2_pairing(grid, a, a)
+    """<Lb, Lb> - <La, La>, where <La, Lb> = sum |j|^2 a_j b_{-j}; purely imaginary
+    on conjugate pairs."""
+    return grid.pairing(b, b, grid.j2f) - grid.pairing(a, a, grid.j2f)
 
 
 def _offdiag_scalar_conj(grid, a) -> complex:
     """The same scalar on a conjugate pair (b = conj of a), where
     <Lb, Lb> = conj(<La, La>) exactly: one pairing, exactly imaginary result."""
-    return -2j * _lam2_pairing(grid, a, a).imag
-
-
-def _p_of(grid, a, b) -> float:
-    c = a + b
-    q = 0.25 * complex(np.dot(grid.absj * c, c[grid.neg_index]))
-    scale = max(1.0, abs(q))
-    if abs(q.imag) > 1e-10 * scale or q.real < -1e-12 * scale:
-        raise DomainError("diagonalized field needs a conjugate pair (Q must be real >= 0)")
-    return phi_inv(max(q.real, 0.0))
+    return -2j * grid.pairing(a, a, grid.j2f).imag
 
 
 def offdiag_cubic_arrays(grid, a, b) -> ArrayPair:
@@ -91,13 +77,13 @@ def complexified_rhs_arrays(grid, a, b) -> ArrayPair:
     pair; on the conjugate subspace it is the physical system itself.
     """
     c = a + b
-    q = 0.25 * complex(np.dot(grid.absj * c, c[grid.neg_index]))
+    q = 0.25 * grid.pairing(c, c, grid.absj)
     lam_c = grid.absj * c
     return -1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c
 
 
 def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
-    p = _p_of(grid, a, b)  # also rejects non-conjugate pairs
+    p = phi_inv(_q_value_arrays(grid, a, b))  # also rejects non-conjugate pairs
     sq = math.sqrt(1.0 + 2.0 * p)
     s = 0.25j * _offdiag_scalar_conj(grid, a) / (1.0 + 2.0 * p)
     return (-1j * sq) * (grid.absj * a) + s * b, (1j * sq) * (grid.absj * b) + s * a
@@ -125,7 +111,7 @@ class RhsParts:
 def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     g = pair.grid
     a, b = pair.w.coeffs, pair.z.coeffs
-    p = _p_of(g, a, b)
+    p = phi_inv(_q_value_arrays(g, a, b))
     d1 = diag_linear_arrays(g, a, b)
     tail_factor = math.sqrt(1.0 + 2.0 * p) - 1.0
     # shared by the cubic and quintic off-diagonal parts; exactly imaginary
@@ -134,14 +120,11 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     r5_factor = -0.5j * p / (1.0 + 2.0 * p) * scal
     r5 = r5_factor * b, r5_factor * a
 
-    def fp(arrs: ArrayPair) -> FieldPair:
-        return ComplexField(g, arrs[0]), ComplexField(g, arrs[1])
-
     return RhsParts(
-        diag_linear=fp(d1),
-        diag_tail=fp((tail_factor * d1[0], tail_factor * d1[1])),
-        offdiag_cubic=fp(b3),
-        offdiag_tail=fp(r5),
+        diag_linear=field_pair(g, d1),
+        diag_tail=field_pair(g, (tail_factor * d1[0], tail_factor * d1[1])),
+        offdiag_cubic=field_pair(g, b3),
+        offdiag_tail=field_pair(g, r5),
         p_value=p,
     )
 
@@ -153,7 +136,7 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
         )
     ma, mb = mix_arrays(grid, w, z, w, z)
     eta, psi = w + ma, z + mb
-    p4 = _p_of(grid, eta, psi)
+    p4 = phi_inv(_q_value_arrays(grid, eta, psi))
     speed_shift = math.sqrt(1.0 + 2.0 * p4) - 1.0
 
     d1 = diag_linear_arrays(grid, w, z)
@@ -180,7 +163,7 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
         quintic = qa, qb
         total = linear[0] + cubic[0] + qa, linear[1] + cubic[1] + qb
     else:
-        raise DomainError(f"method must be 'direct' or 'structured', got {method!r}")
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 
     return {
         "total": total,
@@ -204,24 +187,6 @@ def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> floa
 # -- field layer ---------------------------------------------------------------
 
 
-def diagonalized_rhs(pair: ConjugatePair) -> FieldPair:
-    g = pair.grid
-    a, b = diagonalized_rhs_arrays(g, pair.w.coeffs, pair.z.coeffs)
-    return ComplexField(g, a), ComplexField(g, b)
-
-
-def complexified_rhs(pair: ConjugatePair) -> FieldPair:
-    g = pair.grid
-    a, b = complexified_rhs_arrays(g, pair.w.coeffs, pair.z.coeffs)
-    return ComplexField(g, a), ComplexField(g, b)
-
-
-def resonant_cubic(pair: ConjugatePair) -> FieldPair:
-    g = pair.grid
-    a, b = resonant_cubic_arrays(g, pair.w.coeffs, pair.z.coeffs)
-    return ComplexField(g, a), ComplexField(g, b)
-
-
 @dataclass(frozen=True)
 class NormalFormRhs:
     """Normal-form field split as (1 + speed_shift) * linear + cubic + quintic."""
@@ -237,18 +202,11 @@ def normal_form_rhs(pair: ConjugatePair, method: str = "structured") -> NormalFo
     g = pair.grid
     parts = _normal_form_parts(g, pair.w.coeffs, pair.z.coeffs, method)
 
-    def fp(arrs: ArrayPair) -> FieldPair:
-        return ComplexField(g, arrs[0]), ComplexField(g, arrs[1])
-
     return NormalFormRhs(
-        total=fp(parts["total"]),
-        linear_part=fp(parts["linear"]),
-        cubic_part=fp(parts["cubic"]),
-        quintic_part=fp(parts["quintic"]),
+        total=field_pair(g, parts["total"]),
+        linear_part=field_pair(g, parts["linear"]),
+        cubic_part=field_pair(g, parts["cubic"]),
+        quintic_part=field_pair(g, parts["quintic"]),
         speed_shift=parts["speed_shift"],
     )
 
-
-def energy_derivative(pair: ConjugatePair, field: FieldPair, s: float) -> float:
-    _same_grid(pair.w, field[0])
-    return energy_derivative_arrays(pair.grid, pair.w.coeffs, field[0].coeffs, s)

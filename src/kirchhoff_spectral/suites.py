@@ -551,7 +551,7 @@ def suite_alternative_mixing_control(cfg: SuiteConfig) -> SuiteResult:
             a, b = pair.w.coeffs, pair.z.coeffs
             fa, fb = diagonalized_rhs_arrays(g, a, b)
             q = q_value(pair)
-            dq = 0.5 * complex(np.dot(g.absj * (a + b), (fa + fb)[g.neg_index]))
+            dq = 0.5 * g.pairing(a + b, fa + fb, g.absj)
             if abs(dq.imag) > 1e-10 * max(1.0, abs(dq)):
                 raise AssertionError("dQ/dt must be real on conjugate pairs")
             r = rho(q)

@@ -27,11 +27,14 @@ import numpy as np
 from .coupling import mix_arrays
 from .errors import ConvergenceError, DomainError, ParameterError
 from .fields import (
+    ArrayPair,
     ComplexField,
     ConjugatePair,
+    FieldPair,
     RealPair,
     _same_grid,
     conjugate_defect,
+    field_pair,
     field_to_dict,
 )
 from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
@@ -39,8 +42,6 @@ from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
 CUBIC_INV_BALL = 0.25
 CUBIC_INV_TOL = 1e-13
 CUBIC_INV_MAX_ITER = 200
-
-FieldPair = tuple[ComplexField, ComplexField]
 
 
 def _check_direction(direction: str) -> None:
@@ -76,18 +77,15 @@ def phi_inv(y: float, tol: float = 1e-15, max_iter: int = 100) -> float:
 
 
 def _q_value_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Q of an array pair; rejects a pair whose Q is not real and >= 0 (not conjugate)."""
     c = a + b
-    val = 0.25 * complex(np.dot(grid.absj * c, c[grid.neg_index]))
+    val = 0.25 * grid.pairing(c, c, grid.absj)
     scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-10 * scale:
+    if abs(val.imag) > 1e-10 * scale or val.real < -1e-12 * scale:
         raise DomainError(
-            f"quadratic functional is not real ({val!r}); pair is not conjugate"
+            f"quadratic functional {val!r} is not real and >= 0; pair is not conjugate"
         )
-    return max(val.real, 0.0) if val.real > -1e-12 * scale else _raise_negative(val)
-
-
-def _raise_negative(val: complex) -> float:
-    raise DomainError(f"quadratic functional is negative ({val.real!r}); pair is not conjugate")
+    return max(val.real, 0.0)
 
 
 def q_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> float:
@@ -98,10 +96,8 @@ def q_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> f
     complexified coordinates is 1 + 2Q.
     """
     if isinstance(f, ConjugatePair):
-        pair = f
-        c = pair.w.coeffs + pair.z.coeffs  # Hermitian, so each product is |c_j|^2
-        return 0.25 * float(np.dot(pair.grid.absj, c.real * c.real + c.imag * c.imag))
-    if g is None:
+        f, g = f.w, f.z
+    elif g is None:
         raise ParameterError("q_value needs a ConjugatePair or two fields")
     _same_grid(f, g)
     return _q_value_arrays(f.grid, f.coeffs, g.coeffs)
@@ -115,35 +111,28 @@ def p_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> f
 # -- individual stages --------------------------------------------------------
 
 
-def scale_stage(direction: str, pair: FieldPair) -> FieldPair:
-    """fwd: (q, p) -> (|j|^{-1/2} q, |j|^{1/2} p); inv undoes it."""
+def _stage_input(direction: str, pair: FieldPair) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
+    """Check a stage call; the grid and the two coefficient vectors of the pair."""
     _check_direction(direction)
     a, b = pair
     _same_grid(a, b)
-    g = a.grid
+    return a.grid, a.coeffs, b.coeffs
+
+
+def scale_stage(direction: str, pair: FieldPair) -> FieldPair:
+    """fwd: (q, p) -> (|j|^{-1/2} q, |j|^{1/2} p); inv undoes it."""
+    g, a, b = _stage_input(direction, pair)
     sgn = -0.5 if direction == "fwd" else 0.5
-    return (
-        ComplexField(g, a.coeffs * g.absj ** sgn),
-        ComplexField(g, b.coeffs * g.absj ** (-sgn)),
-    )
+    return field_pair(g, (a * g.absj ** sgn, b * g.absj ** (-sgn)))
 
 
 def complex_stage(direction: str, pair: FieldPair) -> FieldPair:
     """fwd: (f, g) -> (q, p) = ((f+g)/sqrt2, (f-g)/(i sqrt2)); inv: f,g = (q +- i p)/sqrt2."""
-    _check_direction(direction)
-    a, b = pair
-    _same_grid(a, b)
-    g = a.grid
+    g, a, b = _stage_input(direction, pair)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if direction == "fwd":
-        return (
-            ComplexField(g, (a.coeffs + b.coeffs) * inv_sqrt2),
-            ComplexField(g, -1j * (a.coeffs - b.coeffs) * inv_sqrt2),
-        )
-    return (
-        ComplexField(g, (a.coeffs + 1j * b.coeffs) * inv_sqrt2),
-        ComplexField(g, (a.coeffs - 1j * b.coeffs) * inv_sqrt2),
-    )
+        return field_pair(g, ((a + b) * inv_sqrt2, -1j * (a - b) * inv_sqrt2))
+    return field_pair(g, ((a + 1j * b) * inv_sqrt2, (a - 1j * b) * inv_sqrt2))
 
 
 def diag_stage(direction: str, pair: FieldPair) -> FieldPair:
@@ -151,38 +140,22 @@ def diag_stage(direction: str, pair: FieldPair) -> FieldPair:
 
     fwd maps the diagonalized pair (eta, psi) to (f, g) through the mixing
     matrix with ratio rho(P(eta, psi)); inv recovers (eta, psi) using that
-    the same ratio equals rho(Q(f, g)).
+    the same ratio equals rho(Q(f, g)), with the sign of the ratio flipped.
     """
-    _check_direction(direction)
-    a, b = pair
-    _same_grid(a, b)
-    g = a.grid
-    if direction == "fwd":
-        r = rho(p_value(a, b))
-        den = 1.0 / math.sqrt(1.0 - r * r)
-        return (
-            ComplexField(g, (a.coeffs + r * b.coeffs) * den),
-            ComplexField(g, (r * a.coeffs + b.coeffs) * den),
-        )
-    r = rho(q_value(a, b))
+    g, a, b = _stage_input(direction, pair)
+    q = _q_value_arrays(g, a, b)
+    r = rho(phi_inv(q)) if direction == "fwd" else -rho(q)
     den = 1.0 / math.sqrt(1.0 - r * r)
-    return (
-        ComplexField(g, (a.coeffs - r * b.coeffs) * den),
-        ComplexField(g, (-r * a.coeffs + b.coeffs) * den),
-    )
+    return field_pair(g, ((a + r * b) * den, (r * a + b) * den))
 
 
 def cubic_stage(direction: str, pair: FieldPair) -> FieldPair:
     """fwd: (w, z) -> (w, z) + mix(w, z)(w, z); inv by contraction in the 1/4 ball."""
-    _check_direction(direction)
-    a, b = pair
-    _same_grid(a, b)
-    g = a.grid
+    g, a, b = _stage_input(direction, pair)
     if direction == "fwd":
-        ma, mb = mix_arrays(g, a.coeffs, b.coeffs, a.coeffs, b.coeffs)
-        return ComplexField(g, a.coeffs + ma), ComplexField(g, b.coeffs + mb)
-    wa, wb = cubic_stage_inverse_arrays(g, a.coeffs, b.coeffs)
-    return ComplexField(g, wa), ComplexField(g, wb)
+        ma, mb = mix_arrays(g, a, b, a, b)
+        return field_pair(g, (a + ma, b + mb))
+    return field_pair(g, cubic_stage_inverse_arrays(g, a, b))
 
 
 def cubic_stage_inverse_arrays(
@@ -192,20 +165,17 @@ def cubic_stage_inverse_arrays(
     ball: float = CUBIC_INV_BALL,
     tol: float = CUBIC_INV_TOL,
     max_iter: int = CUBIC_INV_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> ArrayPair:
     """Fixed point of (w, z) = (eta, psi) - mix(w, z)(w, z), from (0, 0).
 
     The map is a contraction for ||eta||_{m0} <= 1/4, where the inverse is
     unique and satisfies ||w||_s <= 2 ||eta||_s.
     """
-    wgt = grid.weight(grid.m0)
-
-    def m0_norm(c):
-        return float(np.sqrt(np.dot(wgt, c.real * c.real + c.imag * c.imag)))
-
-    if m0_norm(eta) > ball:
+    m0 = grid.m0
+    eta_norm = grid.coeff_norm(eta, m0)
+    if eta_norm > ball:
         raise DomainError(
-            f"cubic stage inverse needs ||eta||_m0 <= {ball}, got {m0_norm(eta):.4f}"
+            f"cubic stage inverse needs ||eta||_m0 <= {ball}, got {eta_norm:.4f}"
         )
     w = np.zeros_like(eta)
     z = np.zeros_like(psi)
@@ -215,7 +185,7 @@ def cubic_stage_inverse_arrays(
         ma, mb = mix_arrays(grid, w, z, w, z)
         w_new = eta - ma
         z_new = psi - mb
-        delta = max(m0_norm(w_new - w), m0_norm(z_new - z))
+        delta = max(grid.coeff_norm(w_new - w, m0), grid.coeff_norm(z_new - z, m0))
         w, z = w_new, z_new
         if delta <= tol:
             return w, z
@@ -244,28 +214,20 @@ def rank_one_factor(eta: ComplexField, psi: ComplexField) -> float:
     return -1.0 / (4.0 * (1.0 + 3.0 * p) * math.sqrt(1.0 + 2.0 * p))
 
 
-def _lam_pair_functional(grid, eta, psi, a, b) -> complex:
-    c = eta + psi
-    return complex(np.dot(grid.absj * c, (a + b)[grid.neg_index]))
-
-
 def rank_one_apply(eta: ComplexField, psi: ComplexField, vec: FieldPair) -> FieldPair:
     g = eta.grid
     f = rank_one_factor(eta, psi)
-    ell = _lam_pair_functional(g, eta.coeffs, psi.coeffs, vec[0].coeffs, vec[1].coeffs)
-    return ComplexField(g, psi.coeffs * (f * ell)), ComplexField(g, eta.coeffs * (f * ell))
+    ell = g.pairing(eta.coeffs + psi.coeffs, vec[0].coeffs + vec[1].coeffs, g.absj)
+    return field_pair(g, (psi.coeffs * (f * ell), eta.coeffs * (f * ell)))
 
 
 def rank_one_solve_closed(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -> FieldPair:
     """Closed form: rhs + (psi, eta) <Lambda(eta+psi), rhs_1+rhs_2> / (4 (1+2P)^{3/2})."""
     g = eta.grid
     p = p_value(eta, psi)
-    ell = _lam_pair_functional(g, eta.coeffs, psi.coeffs, rhs[0].coeffs, rhs[1].coeffs)
+    ell = g.pairing(eta.coeffs + psi.coeffs, rhs[0].coeffs + rhs[1].coeffs, g.absj)
     c = ell / (4.0 * (1.0 + 2.0 * p) ** 1.5)
-    return (
-        ComplexField(g, rhs[0].coeffs + c * psi.coeffs),
-        ComplexField(g, rhs[1].coeffs + c * eta.coeffs),
-    )
+    return field_pair(g, (rhs[0].coeffs + c * psi.coeffs, rhs[1].coeffs + c * eta.coeffs))
 
 
 def rank_one_solve_dense(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -> FieldPair:
@@ -277,7 +239,7 @@ def rank_one_solve_dense(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -
     col = np.concatenate([psi.coeffs, eta.coeffs])
     mat = np.eye(2 * n, dtype=np.complex128) + f * np.outer(col, np.concatenate([row, row]))
     sol = np.linalg.solve(mat, np.concatenate([rhs[0].coeffs, rhs[1].coeffs]))
-    return ComplexField(g, sol[:n]), ComplexField(g, sol[n:])
+    return field_pair(g, (sol[:n], sol[n:]))
 
 
 # -- full composition ----------------------------------------------------------
@@ -301,6 +263,15 @@ class TransformChain:
         }
 
 
+#: the stages from (w, z) to (u, v) with their chain labels; inv runs them backwards
+_STAGES = (
+    (cubic_stage, "cubic"),
+    (diag_stage, "diag"),
+    (complex_stage, "complex"),
+    (scale_stage, "scale"),
+)
+
+
 def change_of_variables(
     direction: str,
     state: ConjugatePair | RealPair,
@@ -315,7 +286,8 @@ def change_of_variables(
     ``ball_radius=None`` to disable the precondition (diagnostics only).
     """
     _check_direction(direction)
-    if direction == "fwd":
+    fwd = direction == "fwd"
+    if fwd:
         if not isinstance(state, ConjugatePair):
             raise ParameterError("fwd composition expects a ConjugatePair")
         m0 = state.grid.m0
@@ -323,44 +295,25 @@ def change_of_variables(
             raise DomainError(
                 f"||w||_m0 = {state.w.norm(m0):.4f} outside the ball {ball_radius}"
             )
-        pair = (state.w, state.z)
-        if chain is not None:
-            chain.add("input_wz", pair)
-        pair = cubic_stage("fwd", pair)
-        if chain is not None:
-            chain.add("after_cubic", pair)
-        pair = diag_stage("fwd", pair)
-        if chain is not None:
-            chain.add("after_diag", pair)
-        pair = complex_stage("fwd", pair)
-        if chain is not None:
-            chain.add("after_complex", pair)
-        u, v = scale_stage("fwd", pair)
-        if chain is not None:
-            chain.add("output_uv", (u, v))
-        return RealPair(u, v)
-
-    if not isinstance(state, RealPair):
-        raise ParameterError("inv composition expects a RealPair")
-    m0 = state.grid.m0
-    size = state.u.norm(m0 + 0.5) + state.v.norm(m0 - 0.5)
-    if ball_radius is not None and size > ball_radius:
-        raise DomainError(f"||u|| + ||v|| = {size:.4f} outside the ball {ball_radius}")
-    pair = (state.u, state.v)
+        pair, ends, suffix = (state.w, state.z), ("wz", "uv"), ""
+    else:
+        if not isinstance(state, RealPair):
+            raise ParameterError("inv composition expects a RealPair")
+        m0 = state.grid.m0
+        size = state.u.norm(m0 + 0.5) + state.v.norm(m0 - 0.5)
+        if ball_radius is not None and size > ball_radius:
+            raise DomainError(f"||u|| + ||v|| = {size:.4f} outside the ball {ball_radius}")
+        pair, ends, suffix = (state.u, state.v), ("uv", "wz"), "_inv"
+    stages = _STAGES if fwd else _STAGES[::-1]
     if chain is not None:
-        chain.add("input_uv", pair)
-    pair = scale_stage("inv", pair)
-    if chain is not None:
-        chain.add("after_scale_inv", pair)
-    pair = complex_stage("inv", pair)
-    if chain is not None:
-        chain.add("after_complex_inv", pair)
-    pair = diag_stage("inv", pair)
-    if chain is not None:
-        chain.add("after_diag_inv", pair)
-    w, z = cubic_stage("inv", pair)
-    if chain is not None:
-        chain.add("output_wz", (w, z))
+        chain.add(f"input_{ends[0]}", pair)
+    for i, (stage, label) in enumerate(stages, start=1):
+        pair = stage(direction, pair)
+        if chain is not None:
+            chain.add(f"output_{ends[1]}" if i == len(stages) else f"after_{label}{suffix}", pair)
+    if fwd:
+        return RealPair(*pair)
+    w, z = pair
     scale = max(1.0, float(np.max(np.abs(w.coeffs))))
     if conjugate_defect(w, z) > 1e-9 * scale:
         raise DomainError("inverse composition lost the conjugate-pair structure")

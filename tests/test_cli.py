@@ -4,6 +4,7 @@ import os
 import pytest
 
 from kirchhoff_spectral.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_PASS,
@@ -12,6 +13,7 @@ from kirchhoff_spectral.cli import (
     config_hash,
     main,
     merge_config,
+    parse_config,
 )
 from kirchhoff_spectral.errors import ConfigError
 
@@ -256,3 +258,87 @@ def test_reports_embed_metadata(tmp_path):
     for key in ("schema_version", "build_id", "config_hash", "config", "grid"):
         assert key in rep
     assert rep["grid"]["n_modes"] == 16
+
+
+def test_sweep_initial_ball_exit_is_a_labelled_row(tmp_path):
+    # eps 0.6 puts w0 outside the transform ball; the other row still runs
+    out = os.path.join(tmp_path, "w")
+    code = main(
+        ["sweep", "--eps-list", "0.6,0.05", "--t-cap", "1", "--workers", "1",
+         "--no-measure-constants", "--out", out]
+    )
+    assert code == EXIT_FAIL
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        rep = json.load(fh)
+    first, second = rep["rows"]
+    assert first["eps"] == 0.6 and first["status"] == "initial_ball_exit"
+    assert first["pass_2x"] is False and "outside the ball" in first["error"]
+    assert second["status"] == "stable-at-cap" and second["pass_2x"] is True
+
+
+def test_sweep_failed_first_inverse_achieves_nothing(tmp_path):
+    # eps 0.4: w0 is inside the ball but its image (u, v) is not, so the
+    # inverse transform fails at the first sample; the row must not enter the fit
+    out = os.path.join(tmp_path, "w")
+    code = main(
+        ["sweep", "--eps-list", "0.4,0.2", "--t-cap", "1", "--workers", "1",
+         "--no-measure-constants", "--out", out]
+    )
+    assert code == EXIT_FAIL
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        rep = json.load(fh)
+    rows = {r["eps"]: r for r in rep["rows"]}
+    assert rows[0.4]["status"] == "transform_ball_exit"
+    assert rows[0.4]["achieved_time"] == 0.0
+    assert rows[0.2]["achieved_time"] == 1.0
+    assert "fit" not in rep  # one row with a positive achieved time is too few
+
+
+def _other_value(spec, default=None):
+    """A value the spec accepts that differs from the default."""
+    kind = spec["kind"]
+    if "choices" in spec:
+        return next(c for c in spec["choices"] if c != default)
+    if kind == "bool":
+        return not default
+    if kind == "int":
+        return (spec.get("min", -3) if default is None else default) + 1
+    if kind == "number":
+        return (spec.get("min", 0.0) if default is None else default) + 0.375
+    if kind == "str":
+        return f"{default}-set"
+    item = _other_value(spec["item"])
+    return [item, item]
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_option_same_by_flag_and_by_json(tmp_path, command):
+    options = COMMANDS[command][1]
+    values = {opt.name: _other_value(opt.spec, opt.default) for opt in options}
+    assert all(values[opt.name] != opt.default for opt in options)
+    argv = [command]
+    for opt in options:
+        flag = opt.name.replace("_", "-")
+        if opt.spec["kind"] == "bool":
+            argv.append(f"--{flag}" if values[opt.name] else f"--no-{flag}")
+        else:
+            argv.append(f"--{flag}={_flag_text(values[opt.name])}")
+    path = os.path.join(tmp_path, "c.json")
+    with open(path, "w") as fh:
+        json.dump(values, fh)
+    by_flag = parse_config(argv)
+    by_json = parse_config([command, "--config", path])
+    assert by_flag == by_json == (command, values)
+    assert config_hash(by_flag[1]) == config_hash(by_json[1])
+
+
+def test_bad_list_flags_exit_config(tmp_path):
+    assert main(["verify", "--grids", "1:x", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["verify", "--divisor-dims", "4", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["simulate", "--s-values", "1,a", "--out", str(tmp_path)]) == EXIT_CONFIG

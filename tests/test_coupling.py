@@ -4,16 +4,12 @@ import pytest
 from kirchhoff_spectral import ComplexField, ConvergenceError, ParameterError, random_field
 from kirchhoff_spectral.coupling import (
     apply_coupling,
-    apply_jac,
-    apply_mix,
     coupling_coefficient,
     jac_arrays,
     mix_arrays,
     small_divisor_check,
-    solve_jac,
     solve_jacobian_arrays,
 )
-from kirchhoff_spectral.fields import conj_function
 from oracles import brute_force_coupling, brute_force_small_divisor_margin
 
 
@@ -64,34 +60,33 @@ def test_apply_symmetric_in_uv(grid2):
 
 
 def test_mix_block_structure(grid1):
-    w = random_field(grid1, 7, 0.5, 1.0, "free")
-    z = conj_function(w)
-    alpha = random_field(grid1, 8, 1.0, 0.0, "free")
-    zero = ComplexField.zero(grid1)
-    first, second = apply_mix(w, z, (alpha, zero))
-    assert np.all(first.coeffs == 0.0)  # upper-left block is empty
-    assert np.any(second.coeffs != 0.0)
+    w = random_field(grid1, 7, 0.5, 1.0, "free").coeffs
+    z = np.conj(w[grid1.neg_index])
+    alpha = random_field(grid1, 8, 1.0, 0.0, "free").coeffs
+    zero = np.zeros(grid1.n_modes, dtype=complex)
+    first, second = mix_arrays(grid1, w, z, alpha, zero)
+    assert np.all(first == 0.0)  # upper-left block is empty
+    assert np.any(second != 0.0)
 
 
 def test_mix_zero_state_is_zero_operator(grid1):
-    z = ComplexField.zero(grid1)
-    alpha = random_field(grid1, 9, 1.0, 0.0, "free")
-    first, second = apply_mix(z, z, (alpha, alpha))
-    assert np.all(first.coeffs == 0.0) and np.all(second.coeffs == 0.0)
+    z = np.zeros(grid1.n_modes, dtype=complex)
+    alpha = random_field(grid1, 9, 1.0, 0.0, "free").coeffs
+    first, second = mix_arrays(grid1, z, z, alpha, alpha)
+    assert np.all(first == 0.0) and np.all(second == 0.0)
 
 
 def test_mix_commutes_with_multiplier(grid2):
-    from kirchhoff_spectral.fields import lambda_power
-
-    w = random_field(grid2, 10, 0.5, 1.5, "free")
-    z = conj_function(w)
-    alpha = random_field(grid2, 11, 1.0, 0.0, "free")
-    beta = random_field(grid2, 12, 1.0, 0.0, "free")
-    s = 2.0
-    a1, b1 = apply_mix(w, z, (lambda_power(alpha, s), lambda_power(beta, s)))
-    a2, b2 = apply_mix(w, z, (alpha, beta))
-    assert np.max(np.abs(a1.coeffs - lambda_power(a2, s).coeffs)) <= 1e-13
-    assert np.max(np.abs(b1.coeffs - lambda_power(b2, s).coeffs)) <= 1e-13
+    g = grid2
+    w = random_field(g, 10, 0.5, 1.5, "free").coeffs
+    z = np.conj(w[g.neg_index])
+    alpha = random_field(g, 11, 1.0, 0.0, "free").coeffs
+    beta = random_field(g, 12, 1.0, 0.0, "free").coeffs
+    lam_s = g.absj ** 2.0  # the multiplier |j|^s with s = 2
+    a1, b1 = mix_arrays(g, w, z, lam_s * alpha, lam_s * beta)
+    a2, b2 = mix_arrays(g, w, z, alpha, beta)
+    assert np.max(np.abs(a1 - lam_s * a2)) <= 1e-13
+    assert np.max(np.abs(b1 - lam_s * b2)) <= 1e-13
 
 
 def test_jac_matches_finite_difference_of_mix(grid1):
@@ -118,41 +113,41 @@ def test_jac_matches_finite_difference_of_mix(grid1):
 
 class TestSolve:
     def test_zero_state_identity(self, grid1):
-        z = ComplexField.zero(grid1)
+        z = np.zeros(grid1.n_modes, dtype=complex)
         rhs = (
-            random_field(grid1, 17, 1.0, 0.0, "free"),
-            random_field(grid1, 18, 1.0, 0.0, "free"),
+            random_field(grid1, 17, 1.0, 0.0, "free").coeffs,
+            random_field(grid1, 18, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jac(z, z, rhs, "neumann")
-        assert np.array_equal(x[0].coeffs, rhs[0].coeffs)
-        assert np.array_equal(x[1].coeffs, rhs[1].coeffs)
+        x = solve_jacobian_arrays(grid1, z, z, rhs, "neumann")
+        assert np.array_equal(x[0], rhs[0])
+        assert np.array_equal(x[1], rhs[1])
 
     def test_residual(self, grid2):
-        w = random_field(grid2, 19, 0.3, 1.5, "free")
-        z = conj_function(w)
+        w = random_field(grid2, 19, 0.3, 1.5, "free").coeffs
+        z = np.conj(w[grid2.neg_index])
         rhs = (
-            random_field(grid2, 20, 1.0, 0.0, "free"),
-            random_field(grid2, 21, 1.0, 0.0, "free"),
+            random_field(grid2, 20, 1.0, 0.0, "free").coeffs,
+            random_field(grid2, 21, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jac(w, z, rhs, "neumann")
-        ka, kb = apply_jac(w, z, x)
+        x = solve_jacobian_arrays(grid2, w, z, rhs, "neumann")
+        ka, kb = jac_arrays(grid2, w, z, *x)
         res = max(
-            np.max(np.abs(x[0].coeffs + ka.coeffs - rhs[0].coeffs)),
-            np.max(np.abs(x[1].coeffs + kb.coeffs - rhs[1].coeffs)),
+            np.max(np.abs(x[0] + ka - rhs[0])),
+            np.max(np.abs(x[1] + kb - rhs[1])),
         )
         assert res <= 1e-12
 
     def test_neumann_vs_dense(self, grid1):
-        w = random_field(grid1, 22, 0.4, 1.0, "free")
-        z = conj_function(w)
+        w = random_field(grid1, 22, 0.4, 1.0, "free").coeffs
+        z = np.conj(w[grid1.neg_index])
         rhs = (
-            random_field(grid1, 23, 1.0, 0.0, "free"),
-            random_field(grid1, 24, 1.0, 0.0, "free"),
+            random_field(grid1, 23, 1.0, 0.0, "free").coeffs,
+            random_field(grid1, 24, 1.0, 0.0, "free").coeffs,
         )
-        xn = solve_jac(w, z, rhs, "neumann")
-        xd = solve_jac(w, z, rhs, "dense")
+        xn = solve_jacobian_arrays(grid1, w, z, rhs, "neumann")
+        xd = solve_jacobian_arrays(grid1, w, z, rhs, "dense")
         for a, b in zip(xn, xd):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
+            assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_divergence_detected(self, grid1):
         w = random_field(grid1, 25, 6.0, 1.0, "free").coeffs
@@ -162,9 +157,9 @@ class TestSolve:
             solve_jacobian_arrays(grid1, w, z, rhs, "neumann")
 
     def test_bad_method(self, grid1):
-        z = ComplexField.zero(grid1)
+        z = np.zeros(grid1.n_modes, dtype=complex)
         with pytest.raises(ParameterError):
-            solve_jac(z, z, (z, z), "lu")
+            solve_jacobian_arrays(grid1, z, z, (z, z), "lu")
 
 
 class TestSmallDivisor:

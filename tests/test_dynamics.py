@@ -96,11 +96,12 @@ def test_hamiltonian_and_momenta_conserved_short(grid1):
 
 def test_complexified_field_real_structure_and_physical_equivalence(grid1):
     from kirchhoff_spectral.fields import conjugate_defect
-    from kirchhoff_spectral.normal_form import complexified_rhs
+    from kirchhoff_spectral.normal_form import complexified_rhs_arrays
     from kirchhoff_spectral.transforms import complex_stage, scale_stage
 
     pair = ConjugatePair(random_field(grid1, 6, 0.3, 1.0, "free"))
-    f1, f2 = complexified_rhs(pair)
+    arrays = complexified_rhs_arrays(grid1, pair.w.coeffs, pair.z.coeffs)
+    f1, f2 = (ComplexField(grid1, c) for c in arrays)
     assert conjugate_defect(f1, f2) <= 1e-14
     # the same dynamics as the physical system: push (f,g) to (u,v), apply the
     # physical field, pull the tangent back, compare

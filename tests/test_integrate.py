@@ -4,7 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import ComplexField, ConjugatePair, ParameterError, random_field
+from kirchhoff_spectral import (
+    ComplexField,
+    ConjugatePair,
+    ConvergenceError,
+    ParameterError,
+    random_field,
+)
 from kirchhoff_spectral.dynamics import (
     KirchhoffDynamics,
     LinearDiagonalDynamics,
@@ -72,6 +78,7 @@ def test_linear_field_exact_flow(grid1):
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=10.0, monitor_stride=10**6)
     rec = integrate(dyn, ConjugatePair(w0), cfg)
     assert rec.exit_reason == "completed"
+    assert rec.notes == {}  # notes are written only when a run stops early
     exact = dyn.exact(w0.coeffs, rec.times[-1])
     assert np.max(np.abs(rec.states[-1].w.coeffs - exact)) <= 1e-11
 
@@ -169,6 +176,29 @@ def test_field_domain_error_reported_as_ball_exit(grid1):
     w0 = ConjugatePair(random_field(grid1, 8, 0.7, 1.0, "free"))
     rec = integrate(dyn, w0, IntegratorConfig(t_end=1.0))
     assert rec.exit_reason == "ball_exit"
+
+
+def test_early_stop_records_its_cause(grid1):
+    # both routes to ball_exit keep the label and name the exception in notes
+    dyn = NormalFormDynamics(grid1)
+    w0 = ConjugatePair(random_field(grid1, 8, 0.7, 1.0, "free"))
+    rec = integrate(dyn, w0, IntegratorConfig(t_end=1.0))
+    assert rec.exit_reason == "ball_exit" and rec.exit_time == 0.0
+    assert rec.notes["error"].startswith("DomainError: normal-form field needs")
+
+    def refuse_late(t, y):
+        if t > 0.5:
+            raise ConvergenceError("solve failed late")
+        return -y
+
+    rec = integrate(_ScalarDynamics(refuse_late), 1.0 + 0j, IntegratorConfig(t_end=1.0))
+    assert rec.exit_reason == "ball_exit" and 0.0 < rec.exit_time <= 0.5
+    assert rec.notes == {"error": "ConvergenceError: solve failed late"}
+
+
+def test_normal_form_dynamics_rejects_unknown_method(grid1):
+    with pytest.raises(ParameterError, match="strucutred"):
+        NormalFormDynamics(grid1, method="strucutred")
 
 
 def test_max_steps(grid1):

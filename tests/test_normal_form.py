@@ -7,13 +7,11 @@ from kirchhoff_spectral.fields import conjugate_defect, hermitian_project
 from kirchhoff_spectral.normal_form import (
     decompose_rhs,
     diag_linear_arrays,
-    diagonalized_rhs,
     diagonalized_rhs_arrays,
-    energy_derivative,
     energy_derivative_arrays,
     normal_form_rhs,
+    normal_form_rhs_arrays,
     offdiag_cubic_arrays,
-    resonant_cubic,
     resonant_cubic_arrays,
 )
 
@@ -22,22 +20,26 @@ def _pair(grid, seed, norm):
     return ConjugatePair(random_field(grid, seed, norm, grid.m0, "free"))
 
 
+def _arrays(pair):
+    return pair.grid, pair.w.coeffs, pair.z.coeffs
+
+
 def test_diagonalized_rhs_zero(grid1):
-    out = diagonalized_rhs(ConjugatePair(ComplexField.zero(grid1)))
-    assert np.all(out[0].coeffs == 0.0)
+    out = diagonalized_rhs_arrays(*_arrays(ConjugatePair(ComplexField.zero(grid1))))
+    assert np.all(out[0] == 0.0)
 
 
 def test_diagonalized_rhs_real_structure(grid1, grid2):
     for g, seed in ((grid1, 1), (grid2, 2)):
         pair = _pair(g, seed, 0.3)
-        f1, f2 = diagonalized_rhs(pair)
-        assert conjugate_defect(f1, f2) <= 1e-14
+        f1, f2 = diagonalized_rhs_arrays(*_arrays(pair))
+        assert conjugate_defect(ComplexField(g, f1), ComplexField(g, f2)) <= 1e-14
 
 
 def test_decomposition_sums_to_field(grid1):
     pair = _pair(grid1, 3, 0.4)
     parts = decompose_rhs(pair)
-    total = diagonalized_rhs(pair)
+    total = diagonalized_rhs_arrays(*_arrays(pair))
     for i in range(2):
         s = (
             parts.diag_linear[i].coeffs
@@ -45,7 +47,7 @@ def test_decomposition_sums_to_field(grid1):
             + parts.offdiag_cubic[i].coeffs
             + parts.offdiag_tail[i].coeffs
         )
-        assert np.max(np.abs(s - total[i].coeffs)) <= 1e-13
+        assert np.max(np.abs(s - total[i])) <= 1e-13
 
 
 def test_decomposition_zero(grid1):
@@ -71,28 +73,28 @@ def test_resonant_cubic_single_pair_example(grid1):
     c[grid1.slot(1)] = a
     c[grid1.slot(-1)] = b
     pair = ConjugatePair(ComplexField(grid1, c))
-    first, second = resonant_cubic(pair)
+    first, second = resonant_cubic_arrays(*_arrays(pair))
     z = pair.z.coeffs
     # class {1,-1}: sum of w_j w_{-j} |j|^2 over the class is 2ab
     for k in (1, -1):
         i = grid1.slot(k)
-        assert first.coeffs[i] == pytest.approx(-0.25j * (2 * a * b) * z[i], rel=1e-14)
-    assert np.all(first.coeffs[grid1.j2 > 1] == 0.0)
+        assert first[i] == pytest.approx(-0.25j * (2 * a * b) * z[i], rel=1e-14)
+    assert np.all(first[grid1.j2 > 1] == 0.0)
 
 
 def test_resonant_cubic_couples_only_within_class(grid2):
     w = random_field(grid2, 5, 0.4, 1.5, "free")
     pair = ConjugatePair(w)
-    first, _ = resonant_cubic(pair)
+    first, _ = resonant_cubic_arrays(*_arrays(pair))
     # zeroing a class of w changes the output only inside that class
     cls = 2
     mask = pair.grid.class_of == cls
     c2 = w.coeffs.copy()
     c2[mask] = 0.0
-    first2, _ = resonant_cubic(ConjugatePair(ComplexField(grid2, c2)))
+    first2, _ = resonant_cubic_arrays(*_arrays(ConjugatePair(ComplexField(grid2, c2))))
     outside = ~mask
     # outside the class the only dependence is through z, unchanged there
-    assert np.max(np.abs(first.coeffs[outside] - first2.coeffs[outside])) <= 1e-15
+    assert np.max(np.abs(first[outside] - first2[outside])) <= 1e-15
 
 
 def test_homological_identity_spot(grid2):
@@ -110,12 +112,13 @@ def test_homological_identity_spot(grid2):
 
 def test_energy_cancellation(grid1):
     pair = _pair(grid1, 8, 0.3)
-    x3 = resonant_cubic(pair)
+    w = pair.w.coeffs
+    x3 = resonant_cubic_arrays(*_arrays(pair))
     for s in (1.0, 2.5):
-        assert abs(energy_derivative(pair, x3, s)) <= 1e-13
+        assert abs(energy_derivative_arrays(grid1, w, x3[0], s)) <= 1e-13
     nf = normal_form_rhs(pair)
     for s in (1.0, 2.5):
-        assert abs(energy_derivative(pair, nf.linear_part, s)) <= 1e-13
+        assert abs(energy_derivative_arrays(grid1, w, nf.linear_part[0].coeffs, s)) <= 1e-13
 
 
 class TestNormalFormRhs:
@@ -178,13 +181,13 @@ class TestNormalFormRhs:
 
 def test_energy_derivative_matches_explicit_sum(grid1):
     pair = _pair(grid1, 17, 0.3)
-    field = diagonalized_rhs(pair)
+    field = diagonalized_rhs_arrays(*_arrays(pair))
     s = 1.5
     w = pair.w.coeffs
     manual = 2.0 * np.real(
-        np.sum(grid1.j2f ** s * field[0].coeffs * np.conj(w))
+        np.sum(grid1.j2f ** s * field[0] * np.conj(w))
     )
-    assert energy_derivative(pair, field, s) == pytest.approx(manual, rel=1e-13)
+    assert energy_derivative_arrays(grid1, w, field[0], s) == pytest.approx(manual, rel=1e-13)
 
 
 def test_homological_identity_in_three_dimensions():
@@ -211,8 +214,10 @@ def test_diagonalized_rhs_rejects_non_conjugate(grid1):
 
 
 def test_energy_derivative_arrays_consistent(grid1):
+    # the field-layer and array-layer normal-form fields give the same derivative
     pair = _pair(grid1, 20, 0.2)
     nf = normal_form_rhs(pair)
-    ed1 = energy_derivative(pair, nf.total, 1.0)
-    ed2 = energy_derivative_arrays(grid1, pair.w.coeffs, nf.total[0].coeffs, 1.0)
+    w = pair.w.coeffs
+    ed1 = energy_derivative_arrays(grid1, w, nf.total[0].coeffs, 1.0)
+    ed2 = energy_derivative_arrays(grid1, w, normal_form_rhs_arrays(*_arrays(pair))[0], 1.0)
     assert ed1 == ed2

@@ -1,0 +1,40 @@
+"""The benchmark's span tracer (perfbench/spans.py) wraps package functions
+by name; a refactor that renames or moves one would break the traced
+benchmark silently, so every name it wraps is checked here."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    assert spans.TARGETS
+    for target in spans.TARGETS:
+        module_name, _, cls = target.owner.partition(":")
+        owner = importlib.import_module(module_name)
+        if cls:
+            owner = getattr(owner, cls)
+        # vars(), not getattr(): an inherited method would not be traced
+        assert callable(vars(owner).get(target.attr)), target
+
+
+def test_traced_call_paths():
+    from kirchhoff_spectral import suites, transforms
+
+    # the tracer patches the registry entry along with the module attribute
+    assert suites.REGISTRY["neumann-vs-dense"] is suites.suite_neumann_vs_dense
+    # the cubic-stage inverse counts its iterations through the transforms
+    # module's own mix_arrays reference
+    assert "mix_arrays" in transforms.cubic_stage_inverse_arrays.__code__.co_names
