@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fields import ConjugatePair, RealPair, field_from_dict, random_field
 from .grid import SpectralGrid
-from .integrate import IntegratorConfig, TrajectoryRecord, integrate
+from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
 from .kirchhoff import hamiltonian, momenta, random_state
 from .normal_form import METHODS
 from .suites import REGISTRY, SuiteConfig, measure_quartic_constant, run_suites
@@ -228,17 +228,18 @@ def _grid_meta(grid: SpectralGrid) -> dict:
 
 # -- verify ---------------------------------------------------------------------
 
+_SUITE = SuiteConfig()  # verify defaults to the suite defaults (lists in JSON)
 VERIFY_OPTIONS = (
-    Option("grids", [[1, 4], [1, 8], [2, 4], [2, 8]],
+    Option("grids", [list(g) for g in _SUITE.grids],
            _list(_list(_int(min=1), min_len=2), min_len=1), "grids d:N, comma-separated"),
-    Option("samples", 200, _int(min=0)),
-    Option("seed", 20260808, _int()),
+    Option("samples", _SUITE.samples, _int(min=0)),
+    Option("seed", _SUITE.seed, _int()),
     Option("suites", [], _list({"kind": "str", "choices": tuple(REGISTRY)}),
            "comma-separated subset of suites (empty means all)"),
-    Option("corrupt_diff_sign", False, _BOOL, "debug: flip the sign of the difference-coupling "
-           "table (negative control; exact-identity suites must fail)"),
-    Option("divisor_radius", 50, _int(min=2)),
-    Option("divisor_dims", [2, 3], _list(_int(min=2, max=3))),
+    Option("corrupt_diff_sign", _SUITE.corrupt_diff_sign, _BOOL, "debug: flip the sign of the "
+           "difference-coupling table (negative control; exact-identity suites must fail)"),
+    Option("divisor_radius", _SUITE.divisor_radius, _int(min=2)),
+    Option("divisor_dims", list(_SUITE.divisor_dims), _list(_int(min=2, max=3))),
     Option("workers", 1, _int(min=1), "suite-level worker pool size"),
     _OUT,
 )
@@ -296,7 +297,7 @@ SIMULATE_OPTIONS = (
     Option("eps", 0.1, _NONNEGATIVE),
     Option("representation", "original", _str("original", "diagonalized", "normal_form")),
     Option("method", "structured", _str(*METHODS)),
-    Option("scheme", "rk45_adaptive", _str("rk4", "rk45_adaptive")),
+    Option("scheme", "rk45_adaptive", _str(*SCHEMES)),
     Option("dt", 1e-2, _NONNEGATIVE),
     Option("rel_tol", 1e-10, _NONNEGATIVE),
     Option("abs_tol", 1e-13, _NONNEGATIVE),
@@ -358,17 +359,18 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
         if rep == "normal_form":
             from .normal_form import energy_derivative_arrays, normal_form_rhs
 
-            def _speed_shift(t, st):
-                return normal_form_rhs(st, method="structured").speed_shift
+            last: dict = {}
 
-            def _ed(t, st):
-                rhs = normal_form_rhs(st, method="structured")
-                return energy_derivative_arrays(
-                    grid, st.w.coeffs, rhs.total[0].coeffs, m0
-                )
+            def _field(st):
+                # every monitor of a sample gets the same state object
+                if last.get("state") is not st:
+                    last.update(state=st, rhs=normal_form_rhs(st, method="structured"))
+                return last["rhs"]
 
-            monitors["speed_shift"] = _speed_shift
-            monitors["energy_derivative_m0"] = _ed
+            monitors["speed_shift"] = lambda t, st: _field(st).speed_shift
+            monitors["energy_derivative_m0"] = lambda t, st: energy_derivative_arrays(
+                grid, st.w.coeffs, _field(st).total[0].coeffs, m0
+            )
     return monitors
 
 
@@ -567,19 +569,16 @@ def _sweep_row(params: dict) -> dict:
     icfg = IntegratorConfig(rel_tol=params["rel_tol"], abs_tol=1e-12, t_end=t_end)
     try:
         if params["representation"] == "original":
+            # both directions at t = 0 before paying for a run
             try:
                 state0 = change_of_variables("fwd", w0)
+                states_w = [change_of_variables("inv", state0)]
             except DomainError as exc:
                 row.update(status="initial_ball_exit", error=str(exc), pass_2x=False)
                 return row
             rec = integrate(KirchhoffDynamics(grid), state0, icfg, t_eval=ts)
-            states_w = []
-            uv_norms = []
-            h_vals = []
             status = None
-            for st in rec.states:
-                h_vals.append(hamiltonian(st))
-                uv_norms.append(st.u.norm(m0 + 0.5) + st.v.norm(m0 - 0.5))
+            for st in rec.states[1:]:  # the first sample is state0
                 try:
                     states_w.append(change_of_variables("inv", st))
                 except DomainError:
@@ -588,8 +587,10 @@ def _sweep_row(params: dict) -> dict:
             norms = {
                 s: np.array([st.w.norm(s) for st in states_w]) for s in s_list
             }
+            h_vals = np.array([hamiltonian(st) for st in rec.states])
+            uv_norms = [st.u.norm(m0 + 0.5) + st.v.norm(m0 - 0.5) for st in rec.states]
             row["ham_drift_rel"] = float(
-                np.max(np.abs(np.array(h_vals) - h_vals[0])) / max(1.0, abs(h_vals[0]))
+                np.max(np.abs(h_vals - h_vals[0])) / max(1.0, abs(h_vals[0]))
             )
             row["max_uv_norm"] = float(np.max(uv_norms))
             row["uv_ratio"] = float(np.max(uv_norms) / uv_norms[0])
@@ -605,9 +606,8 @@ def _sweep_row(params: dict) -> dict:
         row["pass_2x"] = False
         return row
 
-    # a row whose first inverse transform fails has achieved nothing
-    achieved = ts[len(states_w) - 1] if states_w else 0.0
-    row["achieved_time"] = float(rec.exit_time if status is None else achieved)
+    # a row whose inverse transform fails has achieved its last mapped sample
+    row["achieved_time"] = float(rec.exit_time if status is None else ts[len(states_w) - 1])
     row["exit_reason"] = rec.exit_reason
     row.update(rec.notes)  # why the run stopped early, if it did
     row["n_steps"] = rec.n_steps

@@ -1,11 +1,11 @@
 """Deterministic explicit time integration with per-step invariant monitoring.
 
-Two schemes: classical fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-embedded pair with PI step-size control (the 5th-order solution is
-propagated). The schemes are deliberately *not* structure preserving: the
-workbench measures conservation defects as diagnostics, and drift channels
-are only meaningful when the integrator does not conserve them by
-construction.
+Two tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step: classical
+fixed-step RK4 and an adaptive Dormand-Prince 5(4) embedded pair with PI
+step-size control (the 5th-order solution is propagated). The schemes are
+deliberately *not* structure preserving: the workbench measures conservation
+defects as diagnostics, and drift channels are only meaningful when the
+integrator does not conserve them by construction.
 
 After every accepted step the state is projected back onto its exact
 structural symmetry class and the projection defect is logged (for the
@@ -16,35 +16,59 @@ defect stays at rounding level).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BlowupError,
-    ConvergenceError,
-    DomainError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import ConvergenceError, DomainError, NumericalError, ParameterError
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# difference between the 5th- and 4th-order weights (error estimator)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta scheme whose last row is the new point.
+
+    Row ``i`` of the strictly lower triangular ``a`` forms the input of stage
+    ``i`` as ``y + dt * a[i] @ k``. The last row holds the weights ``b`` (its
+    node is 1), so its input is the new state and its stage, the field there,
+    is the next step's ``k[0]``. ``e`` are the error weights of an embedded
+    pair (higher minus lower order); a fixed-step scheme has none.
+    """
+
+    c: tuple
+    a: np.ndarray
+    e: np.ndarray | None = None
+
+
+def _tableau(c, rows, e=None) -> _Tableau:
+    a = np.zeros((len(c), len(c)))
+    for i, row in enumerate(rows, start=1):
+        a[i, : len(row)] = row
+    return _Tableau(tuple(c), a, None if e is None else np.asarray(e))
+
+
+#: scheme name -> tableau; the keys are the only list of scheme names
+SCHEMES = {
+    "rk4": _tableau(
+        (0.0, 0.5, 0.5, 1.0, 1.0),
+        ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+    ),
+    "rk45_adaptive": _tableau(
+        (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+        (
+            (1 / 5,),
+            (3 / 40, 9 / 40),
+            (44 / 45, -56 / 15, 32 / 9),
+            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        ),
+        e=(71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+    ),
+}
 
 
 @dataclass
 class IntegratorConfig:
-    scheme: str = "rk45_adaptive"  # "rk4" or "rk45_adaptive"
+    scheme: str = "rk45_adaptive"  # a key of SCHEMES
     dt: float = 1e-2  # fixed step (rk4) or initial step (rk45)
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -56,7 +80,7 @@ class IntegratorConfig:
     store_states: bool = True
 
     def validate(self) -> None:
-        if self.scheme not in ("rk4", "rk45_adaptive"):
+        if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0 or self.t_end < 0:
             raise ParameterError("dt must be > 0 and t_end >= 0")
@@ -80,9 +104,6 @@ class TrajectoryRecord:
     max_projection_defect: float
     notes: dict = dataclass_field(default_factory=dict)
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[name]
-
     def to_csv(self, path) -> None:
         """One row per sample; floats with 17 significant digits; LF endings."""
         names = sorted(self.channels)
@@ -93,58 +114,21 @@ class TrajectoryRecord:
                 fh.write(",".join(row) + "\n")
 
 
-def _rk4_step(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(evaluator, state, dt: float, t: float = 0.0, scheme: str = "rk4"):
-    """Single explicit step on a state object (no error control; test utility)."""
-    y = evaluator.pack(state)
-    if scheme == "rk4":
-        y_new = _rk4_step(evaluator.rhs, t, y, dt)
-    elif scheme == "rk45_adaptive":
-        k1 = evaluator.rhs(t, y)
-        y_new, _, _, _ = _dopri_step(evaluator.rhs, t, y, dt, k1)
-    else:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    if not np.all(np.isfinite(y_new.view(np.float64))):
-        raise BlowupError(t + dt)
-    y_new, _ = evaluator.project(y_new)
-    return evaluator.unpack(y_new)
-
-
-def _dopri_step(rhs, t, y, dt, k1):
-    """One embedded 5(4) attempt: (5th-order y, FSAL stage, error vector, stages)."""
-    k = [k1]
-    for i in range(1, 6):
-        acc = _A[i][0] * k[0]
-        for j in range(1, i):
-            aij = _A[i][j]
-            if aij != 0.0:
-                acc = acc + aij * k[j]
-        k.append(rhs(t + _C[i] * dt, y + dt * acc))
-    a6 = _A[6]
-    y5 = y + dt * (a6[0] * k[0] + a6[2] * k[2] + a6[3] * k[3] + a6[4] * k[4] + a6[5] * k[5])
-    k_fsal = rhs(t + dt, y5)
-    err = dt * (
-        _E[0] * k[0]
-        + _E[2] * k[2]
-        + _E[3] * k[3]
-        + _E[4] * k[4]
-        + _E[5] * k[5]
-        + _E[6] * k_fsal
-    )
-    return y5, k_fsal, err, k
-
-
 def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
     q = np.abs(err) / scale
     return float(np.sqrt(np.mean(q * q)))
+
+
+def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol):
+    """One attempt from ``k[0] = rhs(t, y)``: fills ``k[1:]``; returns the new
+    state and its error norm (0 for a fixed-step scheme)."""
+    for i in range(1, len(scheme.c)):
+        y_i = y + dt * (scheme.a[i, :i] @ k[:i])
+        k[i] = rhs(t + scheme.c[i] * dt, y_i)
+    if scheme.e is None:
+        return y_i, 0.0
+    return y_i, _error_norm(dt * (scheme.e @ k), y, y_i, rel_tol, abs_tol)
 
 
 def integrate(
@@ -208,7 +192,7 @@ def integrate(
         return TrajectoryRecord(
             times=np.asarray(times),
             states=states,
-            channels={k: np.asarray(v) for k, v in channels.items()},
+            channels={name: np.asarray(v) for name, v in channels.items()},
             exit_reason=reason,
             exit_time=t,
             n_steps=n_steps,
@@ -221,9 +205,11 @@ def integrate(
         return finish("completed")
 
     dt = min(config.dt, config.t_end)
-    adaptive = config.scheme == "rk45_adaptive"
+    scheme = SCHEMES[config.scheme]
+    adaptive = scheme.e is not None
+    k = np.empty((len(scheme.c), y.size), dtype=np.complex128)
     try:
-        k1 = rhs(t, y)
+        k[0] = rhs(t, y)
     except (DomainError, ConvergenceError, NumericalError) as exc:
         return finish(stopped_by(exc))
     err_prev = 1e-4
@@ -254,13 +240,7 @@ def integrate(
         try:
             # overflow to inf is handled explicitly below as blowup
             with np.errstate(invalid="ignore", over="ignore"):
-                if adaptive:
-                    y_new, k_fsal, err_vec, _ = _dopri_step(rhs, t, y, dt_try, k1)
-                    err = _error_norm(err_vec, y, y_new, config.rel_tol, config.abs_tol)
-                else:
-                    y_new = _rk4_step(rhs, t, y, dt_try)
-                    k_fsal = None
-                    err = 0.0
+                y_new, err = _rk_step(scheme, rhs, t, y, dt_try, k, config.rel_tol, config.abs_tol)
         except (DomainError, ConvergenceError, NumericalError) as exc:
             exit_reason = stopped_by(exc)
             break
@@ -277,9 +257,8 @@ def integrate(
         t = t + dt_try
         y, defect = evaluator.project(y_new)
         max_defect = max(max_defect, defect)
-        if defect != 0.0 and k_fsal is not None:
-            k_fsal = rhs(t, y)
-        k1 = k_fsal if k_fsal is not None else rhs(t, y)
+        # the field at the new point is the next step's first stage
+        k[0] = rhs(t, y) if defect != 0.0 else k[-1]
         n_steps += 1
         since_sample += 1
 

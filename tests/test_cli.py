@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from kirchhoff_spectral import cli
 from kirchhoff_spectral.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -10,12 +11,15 @@ from kirchhoff_spectral.cli import (
     EXIT_PASS,
     SIMULATE_DEFAULTS,
     SIMULATE_SCHEMA,
+    VERIFY_DEFAULTS,
     config_hash,
     main,
     merge_config,
     parse_config,
 )
-from kirchhoff_spectral.errors import ConfigError
+from kirchhoff_spectral.errors import ConfigError, DomainError
+from kirchhoff_spectral.grid import SpectralGrid
+from kirchhoff_spectral.integrate import SCHEMES
 
 
 def test_merge_config_defaults_json_flags(tmp_path):
@@ -26,6 +30,27 @@ def test_merge_config_defaults_json_flags(tmp_path):
     assert cfg["eps"] == 0.05      # from json
     assert cfg["t_end"] == 7.0     # flag overrides json
     assert cfg["d"] == 1           # default survives
+
+
+def test_verify_defaults_unchanged():
+    # read from SuiteConfig; the defaults and so the default config hash stay put
+    assert VERIFY_DEFAULTS == {
+        "grids": [[1, 4], [1, 8], [2, 4], [2, 8]],
+        "samples": 200,
+        "seed": 20260808,
+        "suites": [],
+        "corrupt_diff_sign": False,
+        "divisor_radius": 50,
+        "divisor_dims": [2, 3],
+        "workers": 1,
+        "out": "out",
+    }
+    assert config_hash(VERIFY_DEFAULTS) == "0d9e2da9ad046a8c"
+
+
+def test_scheme_choices_are_the_scheme_table():
+    (scheme,) = [opt for opt in COMMANDS["simulate"][1] if opt.name == "scheme"]
+    assert tuple(scheme.spec["choices"]) == tuple(SCHEMES)
 
 
 def test_merge_config_unknown_field(tmp_path):
@@ -125,6 +150,37 @@ def test_simulate_normal_form(tmp_path):
         rep = json.load(fh)
     assert "speed_shift" in rep["channels"]
     assert rep["channels"]["speed_shift"]["min"] >= 0.0
+
+
+def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypatch):
+    import kirchhoff_spectral.normal_form as nf
+
+    calls = []
+    real = nf.normal_form_rhs
+
+    def counting(state, method):
+        calls.append(state)
+        return real(state, method=method)
+
+    monkeypatch.setattr(nf, "normal_form_rhs", counting)
+    out = os.path.join(tmp_path, "s")
+    code = main(["simulate", "--representation", "normal_form", "--eps", "0.05",
+                 "--t-end", "0.5", "--out", out])
+    assert code == EXIT_PASS
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        assert len(fh.read().strip().split("\n")) - 1 == 6
+    assert len(calls) == 6
+
+    # the shared evaluation gives both channels exactly their own values
+    _, cfg = parse_config(["simulate", "--representation", "normal_form"])
+    grid = SpectralGrid(1, 8)
+    state = cli._initial_state(cfg, grid)
+    monitors = cli._simulate_monitors(cfg, grid, state)
+    rhs = real(state, method="structured")
+    assert monitors["speed_shift"](0.0, state) == rhs.speed_shift
+    assert monitors["energy_derivative_m0"](0.0, state) == nf.energy_derivative_arrays(
+        grid, state.w.coeffs, rhs.total[0].coeffs, grid.m0
+    )
 
 
 def test_simulate_norm_ratio_spread_small(tmp_path):
@@ -288,10 +344,50 @@ def test_sweep_failed_first_inverse_achieves_nothing(tmp_path):
     with open(os.path.join(out, "sweep_report.json")) as fh:
         rep = json.load(fh)
     rows = {r["eps"]: r for r in rep["rows"]}
-    assert rows[0.4]["status"] == "transform_ball_exit"
-    assert rows[0.4]["achieved_time"] == 0.0
+    assert rows[0.4]["status"] == "initial_ball_exit"
+    assert "achieved_time" not in rows[0.4]
     assert rows[0.2]["achieved_time"] == 1.0
     assert "fit" not in rep  # one row with a positive achieved time is too few
+
+
+def test_sweep_checks_initial_inverse_before_integrating(monkeypatch):
+    # the eps 0.4 row fails its first inverse: it is labelled without a run
+    # and reports no ratios next to a pass flag
+    runs = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: runs.append(a))
+    _, cfg = parse_config(["sweep", "--t-cap", "1", "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=0.4, row_seed=100))
+    assert runs == []
+    assert row["status"] == "initial_ball_exit" and row["pass_2x"] is False
+    assert "outside the ball" in row["error"]
+    assert not any(key.startswith(("ratio_s", "pass_2x_s")) for key in row)
+
+
+def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
+    _, cfg = parse_config(["sweep", "--t-cap", "5", "--n-samples", "10",
+                           "--no-measure-constants"])
+    params = dict(cfg, eps=0.2, row_seed=100)
+    full = cli._sweep_row(params)
+    assert full["status"] == "stable-at-cap"
+
+    # the inverse transform of the third sample fails; the run itself is the same
+    inverse_calls = []
+    real = cli.change_of_variables
+
+    def failing(direction, state):
+        if direction == "inv":
+            inverse_calls.append(state)
+            if len(inverse_calls) == 3:
+                raise DomainError("left the ball")
+        return real(direction, state)
+
+    monkeypatch.setattr(cli, "change_of_variables", failing)
+    cut = cli._sweep_row(params)
+    assert cut["status"] == "transform_ball_exit" and cut["pass_2x"] is False
+    assert cut["achieved_time"] == 0.5  # the second sample, the last one mapped
+    assert cut["n_steps"] == full["n_steps"]
+    for key in ("ham_drift_rel", "max_uv_norm", "uv_ratio"):
+        assert cut[key] == full[key]
 
 
 def _other_value(spec, default=None):

@@ -16,7 +16,7 @@ from kirchhoff_spectral.dynamics import (
     LinearDiagonalDynamics,
     NormalFormDynamics,
 )
-from kirchhoff_spectral.integrate import IntegratorConfig, integrate, step
+from kirchhoff_spectral.integrate import SCHEMES, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
 
 
@@ -90,7 +90,7 @@ def test_single_rk4_step_order(grid1):
     state = ConjugatePair(w0)
 
     def local_err(dt):
-        out = step(dyn, state, dt, scheme="rk4")
+        out = integrate(dyn, state, IntegratorConfig(scheme="rk4", dt=dt, t_end=dt)).states[-1]
         return np.max(np.abs(out.w.coeffs - dyn.exact(w0.coeffs, dt)))
 
     e1, e2 = local_err(0.1), local_err(0.05)
@@ -250,7 +250,83 @@ def test_csv_round_trip(tmp_path, grid1):
 def test_step_preserves_state_class(grid1):
     dyn = KirchhoffDynamics(grid1)
     state = random_state(grid1, 13, 0.2)
-    out = step(dyn, state, 0.01, scheme="rk4")
+
+    def one_step(scheme):
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.01)
+        return integrate(dyn, state, cfg).states[-1]
+
+    out = one_step("rk4")
     assert out.u.coeffs.shape == state.u.coeffs.shape
-    out45 = step(dyn, state, 0.01, scheme="rk45_adaptive")
+    out45 = one_step("rk45_adaptive")
     assert np.max(np.abs(out45.u.coeffs - out.u.coeffs)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_tableau_consistency(name):
+    scheme = SCHEMES[name]
+    a = scheme.a
+    assert np.all(np.triu(a) == 0.0)  # explicit
+    assert np.allclose(a.sum(axis=1), scheme.c, rtol=0, atol=1e-15)
+    assert scheme.c[-1] == 1.0 and abs(a[-1].sum() - 1.0) <= 1e-15  # weights b
+    if scheme.e is not None:
+        assert abs(scheme.e.sum()) <= 1e-15
+
+
+def test_dopri_tableau_matches_scipy():
+    # an independent copy of the Dormand-Prince 5(4) coefficients
+    from scipy.integrate._ivp.rk import RK45
+
+    scheme = SCHEMES["rk45_adaptive"]
+    s = RK45.n_stages
+    assert np.allclose(scheme.c[:s], RK45.C, rtol=1e-15, atol=0)
+    assert np.allclose(scheme.a[:s, : s - 1], RK45.A, rtol=1e-15, atol=0)
+    assert np.allclose(scheme.a[s, :s], RK45.B, rtol=1e-15, atol=0)
+    assert np.allclose(np.abs(scheme.e), np.abs(RK45.E), rtol=1e-15, atol=0)
+
+
+def test_rk4_step_matches_classical_formula(grid1):
+    # the tableau sums stages in another order than the textbook formula
+    dyn = KirchhoffDynamics(grid1)
+    state = random_state(grid1, 16, 0.3)
+    y, dt = dyn.pack(state), 0.05
+    k1 = dyn.rhs(0.0, y)
+    k2 = dyn.rhs(0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = dyn.rhs(0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = dyn.rhs(dt, y + dt * k3)
+    expected = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = integrate(dyn, state, IntegratorConfig(scheme="rk4", dt=dt, t_end=dt)).states[-1]
+    assert np.max(np.abs(dyn.pack(out) - expected)) <= 1e-15 * np.max(np.abs(y))
+
+
+class _Counting:
+    """Wraps an evaluator and counts its right-hand-side calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def rhs(self, t, y):
+        self.calls += 1
+        return self.inner.rhs(t, y)
+
+
+def test_rk4_step_makes_four_rhs_calls(grid1):
+    # one call at the start, then four per step: the field at the new point
+    # is the next step's first stage
+    dyn = _Counting(KirchhoffDynamics(grid1))
+    cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=1.0)
+    rec = integrate(dyn, random_state(grid1, 14, 0.2), cfg)
+    assert rec.n_steps == 100 and rec.max_projection_defect == 0.0
+    assert dyn.calls == 1 + 4 * rec.n_steps
+
+
+def test_dopri_makes_six_rhs_calls_per_attempt(grid1):
+    dyn = _Counting(LinearDiagonalDynamics(grid1))
+    w0 = ConjugatePair(random_field(grid1, 15, 0.5, 1.0, "free"))
+    cfg = IntegratorConfig(dt=10.0, rel_tol=1e-12, abs_tol=1e-14, t_end=1.0)
+    rec = integrate(dyn, w0, cfg)
+    assert rec.n_rejected >= 1
+    assert dyn.calls == 1 + 6 * (rec.n_steps + rec.n_rejected)
