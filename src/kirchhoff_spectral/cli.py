@@ -547,6 +547,12 @@ SWEEP_OPTIONS = (
 SWEEP_DEFAULTS, SWEEP_SCHEMA = _tables(SWEEP_OPTIONS)
 
 
+def _sweep_integrator(cfg: dict) -> dict:
+    """The sweep's integrator: DOP853, which takes a fraction of DOPRI5's steps
+    at the sweep's tolerances and long horizons."""
+    return {"scheme": "dop853", "rel_tol": cfg["rel_tol"], "abs_tol": 1e-12}
+
+
 def _sweep_row(params: dict) -> dict:
     """One (eps, seed) row from the sweep config plus eps and row_seed (picklable)."""
     grid = SpectralGrid(params["d"], params["n_modes"])
@@ -566,7 +572,7 @@ def _sweep_row(params: dict) -> dict:
         "t_target": t_target,
         "t_end": t_end,
     }
-    icfg = IntegratorConfig(rel_tol=params["rel_tol"], abs_tol=1e-12, t_end=t_end)
+    icfg = IntegratorConfig(**_sweep_integrator(params), t_end=t_end)
     try:
         if params["representation"] == "original":
             # both directions at t = 0 before paying for a run
@@ -611,6 +617,7 @@ def _sweep_row(params: dict) -> dict:
     row["exit_reason"] = rec.exit_reason
     row.update(rec.notes)  # why the run stopped early, if it did
     row["n_steps"] = rec.n_steps
+    row["n_rejected"] = rec.n_rejected
     for s in s_list:
         series = norms[s]
         ratio = float(np.max(series) / series[0]) if len(series) and series[0] > 0 else 0.0
@@ -645,6 +652,7 @@ def cmd_sweep(cfg: dict) -> int:
     grid = SpectralGrid(cfg["d"], cfg["n_modes"])
     report = _report_header("sweep", cfg)
     report["grid"] = _grid_meta(grid)
+    report["integrator"] = _sweep_integrator(cfg)
     report["rows"] = rows
 
     finished = [r for r in rows if "achieved_time" in r and r["achieved_time"] > 0]
@@ -751,7 +759,7 @@ COMMANDS = {
         SWEEP_OPTIONS,
         "lifespan surrogate over a list of amplitudes",
         "sweep_rows.csv columns (alphabetical): achieved_time, eps, "
-        "exit_reason, ham_drift_rel, max_uv_norm, n_steps, pass_2x, "
+        "exit_reason, ham_drift_rel, max_uv_norm, n_rejected, n_steps, pass_2x, "
         "pass_2x_s<order> and ratio_s<order> per monitored order, seed, "
         "status, t_end, t_target, uv_ratio, w0_norm_m0. Rows are sorted by "
         "eps descending; floats carry 17 significant digits.",

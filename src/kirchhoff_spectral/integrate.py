@@ -1,11 +1,14 @@
 """Deterministic explicit time integration with per-step invariant monitoring.
 
-Two tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step: classical
-fixed-step RK4 and an adaptive Dormand-Prince 5(4) embedded pair with PI
-step-size control (the 5th-order solution is propagated). The schemes are
-deliberately *not* structure preserving: the workbench measures conservation
-defects as diagnostics, and drift channels are only meaningful when the
-integrator does not conserve them by construction.
+Three tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step:
+classical fixed-step RK4, the adaptive Dormand-Prince 5(4) embedded pair
+with PI step-size control, and Dormand-Prince 8(5,3) (DOP853; Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.10), whose error estimate combines a
+5th- and a 3rd-order embedded solution as in Hairer's code. Both adaptive
+schemes propagate their higher-order solution. The schemes are deliberately
+*not* structure preserving: the workbench measures conservation defects as
+diagnostics, and drift channels are only meaningful when the integrator
+does not conserve them by construction.
 
 After every accepted step the state is projected back onto its exact
 structural symmetry class and the projection defect is logged (for the
@@ -30,19 +33,26 @@ class _Tableau(NamedTuple):
     ``i`` as ``y + dt * a[i] @ k``. The last row holds the weights ``b`` (its
     node is 1), so its input is the new state and its stage, the field there,
     is the next step's ``k[0]``. ``e`` are the error weights of an embedded
-    pair (higher minus lower order); a fixed-step scheme has none.
+    pair (higher minus lower order): one row, or two (a 5th- and a 3rd-order
+    estimate) combined as in Hairer's DOP853; a fixed-step scheme has none.
+    ``a`` and ``e`` are complex so that the stage products cast nothing.
+    ``exponents`` drive the step-size controller: a rejected step scales by
+    ``0.9 * err**-reject``, an accepted one by
+    ``0.9 * err**-accept * err_prev**memory``.
     """
 
     c: tuple
     a: np.ndarray
     e: np.ndarray | None = None
+    exponents: tuple = ()  # (reject, accept, memory) for an adaptive scheme
 
 
-def _tableau(c, rows, e=None) -> _Tableau:
-    a = np.zeros((len(c), len(c)))
+def _tableau(c, rows, e=None, exponents=()) -> _Tableau:
+    a = np.zeros((len(c), len(c)), dtype=np.complex128)
     for i, row in enumerate(rows, start=1):
         a[i, : len(row)] = row
-    return _Tableau(tuple(c), a, None if e is None else np.asarray(e))
+    e = None if e is None else np.asarray(e, dtype=np.complex128)
+    return _Tableau(tuple(c), a, e, exponents)
 
 
 #: scheme name -> tableau; the keys are the only list of scheme names
@@ -62,6 +72,61 @@ SCHEMES = {
             (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
         ),
         e=(71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+        exponents=(0.2, 0.17, 0.04),
+    ),
+    # the coefficients of Hairer's DOP853 code, as in scipy's
+    # dop853_coefficients; the error rows are E5, then E3 (evaluated)
+    "dop853": _tableau(
+        (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+         0.118350341907227396726757197510, 0.281649658092772603273242802490,
+         0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+         0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0),
+        (
+            (5.26001519587677318785587544488e-2,),
+            (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+            (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+            (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1),
+            (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1),
+            (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2),
+            (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3),
+            (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+            (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2),
+            (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+             1.09143734899672957818500254654, -8.14978701074692612513997267357,
+             -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+             2.49360555267965238987089396762, -3.0467644718982195003823669022),
+            (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+             -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+             2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+             -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+             6.43392746015763530355970484046e-1),
+            (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+             4.45031289275240888144113950566, 1.89151789931450038304281599044,
+             -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+             -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+             4.47106157277725905176885569043e-2),
+        ),
+        e=(
+            (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+             -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+             0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+             0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+             -0.2235530786388629525884427845e-1, 0.0),
+            (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+             -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+             0.02265179219836082, 0.0),
+        ),
+        exponents=(1 / 8, 1 / 8, 0.0),
     ),
 }
 
@@ -115,9 +180,15 @@ class TrajectoryRecord:
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
+    """RMS of the scaled error; two rows ``(err5, err3)`` are combined as
+    ``e5**2 / sqrt((e5**2 + 0.01 * e3**2) * n)`` (Hairer's DOP853)."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
     q = np.abs(err) / scale
-    return float(np.sqrt(np.mean(q * q)))
+    sq = np.add.reduce(q * q, axis=-1)
+    if err.ndim == 1:
+        return float(np.sqrt(sq / q.size))
+    e5, e3 = sq
+    return 0.0 if e5 == 0.0 else float(e5 / np.sqrt((e5 + 0.01 * e3) * err.shape[-1]))
 
 
 def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol):
@@ -170,12 +241,12 @@ def integrate(
 
     def sample(state=None):
         times.append(t)
+        if state is None and (config.store_states or monitors):
+            state = evaluator.unpack(y.copy())
         if config.store_states:
-            states.append(state if state is not None else evaluator.unpack(y.copy()))
-        if monitors:
-            st = state if state is not None else evaluator.unpack(y.copy())
-            for name, fn in monitors.items():
-                channels[name].append(float(fn(t, st)))
+            states.append(state)
+        for name, fn in monitors.items():
+            channels[name].append(float(fn(t, state)))
 
     if eval_times is None or (len(eval_times) and eval_times[0] == 0.0):
         sample(state0)
@@ -207,6 +278,7 @@ def integrate(
     dt = min(config.dt, config.t_end)
     scheme = SCHEMES[config.scheme]
     adaptive = scheme.e is not None
+    k_reject, k_accept, k_memory = scheme.exponents if adaptive else (0.0, 0.0, 0.0)
     k = np.empty((len(scheme.c), y.size), dtype=np.complex128)
     try:
         k[0] = rhs(t, y)
@@ -244,13 +316,13 @@ def integrate(
         except (DomainError, ConvergenceError, NumericalError) as exc:
             exit_reason = stopped_by(exc)
             break
-        if not np.all(np.isfinite(y_new.view(np.float64))):
+        if not np.isfinite(y_new.view(np.float64)).all():
             exit_reason = "blowup"
             break
 
         if adaptive and err > 1.0:
             n_rejected += 1
-            dt = dt_try * max(0.2, 0.9 * err ** -0.2)
+            dt = dt_try * max(0.2, 0.9 * err ** -k_reject)
             continue
 
         # accept
@@ -264,7 +336,7 @@ def integrate(
 
         if adaptive:
             err = max(err, 1e-10)
-            fac = 0.9 * err ** -0.17 * err_prev ** 0.04
+            fac = 0.9 * err ** -k_accept * err_prev ** k_memory
             dt = dt_try * min(5.0, max(0.2, fac))
             err_prev = err
 

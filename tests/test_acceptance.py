@@ -3,8 +3,9 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; every tolerance is pinned here and matches the registered property
 suites where those are reused. The full module is part of the default test
-run (no skips); the heaviest criterion is the lifespan sweep, budgeted at
-thirty minutes and measured far below it.
+run (no skips). The lifespan sweep is budgeted at thirty minutes and
+measured far below it; since it integrates with DOP853 it is no longer the
+heaviest criterion.
 """
 
 import time

@@ -11,6 +11,7 @@ from kirchhoff_spectral.cli import (
     EXIT_PASS,
     SIMULATE_DEFAULTS,
     SIMULATE_SCHEMA,
+    SWEEP_DEFAULTS,
     VERIFY_DEFAULTS,
     config_hash,
     main,
@@ -388,6 +389,31 @@ def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
     assert cut["n_steps"] == full["n_steps"]
     for key in ("ham_drift_rel", "max_uv_norm", "uv_ratio"):
         assert cut[key] == full[key]
+
+
+def test_sweep_integrates_with_dop853(tmp_path, monkeypatch):
+    # a constant, not an option: the sweep's config and its hash stay put
+    assert config_hash(SWEEP_DEFAULTS) == "93bdc78790f39c1f"
+    used = []
+    real = cli.integrate
+
+    def spy(evaluator, state0, config, **kwargs):
+        used.append((config.scheme, config.rel_tol, config.abs_tol))
+        return real(evaluator, state0, config, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", spy)
+    out = os.path.join(tmp_path, "w")
+    code = main(["sweep", "--eps-list", "0.2", "--t-cap", "2", "--workers", "1",
+                 "--no-measure-constants", "--out", out])
+    assert code == EXIT_PASS
+    assert used == [("dop853", 1e-8, 1e-12)]
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        rep = json.load(fh)
+    assert rep["integrator"] == {"scheme": "dop853", "rel_tol": 1e-8, "abs_tol": 1e-12}
+    row = rep["rows"][0]
+    assert row["n_steps"] > 0 and row["n_rejected"] >= 0
+    header = open(os.path.join(out, "sweep_rows.csv")).readline().strip().split(",")
+    assert {"n_rejected", "n_steps"} <= set(header)
 
 
 def _other_value(spec, default=None):

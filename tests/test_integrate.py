@@ -264,12 +264,16 @@ def test_step_preserves_state_class(grid1):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_tableau_consistency(name):
     scheme = SCHEMES[name]
-    a = scheme.a
+    assert np.all(scheme.a.imag == 0.0)  # complex only to spare the stage casts
+    a = scheme.a.real
     assert np.all(np.triu(a) == 0.0)  # explicit
     assert np.allclose(a.sum(axis=1), scheme.c, rtol=0, atol=1e-15)
     assert scheme.c[-1] == 1.0 and abs(a[-1].sum() - 1.0) <= 1e-15  # weights b
     if scheme.e is not None:
-        assert abs(scheme.e.sum()) <= 1e-15
+        # each error row is a difference of two weight vectors: it sums to 0
+        assert np.all(scheme.e.imag == 0.0)
+        for row in np.atleast_2d(scheme.e.real):
+            assert abs(row.sum()) <= 1e-15
 
 
 def test_dopri_tableau_matches_scipy():
@@ -282,6 +286,36 @@ def test_dopri_tableau_matches_scipy():
     assert np.allclose(scheme.a[:s, : s - 1], RK45.A, rtol=1e-15, atol=0)
     assert np.allclose(scheme.a[s, :s], RK45.B, rtol=1e-15, atol=0)
     assert np.allclose(np.abs(scheme.e), np.abs(RK45.E), rtol=1e-15, atol=0)
+
+
+def test_dop853_tableau_matches_scipy():
+    # an independent copy of Hairer's DOP853 coefficients
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    scheme = SCHEMES["dop853"]
+    s = ref.N_STAGES
+    assert len(scheme.c) == s + 1 and scheme.c[s] == 1.0
+    assert np.allclose(scheme.c[:s], ref.C[:s], rtol=1e-15, atol=0)
+    assert np.allclose(scheme.a[:s, :s], ref.A[:s, :s], rtol=1e-15, atol=0)
+    assert np.allclose(scheme.a[s, :s], ref.B, rtol=1e-15, atol=0)
+    assert np.allclose(scheme.e, [ref.E5, ref.E3], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+def test_dop853_linear_flow_accuracy_and_steps(grid1, rel_tol):
+    dyn = LinearDiagonalDynamics(grid1)
+    w0 = random_field(grid1, 2, 0.5, 1.0, "free")
+
+    def run(scheme):
+        cfg = IntegratorConfig(scheme=scheme, rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0,
+                               monitor_stride=10**6)
+        return integrate(dyn, ConjugatePair(w0), cfg)
+
+    rec, dopri = run("dop853"), run("rk45_adaptive")
+    assert rec.exit_reason == "completed" and rec.times[-1] == 10.0
+    err = np.max(np.abs(rec.states[-1].w.coeffs - dyn.exact(w0.coeffs, 10.0)))
+    assert err <= 10 * rel_tol * np.max(np.abs(w0.coeffs))
+    assert 4 * rec.n_steps <= dopri.n_steps
 
 
 def test_rk4_step_matches_classical_formula(grid1):
@@ -299,11 +333,12 @@ def test_rk4_step_matches_classical_formula(grid1):
 
 
 class _Counting:
-    """Wraps an evaluator and counts its right-hand-side calls."""
+    """Wraps an evaluator and counts its right-hand-side and unpack calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.unpacks = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -311,6 +346,10 @@ class _Counting:
     def rhs(self, t, y):
         self.calls += 1
         return self.inner.rhs(t, y)
+
+    def unpack(self, y):
+        self.unpacks += 1
+        return self.inner.unpack(y)
 
 
 def test_rk4_step_makes_four_rhs_calls(grid1):
@@ -330,3 +369,23 @@ def test_dopri_makes_six_rhs_calls_per_attempt(grid1):
     rec = integrate(dyn, w0, cfg)
     assert rec.n_rejected >= 1
     assert dyn.calls == 1 + 6 * (rec.n_steps + rec.n_rejected)
+
+
+def test_dop853_makes_twelve_rhs_calls_per_attempt(grid1):
+    dyn = _Counting(LinearDiagonalDynamics(grid1))
+    w0 = ConjugatePair(random_field(grid1, 15, 0.5, 1.0, "free"))
+    cfg = IntegratorConfig(scheme="dop853", dt=10.0, rel_tol=1e-12, abs_tol=1e-14, t_end=1.0)
+    rec = integrate(dyn, w0, cfg)
+    assert rec.n_rejected >= 1
+    assert dyn.calls == 1 + 12 * (rec.n_steps + rec.n_rejected)
+
+
+def test_sample_unpacks_the_state_once(grid1):
+    # stored states and monitors share one unpacked state; the first sample
+    # is state0 itself
+    dyn = _Counting(KirchhoffDynamics(grid1))
+    cfg = IntegratorConfig(t_end=1.0, monitor_stride=1)
+    mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
+    rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon)
+    assert len(rec.times) == len(rec.states) == rec.n_steps + 1
+    assert dyn.unpacks == rec.n_steps
