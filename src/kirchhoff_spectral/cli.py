@@ -276,10 +276,13 @@ def cmd_verify(cfg: dict) -> int:
     report["runtime_s"] = time.perf_counter() - t0
     _write_json(os.path.join(cfg["out"], "verify_report.json"), report)
     for r in results:
-        print(
+        line = (
             f"{'PASS' if r.passed else 'FAIL'} {r.suite}: samples={r.samples} "
             f"max_defect={r.max_defect:.3e} bound={r.bound:.3e}"
         )
+        if not r.passed and "worst_at" in r.details:
+            line += f" worst_at={json.dumps(r.details['worst_at'])}"
+        print(line)
     print(f"verify: {'all suites pass' if all_pass else 'FAILURES PRESENT'}")
     if not all_pass:
         failing = [r.suite for r in results if not r.passed]
@@ -395,7 +398,7 @@ def cmd_simulate(cfg: dict) -> int:
     monitors = _simulate_monitors(cfg, grid, state0)
     icfg = IntegratorConfig(
         scheme=cfg["scheme"],
-        dt=cfg["dt"] or 1e-2,
+        dt=cfg["dt"],
         rel_tol=cfg["rel_tol"],
         abs_tol=cfg["abs_tol"],
         t_end=cfg["t_end"],

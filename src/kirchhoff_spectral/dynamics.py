@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import ComplexField, ConjugatePair, RealPair
 from .grid import SpectralGrid
+from .kirchhoff import gradient_energy
 from .normal_form import (
     METHODS,
     complexified_rhs_arrays,
@@ -45,7 +46,7 @@ class KirchhoffDynamics:
         n = self._n
         u = y[:n]
         v = y[n:]
-        a = 1.0 + np.dot(self._j2f, u.real * u.real + u.imag * u.imag)
+        a = 1.0 + gradient_energy(self._j2f, u)
         return np.concatenate([v, (-a) * self._j2f * u])
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -133,12 +134,8 @@ class LinearDiagonalDynamics(_ConjugateDynamics):
 def make_dynamics(representation: str, grid: SpectralGrid, method: str = "structured"):
     if representation == "original":
         return KirchhoffDynamics(grid)
-    if representation == "complexified":
-        return ComplexifiedDynamics(grid)
     if representation == "diagonalized":
         return DiagonalizedDynamics(grid)
     if representation == "normal_form":
         return NormalFormDynamics(grid, method=method)
-    if representation == "linear":
-        return LinearDiagonalDynamics(grid)
-    raise ValueError(f"unknown representation {representation!r}")
+    raise ParameterError(f"unknown representation {representation!r}")

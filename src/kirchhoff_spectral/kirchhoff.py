@@ -35,16 +35,16 @@ class KirchhoffRhsOutput:
     a_coeff: float
 
 
-def _gradient_energy(u: ComplexField) -> float:
-    """<Lambda u, Lambda u> for Hermitian-symmetric u: sum of |j|^2 |u_j|^2, exactly real."""
-    c = u.coeffs
-    return float(np.dot(u.grid.j2f, c.real * c.real + c.imag * c.imag))
+def gradient_energy(j2f: np.ndarray, c: np.ndarray) -> float:
+    """<Lambda u, Lambda u> for Hermitian-symmetric coefficients c of u, given the
+    grid's |j|^2 weights j2f: sum of |j|^2 |u_j|^2, exactly real."""
+    return float(np.dot(j2f, c.real * c.real + c.imag * c.imag))
 
 
 def kirchhoff_rhs(state: RealPair) -> KirchhoffRhsOutput:
     """du = v,  dv_j = -(1 + sum_k |k|^2 |u_k|^2) |j|^2 u_j."""
     g = state.grid
-    a = 1.0 + _gradient_energy(state.u)
+    a = 1.0 + gradient_energy(g.j2f, state.u.coeffs)
     dv = ComplexField(g, (-a) * g.j2f * state.u.coeffs)
     return KirchhoffRhsOutput(du=state.v, dv=dv, a_coeff=a)
 

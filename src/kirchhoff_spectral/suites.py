@@ -1,10 +1,18 @@
 """Registered property suites: exact identities, inequalities, round trips.
 
-Each suite draws deterministic random samples (seeded from the config), runs
-one family of checks over a list of grids, and reports the worst defect
-against a tolerance that is pinned here, not configurable. The registry is
-what ``verify`` runs from the command line and what the acceptance tests
-reuse, so the two can never drift apart.
+Each suite runs one family of checks over a list of grids and reports the
+worst defect against a tolerance that is pinned here, not configurable. The
+registry is what ``verify`` runs from the command line and what the
+acceptance tests reuse, so the two can never drift apart.
+
+Every suite but ``small-divisor`` is one check run by the driver
+:func:`_sampled`. For grid ``gi`` and sample ``k`` it calls
+``check(grid, seed, k)``, where ``seed(*slot)`` is the seed list
+``[cfg.seed, tag, gi, k, *slot]`` and ``tag`` is the suite's own integer;
+the check returns the sample's named defects. The driver keeps the largest
+value of each, and the suite reports where its worst defect came from as
+``details["worst_at"] = {"grid": [d, N], "sample": k, "seed": [cfg.seed,
+tag, gi, k]}``, enough to re-run that one sample.
 
 Defect conventions: exact identities report the max absolute residual;
 inequalities report max(ratio - 1, 0) against the stated constant, so any
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -105,12 +114,6 @@ class SuiteResult:
         }
 
 
-def _grids(cfg: SuiteConfig) -> list[SpectralGrid]:
-    return [
-        SpectralGrid(d, n, corrupt_diff_sign=cfg.corrupt_diff_sign) for d, n in cfg.grids
-    ]
-
-
 def _seed(cfg: SuiteConfig, *parts: int) -> list[int]:
     return [cfg.seed, *parts]
 
@@ -119,294 +122,252 @@ def _amax(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def _sampled(cfg: SuiteConfig, tag: int, check, n: int | None = None):
+    """Run ``check(grid, seed, k)`` on ``n`` samples (default ``cfg.samples``) per grid.
+
+    Returns the sample count, the largest value of each named defect the
+    check returned (floored at 0) and, per name, the ``worst_at`` record of
+    the first sample where that value occurred.
+    """
+    samples = cfg.samples if n is None else n
+    worst: dict[str, float] = {}
+    at: dict[str, dict] = {}
+    for gi, (d, size) in enumerate(cfg.grids):
+        g = SpectralGrid(d, size, corrupt_diff_sign=cfg.corrupt_diff_sign)
+        for k in range(samples):
+            seed = partial(_seed, cfg, tag, gi, k)
+            for name, value in check(g, seed, k).items():
+                best = worst.get(name, 0.0)
+                if name not in at or value > best:
+                    at[name] = {"grid": [d, size], "sample": k, "seed": seed()}
+                worst[name] = max(best, value)
+    count = len(cfg.grids) * samples
+    if count == 0:
+        raise ParameterError("a sampled suite needs at least one grid and one sample")
+    return count, worst, at
+
+
+def _within(suite: str, bound: float, cfg: SuiteConfig, tag: int, check, n=None) -> SuiteResult:
+    """A sampled suite whose one defect, named ``defect``, must not exceed ``bound``."""
+    count, worst, at = _sampled(cfg, tag, check, n)
+    defect = worst["defect"]
+    return SuiteResult(suite, count, defect, bound, defect <= bound, {"worst_at": at["defect"]})
+
+
 # -- exact identities ---------------------------------------------------------
+
+
+def _operator_defects(g: SpectralGrid, seed, k: int) -> dict:
+    m0 = g.m0
+    u = random_field(g, seed(0), 0.7, m0, "free")
+    v = random_field(g, seed(1), 0.7, m0, "free")
+    y = random_field(g, seed(2), 1.0, 0.0, "free")
+    h = random_field(g, seed(3), 1.0, 0.0, "free")
+    worst = 0.0
+    for kind in ("diff", "sum"):
+        ay = apply_coupling(kind, u, v, y)
+        ah = apply_coupling(kind, u, v, h)
+        conj_ay = apply_coupling(kind, conj_function(u), conj_function(v), conj_function(y))
+        lambda_ay = apply_coupling(kind, u, v, lambda_power(y, 1.7))
+        worst = max(
+            worst,
+            abs(pairing(ay, h) - pairing(y, ah)),
+            _amax(conj_function(ay).coeffs - conj_ay.coeffs),
+            _amax(lambda_ay.coeffs - lambda_power(ay, 1.7).coeffs),
+        )
+    # block swap: first block of mix(u, v) equals second block of mix(v, u)
+    a12, _ = mix_arrays(g, u.coeffs, v.coeffs, np.zeros_like(y.coeffs), y.coeffs)
+    _, a21 = mix_arrays(g, v.coeffs, u.coeffs, y.coeffs, np.zeros_like(y.coeffs))
+    # anti-commutator: mix . diag_linear + diag_linear . mix = 0
+    da, db = diag_linear_arrays(g, y.coeffs, h.coeffs)
+    m1 = mix_arrays(g, u.coeffs, v.coeffs, da, db)
+    m2 = mix_arrays(g, u.coeffs, v.coeffs, y.coeffs, h.coeffs)
+    dm = diag_linear_arrays(g, m2[0], m2[1])
+    anti = max(_amax(m1[0] + dm[0]), _amax(m1[1] + dm[1]))
+    return {"defect": max(worst, _amax(a12 - a21), anti)}
 
 
 def suite_operator_identities(cfg: SuiteConfig) -> SuiteResult:
     """Self-adjointness, conjugation equivariance, multiplier commutation,
     block swap, and the anti-commutator with the linear rotation."""
-    worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            u = random_field(g, _seed(cfg, 1, gi, k, 0), 0.7, m0, "free")
-            v = random_field(g, _seed(cfg, 1, gi, k, 1), 0.7, m0, "free")
-            y = random_field(g, _seed(cfg, 1, gi, k, 2), 1.0, 0.0, "free")
-            h = random_field(g, _seed(cfg, 1, gi, k, 3), 1.0, 0.0, "free")
-            for kind in ("diff", "sum"):
-                ay = apply_coupling(kind, u, v, y)
-                ah = apply_coupling(kind, u, v, h)
-                worst = max(worst, abs(pairing(ay, h) - pairing(y, ah)))
-                lhs = conj_function(ay)
-                rhs = apply_coupling(kind, conj_function(u), conj_function(v), conj_function(y))
-                worst = max(worst, _amax(lhs.coeffs - rhs.coeffs))
-                s = 1.7
-                worst = max(
-                    worst,
-                    _amax(
-                        apply_coupling(kind, u, v, lambda_power(y, s)).coeffs
-                        - lambda_power(ay, s).coeffs
-                    ),
-                )
-            # block swap: first block of mix(u, v) equals second block of mix(v, u)
-            a12, _ = mix_arrays(g, u.coeffs, v.coeffs, np.zeros_like(y.coeffs), y.coeffs)
-            _, a21 = mix_arrays(g, v.coeffs, u.coeffs, y.coeffs, np.zeros_like(y.coeffs))
-            worst = max(worst, _amax(a12 - a21))
-            # anti-commutator: mix . diag_linear + diag_linear . mix = 0
-            da, db = diag_linear_arrays(g, y.coeffs, h.coeffs)
-            m1 = mix_arrays(g, u.coeffs, v.coeffs, da, db)
-            m2 = mix_arrays(g, u.coeffs, v.coeffs, y.coeffs, h.coeffs)
-            dm = diag_linear_arrays(g, m2[0], m2[1])
-            worst = max(worst, _amax(m1[0] + dm[0]), _amax(m1[1] + dm[1]))
-            count += 1
-    return SuiteResult("operator-identities", count, worst, IDENTITY_TOL, worst <= IDENTITY_TOL)
+    return _within("operator-identities", IDENTITY_TOL, cfg, 1, _operator_defects)
+
+
+def _homological_defects(g: SpectralGrid, seed, k: int) -> dict:
+    a = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
+    b = random_field(g, seed(1), 0.4, g.m0, "free").coeffs
+    da, db = diag_linear_arrays(g, a, b)
+    ma, mb = mix_arrays(g, a, b, da, db)
+    ka, kb = jac_arrays(g, a, b, da, db)
+    b3a, b3b = offdiag_cubic_arrays(g, a, b)
+    x3a, x3b = resonant_cubic_arrays(g, a, b)
+    return {"defect": max(_amax(ma + ka - (b3a - x3a)), _amax(mb + kb - (b3b - x3b)))}
 
 
 def suite_homological_identity(cfg: SuiteConfig) -> SuiteResult:
     """(mix + jac) applied to the linear rotation of the state equals the
     cubic off-diagonal term minus the resonant cubic, on arbitrary pairs."""
-    worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            a = random_field(g, _seed(cfg, 2, gi, k, 0), 0.4, m0, "free").coeffs
-            b = random_field(g, _seed(cfg, 2, gi, k, 1), 0.4, m0, "free").coeffs
-            da, db = diag_linear_arrays(g, a, b)
-            ma, mb = mix_arrays(g, a, b, da, db)
-            ka, kb = jac_arrays(g, a, b, da, db)
-            b3a, b3b = offdiag_cubic_arrays(g, a, b)
-            x3a, x3b = resonant_cubic_arrays(g, a, b)
-            worst = max(
-                worst,
-                _amax(ma + ka - (b3a - x3a)),
-                _amax(mb + kb - (b3b - x3b)),
-            )
-            count += 1
-    return SuiteResult("homological-identity", count, worst, IDENTITY_TOL, worst <= IDENTITY_TOL)
+    return _within("homological-identity", IDENTITY_TOL, cfg, 2, _homological_defects)
+
+
+def _cancellation_defects(g: SpectralGrid, seed, k: int) -> dict:
+    w = random_field(g, seed(0), 0.25, g.m0, "free").coeffs
+    z = np.conj(w[g.neg_index])
+    x3 = resonant_cubic_arrays(g, w, z)[0]
+    d1 = diag_linear_arrays(g, w, z)[0]
+    rates = [energy_derivative_arrays(g, w, f, s) for s in CANCELLATION_S for f in (x3, d1)]
+    return {"defect": max(map(abs, rates))}
 
 
 def suite_cubic_energy_cancellation(cfg: SuiteConfig) -> SuiteResult:
     """The resonant cubic and the (shifted) linear rotation contribute exactly
     nothing to the derivative of any Sobolev norm on conjugate pairs."""
-    worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            w = random_field(g, _seed(cfg, 3, gi, k, 0), 0.25, m0, "free").coeffs
-            z = np.conj(w[g.neg_index])
-            x3 = resonant_cubic_arrays(g, w, z)[0]
-            d1 = diag_linear_arrays(g, w, z)[0]
-            for s in CANCELLATION_S:
-                worst = max(worst, abs(energy_derivative_arrays(g, w, x3, s)))
-                worst = max(worst, abs(energy_derivative_arrays(g, w, d1, s)))
-            count += 1
-    return SuiteResult(
-        "cubic-energy-cancellation", count, worst, IDENTITY_TOL, worst <= IDENTITY_TOL
-    )
+    return _within("cubic-energy-cancellation", IDENTITY_TOL, cfg, 3, _cancellation_defects)
+
+
+def _rank_one_defects(g: SpectralGrid, seed, k: int) -> dict:
+    eta = random_field(g, seed(0), 0.6, g.m0, "free")
+    psi = conj_function(eta)
+    rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free") for slot in (1, 2))
+    closed = rank_one_solve_closed(eta, psi, rhs)
+    dense = rank_one_solve_dense(eta, psi, rhs)
+    k_closed = rank_one_apply(eta, psi, closed)
+    return {
+        "dense": max(_amax(c.coeffs - d.coeffs) for c, d in zip(closed, dense)),
+        "residual": max(
+            _amax(c.coeffs + kc.coeffs - r.coeffs) for c, kc, r in zip(closed, k_closed, rhs)
+        ),
+    }
 
 
 def suite_rank_one_inverse(cfg: SuiteConfig) -> SuiteResult:
     """Closed-form inverse of the diag-stage rank-one correction vs dense solve."""
-    worst = 0.0
-    res_worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            eta = random_field(g, _seed(cfg, 4, gi, k, 0), 0.6, m0, "free")
-            psi = conj_function(eta)
-            rhs = (
-                random_field(g, _seed(cfg, 4, gi, k, 1), 1.0, 0.0, "free"),
-                random_field(g, _seed(cfg, 4, gi, k, 2), 1.0, 0.0, "free"),
-            )
-            closed = rank_one_solve_closed(eta, psi, rhs)
-            dense = rank_one_solve_dense(eta, psi, rhs)
-            worst = max(
-                worst,
-                _amax(closed[0].coeffs - dense[0].coeffs),
-                _amax(closed[1].coeffs - dense[1].coeffs),
-            )
-            ka, kb = rank_one_apply(eta, psi, closed)
-            res_worst = max(
-                res_worst,
-                _amax(closed[0].coeffs + ka.coeffs - rhs[0].coeffs),
-                _amax(closed[1].coeffs + kb.coeffs - rhs[1].coeffs),
-            )
-            count += 1
-    passed = worst <= DENSE_COMPARE_TOL and res_worst <= IDENTITY_TOL
-    return SuiteResult(
-        "rank-one-inverse",
-        count,
-        worst,
-        DENSE_COMPARE_TOL,
-        passed,
-        details={"closed_form_residual": res_worst, "residual_bound": IDENTITY_TOL},
-    )
+    count, worst, at = _sampled(cfg, 4, _rank_one_defects)
+    dense, residual = worst["dense"], worst["residual"]
+    passed = dense <= DENSE_COMPARE_TOL and residual <= IDENTITY_TOL
+    details = {"closed_form_residual": residual, "residual_bound": IDENTITY_TOL}
+    details["worst_at"] = at["dense"]
+    return SuiteResult("rank-one-inverse", count, dense, DENSE_COMPARE_TOL, passed, details)
+
+
+def _neumann_defects(g: SpectralGrid, seed, k: int) -> dict:
+    w = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
+    z = np.conj(w[g.neg_index])
+    rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2))
+    xn = solve_jacobian_arrays(g, w, z, rhs, "neumann")
+    xd = solve_jacobian_arrays(g, w, z, rhs, "dense")
+    return {"defect": max(_amax(xn[0] - xd[0]), _amax(xn[1] - xd[1]))}
 
 
 def suite_neumann_vs_dense(cfg: SuiteConfig) -> SuiteResult:
     """The two independent routes for solving (I + jac) x = rhs agree."""
-    worst = 0.0
-    count = 0
     n_dense = max(1, min(cfg.samples, 50))  # dense assembly dominates runtime
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(n_dense):
-            w = random_field(g, _seed(cfg, 5, gi, k, 0), 0.4, m0, "free").coeffs
-            z = np.conj(w[g.neg_index])
-            rhs = (
-                random_field(g, _seed(cfg, 5, gi, k, 1), 1.0, 0.0, "free").coeffs,
-                random_field(g, _seed(cfg, 5, gi, k, 2), 1.0, 0.0, "free").coeffs,
-            )
-            xn = solve_jacobian_arrays(g, w, z, rhs, "neumann")
-            xd = solve_jacobian_arrays(g, w, z, rhs, "dense")
-            worst = max(worst, _amax(xn[0] - xd[0]), _amax(xn[1] - xd[1]))
-            count += 1
-    return SuiteResult(
-        "neumann-vs-dense", count, worst, DENSE_COMPARE_TOL, worst <= DENSE_COMPARE_TOL
-    )
+    return _within("neumann-vs-dense", DENSE_COMPARE_TOL, cfg, 5, _neumann_defects, n_dense)
+
+
+def _reversibility_defects(g: SpectralGrid, seed, k: int) -> dict:
+    return {"defect": reversibility_defect(random_state(g, seed(), 0.3))}
 
 
 def suite_reversibility(cfg: SuiteConfig) -> SuiteResult:
     """Time-reversal anti-symmetry of the physical field on random states."""
-    worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        for k in range(cfg.samples):
-            state = random_state(g, _seed(cfg, 6, gi, k), 0.3)
-            worst = max(worst, reversibility_defect(state))
-            count += 1
-    return SuiteResult(
-        "reversibility", count, worst, REVERSIBILITY_TOL, worst <= REVERSIBILITY_TOL
-    )
+    return _within("reversibility", REVERSIBILITY_TOL, cfg, 6, _reversibility_defects)
 
 
 # -- inequalities ---------------------------------------------------------------
 
 
+def _coupling_defects(g: SpectralGrid, seed, k: int) -> dict:
+    m0 = g.m0
+    u = random_field(g, seed(0), 0.8, m0, "free")
+    v = random_field(g, seed(1), 0.6, m0, "free")
+    h = random_field(g, seed(2), 1.0, 0.0, "free")
+    hd, hs = apply_coupling("diff", u, v, h), apply_coupling("sum", u, v, h)
+    cd = (3.0 / 8.0) * u.norm(m0) * v.norm(m0)
+    cs = (1.0 / 16.0) * u.norm(1.0) * v.norm(1.0)
+    rd = [hd.norm(s) / (cd * h.norm(s)) for s in BOUND_S]
+    rs = [hs.norm(s) / (cs * h.norm(s)) for s in BOUND_S]
+    return {"excess": max(*rd, *rs) - 1.0, "max_ratio_diff": max(rd), "max_ratio_sum": max(rs)}
+
+
 def suite_coupling_bounds(cfg: SuiteConfig) -> SuiteResult:
     """Operator-norm bounds of the two coupling families:
     diff <= (3/8) ||u||_m0 ||v||_m0 ||h||_s,  sum <= (1/16) ||u||_1 ||v||_1 ||h||_s."""
-    worst = 0.0
-    max_ratio_diff = 0.0
-    max_ratio_sum = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            u = random_field(g, _seed(cfg, 7, gi, k, 0), 0.8, m0, "free")
-            v = random_field(g, _seed(cfg, 7, gi, k, 1), 0.6, m0, "free")
-            h = random_field(g, _seed(cfg, 7, gi, k, 2), 1.0, 0.0, "free")
-            for s in BOUND_S:
-                hs = h.norm(s)
-                rd = apply_coupling("diff", u, v, h).norm(s) / (
-                    (3.0 / 8.0) * u.norm(m0) * v.norm(m0) * hs
-                )
-                rs = apply_coupling("sum", u, v, h).norm(s) / (
-                    (1.0 / 16.0) * u.norm(1.0) * v.norm(1.0) * hs
-                )
-                max_ratio_diff = max(max_ratio_diff, rd)
-                max_ratio_sum = max(max_ratio_sum, rs)
-                worst = max(worst, rd - 1.0, rs - 1.0, 0.0)
-            count += 1
+    count, worst, at = _sampled(cfg, 7, _coupling_defects)
+    excess = worst.pop("excess")
+    details = dict(worst, worst_at=at["excess"])
     return SuiteResult(
-        "coupling-bounds",
-        count,
-        worst,
-        INEQUALITY_SLACK,
-        worst <= INEQUALITY_SLACK,
-        details={"max_ratio_diff": max_ratio_diff, "max_ratio_sum": max_ratio_sum},
+        "coupling-bounds", count, excess, INEQUALITY_SLACK, excess <= INEQUALITY_SLACK, details
     )
+
+
+def _mix_jac_defects(g: SpectralGrid, seed, k: int) -> dict:
+    m0 = g.m0
+    w = random_field(g, seed(0), 0.45, m0, "free")
+    z = conj_function(w)
+    alpha = random_field(g, seed(1), 0.9, m0, "free")
+    beta = conj_function(alpha)
+    ma, _ = mix_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
+    ka, _ = jac_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
+    wm = w.norm(m0)
+    am = alpha.norm(m0)
+    excess = 0.0
+    for s in BOUND_S:
+        mix_bound = (7.0 / 16.0) * wm * wm * alpha.norm(s)
+        jac_bound = mix_bound + (7.0 / 8.0) * wm * w.norm(s) * am
+        excess = max(
+            excess,
+            g.coeff_norm(ma, s) / mix_bound - 1.0,
+            g.coeff_norm(ka, s) / jac_bound - 1.0,
+        )
+    return {"defect": excess}
 
 
 def suite_mix_jac_bounds(cfg: SuiteConfig) -> SuiteResult:
     """Norm bounds of the mix operator and its flow correction on conjugate pairs:
     ||mix (a,b)||_s <= (7/16)||w||_m0^2 ||a||_s,
     ||jac (a,b)||_s <= (7/16)||w||_m0^2 ||a||_s + (7/8)||w||_m0 ||w||_s ||a||_m0."""
-    worst = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            w = random_field(g, _seed(cfg, 8, gi, k, 0), 0.45, m0, "free")
-            z = conj_function(w)
-            alpha = random_field(g, _seed(cfg, 8, gi, k, 1), 0.9, m0, "free")
-            beta = conj_function(alpha)
-            ma, _ = mix_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
-            ka, _ = jac_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
-            wm = w.norm(m0)
-            am = alpha.norm(m0)
-            for s in BOUND_S:
-                a_s = alpha.norm(s)
-                mix_bound = (7.0 / 16.0) * wm * wm * a_s
-                jac_bound = mix_bound + (7.0 / 8.0) * wm * w.norm(s) * am
-                worst = max(
-                    worst,
-                    g.coeff_norm(ma, s) / mix_bound - 1.0,
-                    g.coeff_norm(ka, s) / jac_bound - 1.0,
-                    0.0,
-                )
-            count += 1
-    return SuiteResult(
-        "mix-jac-bounds", count, worst, INEQUALITY_SLACK, worst <= INEQUALITY_SLACK
-    )
+    return _within("mix-jac-bounds", INEQUALITY_SLACK, cfg, 8, _mix_jac_defects)
+
+
+def _decomposition_defects(g: SpectralGrid, seed, k: int) -> dict:
+    w = random_field(g, seed(0), 0.4, g.m0, "free")
+    pair = ConjugatePair(w)
+    parts = decompose_rhs(pair)
+    fa, fb = diagonalized_rhs_arrays(g, w.coeffs, pair.z.coeffs)
+    four = (parts.diag_linear, parts.diag_tail, parts.offdiag_cubic, parts.offdiag_tail)
+    suma, sumb = (sum(part[i].coeffs for part in four) for i in (0, 1))
+    scale = max(1.0, _amax(fa))
+    x3 = resonant_cubic_arrays(g, w.coeffs, pair.z.coeffs)
+    w1 = w.norm(1.0)
+    excess = 0.0
+    for s in BOUND_S:
+        ws = w.norm(s)
+        b3_bound = 0.5 * w1 * w1 * ws
+        excess = max(
+            excess,
+            parts.offdiag_cubic[0].norm(s) / b3_bound - 1.0,
+            g.coeff_norm(x3[0], s) / (0.25 * w1 * w1 * ws) - 1.0,
+            parts.offdiag_tail[0].norm(s)
+            / max(2.0 * parts.p_value * parts.offdiag_cubic[0].norm(s), 1e-300)
+            - 1.0,
+        )
+    return {
+        "sum_residual": max(_amax(suma - fa) / scale, _amax(sumb - fb) / scale),
+        "inequality": excess,
+    }
 
 
 def suite_decomposition(cfg: SuiteConfig) -> SuiteResult:
     """The four-part split of the diagonalized field: the parts sum to the
     field, and the cubic/tail parts obey their explicit norm bounds."""
-    worst_sum = 0.0
-    worst_ineq = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            w = random_field(g, _seed(cfg, 9, gi, k, 0), 0.4, m0, "free")
-            pair = ConjugatePair(w)
-            parts = decompose_rhs(pair)
-            fa, fb = diagonalized_rhs_arrays(g, w.coeffs, pair.z.coeffs)
-            suma = (
-                parts.diag_linear[0].coeffs
-                + parts.diag_tail[0].coeffs
-                + parts.offdiag_cubic[0].coeffs
-                + parts.offdiag_tail[0].coeffs
-            )
-            sumb = (
-                parts.diag_linear[1].coeffs
-                + parts.diag_tail[1].coeffs
-                + parts.offdiag_cubic[1].coeffs
-                + parts.offdiag_tail[1].coeffs
-            )
-            scale = max(1.0, _amax(fa))
-            worst_sum = max(worst_sum, _amax(suma - fa) / scale, _amax(sumb - fb) / scale)
-            x3 = resonant_cubic_arrays(g, w.coeffs, pair.z.coeffs)
-            w1 = w.norm(1.0)
-            for s in BOUND_S:
-                ws = w.norm(s)
-                b3_bound = 0.5 * w1 * w1 * ws
-                worst_ineq = max(
-                    worst_ineq,
-                    parts.offdiag_cubic[0].norm(s) / b3_bound - 1.0,
-                    g.coeff_norm(x3[0], s) / (0.25 * w1 * w1 * ws) - 1.0,
-                    parts.offdiag_tail[0].norm(s)
-                    / max(2.0 * parts.p_value * parts.offdiag_cubic[0].norm(s), 1e-300)
-                    - 1.0,
-                    0.0,
-                )
-            count += 1
-    worst = max(worst_sum, worst_ineq)
-    passed = worst_sum <= IDENTITY_TOL and worst_ineq <= INEQUALITY_SLACK
-    return SuiteResult(
-        "decomposition",
-        count,
-        worst,
-        INEQUALITY_SLACK,
-        passed,
-        details={"sum_residual": worst_sum, "sum_bound": IDENTITY_TOL},
-    )
+    count, worst, at = _sampled(cfg, 9, _decomposition_defects)
+    residual, excess = worst["sum_residual"], worst["inequality"]
+    passed = residual <= IDENTITY_TOL and excess <= INEQUALITY_SLACK
+    details = {"sum_residual": residual, "sum_bound": IDENTITY_TOL}
+    details["worst_at"] = at[max(worst, key=worst.get)]
+    worst_defect = max(residual, excess)
+    return SuiteResult("decomposition", count, worst_defect, INEQUALITY_SLACK, passed, details)
 
 
 def suite_small_divisor(cfg: SuiteConfig) -> SuiteResult:
@@ -427,105 +388,106 @@ def suite_small_divisor(cfg: SuiteConfig) -> SuiteResult:
 # -- round trips and agreement ----------------------------------------------------
 
 
+def _round_trip_defects(g: SpectralGrid, seed, k: int) -> dict:
+    m0 = g.m0
+    a = random_field(g, seed(0), 0.8, m0, "free")
+    b = random_field(g, seed(1), 0.8, m0, "free")
+    scale = max(_amax(a.coeffs), _amax(b.coeffs))
+    linear = 0.0
+    for stage in (scale_stage, complex_stage):
+        back = stage("inv", stage("fwd", (a, b)))
+        linear = max(
+            linear,
+            _amax(back[0].coeffs - a.coeffs) / scale,
+            _amax(back[1].coeffs - b.coeffs) / scale,
+        )
+    eta = random_field(g, seed(2), 0.9, 1.0, "free")
+    pair = (eta, conj_function(eta))
+    fg = diag_stage("fwd", pair)
+    back = diag_stage("inv", fg)
+    diag = _amax(back[0].coeffs - pair[0].coeffs) / max(1.0, _amax(eta.coeffs))
+    qf = q_value(*fg)
+    radical = abs(qf * math.sqrt(1.0 + 2.0 * qf) - q_value(*pair))
+    w = random_field(g, seed(3), 0.2, m0, "free")
+    back = cubic_stage("inv", cubic_stage("fwd", (w, conj_function(w))))
+    cubic = _amax(back[0].coeffs - w.coeffs) / max(1.0, _amax(w.coeffs))
+    # inverse-ball norm bounds: ||w|| <= 2 ||eta|| at m0 and above
+    eta_b = random_field(g, seed(4), 0.24, m0, "free")
+    winv = cubic_stage("inv", (eta_b, conj_function(eta_b)))[0]
+    ball = max(winv.norm(s) / (2.0 * eta_b.norm(s)) - 1.0 for s in (m0, m0 + 1.0))
+    # the (u,v)-side norm is about twice the w-side norm, so the
+    # w -> uv -> w loop needs headroom to stay inside both balls
+    small = ConjugatePair(random_field(g, seed(5), 0.045, m0, "free"))
+    back = change_of_variables("inv", change_of_variables("fwd", small))
+    full = _amax(back.w.coeffs - small.w.coeffs) / max(1e-6, _amax(small.w.coeffs))
+    state = random_state(g, seed(6), 0.09)
+    uv_back = change_of_variables("fwd", change_of_variables("inv", state))
+    scale_uv = max(1e-6, _amax(state.u.coeffs), _amax(state.v.coeffs))
+    full = max(
+        full,
+        _amax(uv_back.u.coeffs - state.u.coeffs) / scale_uv,
+        _amax(uv_back.v.coeffs - state.v.coeffs) / scale_uv,
+    )
+    kinds = {"linear": linear, "diag": diag, "cubic": cubic, "full": full, "radical": radical}
+    return dict(kinds, inverse_ball_bound_defect=ball)
+
+
 def suite_stage_round_trips(cfg: SuiteConfig) -> SuiteResult:
     """Inverse consistency of every stage and of the full composition, plus
     the contraction-ball norm bounds of the cubic-stage inverse."""
-    worst = {"linear": 0.0, "diag": 0.0, "cubic": 0.0, "full": 0.0, "radical": 0.0}
-    bound_defect = 0.0
-    count = 0
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(cfg.samples):
-            a = random_field(g, _seed(cfg, 10, gi, k, 0), 0.8, m0, "free")
-            b = random_field(g, _seed(cfg, 10, gi, k, 1), 0.8, m0, "free")
-            scale = max(_amax(a.coeffs), _amax(b.coeffs))
-            for stage in (scale_stage, complex_stage):
-                back = stage("inv", stage("fwd", (a, b)))
-                worst["linear"] = max(
-                    worst["linear"],
-                    _amax(back[0].coeffs - a.coeffs) / scale,
-                    _amax(back[1].coeffs - b.coeffs) / scale,
-                )
-            eta = random_field(g, _seed(cfg, 10, gi, k, 2), 0.9, 1.0, "free")
-            pair = (eta, conj_function(eta))
-            fg = diag_stage("fwd", pair)
-            back = diag_stage("inv", fg)
-            worst["diag"] = max(
-                worst["diag"],
-                _amax(back[0].coeffs - pair[0].coeffs) / max(1.0, _amax(eta.coeffs)),
-            )
-            qf = q_value(*fg)
-            worst["radical"] = max(
-                worst["radical"], abs(qf * math.sqrt(1.0 + 2.0 * qf) - q_value(*pair))
-            )
-            w = random_field(g, _seed(cfg, 10, gi, k, 3), 0.2, m0, "free")
-            wz = (w, conj_function(w))
-            back = cubic_stage("inv", cubic_stage("fwd", wz))
-            worst["cubic"] = max(
-                worst["cubic"], _amax(back[0].coeffs - w.coeffs) / max(1.0, _amax(w.coeffs))
-            )
-            # inverse-ball norm bounds: ||w|| <= 2 ||eta|| at m0 and above
-            eta_b = random_field(g, _seed(cfg, 10, gi, k, 4), 0.24, m0, "free")
-            winv = cubic_stage("inv", (eta_b, conj_function(eta_b)))[0]
-            for s in (m0, m0 + 1.0):
-                bound_defect = max(bound_defect, winv.norm(s) / (2.0 * eta_b.norm(s)) - 1.0, 0.0)
-            # the (u,v)-side norm is about twice the w-side norm, so the
-            # w -> uv -> w loop needs headroom to stay inside both balls
-            small = ConjugatePair(random_field(g, _seed(cfg, 10, gi, k, 5), 0.045, m0, "free"))
-            uv = change_of_variables("fwd", small)
-            back = change_of_variables("inv", uv)
-            worst["full"] = max(
-                worst["full"],
-                _amax(back.w.coeffs - small.w.coeffs) / max(1e-6, _amax(small.w.coeffs)),
-            )
-            state = random_state(g, _seed(cfg, 10, gi, k, 6), 0.09)
-            w_side = change_of_variables("inv", state)
-            uv_back = change_of_variables("fwd", w_side)
-            scale_uv = max(1e-6, _amax(state.u.coeffs), _amax(state.v.coeffs))
-            worst["full"] = max(
-                worst["full"],
-                _amax(uv_back.u.coeffs - state.u.coeffs) / scale_uv,
-                _amax(uv_back.v.coeffs - state.v.coeffs) / scale_uv,
-            )
-            count += 1
-    passed = (
-        worst["linear"] <= LINEAR_ROUND_TRIP_TOL
-        and worst["diag"] <= DIAG_ROUND_TRIP_TOL
-        and worst["radical"] <= DIAG_ROUND_TRIP_TOL
-        and worst["cubic"] <= CUBIC_ROUND_TRIP_TOL
-        and worst["full"] <= FULL_ROUND_TRIP_TOL
-        and bound_defect <= INEQUALITY_SLACK
+    count, worst, at = _sampled(cfg, 10, _round_trip_defects)
+    tolerances = {
+        "linear": LINEAR_ROUND_TRIP_TOL,
+        "diag": DIAG_ROUND_TRIP_TOL,
+        "cubic": CUBIC_ROUND_TRIP_TOL,
+        "full": FULL_ROUND_TRIP_TOL,
+        "radical": DIAG_ROUND_TRIP_TOL,
+    }
+    kind = max(tolerances, key=worst.get)
+    passed = worst["inverse_ball_bound_defect"] <= INEQUALITY_SLACK and all(
+        worst[name] <= tol for name, tol in tolerances.items()
     )
-    details = dict(worst)
-    details["inverse_ball_bound_defect"] = bound_defect
-    return SuiteResult(
-        "stage-round-trips", count, max(worst.values()), FULL_ROUND_TRIP_TOL, passed, details
+    details = dict(worst, worst_at=at[kind])
+    return SuiteResult("stage-round-trips", count, worst[kind], FULL_ROUND_TRIP_TOL, passed, details)
+
+
+def _agreement_defects(g: SpectralGrid, seed, k: int) -> dict:
+    m0 = g.m0
+    w = random_field(g, seed(0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")
+    z = np.conj(w.coeffs[g.neg_index])
+    p_dir = _normal_form_parts(g, w.coeffs, z, "direct")
+    p_str = _normal_form_parts(g, w.coeffs, z, "structured")
+    den = max(g.coeff_norm(p_dir["total"][0], m0), 1e-300)
+    num = max(
+        g.coeff_norm(p_dir["total"][0] - p_str["total"][0], m0),
+        g.coeff_norm(p_dir["total"][1] - p_str["total"][1], m0),
     )
+    return {"defect": num / den}
 
 
 def suite_normal_form_agreement(cfg: SuiteConfig) -> SuiteResult:
     """Direct vs structured evaluation of the normal-form field (the full
     operator-algebra regression check)."""
-    worst = 0.0
-    count = 0
     n = max(1, min(cfg.samples, 100))
-    for gi, g in enumerate(_grids(cfg)):
-        m0 = g.m0
-        for k in range(n):
-            w = random_field(g, _seed(cfg, 11, gi, k, 0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")
-            z = np.conj(w.coeffs[g.neg_index])
-            p_dir = _normal_form_parts(g, w.coeffs, z, "direct")
-            p_str = _normal_form_parts(g, w.coeffs, z, "structured")
-            den = max(g.coeff_norm(p_dir["total"][0], m0), 1e-300)
-            num = max(
-                g.coeff_norm(p_dir["total"][0] - p_str["total"][0], m0),
-                g.coeff_norm(p_dir["total"][1] - p_str["total"][1], m0),
-            )
-            worst = max(worst, num / den)
-            count += 1
-    return SuiteResult(
-        "normal-form-agreement", count, worst, AGREEMENT_TOL, worst <= AGREEMENT_TOL
-    )
+    return _within("normal-form-agreement", AGREEMENT_TOL, cfg, 11, _agreement_defects, n)
+
+
+def _leak_defects(g: SpectralGrid, seed, k: int) -> dict:
+    s = 1.5
+    eta = random_field(g, seed(0), 0.3, 1.0, "free")
+    pair = ConjugatePair(eta)
+    a, b = pair.w.coeffs, pair.z.coeffs
+    fa, fb = diagonalized_rhs_arrays(g, a, b)
+    q = q_value(pair)
+    dq = 0.5 * g.pairing(a + b, fa + fb, g.absj)
+    if abs(dq.imag) > 1e-10 * max(1.0, abs(dq)):
+        raise AssertionError("dQ/dt must be real on conjugate pairs")
+    r = rho(q)
+    rho_prime = -1.0 / (math.sqrt(1 + 2 * q) * (1 + q + math.sqrt(1 + 2 * q)))
+    c = rho_prime * dq.real / (1.0 - r * r)
+    leak = abs(2.0 * c) * g.coeff_norm(a, s) ** 2
+    scale = g.coeff_norm(a, 1.0) ** 2 * g.coeff_norm(a, s) ** 2
+    return {"leak": leak / scale}
 
 
 def suite_alternative_mixing_control(cfg: SuiteConfig) -> SuiteResult:
@@ -541,34 +503,11 @@ def suite_alternative_mixing_control(cfg: SuiteConfig) -> SuiteResult:
     alternative map is never offered as a transform.
     """
     floor = 1e-2
-    worst = 0.0
-    count = 0
-    s = 1.5
-    for gi, g in enumerate(_grids(cfg)):
-        for k in range(cfg.samples):
-            eta = random_field(g, _seed(cfg, 12, gi, k, 0), 0.3, 1.0, "free")
-            pair = ConjugatePair(eta)
-            a, b = pair.w.coeffs, pair.z.coeffs
-            fa, fb = diagonalized_rhs_arrays(g, a, b)
-            q = q_value(pair)
-            dq = 0.5 * g.pairing(a + b, fa + fb, g.absj)
-            if abs(dq.imag) > 1e-10 * max(1.0, abs(dq)):
-                raise AssertionError("dQ/dt must be real on conjugate pairs")
-            r = rho(q)
-            rho_prime = -1.0 / (math.sqrt(1 + 2 * q) * (1 + q + math.sqrt(1 + 2 * q)))
-            c = rho_prime * dq.real / (1.0 - r * r)
-            leak = abs(2.0 * c) * g.coeff_norm(a, s) ** 2
-            scale = g.coeff_norm(a, 1.0) ** 2 * g.coeff_norm(a, s) ** 2
-            worst = max(worst, leak / scale)
-            count += 1
-    return SuiteResult(
-        "alternative-mixing-control",
-        count,
-        worst,
-        floor,
-        worst >= floor,
-        details={"direction": "defect must EXCEED the bound (negative control)"},
-    )
+    count, worst, at = _sampled(cfg, 12, _leak_defects)
+    leak = worst["leak"]
+    details = {"direction": "defect must EXCEED the bound (negative control)"}
+    details["worst_at"] = at["leak"]
+    return SuiteResult("alternative-mixing-control", count, leak, floor, leak >= floor, details)
 
 
 REGISTRY = {

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from kirchhoff_spectral import cli
+from kirchhoff_spectral import cli, suites
 from kirchhoff_spectral.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -98,7 +98,7 @@ def test_verify_small_passes(tmp_path):
     assert code == EXIT_PASS
 
 
-def test_verify_negative_control_fails(tmp_path):
+def test_verify_negative_control_fails(tmp_path, capsys):
     out = os.path.join(tmp_path, "v")
     code = main(
         ["verify", "--samples", "3", "--suites", "homological-identity",
@@ -108,6 +108,13 @@ def test_verify_negative_control_fails(tmp_path):
     with open(os.path.join(out, "verify_report.json")) as fh:
         rep = json.load(fh)
     assert rep["pass"] is False
+    # the located sample alone reproduces the worst defect exactly
+    (suite,) = rep["suites"]
+    at = suite["details"]["worst_at"]
+    assert f"worst_at={json.dumps(at)}" in capsys.readouterr().out
+    grid = SpectralGrid(*at["grid"], corrupt_diff_sign=True)
+    defects = suites._homological_defects(grid, lambda *slot: at["seed"] + list(slot), at["sample"])
+    assert defects["defect"] == suite["max_defect"] > 0.0
 
 
 def test_verify_alternative_mixing_control(tmp_path):
@@ -138,6 +145,11 @@ def test_simulate_t_end_zero(tmp_path):
     assert rep["n_steps"] == 0
     csv = open(os.path.join(out, "trajectory.csv")).read().strip().split("\n")
     assert len(csv) == 2  # header plus the single initial sample
+
+
+def test_simulate_zero_dt_is_a_config_error(tmp_path):
+    args = ["simulate", "--dt", "0", "--scheme", "rk4", "--t-end", "0.05"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_simulate_normal_form(tmp_path):
