@@ -35,27 +35,6 @@ NEUMANN_MAX_TERMS = 400
 SOLVE_RESIDUAL_TOL = 1e-12
 
 
-def coupling_coefficient(kind: str, j, k) -> float:
-    """Coefficient c(j, k) for raw lattice points (grid-free scalar form).
-
-    The "diff" denominator is evaluated through the exact integer
-    |j|^2 - |k|^2 to stay accurate near |j| ~ |k| in d >= 2.
-    """
-    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    j2 = int(np.dot(j, j))
-    k2 = int(np.dot(k, k))
-    if j2 == 0 or k2 == 0:
-        raise ParameterError("coupling coefficients are defined for nonzero modes only")
-    if kind == "diff":
-        if j2 == k2:
-            return 0.0
-        return j2 * (np.sqrt(j2) + np.sqrt(k2)) / (8.0 * (j2 - k2))
-    if kind == "sum":
-        return j2 / (8.0 * (np.sqrt(j2) + np.sqrt(k2)))
-    raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
-
-
 # -- array layer (used by the field evaluators in hot loops) ----------------
 
 

@@ -1,19 +1,20 @@
 """Deterministic explicit time integration with per-step invariant monitoring.
 
-Three tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step:
-classical fixed-step RK4, the adaptive Dormand-Prince 5(4) embedded pair
-with PI step-size control, and Dormand-Prince 8(5,3) (DOP853; Hairer,
-Norsett & Wanner, *Solving ODEs I*, II.10), whose error estimate combines a
-5th- and a 3rd-order embedded solution as in Hairer's code. Both adaptive
-schemes propagate their higher-order solution. The schemes are deliberately
-*not* structure preserving: the workbench measures conservation defects as
-diagnostics, and drift channels are only meaningful when the integrator
-does not conserve them by construction.
+Two tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step: classical
+fixed-step RK4, and Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.10), the one adaptive scheme. DOP853 propagates its
+8th-order solution, estimates its error from a 5th- and a 3rd-order embedded
+solution as in Hairer's code, and carries Hairer's 7th-order dense output
+(II.6): samples at requested times are interpolated inside the steps the
+error control chose, so the sample times never shape the step sequence. The
+schemes are deliberately *not* structure preserving: the workbench measures
+conservation defects as diagnostics, and drift channels are only meaningful
+when the integrator does not conserve them by construction.
 
 After every accepted step the state is projected back onto its exact
 structural symmetry class and the projection defect is logged (for the
 states used here the right-hand sides preserve the symmetry exactly, so the
-defect stays at rounding level).
+defect stays at rounding level); an interpolated sample is projected too.
 """
 
 from __future__ import annotations
@@ -32,27 +33,41 @@ class _Tableau(NamedTuple):
     Row ``i`` of the strictly lower triangular ``a`` forms the input of stage
     ``i`` as ``y + dt * a[i] @ k``. The last row holds the weights ``b`` (its
     node is 1), so its input is the new state and its stage, the field there,
-    is the next step's ``k[0]``. ``e`` are the error weights of an embedded
-    pair (higher minus lower order): one row, or two (a 5th- and a 3rd-order
-    estimate) combined as in Hairer's DOP853; a fixed-step scheme has none.
-    ``a`` and ``e`` are complex so that the stage products cast nothing.
-    ``exponents`` drive the step-size controller: a rejected step scales by
-    ``0.9 * err**-reject``, an accepted one by
-    ``0.9 * err**-accept * err_prev**memory``.
+    is the next step's ``k[0]``. ``e`` are the two error rows of an embedded
+    pair (a 5th- and a 3rd-order estimate, combined as in Hairer's DOP853); a
+    fixed-step scheme has none. ``dense`` is a continuous extension
+    ``(c, a, d)``: extra stages at nodes ``c`` whose rows of ``a`` reach back
+    over every earlier stage, and the rows ``d`` that turn all the stages into
+    the interpolant's coefficients. ``a``, ``e`` and ``dense`` are complex so
+    that the stage products cast nothing.
     """
 
     c: tuple
     a: np.ndarray
     e: np.ndarray | None = None
-    exponents: tuple = ()  # (reject, accept, memory) for an adaptive scheme
+    dense: tuple | None = None
 
 
-def _tableau(c, rows, e=None, exponents=()) -> _Tableau:
-    a = np.zeros((len(c), len(c)), dtype=np.complex128)
-    for i, row in enumerate(rows, start=1):
-        a[i, : len(row)] = row
+def _matrix(rows, width, first=0) -> np.ndarray:
+    m = np.zeros((first + len(rows), width), dtype=np.complex128)
+    for i, row in enumerate(rows, start=first):
+        m[i, : len(row)] = row
+    return m
+
+
+def _tableau(c, rows, e=None, dense=None) -> _Tableau:
+    a = _matrix(rows, len(c), first=1)
     e = None if e is None else np.asarray(e, dtype=np.complex128)
-    return _Tableau(tuple(c), a, e, exponents)
+    if dense is not None:
+        c_x, a_x, d = dense
+        width = len(c) + len(c_x)
+        # Hairer's first three rows come from the endpoints: y_new - y is
+        # dt * b @ k, and the fields there are k[0] and k[len(c) - 1]
+        b = _matrix(rows[-1:], width)[0]
+        old, new = np.eye(width)[[0, len(c) - 1]]
+        d = np.vstack([b, old - b, 2 * b - old - new, _matrix(d, width)])
+        dense = (tuple(c_x), _matrix(a_x, width), d)
+    return _Tableau(tuple(c), a, e, dense)
 
 
 #: scheme name -> tableau; the keys are the only list of scheme names
@@ -61,80 +76,88 @@ SCHEMES = {
         (0.0, 0.5, 0.5, 1.0, 1.0),
         ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
     ),
-    "rk45_adaptive": _tableau(
-        (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
-        (
-            (1 / 5,),
-            (3 / 40, 9 / 40),
-            (44 / 45, -56 / 15, 32 / 9),
-            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-        ),
-        e=(71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
-        exponents=(0.2, 0.17, 0.04),
-    ),
-    # the coefficients of Hairer's DOP853 code, as in scipy's
-    # dop853_coefficients; the error rows are E5, then E3 (evaluated)
+    # the coefficients of Hairer's DOP853 code: the doubles of scipy's
+    # dop853_coefficients C, A, B, E5, E3 (evaluated) and, for the dense
+    # output, C[13:16], A[13:16] and D
     "dop853": _tableau(
-        (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-         0.118350341907227396726757197510, 0.281649658092772603273242802490,
-         0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-         0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0),
+        (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+         1.0, 1.0),
         (
-            (5.26001519587677318785587544488e-2,),
-            (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-            (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-            (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-             9.24834003261792003115737966543e-1),
-            (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-             1.25467687566822425016691814123e-1),
-            (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-             6.02165389804559606850219397283e-2, -1.7578125e-2),
-            (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-             1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-             8.27378916381402288758473766002e-3),
-            (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-             -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-             2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-            (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-             -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-             1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-             -2.03312017085086261358222928593e-2),
-            (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-             1.09143734899672957818500254654, -8.14978701074692612513997267357,
-             -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-             2.49360555267965238987089396762, -3.0467644718982195003823669022),
-            (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-             -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-             2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-             -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-             6.43392746015763530355970484046e-1),
-            (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-             4.45031289275240888144113950566, 1.89151789931450038304281599044,
-             -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-             -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-             4.47106157277725905176885569043e-2),
+            (0.05260015195876773,),
+            (0.0197250569845379, 0.0591751709536137),
+            (0.02958758547680685, 0.0, 0.08876275643042054),
+            (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+            (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+            (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+            (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+             -0.015319437748624402, 0.008273789163814023),
+            (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+             27.59209969944671, 20.154067550477894, -43.48988418106996),
+            (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+             21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+            (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+             -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+             -3.0467644718982196),
+            (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+             -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+             12.360567175794303, 0.6433927460157636),
+            (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+             -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+             0.04471061572777259),
         ),
         e=(
-            (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-             -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
-             0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-             0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-             -0.2235530786388629525884427845e-1, 0.0),
+            (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+             1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+             -0.022355307863886294, 0.0),
             (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
              -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
              0.02265179219836082, 0.0),
         ),
-        exponents=(1 / 8, 1 / 8, 0.0),
+        dense=(
+            (0.1, 0.2, 0.7777777777777778),
+            (
+                (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+                 -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+                 0.00820105229563469, 0.007567897660545699, -0.008298),
+                (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+                 0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+                 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+                (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+                 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+                 2.9475147891527724, -9.15095847217987),
+            ),
+            (
+                (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+                 2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+                 0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+                 -4.436036387594894),
+                (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+                 -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+                 -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+                 35.81684148639408),
+                (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+                 527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+                 0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+                 11.99229113618279),
+                (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+                 357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+                 29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+                 -149.72683625798564),
+            ),
+        ),
     ),
 }
 
 
+#: DOP853's step-size exponent, one over its error estimate's order plus one
+_STEP_EXPONENT = 1 / 8
+
+
 @dataclass
 class IntegratorConfig:
-    scheme: str = "rk45_adaptive"  # a key of SCHEMES
-    dt: float = 1e-2  # fixed step (rk4) or initial step (rk45)
+    scheme: str = "dop853"  # a key of SCHEMES
+    dt: float = 1e-2  # fixed step (rk4) or initial step (dop853)
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
@@ -166,6 +189,7 @@ class TrajectoryRecord:
     exit_time: float
     n_steps: int
     n_rejected: int
+    n_rhs: int  # field evaluations: stages, dense-output stages, re-evaluations after projection
     max_projection_defect: float
     notes: dict = dataclass_field(default_factory=dict)
 
@@ -180,26 +204,44 @@ class TrajectoryRecord:
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
-    """RMS of the scaled error; two rows ``(err5, err3)`` are combined as
-    ``e5**2 / sqrt((e5**2 + 0.01 * e3**2) * n)`` (Hairer's DOP853)."""
+    """Hairer's DOP853 error norm of the rows ``(err5, err3)``:
+    ``e5**2 / sqrt((e5**2 + 0.01 * e3**2) * n)`` on the scaled errors."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
     q = np.abs(err) / scale
-    sq = np.add.reduce(q * q, axis=-1)
-    if err.ndim == 1:
-        return float(np.sqrt(sq / q.size))
-    e5, e3 = sq
+    e5, e3 = np.add.reduce(q * q, axis=-1)
     return 0.0 if e5 == 0.0 else float(e5 / np.sqrt((e5 + 0.01 * e3) * err.shape[-1]))
 
 
 def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol):
-    """One attempt from ``k[0] = rhs(t, y)``: fills ``k[1:]``; returns the new
-    state and its error norm (0 for a fixed-step scheme)."""
+    """One attempt from ``k[0] = rhs(t, y)``: fills the stages after ``k[0]``;
+    returns the new state and its error norm (0 for a fixed-step scheme)."""
     for i in range(1, len(scheme.c)):
         y_i = y + dt * (scheme.a[i, :i] @ k[:i])
         k[i] = rhs(t + scheme.c[i] * dt, y_i)
     if scheme.e is None:
         return y_i, 0.0
-    return y_i, _error_norm(dt * (scheme.e @ k), y, y_i, rel_tol, abs_tol)
+    return y_i, _error_norm(dt * (scheme.e @ k[: len(scheme.c)]), y, y_i, rel_tol, abs_tol)
+
+
+def _interpolant(scheme: _Tableau, rhs, t, y, dt, k) -> np.ndarray:
+    """Coefficient rows of the dense output on the accepted step from ``(t, y)``:
+    fills the extra stages of ``k`` from the step's own stages, whose last is
+    the field at the unprojected new point, before the next ``k[0]`` replaces
+    them."""
+    c_x, a_x, d = scheme.dense
+    for row, (c_i, a_i) in enumerate(zip(c_x, a_x), start=len(scheme.c)):
+        k[row] = rhs(t + c_i * dt, y + dt * (a_i[:row] @ k[:row]))
+    return dt * (d @ k)
+
+
+def _interpolate(f, y, x: float) -> np.ndarray:
+    """The dense output at the fraction ``x`` of the step, from the rows of
+    :func:`_interpolant`: ``y + x (f0 + (1 - x) (f1 + x (f2 + ...)))``."""
+    out = np.zeros_like(y)
+    for i, row in enumerate(f[::-1]):
+        out += row
+        out *= x if i % 2 == 0 else 1.0 - x
+    return out + y
 
 
 def integrate(
@@ -211,19 +253,38 @@ def integrate(
 ) -> TrajectoryRecord:
     """Integrate a field evaluator from state0 to t_end with monitoring.
 
-    Samples are taken every ``monitor_stride`` accepted steps, or exactly at
-    the times in ``t_eval`` when given (step sizes are clamped to land on
-    them). The run stops early with a distinct exit reason on numerical
-    blowup, on leaving the admissible ball (``config.ball_threshold`` against
-    the evaluator's ball norm, or a field evaluation that raises a domain,
-    convergence or numerical error, whose cause goes to ``notes["error"]``),
-    or on adaptive step-size underflow.
+    Samples are taken every ``monitor_stride`` accepted steps, or at the times
+    in ``t_eval`` when given: a time inside a step is read from the scheme's
+    dense output and then projected, so the samples leave the steps as they
+    are (only the final step is shortened, to end on t_end). The run stops
+    early with a distinct exit reason on numerical blowup, on leaving the
+    admissible ball (``config.ball_threshold`` against the evaluator's ball
+    norm, or a field evaluation that raises a domain, convergence or
+    numerical error, whose cause goes to ``notes["error"]``), or on adaptive
+    step-size underflow.
     """
     config.validate()
+    scheme = SCHEMES[config.scheme]
     monitors = monitors or {}
-    rhs = evaluator.rhs
+    ahead: list[float] = []  # the sample times not reached yet, the next one last
+    if t_eval is not None:
+        eval_times = np.asarray(t_eval, dtype=np.float64)
+        if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
+            raise ParameterError("t_eval must be strictly increasing and nonnegative")
+        ahead = eval_times[::-1].tolist()
+        if scheme.dense is None:
+            raise ParameterError(f"t_eval needs a scheme with dense output, not {config.scheme!r}")
+    field = evaluator.rhs
+    n_rhs = 0
+
+    def rhs(t_, y_):
+        nonlocal n_rhs
+        n_rhs += 1
+        return field(t_, y_)
+
     y = evaluator.pack(state0).astype(np.complex128)
     t = 0.0
+    t_end = config.t_end
     times: list[float] = []
     states: list = []
     channels: dict[str, list[float]] = {name: [] for name in monitors}
@@ -232,26 +293,18 @@ def integrate(
     max_defect = 0.0
     exit_reason = "completed"
 
-    eval_times = None
-    eval_idx = 0
-    if t_eval is not None:
-        eval_times = np.asarray(t_eval, dtype=np.float64)
-        if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
-            raise ParameterError("t_eval must be strictly increasing and nonnegative")
-
-    def sample(state=None):
-        times.append(t)
+    def sample(t_s, y_s, state=None):
+        times.append(t_s)
         if state is None and (config.store_states or monitors):
-            state = evaluator.unpack(y.copy())
+            state = evaluator.unpack(y_s.copy())
         if config.store_states:
             states.append(state)
         for name, fn in monitors.items():
-            channels[name].append(float(fn(t, state)))
+            channels[name].append(float(fn(t_s, state)))
 
-    if eval_times is None or (len(eval_times) and eval_times[0] == 0.0):
-        sample(state0)
-        if eval_times is not None:
-            eval_idx = 1
+    if t_eval is None or (ahead and ahead[-1] == 0.0):
+        sample(t, y, state0)
+        ahead = ahead[:-1]
 
     notes: dict = {}
 
@@ -268,47 +321,34 @@ def integrate(
             exit_time=t,
             n_steps=n_steps,
             n_rejected=n_rejected,
+            n_rhs=n_rhs,
             max_projection_defect=max_defect,
             notes=notes,
         )
 
-    if config.t_end == 0.0:
+    if t_end == 0.0:
         return finish("completed")
 
-    dt = min(config.dt, config.t_end)
-    scheme = SCHEMES[config.scheme]
+    dt = min(config.dt, t_end)
     adaptive = scheme.e is not None
-    k_reject, k_accept, k_memory = scheme.exponents if adaptive else (0.0, 0.0, 0.0)
-    k = np.empty((len(scheme.c), y.size), dtype=np.complex128)
+    new = len(scheme.c) - 1  # the stage at the new point
+    n_stages = len(scheme.c) + (0 if t_eval is None else len(scheme.dense[0]))
+    k = np.empty((n_stages, y.size), dtype=np.complex128)
     try:
         k[0] = rhs(t, y)
     except (DomainError, ConvergenceError, NumericalError) as exc:
         return finish(stopped_by(exc))
-    err_prev = 1e-4
     since_sample = 0
 
-    while t < config.t_end - 1e-14 * max(1.0, config.t_end):
+    while t < t_end:
         if config.max_steps is not None and n_steps >= config.max_steps:
             exit_reason = "max_steps"
             break
-        target = config.t_end
-        if eval_times is not None and eval_idx < len(eval_times):
-            target = min(target, float(eval_times[eval_idx]))
-        gap = target - t
-        if gap <= 1e-13 * max(1.0, abs(target)):
-            # already at the target up to rounding: snap and sample
-            t = target
-            if eval_times is not None and eval_idx < len(eval_times) and target == float(
-                eval_times[eval_idx]
-            ):
-                sample()
-                eval_idx += 1
-                since_sample = 0
-            continue
-        dt_try = min(dt, gap)
         if adaptive and dt < config.dt_min:
             exit_reason = "dt_underflow"
             break
+        final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
+        dt_try = t_end - t if final else dt
         try:
             # overflow to inf is handled explicitly below as blowup
             with np.errstate(invalid="ignore", over="ignore"):
@@ -322,35 +362,37 @@ def integrate(
 
         if adaptive and err > 1.0:
             n_rejected += 1
-            dt = dt_try * max(0.2, 0.9 * err ** -k_reject)
+            dt = dt_try * max(0.2, 0.9 * err ** -_STEP_EXPONENT)
             continue
 
         # accept
-        t = t + dt_try
+        t_new = t_end if final else t + dt_try
+        if ahead and ahead[-1] < t_new:
+            try:
+                f = _interpolant(scheme, rhs, t, y, dt_try, k)
+            except (DomainError, ConvergenceError, NumericalError) as exc:
+                exit_reason = stopped_by(exc)
+                break
+            while ahead and ahead[-1] < t_new:
+                t_s = ahead.pop()
+                y_s, defect = evaluator.project(_interpolate(f, y, (t_s - t) / dt_try))
+                max_defect = max(max_defect, defect)
+                sample(t_s, y_s)
+        t = t_new
         y, defect = evaluator.project(y_new)
         max_defect = max(max_defect, defect)
         # the field at the new point is the next step's first stage
-        k[0] = rhs(t, y) if defect != 0.0 else k[-1]
+        k[0] = rhs(t, y) if defect != 0.0 else k[new]
         n_steps += 1
         since_sample += 1
 
         if adaptive:
-            err = max(err, 1e-10)
-            fac = 0.9 * err ** -k_accept * err_prev ** k_memory
-            dt = dt_try * min(5.0, max(0.2, fac))
-            err_prev = err
+            dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
 
-        landed_eval = (
-            eval_times is not None
-            and eval_idx < len(eval_times)
-            and abs(t - eval_times[eval_idx]) <= 1e-12 * max(1.0, abs(t))
-        )
-        if landed_eval:
-            sample()
-            eval_idx += 1
-            since_sample = 0
-        elif eval_times is None and since_sample >= config.monitor_stride:
-            sample()
+        if ahead and ahead[-1] == t:
+            sample(ahead.pop(), y)
+        elif t_eval is None and since_sample >= config.monitor_stride:
+            sample(t, y)
             since_sample = 0
 
         if config.ball_threshold is not None:
@@ -359,8 +401,6 @@ def integrate(
                 exit_reason = "ball_exit"
                 break
 
-    if (eval_times is None and since_sample > 0) or (
-        eval_times is not None and exit_reason != "completed"
-    ):
-        sample()
+    if (t_eval is None and since_sample > 0) or (t_eval is not None and exit_reason != "completed"):
+        sample(t, y)
     return finish(exit_reason)

@@ -89,24 +89,6 @@ def momenta(state: RealPair) -> np.ndarray:
     return g.modes.astype(np.float64) * m[:, None]
 
 
-def total_momentum(state: RealPair) -> np.ndarray:
-    """Integral of (du/dt) grad u, computed from the gradient pairing directly.
-
-    Independent of :func:`momenta`; their agreement (total = sum of per-mode
-    values) is a spectral identity used as an oracle in the tests.
-    """
-    g = state.grid
-    out = np.empty(g.d)
-    v = state.v.coeffs
-    for axis in range(g.d):
-        grad_u = 1j * g.modes[:, axis].astype(np.float64) * state.u.coeffs
-        val = g.pairing(v, grad_u)
-        if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
-            raise NumericalError(f"momentum component {axis} not real: {val!r}")
-        out[axis] = val.real
-    return out
-
-
 def involution(state: RealPair) -> RealPair:
     """Time-reversal involution S(u, v) = (u, -v)."""
     return RealPair(state.u, ComplexField(state.grid, -state.v.coeffs))

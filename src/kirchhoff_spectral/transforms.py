@@ -20,7 +20,6 @@ x >= 0, so the iteration from x0 = y converges unconditionally).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .fields import (
     _same_grid,
     conjugate_defect,
     field_pair,
-    field_to_dict,
 )
 from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
 
@@ -245,38 +243,14 @@ def rank_one_solve_dense(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -
 # -- full composition ----------------------------------------------------------
 
 
-@dataclass
-class TransformChain:
-    """Optional diagnostic record of every intermediate pair of the composition."""
-
-    stages: list = dataclass_field(default_factory=list)
-
-    def add(self, name: str, pair: FieldPair) -> None:
-        self.stages.append((name, pair))
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {"name": name, "first": field_to_dict(a), "second": field_to_dict(b)}
-                for name, (a, b) in self.stages
-            ]
-        }
-
-
-#: the stages from (w, z) to (u, v) with their chain labels; inv runs them backwards
-_STAGES = (
-    (cubic_stage, "cubic"),
-    (diag_stage, "diag"),
-    (complex_stage, "complex"),
-    (scale_stage, "scale"),
-)
+#: the stages from (w, z) to (u, v); inv runs them backwards
+_STAGES = (cubic_stage, diag_stage, complex_stage, scale_stage)
 
 
 def change_of_variables(
     direction: str,
     state: ConjugatePair | RealPair,
     ball_radius: float | None = DEFAULT_BALL_RADIUS,
-    chain: TransformChain | None = None,
 ) -> RealPair | ConjugatePair:
     """Composition of all four stages.
 
@@ -295,7 +269,7 @@ def change_of_variables(
             raise DomainError(
                 f"||w||_m0 = {state.w.norm(m0):.4f} outside the ball {ball_radius}"
             )
-        pair, ends, suffix = (state.w, state.z), ("wz", "uv"), ""
+        pair = (state.w, state.z)
     else:
         if not isinstance(state, RealPair):
             raise ParameterError("inv composition expects a RealPair")
@@ -303,14 +277,9 @@ def change_of_variables(
         size = state.u.norm(m0 + 0.5) + state.v.norm(m0 - 0.5)
         if ball_radius is not None and size > ball_radius:
             raise DomainError(f"||u|| + ||v|| = {size:.4f} outside the ball {ball_radius}")
-        pair, ends, suffix = (state.u, state.v), ("uv", "wz"), "_inv"
-    stages = _STAGES if fwd else _STAGES[::-1]
-    if chain is not None:
-        chain.add(f"input_{ends[0]}", pair)
-    for i, (stage, label) in enumerate(stages, start=1):
+        pair = (state.u, state.v)
+    for stage in _STAGES if fwd else _STAGES[::-1]:
         pair = stage(direction, pair)
-        if chain is not None:
-            chain.add(f"output_{ends[1]}" if i == len(stages) else f"after_{label}{suffix}", pair)
     if fwd:
         return RealPair(*pair)
     w, z = pair

@@ -1,12 +1,18 @@
 """Independent reference computations used to cross-check the package.
 
 These deliberately avoid the package's own integrator and operator code:
-the oscillator oracle goes through scipy's DOP853, and the brute-force
-helpers are plain double loops over the lattice.
+the oscillator oracle goes through scipy's DOP853, the brute-force helpers
+are plain double loops over the lattice, the scalar coupling coefficient
+works on raw lattice points, and the total momentum comes from the gradient
+pairing instead of the per-mode momenta.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from kirchhoff_spectral import ParameterError
+from kirchhoff_spectral.errors import NumericalError
+from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
 
 
 def single_mode_oracle(j_sq: int, x0: complex, v0: complex, t_eval):
@@ -84,4 +90,43 @@ def brute_force_coupling(kind: str, grid, u, v, h):
                 c = j2 / (8.0 * (ja + ka))
             acc += u[jj] * v[grid.neg_index[jj]] * c
         out[kk] = acc * h[kk]
+    return out
+
+
+def coupling_coefficient(kind: str, j, k) -> float:
+    """Coefficient c(j, k) for raw lattice points (grid-free scalar form).
+
+    The "diff" denominator is evaluated through the exact integer
+    |j|^2 - |k|^2 to stay accurate near |j| ~ |k| in d >= 2.
+    """
+    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    j2 = int(np.dot(j, j))
+    k2 = int(np.dot(k, k))
+    if j2 == 0 or k2 == 0:
+        raise ParameterError("coupling coefficients are defined for nonzero modes only")
+    if kind == "diff":
+        if j2 == k2:
+            return 0.0
+        return j2 * (np.sqrt(j2) + np.sqrt(k2)) / (8.0 * (j2 - k2))
+    if kind == "sum":
+        return j2 / (8.0 * (np.sqrt(j2) + np.sqrt(k2)))
+    raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
+
+
+def total_momentum(state) -> np.ndarray:
+    """Integral of (du/dt) grad u, computed from the gradient pairing directly.
+
+    Independent of :func:`kirchhoff_spectral.kirchhoff.momenta`; their
+    agreement (total = sum of per-mode values) is a spectral identity.
+    """
+    g = state.grid
+    out = np.empty(g.d)
+    v = state.v.coeffs
+    for axis in range(g.d):
+        grad_u = 1j * g.modes[:, axis].astype(np.float64) * state.u.coeffs
+        val = g.pairing(v, grad_u)
+        if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
+            raise NumericalError(f"momentum component {axis} not real: {val!r}")
+        out[axis] = val.real
     return out

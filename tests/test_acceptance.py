@@ -141,7 +141,7 @@ def test_criterion_5_conservation():
         "dm": lambda t, st: float(np.max(np.abs(momenta(st) - m0))),
     }
     cfg = IntegratorConfig(
-        scheme="rk45_adaptive", rel_tol=1e-12, abs_tol=1e-14, t_end=100.0,
+        scheme="dop853", rel_tol=1e-12, abs_tol=1e-14, t_end=100.0,
         monitor_stride=200, store_states=False,
     )
     rec = integrate(KirchhoffDynamics(grid), state0, cfg, monitors=monitors)

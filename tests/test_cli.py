@@ -18,6 +18,7 @@ from kirchhoff_spectral.cli import (
     merge_config,
     parse_config,
 )
+from kirchhoff_spectral.dynamics import NormalFormDynamics
 from kirchhoff_spectral.errors import ConfigError, DomainError
 from kirchhoff_spectral.grid import SpectralGrid
 from kirchhoff_spectral.integrate import SCHEMES
@@ -100,16 +101,18 @@ def test_verify_small_passes(tmp_path):
 
 def test_verify_negative_control_fails(tmp_path, capsys):
     out = os.path.join(tmp_path, "v")
-    code = main(
-        ["verify", "--samples", "3", "--suites", "homological-identity",
-         "--corrupt-diff-sign", "--out", out]
-    )
+    code = main(["verify", "--samples", "3", "--corrupt-diff-sign", "--out", out])
     assert code == EXIT_FAIL
     with open(os.path.join(out, "verify_report.json")) as fh:
         rep = json.load(fh)
     assert rep["pass"] is False
+    # the flipped sign breaks the homological identity and the field built on
+    # it; the operator identities, the cubic cancellation and the rank-one
+    # inverse do not involve the difference table's sign and still pass
+    failing = [r["suite"] for r in rep["suites"] if not r["pass"]]
+    assert failing == ["homological-identity", "normal-form-agreement"]
     # the located sample alone reproduces the worst defect exactly
-    (suite,) = rep["suites"]
+    (suite,) = [r for r in rep["suites"] if r["suite"] == "homological-identity"]
     at = suite["details"]["worst_at"]
     assert f"worst_at={json.dumps(at)}" in capsys.readouterr().out
     grid = SpectralGrid(*at["grid"], corrupt_diff_sign=True)
@@ -142,7 +145,7 @@ def test_simulate_t_end_zero(tmp_path):
     with open(os.path.join(out, "simulate_summary.json")) as fh:
         rep = json.load(fh)
     assert rep["exit_reason"] == "completed"
-    assert rep["n_steps"] == 0
+    assert rep["n_steps"] == rep["n_rhs"] == 0
     csv = open(os.path.join(out, "trajectory.csv")).read().strip().split("\n")
     assert len(csv) == 2  # header plus the single initial sample
 
@@ -163,6 +166,7 @@ def test_simulate_normal_form(tmp_path):
         rep = json.load(fh)
     assert "speed_shift" in rep["channels"]
     assert rep["channels"]["speed_shift"]["min"] >= 0.0
+    assert rep["n_rhs"] >= 1 + 12 * (rep["n_steps"] + rep["n_rejected"])
 
 
 def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypatch):
@@ -178,11 +182,11 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     monkeypatch.setattr(nf, "normal_form_rhs", counting)
     out = os.path.join(tmp_path, "s")
     code = main(["simulate", "--representation", "normal_form", "--eps", "0.05",
-                 "--t-end", "0.5", "--out", out])
+                 "--t-end", "0.5", "--monitor-stride", "2", "--out", out])
     assert code == EXIT_PASS
     with open(os.path.join(out, "trajectory.csv")) as fh:
-        assert len(fh.read().strip().split("\n")) - 1 == 6
-    assert len(calls) == 6
+        n_samples = len(fh.read().strip().split("\n")) - 1
+    assert n_samples == 6 and len(calls) == n_samples
 
     # the shared evaluation gives both channels exactly their own values
     _, cfg = parse_config(["simulate", "--representation", "normal_form"])
@@ -262,6 +266,7 @@ def test_conjugacy_small_run(tmp_path):
         rep = json.load(fh)
     assert rep["pass"] is True
     assert rep["monotone_improvement"] is True
+    assert all(lv["n_rhs"] >= 2 + 12 * lv["n_steps"] for lv in rep["levels"])
 
 
 def test_sweep_single_tiny_cap(tmp_path):
@@ -290,6 +295,25 @@ def test_sweep_normal_form_representation(tmp_path):
     with open(os.path.join(out, "sweep_report.json")) as fh:
         rep = json.load(fh)
     assert rep["rows"][0]["pass_2x"] is True
+
+
+def test_sweep_normal_form_samples_do_not_cap_the_step(monkeypatch):
+    # 200 samples over t_end 1 used to clamp DOP853's steps onto the sample
+    # times: 2,401 normal-form field evaluations instead of about 1,200
+    calls = []
+    real = NormalFormDynamics.rhs
+
+    def counting(self, t, y):
+        calls.append(t)
+        return real(self, t, y)
+
+    monkeypatch.setattr(NormalFormDynamics, "rhs", counting)
+    _, cfg = parse_config(["sweep", "--eps-list", "0.2", "--t-cap", "1",
+                           "--representation", "normal_form", "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
+    assert row["status"] == "stable-at-cap" and row["pass_2x"] is True
+    assert len(calls) < 2401
+    assert row["n_rhs"] == len(calls)
 
 
 def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path):
@@ -424,8 +448,9 @@ def test_sweep_integrates_with_dop853(tmp_path, monkeypatch):
     assert rep["integrator"] == {"scheme": "dop853", "rel_tol": 1e-8, "abs_tol": 1e-12}
     row = rep["rows"][0]
     assert row["n_steps"] > 0 and row["n_rejected"] >= 0
+    assert row["n_rhs"] >= 1 + 12 * (row["n_steps"] + row["n_rejected"])
     header = open(os.path.join(out, "sweep_rows.csv")).readline().strip().split(",")
-    assert {"n_rejected", "n_steps"} <= set(header)
+    assert {"n_rejected", "n_rhs", "n_steps"} <= set(header)
 
 
 def _other_value(spec, default=None):

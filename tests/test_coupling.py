@@ -4,13 +4,12 @@ import pytest
 from kirchhoff_spectral import ComplexField, ConvergenceError, ParameterError, random_field
 from kirchhoff_spectral.coupling import (
     apply_coupling,
-    coupling_coefficient,
     jac_arrays,
     mix_arrays,
     small_divisor_check,
     solve_jacobian_arrays,
 )
-from oracles import brute_force_coupling, brute_force_small_divisor_margin
+from oracles import brute_force_coupling, brute_force_small_divisor_margin, coupling_coefficient
 
 
 def test_coefficient_values():

@@ -257,8 +257,8 @@ def test_step_preserves_state_class(grid1):
 
     out = one_step("rk4")
     assert out.u.coeffs.shape == state.u.coeffs.shape
-    out45 = one_step("rk45_adaptive")
-    assert np.max(np.abs(out45.u.coeffs - out.u.coeffs)) <= 1e-10
+    out853 = one_step("dop853")
+    assert np.max(np.abs(out853.u.coeffs - out.u.coeffs)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -276,18 +276,6 @@ def test_tableau_consistency(name):
             assert abs(row.sum()) <= 1e-15
 
 
-def test_dopri_tableau_matches_scipy():
-    # an independent copy of the Dormand-Prince 5(4) coefficients
-    from scipy.integrate._ivp.rk import RK45
-
-    scheme = SCHEMES["rk45_adaptive"]
-    s = RK45.n_stages
-    assert np.allclose(scheme.c[:s], RK45.C, rtol=1e-15, atol=0)
-    assert np.allclose(scheme.a[:s, : s - 1], RK45.A, rtol=1e-15, atol=0)
-    assert np.allclose(scheme.a[s, :s], RK45.B, rtol=1e-15, atol=0)
-    assert np.allclose(np.abs(scheme.e), np.abs(RK45.E), rtol=1e-15, atol=0)
-
-
 def test_dop853_tableau_matches_scipy():
     # an independent copy of Hairer's DOP853 coefficients
     from scipy.integrate._ivp import dop853_coefficients as ref
@@ -301,21 +289,52 @@ def test_dop853_tableau_matches_scipy():
     assert np.allclose(scheme.e, [ref.E5, ref.E3], rtol=1e-15, atol=0)
 
 
+def test_dop853_dense_output_matches_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    c, a, d = SCHEMES["dop853"].dense
+    extra = slice(ref.N_STAGES + 1, ref.N_STAGES_EXTENDED)
+    assert np.allclose(c, ref.C[extra], rtol=1e-15, atol=0)
+    assert np.all(a.imag == 0.0) and np.all(d.imag == 0.0)
+    assert np.allclose(a.real, ref.A[extra], rtol=1e-15, atol=0)
+    assert np.allclose(d.real[3:], ref.D, rtol=1e-15, atol=0)
+
+
+def test_dop853_interpolant_matches_scipy():
+    # one accepted step of a nonlinear field, sampled inside by the package's
+    # dense output and by scipy's Dop853DenseOutput of the same step
+    from scipy.integrate import DOP853
+
+    def field(t, y):
+        return 1j * y + 0.5 * y * y - 0.2 * t * y
+
+    y0, h = 0.3 - 0.4j, 0.5
+    ts = [0.0, 0.05, 0.2, 0.31, 0.47, h]
+    cfg = IntegratorConfig(scheme="dop853", dt=h, rel_tol=1e-6, abs_tol=1e-9, t_end=h)
+    rec = integrate(_ScalarDynamics(field), y0, cfg, t_eval=ts)
+    assert (rec.n_steps, rec.n_rejected) == (1, 0)
+    assert np.array_equal(rec.times, ts)
+
+    solver = DOP853(field, 0.0, np.array([y0]), h, first_step=h, rtol=1e-6, atol=1e-9)
+    solver.step()
+    assert solver.t == h and solver.status == "finished"
+    expected = solver.dense_output()(np.array(ts[1:-1]))[0]
+    got = np.array(rec.states[1:-1])
+    assert np.allclose(got, expected, rtol=1e-14, atol=0)
+    assert abs(rec.states[-1] - solver.y[0]) <= 1e-15
+
+
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_dop853_linear_flow_accuracy_and_steps(grid1, rel_tol):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = random_field(grid1, 2, 0.5, 1.0, "free")
 
-    def run(scheme):
-        cfg = IntegratorConfig(scheme=scheme, rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0,
-                               monitor_stride=10**6)
-        return integrate(dyn, ConjugatePair(w0), cfg)
-
-    rec, dopri = run("dop853"), run("rk45_adaptive")
+    cfg = IntegratorConfig(scheme="dop853", rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0,
+                           monitor_stride=10**6)
+    rec = integrate(dyn, ConjugatePair(w0), cfg)
     assert rec.exit_reason == "completed" and rec.times[-1] == 10.0
     err = np.max(np.abs(rec.states[-1].w.coeffs - dyn.exact(w0.coeffs, 10.0)))
     assert err <= 10 * rel_tol * np.max(np.abs(w0.coeffs))
-    assert 4 * rec.n_steps <= dopri.n_steps
 
 
 def test_rk4_step_matches_classical_formula(grid1):
@@ -362,15 +381,6 @@ def test_rk4_step_makes_four_rhs_calls(grid1):
     assert dyn.calls == 1 + 4 * rec.n_steps
 
 
-def test_dopri_makes_six_rhs_calls_per_attempt(grid1):
-    dyn = _Counting(LinearDiagonalDynamics(grid1))
-    w0 = ConjugatePair(random_field(grid1, 15, 0.5, 1.0, "free"))
-    cfg = IntegratorConfig(dt=10.0, rel_tol=1e-12, abs_tol=1e-14, t_end=1.0)
-    rec = integrate(dyn, w0, cfg)
-    assert rec.n_rejected >= 1
-    assert dyn.calls == 1 + 6 * (rec.n_steps + rec.n_rejected)
-
-
 def test_dop853_makes_twelve_rhs_calls_per_attempt(grid1):
     dyn = _Counting(LinearDiagonalDynamics(grid1))
     w0 = ConjugatePair(random_field(grid1, 15, 0.5, 1.0, "free"))
@@ -389,3 +399,48 @@ def test_sample_unpacks_the_state_once(grid1):
     rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon)
     assert len(rec.times) == len(rec.states) == rec.n_steps + 1
     assert dyn.unpacks == rec.n_steps
+
+
+def test_t_eval_leaves_the_steps_alone(grid1):
+    # samples are read from the dense output: the same steps, rejections and
+    # final state as a run without them
+    dyn = NormalFormDynamics(grid1)
+    w0 = ConjugatePair(random_field(grid1, 18, 0.05, 1.0, "free"))
+    cfg = IntegratorConfig(rel_tol=1e-8, t_end=1.0, monitor_stride=10**6)
+    plain = integrate(dyn, w0, cfg)
+    sampled = integrate(dyn, w0, cfg, t_eval=np.linspace(0.0, 1.0, 201))
+    assert plain.exit_reason == sampled.exit_reason == "completed"
+    assert (sampled.n_steps, sampled.n_rejected) == (plain.n_steps, plain.n_rejected)
+    assert len(sampled.times) == 201 and sampled.times[-1] == plain.times[-1] == 1.0
+    assert np.array_equal(sampled.states[-1].w.coeffs, plain.states[-1].w.coeffs)
+
+
+def test_t_eval_needs_dense_output(grid1):
+    dyn = LinearDiagonalDynamics(grid1)
+    w0 = ConjugatePair(random_field(grid1, 19, 0.5, 1.0, "free"))
+    cfg = IntegratorConfig(scheme="rk4", dt=0.1, t_end=1.0)
+    with pytest.raises(ParameterError, match="dense output"):
+        integrate(dyn, w0, cfg, t_eval=[0.0, 0.5, 1.0])
+
+
+class _Reprojecting(_ScalarDynamics):
+    """Reports a projection defect on every state, so each accepted step
+    re-evaluates the field at its new point."""
+
+    def project(self, y):
+        return y, 1e-300
+
+
+@pytest.mark.parametrize("dynamics", ["plain", "reprojecting"])
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 41)])
+def test_n_rhs_counts_every_field_evaluation(dynamics, t_eval):
+    cls = _Reprojecting if dynamics == "reprojecting" else _ScalarDynamics
+    dyn = _Counting(cls(lambda t, y: 1j * y + 0.5 * y * y))
+    cfg = IntegratorConfig(dt=10.0, rel_tol=1e-10, abs_tol=1e-12, t_end=1.0)
+    rec = integrate(dyn, 0.3 - 0.4j, cfg, t_eval=t_eval)
+    assert rec.exit_reason == "completed" and rec.n_rejected >= 1
+    assert rec.n_rhs == dyn.calls
+    attempts = 1 + 12 * (rec.n_steps + rec.n_rejected)
+    reevaluations = rec.n_steps if dynamics == "reprojecting" else 0
+    dense = rec.n_rhs - attempts - reevaluations
+    assert dense == (0 if t_eval is None else 3 * rec.n_steps)  # a sample inside every step

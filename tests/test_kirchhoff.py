@@ -10,8 +10,8 @@ from kirchhoff_spectral.kirchhoff import (
     momenta,
     random_state,
     reversibility_defect,
-    total_momentum,
 )
+from oracles import total_momentum
 
 
 def _two_mode_state(grid, amp=0.5):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from kirchhoff_spectral import suites
 from kirchhoff_spectral.errors import ParameterError
-from kirchhoff_spectral.suites import REGISTRY, SuiteConfig
+from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
 
 CFG = SuiteConfig(grids=((1, 4), (2, 4)), samples=2)
 
@@ -25,3 +27,22 @@ def test_every_suite_counts_its_samples_and_locates_its_worst_defect(name):
 def test_a_sampled_suite_without_samples_is_a_parameter_error():
     with pytest.raises(ParameterError):
         REGISTRY["reversibility"](SuiteConfig(samples=0))
+
+
+def test_quartic_probe_samples_fixed_times(grid1, monkeypatch):
+    # the probe times depend on t_end alone, not on where the steps land
+    seen = []
+    real = suites.integrate
+
+    def spy(evaluator, state0, config, monitors=None, t_eval=None):
+        rec = real(evaluator, state0, config, monitors=monitors, t_eval=t_eval)
+        seen.append((t_eval, rec.times, rec.n_rhs))
+        return rec
+
+    monkeypatch.setattr(suites, "integrate", spy)
+    res = measure_quartic_constant(grid1, 0.1, seed=2001, t_end=0.25)
+    ((t_eval, times, n_rhs),) = seen
+    assert suites.PROBE_DT == 1 / 8
+    assert np.array_equal(t_eval, [0.0, 0.125, 0.25]) and np.array_equal(times, t_eval)
+    assert res["exit_reason"] == "completed" and res["c_star_m0"] > 0.0
+    assert res["n_rhs"] == n_rhs >= 1 + 12 * res["n_steps"]

@@ -13,7 +13,6 @@ from kirchhoff_spectral import (
 from kirchhoff_spectral.fields import conj_function, conjugate_defect, hermitian_defect
 from kirchhoff_spectral.kirchhoff import random_state
 from kirchhoff_spectral.transforms import (
-    TransformChain,
     change_of_variables,
     complex_stage,
     cubic_stage,
@@ -195,16 +194,6 @@ class TestFullComposition:
         state = random_state(grid1, 23, 0.05)
         with pytest.raises(ParameterError):
             change_of_variables("fwd", state)
-
-    def test_chain_recording(self, grid1):
-        w = ConjugatePair(random_field(grid1, 24, 0.05, grid1.m0, "free"))
-        chain = TransformChain()
-        change_of_variables("fwd", w, chain=chain)
-        names = [name for name, _ in chain.stages]
-        assert names == ["input_wz", "after_cubic", "after_diag", "after_complex", "output_uv"]
-        doc = chain.to_dict()
-        assert len(doc["stages"]) == 5
-        assert doc["stages"][0]["first"]["d"] == 1
 
     def test_equivalence_ratios_near_two(self, grid1):
         w = ConjugatePair(random_field(grid1, 25, 0.05, grid1.m0, "free"))
