@@ -18,20 +18,26 @@ Operators defined here:
 * ``jac``  -- mix plus the chain-rule correction coming from differentiating
   the state-dependent coefficients along the flow, i.e. (I + jac) is the
   differential of the cubic stage;
-* Neumann and dense solvers for (I + jac) x = rhs, kept as two independent
-  routes so one can serve as the oracle for the other.
+* class-space and dense solvers for (I + jac) x = rhs, kept as two
+  independent routes so one can serve as the oracle for the other.
+
+The class-space solve is exact. (I + jac) is a per-mode 2x2 block
+M = [[1, m12], [m21, 1]] (the identity plus mix, with m12, m21 from
+``mix_multipliers``) plus a correction L T R of rank at most 2 * n_classes:
+R takes a pair to its class sums (sum w alpha_{-j}, sum z beta_{-j}),
+T = [[D^T, S^T], [S^T, D^T]] holds the diff and sum tables, and
+L(g1, g2) = (2 z g1[class], 2 w g2[class]). The Woodbury identity (Hager,
+SIAM Review 1989) reduces the solve to one system of size 2 * n_classes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .fields import ArrayPair, ComplexField, _same_grid
 from .grid import SpectralGrid
 
-NEUMANN_TERM_TOL = 1e-15
-NEUMANN_MAX_TERMS = 400
 SOLVE_RESIDUAL_TOL = 1e-12
 
 
@@ -54,13 +60,16 @@ def coupling_arrays(grid, kind: str, u, v, h) -> np.ndarray:
     return class_multiplier(grid, kind, u, v)[grid.class_of] * h
 
 
+def _table_action(grid, p, q) -> ArrayPair:
+    """T (p, q) = (D^T p + S^T q, S^T p + D^T q) on a pair of per-class vectors."""
+    dt, st = grid.diff_table, grid.sum_table
+    return p @ dt + q @ st, p @ st + q @ dt
+
+
 def mix_multipliers(grid, w, z) -> ArrayPair:
     """Diagonal (per-class) symbols of the two blocks of the mix operator."""
-    sw = grid.class_sums(w * w[grid.neg_index])
-    sz = grid.class_sums(z * z[grid.neg_index])
-    m12 = sw @ grid.diff_table + sz @ grid.sum_table
-    m21 = sw @ grid.sum_table + sz @ grid.diff_table
-    return m12, m21
+    neg = grid.neg_index
+    return _table_action(grid, grid.class_sums(w * w[neg]), grid.class_sums(z * z[neg]))
 
 
 def mix_arrays(grid, w, z, alpha, beta) -> ArrayPair:
@@ -90,41 +99,63 @@ def _pair_norm(grid: SpectralGrid, pair: ArrayPair) -> float:
     return max(grid.coeff_norm(pair[0], m0), grid.coeff_norm(pair[1], m0))
 
 
-def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "neumann") -> ArrayPair:
+def _class_solve(grid, w, z, ra, rb) -> ArrayPair:
+    """Woodbury solve of (M + L T R) x = r over the resonance classes.
+
+    With g = T R x the system splits into (I + T K) g = T R M^{-1} r and
+    x = M^{-1} (r - L g), where K = R M^{-1} L is one 2x2 block per class:
+    (2 / det) [[swz, -m12 sww], [-m21 szz, swz]] with the class sums
+    sww, szz, swz of w w_{-j}, z z_{-j}, w z_{-j} and det = 1 - m12 m21.
+    """
+    neg, cls = grid.neg_index, grid.class_of
+    sww = grid.class_sums(w * w[neg])
+    szz = grid.class_sums(z * z[neg])
+    swz = grid.class_sums(w * z[neg])
+    m12, m21 = _table_action(grid, sww, szz)
+    det = 1.0 - m12 * m21
+    if not (np.isfinite(det).all() and det.all()):
+        raise NumericalError("class-space solve: a per-mode block determinant is zero or not finite")
+    f = 2.0 / det
+    k_diag, k12, k21 = f * swz, -f * m12 * sww, -f * m21 * szz
+
+    # capacitance I + T K: the table blocks of T with their columns scaled by K
+    nc = grid.n_classes
+    d_t, s_t = grid.diff_table.T, grid.sum_table.T
+    cap = np.empty((2 * nc, 2 * nc), dtype=np.complex128)
+    cap[:nc, :nc] = d_t * k_diag + s_t * k21
+    cap[:nc, nc:] = d_t * k12 + s_t * k_diag
+    cap[nc:, :nc] = s_t * k_diag + d_t * k21
+    cap[nc:, nc:] = s_t * k12 + d_t * k_diag
+    cap.flat[:: 2 * nc + 1] += 1.0
+
+    e12, e21, e_det = m12[cls], m21[cls], det[cls]
+    ya = (ra - e12 * rb) / e_det
+    yb = (rb - e21 * ra) / e_det
+    p = grid.class_sums(w * ya[neg])
+    q = grid.class_sums(z * yb[neg])
+    try:
+        g = np.linalg.solve(cap, np.concatenate(_table_action(grid, p, q)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"class-space capacitance solve failed ({exc})") from exc
+    ta = ra - 2.0 * (g[:nc][cls] * z)
+    tb = rb - 2.0 * (g[nc:][cls] * w)
+    return (ta - e12 * tb) / e_det, (tb - e21 * ta) / e_det
+
+
+def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> ArrayPair:
     """Solve (I + jac(w, z)) x = rhs.
 
-    "neumann" iterates the alternating series sum (-jac)^n rhs and stops when
-    a term drops below ``NEUMANN_TERM_TOL``; five consecutive non-decreasing
-    term norms abort with :class:`ConvergenceError`. "dense" assembles the
-    2n x 2n matrix of the operator and solves directly (the oracle route).
-    Every solve verifies its residual to ``SOLVE_RESIDUAL_TOL`` relative.
+    "class" is the exact Woodbury solve over the resonance classes (see the
+    module docstring): one LU solve of size 2 * n_classes plus O(n_modes)
+    work. "dense" assembles the 2n x 2n matrix of the operator and solves
+    directly (the oracle route). Every solve verifies its residual through
+    ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL`` relative; a singular block,
+    a failed factorization or a residual that is large or not finite raises
+    :class:`NumericalError`.
     """
     ra, rb = np.asarray(rhs[0]), np.asarray(rhs[1])
-    if method == "neumann":
-        xa, xb = ra.copy(), rb.copy()
-        ta, tb = ra, rb
-        prev = np.inf
-        bad = 0
-        for _ in range(NEUMANN_MAX_TERMS):
-            ka, kb = jac_arrays(grid, w, z, ta, tb)
-            ta, tb = -ka, -kb
-            xa = xa + ta
-            xb = xb + tb
-            size = _pair_norm(grid, (ta, tb))
-            if size < NEUMANN_TERM_TOL:
-                break
-            if size >= prev:
-                bad += 1
-                if bad >= 5:
-                    raise ConvergenceError(
-                        f"Neumann series not contracting (term norm {size:.3e}); "
-                        "state is outside the invertibility ball"
-                    )
-            else:
-                bad = 0
-            prev = size
-        else:
-            raise ConvergenceError("Neumann series did not reach the term tolerance")
+    if method == "class":
+        xa, xb = _class_solve(grid, w, z, ra, rb)
     elif method == "dense":
         mat = dense_jacobian_matrix(grid, w, z)
         n = grid.n_modes
@@ -134,12 +165,12 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "neumann") -
             raise NumericalError(f"dense jacobian solve failed ({exc}); state too large") from exc
         xa, xb = sol[:n], sol[n:]
     else:
-        raise ParameterError(f"method must be 'neumann' or 'dense', got {method!r}")
+        raise ParameterError(f"method must be 'class' or 'dense', got {method!r}")
 
     ka, kb = jac_arrays(grid, w, z, xa, xb)
     res = _pair_norm(grid, (xa + ka - ra, xb + kb - rb))
     scale = max(1.0, _pair_norm(grid, (ra, rb)))
-    if res > SOLVE_RESIDUAL_TOL * scale:
+    if not res <= SOLVE_RESIDUAL_TOL * scale:  # also catches a NaN residual
         raise NumericalError(f"jacobian solve residual {res:.3e} exceeds tolerance")
     return xa, xb
 

@@ -18,7 +18,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve (Neumann series, fixed point) failed to contract."""
+    """An iteration failed to converge: the Newton solve of phi_inv or the
+    fixed-point inverse of the cubic stage."""
 
 
 class NumericalError(RuntimeError):

@@ -36,7 +36,8 @@ from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
 from .transforms import _q_value_arrays, phi_inv
 
-#: Neumann-series validity ball for the normal-form field
+#: operational ball of the normal-form field: a state with ||w||_m0 at or
+#: above it is rejected with DomainError before (I + jac) is solved
 JACOBIAN_BALL = 0.5
 #: the two evaluations of the normal-form field
 METHODS = ("structured", "direct")

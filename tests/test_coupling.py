@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import ComplexField, ConvergenceError, ParameterError, random_field
+from kirchhoff_spectral import (
+    ComplexField,
+    ConjugatePair,
+    NumericalError,
+    ParameterError,
+    SpectralGrid,
+    random_field,
+)
+from kirchhoff_spectral import coupling, normal_form
 from kirchhoff_spectral.coupling import (
     apply_coupling,
     jac_arrays,
@@ -117,7 +125,7 @@ class TestSolve:
             random_field(grid1, 17, 1.0, 0.0, "free").coeffs,
             random_field(grid1, 18, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jacobian_arrays(grid1, z, z, rhs, "neumann")
+        x = solve_jacobian_arrays(grid1, z, z, rhs, "class")
         assert np.array_equal(x[0], rhs[0])
         assert np.array_equal(x[1], rhs[1])
 
@@ -128,7 +136,7 @@ class TestSolve:
             random_field(grid2, 20, 1.0, 0.0, "free").coeffs,
             random_field(grid2, 21, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jacobian_arrays(grid2, w, z, rhs, "neumann")
+        x = solve_jacobian_arrays(grid2, w, z, rhs, "class")
         ka, kb = jac_arrays(grid2, w, z, *x)
         res = max(
             np.max(np.abs(x[0] + ka - rhs[0])),
@@ -136,29 +144,81 @@ class TestSolve:
         )
         assert res <= 1e-12
 
-    def test_neumann_vs_dense(self, grid1):
-        w = random_field(grid1, 22, 0.4, 1.0, "free").coeffs
-        z = np.conj(w[grid1.neg_index])
-        rhs = (
-            random_field(grid1, 23, 1.0, 0.0, "free").coeffs,
-            random_field(grid1, 24, 1.0, 0.0, "free").coeffs,
-        )
-        xn = solve_jacobian_arrays(grid1, w, z, rhs, "neumann")
-        xd = solve_jacobian_arrays(grid1, w, z, rhs, "dense")
-        for a, b in zip(xn, xd):
-            assert np.max(np.abs(a - b)) <= 1e-10
+    def test_class_vs_dense(self):
+        for d in (1, 2, 3):
+            g = SpectralGrid(d, 8)
+            w = random_field(g, 22, 0.4, g.m0, "free").coeffs
+            z = np.conj(w[g.neg_index])
+            rhs = (
+                random_field(g, 23, 1.0, 0.0, "free").coeffs,
+                random_field(g, 24, 1.0, 0.0, "free").coeffs,
+            )
+            xc = solve_jacobian_arrays(g, w, z, rhs, "class")
+            xd = solve_jacobian_arrays(g, w, z, rhs, "dense")
+            for a, b in zip(xc, xd):
+                assert np.max(np.abs(a - b)) <= 1e-10
 
-    def test_divergence_detected(self, grid1):
+    def test_large_state_matches_dense(self, grid1):
+        # a state far outside the normal-form ball: the exact solve still holds
         w = random_field(grid1, 25, 6.0, 1.0, "free").coeffs
         z = np.conj(w[grid1.neg_index])
         rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
-        with pytest.raises(ConvergenceError):
-            solve_jacobian_arrays(grid1, w, z, rhs, "neumann")
+        xc = solve_jacobian_arrays(grid1, w, z, rhs, "class")
+        xd = solve_jacobian_arrays(grid1, w, z, rhs, "dense")
+        for a, b in zip(xc, xd):
+            assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_bad_method(self, grid1):
         z = np.zeros(grid1.n_modes, dtype=complex)
-        with pytest.raises(ParameterError):
-            solve_jacobian_arrays(grid1, z, z, (z, z), "lu")
+        for method in ("lu", "neumann"):
+            with pytest.raises(ParameterError):
+                solve_jacobian_arrays(grid1, z, z, (z, z), method)
+
+    @pytest.mark.parametrize("method", ["class", "dense"])
+    def test_non_finite_residual_is_an_error(self, grid1, method):
+        w = random_field(grid1, 26, 0.05, 1.0, "free").coeffs
+        z = np.conj(w[grid1.neg_index])
+        rhs = (np.full(grid1.n_modes, np.nan, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
+        with pytest.raises(NumericalError, match="residual nan"):
+            solve_jacobian_arrays(grid1, w, z, rhs, method)
+
+    def test_non_finite_state_is_an_error(self, grid1):
+        w = random_field(grid1, 27, 0.05, 1.0, "free").coeffs
+        w[0] = np.inf
+        z = np.conj(w[grid1.neg_index])
+        rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="determinant"):
+            solve_jacobian_arrays(grid1, w, z, rhs, "class")
+
+    @pytest.mark.parametrize("method", ["class", "dense"])
+    def test_failed_factorization_is_an_error(self, grid1, method, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(coupling.np.linalg, "solve", singular)
+        w = random_field(grid1, 28, 0.05, 1.0, "free").coeffs
+        z = np.conj(w[grid1.neg_index])
+        rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
+        with pytest.raises(NumericalError, match="Singular matrix"):
+            solve_jacobian_arrays(grid1, w, z, rhs, method)
+
+    def test_structured_rhs_makes_two_solves_one_jac_each(self, grid1, monkeypatch):
+        counts = {"solve": 0, "jac": 0}
+        solve, jac = coupling.solve_jacobian_arrays, coupling.jac_arrays
+
+        def counted_solve(*args, **kwargs):
+            counts["solve"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_jac(*args, **kwargs):
+            counts["jac"] += 1
+            return jac(*args, **kwargs)
+
+        monkeypatch.setattr(normal_form, "solve_jacobian_arrays", counted_solve)
+        monkeypatch.setattr(coupling, "jac_arrays", counted_jac)
+        state = ConjugatePair(random_field(grid1, 5, 0.05, grid1.m0, "free"))
+        normal_form.normal_form_rhs(state, "structured")
+        assert counts == {"solve": 2, "jac": 2}
 
 
 class TestSmallDivisor:
