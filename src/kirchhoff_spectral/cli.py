@@ -306,7 +306,7 @@ SIMULATE_OPTIONS = (
     Option("rel_tol", _INTEGRATOR.rel_tol, _NONNEGATIVE),
     Option("abs_tol", _INTEGRATOR.abs_tol, _NONNEGATIVE),
     Option("t_end", 10.0, _NONNEGATIVE),
-    Option("monitor_stride", _INTEGRATOR.monitor_stride, _int(min=1)),
+    Option("n_samples", 100, _int(min=1), "samples at equal spacing after t = 0"),
     Option("s_values", [], _list(_NONNEGATIVE), "monitored orders (empty means m0, m0+1, m0+2)"),
     Option("track_modes", [], _list(_list(_int(), min_len=1)),
            "modes j:k:... with per-mode momentum channels (original representation)"),
@@ -403,12 +403,13 @@ def cmd_simulate(cfg: dict) -> int:
         rel_tol=cfg["rel_tol"],
         abs_tol=cfg["abs_tol"],
         t_end=cfg["t_end"],
-        monitor_stride=cfg["monitor_stride"],
         ball_threshold=cfg["ball_threshold"] or None,
         store_states=False,
     )
+    # t_end = 0 leaves the one sample at t = 0
+    ts = np.unique(np.linspace(0.0, cfg["t_end"], cfg["n_samples"] + 1))
     t0 = time.perf_counter()
-    rec = integrate(dyn, state0, icfg, monitors=monitors)
+    rec = integrate(dyn, state0, icfg, monitors=monitors, t_eval=ts)
     runtime = time.perf_counter() - t0
 
     os.makedirs(cfg["out"], exist_ok=True)
@@ -765,11 +766,12 @@ COMMANDS = {
         cmd_sweep,
         SWEEP_OPTIONS,
         "lifespan surrogate over a list of amplitudes",
-        "sweep_rows.csv columns (alphabetical): achieved_time, eps, "
-        "exit_reason, ham_drift_rel, max_uv_norm, n_rejected, n_steps, pass_2x, "
-        "pass_2x_s<order> and ratio_s<order> per monitored order, seed, "
-        "status, t_end, t_target, uv_ratio, w0_norm_m0. Rows are sorted by "
-        "eps descending; floats carry 17 significant digits.",
+        "sweep_rows.csv columns (alphabetical): achieved_time, eps, error "
+        "(why a row stopped early), exit_reason, ham_drift_rel, max_uv_norm, "
+        "n_rejected, n_rhs, n_steps, pass_2x, pass_2x_s<order> and "
+        "ratio_s<order> per monitored order, seed, status, t_end, t_target, "
+        "uv_ratio, w0_norm_m0. Rows are sorted by eps descending; floats "
+        "carry 17 significant digits.",
     ),
 }
 

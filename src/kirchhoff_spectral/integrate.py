@@ -5,11 +5,12 @@ fixed-step RK4, and Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.10), the one adaptive scheme. DOP853 propagates its
 8th-order solution, estimates its error from a 5th- and a 3rd-order embedded
 solution as in Hairer's code, and carries Hairer's 7th-order dense output
-(II.6): samples at requested times are interpolated inside the steps the
-error control chose, so the sample times never shape the step sequence. The
-schemes are deliberately *not* structure preserving: the workbench measures
-conservation defects as diagnostics, and drift channels are only meaningful
-when the integrator does not conserve them by construction.
+(II.6); RK4 carries the cubic Hermite interpolant of its step's endpoints.
+Samples at requested times are interpolated inside the steps, so the sample
+times never shape the step sequence. The schemes are deliberately *not*
+structure preserving: the workbench measures conservation defects as
+diagnostics, and drift channels are only meaningful when the integrator does
+not conserve them by construction.
 
 After every accepted step the state is projected back onto its exact
 structural symmetry class and the projection defect is logged (for the
@@ -44,8 +45,8 @@ class _Tableau(NamedTuple):
 
     c: tuple
     a: np.ndarray
-    e: np.ndarray | None = None
-    dense: tuple | None = None
+    e: np.ndarray | None
+    dense: tuple
 
 
 def _matrix(rows, width, first=0) -> np.ndarray:
@@ -55,19 +56,19 @@ def _matrix(rows, width, first=0) -> np.ndarray:
     return m
 
 
-def _tableau(c, rows, e=None, dense=None) -> _Tableau:
+def _tableau(c, rows, dense, e=None) -> _Tableau:
+    """``dense`` gives the extra stages and rows past Hairer's first three;
+    with none, ``((), (), ())``, the interpolant is the cubic Hermite one."""
     a = _matrix(rows, len(c), first=1)
     e = None if e is None else np.asarray(e, dtype=np.complex128)
-    if dense is not None:
-        c_x, a_x, d = dense
-        width = len(c) + len(c_x)
-        # Hairer's first three rows come from the endpoints: y_new - y is
-        # dt * b @ k, and the fields there are k[0] and k[len(c) - 1]
-        b = _matrix(rows[-1:], width)[0]
-        old, new = np.eye(width)[[0, len(c) - 1]]
-        d = np.vstack([b, old - b, 2 * b - old - new, _matrix(d, width)])
-        dense = (tuple(c_x), _matrix(a_x, width), d)
-    return _Tableau(tuple(c), a, e, dense)
+    c_x, a_x, d = dense
+    width = len(c) + len(c_x)
+    # Hairer's first three rows come from the endpoints: y_new - y is
+    # dt * b @ k, and the fields there are k[0] and k[len(c) - 1]
+    b = _matrix(rows[-1:], width)[0]
+    old, new = np.eye(width)[[0, len(c) - 1]]
+    d = np.vstack([b, old - b, 2 * b - old - new, _matrix(d, width)])
+    return _Tableau(tuple(c), a, e, (tuple(c_x), _matrix(a_x, width), d))
 
 
 #: scheme name -> tableau; the keys are the only list of scheme names
@@ -75,6 +76,7 @@ SCHEMES = {
     "rk4": _tableau(
         (0.0, 0.5, 0.5, 1.0, 1.0),
         ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+        dense=((), (), ()),
     ),
     # the coefficients of Hairer's DOP853 code: the doubles of scipy's
     # dop853_coefficients C, A, B, E5, E3 (evaluated) and, for the dense
@@ -161,7 +163,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
-    monitor_stride: int = 10
     dt_min: float = 1e-12
     max_steps: int | None = None
     ball_threshold: float | None = None
@@ -174,8 +175,6 @@ class IntegratorConfig:
             raise ParameterError("dt must be > 0 and t_end >= 0")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ParameterError("tolerances must be > 0")
-        if self.monitor_stride < 1:
-            raise ParameterError("monitor_stride must be >= 1")
 
 
 @dataclass
@@ -253,27 +252,23 @@ def integrate(
 ) -> TrajectoryRecord:
     """Integrate a field evaluator from state0 to t_end with monitoring.
 
-    Samples are taken every ``monitor_stride`` accepted steps, or at the times
-    in ``t_eval`` when given: a time inside a step is read from the scheme's
-    dense output and then projected, so the samples leave the steps as they
-    are (only the final step is shortened, to end on t_end). The run stops
-    early with a distinct exit reason on numerical blowup, on leaving the
-    admissible ball (``config.ball_threshold`` against the evaluator's ball
-    norm, or a field evaluation that raises a domain, convergence or
-    numerical error, whose cause goes to ``notes["error"]``), or on adaptive
-    step-size underflow.
+    Samples are taken at the times in ``t_eval``, by default the endpoints
+    ``(0, t_end)``: a time inside a step is read from the scheme's dense
+    output and then projected, so the samples leave the steps as they are
+    (only the final step is shortened, to end on t_end). The run stops early
+    with a distinct exit reason on numerical blowup, on leaving the admissible
+    ball (``config.ball_threshold`` against the evaluator's ball norm, or a
+    field evaluation that raises a domain, convergence or numerical error,
+    whose cause goes to ``notes["error"]``), or on adaptive step-size
+    underflow; the state it stopped at is then sampled too.
     """
     config.validate()
     scheme = SCHEMES[config.scheme]
     monitors = monitors or {}
-    ahead: list[float] = []  # the sample times not reached yet, the next one last
-    if t_eval is not None:
-        eval_times = np.asarray(t_eval, dtype=np.float64)
-        if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
-            raise ParameterError("t_eval must be strictly increasing and nonnegative")
-        ahead = eval_times[::-1].tolist()
-        if scheme.dense is None:
-            raise ParameterError(f"t_eval needs a scheme with dense output, not {config.scheme!r}")
+    eval_times = np.unique([0.0, config.t_end]) if t_eval is None else np.asarray(t_eval, float)
+    if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
+        raise ParameterError("t_eval must be strictly increasing and nonnegative")
+    ahead = eval_times[::-1].tolist()  # the sample times not reached yet, the next one last
     field = evaluator.rhs
     n_rhs = 0
 
@@ -302,9 +297,8 @@ def integrate(
         for name, fn in monitors.items():
             channels[name].append(float(fn(t_s, state)))
 
-    if t_eval is None or (ahead and ahead[-1] == 0.0):
-        sample(t, y, state0)
-        ahead = ahead[:-1]
+    if ahead and ahead[-1] == 0.0:
+        sample(ahead.pop(), y, state0)
 
     notes: dict = {}
 
@@ -332,13 +326,11 @@ def integrate(
     dt = min(config.dt, t_end)
     adaptive = scheme.e is not None
     new = len(scheme.c) - 1  # the stage at the new point
-    n_stages = len(scheme.c) + (0 if t_eval is None else len(scheme.dense[0]))
-    k = np.empty((n_stages, y.size), dtype=np.complex128)
+    k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
     try:
         k[0] = rhs(t, y)
     except (DomainError, ConvergenceError, NumericalError) as exc:
         return finish(stopped_by(exc))
-    since_sample = 0
 
     while t < t_end:
         if config.max_steps is not None and n_steps >= config.max_steps:
@@ -384,16 +376,12 @@ def integrate(
         # the field at the new point is the next step's first stage
         k[0] = rhs(t, y) if defect != 0.0 else k[new]
         n_steps += 1
-        since_sample += 1
 
         if adaptive:
             dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
 
         if ahead and ahead[-1] == t:
             sample(ahead.pop(), y)
-        elif t_eval is None and since_sample >= config.monitor_stride:
-            sample(t, y)
-            since_sample = 0
 
         if config.ball_threshold is not None:
             bv = evaluator.ball_value(y)
@@ -401,6 +389,6 @@ def integrate(
                 exit_reason = "ball_exit"
                 break
 
-    if (t_eval is None and since_sample > 0) or (t_eval is not None and exit_reason != "completed"):
+    if exit_reason != "completed" and not (times and times[-1] == t):
         sample(t, y)
     return finish(exit_reason)

@@ -16,8 +16,11 @@ evaluations:
 * structured: (1 + speed_shift) * linear  +  resonant cubic  +  explicit
               quintic remainder.
 
-Their agreement to rounding is the strongest regression check of the whole
-operator algebra and is part of the acceptance suite. The resonant cubic
+Each makes one (I + jac) solve: the solve is linear, so the structured form
+adds its two terms under (I + jac)^{-1} before solving. The structured form
+never evaluates the diagonalized field at the image, so the agreement of the
+two to rounding is the strongest regression check of the whole operator
+algebra and is part of the acceptance suite. The resonant cubic
 couples modes only within a resonance class and cancels identically in the
 derivative of every Sobolev norm, which is what makes the norm growth of the
 normal-form flow quartically small.
@@ -150,19 +153,18 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
         quintic = ta - linear[0] - cubic[0], tb - linear[1] - cubic[1]
         total = ta, tb
     elif method == "structured":
-        b3a, b3b = offdiag_cubic_arrays(grid, w, z)
-        sa, sb = b3a - cubic[0], b3b - cubic[1]
-        ya, yb = solve_jacobian_arrays(grid, w, z, (sa, sb))
-        # jac (I+jac)^{-1} s = s - y;  the speed-shift term reuses the same solve
-        qa = (sa - ya) - speed_shift * ya
-        qb = (sb - yb) - speed_shift * yb
-        # full off-diagonal term at the transformed pair, cubic plus quintic tail
+        # the full off-diagonal term at the transformed pair, cubic plus quintic tail
         s_phi = 0.25j * _offdiag_scalar(grid, eta, psi) / (1.0 + 2.0 * p4)
-        ua, ub = solve_jacobian_arrays(grid, w, z, (s_phi * psi, s_phi * eta))
-        qa = qa + ua - b3a
-        qb = qb + ub - b3b
-        quintic = qa, qb
-        total = linear[0] + cubic[0] + qa, linear[1] + cubic[1] + qb
+        b3a, b3b = offdiag_cubic_arrays(grid, w, z)
+        # with s = b3 - cubic, jac (I+jac)^{-1} s = s - (I+jac)^{-1} s; the
+        # solve is linear, so that term, scaled by the speed shift, and the
+        # off-diagonal term take one solve together
+        xa, xb = solve_jacobian_arrays(grid, w, z, (
+            s_phi * psi - (1.0 + speed_shift) * (b3a - cubic[0]),
+            s_phi * eta - (1.0 + speed_shift) * (b3b - cubic[1]),
+        ))
+        quintic = xa - cubic[0], xb - cubic[1]
+        total = linear[0] + xa, linear[1] + xb
     else:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 

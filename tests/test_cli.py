@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -182,7 +183,7 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     monkeypatch.setattr(nf, "normal_form_rhs", counting)
     out = os.path.join(tmp_path, "s")
     code = main(["simulate", "--representation", "normal_form", "--eps", "0.05",
-                 "--t-end", "0.5", "--monitor-stride", "2", "--out", out])
+                 "--t-end", "0.5", "--n-samples", "5", "--out", out])
     assert code == EXIT_PASS
     with open(os.path.join(out, "trajectory.csv")) as fh:
         n_samples = len(fh.read().strip().split("\n")) - 1
@@ -367,6 +368,19 @@ def test_sweep_initial_ball_exit_is_a_labelled_row(tmp_path):
     assert first["eps"] == 0.6 and first["status"] == "initial_ball_exit"
     assert first["pass_2x"] is False and "outside the ball" in first["error"]
     assert second["status"] == "stable-at-cap" and second["pass_2x"] is True
+
+
+def test_sweep_help_names_every_csv_column(tmp_path):
+    # the eps 0.6 row stops before its run, so its columns include error
+    out = os.path.join(tmp_path, "w")
+    main(["sweep", "--eps-list", "0.6,0.05", "--t-cap", "1", "--workers", "1",
+          "--no-measure-constants", "--out", out])
+    header = open(os.path.join(out, "sweep_rows.csv")).readline().strip().split(",")
+    assert "error" in header and "n_rhs" in header
+    names = re.findall(r"[a-z][a-z0-9_]*(?:<order>)?", cli.COMMANDS["sweep"][3])
+    patterns = [re.escape(n).replace(re.escape("<order>"), ".+") for n in names]
+    for column in header:
+        assert any(re.fullmatch(p, column) for p in patterns), column
 
 
 def test_sweep_failed_first_inverse_achieves_nothing(tmp_path):

@@ -202,7 +202,8 @@ class TestSolve:
         with pytest.raises(NumericalError, match="Singular matrix"):
             solve_jacobian_arrays(grid1, w, z, rhs, method)
 
-    def test_structured_rhs_makes_two_solves_one_jac_each(self, grid1, monkeypatch):
+    @pytest.mark.parametrize("method", normal_form.METHODS)
+    def test_normal_form_rhs_makes_one_solve_one_jac(self, grid1, monkeypatch, method):
         counts = {"solve": 0, "jac": 0}
         solve, jac = coupling.solve_jacobian_arrays, coupling.jac_arrays
 
@@ -217,8 +218,8 @@ class TestSolve:
         monkeypatch.setattr(normal_form, "solve_jacobian_arrays", counted_solve)
         monkeypatch.setattr(coupling, "jac_arrays", counted_jac)
         state = ConjugatePair(random_field(grid1, 5, 0.05, grid1.m0, "free"))
-        normal_form.normal_form_rhs(state, "structured")
-        assert counts == {"solve": 2, "jac": 2}
+        normal_form.normal_form_rhs(state, method)
+        assert counts == {"solve": 1, "jac": 1}
 
 
 class TestSmallDivisor:

@@ -84,12 +84,13 @@ def test_hamiltonian_and_momenta_conserved_short(grid1):
     state0 = random_state(grid1, 4, 0.2)
     h0 = hamiltonian(state0)
     m0 = momenta(state0)
-    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0, monitor_stride=10)
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0)
     mon = {
         "dh": lambda t, st: abs(hamiltonian(st) - h0) / max(1.0, abs(h0)),
         "dm": lambda t, st: float(np.max(np.abs(momenta(st) - m0))),
     }
-    rec = integrate(KirchhoffDynamics(grid1), state0, cfg, monitors=mon)
+    ts = np.linspace(0.0, 5.0, 51)
+    rec = integrate(KirchhoffDynamics(grid1), state0, cfg, monitors=mon, t_eval=ts)
     assert rec.channels["dh"].max() <= 1e-10
     assert rec.channels["dm"].max() <= 1e-10
 
@@ -143,7 +144,7 @@ def test_refinement_invariance_for_embedded_data(grid1_small, grid1):
 
     grid12 = SpectralGrid(1, 12)
     small = random_state(grid1_small, 1, 0.2)
-    cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=2.0, monitor_stride=10**6)
+    cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=2.0)
     rec4 = integrate(KirchhoffDynamics(grid1_small), small, cfg)
     results = {}
     for g in (grid1, grid12):

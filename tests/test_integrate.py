@@ -49,8 +49,6 @@ def test_config_validation():
         IntegratorConfig(dt=0.0).validate()
     with pytest.raises(ParameterError):
         IntegratorConfig(rel_tol=0.0).validate()
-    with pytest.raises(ParameterError):
-        IntegratorConfig(monitor_stride=0).validate()
 
 
 def test_t_end_zero_single_snapshot(grid1):
@@ -67,7 +65,7 @@ def test_zero_state_stays_zero(grid1):
     from kirchhoff_spectral import RealPair
 
     z = RealPair(ComplexField.zero(grid1), ComplexField.zero(grid1))
-    rec = integrate(dyn, z, IntegratorConfig(t_end=1.0, monitor_stride=5))
+    rec = integrate(dyn, z, IntegratorConfig(t_end=1.0))
     assert np.all(rec.states[-1].u.coeffs == 0.0)
     assert np.all(rec.states[-1].v.coeffs == 0.0)
 
@@ -75,7 +73,7 @@ def test_zero_state_stays_zero(grid1):
 def test_linear_field_exact_flow(grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = random_field(grid1, 2, 0.5, 1.0, "free")
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=10.0, monitor_stride=10**6)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=10.0)
     rec = integrate(dyn, ConjugatePair(w0), cfg)
     assert rec.exit_reason == "completed"
     assert rec.notes == {}  # notes are written only when a run stops early
@@ -103,7 +101,7 @@ def test_global_rk4_order_on_kirchhoff(grid1):
     state0 = random_state(grid1, 3, 0.3)
 
     def final_state(dt):
-        cfg = IntegratorConfig(scheme="rk4", dt=dt, t_end=2.0, monitor_stride=10**6)
+        cfg = IntegratorConfig(scheme="rk4", dt=dt, t_end=2.0)
         rec = integrate(dyn, state0, cfg)
         return np.concatenate([rec.states[-1].u.coeffs, rec.states[-1].v.coeffs])
 
@@ -116,8 +114,7 @@ def test_global_rk4_order_on_kirchhoff(grid1):
 def test_adaptive_rejects_oversized_initial_step(grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 4, 0.5, 1.0, "free"))
-    cfg = IntegratorConfig(dt=10.0, rel_tol=1e-12, abs_tol=1e-14, t_end=1.0,
-                           monitor_stride=10**6)
+    cfg = IntegratorConfig(dt=10.0, rel_tol=1e-12, abs_tol=1e-14, t_end=1.0)
     rec = integrate(dyn, w0, cfg)
     assert rec.n_rejected >= 1
     exact = dyn.exact(w0.w.coeffs, rec.times[-1])
@@ -127,10 +124,11 @@ def test_adaptive_rejects_oversized_initial_step(grid1):
 def test_determinism(grid1):
     dyn = KirchhoffDynamics(grid1)
     state0 = random_state(grid1, 5, 0.2)
-    cfg = IntegratorConfig(t_end=3.0, monitor_stride=7)
+    cfg = IntegratorConfig(t_end=3.0)
     mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
-    a = integrate(dyn, state0, cfg, monitors=mon)
-    b = integrate(dyn, state0, cfg, monitors=mon)
+    ts = np.linspace(0.0, 3.0, 31)
+    a = integrate(dyn, state0, cfg, monitors=mon, t_eval=ts)
+    b = integrate(dyn, state0, cfg, monitors=mon, t_eval=ts)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.channels["h"], b.channels["h"])
     assert a.n_steps == b.n_steps
@@ -220,20 +218,26 @@ def test_t_eval_exact_landings(grid1):
         assert np.max(np.abs(st.w.coeffs - dyn.exact(w0.w.coeffs, t))) <= 1e-10
 
 
-def test_monitor_stride(grid1):
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_monitors_sample_at_t_eval(grid1, scheme):
+    # one sampling rule for every scheme; without t_eval, the two endpoints
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 11, 0.5, 1.0, "free"))
-    cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=1.0, monitor_stride=10)
-    rec = integrate(dyn, w0, cfg, monitors={"n": lambda t, st: st.w.norm(1.0)})
-    assert len(rec.times) == len(rec.channels["n"])
-    assert 10 <= len(rec.times) <= 12
+    cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=1.0)
+    mon = {"n": lambda t, st: st.w.norm(1.0)}
+    rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 1.0, 11))
+    assert np.array_equal(rec.times, np.linspace(0.0, 1.0, 11))
+    assert len(rec.channels["n"]) == 11
+    rec = integrate(dyn, w0, cfg, monitors=mon)
+    assert np.array_equal(rec.times, [0.0, 1.0]) and len(rec.channels["n"]) == 2
 
 
 def test_csv_round_trip(tmp_path, grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 12, 0.5, 1.0, "free"))
-    cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_end=0.5, monitor_stride=2)
-    rec = integrate(dyn, w0, cfg, monitors={"norm_1": lambda t, st: st.w.norm(1.0)})
+    cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_end=0.5)
+    mon = {"norm_1": lambda t, st: st.w.norm(1.0)}
+    rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 0.5, 6))
     path = os.path.join(tmp_path, "traj.csv")
     rec.to_csv(path)
     with open(path, "rb") as fh:
@@ -329,8 +333,7 @@ def test_dop853_linear_flow_accuracy_and_steps(grid1, rel_tol):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = random_field(grid1, 2, 0.5, 1.0, "free")
 
-    cfg = IntegratorConfig(scheme="dop853", rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0,
-                           monitor_stride=10**6)
+    cfg = IntegratorConfig(scheme="dop853", rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0)
     rec = integrate(dyn, ConjugatePair(w0), cfg)
     assert rec.exit_reason == "completed" and rec.times[-1] == 10.0
     err = np.max(np.abs(rec.states[-1].w.coeffs - dyn.exact(w0.coeffs, 10.0)))
@@ -394,11 +397,12 @@ def test_sample_unpacks_the_state_once(grid1):
     # stored states and monitors share one unpacked state; the first sample
     # is state0 itself
     dyn = _Counting(KirchhoffDynamics(grid1))
-    cfg = IntegratorConfig(t_end=1.0, monitor_stride=1)
+    cfg = IntegratorConfig(t_end=1.0)
     mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
-    rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon)
-    assert len(rec.times) == len(rec.states) == rec.n_steps + 1
-    assert dyn.unpacks == rec.n_steps
+    ts = np.linspace(0.0, 1.0, 11)
+    rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon, t_eval=ts)
+    assert len(rec.times) == len(rec.states) == 11
+    assert dyn.unpacks == 10
 
 
 def test_t_eval_leaves_the_steps_alone(grid1):
@@ -406,7 +410,7 @@ def test_t_eval_leaves_the_steps_alone(grid1):
     # final state as a run without them
     dyn = NormalFormDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 18, 0.05, 1.0, "free"))
-    cfg = IntegratorConfig(rel_tol=1e-8, t_end=1.0, monitor_stride=10**6)
+    cfg = IntegratorConfig(rel_tol=1e-8, t_end=1.0)
     plain = integrate(dyn, w0, cfg)
     sampled = integrate(dyn, w0, cfg, t_eval=np.linspace(0.0, 1.0, 201))
     assert plain.exit_reason == sampled.exit_reason == "completed"
@@ -415,12 +419,45 @@ def test_t_eval_leaves_the_steps_alone(grid1):
     assert np.array_equal(sampled.states[-1].w.coeffs, plain.states[-1].w.coeffs)
 
 
-def test_t_eval_needs_dense_output(grid1):
-    dyn = LinearDiagonalDynamics(grid1)
-    w0 = ConjugatePair(random_field(grid1, 19, 0.5, 1.0, "free"))
-    cfg = IntegratorConfig(scheme="rk4", dt=0.1, t_end=1.0)
-    with pytest.raises(ParameterError, match="dense output"):
-        integrate(dyn, w0, cfg, t_eval=[0.0, 0.5, 1.0])
+def test_rk4_samples_are_fourth_order():
+    # rk4's cubic Hermite dense output: halving dt divides the sample error by
+    # about 16, and reading it costs no field evaluation
+    ts = np.linspace(0.0, 1.0, 41)
+
+    def sample_error(dt):
+        dyn = _Counting(_ScalarDynamics(lambda t, y: -1j * y))
+        cfg = IntegratorConfig(scheme="rk4", dt=dt, t_end=1.0)
+        rec = integrate(dyn, 1.0 + 0j, cfg, t_eval=ts)
+        assert np.array_equal(rec.times, ts) and dyn.calls == 1 + 4 * rec.n_steps
+        return np.max(np.abs(np.array(rec.states) - np.exp(-1j * ts)))
+
+    e1, e2, e3 = sample_error(0.1), sample_error(0.05), sample_error(0.025)
+    assert e1 <= 1e-6
+    assert 12.0 < e1 / e2 < 20.0 and 12.0 < e2 / e3 < 20.0
+
+
+class _Ball(_ScalarDynamics):
+    def ball_value(self, y):
+        return abs(y[0])
+
+
+def test_early_exit_samples_a_time_once():
+    # a stop at a time already sampled adds no second sample there
+    def refuse_after_start(t, y):
+        if t > 0.0:
+            raise ConvergenceError("stage refused")
+        return y
+
+    cfg = IntegratorConfig(dt=0.05, t_end=1.0)
+    rec = integrate(_ScalarDynamics(refuse_after_start), 1.0 + 0j, cfg, t_eval=[0.0, 1.0])
+    assert rec.exit_reason == "ball_exit" and rec.exit_time == 0.0
+    assert np.array_equal(rec.times, [0.0])
+
+    # the ball check trips on the step that lands on t_end
+    cfg = IntegratorConfig(dt=0.05, t_end=0.05, ball_threshold=1.01)
+    rec = integrate(_Ball(lambda t, y: y), 1.0 + 0j, cfg, t_eval=[0.0, 0.05])
+    assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("ball_exit", 0.05, 1)
+    assert np.array_equal(rec.times, [0.0, 0.05]) and len(rec.states) == 2
 
 
 class _Reprojecting(_ScalarDynamics):
