@@ -15,9 +15,7 @@ from .fields import (
     RealPair,
     conj_function,
     field_from_dict,
-    field_from_json,
     field_to_dict,
-    field_to_json,
     hermitian_defect,
     hermitian_project,
     lambda_power,
@@ -44,9 +42,7 @@ __all__ = [
     "SpectralGrid",
     "conj_function",
     "field_from_dict",
-    "field_from_json",
     "field_to_dict",
-    "field_to_json",
     "hermitian_defect",
     "hermitian_project",
     "lambda_power",

@@ -41,7 +41,6 @@ from .fields import ConjugatePair, RealPair, field_from_dict, random_field
 from .grid import SpectralGrid
 from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
 from .kirchhoff import hamiltonian, momenta, random_state
-from .normal_form import METHODS
 from .suites import REGISTRY, SuiteConfig, measure_quartic_constant, run_suites
 from .transforms import change_of_variables
 
@@ -300,7 +299,6 @@ SIMULATE_OPTIONS = (
     Option("seed", 1, _int()),
     Option("eps", 0.1, _NONNEGATIVE),
     Option("representation", "original", _str("original", "diagonalized", "normal_form")),
-    Option("method", "structured", _str(*METHODS)),
     Option("scheme", _INTEGRATOR.scheme, _str(*SCHEMES)),
     Option("dt", _INTEGRATOR.dt, _NONNEGATIVE),
     Option("rel_tol", _INTEGRATOR.rel_tol, _NONNEGATIVE),
@@ -354,9 +352,7 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
                     lambda t, st, m=mode, a=axis: float(mode_momentum(st, m)[a])
                 )
         for s in s_values:
-            monitors[f"uv_norm_s{s:g}"] = (
-                lambda t, st, s=s: st.u.norm(s + 0.5) + st.v.norm(s - 0.5)
-            )
+            monitors[f"uv_norm_s{s:g}"] = lambda t, st, s=s: st.norm(s)
     else:
         for s in s_values:
             monitors[f"w_norm_s{s:g}"] = lambda t, st, s=s: st.w.norm(s)
@@ -368,7 +364,7 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
             def _field(st):
                 # every monitor of a sample gets the same state object
                 if last.get("state") is not st:
-                    last.update(state=st, rhs=normal_form_rhs(st, method="structured"))
+                    last.update(state=st, rhs=normal_form_rhs(st))
                 return last["rhs"]
 
             monitors["speed_shift"] = lambda t, st: _field(st).speed_shift
@@ -395,7 +391,7 @@ def _channel_summary(rec: TrajectoryRecord) -> dict:
 def cmd_simulate(cfg: dict) -> int:
     grid = SpectralGrid(cfg["d"], cfg["n_modes"])
     state0 = _initial_state(cfg, grid)
-    dyn = make_dynamics(cfg["representation"], grid, method=cfg["method"])
+    dyn = make_dynamics(cfg["representation"], grid)
     monitors = _simulate_monitors(cfg, grid, state0)
     icfg = IntegratorConfig(
         scheme=cfg["scheme"],
@@ -601,7 +597,7 @@ def _sweep_row(params: dict) -> dict:
                 s: np.array([st.w.norm(s) for st in states_w]) for s in s_list
             }
             h_vals = np.array([hamiltonian(st) for st in rec.states])
-            uv_norms = [st.u.norm(m0 + 0.5) + st.v.norm(m0 - 0.5) for st in rec.states]
+            uv_norms = [st.norm(m0) for st in rec.states]
             row["ham_drift_rel"] = float(
                 np.max(np.abs(h_vals - h_vals[0])) / max(1.0, abs(h_vals[0]))
             )

@@ -5,6 +5,9 @@ protocol (pack / unpack / rhs / project / ball_value). The physical system
 integrates the pair (u, v) with Hermitian re-projection each step; the
 complex-coordinate systems integrate only the first component, since the
 second is its conjugate by construction and needs no projection at all.
+
+:meth:`KirchhoffDynamics.rhs` is the one definition of the physical field,
+and :func:`reversibility_defect` checks that field.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import numpy as np
 from .errors import ParameterError
 from .fields import ComplexField, ConjugatePair, RealPair
 from .grid import SpectralGrid
-from .kirchhoff import gradient_energy
+from .kirchhoff import gradient_energy, involution
 from .normal_form import (
-    METHODS,
     complexified_rhs_arrays,
     diagonalized_rhs_arrays,
     normal_form_rhs_arrays,
@@ -64,6 +66,19 @@ class KirchhoffDynamics:
         return None
 
 
+def reversibility_defect(state: RealPair) -> float:
+    """Component-wise max L2 norm of (X o S + S o X)(state) for the physical
+    field X and the involution S; zero for this field."""
+    g = state.grid
+    dyn = KirchhoffDynamics(g)
+    n = g.n_modes
+    xs = dyn.rhs(0.0, dyn.pack(involution(state)))
+    sx = dyn.rhs(0.0, dyn.pack(state))
+    du_defect = xs[:n] + sx[:n]  # S acts as identity on the first component
+    dv_defect = xs[n:] - sx[n:]  # and as negation on the second
+    return max(g.coeff_norm(du_defect, 0.0), g.coeff_norm(dv_defect, 0.0))
+
+
 class _ConjugateDynamics:
     """Common plumbing for systems whose state is a single complex field w."""
 
@@ -105,18 +120,12 @@ class DiagonalizedDynamics(_ConjugateDynamics):
 
 
 class NormalFormDynamics(_ConjugateDynamics):
-    """The normal-form system; structured evaluation by default."""
+    """The normal-form system, in its structured evaluation."""
 
     name = "normal_form"
 
-    def __init__(self, grid: SpectralGrid, method: str = "structured"):
-        if method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-        super().__init__(grid)
-        self.method = method
-
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return normal_form_rhs_arrays(self.grid, y, self._z(y), self.method)[0]
+        return normal_form_rhs_arrays(self.grid, y, self._z(y))[0]
 
 
 class LinearDiagonalDynamics(_ConjugateDynamics):
@@ -131,11 +140,11 @@ class LinearDiagonalDynamics(_ConjugateDynamics):
         return w0 * np.exp(-1j * self.grid.absj * t)
 
 
-def make_dynamics(representation: str, grid: SpectralGrid, method: str = "structured"):
+def make_dynamics(representation: str, grid: SpectralGrid):
     if representation == "original":
         return KirchhoffDynamics(grid)
     if representation == "diagonalized":
         return DiagonalizedDynamics(grid)
     if representation == "normal_form":
-        return NormalFormDynamics(grid, method=method)
+        return NormalFormDynamics(grid)
     raise ParameterError(f"unknown representation {representation!r}")

@@ -16,7 +16,6 @@ scalar functional of the coefficients, so all computations stay spectral.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +198,10 @@ class RealPair:
     def grid(self) -> SpectralGrid:
         return self.u.grid
 
+    def norm(self, s: float) -> float:
+        """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2}."""
+        return self.u.norm(s + 0.5) + self.v.norm(s - 0.5)
+
     @classmethod
     def projected(cls, u: ComplexField, v: ComplexField) -> "RealPair":
         """Build from approximate data by projecting onto exact symmetry."""
@@ -254,11 +257,3 @@ def field_from_dict(data: dict, grid: SpectralGrid | None = None) -> ComplexFiel
         mode, re, im = row[: grid.d], row[grid.d], row[grid.d + 1]
         c[grid.slot(mode)] = complex(re, im)
     return ComplexField(grid, c)
-
-
-def field_to_json(field: ComplexField) -> str:
-    return json.dumps(field_to_dict(field))
-
-
-def field_from_json(text: str, grid: SpectralGrid | None = None) -> ComplexField:
-    return field_from_dict(json.loads(text), grid)

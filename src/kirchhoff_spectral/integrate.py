@@ -154,6 +154,8 @@ SCHEMES = {
 
 #: DOP853's step-size exponent, one over its error estimate's order plus one
 _STEP_EXPONENT = 1 / 8
+#: an adaptive step below this ends the run with exit reason "dt_underflow"
+_DT_MIN = 1e-12
 
 
 @dataclass
@@ -163,8 +165,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
-    dt_min: float = 1e-12
-    max_steps: int | None = None
     ball_threshold: float | None = None
     store_states: bool = True
 
@@ -333,10 +333,7 @@ def integrate(
         return finish(stopped_by(exc))
 
     while t < t_end:
-        if config.max_steps is not None and n_steps >= config.max_steps:
-            exit_reason = "max_steps"
-            break
-        if adaptive and dt < config.dt_min:
+        if adaptive and dt < _DT_MIN:
             exit_reason = "dt_underflow"
             break
         final = t + dt >= t_end - 1e-14 * max(1.0, t_end)

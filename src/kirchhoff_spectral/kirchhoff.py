@@ -1,19 +1,19 @@
 """The original Kirchhoff dynamics in spectral form.
 
-Right-hand side, Hamiltonian, per-mode momentum integrals and the
-time-reversal symmetry of
+Wave-speed functional, Hamiltonian, per-mode momentum integrals and the
+time-reversal involution of
 
     u_tt - (1 + integral |grad u|^2) Laplacian u = 0
 
 on the zero-mean lattice. The nonlinearity is the single scalar
 a(t) - 1 = <Lambda u, Lambda u>, so the right-hand side is diagonal per mode
 and every quantity here is evaluated exactly at truncation level (pure
-spectral sums, no quadrature).
+spectral sums, no quadrature). The right-hand side itself is
+:meth:`~kirchhoff_spectral.dynamics.KirchhoffDynamics.rhs`, the one field
+every flow integrates; its reversibility check lives beside it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,27 +26,10 @@ from .grid import SpectralGrid
 REAL_RESIDUE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class KirchhoffRhsOutput:
-    """du/dt, dv/dt and the instantaneous squared wave speed a(t) >= 1."""
-
-    du: ComplexField
-    dv: ComplexField
-    a_coeff: float
-
-
 def gradient_energy(j2f: np.ndarray, c: np.ndarray) -> float:
     """<Lambda u, Lambda u> for Hermitian-symmetric coefficients c of u, given the
     grid's |j|^2 weights j2f: sum of |j|^2 |u_j|^2, exactly real."""
     return float(np.dot(j2f, c.real * c.real + c.imag * c.imag))
-
-
-def kirchhoff_rhs(state: RealPair) -> KirchhoffRhsOutput:
-    """du = v,  dv_j = -(1 + sum_k |k|^2 |u_k|^2) |j|^2 u_j."""
-    g = state.grid
-    a = 1.0 + gradient_energy(g.j2f, state.u.coeffs)
-    dv = ComplexField(g, (-a) * g.j2f * state.u.coeffs)
-    return KirchhoffRhsOutput(du=state.v, dv=dv, a_coeff=a)
 
 
 def hamiltonian(state: RealPair) -> float:
@@ -92,15 +75,6 @@ def momenta(state: RealPair) -> np.ndarray:
 def involution(state: RealPair) -> RealPair:
     """Time-reversal involution S(u, v) = (u, -v)."""
     return RealPair(state.u, ComplexField(state.grid, -state.v.coeffs))
-
-
-def reversibility_defect(state: RealPair) -> float:
-    """Component-wise max L2 norm of (X o S + S o X)(state); zero for this field."""
-    xs = kirchhoff_rhs(involution(state))
-    sx = kirchhoff_rhs(state)
-    du_defect = xs.du + sx.du  # S acts as identity on the first component
-    dv_defect = xs.dv - sx.dv  # and as negation on the second
-    return max(du_defect.norm(0.0), dv_defect.norm(0.0))
 
 
 def random_state(grid: SpectralGrid, seed, eps: float) -> RealPair:

@@ -17,10 +17,12 @@ evaluations:
               quintic remainder.
 
 Each makes one (I + jac) solve: the solve is linear, so the structured form
-adds its two terms under (I + jac)^{-1} before solving. The structured form
-never evaluates the diagonalized field at the image, so the agreement of the
-two to rounding is the strongest regression check of the whole operator
-algebra and is part of the acceptance suite. The resonant cubic
+adds its two terms under (I + jac)^{-1} before solving. The two cost the
+same, so every flow runs the structured form (:func:`normal_form_rhs_arrays`);
+the direct form is its reference, reached through ``normal_form_rhs(method=)``.
+The structured form never evaluates the diagonalized field at the image, so
+the agreement of the two to rounding is the strongest regression check of the
+whole operator algebra and is part of the acceptance suite. The resonant cubic
 couples modes only within a resonance class and cancels identically in the
 derivative of every Sobolev norm, which is what makes the norm growth of the
 normal-form flow quartically small.
@@ -177,9 +179,10 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
     }
 
 
-def normal_form_rhs_arrays(grid, w, z, method: str = "structured") -> ArrayPair:
-    parts = _normal_form_parts(grid, w, z, method)
-    return parts["total"]
+def normal_form_rhs_arrays(grid, w, z) -> ArrayPair:
+    """The normal-form field at (w, z) in its structured evaluation, the one
+    every flow integrates."""
+    return _normal_form_parts(grid, w, z, "structured")["total"]
 
 
 def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> float:

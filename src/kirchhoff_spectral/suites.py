@@ -44,7 +44,7 @@ from .fields import (
     random_field,
 )
 from .grid import SpectralGrid
-from .kirchhoff import random_state, reversibility_defect
+from .kirchhoff import random_state
 from .normal_form import (
     _normal_form_parts,
     decompose_rhs,
@@ -67,7 +67,7 @@ from .transforms import (
     rho,
     scale_stage,
 )
-from .dynamics import NormalFormDynamics
+from .dynamics import NormalFormDynamics, reversibility_defect
 from .integrate import IntegratorConfig, integrate
 
 # pinned tolerances
@@ -574,7 +574,7 @@ def measure_quartic_constant(
     s2 = m0 + 1.0 if s_extra is None else s_extra
 
     def probe(t, state):
-        rhs = normal_form_rhs(state, method="structured")
+        rhs = normal_form_rhs(state)
         w = state.w
         ed0 = energy_derivative_arrays(grid, w.coeffs, rhs.total[0].coeffs, m0)
         ratios_m0.append(abs(ed0) / max(w.norm(m0) ** 6, 1e-300))

@@ -156,6 +156,17 @@ def test_simulate_zero_dt_is_a_config_error(tmp_path):
     assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_simulate_has_no_method_option(tmp_path):
+    # the normal-form flow has one evaluation; naming one is a config error
+    path = os.path.join(tmp_path, "c.json")
+    with open(path, "w") as fh:
+        json.dump({"representation": "normal_form", "method": "direct"}, fh)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--method", "direct", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_simulate_normal_form(tmp_path):
     out = os.path.join(tmp_path, "s")
     code = main(
@@ -176,9 +187,9 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     calls = []
     real = nf.normal_form_rhs
 
-    def counting(state, method):
+    def counting(state):
         calls.append(state)
-        return real(state, method=method)
+        return real(state)
 
     monkeypatch.setattr(nf, "normal_form_rhs", counting)
     out = os.path.join(tmp_path, "s")
@@ -194,7 +205,7 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     grid = SpectralGrid(1, 8)
     state = cli._initial_state(cfg, grid)
     monitors = cli._simulate_monitors(cfg, grid, state)
-    rhs = real(state, method="structured")
+    rhs = real(state)
     assert monitors["speed_shift"](0.0, state) == rhs.speed_shift
     assert monitors["energy_derivative_m0"](0.0, state) == nf.energy_derivative_arrays(
         grid, state.w.coeffs, rhs.total[0].coeffs, grid.m0

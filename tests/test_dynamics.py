@@ -9,7 +9,7 @@ from kirchhoff_spectral.dynamics import (
     make_dynamics,
 )
 from kirchhoff_spectral.integrate import IntegratorConfig, integrate
-from kirchhoff_spectral.kirchhoff import hamiltonian, kirchhoff_rhs, momenta, random_state
+from kirchhoff_spectral.kirchhoff import hamiltonian, momenta, random_state
 from kirchhoff_spectral.normal_form import (
     diagonalized_rhs_arrays,
     energy_derivative_arrays,
@@ -36,24 +36,14 @@ def test_pack_unpack_round_trip(grid1):
     assert np.array_equal(back.v.coeffs, state.v.coeffs)
 
 
-def test_rhs_matches_module_level(grid1):
-    dyn = KirchhoffDynamics(grid1)
-    state = random_state(grid1, 2, 0.4)
-    y = dyn.pack(state)
-    out = kirchhoff_rhs(state)
-    packed = dyn.rhs(0.0, y)
-    assert np.max(np.abs(packed[: grid1.n_modes] - out.du.coeffs)) == 0.0
-    assert np.max(np.abs(packed[grid1.n_modes:] - out.dv.coeffs)) <= 1e-16
-
-
 def test_conjugate_dynamics_rhs_consistency(grid1):
     w = random_field(grid1, 3, 0.2, 1.0, "free")
     y = w.coeffs
     z = np.conj(y[grid1.neg_index])
     diag = DiagonalizedDynamics(grid1)
     assert np.array_equal(diag.rhs(0.0, y), diagonalized_rhs_arrays(grid1, y, z)[0])
-    nf = NormalFormDynamics(grid1, method="direct")
-    assert np.array_equal(nf.rhs(0.0, y), normal_form_rhs_arrays(grid1, y, z, "direct")[0])
+    nf = NormalFormDynamics(grid1)
+    assert np.array_equal(nf.rhs(0.0, y), normal_form_rhs_arrays(grid1, y, z)[0])
 
 
 def test_make_dynamics(grid1):
@@ -108,8 +98,9 @@ def test_complexified_field_real_structure_and_physical_equivalence(grid1):
     # physical field, pull the tangent back, compare
     uv = scale_stage("fwd", complex_stage("fwd", (pair.w, pair.z)))
     state = RealPair(*uv, check_tol=1e-8)
-    out = kirchhoff_rhs(state)
-    back = complex_stage("inv", scale_stage("inv", (out.du, out.dv)))
+    dyn = KirchhoffDynamics(grid1)
+    out = dyn.unpack(dyn.rhs(0.0, dyn.pack(state)))
+    back = complex_stage("inv", scale_stage("inv", (out.u, out.v)))
     assert np.max(np.abs(back[0].coeffs - f1.coeffs)) <= 1e-13
 
 

@@ -194,19 +194,6 @@ def test_early_stop_records_its_cause(grid1):
     assert rec.notes == {"error": "ConvergenceError: solve failed late"}
 
 
-def test_normal_form_dynamics_rejects_unknown_method(grid1):
-    with pytest.raises(ParameterError, match="strucutred"):
-        NormalFormDynamics(grid1, method="strucutred")
-
-
-def test_max_steps(grid1):
-    dyn = LinearDiagonalDynamics(grid1)
-    w0 = ConjugatePair(random_field(grid1, 9, 0.5, 1.0, "free"))
-    rec = integrate(dyn, w0, IntegratorConfig(t_end=100.0, max_steps=3))
-    assert rec.exit_reason == "max_steps"
-    assert rec.n_steps == 3
-
-
 def test_t_eval_exact_landings(grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 10, 0.5, 1.0, "free"))

@@ -2,9 +2,12 @@
 by name; a refactor that renames or moves one would break the traced
 benchmark silently, so every name it wraps is checked here."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -38,3 +41,24 @@ def test_traced_call_paths():
     # the cubic-stage inverse counts its iterations through the transforms
     # module's own mix_arrays reference
     assert "mix_arrays" in transforms.cubic_stage_inverse_arrays.__code__.co_names
+
+
+def _calls(fn, callee: str) -> list[ast.Call]:
+    """The calls to ``callee`` (a bare or dotted name) in the source of ``fn``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee
+    ]
+
+
+def test_per_layer_call_edges():
+    from kirchhoff_spectral import dynamics, suites
+
+    # normal_form.rhs counts the normal-form flow's field evaluations
+    assert _calls(dynamics.NormalFormDynamics.rhs, "normal_form_rhs_arrays")
+    # integrate.monitor times the quartic probe, which integrate only sees
+    # when measure_quartic_constant hands it over as monitors
+    (call,) = _calls(suites.measure_quartic_constant, "integrate")
+    assert "monitors" in {kw.arg for kw in call.keywords}

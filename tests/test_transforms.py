@@ -6,9 +6,11 @@ import pytest
 from kirchhoff_spectral import (
     ComplexField,
     ConjugatePair,
+    ConvergenceError,
     DomainError,
     ParameterError,
     random_field,
+    transforms,
 )
 from kirchhoff_spectral.fields import conj_function, conjugate_defect, hermitian_defect
 from kirchhoff_spectral.kirchhoff import random_state
@@ -125,6 +127,18 @@ class TestCubicStage:
     def test_inverse_ball_check(self, grid1):
         eta = random_field(grid1, 11, 0.3, grid1.m0, "free")
         with pytest.raises(DomainError):
+            cubic_stage("inv", (eta, conj_function(eta)))
+
+    def test_diverging_inverse_is_a_convergence_error(self, grid1, monkeypatch):
+        # outside the ball, with eta_{-1} = i eta_1, the fixed-point iterates
+        # overflow to inf and then nan; the iteration cap must end the run
+        # with an error instead of handing those values back
+        monkeypatch.setattr(transforms, "CUBIC_INV_BALL", math.inf)
+        c = np.zeros(grid1.n_modes, dtype=np.complex128)
+        c[grid1.slot(1)], c[grid1.slot(-1)] = math.sqrt(2.0), 1j * math.sqrt(2.0)
+        eta = ComplexField(grid1, c)
+        assert eta.norm(grid1.m0) == pytest.approx(2.0, rel=1e-15)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
             cubic_stage("inv", (eta, conj_function(eta)))
 
     def test_preserves_conjugate_structure(self, grid1):
