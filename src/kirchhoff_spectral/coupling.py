@@ -9,7 +9,13 @@ with c(j, k) = |j|^2 / (8(|j| -+ |k|)): the "diff" family divides by the
 eigenvalue difference (and vanishes on resonant pairs |j| = |k|), the "sum"
 family by the eigenvalue sum. The scalar multiplying h_k depends on k only
 through |k|, so everything reduces to per-resonance-class sums and a small
-class-by-class table lookup (O(n_modes + n_classes^2) per application).
+class-by-class table lookup (O(n_modes + n_classes^2) per vector).
+
+The array layer takes a leading batch axis: the operands (u, v, h, alpha,
+beta) may be (m, n_modes) blocks, one vector per row, while the state (w, z)
+stays one vector. ``neg_index`` and ``class_of`` index the last axis and the
+class sums reduce along it, so a 1-D operand gives the same operations, and
+the same bits, as one row of a block.
 
 Operators defined here:
 
@@ -39,9 +45,22 @@ from .fields import ArrayPair, ComplexField, _same_grid
 from .grid import SpectralGrid
 
 SOLVE_RESIDUAL_TOL = 1e-12
+#: identity rows per ``jac_arrays`` call in the dense assembly
+DENSE_BLOCK = 64
 
 
 # -- array layer (used by the field evaluators in hot loops) ----------------
+
+
+def _pair_sums(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-class sums of u_j v_{-j}; v may carry a leading batch axis."""
+    return grid.class_sums(u * v.take(grid.neg_index, axis=-1))
+
+
+def _times_table(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sums @ table as one vector-matrix product per row, so that each row of a
+    batch rounds exactly as it would alone (a matrix-matrix product may not)."""
+    return (sums[..., None, :] @ table)[..., 0, :]
 
 
 def class_multiplier(grid: SpectralGrid, kind: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -52,12 +71,11 @@ def class_multiplier(grid: SpectralGrid, kind: str, u: np.ndarray, v: np.ndarray
         table = grid.sum_table
     else:
         raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
-    sums = grid.class_sums(u * v[grid.neg_index])
-    return sums @ table
+    return _times_table(_pair_sums(grid, u, v), table)
 
 
 def coupling_arrays(grid, kind: str, u, v, h) -> np.ndarray:
-    return class_multiplier(grid, kind, u, v)[grid.class_of] * h
+    return class_multiplier(grid, kind, u, v).take(grid.class_of, axis=-1) * h
 
 
 def _table_action(grid, p, q) -> ArrayPair:
@@ -82,15 +100,22 @@ def jac_arrays(grid, w, z, alpha, beta) -> ArrayPair:
 
     First component:  diff[w,w] b + sum[z,z] b + 2 diff[w,a] z + 2 sum[z,b] z
     Second component: sum[w,w] a + diff[z,z] a + 2 sum[w,a] w + 2 diff[z,b] w
+
+    alpha and beta may be (m, n_modes) blocks, one vector per row.
     """
     first, second = mix_arrays(grid, w, z, alpha, beta)
-    cls = grid.class_of
-    mwa_diff = class_multiplier(grid, "diff", w, alpha)
-    mwa_sum = class_multiplier(grid, "sum", w, alpha)
-    mzb_diff = class_multiplier(grid, "diff", z, beta)
-    mzb_sum = class_multiplier(grid, "sum", z, beta)
-    first = first + 2.0 * (mwa_diff[cls] * z) + 2.0 * (mzb_sum[cls] * z)
-    second = second + 2.0 * (mwa_sum[cls] * w) + 2.0 * (mzb_diff[cls] * w)
+    swa, szb = _pair_sums(grid, w, alpha), _pair_sums(grid, z, beta)
+    cls, dt, st = grid.class_of, grid.diff_table, grid.sum_table
+    first = (
+        first
+        + 2.0 * (_times_table(swa, dt).take(cls, axis=-1) * z)
+        + 2.0 * (_times_table(szb, st).take(cls, axis=-1) * z)
+    )
+    second = (
+        second
+        + 2.0 * (_times_table(swa, st).take(cls, axis=-1) * w)
+        + 2.0 * (_times_table(szb, dt).take(cls, axis=-1) * w)
+    )
     return first, second
 
 
@@ -176,22 +201,22 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> 
 
 
 def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
-    """Matrix of (I + jac(w, z)) on the doubled coefficient basis."""
-    n = grid.n_modes
-    mat = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    zero = np.zeros(n, dtype=np.complex128)
-    basis = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        basis[i] = 1.0
-        ka, kb = jac_arrays(grid, w, z, basis, zero)
-        mat[:n, i] = ka
-        mat[n:, i] = kb
-        ka, kb = jac_arrays(grid, w, z, zero, basis)
-        mat[:n, n + i] = ka
-        mat[n:, n + i] = kb
-        basis[i] = 0.0
-    mat[np.diag_indices(2 * n)] += 1.0
-    return mat
+    """Matrix of (I + jac(w, z)) on the doubled coefficient basis.
+
+    The oracle route: ``jac_arrays`` is applied to every unit vector, and none
+    of the Woodbury structure is used. The unit vectors go in blocks of
+    ``DENSE_BLOCK`` rows of the 2n x 2n identity, one ``jac_arrays`` call per
+    block. Row k of a block's images is column k of the matrix, so the images
+    fill the rows of its transpose, and the matrix is returned as a view of
+    that transpose.
+    """
+    n, n2 = grid.n_modes, 2 * grid.n_modes
+    mat_t = np.empty((n2, n2), dtype=np.complex128)
+    for lo in range(0, n2, DENSE_BLOCK):
+        units = np.eye(min(DENSE_BLOCK, n2 - lo), n2, lo, dtype=np.complex128)
+        mat_t[lo : lo + len(units)] = np.hstack(jac_arrays(grid, w, z, units[:, :n], units[:, n:]))
+    mat_t.flat[:: n2 + 1] += 1.0
+    return mat_t.T
 
 
 # -- field layer -------------------------------------------------------------

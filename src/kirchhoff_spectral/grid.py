@@ -148,8 +148,8 @@ class SpectralGrid:
         return w
 
     def class_sums(self, prod: np.ndarray) -> np.ndarray:
-        """Sum of a per-mode array over each resonance class."""
-        return np.add.reduceat(prod, self.class_starts)
+        """Sum of a per-mode array over each resonance class, along the last axis."""
+        return np.add.reduceat(prod, self.class_starts, axis=-1)
 
     def coeff_norm(self, coeffs: np.ndarray, s: float) -> float:
         """Sobolev norm with weights |j|^(2s) of a raw coefficient vector."""

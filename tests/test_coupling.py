@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from kirchhoff_spectral.coupling import (
     small_divisor_check,
     solve_jacobian_arrays,
 )
-from oracles import brute_force_coupling, brute_force_small_divisor_margin, coupling_coefficient
+from oracles import (
+    brute_force_coupling,
+    brute_force_small_divisor_margin,
+    coupling_coefficient,
+    dense_jacobian_columns,
+)
 
 
 def test_coefficient_values():
@@ -116,6 +123,48 @@ def test_jac_matches_finite_difference_of_mix(grid1):
     ka, kb = jac_arrays(g, w, z, al, be)
     assert np.max(np.abs(ka - fd[0])) <= 1e-10
     assert np.max(np.abs(kb - fd[1])) <= 1e-10
+
+
+@pytest.mark.parametrize("d, n_cutoff", [(1, 4), (2, 4)])
+def test_block_operands_match_rows(d, n_cutoff):
+    """A leading batch axis applies the array layer row by row, to the bit."""
+    g = SpectralGrid(d, n_cutoff)
+    w = random_field(g, 40, 0.4, g.m0, "free").coeffs
+    z = np.conj(w[g.neg_index])
+    rows = [random_field(g, 41 + k, 1.0, 0.0, "free").coeffs for k in range(10)]
+    alpha, beta = np.array(rows[:5]), np.array(rows[5:])
+    ka, kb = jac_arrays(g, w, z, alpha, beta)
+    for k in range(5):
+        ra, rb = jac_arrays(g, w, z, alpha[k], beta[k])
+        assert np.array_equal(ka[k], ra) and np.array_equal(kb[k], rb)
+    sums = g.class_sums(alpha)
+    assert sums.shape == (5, g.n_classes)
+    assert all(np.array_equal(sums[k], g.class_sums(alpha[k])) for k in range(5))
+
+
+class TestDenseMatrix:
+    # d=1 N=8: 2n = 32, one partial block; d=2 N=4: 2n = 96, not a multiple of the block
+    @pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4)])
+    def test_equals_column_loop(self, d, n_cutoff):
+        g = SpectralGrid(d, n_cutoff)
+        w = random_field(g, 30, 0.4, g.m0, "free").coeffs
+        z = np.conj(w[g.neg_index])
+        assert np.array_equal(coupling.dense_jacobian_matrix(g, w, z), dense_jacobian_columns(g, w, z))
+
+    def test_one_jac_call_per_block(self, grid2, monkeypatch):
+        calls = []
+        jac = coupling.jac_arrays
+
+        def counted_jac(grid, w, z, alpha, beta):
+            calls.append(len(alpha))
+            return jac(grid, w, z, alpha, beta)
+
+        monkeypatch.setattr(coupling, "jac_arrays", counted_jac)
+        w = random_field(grid2, 31, 0.4, grid2.m0, "free").coeffs
+        coupling.dense_jacobian_matrix(grid2, w, np.conj(w[grid2.neg_index]))
+        n2 = 2 * grid2.n_modes
+        assert len(calls) == math.ceil(n2 / coupling.DENSE_BLOCK) == 2  # 2n = 96
+        assert sum(calls) == n2 and max(calls) == coupling.DENSE_BLOCK
 
 
 class TestSolve:
