@@ -1,25 +1,41 @@
-"""Deterministic explicit time integration with per-step invariant monitoring.
+"""Deterministic time integration with per-step invariant monitoring.
 
-Two tableaus in ``SCHEMES``, run by one explicit Runge-Kutta step: classical
-fixed-step RK4, and Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner,
-*Solving ODEs I*, II.10), the one adaptive scheme. DOP853 propagates its
-8th-order solution, estimates its error from a 5th- and a 3rd-order embedded
-solution as in Hairer's code, and carries Hairer's 7th-order dense output
-(II.6); RK4 carries the cubic Hermite interpolant of its step's endpoints.
-Samples at requested times are interpolated inside the steps, so the sample
-times never shape the step sequence. The schemes are deliberately *not*
-structure preserving: the workbench measures conservation defects as
-diagnostics, and drift channels are only meaningful when the integrator does
-not conserve them by construction.
+Three schemes, listed in ``SCHEMES``. Two are explicit Runge-Kutta tableaus
+(``TABLEAUS``) run by one step: classical fixed-step RK4, and Dormand-Prince
+8(5,3) (DOP853; Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), the one
+adaptive scheme. DOP853 propagates its 8th-order solution, estimates its error
+from a 5th- and a 3rd-order embedded solution as in Hairer's code, and carries
+Hairer's 7th-order dense output (II.6); RK4 carries the cubic Hermite
+interpolant of its step's endpoints. Samples at requested times are
+interpolated inside the steps, so the sample times never shape the step
+sequence. Neither keeps the momenta or the Hamiltonian by construction, and
+that is why the conservation channels (criterion 5, the momentum and
+Hamiltonian drift of ``simulate``), the conjugacy levels and the quartic probe
+stay on DOP853: a drift measured there certifies the field the evaluator
+computes, where a scheme that keeps the momenta exactly would certify only
+itself.
 
-After every accepted step the state is projected back onto its exact
-structural symmetry class and the projection defect is logged (for the
-states used here the right-hand sides preserve the symmetry exactly, so the
-defect stays at rounding level); an interpolated sample is projected too.
+The third, ``saba2``, composes the two exact sub-flows of an evaluator whose
+field splits into a linear rotation and a kick (the physical Kirchhoff field):
+Laskar & Robutel's SABA2, ``A(c1 h) B(h/2) A(c2 h) B(h/2) A(c1 h)`` with
+``c1 = 1/2 - sqrt(3)/6`` and ``c2 = 1 - 2 c1`` (Laskar & Robutel, *Celest.
+Mech. Dyn. Astron.* 80, 2001; McLachlan, *BIT* 35, 1995). It is symplectic,
+keeps every per-mode momentum, and for a kick of size eps its error is
+O(eps h^4 + eps^2 h^2), so its step is not bound to the fastest rotation. It
+has no dense output: each sample interval is cut into ``ceil(interval / dt)``
+equal steps, which land on the sample times (an interval that is a whole
+number of ``dt`` up to rounding takes that number).
+
+The state is projected back onto its exact structural symmetry class and the
+projection defect is logged after every Runge-Kutta step and at every sample
+(for the states used here the right-hand sides preserve the symmetry exactly,
+and the sub-flows preserve it bit for bit, so the defect stays at rounding
+level); an interpolated sample is projected too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -71,8 +87,8 @@ def _tableau(c, rows, dense, e=None) -> _Tableau:
     return _Tableau(tuple(c), a, e, (tuple(c_x), _matrix(a_x, width), d))
 
 
-#: scheme name -> tableau; the keys are the only list of scheme names
-SCHEMES = {
+#: Runge-Kutta scheme name -> tableau
+TABLEAUS = {
     "rk4": _tableau(
         (0.0, 0.5, 0.5, 1.0, 1.0),
         ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
@@ -152,6 +168,17 @@ SCHEMES = {
 }
 
 
+#: every scheme name, the Runge-Kutta tableaus' and the splitting's: the one
+#: list that the config check and ``simulate --scheme`` read
+SCHEMES = (*TABLEAUS, "saba2")
+
+#: SABA2's rotation fractions of a step, c1 at both ends and c2 in between
+_SABA2_C1 = 0.5 - math.sqrt(3.0) / 6.0
+_SABA2_C2 = 1.0 - 2.0 * _SABA2_C1
+#: the relative amount by which a SABA2 step may exceed dt, far below any
+#: accuracy that matters and far above the rounding of sample times
+_STEP_SLACK = 1e-9
+
 #: DOP853's step-size exponent, one over its error estimate's order plus one
 _STEP_EXPONENT = 1 / 8
 #: an adaptive step below this ends the run with exit reason "dt_underflow"
@@ -160,8 +187,8 @@ _DT_MIN = 1e-12
 
 @dataclass
 class IntegratorConfig:
-    scheme: str = "dop853"  # a key of SCHEMES
-    dt: float = 1e-2  # fixed step (rk4) or initial step (dop853)
+    scheme: str = "dop853"  # one of SCHEMES
+    dt: float = 1e-2  # fixed step (rk4), initial step (dop853) or maximum step (saba2)
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
@@ -188,7 +215,9 @@ class TrajectoryRecord:
     exit_time: float
     n_steps: int
     n_rejected: int
-    n_rhs: int  # field evaluations: stages, dense-output stages, re-evaluations after projection
+    # field evaluations: stages, dense-output stages, re-evaluations after
+    # projection (saba2 evaluates the field once, at the start)
+    n_rhs: int
     max_projection_defect: float
     notes: dict = dataclass_field(default_factory=dict)
 
@@ -243,6 +272,200 @@ def _interpolate(f, y, x: float) -> np.ndarray:
     return out + y
 
 
+class _Run:
+    """The bookkeeping of one run that every scheme shares: the sample times
+    not reached yet, the record so far, the work counts, and where and why the
+    run stopped."""
+
+    def __init__(self, evaluator, config: IntegratorConfig, monitors: dict, eval_times):
+        self.evaluator = evaluator
+        self.config = config
+        self.monitors = monitors
+        self.ahead = eval_times[::-1].tolist()  # the next one last
+        self.times: list[float] = []
+        self.states: list = []
+        self.channels: dict[str, list[float]] = {name: [] for name in monitors}
+        self.n_steps = 0
+        self.n_rejected = 0
+        self.n_rhs = 0
+        self.max_defect = 0.0
+        self.notes: dict = {}
+        self.t = 0.0  # the last accepted time and state
+        self.y = None
+
+    def rhs(self, t, y):
+        self.n_rhs += 1
+        return self.evaluator.rhs(t, y)
+
+    def sample(self, t_s, y_s, state=None) -> None:
+        self.times.append(t_s)
+        if state is None and (self.config.store_states or self.monitors):
+            state = self.evaluator.unpack(y_s.copy())
+        if self.config.store_states:
+            self.states.append(state)
+        for name, fn in self.monitors.items():
+            self.channels[name].append(float(fn(t_s, state)))
+
+    def project(self, y) -> tuple[np.ndarray, float]:
+        y, defect = self.evaluator.project(y)
+        self.max_defect = max(self.max_defect, defect)
+        return y, defect
+
+    def accept(self, t, y) -> None:
+        """The run reached ``(t, y)``, projected: sample it if it is due."""
+        self.t, self.y = t, y
+        if self.ahead and self.ahead[-1] == t:
+            self.sample(self.ahead.pop(), y)
+
+    def outside_ball(self) -> bool:
+        if self.config.ball_threshold is None:
+            return False
+        bv = self.evaluator.ball_value(self.y)
+        return bv is not None and bv > self.config.ball_threshold
+
+    def stopped_by(self, exc: Exception) -> str:
+        self.notes["error"] = f"{type(exc).__name__}: {exc}"
+        return "ball_exit"
+
+    def finish(self, reason: str) -> TrajectoryRecord:
+        # a run that stops early samples the state it stopped at, once
+        if reason != "completed" and not (self.times and self.times[-1] == self.t):
+            self.sample(self.t, self.y)
+        return TrajectoryRecord(
+            times=np.asarray(self.times),
+            states=self.states,
+            channels={name: np.asarray(v) for name, v in self.channels.items()},
+            exit_reason=reason,
+            exit_time=self.t,
+            n_steps=self.n_steps,
+            n_rejected=self.n_rejected,
+            n_rhs=self.n_rhs,
+            max_projection_defect=self.max_defect,
+            notes=self.notes,
+        )
+
+
+def _blown_up(y: np.ndarray) -> bool:
+    return not np.isfinite(y.view(np.float64)).all()
+
+
+def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
+    """Steps a tableau from ``(run.t, run.y)``, whose field is ``k0``, to
+    ``t_end``; returns the exit reason."""
+    config = run.config
+    t, y = run.t, run.y
+    t_end = config.t_end
+    ahead = run.ahead
+    dt = min(config.dt, t_end)
+    adaptive = scheme.e is not None
+    new = len(scheme.c) - 1  # the stage at the new point
+    k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
+    k[0] = k0
+
+    while t < t_end:
+        if adaptive and dt < _DT_MIN:
+            return "dt_underflow"
+        final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
+        dt_try = t_end - t if final else dt
+        try:
+            # overflow to inf is handled explicitly below as blowup
+            with np.errstate(invalid="ignore", over="ignore"):
+                y_new, err = _rk_step(scheme, run.rhs, t, y, dt_try, k, config.rel_tol,
+                                      config.abs_tol)
+        except (DomainError, ConvergenceError, NumericalError) as exc:
+            return run.stopped_by(exc)
+        if _blown_up(y_new):
+            return "blowup"
+
+        if adaptive and err > 1.0:
+            run.n_rejected += 1
+            dt = dt_try * max(0.2, 0.9 * err ** -_STEP_EXPONENT)
+            continue
+
+        # accept
+        t_new = t_end if final else t + dt_try
+        if ahead and ahead[-1] < t_new:
+            try:
+                f = _interpolant(scheme, run.rhs, t, y, dt_try, k)
+            except (DomainError, ConvergenceError, NumericalError) as exc:
+                return run.stopped_by(exc)
+            while ahead and ahead[-1] < t_new:
+                t_s = ahead.pop()
+                y_s, _ = run.project(_interpolate(f, y, (t_s - t) / dt_try))
+                run.sample(t_s, y_s)
+        t = t_new
+        y, defect = run.project(y_new)
+        # the field at the new point is the next step's first stage
+        k[0] = run.rhs(t, y) if defect != 0.0 else k[new]
+        run.n_steps += 1
+        run.accept(t, y)
+
+        if adaptive:
+            dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
+
+        if run.outside_ball():
+            return "ball_exit"
+    return "completed"
+
+
+def _saba2(run: _Run) -> str:
+    """SABA2 from ``(run.t, run.y)`` to ``t_end``, its steps landing on the
+    sample times; returns the exit reason."""
+    evaluator, config = run.evaluator, run.config
+    t, y = run.t, run.y
+    landings = [t_s for t_s in run.ahead[::-1] if t < t_s < config.t_end] + [config.t_end]
+    h = None
+    for t_next in landings:
+        # an interval that is a whole number of dt up to the rounding of the
+        # sample times takes that number of steps, not one more
+        m = math.ceil((t_next - t) / config.dt * (1.0 - _STEP_SLACK))
+        if (t_next - t) / m != h:  # equal intervals reuse the rotation factors
+            h = (t_next - t) / m
+            outer = evaluator.rotation(_SABA2_C1 * h)
+            inner = evaluator.rotation(_SABA2_C2 * h)
+        # overflow to inf is handled explicitly below as blowup
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(m):
+                y_new = evaluator.rotate(y, outer)
+                evaluator.kick(y_new, 0.5 * h)
+                evaluator.rotate(y_new, inner, out=y_new)
+                evaluator.kick(y_new, 0.5 * h)
+                evaluator.rotate(y_new, outer, out=y_new)
+                if _blown_up(y_new):
+                    run.t, run.y = t + i * h, y
+                    return "blowup"
+                y = y_new
+                run.n_steps += 1
+        # the sub-flows keep the symmetry bit for bit: a projection per landing
+        # only logs a defect the start state brought in
+        t = t_next
+        y, _ = run.project(y)
+        run.accept(t, y)
+        if run.outside_ball():
+            return "ball_exit"
+    return "completed"
+
+
+#: what an evaluator exposes for saba2: its fastest rotation frequency, and its
+#: two exact sub-flows (see :class:`~kirchhoff_spectral.dynamics.KirchhoffDynamics`)
+_SUBFLOWS = ("max_frequency", "rotation", "rotate", "kick")
+
+
+def _check_splitting(evaluator, dt: float) -> None:
+    if not all(hasattr(evaluator, name) for name in _SUBFLOWS):
+        raise ParameterError(
+            f"scheme 'saba2' needs an evaluator with exact sub-flows; "
+            f"{type(evaluator).__name__} has none"
+        )
+    # the first step-size resonance of exact-rotation splittings (Hairer,
+    # Lubich & Wanner, Geometric Numerical Integration, ch. XIII)
+    if dt * evaluator.max_frequency >= math.pi:
+        raise ParameterError(
+            f"saba2 needs dt * max|j| < pi, got dt = {dt:g} with max|j| = "
+            f"{evaluator.max_frequency:g}"
+        )
+
+
 def integrate(
     evaluator,
     state0,
@@ -253,139 +476,35 @@ def integrate(
     """Integrate a field evaluator from state0 to t_end with monitoring.
 
     Samples are taken at the times in ``t_eval``, by default the endpoints
-    ``(0, t_end)``: a time inside a step is read from the scheme's dense
-    output and then projected, so the samples leave the steps as they are
-    (only the final step is shortened, to end on t_end). The run stops early
-    with a distinct exit reason on numerical blowup, on leaving the admissible
-    ball (``config.ball_threshold`` against the evaluator's ball norm, or a
-    field evaluation that raises a domain, convergence or numerical error,
-    whose cause goes to ``notes["error"]``), or on adaptive step-size
-    underflow; the state it stopped at is then sampled too.
+    ``(0, t_end)``. A Runge-Kutta scheme reads a time inside a step from its
+    dense output and projects it, so the samples leave the steps as they are
+    (only the final step is shortened, to end on t_end); ``saba2`` lands its
+    steps on the sample times instead. The run stops early with a distinct
+    exit reason on numerical blowup, on leaving the admissible ball
+    (``config.ball_threshold`` against the evaluator's ball norm, or a field
+    evaluation that raises a domain, convergence or numerical error, whose
+    cause goes to ``notes["error"]``), or on adaptive step-size underflow; the
+    state it stopped at is then sampled too.
     """
     config.validate()
-    scheme = SCHEMES[config.scheme]
-    monitors = monitors or {}
+    splitting = config.scheme not in TABLEAUS
+    if splitting:
+        _check_splitting(evaluator, config.dt)
     eval_times = np.unique([0.0, config.t_end]) if t_eval is None else np.asarray(t_eval, float)
     if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
         raise ParameterError("t_eval must be strictly increasing and nonnegative")
-    ahead = eval_times[::-1].tolist()  # the sample times not reached yet, the next one last
-    field = evaluator.rhs
-    n_rhs = 0
+    run = _Run(evaluator, config, monitors or {}, eval_times)
+    run.y = evaluator.pack(state0).astype(np.complex128)
+    if run.ahead and run.ahead[-1] == 0.0:
+        run.sample(run.ahead.pop(), run.y, state0)
+    if config.t_end == 0.0:
+        return run.finish("completed")
 
-    def rhs(t_, y_):
-        nonlocal n_rhs
-        n_rhs += 1
-        return field(t_, y_)
-
-    y = evaluator.pack(state0).astype(np.complex128)
-    t = 0.0
-    t_end = config.t_end
-    times: list[float] = []
-    states: list = []
-    channels: dict[str, list[float]] = {name: [] for name in monitors}
-    n_steps = 0
-    n_rejected = 0
-    max_defect = 0.0
-    exit_reason = "completed"
-
-    def sample(t_s, y_s, state=None):
-        times.append(t_s)
-        if state is None and (config.store_states or monitors):
-            state = evaluator.unpack(y_s.copy())
-        if config.store_states:
-            states.append(state)
-        for name, fn in monitors.items():
-            channels[name].append(float(fn(t_s, state)))
-
-    if ahead and ahead[-1] == 0.0:
-        sample(ahead.pop(), y, state0)
-
-    notes: dict = {}
-
-    def stopped_by(exc: Exception) -> str:
-        notes["error"] = f"{type(exc).__name__}: {exc}"
-        return "ball_exit"
-
-    def finish(reason: str) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            times=np.asarray(times),
-            states=states,
-            channels={name: np.asarray(v) for name, v in channels.items()},
-            exit_reason=reason,
-            exit_time=t,
-            n_steps=n_steps,
-            n_rejected=n_rejected,
-            n_rhs=n_rhs,
-            max_projection_defect=max_defect,
-            notes=notes,
-        )
-
-    if t_end == 0.0:
-        return finish("completed")
-
-    dt = min(config.dt, t_end)
-    adaptive = scheme.e is not None
-    new = len(scheme.c) - 1  # the stage at the new point
-    k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
+    # a start outside the field's domain ends the run at t = 0, for every scheme
     try:
-        k[0] = rhs(t, y)
+        k0 = run.rhs(run.t, run.y)
     except (DomainError, ConvergenceError, NumericalError) as exc:
-        return finish(stopped_by(exc))
-
-    while t < t_end:
-        if adaptive and dt < _DT_MIN:
-            exit_reason = "dt_underflow"
-            break
-        final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
-        dt_try = t_end - t if final else dt
-        try:
-            # overflow to inf is handled explicitly below as blowup
-            with np.errstate(invalid="ignore", over="ignore"):
-                y_new, err = _rk_step(scheme, rhs, t, y, dt_try, k, config.rel_tol, config.abs_tol)
-        except (DomainError, ConvergenceError, NumericalError) as exc:
-            exit_reason = stopped_by(exc)
-            break
-        if not np.isfinite(y_new.view(np.float64)).all():
-            exit_reason = "blowup"
-            break
-
-        if adaptive and err > 1.0:
-            n_rejected += 1
-            dt = dt_try * max(0.2, 0.9 * err ** -_STEP_EXPONENT)
-            continue
-
-        # accept
-        t_new = t_end if final else t + dt_try
-        if ahead and ahead[-1] < t_new:
-            try:
-                f = _interpolant(scheme, rhs, t, y, dt_try, k)
-            except (DomainError, ConvergenceError, NumericalError) as exc:
-                exit_reason = stopped_by(exc)
-                break
-            while ahead and ahead[-1] < t_new:
-                t_s = ahead.pop()
-                y_s, defect = evaluator.project(_interpolate(f, y, (t_s - t) / dt_try))
-                max_defect = max(max_defect, defect)
-                sample(t_s, y_s)
-        t = t_new
-        y, defect = evaluator.project(y_new)
-        max_defect = max(max_defect, defect)
-        # the field at the new point is the next step's first stage
-        k[0] = rhs(t, y) if defect != 0.0 else k[new]
-        n_steps += 1
-
-        if adaptive:
-            dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
-
-        if ahead and ahead[-1] == t:
-            sample(ahead.pop(), y)
-
-        if config.ball_threshold is not None:
-            bv = evaluator.ball_value(y)
-            if bv is not None and bv > config.ball_threshold:
-                exit_reason = "ball_exit"
-                break
-
-    if exit_reason != "completed" and not (times and times[-1] == t):
-        sample(t, y)
-    return finish(exit_reason)
+        return run.finish(run.stopped_by(exc))
+    if splitting:
+        return run.finish(_saba2(run))
+    return run.finish(_runge_kutta(run, TABLEAUS[config.scheme], k0))

@@ -22,7 +22,7 @@ from kirchhoff_spectral.cli import (
 from kirchhoff_spectral.dynamics import NormalFormDynamics
 from kirchhoff_spectral.errors import ConfigError, DomainError
 from kirchhoff_spectral.grid import SpectralGrid
-from kirchhoff_spectral.integrate import SCHEMES
+from kirchhoff_spectral.integrate import SCHEMES, IntegratorConfig
 
 
 def test_merge_config_defaults_json_flags(tmp_path):
@@ -453,29 +453,57 @@ def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
 
 
 def test_sweep_integrates_with_dop853(tmp_path, monkeypatch):
-    # a constant, not an option: the sweep's config and its hash stay put
+    # normal_form rows step with DOP853 at rel_tol, original rows with saba2 at
+    # one radian of the fastest rotation; both blocks are derived, not options,
+    # so the sweep's config and its hash stay put
     assert config_hash(SWEEP_DEFAULTS) == "93bdc78790f39c1f"
     used = []
     real = cli.integrate
 
     def spy(evaluator, state0, config, **kwargs):
-        used.append((config.scheme, config.rel_tol, config.abs_tol))
+        used.append((config.scheme, config.dt, config.rel_tol, config.abs_tol))
         return real(evaluator, state0, config, **kwargs)
 
     monkeypatch.setattr(cli, "integrate", spy)
-    out = os.path.join(tmp_path, "w")
-    code = main(["sweep", "--eps-list", "0.2", "--t-cap", "2", "--workers", "1",
-                 "--no-measure-constants", "--out", out])
-    assert code == EXIT_PASS
-    assert used == [("dop853", 1e-8, 1e-12)]
-    with open(os.path.join(out, "sweep_report.json")) as fh:
-        rep = json.load(fh)
-    assert rep["integrator"] == {"scheme": "dop853", "rel_tol": 1e-8, "abs_tol": 1e-12}
-    row = rep["rows"][0]
-    assert row["n_steps"] > 0 and row["n_rejected"] >= 0
-    assert row["n_rhs"] >= 1 + 12 * (row["n_steps"] + row["n_rejected"])
-    header = open(os.path.join(out, "sweep_rows.csv")).readline().strip().split(",")
-    assert {"n_rejected", "n_rhs", "n_steps"} <= set(header)
+    blocks = {
+        "original": {"scheme": "saba2", "dt": 0.125},
+        "normal_form": {"scheme": "dop853", "rel_tol": 1e-8, "abs_tol": 1e-12},
+    }
+    for representation, block in blocks.items():
+        used.clear()
+        out = os.path.join(tmp_path, representation)
+        code = main(["sweep", "--eps-list", "0.2", "--t-cap", "1", "--n-samples", "2",
+                     "--workers", "1", "--representation", representation,
+                     "--no-measure-constants", "--out", out])
+        assert code == EXIT_PASS
+        config = IntegratorConfig(**block)
+        assert used == [(config.scheme, config.dt, config.rel_tol, config.abs_tol)]
+        with open(os.path.join(out, "sweep_report.json")) as fh:
+            rep = json.load(fh)
+        assert rep["integrator"] == block
+        row = rep["rows"][0]
+        if representation == "original":
+            # four steps per sample interval, one field evaluation at the start
+            assert (row["n_steps"], row["n_rejected"], row["n_rhs"]) == (8, 0, 1)
+        else:
+            assert row["n_steps"] > 0 and row["n_rejected"] >= 0
+            assert row["n_rhs"] >= 1 + 12 * (row["n_steps"] + row["n_rejected"])
+        header = open(os.path.join(out, "sweep_rows.csv")).readline().strip().split(",")
+        assert {"n_rejected", "n_rhs", "n_steps"} <= set(header)
+
+
+def test_simulate_saba2_needs_exact_subflows(tmp_path):
+    out = str(tmp_path)
+    assert main(["simulate", "--scheme", "saba2", "--t-end", "1", "--out", out]) == EXIT_PASS
+    with open(os.path.join(out, "simulate_summary.json")) as fh:
+        summary = json.load(fh)
+    assert (summary["exit_reason"], summary["n_steps"]) == ("completed", 100)  # dt 1e-2
+    for representation in ("diagonalized", "normal_form"):
+        argv = ["simulate", "--representation", representation, "--scheme", "saba2",
+                "--t-end", "1", "--out", out]
+        assert main(argv) == EXIT_CONFIG
+    argv = ["simulate", "--scheme", "saba2", "--dt", "0.5", "--t-end", "1", "--out", out]
+    assert main(argv) == EXIT_CONFIG  # dt * max|j| = 4 > pi
 
 
 def _other_value(spec, default=None):

@@ -8,6 +8,7 @@ from kirchhoff_spectral import (
     ComplexField,
     ConjugatePair,
     ConvergenceError,
+    DomainError,
     ParameterError,
     random_field,
 )
@@ -16,7 +17,7 @@ from kirchhoff_spectral.dynamics import (
     LinearDiagonalDynamics,
     NormalFormDynamics,
 )
-from kirchhoff_spectral.integrate import SCHEMES, IntegratorConfig, integrate
+from kirchhoff_spectral.integrate import SCHEMES, TABLEAUS, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
 
 
@@ -208,10 +209,10 @@ def test_t_eval_exact_landings(grid1):
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_monitors_sample_at_t_eval(grid1, scheme):
     # one sampling rule for every scheme; without t_eval, the two endpoints
-    dyn = LinearDiagonalDynamics(grid1)
-    w0 = ConjugatePair(random_field(grid1, 11, 0.5, 1.0, "free"))
+    dyn = KirchhoffDynamics(grid1)  # the field that every scheme can step
+    w0 = random_state(grid1, 11, 0.5)
     cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=1.0)
-    mon = {"n": lambda t, st: st.w.norm(1.0)}
+    mon = {"n": lambda t, st: st.norm(1.0)}
     rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 1.0, 11))
     assert np.array_equal(rec.times, np.linspace(0.0, 1.0, 11))
     assert len(rec.channels["n"]) == 11
@@ -252,9 +253,9 @@ def test_step_preserves_state_class(grid1):
     assert np.max(np.abs(out853.u.coeffs - out.u.coeffs)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
 def test_tableau_consistency(name):
-    scheme = SCHEMES[name]
+    scheme = TABLEAUS[name]
     assert np.all(scheme.a.imag == 0.0)  # complex only to spare the stage casts
     a = scheme.a.real
     assert np.all(np.triu(a) == 0.0)  # explicit
@@ -271,7 +272,7 @@ def test_dop853_tableau_matches_scipy():
     # an independent copy of Hairer's DOP853 coefficients
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    scheme = SCHEMES["dop853"]
+    scheme = TABLEAUS["dop853"]
     s = ref.N_STAGES
     assert len(scheme.c) == s + 1 and scheme.c[s] == 1.0
     assert np.allclose(scheme.c[:s], ref.C[:s], rtol=1e-15, atol=0)
@@ -283,7 +284,7 @@ def test_dop853_tableau_matches_scipy():
 def test_dop853_dense_output_matches_scipy():
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    c, a, d = SCHEMES["dop853"].dense
+    c, a, d = TABLEAUS["dop853"].dense
     extra = slice(ref.N_STAGES + 1, ref.N_STAGES_EXTENDED)
     assert np.allclose(c, ref.C[extra], rtol=1e-15, atol=0)
     assert np.all(a.imag == 0.0) and np.all(d.imag == 0.0)
@@ -468,3 +469,106 @@ def test_n_rhs_counts_every_field_evaluation(dynamics, t_eval):
     reevaluations = rec.n_steps if dynamics == "reprojecting" else 0
     dense = rec.n_rhs - attempts - reevaluations
     assert dense == (0 if t_eval is None else 3 * rec.n_steps)  # a sample inside every step
+
+
+# -- saba2: the splitting of the physical field into its exact sub-flows -------
+
+_SWEEP_DT = 1 / 8  # the sweep's step on d=1 N=8: one radian of the fastest rotation
+_ROW_TS = np.linspace(0.0, 100.0, 101)
+
+
+@pytest.fixture(scope="module")
+def sweep_row(grid1):
+    """The physical start of the sweep's eps = 0.1 row, and DOP853's samples of
+    it at rel_tol 1e-12 (the reference) and 1e-8 (the sweep's tolerance)."""
+    from kirchhoff_spectral.transforms import change_of_variables
+
+    w0 = ConjugatePair(random_field(grid1, 100, 0.2 * 0.1, 1.0, "free"))
+    state0 = change_of_variables("fwd", w0)
+    dyn = KirchhoffDynamics(grid1)
+
+    def dop853(rel_tol, abs_tol):
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=100.0)
+        return _packed(dyn, integrate(dyn, state0, cfg, t_eval=_ROW_TS))
+
+    return state0, dop853(1e-12, 1e-14), dop853(1e-8, 1e-12)
+
+
+def _packed(dyn, rec):
+    return np.array([dyn.pack(st) for st in rec.states])
+
+
+def _saba2(grid, state0, dt, t_eval=_ROW_TS):
+    cfg = IntegratorConfig(scheme="saba2", dt=dt, t_end=float(t_eval[-1]))
+    return integrate(KirchhoffDynamics(grid), state0, cfg, t_eval=t_eval)
+
+
+def test_saba2_at_the_sweep_step_is_as_accurate_as_dop853(grid1, sweep_row):
+    state0, reference, dop853 = sweep_row
+    dyn = KirchhoffDynamics(grid1)
+    err = {dt: np.max(np.abs(_packed(dyn, _saba2(grid1, state0, dt)) - reference))
+           for dt in (_SWEEP_DT, _SWEEP_DT / 2)}
+    assert err[_SWEEP_DT] <= np.max(np.abs(dop853 - reference))
+    # second order in the kick: halving the step divides the error by about 4
+    assert err[_SWEEP_DT] / err[_SWEEP_DT / 2] >= 3.0
+
+
+def test_saba2_keeps_momenta_symmetry_and_sample_times(grid1, sweep_row):
+    from kirchhoff_spectral.kirchhoff import momenta
+
+    rec = _saba2(grid1, sweep_row[0], _SWEEP_DT)
+    assert rec.exit_reason == "completed" and rec.exit_time == 100.0
+    assert np.array_equal(rec.times, _ROW_TS)  # the steps land on every sample
+    drift = np.array([momenta(st) for st in rec.states]) - momenta(rec.states[0])
+    assert np.max(np.abs(drift)) <= 1e-13
+    # rotation and kick act per mode with real factors even in j
+    assert rec.max_projection_defect == 0.0
+    assert (rec.n_rejected, rec.n_rhs) == (0, 1)  # one field evaluation, at the start
+
+
+def test_saba2_cuts_each_sample_interval_into_equal_steps(grid1):
+    ts = np.array([0.0, 0.3, 0.35, 1.0, 2.2])
+    rec = _saba2(grid1, random_state(grid1, 30, 0.1), 0.25, t_eval=ts)
+    assert np.array_equal(rec.times, ts)
+    assert rec.n_steps == sum(math.ceil(b / 0.25) for b in np.diff(ts)) == 2 + 1 + 3 + 5
+    # intervals that are one dt up to the rounding of linspace take one step
+    # each, where a plain ceil would take 180 steps here
+    ts = np.linspace(0.0, 1.0, 101)
+    assert sum(math.ceil(b / 0.01) for b in np.diff(ts)) == 180
+    rec = _saba2(grid1, random_state(grid1, 30, 0.1), 0.01, t_eval=ts)
+    assert rec.n_steps == 100 and np.array_equal(rec.times, ts)
+
+
+def test_saba2_guards(grid1):
+    state0 = random_state(grid1, 31, 0.1)
+    # the first step-size resonance: dt * max|j| = pi on the 8-mode grid
+    with pytest.raises(ParameterError, match="pi"):
+        _saba2(grid1, state0, math.pi / 8)
+    # a field without exact sub-flows
+    w0 = ConjugatePair(random_field(grid1, 31, 0.1, 1.0, "free"))
+    for dyn in (NormalFormDynamics(grid1), LinearDiagonalDynamics(grid1)):
+        with pytest.raises(ParameterError, match="sub-flows"):
+            integrate(dyn, w0, IntegratorConfig(scheme="saba2", t_end=1.0))
+
+
+def test_saba2_blowup_stops_at_its_last_finite_step(grid1):
+    # at this size the kicks overflow within a few steps
+    ts = np.linspace(0.0, 10.0, 11)
+    rec = _saba2(grid1, random_state(grid1, 1, 10.0), _SWEEP_DT, t_eval=ts)
+    assert rec.exit_reason == "blowup"
+    assert 0.0 < rec.exit_time < 1.0 and rec.exit_time == rec.n_steps * _SWEEP_DT
+    assert rec.times[-1] == rec.exit_time  # the stop is sampled
+    assert all(np.isfinite(KirchhoffDynamics(grid1).pack(st)).all() for st in rec.states)
+
+
+class _RefusingKirchhoff(KirchhoffDynamics):
+    def rhs(self, t, y):
+        raise DomainError("outside the field's domain")
+
+
+def test_saba2_start_outside_the_domain_is_a_ball_exit(grid1):
+    # the opening field evaluation is kept for every scheme
+    cfg = IntegratorConfig(scheme="saba2", dt=_SWEEP_DT, t_end=1.0)
+    rec = integrate(_RefusingKirchhoff(grid1), random_state(grid1, 32, 0.1), cfg)
+    assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("ball_exit", 0.0, 0)
+    assert rec.notes["error"].startswith("DomainError")

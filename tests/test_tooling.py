@@ -62,3 +62,28 @@ def test_per_layer_call_edges():
     # when measure_quartic_constant hands it over as monitors
     (call,) = _calls(suites.measure_quartic_constant, "integrate")
     assert "monitors" in {kw.arg for kw in call.keywords}
+
+
+def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
+    # the benchmark's lifespan workload expects spans from integrate and from
+    # the physical field; saba2 evaluates that field once, at the start, and a
+    # row that skipped either layer would make the traced run exit 3
+    from kirchhoff_spectral import cli, dynamics
+
+    calls = {"integrate": 0, "rhs": 0}
+    real_integrate, real_rhs = cli.integrate, dynamics.KirchhoffDynamics.rhs
+
+    def integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return real_integrate(*args, **kwargs)
+
+    def rhs(self, t, y):
+        calls["rhs"] += 1
+        return real_rhs(self, t, y)
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(dynamics.KirchhoffDynamics, "rhs", rhs)
+    _, cfg = cli.parse_config(["sweep", "--t-cap", "1", "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
+    assert row["status"] == "stable-at-cap"
+    assert calls["integrate"] == 1 and calls["rhs"] >= 1
