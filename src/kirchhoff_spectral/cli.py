@@ -16,6 +16,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -55,6 +56,7 @@ EXIT_NUMERICAL = 3
 # -- config plumbing -----------------------------------------------------------
 
 
+@functools.cache
 def build_id() -> str:
     """Abbreviated git revision of the source tree, suffixed -dirty when it has changes."""
     here = os.path.dirname(os.path.abspath(__file__))
@@ -777,6 +779,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kirchhoff-spectral",

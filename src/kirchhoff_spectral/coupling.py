@@ -24,12 +24,12 @@ Operators defined here:
 * ``jac``  -- mix plus the chain-rule correction coming from differentiating
   the state-dependent coefficients along the flow, i.e. (I + jac) is the
   differential of the cubic stage;
-* class-space and dense solvers for (I + jac) x = rhs, kept as two
-  independent routes so one can serve as the oracle for the other.
+* the class-space solve of (I + jac) x = rhs, and its oracle: the matrix of
+  (I + jac) assembled pairwise, without the class sums and tables.
 
 The class-space solve is exact. (I + jac) is a per-mode 2x2 block
-M = [[1, m12], [m21, 1]] (the identity plus mix, with m12, m21 from
-``mix_multipliers``) plus a correction L T R of rank at most 2 * n_classes:
+M = [[1, m12], [m21, 1]] (the identity plus mix, m12 and m21 its symbols)
+plus a correction L T R of rank at most 2 * n_classes:
 R takes a pair to its class sums (sum w alpha_{-j}, sum z beta_{-j}),
 T = [[D^T, S^T], [S^T, D^T]] holds the diff and sum tables, and
 L(g1, g2) = (2 z g1[class], 2 w g2[class]). The Woodbury identity (Hager,
@@ -42,11 +42,9 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .fields import ArrayPair, ComplexField, _same_grid
-from .grid import SpectralGrid
+from .grid import SpectralGrid, coupling_tables
 
 SOLVE_RESIDUAL_TOL = 1e-12
-#: identity rows per ``jac_arrays`` call in the dense assembly
-DENSE_BLOCK = 64
 
 
 # -- array layer (used by the field evaluators in hot loops) ----------------
@@ -84,14 +82,10 @@ def _table_action(grid, p, q) -> ArrayPair:
     return p @ dt + q @ st, p @ st + q @ dt
 
 
-def mix_multipliers(grid, w, z) -> ArrayPair:
-    """Diagonal (per-class) symbols of the two blocks of the mix operator."""
-    neg = grid.neg_index
-    return _table_action(grid, grid.class_sums(w * w[neg]), grid.class_sums(z * z[neg]))
-
-
 def mix_arrays(grid, w, z, alpha, beta) -> ArrayPair:
-    m12, m21 = mix_multipliers(grid, w, z)
+    # m12, m21: the diagonal (per-class) symbols of the two blocks
+    neg = grid.neg_index
+    m12, m21 = _table_action(grid, grid.class_sums(w * w[neg]), grid.class_sums(z * z[neg]))
     return m12[grid.class_of] * beta, m21[grid.class_of] * alpha
 
 
@@ -172,8 +166,8 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> 
 
     "class" is the exact Woodbury solve over the resonance classes (see the
     module docstring): one LU solve of size 2 * n_classes plus O(n_modes)
-    work. "dense" assembles the 2n x 2n matrix of the operator and solves
-    directly (the oracle route). Every solve verifies its residual through
+    work. "dense" solves directly with ``dense_jacobian_matrix``, which reads
+    no class table (the oracle route). Every solve verifies its residual through
     ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL`` relative; a singular block,
     a failed factorization or a residual that is large or not finite raises
     :class:`NumericalError`.
@@ -201,22 +195,29 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> 
 
 
 def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
-    """Matrix of (I + jac(w, z)) on the doubled coefficient basis.
+    """Matrix of (I + jac(w, z)) on the doubled coefficient basis: the oracle route.
 
-    The oracle route: ``jac_arrays`` is applied to every unit vector, and none
-    of the Woodbury structure is used. The unit vectors go in blocks of
-    ``DENSE_BLOCK`` rows of the 2n x 2n identity, one ``jac_arrays`` call per
-    block. Row k of a block's images is column k of the matrix, so the images
-    fill the rows of its transpose, and the matrix is returned as a view of
-    that transpose.
+    It reads the ``jac_arrays`` formula entry by entry over the pairs of modes,
+    with the pair tables Dp[j, k] and Sp[j, k] of :func:`coupling_tables` taken
+    from the squared norms of ``grid.modes``: the alpha-alpha block is
+    2 z_k w_{-i} Dp[i, k], and m12 = (w w_-) Dp + (z z_-) Sp adds to the
+    alpha-beta block's diagonal. No class sum or class table is read.
     """
-    n, n2 = grid.n_modes, 2 * grid.n_modes
-    mat_t = np.empty((n2, n2), dtype=np.complex128)
-    for lo in range(0, n2, DENSE_BLOCK):
-        units = np.eye(min(DENSE_BLOCK, n2 - lo), n2, lo, dtype=np.complex128)
-        mat_t[lo : lo + len(units)] = np.hstack(jac_arrays(grid, w, z, units[:, :n], units[:, n:]))
-    mat_t.flat[:: n2 + 1] += 1.0
-    return mat_t.T
+    n = grid.n_modes
+    j2 = np.sum(grid.modes * grid.modes, axis=1).astype(np.float64)
+    diff, sum_ = coupling_tables(j2[None, :], j2[:, None])  # [k, j]: row k is the image
+    wn, zn = w[grid.neg_index], z[grid.neg_index]
+    mat = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    blocks = ((0, 0, diff, wn, z), (0, n, sum_, zn, z), (n, 0, sum_, wn, w), (n, n, diff, zn, w))
+    for row, col, table, right, left in blocks:
+        block = mat[row : row + n, col : col + n]
+        np.multiply(table, right, out=block)
+        block *= 2.0 * left[:, None]
+    ww, zz, diag = w * wn, z * zn, np.arange(n)
+    mat[diag, n + diag] += diff @ ww + sum_ @ zz
+    mat[n + diag, diag] += sum_ @ ww + diff @ zz
+    mat.flat[:: 2 * n + 1] += 1.0
+    return mat
 
 
 # -- field layer -------------------------------------------------------------

@@ -35,6 +35,20 @@ def regularity_threshold(d: int) -> float:
     return 1.5
 
 
+def coupling_tables(j2, k2) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling coefficients between squared norms j2 and k2, which broadcast:
+
+        diff[j, k] = |j|^2 / (8 (|j| - |k|))   (0 where |j| = |k|)
+        sum[j, k]  = |j|^2 / (8 (|j| + |k|))
+
+    The difference denominator is evaluated as the exact integer
+    |j|^2 - |k|^2 divided by |j| + |k| to avoid cancellation.
+    """
+    s = np.sqrt(j2) + np.sqrt(k2)
+    diff = j2 * s / np.where(j2 == k2, np.inf, 8.0 * (j2 - k2))  # x / inf = 0
+    return diff, j2 / (8.0 * s)
+
+
 class SpectralGrid:
     """Index lattice, resonance classes and coefficient tables for one (d, N).
 
@@ -47,12 +61,8 @@ class SpectralGrid:
     class_starts, class_j2 : resonance classes as contiguous slices of the
         canonical order (the order sorts by |j|^2 first, so classes are runs).
     class_of : (n,) index of the resonance class of each mode.
-    diff_table, sum_table : (nc, nc) coupling coefficients between classes,
-        row = class of j, column = class of k:
-            diff[j, k] = |j|^2 / (8 (|j| - |k|))   (0 on the diagonal |j| = |k|)
-            sum[j, k]  = |j|^2 / (8 (|j| + |k|))
-        The difference denominator is evaluated as the exact integer
-        |j|^2 - |k|^2 divided by |j| + |k| to avoid cancellation.
+    diff_table, sum_table : (nc, nc) :func:`coupling_tables` between classes,
+        row = class of j, column = class of k.
     """
 
     def __init__(self, d: int, n_cutoff: int, corrupt_diff_sign: bool = False):
@@ -90,27 +100,14 @@ class SpectralGrid:
         self.n_classes = len(self.class_j2)
         self.class_of = np.searchsorted(self.class_j2, self.j2)
         self.class_j2f = self.class_j2.astype(np.float64)
-        self.class_absj = np.sqrt(self.class_j2f)
 
-        self.diff_table, self.sum_table = self._coupling_tables()
+        c2 = self.class_j2f
+        self.diff_table, self.sum_table = coupling_tables(c2[:, None], c2[None, :])
         if self.corrupt_diff_sign:
             self.diff_table = -self.diff_table
 
         self._weights: dict[float, np.ndarray] = {}
         self._validate()
-
-    def _coupling_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        r2 = self.class_j2f[:, None]  # |j|^2, row
-        c2 = self.class_j2f[None, :]  # |k|^2, column
-        ra = self.class_absj[:, None]
-        ca = self.class_absj[None, :]
-        # |j|^2 / (8(|j|-|k|)) = |j|^2 (|j|+|k|) / (8(|j|^2-|k|^2)), integer denominator
-        denom = r2 - c2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = r2 * (ra + ca) / (8.0 * denom)
-        np.fill_diagonal(diff, 0.0)
-        sum_ = r2 / (8.0 * (ra + ca))
-        return diff, sum_
 
     def _validate(self) -> None:
         # zero mode excluded, negation closure, resonance partition

@@ -30,6 +30,7 @@ import numpy as np
 
 from .coupling import (
     apply_coupling,
+    dense_jacobian_matrix,
     jac_arrays,
     mix_arrays,
     small_divisor_check,
@@ -254,23 +255,21 @@ def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
     w = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
     z = np.conj(w[g.neg_index])
     rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2))
-    xc = solve_jacobian_arrays(g, w, z, rhs, "class")
-    xd = solve_jacobian_arrays(g, w, z, rhs, "dense")
-    return {"defect": max(_amax(xc[0] - xd[0]), _amax(xc[1] - xd[1]))}
+    x = solve_jacobian_arrays(g, w, z, rhs)
+    r = np.concatenate(rhs)
+    residual = dense_jacobian_matrix(g, w, z) @ np.concatenate(x) - r
+    return {"defect": _amax(residual) / max(1.0, _amax(r))}
 
 
 def suite_neumann_vs_dense(cfg: SuiteConfig) -> SuiteResult:
-    """The two independent routes for solving (I + jac) x = rhs agree.
+    """The class-space solve of (I + jac) x = rhs meets an independent matrix.
 
-    It compares the exact class-space solve with the dense oracle. The suite
-    keeps the name it had when the first route was a Neumann series, since
-    reports, the benchmark's workloads and saved results address it by that
-    name.
+    The defect is |A x - r|_inf / max(1, |r|_inf), A the pairwise
+    ``dense_jacobian_matrix``. The solve's own guard goes through ``jac_arrays``,
+    which shares its class tables, so a fault in those shows only here. The name
+    dates from the Neumann-series solve; reports and the benchmark address it so.
     """
-    # the dense route dominates runtime: at d=2 N=8 its assembly and its LAPACK
-    # solve take about 4 ms each (best of runs, one BLAS thread)
-    n_dense = max(1, min(cfg.samples, 50))
-    return _within("neumann-vs-dense", DENSE_COMPARE_TOL, cfg, 5, _class_defects, n_dense)
+    return _within("neumann-vs-dense", IDENTITY_TOL, cfg, 5, _class_defects)
 
 
 def _reversibility_defects(g: SpectralGrid, seed, k: int) -> dict:

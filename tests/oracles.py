@@ -6,7 +6,9 @@ are plain double loops over the lattice, the scalar coupling coefficient
 works on raw lattice points, and the total momentum comes from the gradient
 pairing instead of the per-mode momenta. The one exception is the dense
 column loop, which applies the package's ``jac_arrays`` to one unit vector
-at a time: it is the reference for the blocked dense assembly.
+at a time. It goes through the class sums and class tables, so it and the
+package's pairwise dense assembly, which reads neither, are two independent
+builds of the same matrix that must agree to rounding.
 """
 
 import numpy as np

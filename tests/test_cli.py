@@ -108,10 +108,13 @@ def test_verify_negative_control_fails(tmp_path, capsys):
         rep = json.load(fh)
     assert rep["pass"] is False
     # the flipped sign breaks the homological identity and the field built on
-    # it; the operator identities, the cubic cancellation and the rank-one
-    # inverse do not involve the difference table's sign and still pass
+    # it; the class solve of (I + jac) still meets its own residual guard,
+    # which reads the same flipped table, but not the pairwise oracle, which
+    # reads no class table; the operator identities, the cubic cancellation
+    # and the rank-one inverse do not involve the difference table's sign and
+    # still pass
     failing = [r["suite"] for r in rep["suites"] if not r["pass"]]
-    assert failing == ["homological-identity", "normal-form-agreement"]
+    assert failing == ["homological-identity", "neumann-vs-dense", "normal-form-agreement"]
     # the located sample alone reproduces the worst defect exactly
     (suite,) = [r for r in rep["suites"] if r["suite"] == "homological-identity"]
     at = suite["details"]["worst_at"]
@@ -119,6 +122,32 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     grid = SpectralGrid(*at["grid"], corrupt_diff_sign=True)
     defects = suites._homological_defects(grid, lambda *slot: at["seed"] + list(slot), at["sample"])
     assert defects["defect"] == suite["max_defect"] > 0.0
+
+
+def test_reports_of_one_process_spawn_git_once(tmp_path, monkeypatch):
+    spawned = []
+    real_run = cli.subprocess.run
+
+    def run(*args, **kwargs):
+        spawned.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", run)
+    ids = []
+    for k in range(2):
+        out = os.path.join(tmp_path, str(k))
+        assert main(["verify", "--samples", "0", "--out", out]) == EXIT_PASS
+        with open(os.path.join(out, "verify_report.json")) as fh:
+            ids.append(json.load(fh)["build_id"])
+    assert len(spawned) <= 1 and ids[0] == ids[1]
+
+
+def test_parse_config_calls_are_independent():
+    # the parser is built once per process; no value of one call reaches the next
+    first = parse_config(["verify", "--samples", "3", "--suites", "reversibility"])
+    second = parse_config(["verify", "--seed", "5"])
+    assert first == ("verify", dict(VERIFY_DEFAULTS, samples=3, suites=["reversibility"]))
+    assert second == ("verify", dict(VERIFY_DEFAULTS, seed=5))
 
 
 def test_verify_alternative_mixing_control(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import suites
+from kirchhoff_spectral import SpectralGrid, suites
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
 
@@ -46,3 +46,20 @@ def test_quartic_probe_samples_fixed_times(grid1, monkeypatch):
     assert np.array_equal(t_eval, [0.0, 0.125, 0.25]) and np.array_equal(times, t_eval)
     assert res["exit_reason"] == "completed" and res["c_star_m0"] > 0.0
     assert res["n_rhs"] == n_rhs >= 1 + 12 * res["n_steps"]
+
+
+class _ScaledSumTable(SpectralGrid):
+    """A grid whose sum table is off by 0.1%: a class-table mutant."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sum_table = 1.001 * self.sum_table
+
+
+@pytest.mark.parametrize("grid", [(1, 8), (2, 8)])
+def test_neumann_vs_dense_sees_a_sum_table_mutant(grid, monkeypatch):
+    # the class solve and its residual guard read the same sum table, so the
+    # solve passes its own check; the pairwise oracle reads no class table
+    monkeypatch.setattr(suites, "SpectralGrid", _ScaledSumTable)
+    result = REGISTRY["neumann-vs-dense"](SuiteConfig(grids=(grid,), samples=3))
+    assert not result.passed and result.max_defect > 1e3 * result.bound

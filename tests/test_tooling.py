@@ -87,3 +87,23 @@ def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
     row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
     assert row["status"] == "stable-at-cap"
     assert calls["integrate"] == 1 and calls["rhs"] >= 1
+
+
+def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
+    # the benchmark's oracle workload expects spans from the solve, from jac
+    # and from the dense assembly; a suite that skipped one would make the
+    # traced run exit 3
+    from kirchhoff_spectral import coupling, suites
+
+    calls = dict.fromkeys(("solve_jacobian_arrays", "jac_arrays", "dense_jacobian_matrix"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(coupling, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (coupling, suites):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((1, 4),), samples=1))
+    assert result.passed and all(calls.values()), calls
