@@ -332,6 +332,12 @@ def _initial_state(cfg: dict, grid: SpectralGrid):
     return ConjugatePair(random_field(grid, cfg["seed"], cfg["eps"], grid.m0, "free"))
 
 
+def _relative_drift(h, h0):
+    """|h - h0| / |h0|, the energy's relative drift; the absolute drift where
+    h0 = 0 (the zero state). h may be an array of values."""
+    return abs(h - h0) / (abs(h0) if h0 else 1.0)
+
+
 def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
     rep = cfg["representation"]
     m0 = grid.m0
@@ -343,7 +349,7 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
         h0 = hamiltonian(state0)
         m_0 = momenta(state0)
         monitors["hamiltonian"] = lambda t, st: hamiltonian(st)
-        monitors["ham_drift_rel"] = lambda t, st: abs(hamiltonian(st) - h0) / max(1.0, abs(h0))
+        monitors["ham_drift_rel"] = lambda t, st: _relative_drift(hamiltonian(st), h0)
         monitors["momentum_drift_max"] = lambda t, st: float(np.max(np.abs(momenta(st) - m_0)))
         for mode in cfg["track_modes"]:
             mode = tuple(mode)
@@ -605,9 +611,7 @@ def _sweep_row(params: dict) -> dict:
             }
             h_vals = np.array([hamiltonian(st) for st in rec.states])
             uv_norms = [st.norm(m0) for st in rec.states]
-            row["ham_drift_rel"] = float(
-                np.max(np.abs(h_vals - h_vals[0])) / max(1.0, abs(h_vals[0]))
-            )
+            row["ham_drift_rel"] = float(np.max(_relative_drift(h_vals, h_vals[0])))
             row["max_uv_norm"] = float(np.max(uv_norms))
             row["uv_ratio"] = float(np.max(uv_norms) / uv_norms[0])
         else:
@@ -753,7 +757,8 @@ COMMANDS = {
         SIMULATE_OPTIONS,
         "integrate one trajectory and summarize",
         "trajectory.csv columns: time, then the monitor channels in "
-        "alphabetical order. original: ham_drift_rel, hamiltonian, "
+        "alphabetical order. original: ham_drift_rel (|H - H0| / |H0|, the "
+        "absolute drift when H0 = 0), hamiltonian, "
         "momentum_drift_max, uv_norm_s<order> (the physical pair norm per "
         "monitored order); diagonalized/normal_form: w_norm_s<order>, plus "
         "speed_shift and energy_derivative_m0 for normal_form. Floats carry "
@@ -770,7 +775,8 @@ COMMANDS = {
         SWEEP_OPTIONS,
         "lifespan surrogate over a list of amplitudes",
         "sweep_rows.csv columns (alphabetical): achieved_time, eps, error "
-        "(why a row stopped early), exit_reason, ham_drift_rel, max_uv_norm, "
+        "(why a row stopped early), exit_reason, ham_drift_rel (max over the "
+        "samples of |H - H0| / |H0|, the absolute drift when H0 = 0), max_uv_norm, "
         "n_rejected, n_rhs, n_steps, pass_2x, pass_2x_s<order> and "
         "ratio_s<order> per monitored order, seed, status, t_end, t_target, "
         "uv_ratio, w0_norm_m0. Rows are sorted by eps descending; floats "

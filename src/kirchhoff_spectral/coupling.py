@@ -9,15 +9,12 @@ with c(j, k) = |j|^2 / (8(|j| -+ |k|)): the "diff" family divides by the
 eigenvalue difference (and vanishes on resonant pairs |j| = |k|), the "sum"
 family by the eigenvalue sum. The scalar multiplying h_k depends on k only
 through |k|, so everything reduces to per-resonance-class sums and a small
-class-by-class table lookup (O(n_modes + n_classes^2) per vector).
+class-by-class table lookup (O(n_modes + n_classes^2) per vector). The
+grid's ``class_table`` T = [[D, S], [S, D]] stacks the diff table D and the
+sum table S, so one product [p, q] @ T = (p D + q S, p S + q D) applies both
+families to a pair of per-class vectors.
 
-The array layer takes a leading batch axis: the operands (u, v, h, alpha,
-beta) may be (m, n_modes) blocks, one vector per row, while the state (w, z)
-stays one vector. ``neg_index`` and ``class_of`` index the last axis and the
-class sums reduce along it, so a 1-D operand gives the same operations, and
-the same bits, as one row of a block.
-
-Operators defined here:
+Operators defined here, each linear in its operand (alpha, beta):
 
 * ``mix``  -- the block off-diagonal operator whose action on (alpha, beta) is
   (diff[w,w] beta + sum[z,z] beta,  sum[w,w] alpha + diff[z,z] alpha);
@@ -27,16 +24,25 @@ Operators defined here:
 * the class-space solve of (I + jac) x = rhs, and its oracle: the matrix of
   (I + jac) assembled pairwise, without the class sums and tables.
 
+They read the state (w, z) through a :class:`Linearization`, which
+:func:`linearize` builds once per state: the class sums sww, szz of
+w_j w_{-j} and z_j z_{-j} (one class reduction of the stacked products) and
+the class symbols (m12, m21) = [sww, szz] @ T (one table product). mix is
+then one multiplication per block, and the caller that needs several of
+these operators at one state, as the normal-form field does, pays for the
+state's class sums once.
+
 The class-space solve is exact. (I + jac) is a per-mode 2x2 block
-M = [[1, m12], [m21, 1]] (the identity plus mix, m12 and m21 its symbols)
-plus a correction L T R of rank at most 2 * n_classes:
-R takes a pair to its class sums (sum w alpha_{-j}, sum z beta_{-j}),
-T = [[D^T, S^T], [S^T, D^T]] holds the diff and sum tables, and
-L(g1, g2) = (2 z g1[class], 2 w g2[class]). The Woodbury identity (Hager,
+M = [[1, m12], [m21, 1]] (the identity plus mix) plus a correction L T' R of
+rank at most 2 * n_classes: R takes a pair to its class sums
+(sum w alpha_{-j}, sum z beta_{-j}), T' = T^T acts as (p, q) -> [p, q] @ T,
+and L(g1, g2) = (2 z g1[class], 2 w g2[class]). The Woodbury identity (Hager,
 SIAM Review 1989) reduces the solve to one system of size 2 * n_classes.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,67 +56,55 @@ SOLVE_RESIDUAL_TOL = 1e-12
 # -- array layer (used by the field evaluators in hot loops) ----------------
 
 
-def _pair_sums(grid: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-class sums of u_j v_{-j}; v may carry a leading batch axis."""
-    return grid.class_sums(u * v.take(grid.neg_index, axis=-1))
+@dataclass(frozen=True)
+class Linearization:
+    """What the coupling operators read of a state (w, z); see :func:`linearize`.
+
+    sww, szz are the per-class sums of w_j w_{-j} and z_j z_{-j}; m12, m21 the
+    per-class symbols of mix's two blocks, and m12_modes, m21_modes the same
+    at each mode.
+    """
+
+    grid: SpectralGrid
+    w: np.ndarray
+    z: np.ndarray
+    sww: np.ndarray
+    szz: np.ndarray
+    m12: np.ndarray
+    m21: np.ndarray
+    m12_modes: np.ndarray
+    m21_modes: np.ndarray
 
 
-def _times_table(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sums @ table as one vector-matrix product per row, so that each row of a
-    batch rounds exactly as it would alone (a matrix-matrix product may not)."""
-    return (sums[..., None, :] @ table)[..., 0, :]
+def linearize(grid: SpectralGrid, w: np.ndarray, z: np.ndarray) -> Linearization:
+    """The state (w, z) as the coupling operators read it: one class reduction
+    of the stacked products w w_-, z z_- and one product with the class table."""
+    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
+    sums = grid.class_sums(np.array((w * w[neg], z * z[neg])))
+    symbols = sums.reshape(-1) @ grid.class_table
+    m12, m21 = symbols[:nc], symbols[nc:]
+    return Linearization(grid, w, z, sums[0], sums[1], m12, m21, m12[cls], m21[cls])
 
 
-def class_multiplier(grid: SpectralGrid, kind: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-class scalar sum_j u_j v_{-j} c(j, class); the |j|^2 lives in the table."""
-    if kind == "diff":
-        table = grid.diff_table
-    elif kind == "sum":
-        table = grid.sum_table
-    else:
-        raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
-    return _times_table(_pair_sums(grid, u, v), table)
+def mix_arrays(lin: Linearization, alpha, beta) -> ArrayPair:
+    return lin.m12_modes * beta, lin.m21_modes * alpha
 
 
-def coupling_arrays(grid, kind: str, u, v, h) -> np.ndarray:
-    return class_multiplier(grid, kind, u, v).take(grid.class_of, axis=-1) * h
-
-
-def _table_action(grid, p, q) -> ArrayPair:
-    """T (p, q) = (D^T p + S^T q, S^T p + D^T q) on a pair of per-class vectors."""
-    dt, st = grid.diff_table, grid.sum_table
-    return p @ dt + q @ st, p @ st + q @ dt
-
-
-def mix_arrays(grid, w, z, alpha, beta) -> ArrayPair:
-    # m12, m21: the diagonal (per-class) symbols of the two blocks
-    neg = grid.neg_index
-    m12, m21 = _table_action(grid, grid.class_sums(w * w[neg]), grid.class_sums(z * z[neg]))
-    return m12[grid.class_of] * beta, m21[grid.class_of] * alpha
-
-
-def jac_arrays(grid, w, z, alpha, beta) -> ArrayPair:
+def jac_arrays(lin: Linearization, alpha, beta) -> ArrayPair:
     """mix(w,z)(alpha,beta) plus the coefficient-derivative terms.
 
     First component:  diff[w,w] b + sum[z,z] b + 2 diff[w,a] z + 2 sum[z,b] z
     Second component: sum[w,w] a + diff[z,z] a + 2 sum[w,a] w + 2 diff[z,b] w
 
-    alpha and beta may be (m, n_modes) blocks, one vector per row.
+    The four new terms are one table action on the class sums
+    (sum w a_{-j}, sum z b_{-j}).
     """
-    first, second = mix_arrays(grid, w, z, alpha, beta)
-    swa, szb = _pair_sums(grid, w, alpha), _pair_sums(grid, z, beta)
-    cls, dt, st = grid.class_of, grid.diff_table, grid.sum_table
-    first = (
-        first
-        + 2.0 * (_times_table(swa, dt).take(cls, axis=-1) * z)
-        + 2.0 * (_times_table(szb, st).take(cls, axis=-1) * z)
-    )
-    second = (
-        second
-        + 2.0 * (_times_table(swa, st).take(cls, axis=-1) * w)
-        + 2.0 * (_times_table(szb, dt).take(cls, axis=-1) * w)
-    )
-    return first, second
+    grid, w, z = lin.grid, lin.w, lin.z
+    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
+    sums = grid.class_sums(np.array((w * alpha[neg], z * beta[neg])))
+    g = sums.reshape(-1) @ grid.class_table
+    first, second = mix_arrays(lin, alpha, beta)
+    return first + 2.0 * (g[:nc][cls] * z), second + 2.0 * (g[nc:][cls] * w)
 
 
 def _pair_norm(grid: SpectralGrid, pair: ArrayPair) -> float:
@@ -118,42 +112,37 @@ def _pair_norm(grid: SpectralGrid, pair: ArrayPair) -> float:
     return max(grid.coeff_norm(pair[0], m0), grid.coeff_norm(pair[1], m0))
 
 
-def _class_solve(grid, w, z, ra, rb) -> ArrayPair:
-    """Woodbury solve of (M + L T R) x = r over the resonance classes.
+def _class_solve(lin: Linearization, ra, rb) -> ArrayPair:
+    """Woodbury solve of (M + L T' R) x = r over the resonance classes.
 
-    With g = T R x the system splits into (I + T K) g = T R M^{-1} r and
+    With g = T' R x the system splits into (I + T' K) g = T' R M^{-1} r and
     x = M^{-1} (r - L g), where K = R M^{-1} L is one 2x2 block per class:
     (2 / det) [[swz, -m12 sww], [-m21 szz, swz]] with the class sums
     sww, szz, swz of w w_{-j}, z z_{-j}, w z_{-j} and det = 1 - m12 m21.
     """
-    neg, cls = grid.neg_index, grid.class_of
-    sww = grid.class_sums(w * w[neg])
-    szz = grid.class_sums(z * z[neg])
-    swz = grid.class_sums(w * z[neg])
-    m12, m21 = _table_action(grid, sww, szz)
+    grid, w, z = lin.grid, lin.w, lin.z
+    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
+    m12, m21 = lin.m12, lin.m21
     det = 1.0 - m12 * m21
     if not (np.isfinite(det).all() and det.all()):
         raise NumericalError("class-space solve: a per-mode block determinant is zero or not finite")
     f = 2.0 / det
-    k_diag, k12, k21 = f * swz, -f * m12 * sww, -f * m21 * szz
+    k_diag = f * grid.class_sums(w * z[neg])
+    k12, k21 = -f * m12 * lin.sww, -f * m21 * lin.szz
 
-    # capacitance I + T K: the table blocks of T with their columns scaled by K
-    nc = grid.n_classes
-    d_t, s_t = grid.diff_table.T, grid.sum_table.T
-    cap = np.empty((2 * nc, 2 * nc), dtype=np.complex128)
-    cap[:nc, :nc] = d_t * k_diag + s_t * k21
-    cap[:nc, nc:] = d_t * k12 + s_t * k_diag
-    cap[nc:, :nc] = s_t * k_diag + d_t * k21
-    cap[nc:, nc:] = s_t * k12 + d_t * k_diag
-    cap.flat[:: 2 * nc + 1] += 1.0
+    # the capacitance I + T' K, transposed: K^T T scales the table's rows,
+    # the top half [D, S] by (k_diag, k12) and the bottom half [S, D] by (k21, k_diag)
+    top, bottom = grid.class_table.reshape(2, nc, 2 * nc)
+    cap_t = np.array((k_diag, k12))[:, :, None] * top + np.array((k21, k_diag))[:, :, None] * bottom
+    cap_t = cap_t.reshape(2 * nc, 2 * nc)
+    cap_t.flat[:: 2 * nc + 1] += 1.0
 
-    e12, e21, e_det = m12[cls], m21[cls], det[cls]
+    e12, e21, e_det = lin.m12_modes, lin.m21_modes, det[cls]
     ya = (ra - e12 * rb) / e_det
     yb = (rb - e21 * ra) / e_det
-    p = grid.class_sums(w * ya[neg])
-    q = grid.class_sums(z * yb[neg])
+    pq = grid.class_sums(np.array((w * ya[neg], z * yb[neg])))
     try:
-        g = np.linalg.solve(cap, np.concatenate(_table_action(grid, p, q)))
+        g = np.linalg.solve(cap_t.T, pq.reshape(-1) @ grid.class_table)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"class-space capacitance solve failed ({exc})") from exc
     ta = ra - 2.0 * (g[:nc][cls] * z)
@@ -161,8 +150,8 @@ def _class_solve(grid, w, z, ra, rb) -> ArrayPair:
     return (ta - e12 * tb) / e_det, (tb - e21 * ta) / e_det
 
 
-def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> ArrayPair:
-    """Solve (I + jac(w, z)) x = rhs.
+def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair, method: str = "class") -> ArrayPair:
+    """Solve (I + jac(w, z)) x = rhs at the state of ``lin``.
 
     "class" is the exact Woodbury solve over the resonance classes (see the
     module docstring): one LU solve of size 2 * n_classes plus O(n_modes)
@@ -172,11 +161,12 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> 
     a failed factorization or a residual that is large or not finite raises
     :class:`NumericalError`.
     """
+    grid = lin.grid
     ra, rb = np.asarray(rhs[0]), np.asarray(rhs[1])
     if method == "class":
-        xa, xb = _class_solve(grid, w, z, ra, rb)
+        xa, xb = _class_solve(lin, ra, rb)
     elif method == "dense":
-        mat = dense_jacobian_matrix(grid, w, z)
+        mat = dense_jacobian_matrix(grid, lin.w, lin.z)
         n = grid.n_modes
         try:
             sol = np.linalg.solve(mat, np.concatenate([ra, rb]))
@@ -186,7 +176,7 @@ def solve_jacobian_arrays(grid, w, z, rhs: ArrayPair, method: str = "class") -> 
     else:
         raise ParameterError(f"method must be 'class' or 'dense', got {method!r}")
 
-    ka, kb = jac_arrays(grid, w, z, xa, xb)
+    ka, kb = jac_arrays(lin, xa, xb)
     res = _pair_norm(grid, (xa + ka - ra, xb + kb - rb))
     scale = max(1.0, _pair_norm(grid, (ra, rb)))
     if not res <= SOLVE_RESIDUAL_TOL * scale:  # also catches a NaN residual
@@ -224,9 +214,19 @@ def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
 
 
 def apply_coupling(kind: str, u: ComplexField, v: ComplexField, h: ComplexField) -> ComplexField:
+    """One coupling family, "diff" or "sum", applied to h with the per-class
+    scalars sum_j u_j v_{-j} c(j, class); the |j|^2 lives in the table."""
     _same_grid(u, v)
     _same_grid(u, h)
-    return ComplexField(u.grid, coupling_arrays(u.grid, kind, u.coeffs, v.coeffs, h.coeffs))
+    g = u.grid
+    if kind == "diff":
+        table = g.diff_table
+    elif kind == "sum":
+        table = g.sum_table
+    else:
+        raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
+    scalars = g.class_sums(u.coeffs * v.coeffs[g.neg_index]) @ table
+    return ComplexField(g, scalars[g.class_of] * h.coeffs)
 
 
 # -- small divisors ----------------------------------------------------------

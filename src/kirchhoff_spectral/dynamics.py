@@ -20,11 +20,7 @@ from .errors import ParameterError
 from .fields import ComplexField, ConjugatePair, RealPair
 from .grid import SpectralGrid
 from .kirchhoff import gradient_energy, involution
-from .normal_form import (
-    complexified_rhs_arrays,
-    diagonalized_rhs_arrays,
-    normal_form_rhs_arrays,
-)
+from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
 
 
 class KirchhoffDynamics:
@@ -140,15 +136,6 @@ class _ConjugateDynamics:
         return np.conj(y[self.grid.neg_index])
 
 
-class ComplexifiedDynamics(_ConjugateDynamics):
-    """The physical system in complex-conjugate coordinates (before the diag stage)."""
-
-    name = "complexified"
-
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return complexified_rhs_arrays(self.grid, y, self._z(y))[0]
-
-
 class DiagonalizedDynamics(_ConjugateDynamics):
     """The order-one-diagonalized system (state after the diag stage)."""
 
@@ -165,18 +152,6 @@ class NormalFormDynamics(_ConjugateDynamics):
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         return normal_form_rhs_arrays(self.grid, y, self._z(y))[0]
-
-
-class LinearDiagonalDynamics(_ConjugateDynamics):
-    """dw/dt = -i Lambda w; each mode rotates as exp(-i |j| t). Exact-flow test field."""
-
-    name = "linear"
-
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return -1j * self.grid.absj * y
-
-    def exact(self, w0: np.ndarray, t: float) -> np.ndarray:
-        return w0 * np.exp(-1j * self.grid.absj * t)
 
 
 def make_dynamics(representation: str, grid: SpectralGrid):

@@ -62,12 +62,6 @@ class ComplexField:
     def zero(cls, grid: SpectralGrid) -> "ComplexField":
         return cls(grid, np.zeros(grid.n_modes, dtype=np.complex128))
 
-    @classmethod
-    def unit_mode(cls, grid: SpectralGrid, mode, value: complex = 1.0) -> "ComplexField":
-        c = np.zeros(grid.n_modes, dtype=np.complex128)
-        c[grid.slot(mode)] = value
-        return cls(grid, c)
-
 
 ArrayPair = tuple[np.ndarray, np.ndarray]
 FieldPair = tuple[ComplexField, ComplexField]
@@ -152,24 +146,6 @@ def random_field(
         field = hermitian_project(field)
     nrm = sobolev_norm(field, s)
     return ComplexField(grid, field.coeffs * (target_norm / nrm))
-
-
-def embed_field(field: ComplexField, target: SpectralGrid) -> ComplexField:
-    """Copy a field into a finer grid (same d, larger cutoff), zero-padding
-    the new modes. Because every implemented right-hand side is diagonal per
-    mode (the nonlinearity enters only through scalar functionals), modes
-    that start at zero stay at zero, so trajectories of embedded data do not
-    depend on the cutoff; this makes refinement checks exact at desk scale.
-    """
-    g = field.grid
-    if target.d != g.d:
-        raise GridMismatchError(f"cannot embed d={g.d} field into d={target.d} grid")
-    if target.n_cutoff < g.n_cutoff:
-        raise GridMismatchError("target grid must be at least as fine")
-    c = np.zeros(target.n_modes, dtype=np.complex128)
-    for i in range(g.n_modes):
-        c[target.slot(g.modes[i])] = field.coeffs[i]
-    return ComplexField(target, c)
 
 
 # -- states ----------------------------------------------------------------

@@ -4,8 +4,8 @@ A grid holds the lattice points j in Z^d \\ {0} with 1 <= |j|^2 <= N^2
 (ball truncation, so every sphere |j| = const that intersects the grid is
 complete), in a canonical deterministic order, together with the precomputed
 structures everything else needs: the negation permutation, the resonance
-classes (groups of equal |j|^2), and the coupling-coefficient tables of the
-cubic normal-form stage.
+classes (groups of equal |j|^2), and the stacked class table of the cubic
+normal-form stage's coupling coefficients.
 
 Equality of |j| and |k| is always decided on the integer squared norms.
 Grids are immutable after construction and safe to share across threads.
@@ -49,6 +49,18 @@ def coupling_tables(j2, k2) -> tuple[np.ndarray, np.ndarray]:
     return diff, j2 / (8.0 * s)
 
 
+def stack_tables(diff: np.ndarray, sum_: np.ndarray) -> np.ndarray:
+    """The class table [[diff, sum], [sum, diff]], read-only.
+
+    It is stored complex (the imaginary parts are zero) because every product
+    with it is a product with complex class sums, which would cast a real
+    table at each call.
+    """
+    table = np.block([[diff, sum_], [sum_, diff]]).astype(np.complex128)
+    table.setflags(write=False)
+    return table
+
+
 class SpectralGrid:
     """Index lattice, resonance classes and coefficient tables for one (d, N).
 
@@ -61,8 +73,10 @@ class SpectralGrid:
     class_starts, class_j2 : resonance classes as contiguous slices of the
         canonical order (the order sorts by |j|^2 first, so classes are runs).
     class_of : (n,) index of the resonance class of each mode.
-    diff_table, sum_table : (nc, nc) :func:`coupling_tables` between classes,
-        row = class of j, column = class of k.
+    class_table : (2 nc, 2 nc) :func:`stack_tables` of the :func:`coupling_tables`
+        between classes (row = class of j, column = class of k); the one
+        stored copy of the diff and sum tables, which ``diff_table`` and
+        ``sum_table`` read back.
     """
 
     def __init__(self, d: int, n_cutoff: int, corrupt_diff_sign: bool = False):
@@ -102,9 +116,8 @@ class SpectralGrid:
         self.class_j2f = self.class_j2.astype(np.float64)
 
         c2 = self.class_j2f
-        self.diff_table, self.sum_table = coupling_tables(c2[:, None], c2[None, :])
-        if self.corrupt_diff_sign:
-            self.diff_table = -self.diff_table
+        diff, sum_ = coupling_tables(c2[:, None], c2[None, :])
+        self.class_table = stack_tables(-diff if self.corrupt_diff_sign else diff, sum_)
 
         self._weights: dict[float, np.ndarray] = {}
         self._validate()
@@ -124,6 +137,16 @@ class SpectralGrid:
             raise ParameterError("resonance classes do not partition the index set")
 
     # -- lookups -----------------------------------------------------------
+
+    @property
+    def diff_table(self) -> np.ndarray:
+        nc = self.n_classes
+        return self.class_table[:nc, :nc].real
+
+    @property
+    def sum_table(self) -> np.ndarray:
+        nc = self.n_classes
+        return self.class_table[:nc, nc:].real
 
     def slot(self, mode) -> int:
         """Position of a lattice point in the canonical order."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import mix_arrays, solve_jacobian_arrays
+from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
 from .errors import DomainError, ParameterError
 from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
@@ -68,24 +68,12 @@ def _offdiag_scalar_conj(grid, a) -> complex:
     return -2j * grid.pairing(a, a, grid.j2f).imag
 
 
-def offdiag_cubic_arrays(grid, a, b) -> ArrayPair:
-    """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) (b, a). Valid on any pair."""
-    s = 0.25j * _offdiag_scalar(grid, a, b)
+def offdiag_cubic_arrays(lin: Linearization) -> ArrayPair:
+    """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) (b, a) at the state
+    (a, b) of ``lin``. Valid on any pair."""
+    a, b = lin.w, lin.z
+    s = 0.25j * _offdiag_scalar(lin.grid, a, b)
     return s * b, s * a
-
-
-def complexified_rhs_arrays(grid, a, b) -> ArrayPair:
-    """The system in complex-conjugate coordinates, before the diag stage:
-
-        da/dt = -i Lambda a - (i/4) <Lambda(a+b), a+b> Lambda(a+b)
-
-    and the mirrored equation for b. Polynomial in (a, b), so valid on any
-    pair; on the conjugate subspace it is the physical system itself.
-    """
-    c = a + b
-    q = 0.25 * grid.pairing(c, c, grid.absj)
-    lam_c = grid.absj * c
-    return -1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c
 
 
 def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
@@ -95,10 +83,12 @@ def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
     return (-1j * sq) * (grid.absj * a) + s * b, (1j * sq) * (grid.absj * b) + s * a
 
 
-def resonant_cubic_arrays(grid, a, b) -> ArrayPair:
-    """Residual cubic field: class-local sums sum_{|j|=|k|} a_j a_{-j} |j|^2 acting on b, and conversely."""
-    sa = grid.class_j2f * grid.class_sums(a * a[grid.neg_index])
-    sb = grid.class_j2f * grid.class_sums(b * b[grid.neg_index])
+def resonant_cubic_arrays(lin: Linearization) -> ArrayPair:
+    """Residual cubic field at the state (a, b) of ``lin``: class-local sums
+    sum_{|j|=|k|} a_j a_{-j} |j|^2 acting on b, and conversely."""
+    grid, a, b = lin.grid, lin.w, lin.z
+    sa = grid.class_j2f * lin.sww
+    sb = grid.class_j2f * lin.szz
     cls = grid.class_of
     return (-0.25j) * sa[cls] * b, (0.25j) * sb[cls] * a
 
@@ -140,28 +130,29 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
         raise DomainError(
             f"normal-form field needs ||w||_m0 < {JACOBIAN_BALL} for invertibility"
         )
-    ma, mb = mix_arrays(grid, w, z, w, z)
+    lin = linearize(grid, w, z)  # mix, the cubic terms and the solve all read it
+    ma, mb = mix_arrays(lin, w, z)
     eta, psi = w + ma, z + mb
     p4 = phi_inv(_q_value_arrays(grid, eta, psi))
     speed_shift = math.sqrt(1.0 + 2.0 * p4) - 1.0
 
     d1 = diag_linear_arrays(grid, w, z)
     linear = (1.0 + speed_shift) * d1[0], (1.0 + speed_shift) * d1[1]
-    cubic = resonant_cubic_arrays(grid, w, z)
+    cubic = resonant_cubic_arrays(lin)
 
     if method == "direct":
         xa, xb = diagonalized_rhs_arrays(grid, eta, psi)
-        ta, tb = solve_jacobian_arrays(grid, w, z, (xa, xb))
+        ta, tb = solve_jacobian_arrays(lin, (xa, xb))
         quintic = ta - linear[0] - cubic[0], tb - linear[1] - cubic[1]
         total = ta, tb
     elif method == "structured":
         # the full off-diagonal term at the transformed pair, cubic plus quintic tail
         s_phi = 0.25j * _offdiag_scalar(grid, eta, psi) / (1.0 + 2.0 * p4)
-        b3a, b3b = offdiag_cubic_arrays(grid, w, z)
+        b3a, b3b = offdiag_cubic_arrays(lin)
         # with s = b3 - cubic, jac (I+jac)^{-1} s = s - (I+jac)^{-1} s; the
         # solve is linear, so that term, scaled by the speed shift, and the
         # off-diagonal term take one solve together
-        xa, xb = solve_jacobian_arrays(grid, w, z, (
+        xa, xb = solve_jacobian_arrays(lin, (
             s_phi * psi - (1.0 + speed_shift) * (b3a - cubic[0]),
             s_phi * eta - (1.0 + speed_shift) * (b3b - cubic[1]),
         ))

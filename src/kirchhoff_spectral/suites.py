@@ -32,6 +32,7 @@ from .coupling import (
     apply_coupling,
     dense_jacobian_matrix,
     jac_arrays,
+    linearize,
     mix_arrays,
     small_divisor_check,
     solve_jacobian_arrays,
@@ -177,12 +178,13 @@ def _operator_defects(g: SpectralGrid, seed, k: int) -> dict:
             _amax(lambda_ay.coeffs - lambda_power(ay, 1.7).coeffs),
         )
     # block swap: first block of mix(u, v) equals second block of mix(v, u)
-    a12, _ = mix_arrays(g, u.coeffs, v.coeffs, np.zeros_like(y.coeffs), y.coeffs)
-    _, a21 = mix_arrays(g, v.coeffs, u.coeffs, y.coeffs, np.zeros_like(y.coeffs))
+    uv = linearize(g, u.coeffs, v.coeffs)
+    a12, _ = mix_arrays(uv, np.zeros_like(y.coeffs), y.coeffs)
+    _, a21 = mix_arrays(linearize(g, v.coeffs, u.coeffs), y.coeffs, np.zeros_like(y.coeffs))
     # anti-commutator: mix . diag_linear + diag_linear . mix = 0
     da, db = diag_linear_arrays(g, y.coeffs, h.coeffs)
-    m1 = mix_arrays(g, u.coeffs, v.coeffs, da, db)
-    m2 = mix_arrays(g, u.coeffs, v.coeffs, y.coeffs, h.coeffs)
+    m1 = mix_arrays(uv, da, db)
+    m2 = mix_arrays(uv, y.coeffs, h.coeffs)
     dm = diag_linear_arrays(g, m2[0], m2[1])
     anti = max(_amax(m1[0] + dm[0]), _amax(m1[1] + dm[1]))
     return {"defect": max(worst, _amax(a12 - a21), anti)}
@@ -198,10 +200,11 @@ def _homological_defects(g: SpectralGrid, seed, k: int) -> dict:
     a = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
     b = random_field(g, seed(1), 0.4, g.m0, "free").coeffs
     da, db = diag_linear_arrays(g, a, b)
-    ma, mb = mix_arrays(g, a, b, da, db)
-    ka, kb = jac_arrays(g, a, b, da, db)
-    b3a, b3b = offdiag_cubic_arrays(g, a, b)
-    x3a, x3b = resonant_cubic_arrays(g, a, b)
+    lin = linearize(g, a, b)
+    ma, mb = mix_arrays(lin, da, db)
+    ka, kb = jac_arrays(lin, da, db)
+    b3a, b3b = offdiag_cubic_arrays(lin)
+    x3a, x3b = resonant_cubic_arrays(lin)
     return {"defect": max(_amax(ma + ka - (b3a - x3a)), _amax(mb + kb - (b3b - x3b)))}
 
 
@@ -214,7 +217,7 @@ def suite_homological_identity(cfg: SuiteConfig) -> SuiteResult:
 def _cancellation_defects(g: SpectralGrid, seed, k: int) -> dict:
     w = random_field(g, seed(0), 0.25, g.m0, "free").coeffs
     z = np.conj(w[g.neg_index])
-    x3 = resonant_cubic_arrays(g, w, z)[0]
+    x3 = resonant_cubic_arrays(linearize(g, w, z))[0]
     d1 = diag_linear_arrays(g, w, z)[0]
     rates = [energy_derivative_arrays(g, w, f, s) for s in CANCELLATION_S for f in (x3, d1)]
     return {"defect": max(map(abs, rates))}
@@ -255,7 +258,7 @@ def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
     w = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
     z = np.conj(w[g.neg_index])
     rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2))
-    x = solve_jacobian_arrays(g, w, z, rhs)
+    x = solve_jacobian_arrays(linearize(g, w, z), rhs)
     r = np.concatenate(rhs)
     residual = dense_jacobian_matrix(g, w, z) @ np.concatenate(x) - r
     return {"defect": _amax(residual) / max(1.0, _amax(r))}
@@ -314,8 +317,9 @@ def _mix_jac_defects(g: SpectralGrid, seed, k: int) -> dict:
     z = conj_function(w)
     alpha = random_field(g, seed(1), 0.9, m0, "free")
     beta = conj_function(alpha)
-    ma, _ = mix_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
-    ka, _ = jac_arrays(g, w.coeffs, z.coeffs, alpha.coeffs, beta.coeffs)
+    lin = linearize(g, w.coeffs, z.coeffs)
+    ma, _ = mix_arrays(lin, alpha.coeffs, beta.coeffs)
+    ka, _ = jac_arrays(lin, alpha.coeffs, beta.coeffs)
     wm = w.norm(m0)
     am = alpha.norm(m0)
     excess = 0.0
@@ -345,7 +349,7 @@ def _decomposition_defects(g: SpectralGrid, seed, k: int) -> dict:
     four = (parts.diag_linear, parts.diag_tail, parts.offdiag_cubic, parts.offdiag_tail)
     suma, sumb = (sum(part[i].coeffs for part in four) for i in (0, 1))
     scale = max(1.0, _amax(fa))
-    x3 = resonant_cubic_arrays(g, w.coeffs, pair.z.coeffs)
+    x3 = resonant_cubic_arrays(linearize(g, w.coeffs, pair.z.coeffs))
     w1 = w.norm(1.0)
     excess = 0.0
     for s in BOUND_S:

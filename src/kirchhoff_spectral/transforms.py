@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .coupling import mix_arrays
+from .coupling import linearize, mix_arrays
 from .errors import ConvergenceError, DomainError, ParameterError
 from .fields import (
     ArrayPair,
@@ -151,7 +151,7 @@ def cubic_stage(direction: str, pair: FieldPair) -> FieldPair:
     """fwd: (w, z) -> (w, z) + mix(w, z)(w, z); inv by contraction in the 1/4 ball."""
     g, a, b = _stage_input(direction, pair)
     if direction == "fwd":
-        ma, mb = mix_arrays(g, a, b, a, b)
+        ma, mb = mix_arrays(linearize(g, a, b), a, b)
         return field_pair(g, (a + ma, b + mb))
     return field_pair(g, cubic_stage_inverse_arrays(g, a, b))
 
@@ -171,7 +171,7 @@ def cubic_stage_inverse_arrays(grid: SpectralGrid, eta: np.ndarray, psi: np.ndar
     w = np.zeros_like(eta)
     z = np.zeros_like(psi)
     for _ in range(CUBIC_INV_MAX_ITER):
-        ma, mb = mix_arrays(grid, w, z, w, z)
+        ma, mb = mix_arrays(linearize(grid, w, z), w, z)
         w_new = eta - ma
         z_new = psi - mb
         delta = max(grid.coeff_norm(w_new - w, m0), grid.coeff_norm(z_new - z, m0))

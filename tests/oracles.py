@@ -9,13 +9,19 @@ column loop, which applies the package's ``jac_arrays`` to one unit vector
 at a time. It goes through the class sums and class tables, so it and the
 package's pairwise dense assembly, which reads neither, are two independent
 builds of the same matrix that must agree to rounding.
+
+The test-only fields and helpers live here too, since the package itself
+has no use for them: the complexified system and the linear rotation as
+integrable evaluators, a unit-mode field, and the embedding of a field into
+a finer grid.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from kirchhoff_spectral import ParameterError
-from kirchhoff_spectral.coupling import jac_arrays
+from kirchhoff_spectral import ComplexField, GridMismatchError, ParameterError
+from kirchhoff_spectral.coupling import jac_arrays, linearize
+from kirchhoff_spectral.dynamics import _ConjugateDynamics
 from kirchhoff_spectral.errors import NumericalError
 from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
 
@@ -140,17 +146,81 @@ def total_momentum(state) -> np.ndarray:
 def dense_jacobian_columns(grid, w, z) -> np.ndarray:
     """Matrix of (I + jac(w, z)) built one column, one ``jac_arrays`` call, at a time."""
     n = grid.n_modes
+    lin = linearize(grid, w, z)
     mat = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     zero = np.zeros(n, dtype=np.complex128)
     basis = np.zeros(n, dtype=np.complex128)
     for i in range(n):
         basis[i] = 1.0
-        ka, kb = jac_arrays(grid, w, z, basis, zero)
+        ka, kb = jac_arrays(lin, basis, zero)
         mat[:n, i] = ka
         mat[n:, i] = kb
-        ka, kb = jac_arrays(grid, w, z, zero, basis)
+        ka, kb = jac_arrays(lin, zero, basis)
         mat[:n, n + i] = ka
         mat[n:, n + i] = kb
         basis[i] = 0.0
     mat[np.diag_indices(2 * n)] += 1.0
     return mat
+
+
+# -- test-only fields and helpers ------------------------------------------------
+
+
+def complexified_rhs_arrays(grid, a, b):
+    """The system in complex-conjugate coordinates, before the diag stage:
+
+        da/dt = -i Lambda a - (i/4) <Lambda(a+b), a+b> Lambda(a+b)
+
+    and the mirrored equation for b. Polynomial in (a, b), so valid on any
+    pair; on the conjugate subspace it is the physical system itself.
+    """
+    c = a + b
+    q = 0.25 * grid.pairing(c, c, grid.absj)
+    lam_c = grid.absj * c
+    return -1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c
+
+
+class ComplexifiedDynamics(_ConjugateDynamics):
+    """The physical system in complex-conjugate coordinates (before the diag stage)."""
+
+    name = "complexified"
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        return complexified_rhs_arrays(self.grid, y, self._z(y))[0]
+
+
+class LinearDiagonalDynamics(_ConjugateDynamics):
+    """dw/dt = -i Lambda w; each mode rotates as exp(-i |j| t). Exact-flow test field."""
+
+    name = "linear"
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        return -1j * self.grid.absj * y
+
+    def exact(self, w0: np.ndarray, t: float) -> np.ndarray:
+        return w0 * np.exp(-1j * self.grid.absj * t)
+
+
+def unit_mode(grid, mode, value: complex = 1.0) -> ComplexField:
+    """The field with ``value`` at ``mode`` and zero elsewhere."""
+    c = np.zeros(grid.n_modes, dtype=np.complex128)
+    c[grid.slot(mode)] = value
+    return ComplexField(grid, c)
+
+
+def embed_field(field: ComplexField, target) -> ComplexField:
+    """Copy a field into a finer grid (same d, larger cutoff), zero-padding
+    the new modes. Because every implemented right-hand side is diagonal per
+    mode (the nonlinearity enters only through scalar functionals), modes
+    that start at zero stay at zero, so trajectories of embedded data do not
+    depend on the cutoff; this makes refinement checks exact at desk scale.
+    """
+    g = field.grid
+    if target.d != g.d:
+        raise GridMismatchError(f"cannot embed d={g.d} field into d={target.d} grid")
+    if target.n_cutoff < g.n_cutoff:
+        raise GridMismatchError("target grid must be at least as fine")
+    c = np.zeros(target.n_modes, dtype=np.complex128)
+    for i in range(g.n_modes):
+        c[target.slot(g.modes[i])] = field.coeffs[i]
+    return ComplexField(target, c)

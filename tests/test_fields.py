@@ -23,6 +23,7 @@ from kirchhoff_spectral import (
     random_field,
     sobolev_norm,
 )
+from oracles import unit_mode
 
 
 def test_sobolev_norm_examples(grid1):
@@ -54,7 +55,7 @@ def test_norm_monotone_in_order(grid1):
 def test_lambda_power(grid1):
     f = random_field(grid1, 4, 1.0, 0.0, "free")
     assert np.array_equal(lambda_power(f, 0.0).coeffs, f.coeffs)
-    delta = ComplexField.unit_mode(grid1, 2)
+    delta = unit_mode(grid1, 2)
     assert lambda_power(delta, 0.5).coeffs[grid1.slot(2)] == pytest.approx(math.sqrt(2.0))
     back = lambda_power(lambda_power(f, 0.5), -0.5)
     assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15

@@ -84,3 +84,16 @@ def test_corrupt_flag_flips_diff_table():
     g = SpectralGrid(1, 4)
     gc = SpectralGrid(1, 4, corrupt_diff_sign=True)
     assert np.array_equal(gc.diff_table, -g.diff_table)
+
+
+def test_corrupt_flag_flips_both_diff_blocks_of_the_class_table(grid2):
+    # the class table is the one stored copy of the tables, so the negative
+    # control must reach both places the diff table sits in it
+    gc = SpectralGrid(2, 4, corrupt_diff_sign=True)
+    nc = grid2.n_classes
+    t, tc = grid2.class_table, gc.class_table
+    for rows, cols in ((slice(None, nc), slice(None, nc)), (slice(nc, None), slice(nc, None))):
+        assert np.any(t[rows, cols] != 0.0)
+        assert np.array_equal(tc[rows, cols], -t[rows, cols])
+    for rows, cols in ((slice(None, nc), slice(nc, None)), (slice(nc, None), slice(None, nc))):
+        assert np.array_equal(tc[rows, cols], t[rows, cols])

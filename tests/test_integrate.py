@@ -12,13 +12,10 @@ from kirchhoff_spectral import (
     ParameterError,
     random_field,
 )
-from kirchhoff_spectral.dynamics import (
-    KirchhoffDynamics,
-    LinearDiagonalDynamics,
-    NormalFormDynamics,
-)
+from kirchhoff_spectral.dynamics import KirchhoffDynamics, NormalFormDynamics
 from kirchhoff_spectral.integrate import SCHEMES, TABLEAUS, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
+from oracles import LinearDiagonalDynamics, unit_mode
 
 
 class _ScalarDynamics:
@@ -85,7 +82,7 @@ def test_linear_field_exact_flow(grid1):
 def test_single_rk4_step_order(grid1):
     # local error of one RK4 step is O(dt^5): halving dt divides it by ~32
     dyn = LinearDiagonalDynamics(grid1)
-    w0 = ComplexField.unit_mode(grid1, 4, 0.7)
+    w0 = unit_mode(grid1, 4, 0.7)
     state = ConjugatePair(w0)
 
     def local_err(dt):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kirchhoff_spectral import ComplexField, ConjugatePair, DomainError, random_field
-from kirchhoff_spectral.coupling import jac_arrays, mix_arrays
+from kirchhoff_spectral.coupling import jac_arrays, linearize, mix_arrays
 from kirchhoff_spectral.fields import conjugate_defect, hermitian_project
 from kirchhoff_spectral.normal_form import (
     decompose_rhs,
@@ -22,6 +22,10 @@ def _pair(grid, seed, norm):
 
 def _arrays(pair):
     return pair.grid, pair.w.coeffs, pair.z.coeffs
+
+
+def _lin(pair):
+    return linearize(*_arrays(pair))
 
 
 def test_diagonalized_rhs_zero(grid1):
@@ -73,7 +77,7 @@ def test_resonant_cubic_single_pair_example(grid1):
     c[grid1.slot(1)] = a
     c[grid1.slot(-1)] = b
     pair = ConjugatePair(ComplexField(grid1, c))
-    first, second = resonant_cubic_arrays(*_arrays(pair))
+    first, second = resonant_cubic_arrays(_lin(pair))
     z = pair.z.coeffs
     # class {1,-1}: sum of w_j w_{-j} |j|^2 over the class is 2ab
     for k in (1, -1):
@@ -85,13 +89,13 @@ def test_resonant_cubic_single_pair_example(grid1):
 def test_resonant_cubic_couples_only_within_class(grid2):
     w = random_field(grid2, 5, 0.4, 1.5, "free")
     pair = ConjugatePair(w)
-    first, _ = resonant_cubic_arrays(*_arrays(pair))
+    first, _ = resonant_cubic_arrays(_lin(pair))
     # zeroing a class of w changes the output only inside that class
     cls = 2
     mask = pair.grid.class_of == cls
     c2 = w.coeffs.copy()
     c2[mask] = 0.0
-    first2, _ = resonant_cubic_arrays(*_arrays(ConjugatePair(ComplexField(grid2, c2))))
+    first2, _ = resonant_cubic_arrays(_lin(ConjugatePair(ComplexField(grid2, c2))))
     outside = ~mask
     # outside the class the only dependence is through z, unchanged there
     assert np.max(np.abs(first[outside] - first2[outside])) <= 1e-15
@@ -102,10 +106,11 @@ def test_homological_identity_spot(grid2):
     a = random_field(g, 6, 0.4, g.m0, "free").coeffs
     b = random_field(g, 7, 0.4, g.m0, "free").coeffs
     da, db = diag_linear_arrays(g, a, b)
-    ma, mb = mix_arrays(g, a, b, da, db)
-    ka, kb = jac_arrays(g, a, b, da, db)
-    b3a, b3b = offdiag_cubic_arrays(g, a, b)
-    x3a, x3b = resonant_cubic_arrays(g, a, b)
+    lin = linearize(g, a, b)
+    ma, mb = mix_arrays(lin, da, db)
+    ka, kb = jac_arrays(lin, da, db)
+    b3a, b3b = offdiag_cubic_arrays(lin)
+    x3a, x3b = resonant_cubic_arrays(lin)
     assert np.max(np.abs(ma + ka - (b3a - x3a))) <= 1e-13
     assert np.max(np.abs(mb + kb - (b3b - x3b))) <= 1e-13
 
@@ -113,7 +118,7 @@ def test_homological_identity_spot(grid2):
 def test_energy_cancellation(grid1):
     pair = _pair(grid1, 8, 0.3)
     w = pair.w.coeffs
-    x3 = resonant_cubic_arrays(*_arrays(pair))
+    x3 = resonant_cubic_arrays(_lin(pair))
     for s in (1.0, 2.5):
         assert abs(energy_derivative_arrays(grid1, w, x3[0], s)) <= 1e-13
     nf = normal_form_rhs(pair)
@@ -198,10 +203,11 @@ def test_homological_identity_in_three_dimensions():
     a = random_field(g, 21, 0.3, g.m0, "free").coeffs
     b = random_field(g, 22, 0.3, g.m0, "free").coeffs
     da, db = diag_linear_arrays(g, a, b)
-    ma, mb = mix_arrays(g, a, b, da, db)
-    ka, kb = jac_arrays(g, a, b, da, db)
-    b3a, b3b = offdiag_cubic_arrays(g, a, b)
-    x3a, x3b = resonant_cubic_arrays(g, a, b)
+    lin = linearize(g, a, b)
+    ma, mb = mix_arrays(lin, da, db)
+    ka, kb = jac_arrays(lin, da, db)
+    b3a, b3b = offdiag_cubic_arrays(lin)
+    x3a, x3b = resonant_cubic_arrays(lin)
     assert np.max(np.abs(ma + ka - (b3a - x3a))) <= 1e-13
     assert np.max(np.abs(mb + kb - (b3b - x3b))) <= 1e-13
 

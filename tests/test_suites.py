@@ -3,6 +3,7 @@ import pytest
 
 from kirchhoff_spectral import SpectralGrid, suites
 from kirchhoff_spectral.errors import ParameterError
+from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
 
 CFG = SuiteConfig(grids=((1, 4), (2, 4)), samples=2)
@@ -49,11 +50,12 @@ def test_quartic_probe_samples_fixed_times(grid1, monkeypatch):
 
 
 class _ScaledSumTable(SpectralGrid):
-    """A grid whose sum table is off by 0.1%: a class-table mutant."""
+    """A grid whose sum table is off by 0.1%, in both blocks of the class
+    table that hold it: a class-table mutant."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.sum_table = 1.001 * self.sum_table
+        self.class_table = stack_tables(self.diff_table, 1.001 * self.sum_table)
 
 
 @pytest.mark.parametrize("grid", [(1, 8), (2, 8)])

@@ -10,6 +10,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -107,3 +110,39 @@ def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((1, 4),), samples=1))
     assert result.passed and all(calls.values()), calls
+
+
+#: grid.class_sums calls of one structured normal-form field: one for the
+#: record of its state, two in the class solve and one in the solve's residual
+#: guard
+CLASS_SUMS_PER_FIELD = 4
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
+    # the benchmark's quartic workload times this field; its saved work is
+    # pinned here: mix, the cubic terms, the solve and the solve's residual
+    # guard read one record of the state, which is built once
+    from kirchhoff_spectral import SpectralGrid, coupling, normal_form, random_field
+
+    grid = SpectralGrid(d, 8)
+    w = random_field(grid, 5, 0.05, grid.m0, "free").coeffs
+    z = np.conj(w[grid.neg_index])
+    calls = dict.fromkeys(("linearize", "solve_jacobian_arrays", "jac_arrays", "class_sums"), 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("linearize", "solve_jacobian_arrays", "jac_arrays"):
+        wrapper = counted(name, getattr(coupling, name))
+        for module in (coupling, normal_form):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(grid, "class_sums", counted("class_sums", grid.class_sums))
+    normal_form.normal_form_rhs_arrays(grid, w, z)
+    assert calls.pop("class_sums") <= CLASS_SUMS_PER_FIELD
+    assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1}

@@ -26,6 +26,7 @@ from kirchhoff_spectral.transforms import (
     rank_one_solve_dense,
     scale_stage,
 )
+from oracles import unit_mode
 
 
 def _rand_pair(grid, seed, norm, s=1.0):
@@ -36,7 +37,7 @@ def _rand_pair(grid, seed, norm, s=1.0):
 
 
 def test_scale_stage_example(grid1):
-    q = ComplexField.unit_mode(grid1, 4)
+    q = unit_mode(grid1, 4)
     p = ComplexField.zero(grid1)
     u, v = scale_stage("fwd", (q, p))
     assert u.coeffs[grid1.slot(4)] == pytest.approx(0.5, rel=1e-15)
