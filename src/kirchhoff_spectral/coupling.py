@@ -21,8 +21,10 @@ Operators defined here, each linear in its operand (alpha, beta):
 * ``jac``  -- mix plus the chain-rule correction coming from differentiating
   the state-dependent coefficients along the flow, i.e. (I + jac) is the
   differential of the cubic stage;
-* the class-space solve of (I + jac) x = rhs, and its oracle: the matrix of
-  (I + jac) assembled pairwise, without the class sums and tables.
+* the class-space solve of (I + jac) x = rhs, the one solve there is, and
+  its oracle: the matrix of (I + jac) assembled pairwise, without the class
+  sums and tables, through which the ``neumann-vs-dense`` suite checks the
+  solve's residual.
 
 They read the state (w, z) through a :class:`Linearization`, which
 :func:`linearize` builds once per state: the class sums sww, szz of
@@ -150,32 +152,18 @@ def _class_solve(lin: Linearization, ra, rb) -> ArrayPair:
     return (ta - e12 * tb) / e_det, (tb - e21 * ta) / e_det
 
 
-def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair, method: str = "class") -> ArrayPair:
+def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair) -> ArrayPair:
     """Solve (I + jac(w, z)) x = rhs at the state of ``lin``.
 
-    "class" is the exact Woodbury solve over the resonance classes (see the
-    module docstring): one LU solve of size 2 * n_classes plus O(n_modes)
-    work. "dense" solves directly with ``dense_jacobian_matrix``, which reads
-    no class table (the oracle route). Every solve verifies its residual through
-    ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL`` relative; a singular block,
-    a failed factorization or a residual that is large or not finite raises
-    :class:`NumericalError`.
+    The exact Woodbury solve over the resonance classes (see the module
+    docstring): one LU solve of size 2 * n_classes plus O(n_modes) work. It
+    verifies its residual through ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL``
+    relative; a singular block, a failed factorization or a residual that is
+    large or not finite raises :class:`NumericalError`.
     """
     grid = lin.grid
     ra, rb = np.asarray(rhs[0]), np.asarray(rhs[1])
-    if method == "class":
-        xa, xb = _class_solve(lin, ra, rb)
-    elif method == "dense":
-        mat = dense_jacobian_matrix(grid, lin.w, lin.z)
-        n = grid.n_modes
-        try:
-            sol = np.linalg.solve(mat, np.concatenate([ra, rb]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"dense jacobian solve failed ({exc}); state too large") from exc
-        xa, xb = sol[:n], sol[n:]
-    else:
-        raise ParameterError(f"method must be 'class' or 'dense', got {method!r}")
-
+    xa, xb = _class_solve(lin, ra, rb)
     ka, kb = jac_arrays(lin, xa, xb)
     res = _pair_norm(grid, (xa + ka - ra, xb + kb - rb))
     scale = max(1.0, _pair_norm(grid, (ra, rb)))

@@ -1,21 +1,19 @@
 """Deterministic time integration with per-step invariant monitoring.
 
-Three schemes, listed in ``SCHEMES``. Two are explicit Runge-Kutta tableaus
-(``TABLEAUS``) run by one step: classical fixed-step RK4, and Dormand-Prince
-8(5,3) (DOP853; Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), the one
-adaptive scheme. DOP853 propagates its 8th-order solution, estimates its error
-from a 5th- and a 3rd-order embedded solution as in Hairer's code, and carries
-Hairer's 7th-order dense output (II.6); RK4 carries the cubic Hermite
-interpolant of its step's endpoints. Samples at requested times are
-interpolated inside the steps, so the sample times never shape the step
-sequence. Neither keeps the momenta or the Hamiltonian by construction, and
-that is why the conservation channels (criterion 5, the momentum and
-Hamiltonian drift of ``simulate``), the conjugacy levels and the quartic probe
-stay on DOP853: a drift measured there certifies the field the evaluator
-computes, where a scheme that keeps the momenta exactly would certify only
-itself.
+Two schemes, listed in ``SCHEMES``. ``dop853`` is the explicit Runge-Kutta
+tableau of Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.10), run with an adaptive step: it propagates its 8th-order
+solution, estimates its error from a 5th- and a 3rd-order embedded solution
+as in Hairer's code, and carries Hairer's 7th-order dense output (II.6).
+Samples at requested times are interpolated inside the steps, so the sample
+times never shape the step sequence. It does not keep the momenta or the
+Hamiltonian by construction, and that is why the conservation channels
+(criterion 5, the momentum and Hamiltonian drift of ``simulate``), the
+conjugacy levels and the quartic probe run on it: a drift measured there
+certifies the field the evaluator computes, where a scheme that keeps the
+momenta exactly would certify only itself.
 
-The third, ``saba2``, composes the two exact sub-flows of an evaluator whose
+The other, ``saba2``, composes the two exact sub-flows of an evaluator whose
 field splits into a linear rotation and a kick (the physical Kirchhoff field):
 Laskar & Robutel's SABA2, ``A(c1 h) B(h/2) A(c2 h) B(h/2) A(c1 h)`` with
 ``c1 = 1/2 - sqrt(3)/6`` and ``c2 = 1 - 2 c1`` (Laskar & Robutel, *Celest.
@@ -51,17 +49,17 @@ class _Tableau(NamedTuple):
     ``i`` as ``y + dt * a[i] @ k``. The last row holds the weights ``b`` (its
     node is 1), so its input is the new state and its stage, the field there,
     is the next step's ``k[0]``. ``e`` are the two error rows of an embedded
-    pair (a 5th- and a 3rd-order estimate, combined as in Hairer's DOP853); a
-    fixed-step scheme has none. ``dense`` is a continuous extension
-    ``(c, a, d)``: extra stages at nodes ``c`` whose rows of ``a`` reach back
-    over every earlier stage, and the rows ``d`` that turn all the stages into
-    the interpolant's coefficients. ``a``, ``e`` and ``dense`` are complex so
-    that the stage products cast nothing.
+    pair (a 5th- and a 3rd-order estimate, combined as in Hairer's DOP853).
+    ``dense`` is a continuous extension ``(c, a, d)``: extra stages at nodes
+    ``c`` whose rows of ``a`` reach back over every earlier stage, and the
+    rows ``d`` that turn all the stages into the interpolant's coefficients.
+    ``a``, ``e`` and ``dense`` are complex so that the stage products cast
+    nothing.
     """
 
     c: tuple
     a: np.ndarray
-    e: np.ndarray | None
+    e: np.ndarray
     dense: tuple
 
 
@@ -72,11 +70,10 @@ def _matrix(rows, width, first=0) -> np.ndarray:
     return m
 
 
-def _tableau(c, rows, dense, e=None) -> _Tableau:
-    """``dense`` gives the extra stages and rows past Hairer's first three;
-    with none, ``((), (), ())``, the interpolant is the cubic Hermite one."""
+def _tableau(c, rows, e, dense) -> _Tableau:
+    """``dense`` gives the extra stages and rows past Hairer's first three."""
     a = _matrix(rows, len(c), first=1)
-    e = None if e is None else np.asarray(e, dtype=np.complex128)
+    e = np.asarray(e, dtype=np.complex128)
     c_x, a_x, d = dense
     width = len(c) + len(c_x)
     # Hairer's first three rows come from the endpoints: y_new - y is
@@ -89,11 +86,6 @@ def _tableau(c, rows, dense, e=None) -> _Tableau:
 
 #: Runge-Kutta scheme name -> tableau
 TABLEAUS = {
-    "rk4": _tableau(
-        (0.0, 0.5, 0.5, 1.0, 1.0),
-        ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
-        dense=((), (), ()),
-    ),
     # the coefficients of Hairer's DOP853 code: the doubles of scipy's
     # dop853_coefficients C, A, B, E5, E3 (evaluated) and, for the dense
     # output, C[13:16], A[13:16] and D
@@ -168,7 +160,7 @@ TABLEAUS = {
 }
 
 
-#: every scheme name, the Runge-Kutta tableaus' and the splitting's: the one
+#: every scheme name, the Runge-Kutta tableau's and the splitting's: the one
 #: list that the config check and ``simulate --scheme`` read
 SCHEMES = (*TABLEAUS, "saba2")
 
@@ -188,7 +180,7 @@ _DT_MIN = 1e-12
 @dataclass
 class IntegratorConfig:
     scheme: str = "dop853"  # one of SCHEMES
-    dt: float = 1e-2  # fixed step (rk4), initial step (dop853) or maximum step (saba2)
+    dt: float = 1e-2  # initial step (dop853) or maximum step (saba2)
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
@@ -242,12 +234,10 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
 
 def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol):
     """One attempt from ``k[0] = rhs(t, y)``: fills the stages after ``k[0]``;
-    returns the new state and its error norm (0 for a fixed-step scheme)."""
+    returns the new state and its error norm."""
     for i in range(1, len(scheme.c)):
         y_i = y + dt * (scheme.a[i, :i] @ k[:i])
         k[i] = rhs(t + scheme.c[i] * dt, y_i)
-    if scheme.e is None:
-        return y_i, 0.0
     return y_i, _error_norm(dt * (scheme.e @ k[: len(scheme.c)]), y, y_i, rel_tol, abs_tol)
 
 
@@ -357,13 +347,12 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
     t_end = config.t_end
     ahead = run.ahead
     dt = min(config.dt, t_end)
-    adaptive = scheme.e is not None
     new = len(scheme.c) - 1  # the stage at the new point
     k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
     k[0] = k0
 
     while t < t_end:
-        if adaptive and dt < _DT_MIN:
+        if dt < _DT_MIN:
             return "dt_underflow"
         final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
         dt_try = t_end - t if final else dt
@@ -377,7 +366,7 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
         if _blown_up(y_new):
             return "blowup"
 
-        if adaptive and err > 1.0:
+        if err > 1.0:
             run.n_rejected += 1
             dt = dt_try * max(0.2, 0.9 * err ** -_STEP_EXPONENT)
             continue
@@ -400,8 +389,7 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
         run.n_steps += 1
         run.accept(t, y)
 
-        if adaptive:
-            dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
+        dt = dt_try * min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -_STEP_EXPONENT))
 
         if run.outside_ball():
             return "ball_exit"
@@ -476,8 +464,8 @@ def integrate(
     """Integrate a field evaluator from state0 to t_end with monitoring.
 
     Samples are taken at the times in ``t_eval``, by default the endpoints
-    ``(0, t_end)``. A Runge-Kutta scheme reads a time inside a step from its
-    dense output and projects it, so the samples leave the steps as they are
+    ``(0, t_end)``. DOP853 reads a time inside a step from its dense output
+    and projects it, so the samples leave the steps as they are
     (only the final step is shortened, to end on t_end); ``saba2`` lands its
     steps on the sample times instead. The run stops early with a distinct
     exit reason on numerical blowup, on leaving the admissible ball

@@ -12,16 +12,16 @@ field to the normal-form field, available in two algebraically equivalent
 evaluations:
 
 * direct:     (I + jac)^{-1} applied to the diagonalized field at the
-              cubic-stage image of (w, z);
+              cubic-stage image of (w, z), :func:`normal_form_direct_arrays`;
 * structured: (1 + speed_shift) * linear  +  resonant cubic  +  explicit
-              quintic remainder.
+              quintic remainder, :func:`normal_form_rhs_arrays`.
 
 Each makes one (I + jac) solve: the solve is linear, so the structured form
-adds its two terms under (I + jac)^{-1} before solving. The two cost the
-same, so every flow runs the structured form (:func:`normal_form_rhs_arrays`);
-the direct form is its reference, reached through ``normal_form_rhs(method=)``.
-The structured form never evaluates the diagonalized field at the image, so
-the agreement of the two to rounding is the strongest regression check of the
+adds its two terms under (I + jac)^{-1} before solving. Every flow and
+:func:`normal_form_rhs` run the structured form; the direct form is its
+reference, which only the ``normal-form-agreement`` suite calls. The
+structured form never evaluates the diagonalized field at the image, so the
+agreement of the two to rounding is the strongest regression check of the
 whole operator algebra and is part of the acceptance suite. The resonant cubic
 couples modes only within a resonance class and cancels identically in the
 derivative of every Sobolev norm, which is what makes the norm growth of the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
-from .errors import DomainError, ParameterError
+from .errors import DomainError
 from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
 from .transforms import _q_value_arrays, phi_inv
@@ -44,8 +44,6 @@ from .transforms import _q_value_arrays, phi_inv
 #: operational ball of the normal-form field: a state with ||w||_m0 at or
 #: above it is rejected with DomainError before (I + jac) is solved
 JACOBIAN_BALL = 0.5
-#: the two evaluations of the normal-form field
-METHODS = ("structured", "direct")
 
 
 # -- array layer --------------------------------------------------------------
@@ -125,11 +123,15 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     )
 
 
-def _normal_form_parts(grid, w, z, method: str) -> dict:
+def _check_ball(grid, w) -> None:
     if grid.coeff_norm(w, grid.m0) >= JACOBIAN_BALL:
         raise DomainError(
             f"normal-form field needs ||w||_m0 < {JACOBIAN_BALL} for invertibility"
         )
+
+
+def _normal_form_parts(grid, w, z) -> dict:
+    _check_ball(grid, w)
     lin = linearize(grid, w, z)  # mix, the cubic terms and the solve all read it
     ma, mb = mix_arrays(lin, w, z)
     eta, psi = w + ma, z + mb
@@ -140,32 +142,21 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
     linear = (1.0 + speed_shift) * d1[0], (1.0 + speed_shift) * d1[1]
     cubic = resonant_cubic_arrays(lin)
 
-    if method == "direct":
-        xa, xb = diagonalized_rhs_arrays(grid, eta, psi)
-        ta, tb = solve_jacobian_arrays(lin, (xa, xb))
-        quintic = ta - linear[0] - cubic[0], tb - linear[1] - cubic[1]
-        total = ta, tb
-    elif method == "structured":
-        # the full off-diagonal term at the transformed pair, cubic plus quintic tail
-        s_phi = 0.25j * _offdiag_scalar(grid, eta, psi) / (1.0 + 2.0 * p4)
-        b3a, b3b = offdiag_cubic_arrays(lin)
-        # with s = b3 - cubic, jac (I+jac)^{-1} s = s - (I+jac)^{-1} s; the
-        # solve is linear, so that term, scaled by the speed shift, and the
-        # off-diagonal term take one solve together
-        xa, xb = solve_jacobian_arrays(lin, (
-            s_phi * psi - (1.0 + speed_shift) * (b3a - cubic[0]),
-            s_phi * eta - (1.0 + speed_shift) * (b3b - cubic[1]),
-        ))
-        quintic = xa - cubic[0], xb - cubic[1]
-        total = linear[0] + xa, linear[1] + xb
-    else:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-
+    # the full off-diagonal term at the transformed pair, cubic plus quintic tail
+    s_phi = 0.25j * _offdiag_scalar(grid, eta, psi) / (1.0 + 2.0 * p4)
+    b3a, b3b = offdiag_cubic_arrays(lin)
+    # with s = b3 - cubic, jac (I+jac)^{-1} s = s - (I+jac)^{-1} s; the
+    # solve is linear, so that term, scaled by the speed shift, and the
+    # off-diagonal term take one solve together
+    xa, xb = solve_jacobian_arrays(lin, (
+        s_phi * psi - (1.0 + speed_shift) * (b3a - cubic[0]),
+        s_phi * eta - (1.0 + speed_shift) * (b3b - cubic[1]),
+    ))
     return {
-        "total": total,
+        "total": (linear[0] + xa, linear[1] + xb),
         "linear": linear,
         "cubic": cubic,
-        "quintic": quintic,
+        "quintic": (xa - cubic[0], xb - cubic[1]),
         "speed_shift": speed_shift,
     }
 
@@ -173,7 +164,17 @@ def _normal_form_parts(grid, w, z, method: str) -> dict:
 def normal_form_rhs_arrays(grid, w, z) -> ArrayPair:
     """The normal-form field at (w, z) in its structured evaluation, the one
     every flow integrates."""
-    return _normal_form_parts(grid, w, z, "structured")["total"]
+    return _normal_form_parts(grid, w, z)["total"]
+
+
+def normal_form_direct_arrays(grid, w, z) -> ArrayPair:
+    """The normal-form field at (w, z) in its direct evaluation, the reference
+    of :func:`normal_form_rhs_arrays`: (I + jac)^{-1} applied to the
+    diagonalized field at the cubic-stage image (w, z) + mix(w, z)."""
+    _check_ball(grid, w)
+    lin = linearize(grid, w, z)
+    ma, mb = mix_arrays(lin, w, z)
+    return solve_jacobian_arrays(lin, diagonalized_rhs_arrays(grid, w + ma, z + mb))
 
 
 def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> float:
@@ -195,9 +196,9 @@ class NormalFormRhs:
     speed_shift: float
 
 
-def normal_form_rhs(pair: ConjugatePair, method: str = "structured") -> NormalFormRhs:
+def normal_form_rhs(pair: ConjugatePair) -> NormalFormRhs:
     g = pair.grid
-    parts = _normal_form_parts(g, pair.w.coeffs, pair.z.coeffs, method)
+    parts = _normal_form_parts(g, pair.w.coeffs, pair.z.coeffs)
 
     return NormalFormRhs(
         total=field_pair(g, parts["total"]),

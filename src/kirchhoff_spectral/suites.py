@@ -48,12 +48,13 @@ from .fields import (
 from .grid import SpectralGrid
 from .kirchhoff import random_state
 from .normal_form import (
-    _normal_form_parts,
     decompose_rhs,
     diag_linear_arrays,
     diagonalized_rhs_arrays,
     energy_derivative_arrays,
+    normal_form_direct_arrays,
     normal_form_rhs,
+    normal_form_rhs_arrays,
     offdiag_cubic_arrays,
     resonant_cubic_arrays,
 )
@@ -466,12 +467,12 @@ def _agreement_defects(g: SpectralGrid, seed, k: int) -> dict:
     m0 = g.m0
     w = random_field(g, seed(0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")
     z = np.conj(w.coeffs[g.neg_index])
-    p_dir = _normal_form_parts(g, w.coeffs, z, "direct")
-    p_str = _normal_form_parts(g, w.coeffs, z, "structured")
-    den = max(g.coeff_norm(p_dir["total"][0], m0), 1e-300)
+    direct = normal_form_direct_arrays(g, w.coeffs, z)
+    structured = normal_form_rhs_arrays(g, w.coeffs, z)
+    den = max(g.coeff_norm(direct[0], m0), 1e-300)
     num = max(
-        g.coeff_norm(p_dir["total"][0] - p_str["total"][0], m0),
-        g.coeff_norm(p_dir["total"][1] - p_str["total"][1], m0),
+        g.coeff_norm(direct[0] - structured[0], m0),
+        g.coeff_norm(direct[1] - structured[1], m0),
     )
     return {"defect": num / den}
 

@@ -8,7 +8,9 @@ pairing instead of the per-mode momenta. The one exception is the dense
 column loop, which applies the package's ``jac_arrays`` to one unit vector
 at a time. It goes through the class sums and class tables, so it and the
 package's pairwise dense assembly, which reads neither, are two independent
-builds of the same matrix that must agree to rounding.
+builds of the same matrix that must agree to rounding. The dense solve of
+(I + jac) x = rhs, a LAPACK solve with that pairwise matrix, is the
+solution-level oracle of the package's class-space solve.
 
 The test-only fields and helpers live here too, since the package itself
 has no use for them: the complexified system and the linear rotation as
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from kirchhoff_spectral import ComplexField, GridMismatchError, ParameterError
+from kirchhoff_spectral import coupling
 from kirchhoff_spectral.coupling import jac_arrays, linearize
 from kirchhoff_spectral.dynamics import _ConjugateDynamics
 from kirchhoff_spectral.errors import NumericalError
@@ -161,6 +164,16 @@ def dense_jacobian_columns(grid, w, z) -> np.ndarray:
         basis[i] = 0.0
     mat[np.diag_indices(2 * n)] += 1.0
     return mat
+
+
+def dense_jacobian_solve(lin, rhs):
+    """(I + jac) x = rhs at the state of ``lin``, solved by LAPACK with the
+    pairwise ``dense_jacobian_matrix`` (looked up on the module at each call,
+    so that a tracer patched onto it sees this call)."""
+    n = lin.grid.n_modes
+    mat = coupling.dense_jacobian_matrix(lin.grid, lin.w, lin.z)
+    sol = np.linalg.solve(mat, np.concatenate(rhs))
+    return sol[:n], sol[n:]
 
 
 # -- test-only fields and helpers ------------------------------------------------

@@ -182,8 +182,19 @@ def test_simulate_t_end_zero(tmp_path):
 
 
 def test_simulate_zero_dt_is_a_config_error(tmp_path):
-    args = ["simulate", "--dt", "0", "--scheme", "rk4", "--t-end", "0.05"]
+    args = ["simulate", "--dt", "0", "--scheme", "dop853", "--t-end", "0.05"]
     assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_simulate_unknown_scheme_is_a_config_error(tmp_path):
+    # rk4 was a scheme once; by flag and by config file it is now refused
+    path = os.path.join(tmp_path, "c.json")
+    with open(path, "w") as fh:
+        json.dump({"scheme": "rk4", "t_end": 0.05}, fh)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scheme", "rk4", "--t-end", "0.05", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_simulate_has_no_method_option(tmp_path):

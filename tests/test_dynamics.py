@@ -135,7 +135,7 @@ def test_refinement_invariance_for_embedded_data(grid1_small, grid1):
 
     grid12 = SpectralGrid(1, 12)
     small = random_state(grid1_small, 1, 0.2)
-    cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=2.0)
+    cfg = IntegratorConfig(scheme="saba2", dt=0.01, t_end=2.0)
     rec4 = integrate(KirchhoffDynamics(grid1_small), small, cfg)
     results = {}
     for g in (grid1, grid12):

@@ -9,6 +9,7 @@ from kirchhoff_spectral.normal_form import (
     diag_linear_arrays,
     diagonalized_rhs_arrays,
     energy_derivative_arrays,
+    normal_form_direct_arrays,
     normal_form_rhs,
     normal_form_rhs_arrays,
     offdiag_cubic_arrays,
@@ -133,26 +134,19 @@ class TestNormalFormRhs:
         assert nf.speed_shift == 0.0
 
     def test_parts_sum(self, grid1):
-        pair = _pair(grid1, 9, 0.2)
-        for method in ("structured", "direct"):
-            nf = normal_form_rhs(pair, method=method)
-            for i in range(2):
-                s = (
-                    nf.linear_part[i].coeffs
-                    + nf.cubic_part[i].coeffs
-                    + nf.quintic_part[i].coeffs
-                )
-                assert np.max(np.abs(s - nf.total[i].coeffs)) <= 1e-12
+        nf = normal_form_rhs(_pair(grid1, 9, 0.2))
+        for i in range(2):
+            s = nf.linear_part[i].coeffs + nf.cubic_part[i].coeffs + nf.quintic_part[i].coeffs
+            assert np.max(np.abs(s - nf.total[i].coeffs)) <= 1e-12
 
     def test_direct_vs_structured(self, grid1, grid2):
         for g, seed in ((grid1, 10), (grid2, 11)):
             pair = _pair(g, seed, 0.2)
-            a = normal_form_rhs(pair, method="direct")
-            b = normal_form_rhs(pair, method="structured")
-            den = g.coeff_norm(a.total[0].coeffs, g.m0)
-            num = g.coeff_norm(a.total[0].coeffs - b.total[0].coeffs, g.m0)
-            assert num / den <= 1e-10
-            assert a.speed_shift == pytest.approx(b.speed_shift, rel=1e-12)
+            a = normal_form_direct_arrays(*_arrays(pair))
+            b = normal_form_rhs(pair).total
+            den = g.coeff_norm(a[0], g.m0)
+            for i in range(2):
+                assert g.coeff_norm(a[i] - b[i].coeffs, g.m0) / den <= 1e-10
 
     def test_real_structure(self, grid1):
         pair = _pair(grid1, 12, 0.25)
@@ -169,6 +163,8 @@ class TestNormalFormRhs:
         pair = _pair(grid1, 13, 0.6)
         with pytest.raises(DomainError):
             normal_form_rhs(pair)
+        with pytest.raises(DomainError):
+            normal_form_direct_arrays(*_arrays(pair))
 
     def test_quintic_part_is_quintically_small(self, grid1):
         # ||quintic||_s <= C ||w||_1^2 ||w||_m0^2 ||w||_s with a stable measured C
