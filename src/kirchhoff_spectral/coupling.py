@@ -22,9 +22,11 @@ Operators defined here, each linear in its operand (alpha, beta):
   the state-dependent coefficients along the flow, i.e. (I + jac) is the
   differential of the cubic stage;
 * the class-space solve of (I + jac) x = rhs, the one solve there is, and
-  its oracle: the matrix of (I + jac) assembled pairwise, without the class
-  sums and tables, through which the ``neumann-vs-dense`` suite checks the
-  solve's residual.
+  its oracle: (I + jac) applied pairwise from the grid's mode-by-mode pair
+  tables, without the class sums and tables. The ``neumann-vs-dense`` suite
+  takes the solve's residual through that action, and checks the action
+  once per grid against the matrix of (I + jac) assembled from the same
+  pair tables.
 
 They read the state (w, z) through a :class:`Linearization`, which
 :func:`linearize` builds once per state: the class sums sww, szz of
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .fields import ArrayPair, ComplexField, _same_grid
-from .grid import SpectralGrid, coupling_tables
+from .grid import SpectralGrid
 
 SOLVE_RESIDUAL_TOL = 1e-12
 
@@ -172,18 +174,41 @@ def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair) -> ArrayPair:
     return xa, xb
 
 
+def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: ArrayPair) -> ArrayPair:
+    """(I + jac(w, z)) x from the pair tables, without the matrix: the oracle's action.
+
+    With V = (w w_-, z z_-, w_- x_a, z_- x_b) stacked as n x 4 columns,
+    P = Dp V and Q = Sp V (two real products on the interleaved real and
+    imaginary parts), the action is
+
+        a = x_a + (P0 + Q1) x_b + 2 z (P2 + Q3)
+        b = x_b + (Q0 + P1) x_a + 2 w (Q2 + P3),
+
+    the ``dense_jacobian_matrix`` entries summed over the modes. It reads
+    ``grid.pair_tables()`` and no class sum or class table.
+    """
+    xa, xb = x
+    dp, sp = grid.pair_tables()
+    wn, zn = w[grid.neg_index], z[grid.neg_index]
+    v = np.stack((w * wn, z * zn, wn * xa, zn * xb), axis=1).view(np.float64)
+    p = (dp @ v).view(np.complex128)
+    q = (sp @ v).view(np.complex128)
+    a = xa + (p[:, 0] + q[:, 1]) * xb + 2.0 * z * (p[:, 2] + q[:, 3])
+    b = xb + (q[:, 0] + p[:, 1]) * xa + 2.0 * w * (q[:, 2] + p[:, 3])
+    return a, b
+
+
 def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
-    """Matrix of (I + jac(w, z)) on the doubled coefficient basis: the oracle route.
+    """Matrix of (I + jac(w, z)) on the doubled coefficient basis: the reference
+    that :func:`pairwise_jacobian_action` is checked against.
 
     It reads the ``jac_arrays`` formula entry by entry over the pairs of modes,
-    with the pair tables Dp[j, k] and Sp[j, k] of :func:`coupling_tables` taken
-    from the squared norms of ``grid.modes``: the alpha-alpha block is
-    2 z_k w_{-i} Dp[i, k], and m12 = (w w_-) Dp + (z z_-) Sp adds to the
-    alpha-beta block's diagonal. No class sum or class table is read.
+    with the pair tables Dp[k, j] and Sp[k, j] of ``grid.pair_tables()``: the
+    alpha-alpha block is 2 z_k w_{-i} Dp[k, i], and m12 = Dp (w w_-) + Sp (z z_-)
+    adds to the alpha-beta block's diagonal. No class sum or class table is read.
     """
     n = grid.n_modes
-    j2 = np.sum(grid.modes * grid.modes, axis=1).astype(np.float64)
-    diff, sum_ = coupling_tables(j2[None, :], j2[:, None])  # [k, j]: row k is the image
+    diff, sum_ = grid.pair_tables()
     wn, zn = w[grid.neg_index], z[grid.neg_index]
     mat = np.empty((2 * n, 2 * n), dtype=np.complex128)
     blocks = ((0, 0, diff, wn, z), (0, n, sum_, zn, z), (n, 0, sum_, wn, w), (n, n, diff, zn, w))

@@ -77,6 +77,9 @@ class SpectralGrid:
         between classes (row = class of j, column = class of k); the one
         stored copy of the diff and sum tables, which ``diff_table`` and
         ``sum_table`` read back.
+
+    The mode-by-mode tables of the pairwise oracle are built on demand by
+    :meth:`pair_tables`: they take O(n^2) memory, which no other caller pays.
     """
 
     def __init__(self, d: int, n_cutoff: int, corrupt_diff_sign: bool = False):
@@ -120,6 +123,7 @@ class SpectralGrid:
         self.class_table = stack_tables(-diff if self.corrupt_diff_sign else diff, sum_)
 
         self._weights: dict[float, np.ndarray] = {}
+        self._pair_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -166,6 +170,21 @@ class SpectralGrid:
             w.setflags(write=False)
             self._weights[s] = w
         return w
+
+    def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, n) tables Dp[k, j], Sp[k, j] of :func:`coupling_tables` between
+        the modes (row k is the image), cached and read-only.
+
+        Built on the first call from the integer squared norms alone: they ignore
+        ``corrupt_diff_sign`` and the class table, since the pairwise oracle must
+        not share the class reduction it checks.
+        """
+        if self._pair_tables is None:
+            diff, sum_ = coupling_tables(self.j2f[None, :], self.j2f[:, None])
+            diff.setflags(write=False)
+            sum_.setflags(write=False)
+            self._pair_tables = diff, sum_
+        return self._pair_tables
 
     def class_sums(self, prod: np.ndarray) -> np.ndarray:
         """Sum of a per-mode array over each resonance class, along the last axis."""

@@ -158,6 +158,38 @@ class TestDenseMatrix:
         assert calls == [] and np.array_equal(after, before)
 
 
+class TestPairwiseAction:
+    @staticmethod
+    def _operands(g, seed):
+        w = random_field(g, seed, 0.4, g.m0, "free").coeffs
+        z = np.conj(w[g.neg_index])
+        x = tuple(random_field(g, seed + s, 1.0, 0.0, "free").coeffs for s in (1, 2))
+        return w, z, x
+
+    @pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4), (3, 3)])
+    def test_equals_matrix_product(self, d, n_cutoff):
+        # the same pairwise sums in another order: measured at most 3.5e-16
+        g = SpectralGrid(d, n_cutoff)
+        w, z, x = self._operands(g, 32)
+        action = np.concatenate(coupling.pairwise_jacobian_action(g, w, z, x))
+        product = coupling.dense_jacobian_matrix(g, w, z) @ np.concatenate(x)
+        assert np.max(np.abs(action - product)) <= IDENTITY_TOL
+
+    def test_reads_no_class_structure(self, grid2, monkeypatch):
+        # like the matrix, the action must not share the class reduction it checks
+        g = grid2  # the patches below are undone after the test
+        w, z, x = self._operands(g, 35)
+        before = coupling.pairwise_jacobian_action(g, w, z, x)
+        calls = []
+        monkeypatch.setattr(coupling, "linearize", lambda *args: calls.append("linearize"))
+        monkeypatch.setattr(coupling, "jac_arrays", lambda *args: calls.append("jac"))
+        monkeypatch.setattr(g, "class_sums", lambda *args: calls.append("class_sums"))
+        monkeypatch.setattr(g, "class_table", stack_tables(2.0 * g.diff_table, 1.001 * g.sum_table))
+        after = coupling.pairwise_jacobian_action(g, w, z, x)
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 class TestSolve:
     def test_zero_state_identity(self, grid1):
         z = np.zeros(grid1.n_modes, dtype=complex)
@@ -186,9 +218,9 @@ class TestSolve:
         assert res <= 1e-12
 
     def test_class_vs_dense(self):
-        # d <= 2 against the LAPACK solve; at d=3 N=8 (4,216 unknowns) that
-        # solve costs seconds and hundreds of MB, so the class solve's
-        # residual through the pairwise matrix is checked instead
+        # d <= 2 against the LAPACK solve; at d=3 N=8 (4,216 unknowns) the
+        # matrix alone is 284 MB, so the class solve's residual is taken
+        # through the pairwise action instead
         for d in (1, 2, 3):
             g = SpectralGrid(d, 8)
             w = random_field(g, 22, 0.4, g.m0, "free").coeffs
@@ -204,7 +236,7 @@ class TestSolve:
                     assert np.max(np.abs(a - b)) <= 1e-10
             else:
                 r = np.concatenate(rhs)
-                residual = coupling.dense_jacobian_matrix(g, w, z) @ np.concatenate(xc) - r
+                residual = np.concatenate(coupling.pairwise_jacobian_action(g, w, z, xc)) - r
                 assert np.max(np.abs(residual)) <= IDENTITY_TOL * max(1.0, np.max(np.abs(r)))
 
     def test_large_state_matches_dense(self, grid1):

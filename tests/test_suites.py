@@ -61,7 +61,9 @@ class _ScaledSumTable(SpectralGrid):
 @pytest.mark.parametrize("grid", [(1, 8), (2, 8)])
 def test_neumann_vs_dense_sees_a_sum_table_mutant(grid, monkeypatch):
     # the class solve and its residual guard read the same sum table, so the
-    # solve passes its own check; the pairwise oracle reads no class table
+    # solve passes its own check; the pairwise action and matrix read no class
+    # table, so they still agree with each other and the residual alone fails
     monkeypatch.setattr(suites, "SpectralGrid", _ScaledSumTable)
     result = REGISTRY["neumann-vs-dense"](SuiteConfig(grids=(grid,), samples=3))
     assert not result.passed and result.max_defect > 1e3 * result.bound
+    assert result.details["matrix_vs_action"] <= result.bound

@@ -108,8 +108,32 @@ def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
         for module in (coupling, suites):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((1, 4),), samples=1))
-    assert result.passed and all(calls.values()), calls
+    # the residual goes through the pairwise action; the matrix is assembled
+    # once per grid, to check that action
+    result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((1, 4),), samples=3))
+    assert result.passed
+    assert calls == {"solve_jacobian_arrays": 3, "jac_arrays": 3, "dense_jacobian_matrix": 1}
+
+
+def test_pair_tables_are_built_once_and_not_by_the_constructor(monkeypatch):
+    # at d=3 N=16 the two tables would take 2 x 2.3 GB, which no grid user
+    # but the pairwise oracle may pay for
+    from kirchhoff_spectral import grid as grid_module
+
+    calls = []
+    real = grid_module.coupling_tables
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(grid_module, "coupling_tables", counted)
+    g = grid_module.SpectralGrid(2, 4)
+    assert len(calls) == 1  # the class table
+    first = g.pair_tables()
+    assert len(calls) == 2
+    assert g.pair_tables() is first and len(calls) == 2
+    assert all(t.shape == (g.n_modes, g.n_modes) and not t.flags.writeable for t in first)
 
 
 #: grid.class_sums calls of one structured normal-form field: one for the
