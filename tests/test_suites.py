@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import SpectralGrid, suites
+from kirchhoff_spectral import SpectralGrid, suites, transforms
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
@@ -23,6 +25,67 @@ def test_every_suite_counts_its_samples_and_locates_its_worst_defect(name):
     assert tuple(at["grid"]) in CFG.grids
     assert 0 <= at["sample"] < CFG.samples
     assert at["seed"][0] == CFG.seed and at["seed"][3] == at["sample"]
+    if name == "alternative-mixing-control":
+        return  # a negative control: its defect must exceed its floor
+    # one verdict rule: the headline is a bounded defect, and it decides the verdict
+    assert result.passed == (result.max_defect <= result.bound)
+    bounds = result.details["bounds"]
+    assert any(
+        result.details[defect] == result.max_defect and bound == result.bound
+        for defect, bound in bounds.items()
+    )
+
+
+def _rank_one_factor_mutant(real):
+    return lambda eta, psi: real(eta, psi) * (1 + 1e-9)
+
+
+def _scale_stage_fwd_mutant(real):
+    def stage(direction, pair):
+        out = real(direction, pair)
+        return tuple(f * (1 + 3e-15) for f in out) if direction == "fwd" else out
+
+    return stage
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant, suite, check, defect",
+    [
+        (transforms, "rank_one_factor", _rank_one_factor_mutant,
+         "rank-one-inverse", "_rank_one_defects", "closed_form_residual"),
+        (suites, "scale_stage", _scale_stage_fwd_mutant,
+         "stage-round-trips", "_round_trip_defects", "linear"),
+    ],
+    ids=["rank_one_factor", "scale_stage"],
+)
+def test_a_failing_suite_headlines_its_failing_defect(
+    module, name, mutant, suite, check, defect, monkeypatch
+):
+    # the failing defect has the tightest bound of its suite, so a headline
+    # taken by value alone printed a passing defect on a FAIL line
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    result = REGISTRY[suite](SuiteConfig(grids=((1, 4), (2, 4)), samples=3))
+    assert not result.passed and result.max_defect > result.bound
+    assert result.bound == result.details["bounds"][defect]
+    assert result.max_defect == result.details[defect]
+    # the located sample alone reproduces the failing defect
+    at = result.details["worst_at"]
+    grid = SpectralGrid(*at["grid"])
+    again = getattr(suites, check)(grid, lambda *slot: at["seed"] + list(slot), at["sample"])
+    assert again[defect] == result.max_defect
+
+
+@pytest.mark.parametrize("nan_at", [(2.5,), suites.CANCELLATION_S], ids=["one-s", "every-s"])
+def test_a_nan_defect_fails_its_suite(nan_at, monkeypatch):
+    real = suites.energy_derivative_arrays
+
+    def rate(grid, w, field_first, s):
+        return math.nan if s in nan_at else real(grid, w, field_first, s)
+
+    monkeypatch.setattr(suites, "energy_derivative_arrays", rate)
+    result = REGISTRY["cubic-energy-cancellation"](SuiteConfig(grids=((1, 4),), samples=3))
+    assert not result.passed and math.isnan(result.max_defect)
+    assert result.details["worst_at"]["sample"] == 0
 
 
 def test_a_sampled_suite_without_samples_is_a_parameter_error():
