@@ -42,7 +42,7 @@ from .fields import ConjugatePair, RealPair, field_from_dict, random_field
 from .grid import SpectralGrid
 from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
 from .kirchhoff import hamiltonian, momenta, random_state
-from .suites import REGISTRY, SuiteConfig, measure_quartic_constant, run_suites
+from .suites import REGISTRY, SuiteConfig, _worst, measure_quartic_constant, run_suites
 from .transforms import change_of_variables
 
 SCHEMA_VERSION = 1
@@ -311,7 +311,8 @@ SIMULATE_OPTIONS = (
     Option("track_modes", [], _list(_list(_int(), min_len=1)),
            "modes j:k:... with per-mode momentum channels (original representation)"),
     Option("initial_file", "", _str()),
-    Option("ball_threshold", 0.0, _NONNEGATIVE, "stop above this ball norm; 0 disables"),
+    Option("ball_threshold", 0.0, _NONNEGATIVE, "stop above this ball norm (||w||_m0, or "
+           "||u||_{m0+1/2} + ||v||_{m0-1/2} for original); 0 disables"),
     _OUT,
 )
 SIMULATE_DEFAULTS, SIMULATE_SCHEMA = _tables(SIMULATE_OPTIONS)
@@ -377,7 +378,7 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
 
             monitors["speed_shift"] = lambda t, st: _field(st).speed_shift
             monitors["energy_derivative_m0"] = lambda t, st: energy_derivative_arrays(
-                grid, st.w.coeffs, _field(st).total[0].coeffs, m0
+                grid, st.w.coeffs, _field(st).total[0], m0
             )
     return monitors
 
@@ -485,14 +486,14 @@ def conjugacy_defect(
     rec_w = integrate(make_dynamics("normal_form", grid), w0, icfg, t_eval=ts)
     if rec_uv.exit_reason != "completed" or rec_w.exit_reason != "completed":
         return {"status": "inconclusive", "reason": f"{rec_uv.exit_reason}/{rec_w.exit_reason}"}
-    defect = 0.0
+    defects = []
     for st_uv, st_w in zip(rec_uv.states, rec_w.states):
         try:
             w_from_uv = change_of_variables("inv", st_uv)
         except DomainError as exc:
             return {"status": "inconclusive", "reason": f"transform ball exit: {exc}"}
-        diff = w_from_uv.w.coeffs - st_w.w.coeffs
-        defect = max(defect, grid.coeff_norm(diff, m0))
+        defects.append(grid.coeff_norm(w_from_uv.w.coeffs - st_w.w.coeffs, m0))
+    defect = _worst(defects)
     n_steps, n_rhs = rec_uv.n_steps + rec_w.n_steps, rec_uv.n_rhs + rec_w.n_rhs
     return {"status": "ok", "defect": defect, "n_steps": n_steps, "n_rhs": n_rhs}
 
@@ -692,7 +693,7 @@ def cmd_sweep(cfg: dict) -> int:
                     grid, cfg["w0_scale"] * eps, cfg["seed"] + 991 + i, t_end=10.0
                 )
             )
-        c_star = max(c["c_star_m0"] for c in consts) if consts else float("nan")
+        c_star = _worst([c["c_star_m0"] for c in consts])
         from .transforms import equivalence_ratios
 
         eq = [
@@ -704,7 +705,7 @@ def cmd_sweep(cfg: dict) -> int:
             )
             for i, e in enumerate(sorted(set(cfg["eps_list"]), reverse=True))
         ]
-        c0_emp = max(max(r["uv_over_w"], r["w_over_uv"]) for r in eq) if eq else float("nan")
+        c0_emp = _worst([[r["uv_over_w"], r["w_over_uv"]] for r in eq])
         report["constants"] = {
             "quartic_per_eps": consts,
             "c_star_empirical": c_star,

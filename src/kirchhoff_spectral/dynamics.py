@@ -97,8 +97,11 @@ class KirchhoffDynamics:
             return y, 0.0
         return np.concatenate([0.5 * (u + u_m), 0.5 * (v + v_m)]), defect
 
-    def ball_value(self, y: np.ndarray) -> float | None:
-        return None
+    def ball_value(self, y: np.ndarray) -> float:
+        """||u||_{m0+1/2} + ||v||_{m0-1/2}, the norm whose ball the inverse
+        change of variables requires."""
+        n, g = self._n, self.grid
+        return g.coeff_norm(y[:n], g.m0 + 0.5) + g.coeff_norm(y[n:], g.m0 - 0.5)
 
 
 def reversibility_defect(state: RealPair) -> float:

@@ -18,8 +18,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to converge: the Newton solve of phi_inv or the
-    fixed-point inverse of the cubic stage."""
+    """An iteration failed to converge: the fixed-point inverse of the cubic stage."""
 
 
 class NumericalError(RuntimeError):

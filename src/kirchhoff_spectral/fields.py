@@ -41,20 +41,6 @@ class ComplexField:
             )
         object.__setattr__(self, "coeffs", c)
 
-    # small vector-space conveniences used by the transform stages
-    def __add__(self, other: "ComplexField") -> "ComplexField":
-        _same_grid(self, other)
-        return ComplexField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ComplexField") -> "ComplexField":
-        _same_grid(self, other)
-        return ComplexField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "ComplexField":
-        return ComplexField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
     def norm(self, s: float) -> float:
         return sobolev_norm(self, s)
 

@@ -310,8 +310,7 @@ class _Run:
     def outside_ball(self) -> bool:
         if self.config.ball_threshold is None:
             return False
-        bv = self.evaluator.ball_value(self.y)
-        return bv is not None and bv > self.config.ball_threshold
+        return self.evaluator.ball_value(self.y) > self.config.ball_threshold
 
     def stopped_by(self, exc: Exception) -> str:
         self.notes["error"] = f"{type(exc).__name__}: {exc}"

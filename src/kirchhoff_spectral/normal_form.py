@@ -2,14 +2,16 @@
 
 After the diag stage the dynamics of a conjugate pair (a, b) is
 
-    da/dt = -i sqrt(1+2P) Lambda a + i (<Lb,Lb> - <La,La>) / (4(1+2P)) * b
+    da/dt = -i sigma Lambda a + i (<Lb,Lb> - <La,La>) / (4 sigma^2) * b
     db/dt = the conjugate equation,
 
-which splits into four parts: the linear diagonal rotation, its scalar tail
-(sqrt(1+2P) - 1 times the rotation), the cubic off-diagonal term, and a
-quintic-order off-diagonal remainder. The cubic stage then conjugates this
-field to the normal-form field, available in two algebraically equivalent
-evaluations:
+with the wave speed sigma = sqrt(1+2P). One helper, :func:`_diag_scalars`,
+reads P, sigma and the off-diagonal coefficient off a conjugate pair for every
+field below. The field splits into four parts: the linear diagonal rotation,
+its scalar tail (sigma - 1 times the rotation), the cubic off-diagonal term,
+and a quintic-order off-diagonal remainder. The cubic stage then conjugates
+this field to the normal-form field, available in two algebraically
+equivalent evaluations:
 
 * direct:     (I + jac)^{-1} applied to the diagonalized field at the
               cubic-stage image of (w, z), :func:`normal_form_direct_arrays`;
@@ -30,7 +32,6 @@ normal-form flow quartically small.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_array
 from .errors import DomainError
 from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
-from .transforms import _q_value_arrays, phi_inv
+from .transforms import _q_value_arrays, wave_speed
 
 #: operational ball of the normal-form field: a state with ||w||_m0 at or
 #: above it is rejected with DomainError before (I + jac) is solved
@@ -54,31 +55,28 @@ def diag_linear_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> Arra
     return -1j * grid.absj * a, 1j * grid.absj * b
 
 
-def _offdiag_scalar(grid, a, b) -> complex:
-    """<Lb, Lb> - <La, La>, where <La, Lb> = sum |j|^2 a_j b_{-j}; purely imaginary
-    on conjugate pairs."""
-    return grid.pairing(b, b, grid.j2f) - grid.pairing(a, a, grid.j2f)
-
-
-def _offdiag_scalar_conj(grid, a) -> complex:
-    """The same scalar on a conjugate pair (b = conj of a), where
-    <Lb, Lb> = conj(<La, La>) exactly: one pairing, exactly imaginary result."""
-    return -2j * grid.pairing(a, a, grid.j2f).imag
+def _diag_scalars(grid, a, b) -> tuple[float, float, float]:
+    """P, the wave speed sigma = sqrt(1+2P) and the off-diagonal coefficient
+    s = (i/4)(<Lb,Lb> - <La,La>) / sigma^2 of the diagonalized field at the
+    conjugate pair (a, b), where <La, Lb> = sum |j|^2 a_j b_{-j}. There
+    <Lb,Lb> = conj <La,La>, so s is real and takes one pairing."""
+    q = _q_value_arrays(grid, a, b)  # also rejects non-conjugate pairs
+    sigma = wave_speed(q)
+    s = 0.5 * grid.pairing(a, a, grid.j2f).imag / (sigma * sigma)
+    return q / sigma, sigma, s
 
 
 def offdiag_cubic_arrays(lin: Linearization) -> ArrayPair:
     """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) (b, a) at the state
     (a, b) of ``lin``. Valid on any pair."""
-    a, b = lin.w, lin.z
-    s = 0.25j * _offdiag_scalar(lin.grid, a, b)
+    grid, a, b = lin.grid, lin.w, lin.z
+    s = 0.25j * (grid.pairing(b, b, grid.j2f) - grid.pairing(a, a, grid.j2f))
     return s * b, s * a
 
 
 def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
-    p = phi_inv(_q_value_arrays(grid, a, b))  # also rejects non-conjugate pairs
-    sq = math.sqrt(1.0 + 2.0 * p)
-    s = 0.25j * _offdiag_scalar_conj(grid, a) / (1.0 + 2.0 * p)
-    return (-1j * sq) * (grid.absj * a) + s * b, (1j * sq) * (grid.absj * b) + s * a
+    _, sigma, s = _diag_scalars(grid, a, b)
+    return (-1j * sigma) * (grid.absj * a) + s * b, (1j * sigma) * (grid.absj * b) + s * a
 
 
 def resonant_cubic_arrays(lin: Linearization) -> ArrayPair:
@@ -105,20 +103,19 @@ class RhsParts:
 def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     g = pair.grid
     a, b = pair.w.coeffs, pair.z.coeffs
-    p = phi_inv(_q_value_arrays(g, a, b))
+    p, sigma, _ = _diag_scalars(g, a, b)
     d1 = diag_linear_arrays(g, a, b)
-    tail_factor = math.sqrt(1.0 + 2.0 * p) - 1.0
-    # shared by the cubic and quintic off-diagonal parts; exactly imaginary
-    scal = _offdiag_scalar_conj(g, a)
-    b3 = (0.25j * scal) * b, (0.25j * scal) * a
-    r5_factor = -0.5j * p / (1.0 + 2.0 * p) * scal
-    r5 = r5_factor * b, r5_factor * a
+    tail_factor = 2.0 * p / (1.0 + sigma)  # sigma - 1, without the cancellation
+    # the cubic coefficient from a pairing of its own, so that the split also
+    # checks the field's coefficient s = cubic / sigma^2 = cubic + tail
+    cubic = 0.5 * g.pairing(a, a, g.j2f).imag
+    tail = -2.0 * p / (sigma * sigma) * cubic
 
     return RhsParts(
         diag_linear=field_pair(g, d1),
         diag_tail=field_pair(g, (tail_factor * d1[0], tail_factor * d1[1])),
-        offdiag_cubic=field_pair(g, b3),
-        offdiag_tail=field_pair(g, r5),
+        offdiag_cubic=field_pair(g, (cubic * b, cubic * a)),
+        offdiag_tail=field_pair(g, (tail * b, tail * a)),
         p_value=p,
     )
 
@@ -130,41 +127,52 @@ def _check_ball(grid, w) -> None:
         )
 
 
-def _normal_form_parts(grid, w, z) -> dict:
+@dataclass(frozen=True)
+class NormalFormRhs:
+    """The normal-form field at one state as coefficient-array pairs, split
+    as total = linear + cubic + quintic, where linear is the rotation scaled
+    by the wave speed 1 + speed_shift."""
+
+    total: ArrayPair
+    linear: ArrayPair
+    cubic: ArrayPair
+    quintic: ArrayPair
+    speed_shift: float
+
+
+def _normal_form_parts(grid, w, z) -> NormalFormRhs:
     _check_ball(grid, w)
     lin = linearize(grid, w, z)  # mix, the cubic terms and the solve all read it
     ma, mb = mix_arrays(lin, w, z)
     eta, psi = w + ma, z + mb
-    p4 = phi_inv(_q_value_arrays(grid, eta, psi))
-    speed_shift = math.sqrt(1.0 + 2.0 * p4) - 1.0
+    # the diagonalized field's scalars at the transformed pair
+    p, sigma, s = _diag_scalars(grid, eta, psi)
 
     d1 = diag_linear_arrays(grid, w, z)
-    linear = (1.0 + speed_shift) * d1[0], (1.0 + speed_shift) * d1[1]
+    linear = sigma * d1[0], sigma * d1[1]
     cubic = resonant_cubic_arrays(lin)
 
-    # the full off-diagonal term at the transformed pair, cubic plus quintic tail
-    s_phi = 0.25j * _offdiag_scalar(grid, eta, psi) / (1.0 + 2.0 * p4)
     b3a, b3b = offdiag_cubic_arrays(lin)
-    # with s = b3 - cubic, jac (I+jac)^{-1} s = s - (I+jac)^{-1} s; the
-    # solve is linear, so that term, scaled by the speed shift, and the
-    # off-diagonal term take one solve together
+    # with r = b3 - cubic, jac (I+jac)^{-1} r = r - (I+jac)^{-1} r; the
+    # solve is linear, so that term, scaled by the wave speed, and the full
+    # off-diagonal term s (psi, eta) take one solve together
     xa, xb = solve_jacobian_arrays(lin, (
-        s_phi * psi - (1.0 + speed_shift) * (b3a - cubic[0]),
-        s_phi * eta - (1.0 + speed_shift) * (b3b - cubic[1]),
+        s * psi - sigma * (b3a - cubic[0]),
+        s * eta - sigma * (b3b - cubic[1]),
     ))
-    return {
-        "total": (linear[0] + xa, linear[1] + xb),
-        "linear": linear,
-        "cubic": cubic,
-        "quintic": (xa - cubic[0], xb - cubic[1]),
-        "speed_shift": speed_shift,
-    }
+    return NormalFormRhs(
+        total=(linear[0] + xa, linear[1] + xb),
+        linear=linear,
+        cubic=cubic,
+        quintic=(xa - cubic[0], xb - cubic[1]),
+        speed_shift=2.0 * p / (1.0 + sigma),  # sigma - 1, without the cancellation
+    )
 
 
 def normal_form_rhs_arrays(grid, w, z) -> ArrayPair:
     """The normal-form field at (w, z) in its structured evaluation, the one
     every flow integrates."""
-    return _normal_form_parts(grid, w, z)["total"]
+    return _normal_form_parts(grid, w, z).total
 
 
 def normal_form_direct_arrays(grid, w, z) -> ArrayPair:
@@ -182,29 +190,6 @@ def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> floa
     return 2.0 * float(np.real(np.dot(grid.weight(s) * field_first, np.conj(w))))
 
 
-# -- field layer ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalFormRhs:
-    """Normal-form field split as (1 + speed_shift) * linear + cubic + quintic."""
-
-    total: FieldPair
-    linear_part: FieldPair
-    cubic_part: FieldPair
-    quintic_part: FieldPair
-    speed_shift: float
-
-
 def normal_form_rhs(pair: ConjugatePair) -> NormalFormRhs:
-    g = pair.grid
-    parts = _normal_form_parts(g, pair.w.coeffs, pair.z.coeffs)
-
-    return NormalFormRhs(
-        total=field_pair(g, parts["total"]),
-        linear_part=field_pair(g, parts["linear"]),
-        cubic_part=field_pair(g, parts["cubic"]),
-        quintic_part=field_pair(g, parts["quintic"]),
-        speed_shift=parts["speed_shift"],
-    )
-
+    """The normal-form field at a conjugate pair, with its parts."""
+    return _normal_form_parts(pair.grid, pair.w.coeffs, pair.z.coeffs)

@@ -12,9 +12,10 @@ The composed map sends a conjugate pair (w, conj w) to a physical state
   the two components of the wave system.
 
 Scalar maps: rho(x) = -x / (1 + x + sqrt(1+2x)) is the mixing ratio of the
-diagonalization, and phi_inv is the inverse of x -> x sqrt(1+2x), computed by
-Newton iteration on the squared form 2x^3 + x^2 - y^2 (monotone convex for
-x >= 0, so the iteration from x0 = y converges unconditionally).
+diagonalization. The wave speed sigma = sqrt(1 + 2P), where P sqrt(1 + 2P) = Q,
+is the root >= 1 of the cubic sigma^3 - sigma - 2Q, which :func:`wave_speed`
+takes in Viete's closed form; phi_inv, the inverse of x -> x sqrt(1+2x), is
+then Q / sigma.
 """
 
 from __future__ import annotations
@@ -57,21 +58,26 @@ def rho(x: float) -> float:
     return -x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
 
 
-def phi_inv(y: float, tol: float = 1e-15, max_iter: int = 100) -> float:
-    """Inverse of x -> x sqrt(1+2x) on [0, inf), by Newton on 2x^3 + x^2 - y^2."""
-    if y < 0:
-        raise DomainError(f"phi_inv is defined for y >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    x = y
-    for _ in range(max_iter):
-        r = 2.0 * x ** 3 + x ** 2 - y * y
-        dr = 6.0 * x ** 2 + 2.0 * x
-        dx = r / dr
-        x -= dx
-        if abs(dx) <= tol * max(1.0, x):
-            return max(x, 0.0)
-    raise ConvergenceError(f"phi_inv Newton iteration did not converge for y={y}")
+def wave_speed(q: float) -> float:
+    """The root >= 1 of s^3 - s - 2q, which is sqrt(1 + 2P) at Q = q.
+
+    Viete's form of the cubic's largest root (Nickalls, Math. Gazette 77,
+    1993): trigonometric while the cubic has three real roots (3 sqrt3 q <= 1),
+    hyperbolic above; both are well conditioned at the switch.
+    """
+    if q < 0:
+        raise DomainError(f"wave_speed is defined for q >= 0, got {q}")
+    if q == 0.0:
+        return 1.0
+    c = 3.0 * math.sqrt(3.0) * q
+    if c <= 1.0:
+        return 2.0 / math.sqrt(3.0) * math.cos(math.acos(c) / 3.0)
+    return 2.0 / math.sqrt(3.0) * math.cosh(math.acosh(c) / 3.0)
+
+
+def phi_inv(y: float) -> float:
+    """Inverse of x -> x sqrt(1+2x) on [0, inf): y / sqrt(1 + 2x) = y / wave_speed(y)."""
+    return y / wave_speed(y)
 
 
 def _q_value_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -271,9 +277,10 @@ def change_of_variables(
     return ConjugatePair(w)
 
 
-def equivalence_ratios(state: ConjugatePair, s: float, ball_radius: float | None = None) -> dict:
-    """Measured two-sided norm-equivalence constants of the composition at one state."""
-    uv = change_of_variables("fwd", state, ball_radius=ball_radius)
+def equivalence_ratios(state: ConjugatePair, s: float) -> dict:
+    """Measured two-sided norm-equivalence constants of the composition at one
+    state, with the ball precondition off."""
+    uv = change_of_variables("fwd", state, ball_radius=None)
     w_norm = state.w.norm(s)
     uv_norm = uv.norm(s)
     return {

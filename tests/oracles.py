@@ -20,7 +20,13 @@ The test-only fields and helpers live here too, since the package itself
 has no use for them: the complexified system and the linear rotation as
 integrable evaluators, a unit-mode field, and the embedding of a field into
 a finer grid.
+
+The wave speed's reference is Newton's iteration on its cubic in 60-digit
+decimal arithmetic, where the package takes the cubic's closed-form root in
+floating point.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,6 +37,24 @@ from kirchhoff_spectral.coupling import jac_arrays, linearize
 from kirchhoff_spectral.dynamics import _ConjugateDynamics
 from kirchhoff_spectral.errors import NumericalError
 from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
+
+
+def wave_speed_minus_one(q: float) -> Decimal:
+    """sigma - 1 for the root sigma >= 1 of sigma^3 - sigma - 2q, to 50 digits.
+
+    In terms of t = sigma - 1 the cubic is t^3 + 3t^2 + 2t - 2q, which has no
+    cancellation at small q; Newton from t = q (above the root) decreases
+    monotonically to it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q = Decimal(q)
+        t = q
+        for _ in range(500):
+            step = (((t + 3) * t + 2) * t - 2 * q) / ((3 * t + 6) * t + 2)
+            t -= step
+            if abs(step) <= abs(t) * Decimal(10) ** -55:
+                return +t
+    raise AssertionError(f"reference Newton did not converge for q={q}")
 
 
 def single_mode_oracle(j_sq: int, x0: complex, v0: complex, t_eval):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -22,6 +23,7 @@ from kirchhoff_spectral.cli import (
 )
 from kirchhoff_spectral.dynamics import NormalFormDynamics
 from kirchhoff_spectral.errors import ConfigError, DomainError
+from kirchhoff_spectral.fields import ComplexField, ConjugatePair, random_field
 from kirchhoff_spectral.grid import SpectralGrid
 from kirchhoff_spectral.integrate import SCHEMES, IntegratorConfig
 
@@ -249,7 +251,7 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     rhs = real(state)
     assert monitors["speed_shift"](0.0, state) == rhs.speed_shift
     assert monitors["energy_derivative_m0"](0.0, state) == nf.energy_derivative_arrays(
-        grid, state.w.coeffs, rhs.total[0].coeffs, grid.m0
+        grid, state.w.coeffs, rhs.total[0], grid.m0
     )
 
 
@@ -379,6 +381,76 @@ def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path):
     with open(os.path.join(out, "conjugacy_report.json")) as fh:
         rep = json.load(fh)
     assert rep["status"] == "inconclusive"
+
+
+def _nan_inverse_at(call, monkeypatch):
+    """cli's inverse transform, with the w of its ``call``-th result NaN."""
+    real = cli.change_of_variables
+    calls = []
+
+    def inverse(direction, state):
+        out = real(direction, state)
+        if direction == "inv":
+            calls.append(state)
+            if len(calls) == call:
+                return ConjugatePair(ComplexField(out.grid, np.full_like(out.w.coeffs, np.nan)))
+        return out
+
+    monkeypatch.setattr(cli, "change_of_variables", inverse)
+
+
+def test_conjugacy_defect_keeps_a_nan_sample(tmp_path, monkeypatch):
+    grid = SpectralGrid(1, 4)
+    w0 = ConjugatePair(random_field(grid, 3, 0.05, grid.m0, "free"))
+    _nan_inverse_at(3, monkeypatch)
+    res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=4, rel_tol=1e-10)
+    assert res["status"] == "ok" and np.isnan(res["defect"])
+
+    out = os.path.join(tmp_path, "c")
+    monkeypatch.undo()
+    _nan_inverse_at(3, monkeypatch)
+    code = main(["conjugacy", "--n-modes", "4", "--t-end", "0.2", "--n-samples", "4",
+                 "--levels", "1", "--out", out])
+    assert code == EXIT_FAIL
+    with open(os.path.join(out, "conjugacy_report.json")) as fh:
+        assert json.load(fh)["pass"] is False
+
+
+def test_sweep_constants_keep_a_nan(tmp_path, monkeypatch):
+    # C* and C0 are suprema over the amplitudes; a NaN at the second one stays
+    from kirchhoff_spectral import transforms
+
+    def constant(grid, eps, seed, t_end):
+        return {"eps": eps, "c_star_m0": math.nan if eps < 0.03 else 0.3}
+
+    real = transforms.equivalence_ratios
+    ratios = []
+
+    def equivalence(state, s):
+        ratios.append(real(state, s))
+        return dict(ratios[-1], w_over_uv=math.nan) if len(ratios) == 2 else ratios[-1]
+
+    monkeypatch.setattr(cli, "measure_quartic_constant", constant)
+    monkeypatch.setattr(transforms, "equivalence_ratios", equivalence)
+    out = os.path.join(tmp_path, "s")
+    main(["sweep", "--eps-list", "0.2,0.1", "--t-cap", "0.1", "--n-samples", "2",
+          "--workers", "1", "--out", out])
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        constants = json.load(fh)["constants"]
+    assert math.isnan(constants["c_star_empirical"])
+    assert math.isnan(constants["c0_empirical"])
+    assert constants["c1_implied"] is None
+
+
+def test_simulate_ball_threshold_stops_the_original_flow(tmp_path):
+    # the physical pair's ball norm is the one the inverse transform checks
+    out = os.path.join(tmp_path, "s")
+    code = main(["simulate", "--representation", "original", "--eps", "0.1", "--t-end", "1",
+                 "--ball-threshold", "1e-6", "--out", out])
+    assert code == EXIT_PASS
+    with open(os.path.join(out, "simulate_summary.json")) as fh:
+        rep = json.load(fh)
+    assert rep["exit_reason"] == "ball_exit" and rep["exit_time"] < 1.0
 
 
 def test_simulate_tracked_mode_momentum_channels(tmp_path):

@@ -1,9 +1,11 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from kirchhoff_spectral import ComplexField, ConjugatePair, DomainError, random_field
 from kirchhoff_spectral.coupling import jac_arrays, linearize, mix_arrays
-from kirchhoff_spectral.fields import conjugate_defect, hermitian_project
+from kirchhoff_spectral.fields import conjugate_defect, field_pair, hermitian_project
 from kirchhoff_spectral.normal_form import (
     decompose_rhs,
     diag_linear_arrays,
@@ -15,6 +17,8 @@ from kirchhoff_spectral.normal_form import (
     offdiag_cubic_arrays,
     resonant_cubic_arrays,
 )
+from kirchhoff_spectral.transforms import cubic_stage, q_value
+from oracles import wave_speed_minus_one
 
 
 def _pair(grid, seed, norm):
@@ -124,20 +128,20 @@ def test_energy_cancellation(grid1):
         assert abs(energy_derivative_arrays(grid1, w, x3[0], s)) <= 1e-13
     nf = normal_form_rhs(pair)
     for s in (1.0, 2.5):
-        assert abs(energy_derivative_arrays(grid1, w, nf.linear_part[0].coeffs, s)) <= 1e-13
+        assert abs(energy_derivative_arrays(grid1, w, nf.linear[0], s)) <= 1e-13
 
 
 class TestNormalFormRhs:
     def test_zero(self, grid1):
         nf = normal_form_rhs(ConjugatePair(ComplexField.zero(grid1)))
-        assert np.all(nf.total[0].coeffs == 0.0)
+        assert np.all(nf.total[0] == 0.0)
         assert nf.speed_shift == 0.0
 
     def test_parts_sum(self, grid1):
         nf = normal_form_rhs(_pair(grid1, 9, 0.2))
         for i in range(2):
-            s = nf.linear_part[i].coeffs + nf.cubic_part[i].coeffs + nf.quintic_part[i].coeffs
-            assert np.max(np.abs(s - nf.total[i].coeffs)) <= 1e-12
+            s = nf.linear[i] + nf.cubic[i] + nf.quintic[i]
+            assert np.max(np.abs(s - nf.total[i])) <= 1e-12
 
     def test_direct_vs_structured(self, grid1, grid2):
         for g, seed in ((grid1, 10), (grid2, 11)):
@@ -146,18 +150,28 @@ class TestNormalFormRhs:
             b = normal_form_rhs(pair).total
             den = g.coeff_norm(a[0], g.m0)
             for i in range(2):
-                assert g.coeff_norm(a[i] - b[i].coeffs, g.m0) / den <= 1e-10
+                assert g.coeff_norm(a[i] - b[i], g.m0) / den <= 1e-10
 
     def test_real_structure(self, grid1):
         pair = _pair(grid1, 12, 0.25)
         nf = normal_form_rhs(pair)
-        assert conjugate_defect(nf.total[0], nf.total[1]) <= 1e-14
+        assert conjugate_defect(*field_pair(grid1, nf.total)) <= 1e-14
 
     def test_speed_shift_nonnegative(self, grid1):
         for seed in range(10):
             pair = _pair(grid1, 100 + seed, 0.3)
             nf = normal_form_rhs(pair)
             assert nf.speed_shift >= 0.0
+
+    def test_speed_shift_is_accurate_at_small_amplitude(self, grid1):
+        # sigma - 1 with sigma = sqrt(1 + 2P) loses every digit of P that
+        # falls below one ulp of 1; at ||w||_m0 = 1e-5 the shift is ~1e-10
+        pair = _pair(grid1, 5, 1e-5)
+        eta, psi = cubic_stage("fwd", (pair.w, pair.z))
+        reference = wave_speed_minus_one(q_value(eta, psi))
+        shift = normal_form_rhs(pair).speed_shift
+        assert 0.0 < shift < 1e-9
+        assert abs(Decimal(shift) - reference) <= Decimal(1e-13) * reference
 
     def test_ball_check(self, grid1):
         pair = _pair(grid1, 13, 0.6)
@@ -175,7 +189,7 @@ class TestNormalFormRhs:
             w = pair.w
             s = grid1.m0 + 1.0
             den = w.norm(1.0) ** 2 * w.norm(grid1.m0) ** 2 * w.norm(s)
-            ratios.append(nf.quintic_part[0].norm(s) / den)
+            ratios.append(grid1.coeff_norm(nf.quintic[0], s) / den)
         assert max(ratios) < 50.0  # finite, O(1) constant
         assert max(ratios) / min(ratios) < 20.0
 
@@ -220,6 +234,6 @@ def test_energy_derivative_arrays_consistent(grid1):
     pair = _pair(grid1, 20, 0.2)
     nf = normal_form_rhs(pair)
     w = pair.w.coeffs
-    ed1 = energy_derivative_arrays(grid1, w, nf.total[0].coeffs, 1.0)
+    ed1 = energy_derivative_arrays(grid1, w, nf.total[0], 1.0)
     ed2 = energy_derivative_arrays(grid1, w, normal_form_rhs_arrays(*_arrays(pair))[0], 1.0)
     assert ed1 == ed2

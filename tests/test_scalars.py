@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from kirchhoff_spectral import ComplexField, DomainError, random_field
 from kirchhoff_spectral.fields import ConjugatePair, conj_function
-from kirchhoff_spectral.transforms import p_value, phi_inv, q_value, rho
+from kirchhoff_spectral.transforms import p_value, phi_inv, q_value, rho, wave_speed
+from oracles import wave_speed_minus_one
 
 
 def test_rho_values():
@@ -28,6 +30,28 @@ def test_rho_range_and_identity(x):
     r = rho(x)
     assert -1.0 < r <= 0.0
     assert abs((1 - r) / (1 + r) - math.sqrt(1 + 2 * x)) <= 1e-12 * max(1.0, math.sqrt(1 + 2 * x))
+
+
+def test_wave_speed_values():
+    assert wave_speed(0.0) == 1.0
+    assert wave_speed(3.0) == pytest.approx(2.0, rel=1e-15)  # 8 - 2 = 2 * 3
+    with pytest.raises(DomainError):
+        wave_speed(-1e-300)
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 0.0, 1e-12])
+def test_wave_speed_branches_meet_at_the_double_root(offset):
+    # 3 sqrt3 q = 1 is where the trigonometric branch hands over to the
+    # hyperbolic one; on both sides the root is the reference's to a few ulps
+    q = (1.0 + offset) / (3.0 * math.sqrt(3.0))
+    sigma = wave_speed(q)
+    assert abs(sigma - (1 + float(wave_speed_minus_one(q)))) <= 4 * math.ulp(sigma)
+
+
+@pytest.mark.parametrize("q", [1e-15, 1e-9, 1e-4, 0.05, 0.2, 1.0, 30.0, 1e4, 1e8])
+def test_phi_inv_against_the_reference_root(q):
+    p = Decimal(q) / (1 + wave_speed_minus_one(q))
+    assert abs(phi_inv(q) - float(p)) <= 4e-15 * float(p)
 
 
 def test_phi_inv_values():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import SpectralGrid, suites, transforms
+from kirchhoff_spectral import ComplexField, SpectralGrid, suites, transforms
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
@@ -43,7 +43,9 @@ def _rank_one_factor_mutant(real):
 def _scale_stage_fwd_mutant(real):
     def stage(direction, pair):
         out = real(direction, pair)
-        return tuple(f * (1 + 3e-15) for f in out) if direction == "fwd" else out
+        if direction != "fwd":
+            return out
+        return tuple(ComplexField(f.grid, f.coeffs * (1 + 3e-15)) for f in out)
 
     return stage
 
@@ -86,6 +88,22 @@ def test_a_nan_defect_fails_its_suite(nan_at, monkeypatch):
     result = REGISTRY["cubic-energy-cancellation"](SuiteConfig(grids=((1, 4),), samples=3))
     assert not result.passed and math.isnan(result.max_defect)
     assert result.details["worst_at"]["sample"] == 0
+
+
+@pytest.mark.parametrize("nan_call, key", [(3, "c_star_m0"), (4, "c_star_s")])
+def test_a_nan_rate_reaches_the_quartic_constant(nan_call, key, monkeypatch):
+    # each probe takes the m0 rate, then the s rate; a NaN that is not the
+    # first ratio must not be dropped from the supremum
+    real = suites.energy_derivative_arrays
+    calls = []
+
+    def rate(*args):
+        calls.append(args)
+        return math.nan if len(calls) == nan_call else real(*args)
+
+    monkeypatch.setattr(suites, "energy_derivative_arrays", rate)
+    res = measure_quartic_constant(SpectralGrid(1, 4), 0.1, seed=3, t_end=0.5)
+    assert math.isnan(res[key])
 
 
 def test_a_sampled_suite_without_samples_is_a_parameter_error():

@@ -141,6 +141,11 @@ def test_pair_tables_are_built_once_and_not_by_the_constructor(monkeypatch):
 #: guard
 CLASS_SUMS_PER_FIELD = 4
 
+#: grid.pairing calls of one structured normal-form field: Q and the
+#: off-diagonal coefficient of the transformed pair (one each), and the two
+#: squared pairings of the cubic off-diagonal part
+PAIRINGS_PER_FIELD = 4
+
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
@@ -152,7 +157,9 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
     grid = SpectralGrid(d, 8)
     w = random_field(grid, 5, 0.05, grid.m0, "free").coeffs
     z = np.conj(w[grid.neg_index])
-    calls = dict.fromkeys(("linearize", "solve_jacobian_arrays", "jac_arrays", "class_sums"), 0)
+    calls = dict.fromkeys(
+        ("linearize", "solve_jacobian_arrays", "jac_arrays", "class_sums", "pairing"), 0
+    )
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -167,6 +174,8 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(grid, "class_sums", counted("class_sums", grid.class_sums))
+    monkeypatch.setattr(grid, "pairing", counted("pairing", grid.pairing))
     normal_form.normal_form_rhs_arrays(grid, w, z)
     assert calls.pop("class_sums") <= CLASS_SUMS_PER_FIELD
+    assert calls.pop("pairing") == PAIRINGS_PER_FIELD
     assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1}
