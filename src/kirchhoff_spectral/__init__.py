@@ -1,7 +1,6 @@
 """Spectral simulator and verification workbench for the Kirchhoff equation on the d-torus."""
 
 from .errors import (
-    BlowupError,
     ConfigError,
     ConvergenceError,
     DomainError,
@@ -28,7 +27,6 @@ from .grid import DEFAULT_BALL_RADIUS, SpectralGrid, regularity_threshold
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError",
     "ComplexField",
     "ConfigError",
     "ConjugatePair",

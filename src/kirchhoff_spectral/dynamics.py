@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fields import ComplexField, ConjugatePair, RealPair
+from .fields import ComplexField, ConjugatePair, RealPair, pair_norm
 from .grid import SpectralGrid
 from .kirchhoff import gradient_energy, involution
 from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
@@ -100,8 +100,8 @@ class KirchhoffDynamics:
     def ball_value(self, y: np.ndarray) -> float:
         """||u||_{m0+1/2} + ||v||_{m0-1/2}, the norm whose ball the inverse
         change of variables requires."""
-        n, g = self._n, self.grid
-        return g.coeff_norm(y[:n], g.m0 + 0.5) + g.coeff_norm(y[n:], g.m0 - 0.5)
+        n = self._n
+        return pair_norm(self.grid, y[:n], y[n:], self.grid.m0)
 
 
 def reversibility_defect(state: RealPair) -> float:

@@ -22,15 +22,7 @@ class ConvergenceError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical operation produced an unusable result (singular matrix, blowup)."""
-
-
-class BlowupError(NumericalError):
-    """Non-finite state during time integration; carries the failure time."""
-
-    def __init__(self, time: float, message: str = ""):
-        self.time = time
-        super().__init__(message or f"non-finite state at t={time!r}")
+    """A numerical operation produced an unusable result (singular matrix, failed residual)."""
 
 
 class ConfigError(ValueError):

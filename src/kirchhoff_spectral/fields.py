@@ -58,6 +58,13 @@ def field_pair(grid: SpectralGrid, arrays: ArrayPair) -> FieldPair:
     return ComplexField(grid, arrays[0]), ComplexField(grid, arrays[1])
 
 
+def pair_norm(grid: SpectralGrid, u: np.ndarray, v: np.ndarray, s: float) -> float:
+    """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2} of two coefficient vectors."""
+    if s < 0.5:
+        raise ParameterError(f"the pair norm needs s >= 1/2, got {s}")
+    return grid.coeff_norm(u, s + 0.5) + grid.coeff_norm(v, s - 0.5)
+
+
 def _same_grid(f: ComplexField, g: ComplexField) -> None:
     if f.grid is not g.grid and not f.grid.compatible(g.grid):
         raise GridMismatchError(
@@ -162,7 +169,7 @@ class RealPair:
 
     def norm(self, s: float) -> float:
         """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2}."""
-        return self.u.norm(s + 0.5) + self.v.norm(s - 0.5)
+        return pair_norm(self.grid, self.u.coeffs, self.v.coeffs, s)
 
     @classmethod
     def projected(cls, u: ComplexField, v: ComplexField) -> "RealPair":

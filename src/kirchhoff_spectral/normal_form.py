@@ -40,7 +40,7 @@ from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_array
 from .errors import DomainError
 from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
 from .grid import SpectralGrid
-from .transforms import _q_value_arrays, wave_speed
+from .transforms import _speed_scalars_arrays
 
 #: operational ball of the normal-form field: a state with ||w||_m0 at or
 #: above it is rejected with DomainError before (I + jac) is solved
@@ -60,10 +60,9 @@ def _diag_scalars(grid, a, b) -> tuple[float, float, float]:
     s = (i/4)(<Lb,Lb> - <La,La>) / sigma^2 of the diagonalized field at the
     conjugate pair (a, b), where <La, Lb> = sum |j|^2 a_j b_{-j}. There
     <Lb,Lb> = conj <La,La>, so s is real and takes one pairing."""
-    q = _q_value_arrays(grid, a, b)  # also rejects non-conjugate pairs
-    sigma = wave_speed(q)
+    _, p, sigma = _speed_scalars_arrays(grid, a, b)
     s = 0.5 * grid.pairing(a, a, grid.j2f).imag / (sigma * sigma)
-    return q / sigma, sigma, s
+    return p, sigma, s
 
 
 def offdiag_cubic_arrays(lin: Linearization) -> ArrayPair:

@@ -92,6 +92,23 @@ def _q_value_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
     return max(val.real, 0.0)
 
 
+def _speed_scalars_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray):
+    """Q, P = Q / sigma and the wave speed sigma = wave_speed(Q) of a conjugate array pair."""
+    q = _q_value_arrays(grid, a, b)  # also rejects non-conjugate pairs
+    sigma = wave_speed(q)
+    return q, q / sigma, sigma
+
+
+def _pair_arrays(f, g) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
+    """The grid and coefficient vectors of a ConjugatePair, or of two fields."""
+    if isinstance(f, ConjugatePair):
+        f, g = f.w, f.z
+    elif g is None:
+        raise ParameterError("q_value and p_value need a ConjugatePair or two fields")
+    _same_grid(f, g)
+    return f.grid, f.coeffs, g.coeffs
+
+
 def q_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> float:
     """Quadratic functional Q = (1/4) <Lambda(f+g), f+g>.
 
@@ -99,17 +116,12 @@ def q_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> f
     real and >= 0; the instantaneous squared wave speed of the system in the
     complexified coordinates is 1 + 2Q.
     """
-    if isinstance(f, ConjugatePair):
-        f, g = f.w, f.z
-    elif g is None:
-        raise ParameterError("q_value needs a ConjugatePair or two fields")
-    _same_grid(f, g)
-    return _q_value_arrays(f.grid, f.coeffs, g.coeffs)
+    return _q_value_arrays(*_pair_arrays(f, g))
 
 
 def p_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> float:
     """P = phi_inv(Q): the same functional expressed through the diagonalized pair."""
-    return phi_inv(q_value(f, g))
+    return _speed_scalars_arrays(*_pair_arrays(f, g))[1]
 
 
 # -- individual stages --------------------------------------------------------
@@ -196,8 +208,9 @@ def cubic_stage_inverse_arrays(grid: SpectralGrid, eta: np.ndarray, psi: np.ndar
 
 
 def rank_one_factor(eta: ComplexField, psi: ComplexField) -> float:
-    p = p_value(eta, psi)
-    return -1.0 / (4.0 * (1.0 + 3.0 * p) * math.sqrt(1.0 + 2.0 * p))
+    """F = -1 / (4 (1 + 3P) sigma)."""
+    _, p, sigma = _speed_scalars_arrays(*_pair_arrays(eta, psi))
+    return -1.0 / (4.0 * (1.0 + 3.0 * p) * sigma)
 
 
 def rank_one_apply(eta: ComplexField, psi: ComplexField, vec: FieldPair) -> FieldPair:
@@ -208,11 +221,11 @@ def rank_one_apply(eta: ComplexField, psi: ComplexField, vec: FieldPair) -> Fiel
 
 
 def rank_one_solve_closed(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -> FieldPair:
-    """Closed form: rhs + (psi, eta) <Lambda(eta+psi), rhs_1+rhs_2> / (4 (1+2P)^{3/2})."""
+    """Closed form: rhs + (psi, eta) <Lambda(eta+psi), rhs_1+rhs_2> / (4 sigma^3)."""
     g = eta.grid
-    p = p_value(eta, psi)
+    sigma = _speed_scalars_arrays(*_pair_arrays(eta, psi))[2]
     ell = g.pairing(eta.coeffs + psi.coeffs, rhs[0].coeffs + rhs[1].coeffs, g.absj)
-    c = ell / (4.0 * (1.0 + 2.0 * p) ** 1.5)
+    c = ell / (4.0 * sigma ** 3)
     return field_pair(g, (rhs[0].coeffs + c * psi.coeffs, rhs[1].coeffs + c * eta.coeffs))
 
 

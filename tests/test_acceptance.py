@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from kirchhoff_spectral import ComplexField, ConjugatePair, RealPair, SpectralGrid, random_field
-from kirchhoff_spectral.cli import CONJUGACY_DEFAULTS, SWEEP_DEFAULTS, cmd_sweep, conjugacy_defect
+from kirchhoff_spectral.cli import (
+    CONJUGACY_BOUND,
+    CONJUGACY_DEFAULTS,
+    SWEEP_DEFAULTS,
+    cmd_sweep,
+    conjugacy_defect,
+    conjugacy_verdict,
+)
 from kirchhoff_spectral.dynamics import KirchhoffDynamics
 from kirchhoff_spectral.integrate import IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import hamiltonian, momenta, random_state
@@ -72,7 +79,7 @@ def test_criterion_1_exact_identities():
 
 
 def test_criterion_2_inequalities():
-    cfg = SuiteConfig(grids=GRIDS, samples=200, divisor_radius=50, divisor_dims=(2, 3))
+    cfg = SuiteConfig(grids=GRIDS, samples=200)
     results = {
         r.suite: r
         for r in run_suites(
@@ -200,13 +207,13 @@ def test_criterion_7_conjugacy():
         res = conjugacy_defect(grid, w0, t_end=5.0, n_samples=20, rel_tol=tol)
         assert res["status"] == "ok", f"inconclusive at tol={tol}"
         defects.append(res["defect"])
-    monotone = all(b < a for a, b in zip(defects, defects[1:]))
-    ok = defects[-1] <= 1e-7 and monotone
+    monotone, final_ok = conjugacy_verdict(defects)
     _report(
         7,
         "flow conjugacy",
-        ok,
-        f"defects={['%.3e' % d for d in defects]} (final <=1e-7, monotone under halving)",
+        monotone and final_ok,
+        f"defects={['%.3e' % d for d in defects]} "
+        f"(final <={CONJUGACY_BOUND:g}, monotone under halving)",
     )
 
 

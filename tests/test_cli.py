@@ -46,12 +46,10 @@ def test_verify_defaults_unchanged():
         "seed": 20260808,
         "suites": [],
         "corrupt_diff_sign": False,
-        "divisor_radius": 50,
-        "divisor_dims": [2, 3],
         "workers": 1,
         "out": "out",
     }
-    assert config_hash(VERIFY_DEFAULTS) == "0d9e2da9ad046a8c"
+    assert config_hash(VERIFY_DEFAULTS) == "2979daf40780691f"
 
 
 def test_scheme_choices_are_the_scheme_table():
@@ -507,6 +505,28 @@ def test_sweep_help_names_every_csv_column(tmp_path):
         assert any(re.fullmatch(p, column) for p in patterns), column
 
 
+def test_sweep_constants_skip_an_amplitude_outside_the_normal_form_ball(tmp_path):
+    # eps 3 starts at ||w0||_m0 = 0.6, outside the normal-form field's ball;
+    # its quartic probe is labelled and left out of C*, and the sweep reports
+    out = os.path.join(tmp_path, "w")
+    assert main(["sweep", "--eps-list", "3,0.2", "--workers", "1", "--out", out]) == EXIT_FAIL
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        rep = json.load(fh)
+    assert [(r["eps"], r["status"]) for r in rep["rows"]] == [
+        (3.0, "initial_ball_exit"), (0.2, "reached-target")
+    ]
+    outside, inside = rep["constants"]["quartic_per_eps"]
+    assert outside["exit_reason"] == "initial_ball_exit" and outside["c_star_m0"] is None
+    assert rep["constants"]["c_star_empirical"] == inside["c_star_m0"] > 0.0
+    assert rep["constants"]["c1_implied"] > 0.0 and "reason" not in rep["constants"]
+    # with no amplitude left there is no C*, and the report says why
+    assert main(["sweep", "--eps-list", "3", "--workers", "1", "--out", out]) == EXIT_FAIL
+    with open(os.path.join(out, "sweep_report.json")) as fh:
+        constants = json.load(fh)["constants"]
+    assert constants["c_star_empirical"] is None and constants["c1_implied"] is None
+    assert "outside the normal-form ball" in constants["reason"]
+
+
 def test_sweep_failed_first_inverse_achieves_nothing(tmp_path):
     # eps 0.4: w0 is inside the ball but its image (u, v) is not, so the
     # inverse transform fails at the first sample; the row must not enter the fit
@@ -703,7 +723,20 @@ def test_every_option_same_by_flag_and_by_json(tmp_path, command):
     assert config_hash(by_flag[1]) == config_hash(by_json[1])
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("verify", "divisor_radius", 2), ("verify", "divisor_dims", [2]),
+     ("conjugacy", "defect_bound", 1.0)],
+)
+def test_pinned_verdict_settings_are_unknown_fields(tmp_path, command, field, value):
+    # the small-divisor sweep and the conjugacy bound are pinned, not options
+    path = os.path.join(tmp_path, "c.json")
+    with open(path, "w") as fh:
+        json.dump({field: value}, fh)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
 def test_bad_list_flags_exit_config(tmp_path):
     assert main(["verify", "--grids", "1:x", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert main(["verify", "--divisor-dims", "4", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["verify", "--suites", "no-such-suite", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["simulate", "--s-values", "1,a", "--out", str(tmp_path)]) == EXIT_CONFIG

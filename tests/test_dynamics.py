@@ -36,6 +36,13 @@ def test_pack_unpack_round_trip(grid1):
     assert np.array_equal(back.v.coeffs, state.v.coeffs)
 
 
+def test_ball_value_is_the_physical_pair_norm(grid1, grid2):
+    for grid in (grid1, grid2):
+        dyn = KirchhoffDynamics(grid)
+        state = random_state(grid, 7, 0.3)
+        assert dyn.ball_value(dyn.pack(state)) == state.norm(grid.m0)
+
+
 def test_conjugate_dynamics_rhs_consistency(grid1):
     w = random_field(grid1, 3, 0.2, 1.0, "free")
     y = w.coeffs
