@@ -209,10 +209,28 @@ def _report_header(command: str, cfg: dict) -> dict:
     }
 
 
+def _strict_json(value):
+    """``value`` with every NaN or inf written as null; in a mapping, a
+    ``<key>_reason`` says so beside the number, or beside a list holding one."""
+
+    def _non_finite(x) -> bool:
+        return isinstance(x, float) and not np.isfinite(x)
+
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if not isinstance(value, dict):
+        return None if _non_finite(value) else value
+    out = {key: _strict_json(item) for key, item in value.items()}
+    for key, item in value.items():
+        if any(map(_non_finite, item if isinstance(item, (list, tuple)) else [item])):
+            out[f"{key}_reason"] = "non-finite value written as null"
+    return out
+
+
 def _write_json(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -687,13 +705,14 @@ def cmd_sweep(cfg: dict) -> int:
 
     if cfg["measure_constants"]:
         m0 = grid.m0
-        consts = []
-        for i, eps in enumerate(sorted(set(cfg["eps_list"]), reverse=True)):
-            consts.append(
-                measure_quartic_constant(
-                    grid, cfg["w0_scale"] * eps, cfg["seed"] + 991 + i, t_end=10.0
-                )
+        # probe seeds from the config seed and each amplitude's bits, not its position
+        amplitudes = {e: int(np.float64(e).view(np.uint64)) for e in sorted(set(cfg["eps_list"]))}
+        consts = [
+            measure_quartic_constant(
+                grid, cfg["w0_scale"] * e, [cfg["seed"], 991, bits], t_end=10.0
             )
+            for e, bits in reversed(amplitudes.items())
+        ]
         # an amplitude that starts outside the normal-form ball has no C*
         measured = [c["c_star_m0"] for c in consts if c["c_star_m0"] is not None]
         c_star = _worst(measured) if measured else None
@@ -702,11 +721,11 @@ def cmd_sweep(cfg: dict) -> int:
         eq = [
             equivalence_ratios(
                 ConjugatePair(
-                    random_field(grid, cfg["seed"] + 555 + i, cfg["w0_scale"] * e, m0, "free")
+                    random_field(grid, [cfg["seed"], 555, bits], cfg["w0_scale"] * e, m0, "free")
                 ),
                 m0,
             )
-            for i, e in enumerate(sorted(set(cfg["eps_list"]), reverse=True))
+            for e, bits in reversed(amplitudes.items())
         ]
         c0_emp = _worst([[r["uv_over_w"], r["w_over_uv"]] for r in eq])
         report["constants"] = {

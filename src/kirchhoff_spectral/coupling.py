@@ -14,7 +14,9 @@ grid's ``class_table`` T = [[D, S], [S, D]] stacks the diff table D and the
 sum table S, so one product [p, q] @ T = (p D + q S, p S + q D) applies both
 families to a pair of per-class vectors.
 
-Operators defined here, each linear in its operand (alpha, beta):
+Operators defined here, each linear in its operand (alpha, beta), which the
+array layer holds as one doubled vector [alpha; beta] of length 2n (the basis
+of ``dense_jacobian_matrix``):
 
 * ``mix``  -- the block off-diagonal operator whose action on (alpha, beta) is
   (diff[w,w] beta + sum[z,z] beta,  sum[w,w] alpha + diff[z,z] alpha);
@@ -28,13 +30,15 @@ Operators defined here, each linear in its operand (alpha, beta):
   once per grid against the matrix of (I + jac) assembled from the same
   pair tables.
 
-They read the state (w, z) through a :class:`Linearization`, which
-:func:`linearize` builds once per state: the class sums sww, szz of
-w_j w_{-j} and z_j z_{-j} (one class reduction of the stacked products) and
-the class symbols (m12, m21) = [sww, szz] @ T (one table product). mix is
-then one multiplication per block, and the caller that needs several of
-these operators at one state, as the normal-form field does, pays for the
-state's class sums once.
+Each operation on a pair is one numpy call on the doubled vector, through
+the grid's index maps; the class sums of a doubled product are the vector
+[sums of the first half; of the second] that multiplies T directly. The
+operators read the state [w; z] through a :class:`Linearization`, which
+:func:`linearize` builds once per state: its negated and swapped copies, the
+class sums [sww; szz] of w_j w_{-j} and z_j z_{-j} and the class symbols
+[m12; m21] = [sww; szz] @ T. mix is then one multiplication, and the caller
+that needs several of these operators at one state, as the normal-form field
+does, pays for the state's class sums once.
 
 The class-space solve is exact. (I + jac) is a per-mode 2x2 block
 M = [[1, m12], [m21, 1]] (the identity plus mix) plus a correction L T' R of
@@ -46,12 +50,12 @@ SIAM Review 1989) reduces the solve to one system of size 2 * n_classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fields import ArrayPair, ComplexField, _same_grid
+from .fields import ComplexField, _same_grid, halves
 from .grid import SpectralGrid
 
 SOLVE_RESIDUAL_TOL = 1e-12
@@ -60,63 +64,50 @@ SOLVE_RESIDUAL_TOL = 1e-12
 # -- array layer (used by the field evaluators in hot loops) ----------------
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """What the coupling operators read of a state (w, z); see :func:`linearize`.
-
-    sww, szz are the per-class sums of w_j w_{-j} and z_j z_{-j}; m12, m21 the
-    per-class symbols of mix's two blocks, and m12_modes, m21_modes the same
-    at each mode.
-    """
+class Linearization(NamedTuple):
+    """What the coupling operators read of a state [w; z] (see :func:`linearize`); ``state_neg``
+    is [w_-; z_-], ``state_swap`` [z; w], ``slot_symbols`` the symbols [m12; m21] per slot."""
 
     grid: SpectralGrid
-    w: np.ndarray
-    z: np.ndarray
-    sww: np.ndarray
-    szz: np.ndarray
-    m12: np.ndarray
-    m21: np.ndarray
-    m12_modes: np.ndarray
-    m21_modes: np.ndarray
+    state: np.ndarray
+    state_neg: np.ndarray
+    state_swap: np.ndarray
+    sums: np.ndarray
+    symbols: np.ndarray
+    slot_symbols: np.ndarray
 
 
-def linearize(grid: SpectralGrid, w: np.ndarray, z: np.ndarray) -> Linearization:
-    """The state (w, z) as the coupling operators read it: one class reduction
-    of the stacked products w w_-, z z_- and one product with the class table."""
-    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
-    sums = grid.class_sums(np.array((w * w[neg], z * z[neg])))
-    symbols = sums.reshape(-1) @ grid.class_table
-    m12, m21 = symbols[:nc], symbols[nc:]
-    return Linearization(grid, w, z, sums[0], sums[1], m12, m21, m12[cls], m21[cls])
+def linearize(grid: SpectralGrid, state: np.ndarray) -> Linearization:
+    """The doubled state [w; z] as the coupling operators read it: one class
+    reduction of the product [w w_-; z z_-] and one product with the class table."""
+    neg = state[grid.pair_neg]
+    sums = grid.class_sums(state * neg)
+    symbols = sums @ grid.class_table
+    return Linearization(
+        grid, state, neg, state[grid.pair_swap], sums, symbols, symbols[grid.pair_class_of]
+    )
 
 
-def mix_arrays(lin: Linearization, alpha, beta) -> ArrayPair:
-    return lin.m12_modes * beta, lin.m21_modes * alpha
+def mix_arrays(lin: Linearization, x: np.ndarray) -> np.ndarray:
+    """mix(w, z) [alpha; beta] = [m12 beta; m21 alpha]; of the state, [m12 z; m21 w]."""
+    return lin.slot_symbols * (lin.state_swap if x is lin.state else x[lin.grid.pair_swap])
 
 
-def jac_arrays(lin: Linearization, alpha, beta) -> ArrayPair:
-    """mix(w,z)(alpha,beta) plus the coefficient-derivative terms.
+def jac_arrays(lin: Linearization, x: np.ndarray) -> np.ndarray:
+    """mix(w,z)[alpha; beta] plus the coefficient-derivative terms.
 
-    First component:  diff[w,w] b + sum[z,z] b + 2 diff[w,a] z + 2 sum[z,b] z
-    Second component: sum[w,w] a + diff[z,z] a + 2 sum[w,a] w + 2 diff[z,b] w
+    First half:  diff[w,w] b + sum[z,z] b + 2 diff[w,a] z + 2 sum[z,b] z
+    Second half: sum[w,w] a + diff[z,z] a + 2 sum[w,a] w + 2 diff[z,b] w
 
     The four new terms are one table action on the class sums
-    (sum w a_{-j}, sum z b_{-j}).
+    [sum w a_{-j}; sum z b_{-j}], scattered onto [z; w].
     """
-    grid, w, z = lin.grid, lin.w, lin.z
-    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
-    sums = grid.class_sums(np.array((w * alpha[neg], z * beta[neg])))
-    g = sums.reshape(-1) @ grid.class_table
-    first, second = mix_arrays(lin, alpha, beta)
-    return first + 2.0 * (g[:nc][cls] * z), second + 2.0 * (g[nc:][cls] * w)
+    grid = lin.grid
+    g = grid.class_sums(lin.state * x[grid.pair_neg]) @ grid.class_table
+    return mix_arrays(lin, x) + 2.0 * (g[grid.pair_class_of] * lin.state_swap)
 
 
-def _pair_norm(grid: SpectralGrid, pair: ArrayPair) -> float:
-    m0 = grid.m0
-    return max(grid.coeff_norm(pair[0], m0), grid.coeff_norm(pair[1], m0))
-
-
-def _class_solve(lin: Linearization, ra, rb) -> ArrayPair:
+def _class_solve(lin: Linearization, r: np.ndarray) -> np.ndarray:
     """Woodbury solve of (M + L T' R) x = r over the resonance classes.
 
     With g = T' R x the system splits into (I + T' K) g = T' R M^{-1} r and
@@ -124,38 +115,38 @@ def _class_solve(lin: Linearization, ra, rb) -> ArrayPair:
     (2 / det) [[swz, -m12 sww], [-m21 szz, swz]] with the class sums
     sww, szz, swz of w w_{-j}, z z_{-j}, w z_{-j} and det = 1 - m12 m21.
     """
-    grid, w, z = lin.grid, lin.w, lin.z
-    neg, cls, nc = grid.neg_index, grid.class_of, grid.n_classes
-    m12, m21 = lin.m12, lin.m21
+    grid = lin.grid
+    n, nc, swap = grid.n_modes, grid.n_classes, grid.pair_swap
+    m12, m21 = lin.symbols[:nc], lin.symbols[nc:]
     det = 1.0 - m12 * m21
     if not (np.isfinite(det).all() and det.all()):
         raise NumericalError("class-space solve: a per-mode block determinant is zero or not finite")
     f = 2.0 / det
-    k_diag = f * grid.class_sums(w * z[neg])
-    k12, k21 = -f * m12 * lin.sww, -f * m21 * lin.szz
+    k_diag = f * grid.class_sums(lin.state[:n] * lin.state_neg[n:])
+    minus_f = -f
+    k = np.concatenate((minus_f, minus_f)) * lin.symbols * lin.sums  # [k12; k21]
 
     # the capacitance I + T' K, transposed: K^T T scales the table's rows,
     # the top half [D, S] by (k_diag, k12) and the bottom half [S, D] by (k21, k_diag)
     top, bottom = grid.class_table.reshape(2, nc, 2 * nc)
-    cap_t = np.array((k_diag, k12))[:, :, None] * top + np.array((k21, k_diag))[:, :, None] * bottom
-    cap_t = cap_t.reshape(2 * nc, 2 * nc)
-    cap_t.flat[:: 2 * nc + 1] += 1.0
+    u = np.concatenate((k_diag, k[:nc])).reshape(2, nc, 1)
+    v = np.concatenate((k[nc:], k_diag)).reshape(2, nc, 1)
+    cap_t = (u * top + v * bottom).reshape(2 * nc, 2 * nc)
+    cap_t.reshape(-1)[:: 2 * nc + 1] += 1.0
 
-    e12, e21, e_det = lin.m12_modes, lin.m21_modes, det[cls]
-    ya = (ra - e12 * rb) / e_det
-    yb = (rb - e21 * ra) / e_det
-    pq = grid.class_sums(np.array((w * ya[neg], z * yb[neg])))
+    m, e_det = lin.slot_symbols, np.concatenate((det, det))[grid.pair_class_of]
+    y = (r - m * r[swap]) / e_det
+    pq = grid.class_sums(lin.state * y[grid.pair_neg])
     try:
-        g = np.linalg.solve(cap_t.T, pq.reshape(-1) @ grid.class_table)
+        g = np.linalg.solve(cap_t.T, pq @ grid.class_table)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"class-space capacitance solve failed ({exc})") from exc
-    ta = ra - 2.0 * (g[:nc][cls] * z)
-    tb = rb - 2.0 * (g[nc:][cls] * w)
-    return (ta - e12 * tb) / e_det, (tb - e21 * ta) / e_det
+    t = r - 2.0 * (g[grid.pair_class_of] * lin.state_swap)
+    return (t - m * t[swap]) / e_det
 
 
-def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair) -> ArrayPair:
-    """Solve (I + jac(w, z)) x = rhs at the state of ``lin``.
+def solve_jacobian_arrays(lin: Linearization, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + jac(w, z)) x = rhs at the state of ``lin``, on doubled vectors.
 
     The exact Woodbury solve over the resonance classes (see the module
     docstring): one LU solve of size 2 * n_classes plus O(n_modes) work. It
@@ -164,18 +155,16 @@ def solve_jacobian_arrays(lin: Linearization, rhs: ArrayPair) -> ArrayPair:
     large or not finite raises :class:`NumericalError`.
     """
     grid = lin.grid
-    ra, rb = np.asarray(rhs[0]), np.asarray(rhs[1])
-    xa, xb = _class_solve(lin, ra, rb)
-    ka, kb = jac_arrays(lin, xa, xb)
-    res = _pair_norm(grid, (xa + ka - ra, xb + kb - rb))
-    scale = max(1.0, _pair_norm(grid, (ra, rb)))
+    x = _class_solve(lin, rhs)
+    res = grid.doubled_norm(x + jac_arrays(lin, x) - rhs, grid.m0)
+    scale = max(1.0, grid.doubled_norm(rhs, grid.m0))
     if not res <= SOLVE_RESIDUAL_TOL * scale:  # also catches a NaN residual
         raise NumericalError(f"jacobian solve residual {res:.3e} exceeds tolerance")
-    return xa, xb
+    return x
 
 
-def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: ArrayPair) -> ArrayPair:
-    """(I + jac(w, z)) x from the pair tables, without the matrix: the oracle's action.
+def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: np.ndarray) -> np.ndarray:
+    """(I + jac(w, z)) x, doubled, from the pair tables without the matrix: the oracle's action.
 
     With V = (w w_-, z z_-, w_- x_a, z_- x_b) stacked as n x 4 columns,
     P = Dp V and Q = Sp V (two real products on the interleaved real and
@@ -187,7 +176,7 @@ def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: ArrayPair) -> ArrayPai
     the ``dense_jacobian_matrix`` entries summed over the modes. It reads
     ``grid.pair_tables()`` and no class sum or class table.
     """
-    xa, xb = x
+    xa, xb = halves(x)
     dp, sp = grid.pair_tables()
     wn, zn = w[grid.neg_index], z[grid.neg_index]
     v = np.stack((w * wn, z * zn, wn * xa, zn * xb), axis=1).view(np.float64)
@@ -195,7 +184,7 @@ def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: ArrayPair) -> ArrayPai
     q = (sp @ v).view(np.complex128)
     a = xa + (p[:, 0] + q[:, 1]) * xb + 2.0 * z * (p[:, 2] + q[:, 3])
     b = xb + (q[:, 0] + p[:, 1]) * xa + 2.0 * w * (q[:, 2] + p[:, 3])
-    return a, b
+    return np.concatenate((a, b))
 
 
 def dense_jacobian_matrix(grid, w, z) -> np.ndarray:

@@ -72,8 +72,7 @@ class KirchhoffDynamics:
         """The oscillator's flow applied to a packed state, with the factors of
         :meth:`rotation`; ``out`` may be ``y`` itself."""
         diagonal, off_diagonal = factors
-        n = self._n
-        swapped = np.concatenate([y[n:], y[:n]])  # (v, u)
+        swapped = y[self.grid.pair_swap]  # (v, u)
         swapped *= off_diagonal
         rotated = np.multiply(y, diagonal, out=out)
         rotated += swapped
@@ -87,15 +86,11 @@ class KirchhoffDynamics:
         y[n:] -= (tau * gradient_energy(self._j2f, u)) * self._j2f * u
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        n = self._n
-        neg = self.grid.neg_index
-        u, v = y[:n], y[n:]
-        u_m = np.conj(u[neg])
-        v_m = np.conj(v[neg])
-        defect = max(float(np.max(np.abs(u - u_m))), float(np.max(np.abs(v - v_m))))
+        y_m = np.conj(y[self.grid.pair_neg])
+        defect = float(np.max(np.abs(y - y_m)))
         if defect == 0.0:
             return y, 0.0
-        return np.concatenate([0.5 * (u + u_m), 0.5 * (v + v_m)]), defect
+        return 0.5 * (y + y_m), defect
 
     def ball_value(self, y: np.ndarray) -> float:
         """||u||_{m0+1/2} + ||v||_{m0-1/2}, the norm whose ball the inverse
@@ -154,7 +149,7 @@ class NormalFormDynamics(_ConjugateDynamics):
     name = "normal_form"
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return normal_form_rhs_arrays(self.grid, y, self._z(y))[0]
+        return normal_form_rhs_arrays(self.grid, y, self._z(y))[: len(y)]
 
 
 def make_dynamics(representation: str, grid: SpectralGrid):

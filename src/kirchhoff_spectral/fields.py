@@ -53,6 +53,12 @@ ArrayPair = tuple[np.ndarray, np.ndarray]
 FieldPair = tuple[ComplexField, ComplexField]
 
 
+def halves(x: np.ndarray) -> ArrayPair:
+    """The two halves (a, b) of a doubled vector [a; b], as views."""
+    n = len(x) // 2
+    return x[:n], x[n:]
+
+
 def field_pair(grid: SpectralGrid, arrays: ArrayPair) -> FieldPair:
     """Two coefficient vectors on one grid as a pair of fields."""
     return ComplexField(grid, arrays[0]), ComplexField(grid, arrays[1])

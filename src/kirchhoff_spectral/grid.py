@@ -4,8 +4,9 @@ A grid holds the lattice points j in Z^d \\ {0} with 1 <= |j|^2 <= N^2
 (ball truncation, so every sphere |j| = const that intersects the grid is
 complete), in a canonical deterministic order, together with the precomputed
 structures everything else needs: the negation permutation, the resonance
-classes (groups of equal |j|^2), and the stacked class table of the cubic
-normal-form stage's coupling coefficients.
+classes (groups of equal |j|^2), the stacked class table of the cubic
+normal-form stage's coupling coefficients, and the index maps of a pair held
+as one doubled vector [a; b].
 
 Equality of |j| and |k| is always decided on the integer squared norms.
 Grids are immutable after construction and safe to share across threads.
@@ -14,6 +15,7 @@ Grids are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -77,6 +79,9 @@ class SpectralGrid:
         between classes (row = class of j, column = class of k); the one
         stored copy of the diff and sum tables, which ``diff_table`` and
         ``sum_table`` read back.
+    pair_neg, pair_swap, pair_class_of, pair_class_starts, rotation : the maps of a
+        doubled vector [a; b]: negation per half, [b; a], each slot's index in [class
+        sums of a; of b] and that vector's class starts; the rotation [-i|j|; +i|j|].
 
     The mode-by-mode tables of the pairwise oracle are built on demand by
     :meth:`pair_tables`: they take O(n^2) memory, which no other caller pays.
@@ -89,6 +94,7 @@ class SpectralGrid:
             raise ParameterError(f"cutoff must be >= 1, got {n_cutoff}")
         self.d = int(d)
         self.n_cutoff = int(n_cutoff)
+        self.m0 = regularity_threshold(self.d)
         #: debug knob for negative-control runs: flips the sign of the
         #: difference-coupling table so exact identities must fail
         self.corrupt_diff_sign = bool(corrupt_diff_sign)
@@ -121,6 +127,13 @@ class SpectralGrid:
         c2 = self.class_j2f
         diff, sum_ = coupling_tables(c2[:, None], c2[None, :])
         self.class_table = stack_tables(-diff if self.corrupt_diff_sign else diff, sum_)
+
+        n, nc = self.n_modes, self.n_classes
+        self.pair_neg = np.concatenate((self.neg_index, n + self.neg_index))
+        self.pair_swap = np.concatenate((np.arange(n, 2 * n), np.arange(n)))
+        self.pair_class_of = np.concatenate((self.class_of, nc + self.class_of))
+        self.pair_class_starts = np.concatenate((self.class_starts, n + self.class_starts))
+        self.rotation = np.concatenate((-1j * self.absj, 1j * self.absj))
 
         self._weights: dict[float, np.ndarray] = {}
         self._pair_tables: tuple[np.ndarray, np.ndarray] | None = None
@@ -187,23 +200,27 @@ class SpectralGrid:
         return self._pair_tables
 
     def class_sums(self, prod: np.ndarray) -> np.ndarray:
-        """Sum of a per-mode array over each resonance class, along the last axis."""
-        return np.add.reduceat(prod, self.class_starts, axis=-1)
+        """Sum of a per-mode array over each resonance class, along the last axis;
+        a doubled vector [a; b] gives [class sums of a; class sums of b]."""
+        starts = self.pair_class_starts if prod.shape[-1] > self.n_modes else self.class_starts
+        return np.add.reduceat(prod, starts, axis=-1)
 
     def coeff_norm(self, coeffs: np.ndarray, s: float) -> float:
         """Sobolev norm with weights |j|^(2s) of a raw coefficient vector."""
         c = coeffs
         return float(np.sqrt(np.dot(self.weight(s), c.real * c.real + c.imag * c.imag)))
 
+    def doubled_norm(self, x: np.ndarray, s: float) -> float:
+        """max(||a||_s, ||b||_s) of a doubled vector [a; b]; NaN if either is NaN."""
+        e, n, w = x.real * x.real + x.imag * x.imag, self.n_modes, self.weight(s)
+        a2, b2 = np.dot(w, e[:n]), np.dot(w, e[n:])
+        return math.sqrt(a2 if a2 >= b2 or a2 != a2 else b2)
+
     def pairing(self, a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> complex:
         """Bilinear (not sesquilinear) pairing sum_j weight_j a_j b_{-j}; weight 1 if None."""
         if weight is not None:
             a = weight * a
         return complex(np.dot(a, b[self.neg_index]))
-
-    @property
-    def m0(self) -> float:
-        return regularity_threshold(self.d)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self.d == other.d and self.n_cutoff == other.n_cutoff

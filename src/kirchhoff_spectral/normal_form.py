@@ -19,7 +19,8 @@ equivalent evaluations:
               quintic remainder, :func:`normal_form_rhs_arrays`.
 
 Each makes one (I + jac) solve: the solve is linear, so the structured form
-adds its two terms under (I + jac)^{-1} before solving. Every flow and
+adds its two terms under (I + jac)^{-1} before solving. Both work on the doubled
+state [w; z], as the coupling layer does; a flow integrates the first half. Every flow and
 :func:`normal_form_rhs` run the structured form; the direct form is its
 reference, which only the ``normal-form-agreement`` suite calls. The
 structured form never evaluates the diagonalized field at the image, so the
@@ -38,7 +39,7 @@ import numpy as np
 
 from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
 from .errors import DomainError
-from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair
+from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair, halves
 from .grid import SpectralGrid
 from .transforms import _speed_scalars_arrays
 
@@ -50,9 +51,9 @@ JACOBIAN_BALL = 0.5
 # -- array layer --------------------------------------------------------------
 
 
-def diag_linear_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> ArrayPair:
-    """The linear rotation (-i Lambda a, +i Lambda b)."""
-    return -1j * grid.absj * a, 1j * grid.absj * b
+def diag_linear_arrays(grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """The linear rotation [-i Lambda a; +i Lambda b] of a doubled vector [a; b]."""
+    return grid.rotation * x
 
 
 def _diag_scalars(grid, a, b) -> tuple[float, float, float]:
@@ -65,12 +66,12 @@ def _diag_scalars(grid, a, b) -> tuple[float, float, float]:
     return p, sigma, s
 
 
-def offdiag_cubic_arrays(lin: Linearization) -> ArrayPair:
-    """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) (b, a) at the state
-    (a, b) of ``lin``. Valid on any pair."""
-    grid, a, b = lin.grid, lin.w, lin.z
+def offdiag_cubic_arrays(lin: Linearization) -> np.ndarray:
+    """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) [b; a] at the state
+    [a; b] of ``lin``. Valid on any pair."""
+    grid, (a, b) = lin.grid, halves(lin.state)
     s = 0.25j * (grid.pairing(b, b, grid.j2f) - grid.pairing(a, a, grid.j2f))
-    return s * b, s * a
+    return s * lin.state_swap
 
 
 def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
@@ -78,14 +79,12 @@ def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
     return (-1j * sigma) * (grid.absj * a) + s * b, (1j * sigma) * (grid.absj * b) + s * a
 
 
-def resonant_cubic_arrays(lin: Linearization) -> ArrayPair:
-    """Residual cubic field at the state (a, b) of ``lin``: class-local sums
+def resonant_cubic_arrays(lin: Linearization) -> np.ndarray:
+    """Residual cubic field at the state [a; b] of ``lin``: class-local sums
     sum_{|j|=|k|} a_j a_{-j} |j|^2 acting on b, and conversely."""
-    grid, a, b = lin.grid, lin.w, lin.z
-    sa = grid.class_j2f * lin.sww
-    sb = grid.class_j2f * lin.szz
-    cls = grid.class_of
-    return (-0.25j) * sa[cls] * b, (0.25j) * sb[cls] * a
+    grid = lin.grid
+    sa, sb = grid.class_j2f * lin.sums.reshape(2, grid.n_classes)
+    return np.concatenate(((-0.25j) * sa, (0.25j) * sb))[grid.pair_class_of] * lin.state_swap
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     g = pair.grid
     a, b = pair.w.coeffs, pair.z.coeffs
     p, sigma, _ = _diag_scalars(g, a, b)
-    d1 = diag_linear_arrays(g, a, b)
+    d1 = diag_linear_arrays(g, np.concatenate((a, b)))
     tail_factor = 2.0 * p / (1.0 + sigma)  # sigma - 1, without the cancellation
     # the cubic coefficient from a pairing of its own, so that the split also
     # checks the field's coefficient s = cubic / sigma^2 = cubic + tail
@@ -111,8 +110,8 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     tail = -2.0 * p / (sigma * sigma) * cubic
 
     return RhsParts(
-        diag_linear=field_pair(g, d1),
-        diag_tail=field_pair(g, (tail_factor * d1[0], tail_factor * d1[1])),
+        diag_linear=field_pair(g, halves(d1)),
+        diag_tail=field_pair(g, halves(tail_factor * d1)),
         offdiag_cubic=field_pair(g, (cubic * b, cubic * a)),
         offdiag_tail=field_pair(g, (tail * b, tail * a)),
         p_value=p,
@@ -130,7 +129,7 @@ def _check_ball(grid, w) -> None:
 class NormalFormRhs:
     """The normal-form field at one state as coefficient-array pairs, split
     as total = linear + cubic + quintic, where linear is the rotation scaled
-    by the wave speed 1 + speed_shift."""
+    by the wave speed 1 + speed_shift; each pair is two views of one doubled vector."""
 
     total: ArrayPair
     linear: ArrayPair
@@ -139,49 +138,40 @@ class NormalFormRhs:
     speed_shift: float
 
 
-def _normal_form_parts(grid, w, z) -> NormalFormRhs:
+def _normal_form_field(grid, w, z):
+    """The doubled parts sigma * rotation, resonant cubic, solved term at (w, z); P, sigma."""
     _check_ball(grid, w)
-    lin = linearize(grid, w, z)  # mix, the cubic terms and the solve all read it
-    ma, mb = mix_arrays(lin, w, z)
-    eta, psi = w + ma, z + mb
+    x = np.concatenate((w, z))
+    lin = linearize(grid, x)  # mix, the cubic terms and the solve all read it
+    image = x + mix_arrays(lin, x)  # [eta; psi]
     # the diagonalized field's scalars at the transformed pair
-    p, sigma, s = _diag_scalars(grid, eta, psi)
-
-    d1 = diag_linear_arrays(grid, w, z)
-    linear = sigma * d1[0], sigma * d1[1]
+    p, sigma, s = _diag_scalars(grid, *halves(image))
     cubic = resonant_cubic_arrays(lin)
-
-    b3a, b3b = offdiag_cubic_arrays(lin)
     # with r = b3 - cubic, jac (I+jac)^{-1} r = r - (I+jac)^{-1} r; the
     # solve is linear, so that term, scaled by the wave speed, and the full
-    # off-diagonal term s (psi, eta) take one solve together
-    xa, xb = solve_jacobian_arrays(lin, (
-        s * psi - sigma * (b3a - cubic[0]),
-        s * eta - sigma * (b3b - cubic[1]),
-    ))
-    return NormalFormRhs(
-        total=(linear[0] + xa, linear[1] + xb),
-        linear=linear,
-        cubic=cubic,
-        quintic=(xa - cubic[0], xb - cubic[1]),
-        speed_shift=2.0 * p / (1.0 + sigma),  # sigma - 1, without the cancellation
+    # off-diagonal term s [psi; eta] take one solve together
+    y = solve_jacobian_arrays(
+        lin, s * image[grid.pair_swap] - sigma * (offdiag_cubic_arrays(lin) - cubic)
     )
+    return sigma * diag_linear_arrays(grid, x), cubic, y, p, sigma
 
 
-def normal_form_rhs_arrays(grid, w, z) -> ArrayPair:
-    """The normal-form field at (w, z) in its structured evaluation, the one
-    every flow integrates."""
-    return _normal_form_parts(grid, w, z).total
+def normal_form_rhs_arrays(grid, w, z) -> np.ndarray:
+    """The normal-form field at (w, z), doubled, in its structured evaluation,
+    the one every flow integrates."""
+    linear, _, y, _, _ = _normal_form_field(grid, w, z)
+    return linear + y
 
 
-def normal_form_direct_arrays(grid, w, z) -> ArrayPair:
-    """The normal-form field at (w, z) in its direct evaluation, the reference
+def normal_form_direct_arrays(grid, w, z) -> np.ndarray:
+    """The normal-form field at (w, z), doubled, in its direct evaluation, the reference
     of :func:`normal_form_rhs_arrays`: (I + jac)^{-1} applied to the
     diagonalized field at the cubic-stage image (w, z) + mix(w, z)."""
     _check_ball(grid, w)
-    lin = linearize(grid, w, z)
-    ma, mb = mix_arrays(lin, w, z)
-    return solve_jacobian_arrays(lin, diagonalized_rhs_arrays(grid, w + ma, z + mb))
+    x = np.concatenate((w, z))
+    lin = linearize(grid, x)
+    field = diagonalized_rhs_arrays(grid, *halves(x + mix_arrays(lin, x)))
+    return solve_jacobian_arrays(lin, np.concatenate(field))
 
 
 def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> float:
@@ -191,4 +181,11 @@ def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> floa
 
 def normal_form_rhs(pair: ConjugatePair) -> NormalFormRhs:
     """The normal-form field at a conjugate pair, with its parts."""
-    return _normal_form_parts(pair.grid, pair.w.coeffs, pair.z.coeffs)
+    linear, cubic, y, p, sigma = _normal_form_field(pair.grid, pair.w.coeffs, pair.z.coeffs)
+    return NormalFormRhs(
+        total=halves(linear + y),
+        linear=halves(linear),
+        cubic=halves(cubic),
+        quintic=halves(y - cubic),
+        speed_shift=2.0 * p / (1.0 + sigma),  # sigma - 1, without the cancellation
+    )

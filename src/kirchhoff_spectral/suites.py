@@ -248,39 +248,35 @@ def _operator_defects(g: SpectralGrid, seed, k: int) -> dict:
             _amax(lambda_ay.coeffs - lambda_power(ay, 1.7).coeffs),
         ]
     # block swap: first block of mix(u, v) equals second block of mix(v, u)
-    uv = linearize(g, u.coeffs, v.coeffs)
-    a12, _ = mix_arrays(uv, np.zeros_like(y.coeffs), y.coeffs)
-    _, a21 = mix_arrays(linearize(g, v.coeffs, u.coeffs), y.coeffs, np.zeros_like(y.coeffs))
+    n, zero = g.n_modes, np.zeros_like(y.coeffs)
+    uv = linearize(g, np.concatenate((u.coeffs, v.coeffs)))
+    a12 = mix_arrays(uv, np.concatenate((zero, y.coeffs)))[:n]
+    vu = linearize(g, np.concatenate((v.coeffs, u.coeffs)))
+    a21 = mix_arrays(vu, np.concatenate((y.coeffs, zero)))[n:]
     # anti-commutator: mix . diag_linear + diag_linear . mix = 0
-    da, db = diag_linear_arrays(g, y.coeffs, h.coeffs)
-    m1 = mix_arrays(uv, da, db)
-    m2 = mix_arrays(uv, y.coeffs, h.coeffs)
-    dm = diag_linear_arrays(g, m2[0], m2[1])
-    defects += [_amax(a12 - a21), _amax(m1[0] + dm[0]), _amax(m1[1] + dm[1])]
+    yh = np.concatenate((y.coeffs, h.coeffs))
+    anti = mix_arrays(uv, diag_linear_arrays(g, yh)) + diag_linear_arrays(g, mix_arrays(uv, yh))
+    defects += [_amax(a12 - a21), _amax(anti)]
     return {"defect": _worst(defects)}
 
 
 def _homological_defects(g: SpectralGrid, seed, k: int) -> dict:
     """(mix + jac) applied to the linear rotation of the state equals the
     cubic off-diagonal term minus the resonant cubic, on arbitrary pairs."""
-    a = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
-    b = random_field(g, seed(1), 0.4, g.m0, "free").coeffs
-    da, db = diag_linear_arrays(g, a, b)
-    lin = linearize(g, a, b)
-    ma, mb = mix_arrays(lin, da, db)
-    ka, kb = jac_arrays(lin, da, db)
-    b3a, b3b = offdiag_cubic_arrays(lin)
-    x3a, x3b = resonant_cubic_arrays(lin)
-    return {"defect": _worst([_amax(ma + ka - (b3a - x3a)), _amax(mb + kb - (b3b - x3b))])}
+    x = np.concatenate([random_field(g, seed(i), 0.4, g.m0, "free").coeffs for i in (0, 1)])
+    dx = diag_linear_arrays(g, x)
+    lin = linearize(g, x)
+    lhs = mix_arrays(lin, dx) + jac_arrays(lin, dx)
+    return {"defect": _amax(lhs - (offdiag_cubic_arrays(lin) - resonant_cubic_arrays(lin)))}
 
 
 def _cancellation_defects(g: SpectralGrid, seed, k: int) -> dict:
     """The resonant cubic and the (shifted) linear rotation contribute exactly
     nothing to the derivative of any Sobolev norm on conjugate pairs."""
     w = random_field(g, seed(0), 0.25, g.m0, "free").coeffs
-    z = np.conj(w[g.neg_index])
-    x3 = resonant_cubic_arrays(linearize(g, w, z))[0]
-    d1 = diag_linear_arrays(g, w, z)[0]
+    x = np.concatenate((w, np.conj(w[g.neg_index])))
+    x3 = resonant_cubic_arrays(linearize(g, x))[: g.n_modes]
+    d1 = diag_linear_arrays(g, x)[: g.n_modes]
     rates = [energy_derivative_arrays(g, w, f, s) for s in CANCELLATION_S for f in (x3, d1)]
     return {"defect": _amax(rates)}
 
@@ -315,14 +311,13 @@ def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
     """
     w = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
     z = np.conj(w[g.neg_index])
-    rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2))
-    x = solve_jacobian_arrays(linearize(g, w, z), rhs)
-    r = np.concatenate(rhs)
-    ax = np.concatenate(pairwise_jacobian_action(g, w, z, x))
+    r = np.concatenate([random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2)])
+    x = solve_jacobian_arrays(linearize(g, np.concatenate((w, z))), r)
+    ax = pairwise_jacobian_action(g, w, z, x)
     scale = max(1.0, _amax(r))
     defects = {"defect": _amax(ax - r) / scale}
     if k == 0:
-        matrix_x = dense_jacobian_matrix(g, w, z) @ np.concatenate(x)
+        matrix_x = dense_jacobian_matrix(g, w, z) @ x
         defects["matrix_vs_action"] = _amax(matrix_x - ax) / scale
     return defects
 
@@ -360,9 +355,9 @@ def _mix_jac_defects(g: SpectralGrid, seed, k: int) -> dict:
     z = conj_function(w)
     alpha = random_field(g, seed(1), 0.9, m0, "free")
     beta = conj_function(alpha)
-    lin = linearize(g, w.coeffs, z.coeffs)
-    ma, _ = mix_arrays(lin, alpha.coeffs, beta.coeffs)
-    ka, _ = jac_arrays(lin, alpha.coeffs, beta.coeffs)
+    lin = linearize(g, np.concatenate((w.coeffs, z.coeffs)))
+    ab = np.concatenate((alpha.coeffs, beta.coeffs))
+    ma, ka = mix_arrays(lin, ab)[: g.n_modes], jac_arrays(lin, ab)[: g.n_modes]
     wm = w.norm(m0)
     am = alpha.norm(m0)
     ratios = []
@@ -383,14 +378,14 @@ def _decomposition_defects(g: SpectralGrid, seed, k: int) -> dict:
     four = (parts.diag_linear, parts.diag_tail, parts.offdiag_cubic, parts.offdiag_tail)
     suma, sumb = (sum(part[i].coeffs for part in four) for i in (0, 1))
     scale = max(1.0, _amax(fa))
-    x3 = resonant_cubic_arrays(linearize(g, w.coeffs, pair.z.coeffs))
+    x3 = resonant_cubic_arrays(linearize(g, np.concatenate((w.coeffs, pair.z.coeffs))))
     w1 = w.norm(1.0)
     ratios = []
     for s in BOUND_S:
         ws = w.norm(s)
         ratios += [
             parts.offdiag_cubic[0].norm(s) / (0.5 * w1 * w1 * ws),
-            g.coeff_norm(x3[0], s) / (0.25 * w1 * w1 * ws),
+            g.coeff_norm(x3[: g.n_modes], s) / (0.25 * w1 * w1 * ws),
             parts.offdiag_tail[0].norm(s)
             / max(2.0 * parts.p_value * parts.offdiag_cubic[0].norm(s), 1e-300),
         ]
@@ -451,11 +446,8 @@ def _agreement_defects(g: SpectralGrid, seed, k: int) -> dict:
     z = np.conj(w.coeffs[g.neg_index])
     direct = normal_form_direct_arrays(g, w.coeffs, z)
     structured = normal_form_rhs_arrays(g, w.coeffs, z)
-    den = max(g.coeff_norm(direct[0], m0), 1e-300)
-    num = _worst(
-        [g.coeff_norm(direct[0] - structured[0], m0), g.coeff_norm(direct[1] - structured[1], m0)]
-    )
-    return {"defect": num / den}
+    den = max(g.coeff_norm(direct[: g.n_modes], m0), 1e-300)
+    return {"defect": g.doubled_norm(direct - structured, m0) / den}
 
 
 def _leak_defects(g: SpectralGrid, seed, k: int) -> dict:

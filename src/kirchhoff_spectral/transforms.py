@@ -4,7 +4,8 @@ The composed map sends a conjugate pair (w, conj w) to a physical state
 (u, v) through four stages, each invertible on its stated domain:
 
 * cubic stage   -- identity plus the off-diagonal mix operator (removes the
-  nonresonant cubic coupling between a field and its conjugate);
+  nonresonant cubic coupling between a field and its conjugate); forward and
+  inverse act on the doubled vector [w; z] of the coupling layer;
 * diag stage    -- state-dependent 2x2 mixing that diagonalizes the order-one
   part of the system, with mixing ratio rho evaluated at the scalar P;
 * complex stage -- complex-conjugate coordinates (f, g) <-> real (q, p);
@@ -27,7 +28,6 @@ import numpy as np
 from .coupling import linearize, mix_arrays
 from .errors import ConvergenceError, DomainError, ParameterError
 from .fields import (
-    ArrayPair,
     ComplexField,
     ConjugatePair,
     FieldPair,
@@ -35,6 +35,7 @@ from .fields import (
     _same_grid,
     conjugate_defect,
     field_pair,
+    halves,
 )
 from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
 
@@ -168,34 +169,32 @@ def diag_stage(direction: str, pair: FieldPair) -> FieldPair:
 def cubic_stage(direction: str, pair: FieldPair) -> FieldPair:
     """fwd: (w, z) -> (w, z) + mix(w, z)(w, z); inv by contraction in the 1/4 ball."""
     g, a, b = _stage_input(direction, pair)
+    x = np.concatenate((a, b))
     if direction == "fwd":
-        ma, mb = mix_arrays(linearize(g, a, b), a, b)
-        return field_pair(g, (a + ma, b + mb))
-    return field_pair(g, cubic_stage_inverse_arrays(g, a, b))
+        return field_pair(g, halves(x + mix_arrays(linearize(g, x), x)))
+    return field_pair(g, halves(cubic_stage_inverse_arrays(g, x)))
 
 
-def cubic_stage_inverse_arrays(grid: SpectralGrid, eta: np.ndarray, psi: np.ndarray) -> ArrayPair:
-    """Fixed point of (w, z) = (eta, psi) - mix(w, z)(w, z), from (0, 0).
+def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndarray:
+    """Fixed point of x = [eta; psi] - mix(x) x for the doubled image [eta; psi],
+    from x = 0, as a doubled vector [w; z].
 
     The map is a contraction for ||eta||_{m0} <= CUBIC_INV_BALL = 1/4, where
     the inverse is unique and satisfies ||w||_s <= 2 ||eta||_s.
     """
     m0 = grid.m0
-    eta_norm = grid.coeff_norm(eta, m0)
+    eta_norm = grid.coeff_norm(image[: grid.n_modes], m0)
     if eta_norm > CUBIC_INV_BALL:
         raise DomainError(
             f"cubic stage inverse needs ||eta||_m0 <= {CUBIC_INV_BALL}, got {eta_norm:.4f}"
         )
-    w = np.zeros_like(eta)
-    z = np.zeros_like(psi)
+    x = np.zeros_like(image)
     for _ in range(CUBIC_INV_MAX_ITER):
-        ma, mb = mix_arrays(linearize(grid, w, z), w, z)
-        w_new = eta - ma
-        z_new = psi - mb
-        delta = max(grid.coeff_norm(w_new - w, m0), grid.coeff_norm(z_new - z, m0))
-        w, z = w_new, z_new
+        x_new = image - mix_arrays(linearize(grid, x), x)
+        delta = grid.doubled_norm(x_new - x, m0)
+        x = x_new
         if delta <= CUBIC_INV_TOL:
-            return w, z
+            return x
     raise ConvergenceError("cubic stage inversion hit the iteration cap")
 
 

@@ -5,8 +5,8 @@ the oscillator oracle goes through scipy's DOP853, the brute-force helpers
 are plain double loops over the lattice, the scalar coupling coefficient
 works on raw lattice points, and the total momentum comes from the gradient
 pairing instead of the per-mode momenta. The one exception is the dense
-column loop, which applies the package's ``jac_arrays`` to one unit vector
-at a time. It goes through the class sums and class tables, so it and the
+column loop, which applies the package's ``jac_arrays`` to one doubled unit
+vector at a time. It goes through the class sums and class tables, so it and the
 package's pairwise dense assembly, which reads neither, are two independent
 builds of the same matrix that must agree to rounding. The dense solve of
 (I + jac) x = rhs, a LAPACK solve with that pairwise matrix, is the
@@ -175,36 +175,36 @@ def total_momentum(state) -> np.ndarray:
 
 
 def dense_jacobian_columns(grid, w, z) -> np.ndarray:
-    """Matrix of (I + jac(w, z)) built one column, one ``jac_arrays`` call, at a time."""
+    """Matrix of (I + jac(w, z)) on the doubled basis, built one column, one
+    ``jac_arrays`` call on a doubled unit vector, at a time."""
     n = grid.n_modes
-    lin = linearize(grid, w, z)
+    lin = linearize(grid, np.concatenate((w, z)))
     mat = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    zero = np.zeros(n, dtype=np.complex128)
-    basis = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
+    basis = np.zeros(2 * n, dtype=np.complex128)
+    for i in range(2 * n):
         basis[i] = 1.0
-        ka, kb = jac_arrays(lin, basis, zero)
-        mat[:n, i] = ka
-        mat[n:, i] = kb
-        ka, kb = jac_arrays(lin, zero, basis)
-        mat[:n, n + i] = ka
-        mat[n:, n + i] = kb
+        mat[:, i] = jac_arrays(lin, basis)
         basis[i] = 0.0
     mat[np.diag_indices(2 * n)] += 1.0
     return mat
 
 
 def dense_jacobian_solve(lin, rhs):
-    """(I + jac) x = rhs at the state of ``lin``, solved by LAPACK with the
-    pairwise ``dense_jacobian_matrix`` (looked up on the module at each call,
-    so that a tracer patched onto it sees this call)."""
+    """(I + jac) x = rhs at the state of ``lin``, for a doubled rhs, solved by
+    LAPACK with the pairwise ``dense_jacobian_matrix`` (looked up on the module
+    at each call, so that a tracer patched onto it sees this call)."""
     n = lin.grid.n_modes
-    mat = coupling.dense_jacobian_matrix(lin.grid, lin.w, lin.z)
-    sol = np.linalg.solve(mat, np.concatenate(rhs))
-    return sol[:n], sol[n:]
+    w, z = lin.state[:n], lin.state[n:]
+    return np.linalg.solve(coupling.dense_jacobian_matrix(lin.grid, w, z), rhs)
 
 
 # -- test-only fields and helpers ------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: equal values with equal signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def complexified_rhs_arrays(grid, a, b):

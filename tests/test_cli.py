@@ -434,10 +434,67 @@ def test_sweep_constants_keep_a_nan(tmp_path, monkeypatch):
     main(["sweep", "--eps-list", "0.2,0.1", "--t-cap", "0.1", "--n-samples", "2",
           "--workers", "1", "--out", out])
     with open(os.path.join(out, "sweep_report.json")) as fh:
-        constants = json.load(fh)["constants"]
-    assert math.isnan(constants["c_star_empirical"])
-    assert math.isnan(constants["c0_empirical"])
+        constants = _strict_load(fh.read())["constants"]
+    # a NaN is written as null with its reason, never as a number
+    for key in ("c_star_empirical", "c0_empirical"):
+        assert constants[key] is None
+        assert "non-finite" in constants[f"{key}_reason"]
     assert constants["c1_implied"] is None
+    (small,) = [c for c in constants["quartic_per_eps"] if c["eps"] < 0.03]
+    assert small["c_star_m0"] is None and "non-finite" in small["c_star_m0_reason"]
+
+
+def test_sweep_constants_do_not_depend_on_the_other_amplitudes(tmp_path, monkeypatch):
+    # each amplitude's probe and equivalence state are seeded by the config
+    # seed and the amplitude alone; eps 3 starts outside the normal-form ball
+    from kirchhoff_spectral import transforms
+
+    real = transforms.equivalence_ratios
+    ratios = {}
+
+    def equivalence(state, s):
+        ratios.setdefault(run, []).append(real(state, s))
+        return ratios[run][-1]
+
+    monkeypatch.setattr(transforms, "equivalence_ratios", equivalence)
+    per_eps = {}
+    for run, eps_list in (("alone", "0.2"), ("with_3", "3,0.2")):
+        out = os.path.join(tmp_path, run)
+        main(["sweep", "--eps-list", eps_list, "--t-cap", "0.1", "--n-samples", "2",
+              "--workers", "1", "--out", out])
+        with open(os.path.join(out, "sweep_report.json")) as fh:
+            consts = json.load(fh)["constants"]["quartic_per_eps"]
+        (per_eps[run],) = [c for c in consts if c["eps"] == pytest.approx(0.2 * 0.2)]
+    assert per_eps["alone"] == per_eps["with_3"]
+    assert ratios["alone"][-1] == ratios["with_3"][-1]  # sorted descending: 0.2 is last
+
+
+def _strict_load(text: str):
+    """json.loads that rejects the non-standard NaN, Infinity and -Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_report_holding_a_nan_is_strict_json(tmp_path, monkeypatch):
+    # a NaN defect fails its suite; the report names it null with a reason
+    real = suites.energy_derivative_arrays
+
+    def rate(grid, w, field_first, s):
+        return math.nan if s == suites.CANCELLATION_S[-1] else real(grid, w, field_first, s)
+
+    monkeypatch.setattr(suites, "energy_derivative_arrays", rate)
+    out = os.path.join(tmp_path, "v")
+    code = main(["verify", "--suites", "cubic-energy-cancellation", "--grids", "1:4",
+                 "--samples", "3", "--out", out])
+    assert code == EXIT_FAIL
+    with open(os.path.join(out, "verify_report.json")) as fh:
+        (suite,) = _strict_load(fh.read())["suites"]
+    assert suite["pass"] is False
+    assert suite["max_defect"] is None
+    assert "non-finite" in suite["max_defect_reason"]
 
 
 def test_simulate_ball_threshold_stops_the_original_flow(tmp_path):

@@ -18,6 +18,7 @@ from kirchhoff_spectral.coupling import (
     small_divisor_check,
     solve_jacobian_arrays,
 )
+from kirchhoff_spectral.fields import halves
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import IDENTITY_TOL
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     coupling_coefficient,
     dense_jacobian_columns,
     dense_jacobian_solve,
+    same_bits,
     unit_mode,
 )
 
@@ -76,35 +78,38 @@ def test_apply_symmetric_in_uv(grid2):
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
+def _doubled(*parts):
+    """The doubled vector [a; b] of a pair."""
+    return np.concatenate(parts)
+
+
+def _conjugate_state(g, w):
+    return _doubled(w, np.conj(w[g.neg_index]))
+
+
 def test_mix_block_structure(grid1):
     w = random_field(grid1, 7, 0.5, 1.0, "free").coeffs
-    z = np.conj(w[grid1.neg_index])
     alpha = random_field(grid1, 8, 1.0, 0.0, "free").coeffs
     zero = np.zeros(grid1.n_modes, dtype=complex)
-    first, second = mix_arrays(linearize(grid1, w, z), alpha, zero)
+    lin = linearize(grid1, _conjugate_state(grid1, w))
+    first, second = halves(mix_arrays(lin, _doubled(alpha, zero)))
     assert np.all(first == 0.0)  # upper-left block is empty
     assert np.any(second != 0.0)
 
 
 def test_mix_zero_state_is_zero_operator(grid1):
-    z = np.zeros(grid1.n_modes, dtype=complex)
+    z = np.zeros(2 * grid1.n_modes, dtype=complex)
     alpha = random_field(grid1, 9, 1.0, 0.0, "free").coeffs
-    first, second = mix_arrays(linearize(grid1, z, z), alpha, alpha)
-    assert np.all(first == 0.0) and np.all(second == 0.0)
+    assert np.all(mix_arrays(linearize(grid1, z), _doubled(alpha, alpha)) == 0.0)
 
 
 def test_mix_commutes_with_multiplier(grid2):
     g = grid2
     w = random_field(g, 10, 0.5, 1.5, "free").coeffs
-    z = np.conj(w[g.neg_index])
-    alpha = random_field(g, 11, 1.0, 0.0, "free").coeffs
-    beta = random_field(g, 12, 1.0, 0.0, "free").coeffs
-    lam_s = g.absj ** 2.0  # the multiplier |j|^s with s = 2
-    lin = linearize(g, w, z)
-    a1, b1 = mix_arrays(lin, lam_s * alpha, lam_s * beta)
-    a2, b2 = mix_arrays(lin, alpha, beta)
-    assert np.max(np.abs(a1 - lam_s * a2)) <= 1e-13
-    assert np.max(np.abs(b1 - lam_s * b2)) <= 1e-13
+    x = _doubled(*(random_field(g, seed, 1.0, 0.0, "free").coeffs for seed in (11, 12)))
+    lam_s = np.tile(g.absj ** 2.0, 2)  # the multiplier |j|^s with s = 2, on both halves
+    lin = linearize(g, _conjugate_state(g, w))
+    assert np.max(np.abs(mix_arrays(lin, lam_s * x) - lam_s * mix_arrays(lin, x))) <= 1e-13
 
 
 def test_jac_matches_finite_difference_of_mix(grid1):
@@ -112,22 +117,41 @@ def test_jac_matches_finite_difference_of_mix(grid1):
     term plus d/dt of the state-dependent coefficients. The correction map is
     quadratic in the state, so a central difference is exact up to rounding."""
     g = grid1
-    w = random_field(g, 13, 0.4, 1.0, "free").coeffs
-    z = random_field(g, 14, 0.4, 1.0, "free").coeffs
-    al = random_field(g, 15, 0.6, 1.0, "free").coeffs
-    be = random_field(g, 16, 0.6, 1.0, "free").coeffs
+    x = _doubled(*(random_field(g, seed, 0.4, 1.0, "free").coeffs for seed in (13, 14)))
+    dx = _doubled(*(random_field(g, seed, 0.6, 1.0, "free").coeffs for seed in (15, 16)))
     t = 1e-3
-    plus = mix_arrays(linearize(g, w + t * al, z + t * be), w, z)
-    minus = mix_arrays(linearize(g, w - t * al, z - t * be), w, z)
-    lin = linearize(g, w, z)
-    base = mix_arrays(lin, al, be)
-    fd = (
-        base[0] + (plus[0] - minus[0]) / (2 * t),
-        base[1] + (plus[1] - minus[1]) / (2 * t),
+    plus = mix_arrays(linearize(g, x + t * dx), x)
+    minus = mix_arrays(linearize(g, x - t * dx), x)
+    lin = linearize(g, x)
+    fd = mix_arrays(lin, dx) + (plus - minus) / (2 * t)
+    assert np.max(np.abs(jac_arrays(lin, dx) - fd)) <= 1e-10
+
+
+def test_doubled_operators_equal_the_per_half_formulas(layout_grid):
+    # the state record, mix and the chain-rule term of jac on the doubled
+    # vector are the per-half class sums and symbols, bit for bit
+    g = layout_grid
+    nc, cls = g.n_classes, g.class_of
+    w = random_field(g, 40, 0.3, g.m0, "free").coeffs
+    z = np.conj(w[g.neg_index])
+    alpha, beta = (random_field(g, seed, 1.0, 0.0, "free").coeffs for seed in (41, 42))
+    lin = linearize(g, _doubled(w, z))
+    assert same_bits(lin.state_neg, _doubled(w[g.neg_index], z[g.neg_index]))
+    assert same_bits(lin.state_swap, _doubled(z, w))
+    sums = _doubled(g.class_sums(w * w[g.neg_index]), g.class_sums(z * z[g.neg_index]))
+    symbols = sums @ g.class_table
+    assert same_bits(lin.sums, sums) and same_bits(lin.symbols, symbols)
+    m12, m21 = symbols[:nc][cls], symbols[nc:][cls]
+    x = _doubled(alpha, beta)
+    assert same_bits(mix_arrays(lin, x), _doubled(m12 * beta, m21 * alpha))
+    # mix of the state itself reads the record's swapped copy
+    assert same_bits(mix_arrays(lin, lin.state), _doubled(m12 * z, m21 * w))
+    chain = _doubled(g.class_sums(w * alpha[g.neg_index]), g.class_sums(z * beta[g.neg_index]))
+    chain = chain @ g.class_table
+    expected = _doubled(
+        m12 * beta + 2.0 * (chain[:nc][cls] * z), m21 * alpha + 2.0 * (chain[nc:][cls] * w)
     )
-    ka, kb = jac_arrays(lin, al, be)
-    assert np.max(np.abs(ka - fd[0])) <= 1e-10
-    assert np.max(np.abs(kb - fd[1])) <= 1e-10
+    assert same_bits(jac_arrays(lin, x), expected)
 
 
 class TestDenseMatrix:
@@ -163,7 +187,7 @@ class TestPairwiseAction:
     def _operands(g, seed):
         w = random_field(g, seed, 0.4, g.m0, "free").coeffs
         z = np.conj(w[g.neg_index])
-        x = tuple(random_field(g, seed + s, 1.0, 0.0, "free").coeffs for s in (1, 2))
+        x = _doubled(*(random_field(g, seed + s, 1.0, 0.0, "free").coeffs for s in (1, 2)))
         return w, z, x
 
     @pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4), (3, 3)])
@@ -171,8 +195,8 @@ class TestPairwiseAction:
         # the same pairwise sums in another order: measured at most 3.5e-16
         g = SpectralGrid(d, n_cutoff)
         w, z, x = self._operands(g, 32)
-        action = np.concatenate(coupling.pairwise_jacobian_action(g, w, z, x))
-        product = coupling.dense_jacobian_matrix(g, w, z) @ np.concatenate(x)
+        action = coupling.pairwise_jacobian_action(g, w, z, x)
+        product = coupling.dense_jacobian_matrix(g, w, z) @ x
         assert np.max(np.abs(action - product)) <= IDENTITY_TOL
 
     def test_reads_no_class_structure(self, grid2, monkeypatch):
@@ -187,35 +211,25 @@ class TestPairwiseAction:
         monkeypatch.setattr(g, "class_table", stack_tables(2.0 * g.diff_table, 1.001 * g.sum_table))
         after = coupling.pairwise_jacobian_action(g, w, z, x)
         assert calls == []
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert np.array_equal(after, before)
 
 
 class TestSolve:
+    @staticmethod
+    def _rhs(g, *seeds):
+        return _doubled(*(random_field(g, seed, 1.0, 0.0, "free").coeffs for seed in seeds))
+
     def test_zero_state_identity(self, grid1):
-        z = np.zeros(grid1.n_modes, dtype=complex)
-        rhs = (
-            random_field(grid1, 17, 1.0, 0.0, "free").coeffs,
-            random_field(grid1, 18, 1.0, 0.0, "free").coeffs,
-        )
-        x = solve_jacobian_arrays(linearize(grid1, z, z), rhs)
-        assert np.array_equal(x[0], rhs[0])
-        assert np.array_equal(x[1], rhs[1])
+        z = np.zeros(2 * grid1.n_modes, dtype=complex)
+        rhs = self._rhs(grid1, 17, 18)
+        assert np.array_equal(solve_jacobian_arrays(linearize(grid1, z), rhs), rhs)
 
     def test_residual(self, grid2):
         w = random_field(grid2, 19, 0.3, 1.5, "free").coeffs
-        z = np.conj(w[grid2.neg_index])
-        rhs = (
-            random_field(grid2, 20, 1.0, 0.0, "free").coeffs,
-            random_field(grid2, 21, 1.0, 0.0, "free").coeffs,
-        )
-        lin = linearize(grid2, w, z)
+        rhs = self._rhs(grid2, 20, 21)
+        lin = linearize(grid2, _conjugate_state(grid2, w))
         x = solve_jacobian_arrays(lin, rhs)
-        ka, kb = jac_arrays(lin, *x)
-        res = max(
-            np.max(np.abs(x[0] + ka - rhs[0])),
-            np.max(np.abs(x[1] + kb - rhs[1])),
-        )
-        assert res <= 1e-12
+        assert np.max(np.abs(x + jac_arrays(lin, x) - rhs)) <= 1e-12
 
     def test_class_vs_dense(self):
         # d <= 2 against the LAPACK solve; at d=3 N=8 (4,216 unknowns) the
@@ -225,44 +239,40 @@ class TestSolve:
             g = SpectralGrid(d, 8)
             w = random_field(g, 22, 0.4, g.m0, "free").coeffs
             z = np.conj(w[g.neg_index])
-            rhs = (
-                random_field(g, 23, 1.0, 0.0, "free").coeffs,
-                random_field(g, 24, 1.0, 0.0, "free").coeffs,
-            )
-            lin = linearize(g, w, z)
-            xc = solve_jacobian_arrays(lin, rhs)
+            r = self._rhs(g, 23, 24)
+            lin = linearize(g, _doubled(w, z))
+            xc = solve_jacobian_arrays(lin, r)
             if d < 3:
-                for a, b in zip(xc, dense_jacobian_solve(lin, rhs)):
-                    assert np.max(np.abs(a - b)) <= 1e-10
+                assert np.max(np.abs(xc - dense_jacobian_solve(lin, r))) <= 1e-10
             else:
-                r = np.concatenate(rhs)
-                residual = np.concatenate(coupling.pairwise_jacobian_action(g, w, z, xc)) - r
+                residual = coupling.pairwise_jacobian_action(g, w, z, xc) - r
                 assert np.max(np.abs(residual)) <= IDENTITY_TOL * max(1.0, np.max(np.abs(r)))
 
     def test_large_state_matches_dense(self, grid1):
         # a state far outside the normal-form ball: the exact solve still holds
         w = random_field(grid1, 25, 6.0, 1.0, "free").coeffs
-        z = np.conj(w[grid1.neg_index])
-        rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
-        lin = linearize(grid1, w, z)
+        rhs = np.ones(2 * grid1.n_modes, dtype=complex)
+        lin = linearize(grid1, _conjugate_state(grid1, w))
         xc = solve_jacobian_arrays(lin, rhs)
-        for a, b in zip(xc, dense_jacobian_solve(lin, rhs)):
-            assert np.max(np.abs(a - b)) <= 1e-10
+        assert np.max(np.abs(xc - dense_jacobian_solve(lin, rhs))) <= 1e-10
 
     def test_non_finite_residual_is_an_error(self, grid1):
         w = random_field(grid1, 26, 0.05, 1.0, "free").coeffs
-        z = np.conj(w[grid1.neg_index])
-        rhs = (np.full(grid1.n_modes, np.nan, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
-        with pytest.raises(NumericalError, match="residual nan"):
-            solve_jacobian_arrays(linearize(grid1, w, z), rhs)
+        n = grid1.n_modes
+        lin = linearize(grid1, _conjugate_state(grid1, w))
+        # a NaN in either half of the right-hand side reaches the residual
+        for nan_half in (slice(0, n), slice(n, 2 * n)):
+            rhs = np.ones(2 * n, dtype=complex)
+            rhs[nan_half] = np.nan
+            with pytest.raises(NumericalError, match="residual nan"):
+                solve_jacobian_arrays(lin, rhs)
 
     def test_non_finite_state_is_an_error(self, grid1):
         w = random_field(grid1, 27, 0.05, 1.0, "free").coeffs
         w[0] = np.inf
-        z = np.conj(w[grid1.neg_index])
-        rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
+        rhs = np.ones(2 * grid1.n_modes, dtype=complex)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="determinant"):
-            solve_jacobian_arrays(linearize(grid1, w, z), rhs)
+            solve_jacobian_arrays(linearize(grid1, _conjugate_state(grid1, w)), rhs)
 
     def test_failed_factorization_is_an_error(self, grid1, monkeypatch):
         def singular(*args, **kwargs):
@@ -270,10 +280,9 @@ class TestSolve:
 
         monkeypatch.setattr(coupling.np.linalg, "solve", singular)
         w = random_field(grid1, 28, 0.05, 1.0, "free").coeffs
-        z = np.conj(w[grid1.neg_index])
-        rhs = (np.ones(grid1.n_modes, dtype=complex), np.ones(grid1.n_modes, dtype=complex))
+        rhs = np.ones(2 * grid1.n_modes, dtype=complex)
         with pytest.raises(NumericalError, match="Singular matrix"):
-            solve_jacobian_arrays(linearize(grid1, w, z), rhs)
+            solve_jacobian_arrays(linearize(grid1, _conjugate_state(grid1, w)), rhs)
 
     @pytest.mark.parametrize("evaluation", ["structured", "direct"])
     def test_normal_form_rhs_makes_one_solve_one_jac(self, grid1, monkeypatch, evaluation):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kirchhoff_spectral import ParameterError, SpectralGrid, regularity_threshold
+from oracles import same_bits
 
 
 def test_regularity_threshold():
@@ -97,3 +98,56 @@ def test_corrupt_flag_flips_both_diff_blocks_of_the_class_table(grid2):
         assert np.array_equal(tc[rows, cols], -t[rows, cols])
     for rows, cols in ((slice(None, nc), slice(nc, None)), (slice(nc, None), slice(None, nc))):
         assert np.array_equal(tc[rows, cols], t[rows, cols])
+
+
+# -- the doubled basis [a; b] -------------------------------------------------------
+
+
+def _doubled_random(g, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(2 * g.n_modes) + 1j * rng.standard_normal(2 * g.n_modes)
+
+
+def test_doubled_negation_is_an_involution_within_each_half(layout_grid):
+    g = layout_grid
+    n = g.n_modes
+    assert np.array_equal(g.pair_neg[g.pair_neg], np.arange(2 * n))
+    assert np.array_equal(g.pair_neg[:n], g.neg_index)
+    assert np.array_equal(g.pair_neg[n:], n + g.neg_index)
+
+
+def test_doubled_swap_exchanges_the_halves(layout_grid):
+    g = layout_grid
+    n = g.n_modes
+    x = _doubled_random(g, 1)
+    assert np.array_equal(x[g.pair_swap], np.concatenate((x[n:], x[:n])))
+    assert np.array_equal(g.pair_swap[g.pair_swap], np.arange(2 * n))
+
+
+def test_class_sums_of_a_doubled_product_are_the_two_halves_sums(layout_grid):
+    g = layout_grid
+    n, nc = g.n_modes, g.n_classes
+    x, y = _doubled_random(g, 2), _doubled_random(g, 3)
+    prod = x * y[g.pair_neg]
+    halves_sums = np.concatenate(
+        (g.class_sums(x[:n] * y[:n][g.neg_index]), g.class_sums(x[n:] * y[n:][g.neg_index]))
+    )
+    doubled = g.class_sums(prod)
+    assert doubled.shape == (2 * nc,)
+    assert same_bits(doubled, halves_sums)
+    # each slot reads its own class in its own half
+    per_slot = np.concatenate((halves_sums[:nc][g.class_of], halves_sums[nc:][g.class_of]))
+    assert same_bits(doubled[g.pair_class_of], per_slot)
+
+
+def test_doubled_norm_is_the_larger_half_norm(layout_grid):
+    g = layout_grid
+    n = g.n_modes
+    x = _doubled_random(g, 4)
+    expected = max(g.coeff_norm(x[:n], g.m0), g.coeff_norm(x[n:], g.m0))
+    assert g.doubled_norm(x, g.m0) == expected
+    # a NaN in either half is never dropped
+    for i in (0, n):
+        y = x.copy()
+        y[i] = np.nan
+        assert np.isnan(g.doubled_norm(y, g.m0))

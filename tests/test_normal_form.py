@@ -5,7 +5,7 @@ import pytest
 
 from kirchhoff_spectral import ComplexField, ConjugatePair, DomainError, random_field
 from kirchhoff_spectral.coupling import jac_arrays, linearize, mix_arrays
-from kirchhoff_spectral.fields import conjugate_defect, field_pair, hermitian_project
+from kirchhoff_spectral.fields import conjugate_defect, field_pair, halves, hermitian_project
 from kirchhoff_spectral.normal_form import (
     decompose_rhs,
     diag_linear_arrays,
@@ -18,7 +18,7 @@ from kirchhoff_spectral.normal_form import (
     resonant_cubic_arrays,
 )
 from kirchhoff_spectral.transforms import cubic_stage, q_value
-from oracles import wave_speed_minus_one
+from oracles import same_bits, wave_speed_minus_one
 
 
 def _pair(grid, seed, norm):
@@ -30,7 +30,7 @@ def _arrays(pair):
 
 
 def _lin(pair):
-    return linearize(*_arrays(pair))
+    return linearize(pair.grid, np.concatenate((pair.w.coeffs, pair.z.coeffs)))
 
 
 def test_diagonalized_rhs_zero(grid1):
@@ -82,7 +82,7 @@ def test_resonant_cubic_single_pair_example(grid1):
     c[grid1.slot(1)] = a
     c[grid1.slot(-1)] = b
     pair = ConjugatePair(ComplexField(grid1, c))
-    first, second = resonant_cubic_arrays(_lin(pair))
+    first = resonant_cubic_arrays(_lin(pair))[: grid1.n_modes]
     z = pair.z.coeffs
     # class {1,-1}: sum of w_j w_{-j} |j|^2 over the class is 2ab
     for k in (1, -1):
@@ -94,38 +94,38 @@ def test_resonant_cubic_single_pair_example(grid1):
 def test_resonant_cubic_couples_only_within_class(grid2):
     w = random_field(grid2, 5, 0.4, 1.5, "free")
     pair = ConjugatePair(w)
-    first, _ = resonant_cubic_arrays(_lin(pair))
+    first = resonant_cubic_arrays(_lin(pair))[: grid2.n_modes]
     # zeroing a class of w changes the output only inside that class
     cls = 2
     mask = pair.grid.class_of == cls
     c2 = w.coeffs.copy()
     c2[mask] = 0.0
-    first2, _ = resonant_cubic_arrays(_lin(ConjugatePair(ComplexField(grid2, c2))))
+    first2 = resonant_cubic_arrays(_lin(ConjugatePair(ComplexField(grid2, c2))))[: grid2.n_modes]
     outside = ~mask
     # outside the class the only dependence is through z, unchanged there
     assert np.max(np.abs(first[outside] - first2[outside])) <= 1e-15
 
 
+def _homological_defect(g, seeds, amplitude):
+    """(mix + jac) of the rotation minus (off-diagonal cubic - resonant cubic),
+    on an arbitrary (non-conjugate) pair: zero."""
+    x = np.concatenate([random_field(g, seed, amplitude, g.m0, "free").coeffs for seed in seeds])
+    dx = diag_linear_arrays(g, x)
+    lin = linearize(g, x)
+    lhs = mix_arrays(lin, dx) + jac_arrays(lin, dx)
+    return np.max(np.abs(lhs - (offdiag_cubic_arrays(lin) - resonant_cubic_arrays(lin))))
+
+
 def test_homological_identity_spot(grid2):
-    g = grid2
-    a = random_field(g, 6, 0.4, g.m0, "free").coeffs
-    b = random_field(g, 7, 0.4, g.m0, "free").coeffs
-    da, db = diag_linear_arrays(g, a, b)
-    lin = linearize(g, a, b)
-    ma, mb = mix_arrays(lin, da, db)
-    ka, kb = jac_arrays(lin, da, db)
-    b3a, b3b = offdiag_cubic_arrays(lin)
-    x3a, x3b = resonant_cubic_arrays(lin)
-    assert np.max(np.abs(ma + ka - (b3a - x3a))) <= 1e-13
-    assert np.max(np.abs(mb + kb - (b3b - x3b))) <= 1e-13
+    assert _homological_defect(grid2, (6, 7), 0.4) <= 1e-13
 
 
 def test_energy_cancellation(grid1):
     pair = _pair(grid1, 8, 0.3)
     w = pair.w.coeffs
-    x3 = resonant_cubic_arrays(_lin(pair))
+    x3 = resonant_cubic_arrays(_lin(pair))[: grid1.n_modes]
     for s in (1.0, 2.5):
-        assert abs(energy_derivative_arrays(grid1, w, x3[0], s)) <= 1e-13
+        assert abs(energy_derivative_arrays(grid1, w, x3, s)) <= 1e-13
     nf = normal_form_rhs(pair)
     for s in (1.0, 2.5):
         assert abs(energy_derivative_arrays(grid1, w, nf.linear[0], s)) <= 1e-13
@@ -146,7 +146,7 @@ class TestNormalFormRhs:
     def test_direct_vs_structured(self, grid1, grid2):
         for g, seed in ((grid1, 10), (grid2, 11)):
             pair = _pair(g, seed, 0.2)
-            a = normal_form_direct_arrays(*_arrays(pair))
+            a = halves(normal_form_direct_arrays(*_arrays(pair)))
             b = normal_form_rhs(pair).total
             den = g.coeff_norm(a[0], g.m0)
             for i in range(2):
@@ -209,17 +209,7 @@ def test_homological_identity_in_three_dimensions():
     # the class machinery with genuinely multi-member resonance spheres
     from kirchhoff_spectral import SpectralGrid
 
-    g = SpectralGrid(3, 2)
-    a = random_field(g, 21, 0.3, g.m0, "free").coeffs
-    b = random_field(g, 22, 0.3, g.m0, "free").coeffs
-    da, db = diag_linear_arrays(g, a, b)
-    lin = linearize(g, a, b)
-    ma, mb = mix_arrays(lin, da, db)
-    ka, kb = jac_arrays(lin, da, db)
-    b3a, b3b = offdiag_cubic_arrays(lin)
-    x3a, x3b = resonant_cubic_arrays(lin)
-    assert np.max(np.abs(ma + ka - (b3a - x3a))) <= 1e-13
-    assert np.max(np.abs(mb + kb - (b3b - x3b))) <= 1e-13
+    assert _homological_defect(SpectralGrid(3, 2), (21, 22), 0.3) <= 1e-13
 
 
 def test_diagonalized_rhs_rejects_non_conjugate(grid1):
@@ -235,5 +225,17 @@ def test_energy_derivative_arrays_consistent(grid1):
     nf = normal_form_rhs(pair)
     w = pair.w.coeffs
     ed1 = energy_derivative_arrays(grid1, w, nf.total[0], 1.0)
-    ed2 = energy_derivative_arrays(grid1, w, normal_form_rhs_arrays(*_arrays(pair))[0], 1.0)
+    ed2 = energy_derivative_arrays(grid1, w, halves(normal_form_rhs_arrays(*_arrays(pair)))[0], 1.0)
     assert ed1 == ed2
+
+
+def test_flow_field_is_the_first_half_of_the_total(layout_grid):
+    # the flow integrates the first half of the doubled total, bit for bit
+    from kirchhoff_spectral.dynamics import NormalFormDynamics
+
+    g = layout_grid
+    pair = _pair(g, 23, 0.2)
+    nf = normal_form_rhs(pair)
+    flow = NormalFormDynamics(g).rhs(0.0, pair.w.coeffs)
+    assert same_bits(flow, nf.total[0])
+    assert all(part[0].base is part[1].base for part in (nf.total, nf.linear, nf.cubic, nf.quintic))

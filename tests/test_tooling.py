@@ -37,13 +37,23 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
 
 
 def test_traced_call_paths():
-    from kirchhoff_spectral import suites, transforms
+    from kirchhoff_spectral import coupling, normal_form, suites, transforms
 
     # the tracer patches the registry entry along with the module attribute
     assert suites.REGISTRY["neumann-vs-dense"] is suites.suite_neumann_vs_dense
     # the cubic-stage inverse counts its iterations through the transforms
     # module's own mix_arrays reference
     assert "mix_arrays" in transforms.cubic_stage_inverse_arrays.__code__.co_names
+    # the names the tracer replaces are the coupling module's own functions,
+    # so coupling.solve.per_rhs, coupling.jac.per_solve and
+    # transforms.cubic_inv.iters count calls to them
+    assert normal_form.solve_jacobian_arrays is coupling.solve_jacobian_arrays
+    assert normal_form.mix_arrays is coupling.mix_arrays
+    assert transforms.mix_arrays is coupling.mix_arrays
+    # the solve's residual guard reaches jac through its module-level name, once
+    (call,) = _calls(coupling.solve_jacobian_arrays, "jac_arrays")
+    assert isinstance(call.func, ast.Name)
+    assert "jac_arrays" in coupling.solve_jacobian_arrays.__code__.co_names
 
 
 def _calls(fn, callee: str) -> list[ast.Call]:
