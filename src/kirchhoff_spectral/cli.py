@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    GridMismatchError,
     NumericalError,
     ParameterError,
 )
@@ -98,6 +100,8 @@ def _check_field(path: str, value, spec: dict) -> None:
     noun, accepts, _ = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     if kind == "list":
         for i, item in enumerate(value):
             _check_field(f"{path}[{i}]", item, spec["item"])
@@ -336,11 +340,18 @@ def _initial_state(cfg: dict, grid: SpectralGrid):
     if cfg["initial_file"]:
         with open(cfg["initial_file"], encoding="utf-8") as fh:
             data = json.load(fh)
+
+        def field(key: str):
+            if key not in data:
+                raise ConfigError(f"initial_file: no field {key!r}")
+            try:
+                return field_from_dict(data[key], grid)
+            except (GridMismatchError, ParameterError) as exc:
+                raise ConfigError(f"initial_file {key}: {exc}") from exc
+
         if rep == "original":
-            return RealPair(
-                field_from_dict(data["u"], grid), field_from_dict(data["v"], grid)
-            )
-        return ConjugatePair(field_from_dict(data["w"], grid))
+            return RealPair(field("u"), field("v"))
+        return ConjugatePair(field("w"))
     if rep == "original":
         return random_state(grid, cfg["seed"], cfg["eps"])
     return ConjugatePair(random_field(grid, cfg["seed"], cfg["eps"], grid.m0, "free"))
@@ -538,7 +549,7 @@ def cmd_conjugacy(cfg: dict) -> int:
         report["status"] = "inconclusive"
         report["pass"] = None
         _write_json(os.path.join(cfg["out"], "conjugacy_report.json"), report)
-        print("conjugacy: inconclusive (ball exit)")
+        print(f"conjugacy: inconclusive ({levels[-1]['reason']})")
         return EXIT_PASS
     defects = [lv["defect"] for lv in levels]
     monotone, final_ok = conjugacy_verdict(defects)

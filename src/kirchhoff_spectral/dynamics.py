@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .fields import ComplexField, ConjugatePair, RealPair, pair_norm
+from .fields import ComplexField, ConjugatePair, RealPair, conjugate_doubled, pair_norm
 from .grid import SpectralGrid
 from .kirchhoff import gradient_energy, involution
 from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
@@ -35,7 +35,7 @@ class KirchhoffDynamics:
         self.max_frequency = float(np.max(grid.absj))  # the fastest rotation, max |j|
 
     def pack(self, state: RealPair) -> np.ndarray:
-        return np.concatenate([state.u.coeffs, state.v.coeffs])
+        return state.doubled
 
     def unpack(self, y: np.ndarray) -> RealPair:
         g = self.grid
@@ -95,21 +95,18 @@ class KirchhoffDynamics:
     def ball_value(self, y: np.ndarray) -> float:
         """||u||_{m0+1/2} + ||v||_{m0-1/2}, the norm whose ball the inverse
         change of variables requires."""
-        n = self._n
-        return pair_norm(self.grid, y[:n], y[n:], self.grid.m0)
+        return pair_norm(self.grid, y, self.grid.m0)
 
 
 def reversibility_defect(state: RealPair) -> float:
     """Component-wise max L2 norm of (X o S + S o X)(state) for the physical
-    field X and the involution S; zero for this field."""
+    field X and the involution S; zero for this field, NaN if it is NaN."""
     g = state.grid
     dyn = KirchhoffDynamics(g)
-    n = g.n_modes
     xs = dyn.rhs(0.0, dyn.pack(involution(state)))
     sx = dyn.rhs(0.0, dyn.pack(state))
-    du_defect = xs[:n] + sx[:n]  # S acts as identity on the first component
-    dv_defect = xs[n:] - sx[n:]  # and as negation on the second
-    return max(g.coeff_norm(du_defect, 0.0), g.coeff_norm(dv_defect, 0.0))
+    sx[g.n_modes:] *= -1.0  # S keeps the first component and negates the second
+    return g.doubled_norm(xs + sx, 0.0)
 
 
 class _ConjugateDynamics:
@@ -130,9 +127,6 @@ class _ConjugateDynamics:
     def ball_value(self, y: np.ndarray) -> float:
         return self.grid.coeff_norm(y, self.grid.m0)
 
-    def _z(self, y: np.ndarray) -> np.ndarray:
-        return np.conj(y[self.grid.neg_index])
-
 
 class DiagonalizedDynamics(_ConjugateDynamics):
     """The order-one-diagonalized system (state after the diag stage)."""
@@ -140,7 +134,7 @@ class DiagonalizedDynamics(_ConjugateDynamics):
     name = "diagonalized"
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return diagonalized_rhs_arrays(self.grid, y, self._z(y))[0]
+        return diagonalized_rhs_arrays(self.grid, conjugate_doubled(self.grid, y))[: len(y)]
 
 
 class NormalFormDynamics(_ConjugateDynamics):
@@ -149,7 +143,7 @@ class NormalFormDynamics(_ConjugateDynamics):
     name = "normal_form"
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return normal_form_rhs_arrays(self.grid, y, self._z(y))[: len(y)]
+        return normal_form_rhs_arrays(self.grid, conjugate_doubled(self.grid, y))[: len(y)]
 
 
 def make_dynamics(representation: str, grid: SpectralGrid):

@@ -1,13 +1,19 @@
-"""Spectral fields and the basic operations every other module computes with.
+"""Spectral fields, the one pair format, and the basic operations on both.
 
 A :class:`ComplexField` is a vector of complex Fourier coefficients over the
 canonical mode order of a :class:`~kirchhoff_spectral.grid.SpectralGrid`.
-All state classes of the workbench are built from it:
+The two state classes of the workbench are built from it:
 
 * :class:`RealPair` -- a physical state (u, v) = (u, du/dt), whose coefficients
   carry the Hermitian symmetry u_{-j} = conj(u_j) of real-valued fields;
 * :class:`ConjugatePair` -- a state (w, z) with z the complex conjugate of w
   as a function, i.e. z_j = conj(w_{-j}); only w is stored.
+
+Every map on a pair -- the stages of the change of variables, the vector
+fields, the coupling operators -- reads and returns the pair as one doubled
+vector [a; b] of length 2n, which both state classes give as ``doubled``;
+:func:`halves` views its two halves. :func:`pair_norm` and
+:func:`conjugate_defect` read a doubled vector too.
 
 Everything is treated as an immutable value; operations return new fields.
 No physical-space grid exists anywhere: the nonlinearity of the equation is a
@@ -16,6 +22,7 @@ scalar functional of the coefficients, so all computations stay spectral.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,26 +56,29 @@ class ComplexField:
         return cls(grid, np.zeros(grid.n_modes, dtype=np.complex128))
 
 
-ArrayPair = tuple[np.ndarray, np.ndarray]
-FieldPair = tuple[ComplexField, ComplexField]
-
-
-def halves(x: np.ndarray) -> ArrayPair:
+def halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two halves (a, b) of a doubled vector [a; b], as views."""
     n = len(x) // 2
     return x[:n], x[n:]
 
 
-def field_pair(grid: SpectralGrid, arrays: ArrayPair) -> FieldPair:
-    """Two coefficient vectors on one grid as a pair of fields."""
-    return ComplexField(grid, arrays[0]), ComplexField(grid, arrays[1])
+def conjugate_doubled(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+    """The doubled vector [w; z] of the conjugate pair with first half w, z_j = conj(w_{-j})."""
+    return np.concatenate((w, np.conj(w[grid.neg_index])))
 
 
-def pair_norm(grid: SpectralGrid, u: np.ndarray, v: np.ndarray, s: float) -> float:
-    """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2} of two coefficient vectors."""
+def pair_norm(grid: SpectralGrid, x: np.ndarray, s: float) -> float:
+    """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2} of a doubled vector [u; v]."""
     if s < 0.5:
         raise ParameterError(f"the pair norm needs s >= 1/2, got {s}")
+    u, v = halves(x)
     return grid.coeff_norm(u, s + 0.5) + grid.coeff_norm(v, s - 0.5)
+
+
+def conjugate_defect(grid: SpectralGrid, x: np.ndarray) -> float:
+    """How far a doubled vector [a; b] is from a conjugate pair (b = conj of a as a function)."""
+    a, b = halves(x)
+    return float(np.max(np.abs(b - np.conj(a[grid.neg_index]))))
 
 
 def _same_grid(f: ComplexField, g: ComplexField) -> None:
@@ -173,9 +183,14 @@ class RealPair:
     def grid(self) -> SpectralGrid:
         return self.u.grid
 
+    @property
+    def doubled(self) -> np.ndarray:
+        """The doubled vector [u; v]."""
+        return np.concatenate((self.u.coeffs, self.v.coeffs))
+
     def norm(self, s: float) -> float:
         """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2}."""
-        return pair_norm(self.grid, self.u.coeffs, self.v.coeffs, s)
+        return pair_norm(self.grid, self.doubled, s)
 
     @classmethod
     def projected(cls, u: ComplexField, v: ComplexField) -> "RealPair":
@@ -197,10 +212,10 @@ class ConjugatePair:
     def grid(self) -> SpectralGrid:
         return self.w.grid
 
-
-def conjugate_defect(first: ComplexField, second: ComplexField) -> float:
-    """How far (first, second) is from being a conjugate pair (second = conj of first)."""
-    return float(np.max(np.abs(second.coeffs - conj_function(first).coeffs)))
+    @property
+    def doubled(self) -> np.ndarray:
+        """The doubled vector [w; z] that every map on a pair reads."""
+        return conjugate_doubled(self.grid, self.w.coeffs)
 
 
 # -- serialization ----------------------------------------------------------
@@ -228,7 +243,9 @@ def field_from_dict(data: dict, grid: SpectralGrid | None = None) -> ComplexFiel
             f"serialized field has {len(rows)} coefficients, grid has {grid.n_modes}"
         )
     c = np.zeros(grid.n_modes, dtype=np.complex128)
-    for row in rows:
-        mode, re, im = row[: grid.d], row[grid.d], row[grid.d + 1]
-        c[grid.slot(mode)] = complex(re, im)
+    for i, row in enumerate(rows):
+        mode, value = row[: grid.d], complex(row[grid.d], row[grid.d + 1])
+        if not cmath.isfinite(value):
+            raise ParameterError(f"coefficient {i} must be finite, got {value!r}")
+        c[grid.slot(mode)] = value
     return ComplexField(grid, c)

@@ -298,7 +298,8 @@ class _Run:
 
     def project(self, y) -> tuple[np.ndarray, float]:
         y, defect = self.evaluator.project(y)
-        self.max_defect = max(self.max_defect, defect)
+        if defect > self.max_defect or math.isnan(defect):  # a NaN, once seen, stays
+            self.max_defect = defect
         return y, defect
 
     def accept(self, t, y) -> None:

@@ -5,11 +5,13 @@ After the diag stage the dynamics of a conjugate pair (a, b) is
     da/dt = -i sigma Lambda a + i (<Lb,Lb> - <La,La>) / (4 sigma^2) * b
     db/dt = the conjugate equation,
 
-with the wave speed sigma = sqrt(1+2P). One helper, :func:`_diag_scalars`,
-reads P, sigma and the off-diagonal coefficient off a conjugate pair for every
-field below. The field splits into four parts: the linear diagonal rotation,
-its scalar tail (sigma - 1 times the rotation), the cubic off-diagonal term,
-and a quintic-order off-diagonal remainder. The cubic stage then conjugates
+with the wave speed sigma = sqrt(1+2P). Every field here takes and returns
+the pair as one doubled vector [a; b], the format of the change of variables
+and of the coupling layer; a flow integrates the first half. One helper,
+:func:`_diag_scalars`, reads P, sigma and the off-diagonal coefficient off a
+conjugate pair for every field below. The field splits into four parts: the
+linear diagonal rotation, its scalar tail (sigma - 1 times the rotation), the
+cubic off-diagonal term, and a quintic-order off-diagonal remainder. The cubic stage then conjugates
 this field to the normal-form field, available in two algebraically
 equivalent evaluations:
 
@@ -19,8 +21,7 @@ equivalent evaluations:
               quintic remainder, :func:`normal_form_rhs_arrays`.
 
 Each makes one (I + jac) solve: the solve is linear, so the structured form
-adds its two terms under (I + jac)^{-1} before solving. Both work on the doubled
-state [w; z], as the coupling layer does; a flow integrates the first half. Every flow and
+adds its two terms under (I + jac)^{-1} before solving. Every flow and
 :func:`normal_form_rhs` run the structured form; the direct form is its
 reference, which only the ``normal-form-agreement`` suite calls. The
 structured form never evaluates the diagonalized field at the image, so the
@@ -39,9 +40,9 @@ import numpy as np
 
 from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
 from .errors import DomainError
-from .fields import ArrayPair, ConjugatePair, FieldPair, field_pair, halves
+from .fields import ConjugatePair, halves
 from .grid import SpectralGrid
-from .transforms import _speed_scalars_arrays
+from .transforms import _speed_scalars
 
 #: operational ball of the normal-form field: a state with ||w||_m0 at or
 #: above it is rejected with DomainError before (I + jac) is solved
@@ -56,12 +57,13 @@ def diag_linear_arrays(grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     return grid.rotation * x
 
 
-def _diag_scalars(grid, a, b) -> tuple[float, float, float]:
+def _diag_scalars(grid, x) -> tuple[float, float, float]:
     """P, the wave speed sigma = sqrt(1+2P) and the off-diagonal coefficient
     s = (i/4)(<Lb,Lb> - <La,La>) / sigma^2 of the diagonalized field at the
-    conjugate pair (a, b), where <La, Lb> = sum |j|^2 a_j b_{-j}. There
+    conjugate pair [a; b], where <La, Lb> = sum |j|^2 a_j b_{-j}. There
     <Lb,Lb> = conj <La,La>, so s is real and takes one pairing."""
-    _, p, sigma = _speed_scalars_arrays(grid, a, b)
+    _, p, sigma = _speed_scalars(grid, x)
+    a = x[: grid.n_modes]
     s = 0.5 * grid.pairing(a, a, grid.j2f).imag / (sigma * sigma)
     return p, sigma, s
 
@@ -74,9 +76,10 @@ def offdiag_cubic_arrays(lin: Linearization) -> np.ndarray:
     return s * lin.state_swap
 
 
-def diagonalized_rhs_arrays(grid, a, b) -> ArrayPair:
-    _, sigma, s = _diag_scalars(grid, a, b)
-    return (-1j * sigma) * (grid.absj * a) + s * b, (1j * sigma) * (grid.absj * b) + s * a
+def diagonalized_rhs_arrays(grid, x) -> np.ndarray:
+    """The diagonalized field at the conjugate pair [a; b], doubled."""
+    _, sigma, s = _diag_scalars(grid, x)
+    return sigma * diag_linear_arrays(grid, x) + s * x[grid.pair_swap]
 
 
 def resonant_cubic_arrays(lin: Linearization) -> np.ndarray:
@@ -89,33 +92,29 @@ def resonant_cubic_arrays(lin: Linearization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RhsParts:
-    """Decomposition of the diagonalized field; the four parts sum to the field."""
+    """Decomposition of the diagonalized field into four doubled vectors that
+    sum to the field."""
 
-    diag_linear: FieldPair
-    diag_tail: FieldPair
-    offdiag_cubic: FieldPair
-    offdiag_tail: FieldPair
+    diag_linear: np.ndarray
+    diag_tail: np.ndarray
+    offdiag_cubic: np.ndarray
+    offdiag_tail: np.ndarray
     p_value: float
 
 
 def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     g = pair.grid
-    a, b = pair.w.coeffs, pair.z.coeffs
-    p, sigma, _ = _diag_scalars(g, a, b)
-    d1 = diag_linear_arrays(g, np.concatenate((a, b)))
+    x = pair.doubled
+    p, sigma, _ = _diag_scalars(g, x)
+    d1 = diag_linear_arrays(g, x)
     tail_factor = 2.0 * p / (1.0 + sigma)  # sigma - 1, without the cancellation
     # the cubic coefficient from a pairing of its own, so that the split also
     # checks the field's coefficient s = cubic / sigma^2 = cubic + tail
+    a = pair.w.coeffs
     cubic = 0.5 * g.pairing(a, a, g.j2f).imag
     tail = -2.0 * p / (sigma * sigma) * cubic
-
-    return RhsParts(
-        diag_linear=field_pair(g, halves(d1)),
-        diag_tail=field_pair(g, halves(tail_factor * d1)),
-        offdiag_cubic=field_pair(g, (cubic * b, cubic * a)),
-        offdiag_tail=field_pair(g, (tail * b, tail * a)),
-        p_value=p,
-    )
+    swap = x[g.pair_swap]
+    return RhsParts(d1, tail_factor * d1, cubic * swap, tail * swap, p)
 
 
 def _check_ball(grid, w) -> None:
@@ -127,25 +126,25 @@ def _check_ball(grid, w) -> None:
 
 @dataclass(frozen=True)
 class NormalFormRhs:
-    """The normal-form field at one state as coefficient-array pairs, split
-    as total = linear + cubic + quintic, where linear is the rotation scaled
-    by the wave speed 1 + speed_shift; each pair is two views of one doubled vector."""
+    """The normal-form field at one state, split as total = linear + cubic +
+    quintic, where linear is the rotation scaled by the wave speed
+    1 + speed_shift; each part is the (first, second) halves of its doubled
+    vector, as views."""
 
-    total: ArrayPair
-    linear: ArrayPair
-    cubic: ArrayPair
-    quintic: ArrayPair
+    total: tuple[np.ndarray, np.ndarray]
+    linear: tuple[np.ndarray, np.ndarray]
+    cubic: tuple[np.ndarray, np.ndarray]
+    quintic: tuple[np.ndarray, np.ndarray]
     speed_shift: float
 
 
-def _normal_form_field(grid, w, z):
-    """The doubled parts sigma * rotation, resonant cubic, solved term at (w, z); P, sigma."""
-    _check_ball(grid, w)
-    x = np.concatenate((w, z))
+def _normal_form_field(grid, x):
+    """The doubled parts sigma * rotation, resonant cubic, solved term at [w; z]; P, sigma."""
+    _check_ball(grid, x[: grid.n_modes])
     lin = linearize(grid, x)  # mix, the cubic terms and the solve all read it
     image = x + mix_arrays(lin, x)  # [eta; psi]
     # the diagonalized field's scalars at the transformed pair
-    p, sigma, s = _diag_scalars(grid, *halves(image))
+    p, sigma, s = _diag_scalars(grid, image)
     cubic = resonant_cubic_arrays(lin)
     # with r = b3 - cubic, jac (I+jac)^{-1} r = r - (I+jac)^{-1} r; the
     # solve is linear, so that term, scaled by the wave speed, and the full
@@ -156,22 +155,20 @@ def _normal_form_field(grid, w, z):
     return sigma * diag_linear_arrays(grid, x), cubic, y, p, sigma
 
 
-def normal_form_rhs_arrays(grid, w, z) -> np.ndarray:
-    """The normal-form field at (w, z), doubled, in its structured evaluation,
-    the one every flow integrates."""
-    linear, _, y, _, _ = _normal_form_field(grid, w, z)
+def normal_form_rhs_arrays(grid, x) -> np.ndarray:
+    """The normal-form field at the conjugate pair [w; z], doubled, in its
+    structured evaluation, the one every flow integrates."""
+    linear, _, y, _, _ = _normal_form_field(grid, x)
     return linear + y
 
 
-def normal_form_direct_arrays(grid, w, z) -> np.ndarray:
-    """The normal-form field at (w, z), doubled, in its direct evaluation, the reference
+def normal_form_direct_arrays(grid, x) -> np.ndarray:
+    """The normal-form field at [w; z], doubled, in its direct evaluation, the reference
     of :func:`normal_form_rhs_arrays`: (I + jac)^{-1} applied to the
-    diagonalized field at the cubic-stage image (w, z) + mix(w, z)."""
-    _check_ball(grid, w)
-    x = np.concatenate((w, z))
+    diagonalized field at the cubic-stage image [w; z] + mix(w, z)[w; z]."""
+    _check_ball(grid, x[: grid.n_modes])
     lin = linearize(grid, x)
-    field = diagonalized_rhs_arrays(grid, *halves(x + mix_arrays(lin, x)))
-    return solve_jacobian_arrays(lin, np.concatenate(field))
+    return solve_jacobian_arrays(lin, diagonalized_rhs_arrays(grid, x + mix_arrays(lin, x)))
 
 
 def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> float:
@@ -181,7 +178,7 @@ def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> floa
 
 def normal_form_rhs(pair: ConjugatePair) -> NormalFormRhs:
     """The normal-form field at a conjugate pair, with its parts."""
-    linear, cubic, y, p, sigma = _normal_form_field(pair.grid, pair.w.coeffs, pair.z.coeffs)
+    linear, cubic, y, p, sigma = _normal_form_field(pair.grid, pair.doubled)
     return NormalFormRhs(
         total=halves(linear + y),
         linear=halves(linear),

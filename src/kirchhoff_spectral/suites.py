@@ -51,13 +51,7 @@ from .coupling import (
     solve_jacobian_arrays,
 )
 from .errors import ParameterError
-from .fields import (
-    ConjugatePair,
-    conj_function,
-    lambda_power,
-    pairing,
-    random_field,
-)
+from .fields import ConjugatePair, conj_function, halves, lambda_power, pairing, random_field
 from .grid import SpectralGrid
 from .kirchhoff import random_state
 from .normal_form import (
@@ -273,8 +267,8 @@ def _homological_defects(g: SpectralGrid, seed, k: int) -> dict:
 def _cancellation_defects(g: SpectralGrid, seed, k: int) -> dict:
     """The resonant cubic and the (shifted) linear rotation contribute exactly
     nothing to the derivative of any Sobolev norm on conjugate pairs."""
-    w = random_field(g, seed(0), 0.25, g.m0, "free").coeffs
-    x = np.concatenate((w, np.conj(w[g.neg_index])))
+    pair = ConjugatePair(random_field(g, seed(0), 0.25, g.m0, "free"))
+    x, w = pair.doubled, pair.w.coeffs
     x3 = resonant_cubic_arrays(linearize(g, x))[: g.n_modes]
     d1 = diag_linear_arrays(g, x)[: g.n_modes]
     rates = [energy_derivative_arrays(g, w, f, s) for s in CANCELLATION_S for f in (x3, d1)]
@@ -283,17 +277,13 @@ def _cancellation_defects(g: SpectralGrid, seed, k: int) -> dict:
 
 def _rank_one_defects(g: SpectralGrid, seed, k: int) -> dict:
     """Closed-form inverse of the diag-stage rank-one correction vs dense solve."""
-    eta = random_field(g, seed(0), 0.6, g.m0, "free")
-    psi = conj_function(eta)
-    rhs = tuple(random_field(g, seed(slot), 1.0, 0.0, "free") for slot in (1, 2))
-    closed = rank_one_solve_closed(eta, psi, rhs)
-    dense = rank_one_solve_dense(eta, psi, rhs)
-    k_closed = rank_one_apply(eta, psi, closed)
+    x = ConjugatePair(random_field(g, seed(0), 0.6, g.m0, "free")).doubled  # [eta; psi]
+    rhs = np.concatenate([random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2)])
+    closed = rank_one_solve_closed(g, x, rhs)
+    dense = rank_one_solve_dense(g, x, rhs)
     return {
-        "dense": _worst([_amax(c.coeffs - d.coeffs) for c, d in zip(closed, dense)]),
-        "closed_form_residual": _worst(
-            [_amax(c.coeffs + kc.coeffs - r.coeffs) for c, kc, r in zip(closed, k_closed, rhs)]
-        ),
+        "dense": _amax(closed - dense),
+        "closed_form_residual": _amax(closed + rank_one_apply(g, x, closed) - rhs),
     }
 
 
@@ -309,10 +299,10 @@ def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
     tables, so a fault in those shows only here. The name dates from the
     Neumann-series solve; reports and the benchmark address it so.
     """
-    w = random_field(g, seed(0), 0.4, g.m0, "free").coeffs
-    z = np.conj(w[g.neg_index])
+    state = ConjugatePair(random_field(g, seed(0), 0.4, g.m0, "free")).doubled
+    w, z = halves(state)
     r = np.concatenate([random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2)])
-    x = solve_jacobian_arrays(linearize(g, np.concatenate((w, z))), r)
+    x = solve_jacobian_arrays(linearize(g, state), r)
     ax = pairwise_jacobian_action(g, w, z, x)
     scale = max(1.0, _amax(r))
     defects = {"defect": _amax(ax - r) / scale}
@@ -352,11 +342,9 @@ def _mix_jac_defects(g: SpectralGrid, seed, k: int) -> dict:
     ||jac (a,b)||_s <= (7/16)||w||_m0^2 ||a||_s + (7/8)||w||_m0 ||w||_s ||a||_m0."""
     m0 = g.m0
     w = random_field(g, seed(0), 0.45, m0, "free")
-    z = conj_function(w)
     alpha = random_field(g, seed(1), 0.9, m0, "free")
-    beta = conj_function(alpha)
-    lin = linearize(g, np.concatenate((w.coeffs, z.coeffs)))
-    ab = np.concatenate((alpha.coeffs, beta.coeffs))
+    lin = linearize(g, ConjugatePair(w).doubled)
+    ab = ConjugatePair(alpha).doubled
     ma, ka = mix_arrays(lin, ab)[: g.n_modes], jac_arrays(lin, ab)[: g.n_modes]
     wm = w.norm(m0)
     am = alpha.norm(m0)
@@ -371,26 +359,26 @@ def _mix_jac_defects(g: SpectralGrid, seed, k: int) -> dict:
 def _decomposition_defects(g: SpectralGrid, seed, k: int) -> dict:
     """The four-part split of the diagonalized field: the parts sum to the
     field, and the cubic/tail parts obey their explicit norm bounds."""
+    n = g.n_modes
     w = random_field(g, seed(0), 0.4, g.m0, "free")
     pair = ConjugatePair(w)
     parts = decompose_rhs(pair)
-    fa, fb = diagonalized_rhs_arrays(g, w.coeffs, pair.z.coeffs)
-    four = (parts.diag_linear, parts.diag_tail, parts.offdiag_cubic, parts.offdiag_tail)
-    suma, sumb = (sum(part[i].coeffs for part in four) for i in (0, 1))
-    scale = max(1.0, _amax(fa))
-    x3 = resonant_cubic_arrays(linearize(g, np.concatenate((w.coeffs, pair.z.coeffs))))
+    field = diagonalized_rhs_arrays(g, pair.doubled)
+    total = parts.diag_linear + parts.diag_tail + parts.offdiag_cubic + parts.offdiag_tail
+    scale = max(1.0, _amax(field[:n]))
+    x3 = resonant_cubic_arrays(linearize(g, pair.doubled))
     w1 = w.norm(1.0)
     ratios = []
     for s in BOUND_S:
         ws = w.norm(s)
+        cubic_s = g.coeff_norm(parts.offdiag_cubic[:n], s)
         ratios += [
-            parts.offdiag_cubic[0].norm(s) / (0.5 * w1 * w1 * ws),
-            g.coeff_norm(x3[: g.n_modes], s) / (0.25 * w1 * w1 * ws),
-            parts.offdiag_tail[0].norm(s)
-            / max(2.0 * parts.p_value * parts.offdiag_cubic[0].norm(s), 1e-300),
+            cubic_s / (0.5 * w1 * w1 * ws),
+            g.coeff_norm(x3[:n], s) / (0.25 * w1 * w1 * ws),
+            g.coeff_norm(parts.offdiag_tail[:n], s) / max(2.0 * parts.p_value * cubic_s, 1e-300),
         ]
     return {
-        "sum_residual": _worst([_amax(suma - fa), _amax(sumb - fb)]) / scale,
+        "sum_residual": _amax(total - field) / scale,
         "inequality": _worst([1.0, *ratios]) - 1.0,
     }
 
@@ -401,29 +389,26 @@ def _decomposition_defects(g: SpectralGrid, seed, k: int) -> dict:
 def _round_trip_defects(g: SpectralGrid, seed, k: int) -> dict:
     """Inverse consistency of every stage and of the full composition, plus
     the contraction-ball norm bounds of the cubic-stage inverse."""
-    m0 = g.m0
-    a = random_field(g, seed(0), 0.8, m0, "free")
-    b = random_field(g, seed(1), 0.8, m0, "free")
-    scale = max(_amax(a.coeffs), _amax(b.coeffs))
-    errors = []
-    for stage in (scale_stage, complex_stage):
-        back = stage("inv", stage("fwd", (a, b)))
-        errors += [_amax(back[0].coeffs - a.coeffs), _amax(back[1].coeffs - b.coeffs)]
-    linear = _worst(errors) / scale
-    eta = random_field(g, seed(2), 0.9, 1.0, "free")
-    pair = (eta, conj_function(eta))
-    fg = diag_stage("fwd", pair)
-    back = diag_stage("inv", fg)
-    diag = _amax(back[0].coeffs - pair[0].coeffs) / max(1.0, _amax(eta.coeffs))
-    qf = q_value(*fg)
-    radical = abs(qf * math.sqrt(1.0 + 2.0 * qf) - q_value(*pair))
-    w = random_field(g, seed(3), 0.2, m0, "free")
-    back = cubic_stage("inv", cubic_stage("fwd", (w, conj_function(w))))
-    cubic = _amax(back[0].coeffs - w.coeffs) / max(1.0, _amax(w.coeffs))
+    m0, n = g.m0, g.n_modes
+    ab = np.concatenate([random_field(g, seed(slot), 0.8, m0, "free").coeffs for slot in (0, 1)])
+    linear = _worst(
+        [_amax(stage("inv", g, stage("fwd", g, ab)) - ab) for stage in (scale_stage, complex_stage)]
+    ) / _amax(ab)
+    pair = ConjugatePair(random_field(g, seed(2), 0.9, 1.0, "free")).doubled
+    fg = diag_stage("fwd", g, pair)
+    back = diag_stage("inv", g, fg)
+    diag = _amax(back[:n] - pair[:n]) / max(1.0, _amax(pair[:n]))
+    qf = q_value(g, fg)
+    radical = abs(qf * math.sqrt(1.0 + 2.0 * qf) - q_value(g, pair))
+    x = ConjugatePair(random_field(g, seed(3), 0.2, m0, "free")).doubled
+    back = cubic_stage("inv", g, cubic_stage("fwd", g, x))
+    cubic = _amax(back[:n] - x[:n]) / max(1.0, _amax(x[:n]))
     # inverse-ball norm bounds: ||w|| <= 2 ||eta|| at m0 and above
-    eta_b = random_field(g, seed(4), 0.24, m0, "free")
-    winv = cubic_stage("inv", (eta_b, conj_function(eta_b)))[0]
-    ball = _worst([1.0, *(winv.norm(s) / (2.0 * eta_b.norm(s)) for s in (m0, m0 + 1.0))]) - 1.0
+    eta_b = ConjugatePair(random_field(g, seed(4), 0.24, m0, "free")).doubled
+    winv = cubic_stage("inv", g, eta_b)[:n]
+    ball = _worst(
+        [1.0, *(g.coeff_norm(winv, s) / (2.0 * g.coeff_norm(eta_b[:n], s)) for s in (m0, m0 + 1.0))]
+    ) - 1.0
     # the (u,v)-side norm is about twice the w-side norm, so the
     # w -> uv -> w loop needs headroom to stay inside both balls
     small = ConjugatePair(random_field(g, seed(5), 0.045, m0, "free"))
@@ -442,10 +427,9 @@ def _agreement_defects(g: SpectralGrid, seed, k: int) -> dict:
     """Direct vs structured evaluation of the normal-form field (the full
     operator-algebra regression check)."""
     m0 = g.m0
-    w = random_field(g, seed(0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")
-    z = np.conj(w.coeffs[g.neg_index])
-    direct = normal_form_direct_arrays(g, w.coeffs, z)
-    structured = normal_form_rhs_arrays(g, w.coeffs, z)
+    x = ConjugatePair(random_field(g, seed(0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")).doubled
+    direct = normal_form_direct_arrays(g, x)
+    structured = normal_form_rhs_arrays(g, x)
     den = max(g.coeff_norm(direct[: g.n_modes], m0), 1e-300)
     return {"defect": g.doubled_norm(direct - structured, m0) / den}
 
@@ -463,11 +447,9 @@ def _leak_defects(g: SpectralGrid, seed, k: int) -> dict:
     alternative map is never offered as a transform.
     """
     s = 1.5
-    eta = random_field(g, seed(0), 0.3, 1.0, "free")
-    pair = ConjugatePair(eta)
-    a, b = pair.w.coeffs, pair.z.coeffs
-    fa, fb = diagonalized_rhs_arrays(g, a, b)
-    q = q_value(pair)
+    x = ConjugatePair(random_field(g, seed(0), 0.3, 1.0, "free")).doubled
+    (a, b), (fa, fb) = halves(x), halves(diagonalized_rhs_arrays(g, x))
+    q = q_value(g, x)
     dq = 0.5 * g.pairing(a + b, fa + fb, g.absj)
     if abs(dq.imag) > 1e-10 * max(1.0, abs(dq)):
         raise AssertionError("dQ/dt must be real on conjugate pairs")

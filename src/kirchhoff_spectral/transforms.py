@@ -1,16 +1,21 @@
 """The four-stage change of variables and its scalar machinery.
 
 The composed map sends a conjugate pair (w, conj w) to a physical state
-(u, v) through four stages, each invertible on its stated domain:
+(u, v) through four stages, each invertible on its stated domain. Every stage
+is a map ``stage(direction, grid, x) -> x`` on the doubled vector [a; b] of
+a pair, the format of the coupling layer; :func:`change_of_variables` packs
+its state once, runs the four stages and unpacks once.
 
 * cubic stage   -- identity plus the off-diagonal mix operator (removes the
-  nonresonant cubic coupling between a field and its conjugate); forward and
-  inverse act on the doubled vector [w; z] of the coupling layer;
+  nonresonant cubic coupling between a field and its conjugate);
 * diag stage    -- state-dependent 2x2 mixing that diagonalizes the order-one
   part of the system, with mixing ratio rho evaluated at the scalar P;
 * complex stage -- complex-conjugate coordinates (f, g) <-> real (q, p);
 * scale stage   -- half-order scaling |j|^{-1/2} / |j|^{+1/2} that balances
   the two components of the wave system.
+
+The scalars Q and P of a pair, and the rank-one correction of the diag
+stage, read the same doubled vector.
 
 Scalar maps: rho(x) = -x / (1 + x + sqrt(1+2x)) is the mixing ratio of the
 diagonalization. The wave speed sigma = sqrt(1 + 2P), where P sqrt(1 + 2P) = Q,
@@ -27,16 +32,7 @@ import numpy as np
 
 from .coupling import linearize, mix_arrays
 from .errors import ConvergenceError, DomainError, ParameterError
-from .fields import (
-    ComplexField,
-    ConjugatePair,
-    FieldPair,
-    RealPair,
-    _same_grid,
-    conjugate_defect,
-    field_pair,
-    halves,
-)
+from .fields import ComplexField, ConjugatePair, RealPair, conjugate_defect, halves, pair_norm
 from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
 
 CUBIC_INV_BALL = 0.25
@@ -81,8 +77,15 @@ def phi_inv(y: float) -> float:
     return y / wave_speed(y)
 
 
-def _q_value_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
-    """Q of an array pair; rejects a pair whose Q is not real and >= 0 (not conjugate)."""
+def q_value(grid: SpectralGrid, x: np.ndarray) -> float:
+    """Quadratic functional Q = (1/4) <Lambda(a+b), a+b> of the pair [a; b].
+
+    For a conjugate pair this is the integral of (Lambda^{1/2} Re a)^2, hence
+    real and >= 0; the instantaneous squared wave speed of the system in the
+    complexified coordinates is 1 + 2Q. A pair whose Q is not real and >= 0
+    is not conjugate, and is rejected.
+    """
+    a, b = halves(x)
     c = a + b
     val = 0.25 * grid.pairing(c, c, grid.absj)
     scale = max(1.0, abs(val))
@@ -93,86 +96,57 @@ def _q_value_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
     return max(val.real, 0.0)
 
 
-def _speed_scalars_arrays(grid: SpectralGrid, a: np.ndarray, b: np.ndarray):
-    """Q, P = Q / sigma and the wave speed sigma = wave_speed(Q) of a conjugate array pair."""
-    q = _q_value_arrays(grid, a, b)  # also rejects non-conjugate pairs
+def _speed_scalars(grid: SpectralGrid, x: np.ndarray):
+    """Q, P = Q / sigma and the wave speed sigma = wave_speed(Q) of a conjugate pair."""
+    q = q_value(grid, x)  # also rejects non-conjugate pairs
     sigma = wave_speed(q)
     return q, q / sigma, sigma
 
 
-def _pair_arrays(f, g) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
-    """The grid and coefficient vectors of a ConjugatePair, or of two fields."""
-    if isinstance(f, ConjugatePair):
-        f, g = f.w, f.z
-    elif g is None:
-        raise ParameterError("q_value and p_value need a ConjugatePair or two fields")
-    _same_grid(f, g)
-    return f.grid, f.coeffs, g.coeffs
-
-
-def q_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> float:
-    """Quadratic functional Q = (1/4) <Lambda(f+g), f+g>.
-
-    For a conjugate pair this is the integral of (Lambda^{1/2} Re f)^2, hence
-    real and >= 0; the instantaneous squared wave speed of the system in the
-    complexified coordinates is 1 + 2Q.
-    """
-    return _q_value_arrays(*_pair_arrays(f, g))
-
-
-def p_value(f: ComplexField | ConjugatePair, g: ComplexField | None = None) -> float:
+def p_value(grid: SpectralGrid, x: np.ndarray) -> float:
     """P = phi_inv(Q): the same functional expressed through the diagonalized pair."""
-    return _speed_scalars_arrays(*_pair_arrays(f, g))[1]
+    return _speed_scalars(grid, x)[1]
 
 
-# -- individual stages --------------------------------------------------------
+# -- individual stages: (direction, grid, [a; b]) -> [a'; b'] -------------------
 
 
-def _stage_input(direction: str, pair: FieldPair) -> tuple[SpectralGrid, np.ndarray, np.ndarray]:
-    """Check a stage call; the grid and the two coefficient vectors of the pair."""
+def scale_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """fwd: [q; p] -> [|j|^{-1/2} q; |j|^{1/2} p]; inv undoes it."""
     _check_direction(direction)
-    a, b = pair
-    _same_grid(a, b)
-    return a.grid, a.coeffs, b.coeffs
-
-
-def scale_stage(direction: str, pair: FieldPair) -> FieldPair:
-    """fwd: (q, p) -> (|j|^{-1/2} q, |j|^{1/2} p); inv undoes it."""
-    g, a, b = _stage_input(direction, pair)
     sgn = -0.5 if direction == "fwd" else 0.5
-    return field_pair(g, (a * g.absj ** sgn, b * g.absj ** (-sgn)))
+    return x * np.concatenate((grid.absj ** sgn, grid.absj ** (-sgn)))
 
 
-def complex_stage(direction: str, pair: FieldPair) -> FieldPair:
-    """fwd: (f, g) -> (q, p) = ((f+g)/sqrt2, (f-g)/(i sqrt2)); inv: f,g = (q +- i p)/sqrt2."""
-    g, a, b = _stage_input(direction, pair)
+def complex_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """fwd: [f; g] -> [q; p] = [(f+g)/sqrt2; (f-g)/(i sqrt2)]; inv: f,g = (q +- i p)/sqrt2."""
+    _check_direction(direction)
+    a, b = halves(x)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if direction == "fwd":
-        return field_pair(g, ((a + b) * inv_sqrt2, -1j * (a - b) * inv_sqrt2))
-    return field_pair(g, ((a + 1j * b) * inv_sqrt2, (a - 1j * b) * inv_sqrt2))
+        return np.concatenate(((a + b) * inv_sqrt2, -1j * (a - b) * inv_sqrt2))
+    return np.concatenate(((a + 1j * b) * inv_sqrt2, (a - 1j * b) * inv_sqrt2))
 
 
-def diag_stage(direction: str, pair: FieldPair) -> FieldPair:
+def diag_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     """Order-one diagonalization; global (no smallness needed), closed-form inverse.
 
-    fwd maps the diagonalized pair (eta, psi) to (f, g) through the mixing
-    matrix with ratio rho(P(eta, psi)); inv recovers (eta, psi) using that
+    fwd maps the diagonalized pair [eta; psi] to [f; g] through the mixing
+    matrix with ratio rho(P(eta, psi)); inv recovers [eta; psi] using that
     the same ratio equals rho(Q(f, g)), with the sign of the ratio flipped.
     """
-    g, a, b = _stage_input(direction, pair)
-    q = _q_value_arrays(g, a, b)
+    _check_direction(direction)
+    q = q_value(grid, x)
     r = rho(phi_inv(q)) if direction == "fwd" else -rho(q)
-    den = 1.0 / math.sqrt(1.0 - r * r)
-    return field_pair(g, ((a + r * b) * den, (r * a + b) * den))
+    return (x + r * x[grid.pair_swap]) * (1.0 / math.sqrt(1.0 - r * r))
 
 
-def cubic_stage(direction: str, pair: FieldPair) -> FieldPair:
-    """fwd: (w, z) -> (w, z) + mix(w, z)(w, z); inv by contraction in the 1/4 ball."""
-    g, a, b = _stage_input(direction, pair)
-    x = np.concatenate((a, b))
+def cubic_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """fwd: [w; z] -> [w; z] + mix(w, z)[w; z]; inv by contraction in the 1/4 ball."""
+    _check_direction(direction)
     if direction == "fwd":
-        return field_pair(g, halves(x + mix_arrays(linearize(g, x), x)))
-    return field_pair(g, halves(cubic_stage_inverse_arrays(g, x)))
+        return x + mix_arrays(linearize(grid, x), x)
+    return cubic_stage_inverse_arrays(grid, x)
 
 
 def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndarray:
@@ -201,43 +175,44 @@ def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndar
 # -- rank-one correction of the diag stage ------------------------------------
 #
 # Differentiating the diag stage along the flow produces a rank-one operator
-# acting on pairs: (alpha, beta) -> (psi, eta) * F * <Lambda(eta+psi), alpha+beta>,
-# with the scalar factor F below. (I + that operator) has the closed-form
-# inverse implemented here; the dense solve is the independent oracle for it.
+# acting on pairs: [alpha; beta] -> [psi; eta] * F * <Lambda(eta+psi), alpha+beta>
+# at the state x = [eta; psi], with the scalar factor F below. (I + that
+# operator) has the closed-form inverse implemented here; the dense solve is
+# the independent oracle for it.
 
 
-def rank_one_factor(eta: ComplexField, psi: ComplexField) -> float:
+def rank_one_factor(grid: SpectralGrid, x: np.ndarray) -> float:
     """F = -1 / (4 (1 + 3P) sigma)."""
-    _, p, sigma = _speed_scalars_arrays(*_pair_arrays(eta, psi))
+    _, p, sigma = _speed_scalars(grid, x)
     return -1.0 / (4.0 * (1.0 + 3.0 * p) * sigma)
 
 
-def rank_one_apply(eta: ComplexField, psi: ComplexField, vec: FieldPair) -> FieldPair:
-    g = eta.grid
-    f = rank_one_factor(eta, psi)
-    ell = g.pairing(eta.coeffs + psi.coeffs, vec[0].coeffs + vec[1].coeffs, g.absj)
-    return field_pair(g, (psi.coeffs * (f * ell), eta.coeffs * (f * ell)))
+def _rank_one_functional(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> complex:
+    """<Lambda(eta+psi), alpha+beta> at x = [eta; psi] and y = [alpha; beta]."""
+    (eta, psi), (alpha, beta) = halves(x), halves(y)
+    return grid.pairing(eta + psi, alpha + beta, grid.absj)
 
 
-def rank_one_solve_closed(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -> FieldPair:
-    """Closed form: rhs + (psi, eta) <Lambda(eta+psi), rhs_1+rhs_2> / (4 sigma^3)."""
-    g = eta.grid
-    sigma = _speed_scalars_arrays(*_pair_arrays(eta, psi))[2]
-    ell = g.pairing(eta.coeffs + psi.coeffs, rhs[0].coeffs + rhs[1].coeffs, g.absj)
-    c = ell / (4.0 * sigma ** 3)
-    return field_pair(g, (rhs[0].coeffs + c * psi.coeffs, rhs[1].coeffs + c * eta.coeffs))
+def rank_one_apply(grid: SpectralGrid, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    scale = rank_one_factor(grid, x) * _rank_one_functional(grid, x, vec)
+    return x[grid.pair_swap] * scale
 
 
-def rank_one_solve_dense(eta: ComplexField, psi: ComplexField, rhs: FieldPair) -> FieldPair:
-    g = eta.grid
-    n = g.n_modes
-    f = rank_one_factor(eta, psi)
-    c = eta.coeffs + psi.coeffs
-    row = (g.absj * c)[g.neg_index]  # functional l(alpha,beta) = row . alpha + row . beta
-    col = np.concatenate([psi.coeffs, eta.coeffs])
-    mat = np.eye(2 * n, dtype=np.complex128) + f * np.outer(col, np.concatenate([row, row]))
-    sol = np.linalg.solve(mat, np.concatenate([rhs[0].coeffs, rhs[1].coeffs]))
-    return field_pair(g, (sol[:n], sol[n:]))
+def rank_one_solve_closed(grid: SpectralGrid, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Closed form: rhs + [psi; eta] <Lambda(eta+psi), rhs_1+rhs_2> / (4 sigma^3)."""
+    sigma = _speed_scalars(grid, x)[2]
+    c = _rank_one_functional(grid, x, rhs) / (4.0 * sigma ** 3)
+    return rhs + c * x[grid.pair_swap]
+
+
+def rank_one_solve_dense(grid: SpectralGrid, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    f = rank_one_factor(grid, x)
+    eta, psi = halves(x)
+    row = (grid.absj * (eta + psi))[grid.neg_index]  # l(alpha,beta) = row . alpha + row . beta
+    mat = np.eye(len(x), dtype=np.complex128) + f * np.outer(
+        x[grid.pair_swap], np.concatenate([row, row])
+    )
+    return np.linalg.solve(mat, rhs)
 
 
 # -- full composition ----------------------------------------------------------
@@ -261,32 +236,25 @@ def change_of_variables(
     """
     _check_direction(direction)
     fwd = direction == "fwd"
-    if fwd:
-        if not isinstance(state, ConjugatePair):
-            raise ParameterError("fwd composition expects a ConjugatePair")
-        m0 = state.grid.m0
-        if ball_radius is not None and state.w.norm(m0) > ball_radius:
-            raise DomainError(
-                f"||w||_m0 = {state.w.norm(m0):.4f} outside the ball {ball_radius}"
-            )
-        pair = (state.w, state.z)
-    else:
-        if not isinstance(state, RealPair):
-            raise ParameterError("inv composition expects a RealPair")
-        m0 = state.grid.m0
-        size = state.norm(m0)
-        if ball_radius is not None and size > ball_radius:
-            raise DomainError(f"||u|| + ||v|| = {size:.4f} outside the ball {ball_radius}")
-        pair = (state.u, state.v)
+    kind = ConjugatePair if fwd else RealPair
+    if not isinstance(state, kind):
+        raise ParameterError(f"{direction} composition expects a {kind.__name__}")
+    g = state.grid
+    x = state.doubled
+    if ball_radius is not None:
+        size = g.coeff_norm(x[: g.n_modes], g.m0) if fwd else pair_norm(g, x, g.m0)
+        if size > ball_radius:
+            name = "||w||_m0" if fwd else "||u|| + ||v||"
+            raise DomainError(f"{name} = {size:.4f} outside the ball {ball_radius}")
     for stage in _STAGES if fwd else _STAGES[::-1]:
-        pair = stage(direction, pair)
+        x = stage(direction, g, x)
+    a, b = halves(x)
     if fwd:
-        return RealPair(*pair)
-    w, z = pair
-    scale = max(1.0, float(np.max(np.abs(w.coeffs))))
-    if conjugate_defect(w, z) > 1e-9 * scale:
+        return RealPair(ComplexField(g, a), ComplexField(g, b))
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if conjugate_defect(g, x) > 1e-9 * scale:
         raise DomainError("inverse composition lost the conjugate-pair structure")
-    return ConjugatePair(w)
+    return ConjugatePair(ComplexField(g, a))
 
 
 def equivalence_ratios(state: ConjugatePair, s: float) -> dict:

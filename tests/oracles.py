@@ -36,6 +36,7 @@ from kirchhoff_spectral import coupling
 from kirchhoff_spectral.coupling import jac_arrays, linearize
 from kirchhoff_spectral.dynamics import _ConjugateDynamics
 from kirchhoff_spectral.errors import NumericalError
+from kirchhoff_spectral.fields import conjugate_doubled, halves
 from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
 
 
@@ -207,18 +208,22 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def complexified_rhs_arrays(grid, a, b):
-    """The system in complex-conjugate coordinates, before the diag stage:
+def complexified_rhs_arrays(grid, x):
+    """The system in complex-conjugate coordinates, before the diag stage, at
+    the doubled pair x = [a; b], doubled:
 
         da/dt = -i Lambda a - (i/4) <Lambda(a+b), a+b> Lambda(a+b)
 
     and the mirrored equation for b. Polynomial in (a, b), so valid on any
     pair; on the conjugate subspace it is the physical system itself.
     """
+    a, b = halves(x)
     c = a + b
     q = 0.25 * grid.pairing(c, c, grid.absj)
     lam_c = grid.absj * c
-    return -1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c
+    return np.concatenate(
+        (-1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c)
+    )
 
 
 class ComplexifiedDynamics(_ConjugateDynamics):
@@ -227,7 +232,7 @@ class ComplexifiedDynamics(_ConjugateDynamics):
     name = "complexified"
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        return complexified_rhs_arrays(self.grid, y, self._z(y))[0]
+        return complexified_rhs_arrays(self.grid, conjugate_doubled(self.grid, y))[: len(y)]
 
 
 class LinearDiagonalDynamics(_ConjugateDynamics):

@@ -369,7 +369,7 @@ def test_sweep_normal_form_samples_do_not_cap_the_step(monkeypatch):
     assert row["n_rhs"] == len(calls)
 
 
-def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path):
+def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path, capsys):
     out = os.path.join(tmp_path, "c")
     code = main(
         ["conjugacy", "--eps", "0.3", "--t-end", "0.1", "--n-samples", "2",
@@ -379,6 +379,62 @@ def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path):
     with open(os.path.join(out, "conjugacy_report.json")) as fh:
         rep = json.load(fh)
     assert rep["status"] == "inconclusive"
+    # the printed verdict gives the level's own reason
+    reason = rep["levels"][-1]["reason"]
+    assert reason.startswith("initial ball violation")
+    assert capsys.readouterr().out.strip() == f"conjugacy: inconclusive ({reason})"
+
+
+def _config_error(capsys, argv, path=None, config=None) -> str:
+    """Run ``argv`` (with ``config`` written to ``path`` as its config file)
+    and return its stderr, after checking that it exits with a config error."""
+    if config is not None:
+        with open(path, "w") as fh:
+            json.dump(config, fh)  # NaN and inf are written as NaN and Infinity
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    return capsys.readouterr().err
+
+
+def test_conjugacy_non_finite_tolerance_is_a_config_error(tmp_path, capsys):
+    argv = ["conjugacy", "--t-end", "0.1", "--levels", "1", "--out", str(tmp_path)]
+    for text in ("nan", "inf"):
+        err = _config_error(capsys, argv + ["--base-rel-tol", text])
+        assert "base_rel_tol: must be finite" in err
+    err = _config_error(capsys, argv, tmp_path / "c.json", {"eps": math.nan})
+    assert "eps: must be finite" in err
+
+
+def test_simulate_non_finite_input_is_a_config_error(tmp_path, capsys, grid1):
+    from kirchhoff_spectral import field_to_dict
+
+    argv = ["simulate", "--t-end", "0.1", "--out", str(tmp_path)]
+    assert "eps: must be finite" in _config_error(capsys, argv + ["--eps", "nan"])
+    err = _config_error(capsys, argv, tmp_path / "c.json", {"abs_tol": math.inf})
+    assert "abs_tol: must be finite" in err
+    # an initial field is read from outside the program too
+    data = field_to_dict(random_field(grid1, 5, 0.03, 1.0, "free"))
+    data["coeffs"][3][grid1.d + 1] = math.nan
+    path = tmp_path / "w.json"
+    with open(path, "w") as fh:
+        json.dump({"w": data}, fh)
+    argv += ["--representation", "normal_form", "--initial-file", str(path)]
+    assert "initial_file w: coefficient 3 must be finite" in _config_error(capsys, argv)
+    # so are a missing field and a field serialized on another grid
+    with open(path, "w") as fh:
+        json.dump({"u": data}, fh)
+    assert "initial_file: no field 'w'" in _config_error(capsys, argv)
+    coarse = random_field(SpectralGrid(1, 4), 5, 0.03, 1.0, "free")
+    with open(path, "w") as fh:
+        json.dump({"w": field_to_dict(coarse)}, fh)
+    assert "initial_file w: serialized grid" in _config_error(capsys, argv)
+
+
+def test_sweep_non_finite_amplitude_is_a_config_error(tmp_path, capsys):
+    argv = ["sweep", "--workers", "1", "--out", str(tmp_path)]
+    assert "eps_list[0]: must be finite" in _config_error(capsys, argv + ["--eps-list", "nan"])
+    err = _config_error(capsys, argv, tmp_path / "c.json", {"eps_list": [0.1, math.inf]})
+    assert "eps_list[1]: must be finite" in err
 
 
 def _nan_inverse_at(call, monkeypatch):

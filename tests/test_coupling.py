@@ -303,7 +303,7 @@ class TestSolve:
         if evaluation == "structured":
             normal_form.normal_form_rhs(state)
         else:
-            normal_form.normal_form_direct_arrays(grid1, state.w.coeffs, state.z.coeffs)
+            normal_form.normal_form_direct_arrays(grid1, state.doubled)
         assert counts == {"solve": 1, "jac": 1}
 
 

@@ -44,13 +44,12 @@ def test_ball_value_is_the_physical_pair_norm(grid1, grid2):
 
 
 def test_conjugate_dynamics_rhs_consistency(grid1):
-    w = random_field(grid1, 3, 0.2, 1.0, "free")
-    y = w.coeffs
-    z = np.conj(y[grid1.neg_index])
+    pair = ConjugatePair(random_field(grid1, 3, 0.2, 1.0, "free"))
+    y, x, n = pair.w.coeffs, pair.doubled, grid1.n_modes
     diag = DiagonalizedDynamics(grid1)
-    assert np.array_equal(diag.rhs(0.0, y), diagonalized_rhs_arrays(grid1, y, z)[0])
+    assert np.array_equal(diag.rhs(0.0, y), diagonalized_rhs_arrays(grid1, x)[:n])
     nf = NormalFormDynamics(grid1)
-    assert np.array_equal(nf.rhs(0.0, y), normal_form_rhs_arrays(grid1, y, z)[: grid1.n_modes])
+    assert np.array_equal(nf.rhs(0.0, y), normal_form_rhs_arrays(grid1, x)[:n])
 
 
 def test_make_dynamics(grid1):
@@ -97,18 +96,17 @@ def test_complexified_field_real_structure_and_physical_equivalence(grid1):
     from oracles import complexified_rhs_arrays
     from kirchhoff_spectral.transforms import complex_stage, scale_stage
 
-    pair = ConjugatePair(random_field(grid1, 6, 0.3, 1.0, "free"))
-    arrays = complexified_rhs_arrays(grid1, pair.w.coeffs, pair.z.coeffs)
-    f1, f2 = (ComplexField(grid1, c) for c in arrays)
-    assert conjugate_defect(f1, f2) <= 1e-14
+    g, n = grid1, grid1.n_modes
+    pair = ConjugatePair(random_field(g, 6, 0.3, 1.0, "free"))
+    field = complexified_rhs_arrays(g, pair.doubled)
+    assert conjugate_defect(g, field) <= 1e-14
     # the same dynamics as the physical system: push (f,g) to (u,v), apply the
     # physical field, pull the tangent back, compare
-    uv = scale_stage("fwd", complex_stage("fwd", (pair.w, pair.z)))
-    state = RealPair(*uv, check_tol=1e-8)
-    dyn = KirchhoffDynamics(grid1)
-    out = dyn.unpack(dyn.rhs(0.0, dyn.pack(state)))
-    back = complex_stage("inv", scale_stage("inv", (out.u, out.v)))
-    assert np.max(np.abs(back[0].coeffs - f1.coeffs)) <= 1e-13
+    uv = scale_stage("fwd", g, complex_stage("fwd", g, pair.doubled))
+    state = RealPair(ComplexField(g, uv[:n]), ComplexField(g, uv[n:]), check_tol=1e-8)
+    dyn = KirchhoffDynamics(g)
+    back = complex_stage("inv", g, scale_stage("inv", g, dyn.rhs(0.0, dyn.pack(state))))
+    assert np.max(np.abs(back[:n] - field[:n])) <= 1e-13
 
 
 def test_partial_composition_conjugates_the_flows(grid1):
@@ -118,9 +116,11 @@ def test_partial_composition_conjugates_the_flows(grid1):
     from oracles import ComplexifiedDynamics
     from kirchhoff_spectral.transforms import cubic_stage, diag_stage
 
+    def pulled_back(f: ConjugatePair) -> np.ndarray:
+        return cubic_stage("inv", grid1, diag_stage("inv", grid1, f.doubled))[: grid1.n_modes]
+
     f0 = ConjugatePair(random_field(grid1, 7, 0.05, grid1.m0, "free"))
-    w0_field = cubic_stage("inv", diag_stage("inv", (f0.w, f0.z)))[0]
-    w0 = ConjugatePair(w0_field)
+    w0 = ConjugatePair(ComplexField(grid1, pulled_back(f0)))
     ts = np.linspace(0.0, 2.0, 9)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=2.0)
     rec_f = integrate(ComplexifiedDynamics(grid1), f0, cfg, t_eval=ts)
@@ -128,8 +128,7 @@ def test_partial_composition_conjugates_the_flows(grid1):
     assert rec_f.exit_reason == "completed" and rec_w.exit_reason == "completed"
     defect = 0.0
     for st_f, st_w in zip(rec_f.states, rec_w.states):
-        pulled = cubic_stage("inv", diag_stage("inv", (st_f.w, st_f.z)))[0]
-        defect = max(defect, grid1.coeff_norm(pulled.coeffs - st_w.w.coeffs, grid1.m0))
+        defect = max(defect, grid1.coeff_norm(pulled_back(st_f) - st_w.w.coeffs, grid1.m0))
     assert defect <= 1e-9
 
 

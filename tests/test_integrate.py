@@ -108,6 +108,27 @@ def test_projection_defect_zero_for_hermitian_data(grid1):
     assert rec.max_projection_defect == 0.0
 
 
+def test_a_nan_projection_defect_is_kept():
+    # the run's largest projection defect keeps a NaN, whatever comes after it
+    from kirchhoff_spectral.integrate import _Run
+
+    class Projecting(_ScalarDynamics):
+        def __init__(self, defects):
+            super().__init__(lambda t, y: 0.0 * y)
+            self.defects = iter(defects)
+
+        def project(self, y):
+            return y, next(self.defects)
+
+    run = _Run(Projecting([0.5, math.nan, 2.0]), IntegratorConfig(), {}, np.array([]))
+    y = np.zeros(1, dtype=np.complex128)
+    run.project(y)
+    assert run.max_defect == 0.5
+    for _ in range(2):
+        run.project(y)
+        assert math.isnan(run.max_defect)
+
+
 def test_blowup_detection():
     def quadratic(t, y):
         with np.errstate(over="ignore"):

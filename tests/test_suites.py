@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import ComplexField, SpectralGrid, suites, transforms
+from kirchhoff_spectral import SpectralGrid, suites, transforms
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
@@ -50,15 +50,13 @@ def test_table_rows_have_unique_seed_tags_and_checks_that_name_every_bound():
 
 
 def _rank_one_factor_mutant(real):
-    return lambda eta, psi: real(eta, psi) * (1 + 1e-9)
+    return lambda grid, x: real(grid, x) * (1 + 1e-9)
 
 
 def _scale_stage_fwd_mutant(real):
-    def stage(direction, pair):
-        out = real(direction, pair)
-        if direction != "fwd":
-            return out
-        return tuple(ComplexField(f.grid, f.coeffs * (1 + 3e-15)) for f in out)
+    def stage(direction, grid, x):
+        out = real(direction, grid, x)
+        return out * (1 + 3e-15) if direction == "fwd" else out
 
     return stage
 
@@ -101,6 +99,24 @@ def test_a_nan_defect_fails_its_suite(nan_at, monkeypatch):
     result = REGISTRY["cubic-energy-cancellation"](SuiteConfig(grids=((1, 4),), samples=3))
     assert not result.passed and math.isnan(result.max_defect)
     assert result.details["worst_at"]["sample"] == 0
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["du", "dv"])
+def test_a_nan_field_fails_the_reversibility_suite(half, monkeypatch):
+    # the defect is the larger norm of its two halves; a NaN in either one
+    # must reach the verdict
+    from kirchhoff_spectral import dynamics
+
+    real = dynamics.KirchhoffDynamics.rhs
+
+    def rhs(self, t, y):
+        out, n = real(self, t, y), self.grid.n_modes
+        out[half * n:(half + 1) * n] = math.nan
+        return out
+
+    monkeypatch.setattr(dynamics.KirchhoffDynamics, "rhs", rhs)
+    result = REGISTRY["reversibility"](SuiteConfig(grids=((1, 4),), samples=2))
+    assert not result.passed and math.isnan(result.max_defect)
 
 
 @pytest.mark.parametrize("nan_call, key", [(3, "c_star_m0"), (4, "c_star_s")])

@@ -10,18 +10,22 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(monkeypatch, name: str, as_name: str):
+    """perfbench/<name>.py as the module ``as_name``, registered for this test only."""
+    spec = importlib.util.spec_from_file_location(as_name, SPANS.parent / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans(monkeypatch):
+    return _load_perfbench(monkeypatch, "spans", "perfbench_spans")
 
 
 def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
@@ -64,6 +68,22 @@ def _calls(fn, callee: str) -> list[ast.Call]:
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee
     ]
+
+
+@pytest.mark.parametrize("workload, command", [("lifespan", "sweep"), ("oracle", "verify")])
+def test_the_cli_accepts_the_benchmark_configs(workload, command, tmp_path, monkeypatch):
+    # the benchmark's workloads run the CLI from config files they write; an
+    # option removed from under them would make every benchmark run exit 2
+    from kirchhoff_spectral import cli
+
+    _load_perfbench(monkeypatch, "stats", "stats")  # workloads imports it by this name
+    workloads = _load_perfbench(monkeypatch, "workloads", "perfbench_workloads")
+    parts = workloads.WORKLOADS[workload](1, str(tmp_path)).parts
+    configs = sorted(tmp_path.rglob("*.json"))
+    assert len(configs) == len(parts) > 0
+    defaults, schema = cli._tables(cli.COMMANDS[command][1])
+    for path in configs:
+        cli.merge_config(defaults, schema, str(path), {})
 
 
 def test_per_layer_call_edges():
@@ -162,11 +182,10 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
     # the benchmark's quartic workload times this field; its saved work is
     # pinned here: mix, the cubic terms, the solve and the solve's residual
     # guard read one record of the state, which is built once
-    from kirchhoff_spectral import SpectralGrid, coupling, normal_form, random_field
+    from kirchhoff_spectral import ConjugatePair, SpectralGrid, coupling, normal_form, random_field
 
     grid = SpectralGrid(d, 8)
-    w = random_field(grid, 5, 0.05, grid.m0, "free").coeffs
-    z = np.conj(w[grid.neg_index])
+    x = ConjugatePair(random_field(grid, 5, 0.05, grid.m0, "free")).doubled
     calls = dict.fromkeys(
         ("linearize", "solve_jacobian_arrays", "jac_arrays", "class_sums", "pairing"), 0
     )
@@ -185,7 +204,7 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(grid, "class_sums", counted("class_sums", grid.class_sums))
     monkeypatch.setattr(grid, "pairing", counted("pairing", grid.pairing))
-    normal_form.normal_form_rhs_arrays(grid, w, z)
+    normal_form.normal_form_rhs_arrays(grid, x)
     assert calls.pop("class_sums") <= CLASS_SUMS_PER_FIELD
     assert calls.pop("pairing") == PAIRINGS_PER_FIELD
     assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1}

@@ -12,7 +12,7 @@ from kirchhoff_spectral import (
     random_field,
     transforms,
 )
-from kirchhoff_spectral.fields import conj_function, conjugate_defect, hermitian_defect
+from kirchhoff_spectral.fields import conjugate_defect, halves, hermitian_defect
 from kirchhoff_spectral.kirchhoff import random_state
 from kirchhoff_spectral.transforms import (
     change_of_variables,
@@ -30,105 +30,104 @@ from oracles import unit_mode
 
 
 def _rand_pair(grid, seed, norm, s=1.0):
-    return (
-        random_field(grid, seed, norm, s, "free"),
-        random_field(grid, seed + 1000, norm, s, "free"),
+    """A doubled vector [a; b] of two independent random fields."""
+    return np.concatenate(
+        [random_field(grid, k, norm, s, "free").coeffs for k in (seed, seed + 1000)]
     )
+
+
+def _conjugate(grid, seed, norm, s):
+    """The doubled vector [w; conj w] of a random conjugate pair."""
+    return ConjugatePair(random_field(grid, seed, norm, s, "free")).doubled
+
+
+def _doubled(first: ComplexField, second: ComplexField):
+    return np.concatenate((first.coeffs, second.coeffs))
 
 
 def test_scale_stage_example(grid1):
     q = unit_mode(grid1, 4)
     p = ComplexField.zero(grid1)
-    u, v = scale_stage("fwd", (q, p))
-    assert u.coeffs[grid1.slot(4)] == pytest.approx(0.5, rel=1e-15)
-    assert np.all(v.coeffs == 0.0)
+    u, v = halves(scale_stage("fwd", grid1, _doubled(q, p)))
+    assert u[grid1.slot(4)] == pytest.approx(0.5, rel=1e-15)
+    assert np.all(v == 0.0)
 
 
 def test_scale_stage_round_trip(grid1):
-    pair = _rand_pair(grid1, 1, 1.0)
-    back = scale_stage("inv", scale_stage("fwd", pair))
-    for a, b in zip(back, pair):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+    x = _rand_pair(grid1, 1, 1.0)
+    back = scale_stage("inv", grid1, scale_stage("fwd", grid1, x))
+    assert np.max(np.abs(back - x)) <= 1e-15
 
 
 def test_complex_stage(grid1):
     q = random_field(grid1, 2, 1.0, 1.0, "hermitian")
     p = ComplexField.zero(grid1)
-    f, g = complex_stage("inv", (q, p))
-    assert np.max(np.abs(f.coeffs - q.coeffs / math.sqrt(2))) <= 1e-16
-    assert np.max(np.abs(g.coeffs - q.coeffs / math.sqrt(2))) <= 1e-16
+    f, g = halves(complex_stage("inv", grid1, _doubled(q, p)))
+    assert np.max(np.abs(f - q.coeffs / math.sqrt(2))) <= 1e-16
+    assert np.max(np.abs(g - q.coeffs / math.sqrt(2))) <= 1e-16
     # real (q, p) correspond to conjugate (f, g)
     p = random_field(grid1, 3, 1.0, 0.5, "hermitian")
-    f, g = complex_stage("inv", (q, p))
-    assert conjugate_defect(f, g) <= 1e-15
+    fg = complex_stage("inv", grid1, _doubled(q, p))
+    assert conjugate_defect(grid1, fg) <= 1e-15
     # and back
-    q2, p2 = complex_stage("fwd", (f, g))
-    assert np.max(np.abs(q2.coeffs - q.coeffs)) <= 1e-15
-    assert np.max(np.abs(p2.coeffs - p.coeffs)) <= 1e-15
-    assert hermitian_defect(q2) <= 1e-15
+    q2, p2 = halves(complex_stage("fwd", grid1, fg))
+    assert np.max(np.abs(q2 - q.coeffs)) <= 1e-15
+    assert np.max(np.abs(p2 - p.coeffs)) <= 1e-15
+    assert hermitian_defect(ComplexField(grid1, q2)) <= 1e-15
 
 
 def test_direction_validation(grid1):
-    pair = _rand_pair(grid1, 4, 0.5)
+    x = _rand_pair(grid1, 4, 0.5)
     with pytest.raises(ParameterError):
-        scale_stage("forward", pair)
+        scale_stage("forward", grid1, x)
 
 
 class TestDiagStage:
     def test_zero(self, grid1):
-        z = ComplexField.zero(grid1)
-        out = diag_stage("fwd", (z, z))
-        assert np.all(out[0].coeffs == 0.0)
+        out = diag_stage("fwd", grid1, np.zeros(2 * grid1.n_modes, dtype=np.complex128))
+        assert np.all(out == 0.0)
 
     def test_round_trip(self, grid1, grid2):
         for g, seed in ((grid1, 5), (grid2, 6)):
-            eta = random_field(g, seed, 0.9, 1.0, "free")
-            pair = (eta, conj_function(eta))
-            back = diag_stage("inv", diag_stage("fwd", pair))
-            scale = np.max(np.abs(eta.coeffs))
-            assert np.max(np.abs(back[0].coeffs - pair[0].coeffs)) <= 1e-12 * max(1, scale)
+            x = _conjugate(g, seed, 0.9, 1.0)
+            back = diag_stage("inv", g, diag_stage("fwd", g, x))
+            scale = np.max(np.abs(x[: g.n_modes]))
+            assert np.max(np.abs(back - x)[: g.n_modes]) <= 1e-12 * max(1, scale)
 
     def test_preserves_conjugate_structure(self, grid1):
-        eta = random_field(grid1, 7, 0.8, 1.0, "free")
-        f, g = diag_stage("fwd", (eta, conj_function(eta)))
-        assert conjugate_defect(f, g) <= 1e-14
+        fg = diag_stage("fwd", grid1, _conjugate(grid1, 7, 0.8, 1.0))
+        assert conjugate_defect(grid1, fg) <= 1e-14
 
     def test_radical_identity(self, grid1):
         # the quadratic functional before and after satisfy Q_after sqrt(1+2 Q_after) = Q_before
-        eta = random_field(grid1, 8, 0.7, 1.0, "free")
-        pair = (eta, conj_function(eta))
-        f, g = diag_stage("fwd", pair)
-        qf = q_value(f, g)
-        assert qf * math.sqrt(1 + 2 * qf) == pytest.approx(q_value(*pair), rel=1e-12)
+        x = _conjugate(grid1, 8, 0.7, 1.0)
+        qf = q_value(grid1, diag_stage("fwd", grid1, x))
+        assert qf * math.sqrt(1 + 2 * qf) == pytest.approx(q_value(grid1, x), rel=1e-12)
 
 
 class TestCubicStage:
     def test_zero(self, grid1):
-        z = ComplexField.zero(grid1)
-        out = cubic_stage("fwd", (z, z))
-        assert np.all(out[0].coeffs == 0.0)
-        back = cubic_stage("inv", (z, z))
-        assert np.all(back[0].coeffs == 0.0)
+        z = np.zeros(2 * grid1.n_modes, dtype=np.complex128)
+        assert np.all(cubic_stage("fwd", grid1, z) == 0.0)
+        assert np.all(cubic_stage("inv", grid1, z) == 0.0)
 
     def test_round_trip(self, grid1, grid2):
         for g, seed in ((grid1, 9), (grid2, 10)):
-            w = random_field(g, seed, 0.2, g.m0, "free")
-            pair = (w, conj_function(w))
-            back = cubic_stage("inv", cubic_stage("fwd", pair))
-            assert np.max(np.abs(back[0].coeffs - w.coeffs)) <= 1e-12
+            x = _conjugate(g, seed, 0.2, g.m0)
+            back = cubic_stage("inv", g, cubic_stage("fwd", g, x))
+            assert np.max(np.abs(back - x)[: g.n_modes]) <= 1e-12
 
     def test_inverse_norm_bounds(self, grid1):
-        m0 = grid1.m0
+        m0, n = grid1.m0, grid1.n_modes
         for seed in range(20):
-            eta = random_field(grid1, seed, 0.24, m0, "free")
-            w = cubic_stage("inv", (eta, conj_function(eta)))[0]
+            eta = _conjugate(grid1, seed, 0.24, m0)
+            w = cubic_stage("inv", grid1, eta)[:n]
             for s in (m0, m0 + 1.0, m0 + 2.0):
-                assert w.norm(s) <= 2.0 * eta.norm(s) * (1 + 1e-12)
+                assert grid1.coeff_norm(w, s) <= 2.0 * grid1.coeff_norm(eta[:n], s) * (1 + 1e-12)
 
     def test_inverse_ball_check(self, grid1):
-        eta = random_field(grid1, 11, 0.3, grid1.m0, "free")
         with pytest.raises(DomainError):
-            cubic_stage("inv", (eta, conj_function(eta)))
+            cubic_stage("inv", grid1, _conjugate(grid1, 11, 0.3, grid1.m0))
 
     def test_diverging_inverse_is_a_convergence_error(self, grid1, monkeypatch):
         # outside the ball, with eta_{-1} = i eta_1, the fixed-point iterates
@@ -137,35 +136,29 @@ class TestCubicStage:
         monkeypatch.setattr(transforms, "CUBIC_INV_BALL", math.inf)
         c = np.zeros(grid1.n_modes, dtype=np.complex128)
         c[grid1.slot(1)], c[grid1.slot(-1)] = math.sqrt(2.0), 1j * math.sqrt(2.0)
-        eta = ComplexField(grid1, c)
-        assert eta.norm(grid1.m0) == pytest.approx(2.0, rel=1e-15)
+        eta = ConjugatePair(ComplexField(grid1, c))
+        assert eta.w.norm(grid1.m0) == pytest.approx(2.0, rel=1e-15)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
-            cubic_stage("inv", (eta, conj_function(eta)))
+            cubic_stage("inv", grid1, eta.doubled)
 
     def test_preserves_conjugate_structure(self, grid1):
-        w = random_field(grid1, 12, 0.2, grid1.m0, "free")
-        eta, psi = cubic_stage("fwd", (w, conj_function(w)))
-        assert conjugate_defect(eta, psi) <= 1e-15
+        image = cubic_stage("fwd", grid1, _conjugate(grid1, 12, 0.2, grid1.m0))
+        assert conjugate_defect(grid1, image) <= 1e-15
 
 
 class TestRankOne:
     def test_closed_form_inverts(self, grid1):
-        eta = random_field(grid1, 13, 0.5, 1.0, "free")
-        psi = conj_function(eta)
+        x = _conjugate(grid1, 13, 0.5, 1.0)
         rhs = _rand_pair(grid1, 14, 1.0, 0.0)
-        x = rank_one_solve_closed(eta, psi, rhs)
-        ka, kb = rank_one_apply(eta, psi, x)
-        assert np.max(np.abs(x[0].coeffs + ka.coeffs - rhs[0].coeffs)) <= 1e-13
-        assert np.max(np.abs(x[1].coeffs + kb.coeffs - rhs[1].coeffs)) <= 1e-13
+        sol = rank_one_solve_closed(grid1, x, rhs)
+        assert np.max(np.abs(sol + rank_one_apply(grid1, x, sol) - rhs)) <= 1e-13
 
     def test_closed_vs_dense(self, grid2):
-        eta = random_field(grid2, 15, 0.5, 1.5, "free")
-        psi = conj_function(eta)
+        x = _conjugate(grid2, 15, 0.5, 1.5)
         rhs = _rand_pair(grid2, 16, 1.0, 0.0)
-        xc = rank_one_solve_closed(eta, psi, rhs)
-        xd = rank_one_solve_dense(eta, psi, rhs)
-        for a, b in zip(xc, xd):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-11
+        xc = rank_one_solve_closed(grid2, x, rhs)
+        xd = rank_one_solve_dense(grid2, x, rhs)
+        assert np.max(np.abs(xc - xd)) <= 1e-11
 
 
 class TestFullComposition:
