@@ -11,6 +11,7 @@ from .errors import (
 from .fields import (
     ComplexField,
     ConjugatePair,
+    PairStack,
     RealPair,
     conj_function,
     field_from_dict,
@@ -35,6 +36,7 @@ __all__ = [
     "DomainError",
     "GridMismatchError",
     "NumericalError",
+    "PairStack",
     "ParameterError",
     "RealPair",
     "SpectralGrid",

@@ -39,7 +39,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .fields import ConjugatePair, RealPair, field_from_dict, random_field
+from .fields import ConjugatePair, PairStack, RealPair, field_from_dict, pair_norm, random_field
 from .grid import SpectralGrid
 from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
 from .kirchhoff import hamiltonian, momenta, random_state
@@ -338,8 +338,15 @@ SIMULATE_DEFAULTS, SIMULATE_SCHEMA = _tables(SIMULATE_OPTIONS)
 def _initial_state(cfg: dict, grid: SpectralGrid):
     rep = cfg["representation"]
     if cfg["initial_file"]:
-        with open(cfg["initial_file"], encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(cfg["initial_file"], encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read initial_file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"initial_file is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("initial_file must hold a JSON object")
 
         def field(key: str):
             if key not in data:
@@ -348,6 +355,10 @@ def _initial_state(cfg: dict, grid: SpectralGrid):
                 return field_from_dict(data[key], grid)
             except (GridMismatchError, ParameterError) as exc:
                 raise ConfigError(f"initial_file {key}: {exc}") from exc
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"initial_file {key}: malformed field ({type(exc).__name__}: {exc})"
+                ) from exc
 
         if rep == "original":
             return RealPair(field("u"), field("v"))
@@ -505,7 +516,9 @@ def conjugacy_defect(
     n_samples: int,
     rel_tol: float,
 ) -> dict:
-    """Max over sample times of || inverse-transformed physical state - normal-form state ||_m0."""
+    """Max over sample times of || inverse-transformed physical state - normal-form state ||_m0.
+
+    The physical samples are mapped back in one pass, as one stack."""
     m0 = grid.m0
     try:
         uv0 = change_of_variables("fwd", w0)
@@ -517,14 +530,11 @@ def conjugacy_defect(
     rec_w = integrate(make_dynamics("normal_form", grid), w0, icfg, t_eval=ts)
     if rec_uv.exit_reason != "completed" or rec_w.exit_reason != "completed":
         return {"status": "inconclusive", "reason": f"{rec_uv.exit_reason}/{rec_w.exit_reason}"}
-    defects = []
-    for st_uv, st_w in zip(rec_uv.states, rec_w.states):
-        try:
-            w_from_uv = change_of_variables("inv", st_uv)
-        except DomainError as exc:
-            return {"status": "inconclusive", "reason": f"transform ball exit: {exc}"}
-        defects.append(grid.coeff_norm(w_from_uv.w.coeffs - st_w.w.coeffs, m0))
-    defect = _worst(defects)
+    w_from_uv, failure = change_of_variables("inv", PairStack.of(rec_uv.states))
+    if failure is not None:
+        return {"status": "inconclusive", "reason": f"transform ball exit: {failure}"}
+    w_nf = np.stack([st.w.coeffs for st in rec_w.states], axis=1)
+    defect = _worst(grid.coeff_norm(w_from_uv.doubled[: grid.n_modes] - w_nf, m0))
     n_steps, n_rhs = rec_uv.n_steps + rec_w.n_steps, rec_uv.n_rhs + rec_w.n_rhs
     return {"status": "ok", "defect": defect, "n_steps": n_steps, "n_rhs": n_rhs}
 
@@ -600,10 +610,11 @@ def _sweep_integrator(cfg: dict, grid: SpectralGrid) -> dict:
     return {"scheme": "dop853", "rel_tol": cfg["rel_tol"], "abs_tol": 1e-12}
 
 
-def _sweep_row(params: dict) -> dict:
-    """One (eps, seed) row from the sweep config plus eps and row_seed (picklable)."""
-    grid = SpectralGrid(params["d"], params["n_modes"])
-    m0 = grid.m0
+def _sweep_row(params: dict, grid: SpectralGrid | None = None) -> dict:
+    """One (eps, seed) row from the sweep config plus eps and row_seed (picklable),
+    on ``grid`` if given, else on a grid of its own (a pool worker's)."""
+    grid = grid or SpectralGrid(params["d"], params["n_modes"])
+    m0, n = grid.m0, grid.n_modes
     eps = params["eps"]
     s_list = [m0 + off for off in params["s_offsets"]]
     w0 = ConjugatePair(
@@ -625,32 +636,27 @@ def _sweep_row(params: dict) -> dict:
             # both directions at t = 0 before paying for a run
             try:
                 state0 = change_of_variables("fwd", w0)
-                states_w = [change_of_variables("inv", state0)]
+                change_of_variables("inv", state0)
             except DomainError as exc:
                 row.update(status="initial_ball_exit", error=str(exc), pass_2x=False)
                 return row
             rec = integrate(KirchhoffDynamics(grid), state0, icfg, t_eval=ts)
-            status = None
-            for st in rec.states[1:]:  # the first sample is state0
-                try:
-                    states_w.append(change_of_variables("inv", st))
-                except DomainError:
-                    status = "transform_ball_exit"
-                    break
-            norms = {
-                s: np.array([st.w.norm(s) for st in states_w]) for s in s_list
-            }
-            h_vals = np.array([hamiltonian(st) for st in rec.states])
-            uv_norms = [st.norm(m0) for st in rec.states]
+            # every sample, state0 included, mapped back in one pass; a
+            # failing sample ends the series of mapped ones
+            samples = PairStack.of(rec.states)
+            mapped, failure = change_of_variables("inv", samples)
+            w = mapped.doubled[:n]
+            h_vals = hamiltonian(samples)
+            uv_norms = pair_norm(grid, samples.doubled, m0)
             row["ham_drift_rel"] = float(np.max(_relative_drift(h_vals, h_vals[0])))
             row["max_uv_norm"] = float(np.max(uv_norms))
             row["uv_ratio"] = float(np.max(uv_norms) / uv_norms[0])
         else:
             dyn = make_dynamics("normal_form", grid)
             rec = integrate(dyn, w0, icfg, t_eval=ts, monitors={})
-            states_w = rec.states
-            norms = {s: np.array([st.w.norm(s) for st in states_w]) for s in s_list}
-            status = None
+            w = np.stack([st.w.coeffs for st in rec.states], axis=1)
+            failure = None
+        norms = {s: grid.coeff_norm(w, s) for s in s_list}
     except (NumericalError, ConvergenceError) as exc:
         row["status"] = "numerical_error"
         row["error"] = str(exc)
@@ -658,7 +664,7 @@ def _sweep_row(params: dict) -> dict:
         return row
 
     # a row whose inverse transform fails has achieved its last mapped sample
-    row["achieved_time"] = float(rec.exit_time if status is None else ts[len(states_w) - 1])
+    row["achieved_time"] = float(rec.exit_time if failure is None else ts[max(w.shape[1] - 1, 0)])
     row["exit_reason"] = rec.exit_reason
     row.update(rec.notes)  # why the run stopped early, if it did
     row["n_steps"] = rec.n_steps
@@ -670,8 +676,8 @@ def _sweep_row(params: dict) -> dict:
         row[f"ratio_s{s:g}"] = ratio
         row[f"pass_2x_s{s:g}"] = bool(ratio <= 2.0)
     row["pass_2x"] = all(row[f"pass_2x_s{s:g}"] for s in s_list)
-    if status is not None:
-        row["status"] = status
+    if failure is not None:
+        row["status"] = "transform_ball_exit"
         row["pass_2x"] = False
     elif rec.exit_reason == "completed":
         row["status"] = "reached-target" if t_end >= t_target else "stable-at-cap"
@@ -688,14 +694,14 @@ def cmd_sweep(cfg: dict) -> int:
         for k in range(cfg["seeds_per_eps"])
     ]
 
+    grid = SpectralGrid(cfg["d"], cfg["n_modes"])
     workers = cfg["workers"] or min(len(tasks), os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
-        rows = [_sweep_row(p) for p in tasks]
+        rows = [_sweep_row(p, grid) for p in tasks]
 
-    grid = SpectralGrid(cfg["d"], cfg["n_modes"])
     report = _report_header("sweep", cfg)
     report["grid"] = _grid_meta(grid)
     report["integrator"] = _sweep_integrator(cfg, grid)

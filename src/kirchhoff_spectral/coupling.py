@@ -79,10 +79,11 @@ class Linearization(NamedTuple):
 
 def linearize(grid: SpectralGrid, state: np.ndarray) -> Linearization:
     """The doubled state [w; z] as the coupling operators read it: one class
-    reduction of the product [w w_-; z z_-] and one product with the class table."""
+    reduction of the product [w w_-; z z_-] and one product with the class table.
+    A mode-first stack (2n, m) of states gives the record of each column."""
     neg = state[grid.pair_neg]
     sums = grid.class_sums(state * neg)
-    symbols = sums @ grid.class_table
+    symbols = np.dot(grid.class_table.T, sums)  # sums @ T, column by column
     return Linearization(
         grid, state, neg, state[grid.pair_swap], sums, symbols, symbols[grid.pair_class_of]
     )

@@ -14,11 +14,21 @@ class GridMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input is outside the domain of a map (negative argument, ball violation)."""
+    """Input is outside the domain of a map (negative argument, ball violation).
+
+    Raised for a stack of samples, ``column`` is the first failing column.
+    """
+
+    column = 0
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to converge: the fixed-point inverse of the cubic stage."""
+    """An iteration failed to converge: the fixed-point inverse of the cubic stage.
+
+    Raised for a stack of samples, ``column`` is the first failing column.
+    """
+
+    column = 0
 
 
 class NumericalError(RuntimeError):

@@ -15,6 +15,15 @@ vector [a; b] of length 2n, which both state classes give as ``doubled``;
 :func:`halves` views its two halves. :func:`pair_norm` and
 :func:`conjugate_defect` read a doubled vector too.
 
+A :class:`PairStack` holds many samples of a pair, such as the states of one
+run, **mode-first**: ``doubled`` has shape (2n, m), one doubled vector per
+column. Mode-first is what lets one vector and a stack share every code path:
+a gather is x[idx] and a half is x[:n] on both, and reductions over the modes
+run along axis 0, so the per-sample results of a stack (its norms, Q, H) come
+back as length-m arrays where one vector gives a scalar. A sample-first layout
+would need x[..., idx] gathers, which on a 32-slot vector cost several times
+an x[idx] gather, on the one-vector path that every vector field takes.
+
 Everything is treated as an immutable value; operations return new fields.
 No physical-space grid exists anywhere: the nonlinearity of the equation is a
 scalar functional of the coefficients, so all computations stay spectral.
@@ -67,18 +76,20 @@ def conjugate_doubled(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     return np.concatenate((w, np.conj(w[grid.neg_index])))
 
 
-def pair_norm(grid: SpectralGrid, x: np.ndarray, s: float) -> float:
-    """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2} of a doubled vector [u; v]."""
+def pair_norm(grid: SpectralGrid, x: np.ndarray, s: float):
+    """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2} of a doubled vector [u; v],
+    or per column."""
     if s < 0.5:
         raise ParameterError(f"the pair norm needs s >= 1/2, got {s}")
     u, v = halves(x)
     return grid.coeff_norm(u, s + 0.5) + grid.coeff_norm(v, s - 0.5)
 
 
-def conjugate_defect(grid: SpectralGrid, x: np.ndarray) -> float:
-    """How far a doubled vector [a; b] is from a conjugate pair (b = conj of a as a function)."""
+def conjugate_defect(grid: SpectralGrid, x: np.ndarray):
+    """How far a doubled vector [a; b] is from a conjugate pair (b = conj of a as a
+    function), or per column."""
     a, b = halves(x)
-    return float(np.max(np.abs(b - np.conj(a[grid.neg_index]))))
+    return np.max(np.abs(b - np.conj(a[grid.neg_index])), axis=0)
 
 
 def _same_grid(f: ComplexField, g: ComplexField) -> None:
@@ -88,7 +99,7 @@ def _same_grid(f: ComplexField, g: ComplexField) -> None:
         )
 
 
-def sobolev_norm(field: ComplexField, s: float) -> float:
+def sobolev_norm(field: ComplexField, s: float):
     """Norm with weights |j|^(2s); the zero-mean lattice makes it a norm for all s >= 0."""
     if s < 0:
         raise ParameterError(f"Sobolev order must be >= 0, got {s}")
@@ -100,7 +111,7 @@ def lambda_power(field: ComplexField, sigma: float) -> ComplexField:
     return ComplexField(field.grid, field.coeffs * field.grid.absj ** float(sigma))
 
 
-def pairing(f: ComplexField, g: ComplexField) -> complex:
+def pairing(f: ComplexField, g: ComplexField):
     """Bilinear (not sesquilinear) pairing: integral of the product, sum of f_j g_{-j}."""
     _same_grid(f, g)
     return g.grid.pairing(f.coeffs, g.coeffs)
@@ -216,6 +227,21 @@ class ConjugatePair:
     def doubled(self) -> np.ndarray:
         """The doubled vector [w; z] that every map on a pair reads."""
         return conjugate_doubled(self.grid, self.w.coeffs)
+
+
+@dataclass(frozen=True)
+class PairStack:
+    """Samples of a pair, mode-first: ``doubled`` has shape (2n, m), the doubled
+    vector [a; b] of sample k in column k."""
+
+    grid: SpectralGrid
+    doubled: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> "PairStack":
+        """The stack of a non-empty sequence of pairs (:class:`RealPair` or
+        :class:`ConjugatePair`) on one grid, in their order."""
+        return cls(states[0].grid, np.stack([st.doubled for st in states], axis=1))
 
 
 # -- serialization ----------------------------------------------------------

@@ -8,6 +8,11 @@ classes (groups of equal |j|^2), the stacked class table of the cubic
 normal-form stage's coupling coefficients, and the index maps of a pair held
 as one doubled vector [a; b].
 
+The per-mode reductions here (:meth:`SpectralGrid.class_sums`, the pairing
+and the norms) read one vector or a mode-first stack of them, shape (n, m)
+or (2n, m) with one sample per column: they reduce along axis 0, so a stack
+gives one value per column where one vector gives one value.
+
 Equality of |j| and |k| is always decided on the integer squared norms.
 Grids are immutable after construction and safe to share across threads.
 """
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 
 #: operational ball radius for the composed change of variables (the analytic
 #: radius is a non-constructive universal constant; this one is measured-safe)
@@ -35,6 +40,27 @@ def regularity_threshold(d: int) -> float:
     if d == 1:
         return 1.0
     return 1.5
+
+
+def per_sample(f, value):
+    """``f`` of one sample's scalar, or of each column's scalar of a mode-first
+    stack (a length-m array), in column order, as an array; where ``f`` returns
+    a tuple, a stack gives one length-m array per entry.
+
+    This is how scalar ``math`` code (the wave speed, the mixing ratio, the
+    check of Q) meets a stack. A :class:`DomainError` or
+    :class:`ConvergenceError` raised for a column carries its index as ``column``.
+    """
+    if not isinstance(value, np.ndarray):
+        return f(value)
+    out = []
+    try:
+        for v in value.tolist():
+            out.append(f(v))
+    except (DomainError, ConvergenceError) as exc:
+        exc.column = len(out)
+        raise
+    return np.array(out, dtype=np.float64).T
 
 
 def coupling_tables(j2, k2) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +162,7 @@ class SpectralGrid:
         self.rotation = np.concatenate((-1j * self.absj, 1j * self.absj))
 
         self._weights: dict[float, np.ndarray] = {}
+        self._pairing_weights: dict[float, np.ndarray] = {}
         self._pair_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._validate()
 
@@ -200,27 +227,33 @@ class SpectralGrid:
         return self._pair_tables
 
     def class_sums(self, prod: np.ndarray) -> np.ndarray:
-        """Sum of a per-mode array over each resonance class, along the last axis;
-        a doubled vector [a; b] gives [class sums of a; class sums of b]."""
-        starts = self.pair_class_starts if prod.shape[-1] > self.n_modes else self.class_starts
-        return np.add.reduceat(prod, starts, axis=-1)
+        """Sum of a per-mode array over each resonance class, along axis 0; a
+        doubled vector [a; b] gives [class sums of a; class sums of b]."""
+        starts = self.pair_class_starts if len(prod) > self.n_modes else self.class_starts
+        return np.add.reduceat(prod, starts, axis=0)
 
-    def coeff_norm(self, coeffs: np.ndarray, s: float) -> float:
-        """Sobolev norm with weights |j|^(2s) of a raw coefficient vector."""
+    def coeff_norm(self, coeffs: np.ndarray, s: float):
+        """Sobolev norm with weights |j|^(2s) of a raw coefficient vector, or per column."""
         c = coeffs
-        return float(np.sqrt(np.dot(self.weight(s), c.real * c.real + c.imag * c.imag)))
+        return np.sqrt(np.dot(self.weight(s), c.real * c.real + c.imag * c.imag))
 
-    def doubled_norm(self, x: np.ndarray, s: float) -> float:
-        """max(||a||_s, ||b||_s) of a doubled vector [a; b]; NaN if either is NaN."""
+    def doubled_norm(self, x: np.ndarray, s: float):
+        """max(||a||_s, ||b||_s) of a doubled vector [a; b], or per column; NaN if either is NaN."""
         e, n, w = x.real * x.real + x.imag * x.imag, self.n_modes, self.weight(s)
         a2, b2 = np.dot(w, e[:n]), np.dot(w, e[n:])
+        if a2.ndim:  # a stack: the larger of each column's two
+            return np.sqrt(np.maximum(a2, b2))
         return math.sqrt(a2 if a2 >= b2 or a2 != a2 else b2)
 
-    def pairing(self, a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> complex:
-        """Bilinear (not sesquilinear) pairing sum_j weight_j a_j b_{-j}; weight 1 if None."""
-        if weight is not None:
-            a = weight * a
-        return complex(np.dot(a, b[self.neg_index]))
+    def pairing(self, a: np.ndarray, b: np.ndarray, s: float = 0.0):
+        """Bilinear (not sesquilinear) pairing sum_j |j|^(2s) a_j b_{-j}, or per column."""
+        w = self._pairing_weights.get(s)
+        if w is None:
+            # held complex, so that the product with complex coefficients casts nothing
+            w = self.weight(s).astype(np.complex128)
+            w.setflags(write=False)
+            self._pairing_weights[s] = w
+        return np.dot(w, a * b[self.neg_index])
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self.d == other.d and self.n_cutoff == other.n_cutoff

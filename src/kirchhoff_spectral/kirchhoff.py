@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fields import ComplexField, RealPair, lambda_power, pairing
+from .fields import ComplexField, PairStack, RealPair, halves
 from .grid import SpectralGrid
 
 #: imaginary residue above this relative size in a provably-real spectral sum
@@ -32,14 +32,17 @@ def gradient_energy(j2f: np.ndarray, c: np.ndarray) -> float:
     return float(np.dot(j2f, c.real * c.real + c.imag * c.imag))
 
 
-def hamiltonian(state: RealPair) -> float:
-    """H = (1/2)<v,v> + (1/2)<Lambda u, Lambda u> + (1/4)<Lambda u, Lambda u>^2."""
-    pv = pairing(state.v, state.v)
-    lu = lambda_power(state.u, 1.0)
-    pu = pairing(lu, lu)
+def hamiltonian(state: RealPair | PairStack):
+    """H = (1/2)<v,v> + (1/2)<Lambda u, Lambda u> + (1/4)<Lambda u, Lambda u>^2,
+    or per column of a stack of physical states."""
+    g = state.grid
+    u, v = halves(state.doubled)
+    pv, pu = g.pairing(v, v), g.pairing(u, u, 1.0)
     for name, val in (("velocity", pv), ("gradient", pu)):
-        if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
-            raise NumericalError(f"{name} energy has imaginary residue {val.imag:.3e}")
+        bad = np.flatnonzero(abs(val.imag) > REAL_RESIDUE_TOL * np.maximum(1.0, abs(val.real)))
+        if len(bad):
+            residue = np.ravel(val.imag)[bad[0]]
+            raise NumericalError(f"{name} energy has imaginary residue {residue:.3e}")
     return 0.5 * pv.real + 0.5 * pu.real + 0.25 * pu.real ** 2
 
 

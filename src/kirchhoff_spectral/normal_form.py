@@ -64,7 +64,7 @@ def _diag_scalars(grid, x) -> tuple[float, float, float]:
     <Lb,Lb> = conj <La,La>, so s is real and takes one pairing."""
     _, p, sigma = _speed_scalars(grid, x)
     a = x[: grid.n_modes]
-    s = 0.5 * grid.pairing(a, a, grid.j2f).imag / (sigma * sigma)
+    s = 0.5 * grid.pairing(a, a, 1.0).imag / (sigma * sigma)
     return p, sigma, s
 
 
@@ -72,7 +72,7 @@ def offdiag_cubic_arrays(lin: Linearization) -> np.ndarray:
     """Cubic off-diagonal part: (i/4)(<Lb,Lb> - <La,La>) [b; a] at the state
     [a; b] of ``lin``. Valid on any pair."""
     grid, (a, b) = lin.grid, halves(lin.state)
-    s = 0.25j * (grid.pairing(b, b, grid.j2f) - grid.pairing(a, a, grid.j2f))
+    s = 0.25j * (grid.pairing(b, b, 1.0) - grid.pairing(a, a, 1.0))
     return s * lin.state_swap
 
 
@@ -111,7 +111,7 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     # the cubic coefficient from a pairing of its own, so that the split also
     # checks the field's coefficient s = cubic / sigma^2 = cubic + tail
     a = pair.w.coeffs
-    cubic = 0.5 * g.pairing(a, a, g.j2f).imag
+    cubic = 0.5 * g.pairing(a, a, 1.0).imag
     tail = -2.0 * p / (sigma * sigma) * cubic
     swap = x[g.pair_swap]
     return RhsParts(d1, tail_factor * d1, cubic * swap, tail * swap, p)

@@ -191,7 +191,7 @@ def _exceeds(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
     ((name, floor),) = suite.bounds.items()
     details = {"direction": "defect must EXCEED the bound (negative control)"}
     details["worst_at"] = at[name]
-    return SuiteResult(suite.name, count, worst[name], floor, worst[name] >= floor, details)
+    return SuiteResult(suite.name, count, worst[name], floor, bool(worst[name] >= floor), details)
 
 
 def _exhaustive(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
@@ -450,7 +450,7 @@ def _leak_defects(g: SpectralGrid, seed, k: int) -> dict:
     x = ConjugatePair(random_field(g, seed(0), 0.3, 1.0, "free")).doubled
     (a, b), (fa, fb) = halves(x), halves(diagonalized_rhs_arrays(g, x))
     q = q_value(g, x)
-    dq = 0.5 * g.pairing(a + b, fa + fb, g.absj)
+    dq = 0.5 * g.pairing(a + b, fa + fb, 0.5)
     if abs(dq.imag) > 1e-10 * max(1.0, abs(dq)):
         raise AssertionError("dQ/dt must be real on conjugate pairs")
     r = rho(q)

@@ -17,11 +17,23 @@ its state once, runs the four stages and unpacks once.
 The scalars Q and P of a pair, and the rank-one correction of the diag
 stage, read the same doubled vector.
 
+Every stage, Q and P also act on a mode-first stack of doubled vectors, shape
+(2n, m) with one sample per column. Mode-first keeps gathers as x[idx],
+halves as x[:n] and class sums along axis 0, so one vector and a stack run the
+same code, and the one-vector path that the normal-form field takes on every
+evaluation keeps its gathers and reductions as they were; a sample-first
+stack would need x[..., idx] gathers, several times dearer on one 32-slot
+vector. Per-sample scalars come back as length-m arrays.
+:func:`change_of_variables` maps a whole
+:class:`~kirchhoff_spectral.fields.PairStack` in one pass and checks each
+column as it checks one state.
+
 Scalar maps: rho(x) = -x / (1 + x + sqrt(1+2x)) is the mixing ratio of the
 diagonalization. The wave speed sigma = sqrt(1 + 2P), where P sqrt(1 + 2P) = Q,
 is the root >= 1 of the cubic sigma^3 - sigma - 2Q, which :func:`wave_speed`
 takes in Viete's closed form; phi_inv, the inverse of x -> x sqrt(1+2x), is
-then Q / sigma.
+then Q / sigma. These maps are ``math`` code on one scalar; on a stack they
+run per column, through :func:`~kirchhoff_spectral.grid.per_sample`.
 """
 
 from __future__ import annotations
@@ -32,8 +44,16 @@ import numpy as np
 
 from .coupling import linearize, mix_arrays
 from .errors import ConvergenceError, DomainError, ParameterError
-from .fields import ComplexField, ConjugatePair, RealPair, conjugate_defect, halves, pair_norm
-from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
+from .fields import (
+    ComplexField,
+    ConjugatePair,
+    PairStack,
+    RealPair,
+    conjugate_defect,
+    halves,
+    pair_norm,
+)
+from .grid import DEFAULT_BALL_RADIUS, SpectralGrid, per_sample
 
 CUBIC_INV_BALL = 0.25
 CUBIC_INV_TOL = 1e-13
@@ -43,6 +63,17 @@ CUBIC_INV_MAX_ITER = 200
 def _check_direction(direction: str) -> None:
     if direction not in ("fwd", "inv"):
         raise ParameterError(f"direction must be 'fwd' or 'inv', got {direction!r}")
+
+
+def _refuse(bad, value, message: str) -> None:
+    """Raise a :class:`DomainError` for the first column k of a stack where ``bad``
+    holds, or for one state where it holds: ``message`` formatted with k's
+    ``value``, and ``column`` set to k."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        exc = DomainError(message.format(np.ravel(value)[k]))
+        exc.column = k
+        raise exc
 
 
 # -- scalar maps -------------------------------------------------------------
@@ -77,17 +108,27 @@ def phi_inv(y: float) -> float:
     return y / wave_speed(y)
 
 
-def q_value(grid: SpectralGrid, x: np.ndarray) -> float:
-    """Quadratic functional Q = (1/4) <Lambda(a+b), a+b> of the pair [a; b].
+def q_value(grid: SpectralGrid, x: np.ndarray):
+    """Quadratic functional Q = (1/4) <Lambda(a+b), a+b> of the pair [a; b], or per column.
 
     For a conjugate pair this is the integral of (Lambda^{1/2} Re a)^2, hence
     real and >= 0; the instantaneous squared wave speed of the system in the
     complexified coordinates is 1 + 2Q. A pair whose Q is not real and >= 0
     is not conjugate, and is rejected.
     """
+    return per_sample(_real_q, _q_pairing(grid, x))
+
+
+def _q_pairing(grid: SpectralGrid, x: np.ndarray):
+    """<Lambda(a+b), a+b> = 4Q of the pair [a; b], or per column."""
     a, b = halves(x)
     c = a + b
-    val = 0.25 * grid.pairing(c, c, grid.absj)
+    return grid.pairing(c, c, 0.5)
+
+
+def _real_q(pairing) -> float:
+    """Q from its pairing <Lambda(a+b), a+b>, which is real and >= 0 on a conjugate pair."""
+    val = 0.25 * complex(pairing)
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e-10 * scale or val.real < -1e-12 * scale:
         raise DomainError(
@@ -97,25 +138,30 @@ def q_value(grid: SpectralGrid, x: np.ndarray) -> float:
 
 
 def _speed_scalars(grid: SpectralGrid, x: np.ndarray):
-    """Q, P = Q / sigma and the wave speed sigma = wave_speed(Q) of a conjugate pair."""
-    q = q_value(grid, x)  # also rejects non-conjugate pairs
+    """Q, P = Q / sigma and the wave speed sigma = wave_speed(Q) of a conjugate pair, or per column."""
+    return per_sample(_speeds, _q_pairing(grid, x))
+
+
+def _speeds(pairing) -> tuple[float, float, float]:
+    q = _real_q(pairing)  # also rejects non-conjugate pairs
     sigma = wave_speed(q)
     return q, q / sigma, sigma
 
 
-def p_value(grid: SpectralGrid, x: np.ndarray) -> float:
+def p_value(grid: SpectralGrid, x: np.ndarray):
     """P = phi_inv(Q): the same functional expressed through the diagonalized pair."""
     return _speed_scalars(grid, x)[1]
 
 
-# -- individual stages: (direction, grid, [a; b]) -> [a'; b'] -------------------
+# -- individual stages: (direction, grid, [a; b]) -> [a'; b'], per column of a stack --
 
 
 def scale_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     """fwd: [q; p] -> [|j|^{-1/2} q; |j|^{1/2} p]; inv undoes it."""
     _check_direction(direction)
     sgn = -0.5 if direction == "fwd" else 0.5
-    return x * np.concatenate((grid.absj ** sgn, grid.absj ** (-sgn)))
+    factor = np.concatenate((grid.absj ** sgn, grid.absj ** (-sgn)))
+    return (x.T * factor).T  # the factor runs along the mode axis
 
 
 def complex_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
@@ -137,8 +183,12 @@ def diag_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     """
     _check_direction(direction)
     q = q_value(grid, x)
-    r = rho(phi_inv(q)) if direction == "fwd" else -rho(q)
-    return (x + r * x[grid.pair_swap]) * (1.0 / math.sqrt(1.0 - r * r))
+    r = per_sample(_fwd_ratio, q) if direction == "fwd" else -per_sample(rho, q)
+    return (x + r * x[grid.pair_swap]) * (1.0 / np.sqrt(1.0 - r * r))
+
+
+def _fwd_ratio(q: float) -> float:
+    return rho(phi_inv(q))
 
 
 def cubic_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
@@ -151,25 +201,40 @@ def cubic_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray
 
 def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndarray:
     """Fixed point of x = [eta; psi] - mix(x) x for the doubled image [eta; psi],
-    from x = 0, as a doubled vector [w; z].
+    as a doubled vector [w; z], or per column of a stack.
 
     The map is a contraction for ||eta||_{m0} <= CUBIC_INV_BALL = 1/4, where
-    the inverse is unique and satisfies ||w||_s <= 2 ||eta||_s.
+    the inverse is unique and satisfies ||w||_s <= 2 ||eta||_s. The iteration
+    starts at the image, the first iterate from x = 0 (mix(0) 0 = 0). A column
+    stops at the first step within CUBIC_INV_TOL and is left as it is while
+    the others go on. The first column outside the ball, or still moving at
+    the iteration cap, raises.
     """
-    m0 = grid.m0
-    eta_norm = grid.coeff_norm(image[: grid.n_modes], m0)
-    if eta_norm > CUBIC_INV_BALL:
-        raise DomainError(
-            f"cubic stage inverse needs ||eta||_m0 <= {CUBIC_INV_BALL}, got {eta_norm:.4f}"
-        )
-    x = np.zeros_like(image)
-    for _ in range(CUBIC_INV_MAX_ITER):
-        x_new = image - mix_arrays(linearize(grid, x), x)
-        delta = grid.doubled_norm(x_new - x, m0)
+    m0, n = grid.m0, grid.n_modes
+    eta_norm = grid.coeff_norm(image[:n], m0)
+    _refuse(eta_norm > CUBIC_INV_BALL, eta_norm,
+            f"cubic stage inverse needs ||eta||_m0 <= {CUBIC_INV_BALL}, got {{:.4f}}")
+    # x and target hold the columns still moving; on a stack, the finished
+    # columns are set aside in out, and moving holds the indices of the rest
+    x, target, out, moving = image, image, None, None
+    for _ in range(CUBIC_INV_MAX_ITER - 1):  # the image was the first iterate
+        x_new = target - mix_arrays(linearize(grid, x), x)
+        # one flag per column; a NaN step is not done
+        done = np.asarray(grid.doubled_norm(x_new - x, m0) <= CUBIC_INV_TOL)
         x = x_new
-        if delta <= CUBIC_INV_TOL:
-            return x
-    raise ConvergenceError("cubic stage inversion hit the iteration cap")
+        if done.all():
+            if out is None:
+                return x
+            out[:, moving] = x
+            return out
+        if done.any():
+            if out is None:
+                out, moving = np.empty_like(image), np.arange(image.shape[1])
+            out[:, moving[done]] = x[:, done]
+            x, target, moving = x[:, ~done], target[:, ~done], moving[~done]
+    exc = ConvergenceError("cubic stage inversion hit the iteration cap")
+    exc.column = 0 if moving is None else int(moving[0])
+    raise exc
 
 
 # -- rank-one correction of the diag stage ------------------------------------
@@ -190,7 +255,7 @@ def rank_one_factor(grid: SpectralGrid, x: np.ndarray) -> float:
 def _rank_one_functional(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> complex:
     """<Lambda(eta+psi), alpha+beta> at x = [eta; psi] and y = [alpha; beta]."""
     (eta, psi), (alpha, beta) = halves(x), halves(y)
-    return grid.pairing(eta + psi, alpha + beta, grid.absj)
+    return grid.pairing(eta + psi, alpha + beta, 0.5)
 
 
 def rank_one_apply(grid: SpectralGrid, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -224,37 +289,79 @@ _STAGES = (cubic_stage, diag_stage, complex_stage, scale_stage)
 
 def change_of_variables(
     direction: str,
-    state: ConjugatePair | RealPair,
+    state: ConjugatePair | RealPair | PairStack,
     ball_radius: float | None = DEFAULT_BALL_RADIUS,
-) -> RealPair | ConjugatePair:
-    """Composition of all four stages.
+):
+    """Composition of all four stages, on one state or on a stack of samples.
 
     fwd maps a :class:`ConjugatePair` (w, conj w) with ||w||_{m0} inside the
     operational ball to the physical :class:`RealPair` (u, v); inv goes back,
-    requiring ||u||_{m0+1/2} + ||v||_{m0-1/2} inside the same ball. Pass
-    ``ball_radius=None`` to disable the precondition (diagnostics only).
+    requiring ||u||_{m0+1/2} + ||v||_{m0-1/2} inside the same ball and a
+    conjugate pair as the result. Pass ``ball_radius=None`` to disable the
+    precondition (diagnostics only).
+
+    A :class:`PairStack` of the direction's input is mapped in one pass, each
+    column checked as one state is: the ball precondition, Q real and >= 0,
+    the ball of the cubic-stage inverse and its convergence, and, for inv,
+    the conjugate defect. The call returns the stack of the columns before
+    the first failing one, and that column's :class:`DomainError`, or None if
+    every column maps. A one-state call runs the same code as a stack of one
+    and raises that error instead. A :class:`ConvergenceError` of the first
+    failing column is raised by both.
     """
     _check_direction(direction)
     fwd = direction == "fwd"
     kind = ConjugatePair if fwd else RealPair
-    if not isinstance(state, kind):
-        raise ParameterError(f"{direction} composition expects a {kind.__name__}")
+    stacked = isinstance(state, PairStack)
+    if not (stacked or isinstance(state, kind)):
+        raise ParameterError(f"{direction} composition expects a {kind.__name__} or a PairStack")
     g = state.grid
     x = state.doubled
+    failure = None
+
+    def apply(step, *args) -> None:
+        """x = step(*args, x). On a stack, a failing column and those after it
+        are dropped and the step runs again on the columns before it."""
+        nonlocal x, failure
+        while x.shape[-1]:  # one state always has its 2n slots
+            try:
+                x = step(*args, x)
+                return
+            except (DomainError, ConvergenceError) as exc:
+                if not stacked:
+                    raise
+                failure, x = exc, x[:, : exc.column]  # keep the columns before it
+
     if ball_radius is not None:
-        size = g.coeff_norm(x[: g.n_modes], g.m0) if fwd else pair_norm(g, x, g.m0)
-        if size > ball_radius:
-            name = "||w||_m0" if fwd else "||u|| + ||v||"
-            raise DomainError(f"{name} = {size:.4f} outside the ball {ball_radius}")
+        apply(_check_ball, g, fwd, ball_radius)
     for stage in _STAGES if fwd else _STAGES[::-1]:
-        x = stage(direction, g, x)
+        apply(stage, direction, g)
+    if not fwd:
+        apply(_check_conjugate, g)
+    if stacked:
+        if isinstance(failure, ConvergenceError):
+            raise failure
+        return PairStack(g, x), failure
     a, b = halves(x)
     if fwd:
         return RealPair(ComplexField(g, a), ComplexField(g, b))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if conjugate_defect(g, x) > 1e-9 * scale:
-        raise DomainError("inverse composition lost the conjugate-pair structure")
     return ConjugatePair(ComplexField(g, a))
+
+
+def _check_ball(g: SpectralGrid, fwd: bool, radius: float, x: np.ndarray) -> np.ndarray:
+    """The precondition of the composition: each column inside the operational ball."""
+    size = g.coeff_norm(x[: g.n_modes], g.m0) if fwd else pair_norm(g, x, g.m0)
+    name = "||w||_m0" if fwd else "||u|| + ||v||"
+    _refuse(size > radius, size, f"{name} = {{:.4f}} outside the ball {radius}")
+    return x
+
+
+def _check_conjugate(g: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """The postcondition of the inverse: each column a conjugate pair."""
+    scale = np.maximum(1.0, np.max(np.abs(x[: g.n_modes]), axis=0))
+    defect = conjugate_defect(g, x)
+    _refuse(defect > 1e-9 * scale, defect, "inverse composition lost the conjugate-pair structure")
+    return x
 
 
 def equivalence_ratios(state: ConjugatePair, s: float) -> dict:

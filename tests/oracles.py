@@ -219,7 +219,7 @@ def complexified_rhs_arrays(grid, x):
     """
     a, b = halves(x)
     c = a + b
-    q = 0.25 * grid.pairing(c, c, grid.absj)
+    q = 0.25 * grid.pairing(c, c, 0.5)
     lam_c = grid.absj * c
     return np.concatenate(
         (-1j * (grid.absj * a) - (1j * q) * lam_c, 1j * (grid.absj * b) + (1j * q) * lam_c)

@@ -23,7 +23,7 @@ from kirchhoff_spectral.cli import (
 )
 from kirchhoff_spectral.dynamics import NormalFormDynamics
 from kirchhoff_spectral.errors import ConfigError, DomainError
-from kirchhoff_spectral.fields import ComplexField, ConjugatePair, random_field
+from kirchhoff_spectral.fields import ConjugatePair, PairStack, random_field
 from kirchhoff_spectral.grid import SpectralGrid
 from kirchhoff_spectral.integrate import SCHEMES, IntegratorConfig
 
@@ -430,6 +430,35 @@ def test_simulate_non_finite_input_is_a_config_error(tmp_path, capsys, grid1):
     assert "initial_file w: serialized grid" in _config_error(capsys, argv)
 
 
+def _initial_file_argv(tmp_path, path) -> list:
+    return ["simulate", "--t-end", "0.1", "--representation", "normal_form",
+            "--initial-file", str(path), "--out", str(tmp_path)]
+
+
+def test_initial_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    argv = _initial_file_argv(tmp_path, tmp_path / "missing.json")
+    assert "cannot read initial_file" in _config_error(capsys, argv)
+
+
+def test_initial_file_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text('{"w": {"d": 1,')
+    argv = _initial_file_argv(tmp_path, path)
+    assert "initial_file is not valid JSON" in _config_error(capsys, argv)
+
+
+def test_initial_file_with_a_string_coefficient_is_a_config_error(tmp_path, capsys, grid1):
+    from kirchhoff_spectral import field_to_dict
+
+    data = field_to_dict(random_field(grid1, 5, 0.03, 1.0, "free"))
+    data["coeffs"][0] = [1, "x", 0.0]
+    path = tmp_path / "w.json"
+    with open(path, "w") as fh:
+        json.dump({"w": data}, fh)
+    err = _config_error(capsys, _initial_file_argv(tmp_path, path))
+    assert "initial_file w: malformed field (TypeError" in err
+
+
 def test_sweep_non_finite_amplitude_is_a_config_error(tmp_path, capsys):
     argv = ["sweep", "--workers", "1", "--out", str(tmp_path)]
     assert "eps_list[0]: must be finite" in _config_error(capsys, argv + ["--eps-list", "nan"])
@@ -437,17 +466,17 @@ def test_sweep_non_finite_amplitude_is_a_config_error(tmp_path, capsys):
     assert "eps_list[1]: must be finite" in err
 
 
-def _nan_inverse_at(call, monkeypatch):
-    """cli's inverse transform, with the w of its ``call``-th result NaN."""
+def _nan_inverse_at(column, monkeypatch):
+    """cli's inverse transform, with the ``column``-th sample of a stack mapped to NaN."""
     real = cli.change_of_variables
-    calls = []
 
     def inverse(direction, state):
         out = real(direction, state)
-        if direction == "inv":
-            calls.append(state)
-            if len(calls) == call:
-                return ConjugatePair(ComplexField(out.grid, np.full_like(out.w.coeffs, np.nan)))
+        if direction == "inv" and isinstance(state, PairStack):
+            mapped, failure = out
+            doubled = mapped.doubled.copy()
+            doubled[:, column] = np.nan
+            return PairStack(mapped.grid, doubled), failure
         return out
 
     monkeypatch.setattr(cli, "change_of_variables", inverse)
@@ -456,13 +485,13 @@ def _nan_inverse_at(call, monkeypatch):
 def test_conjugacy_defect_keeps_a_nan_sample(tmp_path, monkeypatch):
     grid = SpectralGrid(1, 4)
     w0 = ConjugatePair(random_field(grid, 3, 0.05, grid.m0, "free"))
-    _nan_inverse_at(3, monkeypatch)
+    _nan_inverse_at(2, monkeypatch)  # the third sample of the stack
     res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=4, rel_tol=1e-10)
     assert res["status"] == "ok" and np.isnan(res["defect"])
 
     out = os.path.join(tmp_path, "c")
     monkeypatch.undo()
-    _nan_inverse_at(3, monkeypatch)
+    _nan_inverse_at(2, monkeypatch)
     code = main(["conjugacy", "--n-modes", "4", "--t-end", "0.2", "--n-samples", "4",
                  "--levels", "1", "--out", out])
     assert code == EXIT_FAIL
@@ -678,16 +707,16 @@ def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
     full = cli._sweep_row(params)
     assert full["status"] == "stable-at-cap"
 
-    # the inverse transform of the third sample fails; the run itself is the same
-    inverse_calls = []
+    # the inverse transform of the third sample of the stack fails; the run
+    # itself is the same
     real = cli.change_of_variables
 
     def failing(direction, state):
-        if direction == "inv":
-            inverse_calls.append(state)
-            if len(inverse_calls) == 3:
-                raise DomainError("left the ball")
-        return real(direction, state)
+        out = real(direction, state)
+        if direction == "inv" and isinstance(state, PairStack):
+            mapped, _ = out
+            return PairStack(mapped.grid, mapped.doubled[:, :2]), DomainError("left the ball")
+        return out
 
     monkeypatch.setattr(cli, "change_of_variables", failing)
     cut = cli._sweep_row(params)
@@ -696,6 +725,23 @@ def test_sweep_drift_covers_every_integrated_sample(monkeypatch):
     assert cut["n_steps"] == full["n_steps"]
     for key in ("ham_drift_rel", "max_uv_norm", "uv_ratio"):
         assert cut[key] == full[key]
+
+
+def test_an_in_process_sweep_builds_its_grid_once(tmp_path, monkeypatch):
+    # the rows and the report's grid and integrator fields share one grid
+    builds = []
+    real = SpectralGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralGrid, "__init__", counted)
+    out = os.path.join(tmp_path, "w")
+    code = main(["sweep", "--eps-list", "0.2", "--t-cap", "1", "--workers", "1",
+                 "--no-measure-constants", "--out", out])
+    assert code == EXIT_PASS
+    assert builds == [(1, 8)]
 
 
 def test_sweep_ham_drift_is_relative_to_the_initial_energy(monkeypatch):

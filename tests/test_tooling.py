@@ -122,6 +122,53 @@ def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
     assert calls["integrate"] == 1 and calls["rhs"] >= 1
 
 
+#: change_of_variables calls of one original sweep row: forward and inverse
+#: at t = 0, before the run, then one inverse on the stack of every sample
+CHANGES_OF_VARIABLES_PER_ROW = 3
+
+#: change_of_variables calls of one conjugacy level: the forward map of the
+#: initial state, then one inverse on the stack of the physical samples
+CHANGES_OF_VARIABLES_PER_LEVEL = {"fwd": 1, "inv": 1}
+
+
+def _counted_changes_of_variables(monkeypatch) -> list:
+    from kirchhoff_spectral import cli
+
+    calls = []
+    real = cli.change_of_variables
+
+    def counted(direction, state, *args, **kwargs):
+        calls.append(direction)
+        return real(direction, state, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "change_of_variables", counted)
+    return calls
+
+
+def test_a_sweep_row_maps_its_samples_in_one_pass(monkeypatch):
+    # the benchmark's lifespan workload times these rows; their saved work is
+    # pinned here: one inverse for all the samples of a row, not one per sample
+    from kirchhoff_spectral import cli
+
+    calls = _counted_changes_of_variables(monkeypatch)
+    _, cfg = cli.parse_config(["sweep", "--t-cap", "5", "--n-samples", "10",
+                               "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
+    assert row["status"] == "stable-at-cap"
+    assert calls == ["fwd", "inv", "inv"] and len(calls) == CHANGES_OF_VARIABLES_PER_ROW
+
+
+def test_a_conjugacy_level_maps_its_samples_in_one_pass(monkeypatch):
+    from kirchhoff_spectral import ConjugatePair, SpectralGrid, cli, random_field
+
+    calls = _counted_changes_of_variables(monkeypatch)
+    grid = SpectralGrid(1, 4)
+    w0 = ConjugatePair(random_field(grid, 3, 0.05, grid.m0, "free"))
+    res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=4, rel_tol=1e-10)
+    assert res["status"] == "ok"
+    assert {d: calls.count(d) for d in set(calls)} == CHANGES_OF_VARIABLES_PER_LEVEL
+
+
 def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
     # the benchmark's oracle workload expects spans from the solve, from jac
     # and from the dense assembly; a suite that skipped one would make the

@@ -8,12 +8,15 @@ from kirchhoff_spectral import (
     ConjugatePair,
     ConvergenceError,
     DomainError,
+    PairStack,
     ParameterError,
+    RealPair,
     random_field,
     transforms,
 )
-from kirchhoff_spectral.fields import conjugate_defect, halves, hermitian_defect
-from kirchhoff_spectral.kirchhoff import random_state
+from kirchhoff_spectral.coupling import linearize
+from kirchhoff_spectral.fields import conjugate_defect, halves, hermitian_defect, pair_norm
+from kirchhoff_spectral.kirchhoff import hamiltonian, random_state
 from kirchhoff_spectral.transforms import (
     change_of_variables,
     complex_stage,
@@ -208,3 +211,139 @@ class TestFullComposition:
         r = equivalence_ratios(w, grid1.m0)
         assert 1.0 <= r["uv_over_w"] <= 3.0
         assert r["w_over_uv"] == pytest.approx(1.0 / r["uv_over_w"], rel=1e-12)
+
+
+# -- mode-first stacks ------------------------------------------------------------
+
+
+def _rel(stacked, single) -> float:
+    return float(np.max(np.abs(stacked - single)) / np.max(np.abs(single)))
+
+
+def _physical_stack(grid, eps_list, seed=40):
+    states = [random_state(grid, seed + k, eps) for k, eps in enumerate(eps_list)]
+    return states, PairStack.of(states)
+
+
+class TestStacks:
+    def test_each_column_maps_as_one_state(self, grid1, grid2):
+        for g in (grid1, grid2):
+            states, stack = _physical_stack(g, [0.02, 0.05, 0.07, 0.09])
+            mapped, failure = change_of_variables("inv", stack)
+            assert failure is None and mapped.doubled.shape == stack.doubled.shape
+            pairs = [change_of_variables("inv", st) for st in states]
+            for k, pair in enumerate(pairs):
+                assert _rel(mapped.doubled[:, k], pair.doubled) <= 1e-15
+            back, failure = change_of_variables("fwd", mapped)
+            assert failure is None
+            for k, pair in enumerate(pairs):
+                assert _rel(back.doubled[:, k], change_of_variables("fwd", pair).doubled) <= 1e-15
+
+    def test_a_square_stack_is_mapped_column_by_column(self, grid1):
+        # 2n columns: a matrix product standing in for a per-column pairing or
+        # norm would have the shape of the right answer
+        n = grid1.n_modes
+        states, stack = _physical_stack(grid1, np.linspace(0.01, 0.09, 2 * n), seed=70)
+        x = stack.doubled
+        assert x.shape == (2 * n, 2 * n)
+        mapped, failure = change_of_variables("inv", stack)
+        assert failure is None
+        singles = [change_of_variables("inv", st) for st in states]
+        assert max(_rel(mapped.doubled[:, k], p.doubled) for k, p in enumerate(singles)) <= 1e-15
+        for k, st in enumerate(states):
+            y = st.doubled
+            assert hamiltonian(stack)[k] == pytest.approx(hamiltonian(st), rel=1e-15)
+            assert pair_norm(grid1, x, 1.5)[k] == pytest.approx(st.norm(1.5), rel=1e-15)
+            assert grid1.doubled_norm(x, 1.0)[k] == pytest.approx(grid1.doubled_norm(y, 1.0), rel=1e-15)
+            assert grid1.pairing(x[:n], x[n:], 0.5)[k] == pytest.approx(
+                grid1.pairing(y[:n], y[n:], 0.5), rel=1e-15
+            )
+            assert _rel(grid1.class_sums(x)[:, k], grid1.class_sums(y)) <= 1e-15
+            for stage in (scale_stage, complex_stage):
+                assert _rel(stage("inv", grid1, x)[:, k], stage("inv", grid1, y)) <= 1e-15
+        fg = complex_stage("inv", grid1, scale_stage("inv", grid1, x))
+        for k in range(2 * n):
+            assert q_value(grid1, fg)[k] == pytest.approx(q_value(grid1, fg[:, k]), rel=1e-15)
+            assert _rel(diag_stage("inv", grid1, fg)[:, k], diag_stage("inv", grid1, fg[:, k])) <= 1e-15
+
+    def test_a_column_outside_the_ball_ends_the_mapped_columns(self, grid1):
+        states, stack = _physical_stack(grid1, [0.05, 0.06, 0.5, 0.07, 0.08])
+        with pytest.raises(DomainError) as single:
+            change_of_variables("inv", states[2])
+        mapped, failure = change_of_variables("inv", stack)
+        assert isinstance(failure, DomainError) and failure.column == 2
+        assert str(failure) == str(single.value)
+        assert mapped.doubled.shape == (2 * grid1.n_modes, 2)
+        for k in range(2):
+            assert _rel(mapped.doubled[:, k], change_of_variables("inv", states[k]).doubled) <= 1e-15
+
+    def test_a_later_check_of_an_earlier_column_wins(self, grid1, monkeypatch):
+        # column 3 leaves the ball of the precondition; column 1 fails only the
+        # cubic-stage inverse's ball, three stages later: column 1 is the first failure
+        monkeypatch.setattr(transforms, "CUBIC_INV_BALL", 0.03)
+        states, stack = _physical_stack(grid1, [0.01, 0.09, 0.02, 0.5])
+        with pytest.raises(DomainError) as single:
+            change_of_variables("inv", states[1])
+        mapped, failure = change_of_variables("inv", stack)
+        assert failure.column == 1 and str(failure) == str(single.value)
+        assert "cubic stage inverse" in str(failure)
+        assert mapped.doubled.shape[1] == 1
+
+    def test_a_nan_column(self, grid1):
+        states, stack = _physical_stack(grid1, [0.05, 0.06, 0.07])
+        x = stack.doubled.copy()
+        x[:, 1] = np.nan
+        nan_state = RealPair(
+            ComplexField(grid1, x[: grid1.n_modes, 1]), ComplexField(grid1, x[grid1.n_modes:, 1]),
+            check_tol=None,
+        )
+        # a NaN sample passes every domain check and never converges
+        with pytest.raises(ConvergenceError):
+            change_of_variables("inv", nan_state)
+        with pytest.raises(ConvergenceError) as stacked:
+            change_of_variables("inv", PairStack(grid1, x))
+        assert stacked.value.column == 1
+        assert np.isnan(hamiltonian(PairStack(grid1, x))).tolist() == [False, True, False]
+        assert np.isnan(pair_norm(grid1, x, grid1.m0)).tolist() == [False, True, False]
+
+    def test_a_one_state_call_raises_and_an_empty_stack_maps(self, grid1):
+        with pytest.raises(DomainError):
+            change_of_variables("inv", random_state(grid1, 22, 0.5))
+        empty = PairStack(grid1, np.zeros((2 * grid1.n_modes, 0), dtype=np.complex128))
+        mapped, failure = change_of_variables("inv", empty)
+        assert failure is None and mapped.doubled.shape == empty.doubled.shape
+
+
+def _zero_start_inverse(grid, image):
+    """The cubic-stage inverse iterated from x = 0, as a reference."""
+    x = np.zeros_like(image)
+    for _ in range(transforms.CUBIC_INV_MAX_ITER):
+        x_new = image - transforms.mix_arrays(linearize(grid, x), x)
+        delta = grid.doubled_norm(x_new - x, grid.m0)
+        x = x_new
+        if delta <= transforms.CUBIC_INV_TOL:
+            return x
+    raise AssertionError("the reference did not converge")
+
+
+def test_cubic_inverse_starts_from_the_image(grid1, grid2, monkeypatch):
+    calls = []
+    real = transforms.mix_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "mix_arrays", counted)
+    for g in (grid1, grid2):
+        for seed, norm in ((30, 0.2), (31, 0.05), (32, 1e-3)):
+            image = _conjugate(g, seed, norm, g.m0)
+            calls.clear()
+            expected = _zero_start_inverse(g, image)
+            reference_calls = len(calls)
+            calls.clear()
+            out = cubic_stage("inv", g, image)
+            assert np.array_equal(out, expected)
+            assert len(calls) == reference_calls - 1
+        zero = np.zeros(2 * g.n_modes, dtype=np.complex128)
+        assert np.array_equal(cubic_stage("inv", g, zero), _zero_start_inverse(g, zero))
