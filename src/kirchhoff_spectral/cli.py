@@ -232,10 +232,16 @@ def _strict_json(value):
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """The report as one strict-JSON string; the :func:`_strict_json` walk runs
+    only for a payload holding a NaN or inf, which ``json.dumps`` refuses."""
+    options = {"indent": 2, "sort_keys": True, "allow_nan": False}
+    try:
+        text = json.dumps(payload, **options)
+    except ValueError:
+        text = json.dumps(_strict_json(payload), **options)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _grid_meta(grid: SpectralGrid) -> dict:

@@ -8,11 +8,15 @@ second is its conjugate by construction and needs no projection at all.
 
 :meth:`KirchhoffDynamics.rhs` is the one definition of the physical field,
 and :func:`reversibility_defect` checks that field. The physical evaluator
-also exposes the field's two exact sub-flows (``rotation``/``rotate`` and
-``kick``), which the integrator's ``saba2`` scheme composes.
+also advances the integrator's ``saba2`` scheme: the field splits into a
+rotation and a kick whose flows are exact, and their SABA2 composition is one
+per-mode 2x2 map per step (:meth:`KirchhoffDynamics.saba2_factors` and
+:meth:`KirchhoffDynamics.saba2_steps`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +25,13 @@ from .fields import ComplexField, ConjugatePair, RealPair, conjugate_doubled, pa
 from .grid import SpectralGrid
 from .kirchhoff import gradient_energy, involution
 from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
+
+#: SABA2's rotation fractions of a step, c1 at both ends and c2 in between
+_SABA2_C1 = 0.5 - math.sqrt(3.0) / 6.0
+_SABA2_C2 = 1.0 - 2.0 * _SABA2_C1
+#: the rotation angles of a SABA2 step, as fractions of h: the whole step, the
+#: first rotation, the first two together, the second
+_SABA2_FRACTIONS = np.array((1.0, _SABA2_C1, _SABA2_C1 + _SABA2_C2, _SABA2_C2))[:, None]
 
 
 class KirchhoffDynamics:
@@ -50,40 +61,82 @@ class KirchhoffDynamics:
         a = 1.0 + gradient_energy(self._j2f, u)
         return np.concatenate([v, (-a) * self._j2f * u])
 
-    # The field splits into two exactly solvable parts, whose flows the
-    # integrator's splitting scheme composes: the linear oscillator
-    # (1/2) sum(|v_j|^2 + |j|^2 |u_j|^2) and the quartic (1/4) G(u)^2 with
-    # G = sum |j|^2 |u_j|^2. Both act per mode with real factors even in j,
-    # so each keeps every per-mode momentum and the Hermitian symmetry.
+    # SABA2 in closed form. The field splits into two exactly solvable parts,
+    # each acting on a mode's pair x = (u_j, v_j) as a real 2x2 matrix even in
+    # j: the linear oscillator (1/2) sum(|v_j|^2 + |j|^2 |u_j|^2), whose flow
+    # over tau is the rotation R(tau) = [[cos, sin / |j|], [-|j| sin, cos]] by
+    # the angle tau |j|, and the quartic (1/4) G(u)^2 with G = sum |j|^2 |u_j|^2,
+    # whose flow is the kick I + tau G K with K = [[0, 0], [-|j|^2, 0]], since G
+    # is constant along it. The step R(c1 h) K(h/2) R(c2 h) K(h/2) R(c1 h) is
+    # then, per mode,
+    #
+    #     M = A0 + G1 A1 + G2 A2 + G1 G2 A3,
+    #
+    # with G1 the G after the first rotation and G2 the G before the second
+    # kick. A0 = R(h), and since (h/2) K = k e2 e1^T with k = -h |j|^2 / 2, the
+    # other three are rank one: with r(tau) = (cos, sin / |j|) the first row of
+    # R(tau) and its reverse the second column,
+    #
+    #     A1 = k rev(r((c1 + c2) h)) r(c1 h),  A2 = k rev(r(c1 h)) r((c1 + c2) h),
+    #     A3 = k kappa rev(r(c1 h)) r(c1 h),   kappa = k sin(c2 h |j|) / |j|.
+    #
+    # With U = r(c1 h) x and P = r((c1 + c2) h) x, G1 = sum |j|^2 |U|^2 and
+    # G2 = sum |j|^2 |P + G1 kappa U|^2 = b0 + G1 (b1 + G1 b2): G1, b0, b1 and
+    # b2 are quadratic forms of the state at the start of the step, which one
+    # product of a weight matrix with the state's per-mode products gives.
+    # Every factor is real and even in j, and M is blended element by element,
+    # so a step keeps every per-mode momentum and the Hermitian symmetry bit
+    # for bit.
 
-    def rotation(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Factors of the oscillator's flow over ``tau`` for :meth:`rotate`:
-        ``u' = cos u + (sin / |j|) v`` and ``v' = -|j| sin u + cos v`` with the
-        angle ``tau |j|``. They are stored as complex numbers with a zero
-        imaginary part, which multiply a complex state without a cast and give
-        the values a real factor gives."""
-        w = self.grid.absj
-        c, s = np.cos(tau * w), np.sin(tau * w)
-        diagonal = np.concatenate([c, c]).astype(np.complex128)
-        off_diagonal = np.concatenate([s / w, -w * s]).astype(np.complex128)
-        return diagonal, off_diagonal
+    def saba2_factors(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of a SABA2 step of size ``h`` for :meth:`saba2_steps`:
+        A0..A3 as a (4, 2, 2, 1, n) array, and the (4, 8n) weights that turn the
+        per-mode products of a state into G1, b0, b1 and b2."""
+        w, w2, n = self.grid.absj, self._j2f, self._n
+        theta = _SABA2_FRACTIONS * (h * w)
+        rows = np.empty((4, 2, n))  # r over h, c1 h, (c1 + c2) h and c2 h
+        np.cos(theta, out=rows[:, 0])
+        np.sin(theta, out=rows[:, 1])
+        rows[:, 1] /= w
+        (cos, sin_j), r1, r12, (_, sin_j2) = rows  # sin_j is sin / |j|
+        k = -0.5 * h * w2
+        kappa = k * sin_j2
+        a = np.empty((4, 2, 2, 1, n))
+        a[0, 0, 0, 0] = a[0, 1, 1, 0] = cos
+        a[0, 0, 1, 0] = sin_j
+        a[0, 1, 0, 0] = -w2 * sin_j
+        a[1, :, :, 0] = k * (r12[::-1, None] * r1)
+        a[2, :, :, 0] = k * (r1[::-1, None] * r12)
+        a[3, :, :, 0] = (k * kappa) * (r1[::-1, None] * r1)
+        # the form sum |j|^2 s Re((l x) conj(r x)) of a state x is the sum of
+        # the products x_a x_b of its parts a, b in (u, v), weighted
+        # |j|^2 s l_a r_b for the real and the imaginary parts alike
+        weights = np.empty((4, 2, 2, 2, n))
+        form_u = w2 * (r1[:, None] * r1)
+        weights[0] = form_u[:, :, None]
+        weights[1] = (w2 * (r12[:, None] * r12))[:, :, None]
+        weights[2] = ((2.0 * w2 * kappa) * (r12[:, None] * r1))[:, :, None]
+        weights[3] = ((kappa * kappa) * form_u)[:, :, None]
+        return a, weights.reshape(4, -1)
 
-    def rotate(self, y: np.ndarray, factors, out: np.ndarray | None = None) -> np.ndarray:
-        """The oscillator's flow applied to a packed state, with the factors of
-        :meth:`rotation`; ``out`` may be ``y`` itself."""
-        diagonal, off_diagonal = factors
-        swapped = y[self.grid.pair_swap]  # (v, u)
-        swapped *= off_diagonal
-        rotated = np.multiply(y, diagonal, out=out)
-        rotated += swapped
-        return rotated
-
-    def kick(self, y: np.ndarray, tau: float) -> None:
-        """The quartic's flow over ``tau``, in place: G is constant along it,
-        so it is ``v -= tau G(u) |j|^2 u``."""
-        n = self._n
-        u = y[:n]
-        y[n:] -= (tau * gradient_energy(self._j2f, u)) * self._j2f * u
+    def saba2_steps(self, y: np.ndarray, factors, m: int) -> tuple[np.ndarray, int]:
+        """``m`` SABA2 steps from the packed state ``y`` with the factors of
+        :meth:`saba2_factors`; returns the last finite state, packed, and the
+        number of steps that reached it, ``m`` unless the state overflowed."""
+        (a0, a1, a2, a3), weights = factors
+        # the rows (Re u, Im u, Re v, Im v), viewed as (u or v, Re or Im, mode)
+        x = y.view(np.float64).reshape(2, self._n, 2).transpose(0, 2, 1).copy()
+        last, taken = x, 0
+        for _ in range(m):
+            g1, b0, b1, b2 = (weights @ (x[:, None] * x).ravel()).tolist()
+            g2 = b0 + g1 * (b1 + g1 * b2)
+            if not math.isfinite(g1 * g2):  # the state, or a kick, overflowed
+                break
+            last, x = x, np.add.reduce((a0 + g1 * a1 + g2 * (a2 + g1 * a3)) * x, axis=1)
+            taken += 1
+        if taken and not np.isfinite(x).all():  # the last step overflowed
+            x, taken = last, taken - 1
+        return x.transpose(0, 2, 1).ravel().view(np.complex128), taken
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         y_m = np.conj(y[self.grid.pair_neg])

@@ -19,7 +19,6 @@ Grids are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -125,24 +124,25 @@ class SpectralGrid:
         #: difference-coupling table so exact identities must fail
         self.corrupt_diff_sign = bool(corrupt_diff_sign)
 
-        n2max = self.n_cutoff ** 2
-        pts = [
-            p
-            for p in itertools.product(range(-self.n_cutoff, self.n_cutoff + 1), repeat=self.d)
-            if 0 < sum(c * c for c in p) <= n2max
-        ]
-        pts.sort(key=lambda p: (sum(c * c for c in p),) + p)
+        # the cube [-N, N]^d in lexicographic order, then a stable sort by |j|^2,
+        # which keeps that order inside each class
+        side = 2 * self.n_cutoff + 1
+        cube = np.indices((side,) * self.d, dtype=np.int64).reshape(self.d, -1).T - self.n_cutoff
+        j2 = np.sum(cube * cube, axis=1)
+        inside = np.flatnonzero((j2 > 0) & (j2 <= self.n_cutoff ** 2))
+        inside = inside[np.argsort(j2[inside], kind="stable")]
 
-        self.modes = np.array(pts, dtype=np.int64).reshape(len(pts), self.d)
-        self.n_modes = len(pts)
-        self.j2 = np.sum(self.modes * self.modes, axis=1)
+        self.modes = cube[inside]
+        self.n_modes = len(inside)
+        self.j2 = j2[inside]
         self.j2f = self.j2.astype(np.float64)
         self.absj = np.sqrt(self.j2f)
 
-        self._slot = {tuple(p): i for i, p in enumerate(pts)}
-        self.neg_index = np.array(
-            [self._slot[tuple(-c for c in p)] for p in pts], dtype=np.int64
-        )
+        # the slot of each point of the cube, -1 outside the grid; -j sits at the
+        # mirrored position of the cube
+        self._slots = np.full(side ** self.d, -1, dtype=np.int64)
+        self._slots[inside] = np.arange(self.n_modes)
+        self.neg_index = self._slots[side ** self.d - 1 - inside]
 
         # resonance classes: contiguous runs of equal |j|^2
         self.class_j2, self.class_starts = np.unique(self.j2, return_index=True)
@@ -172,11 +172,9 @@ class SpectralGrid:
             raise ParameterError("zero mode present in index set")
         if not np.array_equal(self.modes[self.neg_index], -self.modes):
             raise ParameterError("index set is not closed under negation")
-        counts = np.zeros(self.n_classes, dtype=np.int64)
-        for i, c in enumerate(self.class_of):
-            counts[c] += 1
-            if self.class_j2[c] != self.j2[i]:
-                raise ParameterError("resonance class key mismatch")
+        if not np.array_equal(self.class_j2[self.class_of], self.j2):
+            raise ParameterError("resonance class key mismatch")
+        counts = np.bincount(self.class_of, minlength=self.n_classes)
         if counts.sum() != self.n_modes or np.any(counts <= 0):
             raise ParameterError("resonance classes do not partition the index set")
 
@@ -197,9 +195,13 @@ class SpectralGrid:
         key = (int(mode),) if np.isscalar(mode) else tuple(int(c) for c in mode)
         if len(key) != self.d:
             raise ParameterError(f"mode {key} has wrong dimension for d={self.d}")
-        if key not in self._slot:
+        n = self.n_cutoff
+        slot = -1
+        if all(abs(c) <= n for c in key):
+            slot = int(self._slots[np.ravel_multi_index(np.add(key, n), (2 * n + 1,) * self.d)])
+        if slot < 0:
             raise ParameterError(f"mode {key} not in grid (d={self.d}, N={self.n_cutoff})")
-        return self._slot[key]
+        return slot
 
     def weight(self, s: float) -> np.ndarray:
         """Cached |j|^(2s) weight vector for Sobolev norms."""

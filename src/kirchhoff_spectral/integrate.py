@@ -19,15 +19,18 @@ Laskar & Robutel's SABA2, ``A(c1 h) B(h/2) A(c2 h) B(h/2) A(c1 h)`` with
 ``c1 = 1/2 - sqrt(3)/6`` and ``c2 = 1 - 2 c1`` (Laskar & Robutel, *Celest.
 Mech. Dyn. Astron.* 80, 2001; McLachlan, *BIT* 35, 1995). It is symplectic,
 keeps every per-mode momentum, and for a kick of size eps its error is
-O(eps h^4 + eps^2 h^2), so its step is not bound to the fastest rotation. It
-has no dense output: each sample interval is cut into ``ceil(interval / dt)``
-equal steps, which land on the sample times (an interval that is a whole
-number of ``dt`` up to rounding takes that number).
+O(eps h^4 + eps^2 h^2), so its step is not bound to the fastest rotation. The
+evaluator advances it: the physical field's step is, per mode, one 2x2 map
+whose two kick scalars are quadratic forms of the state at the start of the
+step (``KirchhoffDynamics.saba2_steps``), and its factors are built once per
+step size and run. It has no dense output: each sample interval is cut into
+``ceil(interval / dt)`` equal steps, which land on the sample times (an
+interval that is a whole number of ``dt`` up to rounding takes that number).
 
 The state is projected back onto its exact structural symmetry class and the
 projection defect is logged after every Runge-Kutta step and at every sample
 (for the states used here the right-hand sides preserve the symmetry exactly,
-and the sub-flows preserve it bit for bit, so the defect stays at rounding
+and the SABA2 steps preserve it bit for bit, so the defect stays at rounding
 level); an interpolated sample is projected too.
 """
 
@@ -164,9 +167,6 @@ TABLEAUS = {
 #: list that the config check and ``simulate --scheme`` read
 SCHEMES = (*TABLEAUS, "saba2")
 
-#: SABA2's rotation fractions of a step, c1 at both ends and c2 in between
-_SABA2_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_SABA2_C2 = 1.0 - 2.0 * _SABA2_C1
 #: the relative amount by which a SABA2 step may exceed dt, far below any
 #: accuracy that matters and far above the rounding of sample times
 _STEP_SLACK = 1e-9
@@ -402,41 +402,37 @@ def _saba2(run: _Run) -> str:
     evaluator, config = run.evaluator, run.config
     t, y = run.t, run.y
     landings = [t_s for t_s in run.ahead[::-1] if t < t_s < config.t_end] + [config.t_end]
-    h = None
+    # the step factors of each step size, for this run only: intervals of
+    # sample times that differ by an ulp give distinct sizes
+    factors: dict[float, tuple] = {}
     for t_next in landings:
         # an interval that is a whole number of dt up to the rounding of the
         # sample times takes that number of steps, not one more
         m = math.ceil((t_next - t) / config.dt * (1.0 - _STEP_SLACK))
-        if (t_next - t) / m != h:  # equal intervals reuse the rotation factors
-            h = (t_next - t) / m
-            outer = evaluator.rotation(_SABA2_C1 * h)
-            inner = evaluator.rotation(_SABA2_C2 * h)
+        h = (t_next - t) / m
+        if h not in factors:
+            factors[h] = evaluator.saba2_factors(h)
         # overflow to inf is handled explicitly below as blowup
         with np.errstate(invalid="ignore", over="ignore"):
-            for i in range(m):
-                y_new = evaluator.rotate(y, outer)
-                evaluator.kick(y_new, 0.5 * h)
-                evaluator.rotate(y_new, inner, out=y_new)
-                evaluator.kick(y_new, 0.5 * h)
-                evaluator.rotate(y_new, outer, out=y_new)
-                if _blown_up(y_new):
-                    run.t, run.y = t + i * h, y
-                    return "blowup"
-                y = y_new
-                run.n_steps += 1
-        # the sub-flows keep the symmetry bit for bit: a projection per landing
+            y_new, taken = evaluator.saba2_steps(y, factors[h], m)
+        run.n_steps += taken
+        if taken < m:
+            run.t, run.y = t + taken * h, y_new
+            return "blowup"
+        # the steps keep the symmetry bit for bit: a projection per landing
         # only logs a defect the start state brought in
         t = t_next
-        y, _ = run.project(y)
+        y, _ = run.project(y_new)
         run.accept(t, y)
         if run.outside_ball():
             return "ball_exit"
     return "completed"
 
 
-#: what an evaluator exposes for saba2: its fastest rotation frequency, and its
-#: two exact sub-flows (see :class:`~kirchhoff_spectral.dynamics.KirchhoffDynamics`)
-_SUBFLOWS = ("max_frequency", "rotation", "rotate", "kick")
+#: what an evaluator exposes for saba2: its fastest rotation frequency, and the
+#: step factors and steps of its exact splitting (see
+#: :class:`~kirchhoff_spectral.dynamics.KirchhoffDynamics`)
+_SUBFLOWS = ("max_frequency", "saba2_factors", "saba2_steps")
 
 
 def _check_splitting(evaluator, dt: float) -> None:

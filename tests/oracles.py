@@ -24,8 +24,15 @@ a finer grid.
 The wave speed's reference is Newton's iteration on its cubic in 60-digit
 decimal arithmetic, where the package takes the cubic's closed-form root in
 floating point.
+
+The grid's lattice reference enumerates the cube with ``itertools`` and sorts
+the points by a Python key, where the package sorts index arrays. The SABA2
+reference composes the step's five sub-flows one at a time, the rotation and
+the kick on the packed complex state, where the package applies the step as
+one closed-form per-mode matrix.
 """
 
+import itertools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -197,6 +204,41 @@ def dense_jacobian_solve(lin, rhs):
     n = lin.grid.n_modes
     w, z = lin.state[:n], lin.state[n:]
     return np.linalg.solve(coupling.dense_jacobian_matrix(lin.grid, w, z), rhs)
+
+
+def lattice(d: int, n_cutoff: int):
+    """The grid's points 1 <= |j|^2 <= N^2, sorted by (|j|^2, j_1, ..., j_d), and
+    the slot of -j for each, from a dict of the points."""
+    pts = [
+        p for p in itertools.product(range(-n_cutoff, n_cutoff + 1), repeat=d)
+        if 0 < sum(c * c for c in p) <= n_cutoff ** 2
+    ]
+    pts.sort(key=lambda p: (sum(c * c for c in p),) + p)
+    slot = {p: i for i, p in enumerate(pts)}
+    modes = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+    return modes, np.array([slot[tuple(-c for c in p)] for p in pts], dtype=np.int64), slot
+
+
+def saba2_subflows(grid, y, h: float, m: int, c1: float, c2: float) -> np.ndarray:
+    """``m`` SABA2 steps R(c1 h) K(h/2) R(c2 h) K(h/2) R(c1 h) of the physical
+    field from the packed state ``y = [u; v]``: the rotation R(tau) turns each
+    pair by the angle tau |j|, and the kick K(tau) is v -= tau G(u) |j|^2 u with
+    G = sum |j|^2 |u_j|^2."""
+    n, w, w2 = grid.n_modes, grid.absj, grid.j2f
+
+    def rotate(y, tau):
+        c, s = np.cos(tau * w), np.sin(tau * w)
+        u, v = y[:n], y[n:]
+        return np.concatenate((c * u + (s / w) * v, -w * s * u + c * v))
+
+    def kick(y, tau):
+        u = y[:n]
+        g = np.dot(w2, u.real * u.real + u.imag * u.imag)
+        return np.concatenate((u, y[n:] - (tau * g) * w2 * u))
+
+    for _ in range(m):
+        y = rotate(kick(rotate(kick(rotate(y, c1 * h), 0.5 * h), c2 * h), 0.5 * h), c1 * h)
+    return y
 
 
 # -- test-only fields and helpers ------------------------------------------------

@@ -580,6 +580,21 @@ def test_a_report_holding_a_nan_is_strict_json(tmp_path, monkeypatch):
     assert suite["pass"] is False
     assert suite["max_defect"] is None
     assert "non-finite" in suite["max_defect_reason"]
+    # the per-defect value in details is labelled the same way, beside worst_at
+    details = suite["details"]
+    assert details["defect"] is None
+    assert "non-finite" in details["defect_reason"]
+    assert details["worst_at"]["grid"] == [1, 4]
+
+
+def test_a_finite_report_is_written_as_the_strict_walk_writes_it(tmp_path):
+    # a report with no NaN or inf skips the walk; its bytes are the walk's
+    payload = {"b": [1.5, (2, -0.0)], "a": {"x": 1e-300, "y": None, "z": "s"}, "c": True}
+    path = os.path.join(tmp_path, "r", "report.json")
+    cli._write_json(path, payload)
+    expected = json.dumps(cli._strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "rb") as fh:
+        assert fh.read() == (expected + "\n").encode("utf-8")
 
 
 def test_simulate_ball_threshold_stops_the_original_flow(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kirchhoff_spectral import ParameterError, SpectralGrid, regularity_threshold
-from oracles import same_bits
+from kirchhoff_spectral.grid import coupling_tables, stack_tables
+from oracles import lattice, same_bits
 
 
 def test_regularity_threshold():
@@ -22,6 +23,22 @@ def test_construction_invariants(d, n):
     assert np.array_equal(g.class_j2[g.class_of], g.j2)
     # classes are contiguous runs in the canonical order
     assert np.all(np.diff(g.class_of) >= 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_construction_matches_the_itertools_lattice(d, n):
+    # the index-array construction against the point-by-point one: the same
+    # modes in the same order, the same negation, classes and class table
+    g = SpectralGrid(d, n)
+    modes, neg_index, slot = lattice(d, n)
+    assert same_bits(g.modes, modes) and same_bits(g.neg_index, neg_index)
+    class_j2, class_of = np.unique(np.sum(modes * modes, axis=1), return_inverse=True)
+    assert same_bits(g.class_of, class_of)
+    c2 = class_j2.astype(np.float64)
+    assert same_bits(g.class_table, stack_tables(*coupling_tables(c2[:, None], c2[None, :])))
+    if n == 4:
+        assert all(g.slot(p) == i for p, i in slot.items())
 
 
 def test_ball_truncation_keeps_spheres_complete():
@@ -58,6 +75,11 @@ def test_slot_lookup_and_errors(grid1):
         grid1.slot(9)
     with pytest.raises(ParameterError):
         grid1.slot((1, 1))
+    g = SpectralGrid(2, 4)
+    assert g.modes[g.slot((-4, 0))].tolist() == [-4, 0]
+    for outside in ((3, 3), (5, 0), (0, -5), (0, 0)):
+        with pytest.raises(ParameterError, match="not in grid"):
+            g.slot(outside)
 
 
 def test_bad_parameters():

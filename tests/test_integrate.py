@@ -10,12 +10,18 @@ from kirchhoff_spectral import (
     ConvergenceError,
     DomainError,
     ParameterError,
+    SpectralGrid,
     random_field,
 )
-from kirchhoff_spectral.dynamics import KirchhoffDynamics, NormalFormDynamics
+from kirchhoff_spectral.dynamics import (
+    _SABA2_C1,
+    _SABA2_C2,
+    KirchhoffDynamics,
+    NormalFormDynamics,
+)
 from kirchhoff_spectral.integrate import SCHEMES, TABLEAUS, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
-from oracles import LinearDiagonalDynamics
+from oracles import LinearDiagonalDynamics, saba2_subflows
 
 
 class _ScalarDynamics:
@@ -470,6 +476,46 @@ def test_saba2_keeps_momenta_symmetry_and_sample_times(grid1, sweep_row):
     # rotation and kick act per mode with real factors even in j
     assert rec.max_projection_defect == 0.0
     assert (rec.n_rejected, rec.n_rhs) == (0, 1)  # one field evaluation, at the start
+
+
+#: steps of the closed-form check, and its bound: a step is a few dozen
+#: floating-point operations per mode, so 150 of them may differ from the
+#: sub-flow composition by about 150 * 8 rounding units of the state's size
+_CLOSED_FORM_STEPS = 150
+_CLOSED_FORM_TOL = _CLOSED_FORM_STEPS * 8 * np.finfo(np.float64).eps / 2
+
+
+@pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("dt_max_freq", [1.0, 0.37, 2.5])
+def test_saba2_step_map_is_the_subflow_composition(d, n_cutoff, dt_max_freq):
+    # the per-mode 2x2 map with its two kick scalars is the same method as
+    # rotate, kick, rotate, kick, rotate: over 150 steps they agree to rounding
+    grid = SpectralGrid(d, n_cutoff)
+    dyn = KirchhoffDynamics(grid)
+    h = dt_max_freq / dyn.max_frequency
+    y0 = dyn.pack(random_state(grid, 40, 0.2)).astype(np.complex128)
+    y, taken = dyn.saba2_steps(y0, dyn.saba2_factors(h), _CLOSED_FORM_STEPS)
+    reference = saba2_subflows(grid, y0, h, _CLOSED_FORM_STEPS, _SABA2_C1, _SABA2_C2)
+    assert taken == _CLOSED_FORM_STEPS
+    assert np.max(np.abs(y - reference)) <= _CLOSED_FORM_TOL * np.max(np.abs(reference))
+    # the state moved by far more than the bound: the check compares flows
+    assert np.max(np.abs(y - y0)) >= 1e3 * _CLOSED_FORM_TOL * np.max(np.abs(reference))
+    # every factor is even in j, so the Hermitian symmetry holds bit for bit
+    assert np.array_equal(y, np.conj(y[grid.pair_neg]))
+
+
+def test_saba2_steps_stop_at_the_last_finite_state(grid1):
+    dyn = KirchhoffDynamics(grid1)
+    factors = dyn.saba2_factors(_SWEEP_DT)
+    y0 = dyn.pack(random_state(grid1, 1, 10.0)).astype(np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y, taken = dyn.saba2_steps(y0, factors, 100)
+        assert 0 < taken < 100 and np.isfinite(y).all()
+        # the state it returns is the one that many steps reach
+        again, steps = dyn.saba2_steps(y0, factors, taken)
+        assert steps == taken and np.array_equal(again, y)
+        # and no step leaves it finite
+        assert dyn.saba2_steps(y, factors, 1)[1] == 0
 
 
 def test_saba2_cuts_each_sample_interval_into_equal_steps(grid1):

@@ -122,6 +122,36 @@ def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
     assert calls["integrate"] == 1 and calls["rhs"] >= 1
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.185, 0.17])
+def test_an_original_sweep_row_builds_each_step_size_once(eps, monkeypatch):
+    # the benchmark's lifespan workload times these rows; the saba2 step
+    # factors are built once per distinct step size of a row, not per landing
+    # (sample intervals that differ by an ulp give distinct sizes)
+    import math
+
+    import numpy as np
+
+    from kirchhoff_spectral import cli, dynamics
+    from kirchhoff_spectral.integrate import _STEP_SLACK
+
+    built = []
+    real = dynamics.KirchhoffDynamics.saba2_factors
+
+    def saba2_factors(self, h):
+        built.append(h)
+        return real(self, h)
+
+    monkeypatch.setattr(dynamics.KirchhoffDynamics, "saba2_factors", saba2_factors)
+    _, cfg = cli.parse_config(["sweep", "--c1-op", "0.02", "--n-samples", "20",
+                               "--no-measure-constants"])
+    row = cli._sweep_row(dict(cfg, eps=eps, row_seed=100))
+    assert row["status"] == "reached-target"
+    intervals = np.diff(np.linspace(0.0, row["t_end"], 21)).tolist()
+    dt = 1 / 8  # one radian of the fastest rotation on d=1 N=8
+    sizes = {b / math.ceil(b / dt * (1.0 - _STEP_SLACK)) for b in intervals}
+    assert len(built) == len(set(built)) == len(sizes) < len(intervals)
+
+
 #: change_of_variables calls of one original sweep row: forward and inverse
 #: at t = 0, before the run, then one inverse on the stack of every sample
 CHANGES_OF_VARIABLES_PER_ROW = 3
