@@ -18,8 +18,6 @@ from .fields import (
     field_to_dict,
     hermitian_defect,
     hermitian_project,
-    lambda_power,
-    pairing,
     random_field,
     sobolev_norm,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "field_to_dict",
     "hermitian_defect",
     "hermitian_project",
-    "lambda_power",
-    "pairing",
     "random_field",
     "regularity_threshold",
     "sobolev_norm",

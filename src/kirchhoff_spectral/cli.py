@@ -145,6 +145,7 @@ def _list(item: dict, **limits) -> dict:
 
 _BOOL = {"kind": "bool"}
 _NONNEGATIVE = {"kind": "number", "min": 0.0}
+_POSITIVE = {"kind": "number", "min": 1e-6}
 _OUT = Option("out", "out", _str(), "output directory")
 _D = Option("d", 1, _int(min=1, max=3))
 _N_MODES = Option("n_modes", 8, _int(min=1))
@@ -588,11 +589,11 @@ SWEEP_OPTIONS = (
     _D,
     _N_MODES,
     Option("eps_list", [0.2, 0.14, 0.1, 0.07, 0.05],
-           _list({"kind": "number", "min": 1e-6}, min_len=1), "comma-separated amplitudes"),
+           _list(_POSITIVE, min_len=1), "comma-separated amplitudes"),
     Option("seeds_per_eps", 1, _int(min=1)),
     Option("seed", 100, _int()),
-    Option("c1_op", 0.1, _NONNEGATIVE),
-    Option("t_cap", 1e6, _NONNEGATIVE),
+    Option("c1_op", 0.1, _POSITIVE),
+    Option("t_cap", 1e6, _POSITIVE),
     Option("w0_scale", 0.2, _NONNEGATIVE),
     Option("rel_tol", 1e-8, _NONNEGATIVE, "DOP853 tolerance of normal_form rows only "
            "(original rows step with saba2 at 1/max|j|)"),

@@ -14,6 +14,11 @@ grid's ``class_table`` T = [[D, S], [S, D]] stacks the diff table D and the
 sum table S, so one product [p, q] @ T = (p D + q S, p S + q D) applies both
 families to a pair of per-class vectors.
 
+That product is the one coupling kernel, :func:`class_symbols`. Every operator
+below reaches the table through it, and so do the ``operator-identities`` and
+``coupling-bounds`` suites, which check the two families of (u, v) as the
+halves of the symbols of [u; 0] and [v; 0].
+
 Operators defined here, each linear in its operand (alpha, beta), which the
 array layer holds as one doubled vector [alpha; beta] of length 2n (the basis
 of ``dense_jacobian_matrix``):
@@ -31,14 +36,12 @@ of ``dense_jacobian_matrix``):
   pair tables.
 
 Each operation on a pair is one numpy call on the doubled vector, through
-the grid's index maps; the class sums of a doubled product are the vector
-[sums of the first half; of the second] that multiplies T directly. The
-operators read the state [w; z] through a :class:`Linearization`, which
-:func:`linearize` builds once per state: its negated and swapped copies, the
-class sums [sww; szz] of w_j w_{-j} and z_j z_{-j} and the class symbols
-[m12; m21] = [sww; szz] @ T. mix is then one multiplication, and the caller
-that needs several of these operators at one state, as the normal-form field
-does, pays for the state's class sums once.
+the grid's index maps. The operators read the state [w; z] through a
+:class:`Linearization`, which :func:`linearize` builds once per state: its
+negated and swapped copies, the class sums [sww; szz] of w_j w_{-j} and
+z_j z_{-j} and the class symbols [m12; m21] = [sww; szz] @ T. mix is then one
+multiplication, and the caller that needs several of these operators at one
+state, as the normal-form field does, pays for the state's class sums once.
 
 The class-space solve is exact. (I + jac) is a per-mode 2x2 block
 M = [[1, m12], [m21, 1]] (the identity plus mix) plus a correction L T' R of
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fields import ComplexField, _same_grid, halves
+from .fields import halves
 from .grid import SpectralGrid
 
 SOLVE_RESIDUAL_TOL = 1e-12
@@ -77,15 +80,26 @@ class Linearization(NamedTuple):
     slot_symbols: np.ndarray
 
 
+def class_symbols(grid: SpectralGrid, x: np.ndarray, y: np.ndarray):
+    """The coupling kernel: the class sums [p; q] of the doubled product x y_-
+    and the symbols [p, q] @ T, as (sums, symbols), per column of a mode-first
+    stack. Of x = [u; 0] and y = [v; 0] the symbols are [p D; p S], the diff
+    and the sum family of (u, v), one scalar per class."""
+    # a named gather: numpy multiplies a large unnamed one in place, as neg * x,
+    # which rounds otherwise than x * neg
+    neg = y[grid.pair_neg]
+    sums = grid.class_sums(x * neg)
+    return sums, np.dot(grid.class_table.T, sums)  # sums @ T, column by column
+
+
 def linearize(grid: SpectralGrid, state: np.ndarray) -> Linearization:
-    """The doubled state [w; z] as the coupling operators read it: one class
-    reduction of the product [w w_-; z z_-] and one product with the class table.
-    A mode-first stack (2n, m) of states gives the record of each column."""
-    neg = state[grid.pair_neg]
-    sums = grid.class_sums(state * neg)
-    symbols = np.dot(grid.class_table.T, sums)  # sums @ T, column by column
+    """The doubled state [w; z] as the coupling operators read it: the kernel of
+    the state with itself. A mode-first stack (2n, m) of states gives the
+    record of each column."""
+    sums, symbols = class_symbols(grid, state, state)
     return Linearization(
-        grid, state, neg, state[grid.pair_swap], sums, symbols, symbols[grid.pair_class_of]
+        grid, state, state[grid.pair_neg], state[grid.pair_swap], sums, symbols,
+        symbols[grid.pair_class_of],
     )
 
 
@@ -100,11 +114,11 @@ def jac_arrays(lin: Linearization, x: np.ndarray) -> np.ndarray:
     First half:  diff[w,w] b + sum[z,z] b + 2 diff[w,a] z + 2 sum[z,b] z
     Second half: sum[w,w] a + diff[z,z] a + 2 sum[w,a] w + 2 diff[z,b] w
 
-    The four new terms are one table action on the class sums
-    [sum w a_{-j}; sum z b_{-j}], scattered onto [z; w].
+    The four new terms are the kernel of the state and x, the class sums
+    [sum w a_{-j}; sum z b_{-j}] through the table, scattered onto [z; w].
     """
     grid = lin.grid
-    g = grid.class_sums(lin.state * x[grid.pair_neg]) @ grid.class_table
+    _, g = class_symbols(grid, lin.state, x)
     return mix_arrays(lin, x) + 2.0 * (g[grid.pair_class_of] * lin.state_swap)
 
 
@@ -137,9 +151,9 @@ def _class_solve(lin: Linearization, r: np.ndarray) -> np.ndarray:
 
     m, e_det = lin.slot_symbols, np.concatenate((det, det))[grid.pair_class_of]
     y = (r - m * r[swap]) / e_det
-    pq = grid.class_sums(lin.state * y[grid.pair_neg])
+    _, t_r = class_symbols(grid, lin.state, y)  # T' R M^{-1} r
     try:
-        g = np.linalg.solve(cap_t.T, pq @ grid.class_table)
+        g = np.linalg.solve(cap_t.T, t_r)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"class-space capacitance solve failed ({exc})") from exc
     t = r - 2.0 * (g[grid.pair_class_of] * lin.state_swap)
@@ -211,25 +225,6 @@ def dense_jacobian_matrix(grid, w, z) -> np.ndarray:
     mat[n + diag, diag] += sum_ @ ww + diff @ zz
     mat.flat[:: 2 * n + 1] += 1.0
     return mat
-
-
-# -- field layer -------------------------------------------------------------
-
-
-def apply_coupling(kind: str, u: ComplexField, v: ComplexField, h: ComplexField) -> ComplexField:
-    """One coupling family, "diff" or "sum", applied to h with the per-class
-    scalars sum_j u_j v_{-j} c(j, class); the |j|^2 lives in the table."""
-    _same_grid(u, v)
-    _same_grid(u, h)
-    g = u.grid
-    if kind == "diff":
-        table = g.diff_table
-    elif kind == "sum":
-        table = g.sum_table
-    else:
-        raise ParameterError(f"kind must be 'diff' or 'sum', got {kind!r}")
-    scalars = g.class_sums(u.coeffs * v.coeffs[g.neg_index]) @ table
-    return ComplexField(g, scalars[g.class_of] * h.coeffs)
 
 
 # -- small divisors ----------------------------------------------------------

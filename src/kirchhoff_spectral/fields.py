@@ -2,7 +2,9 @@
 
 A :class:`ComplexField` is a vector of complex Fourier coefficients over the
 canonical mode order of a :class:`~kirchhoff_spectral.grid.SpectralGrid`.
-The two state classes of the workbench are built from it:
+The two state classes of the workbench are built from it, and the operations
+on fields here are the ones the states need (pairings, multipliers and the
+coupling operators act on coefficient arrays, through the grid):
 
 * :class:`RealPair` -- a physical state (u, v) = (u, du/dt), whose coefficients
   carry the Hermitian symmetry u_{-j} = conj(u_j) of real-valued fields;
@@ -104,17 +106,6 @@ def sobolev_norm(field: ComplexField, s: float):
     if s < 0:
         raise ParameterError(f"Sobolev order must be >= 0, got {s}")
     return field.grid.coeff_norm(field.coeffs, s)
-
-
-def lambda_power(field: ComplexField, sigma: float) -> ComplexField:
-    """Fourier multiplier |j|^sigma (any real sigma; invertible on the zero-mean lattice)."""
-    return ComplexField(field.grid, field.coeffs * field.grid.absj ** float(sigma))
-
-
-def pairing(f: ComplexField, g: ComplexField):
-    """Bilinear (not sesquilinear) pairing: integral of the product, sum of f_j g_{-j}."""
-    _same_grid(f, g)
-    return g.grid.pairing(f.coeffs, g.coeffs)
 
 
 def conj_function(field: ComplexField) -> ComplexField:

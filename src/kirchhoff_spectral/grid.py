@@ -11,7 +11,8 @@ as one doubled vector [a; b].
 The per-mode reductions here (:meth:`SpectralGrid.class_sums`, the pairing
 and the norms) read one vector or a mode-first stack of them, shape (n, m)
 or (2n, m) with one sample per column: they reduce along axis 0, so a stack
-gives one value per column where one vector gives one value.
+gives one value per column where one vector gives one value. The Fourier
+multiplier |j|^sigma is ``absj ** sigma`` times the coefficients.
 
 Equality of |j| and |k| is always decided on the integer squared norms.
 Grids are immutable after construction and safe to share across threads.
@@ -102,8 +103,8 @@ class SpectralGrid:
     class_of : (n,) index of the resonance class of each mode.
     class_table : (2 nc, 2 nc) :func:`stack_tables` of the :func:`coupling_tables`
         between classes (row = class of j, column = class of k); the one
-        stored copy of the diff and sum tables, which ``diff_table`` and
-        ``sum_table`` read back.
+        stored copy of the diff and sum tables, which the coupling kernel
+        ``coupling.class_symbols`` and the class solve's capacitance read.
     pair_neg, pair_swap, pair_class_of, pair_class_starts, rotation : the maps of a
         doubled vector [a; b]: negation per half, [b; a], each slot's index in [class
         sums of a; of b] and that vector's class starts; the rotation [-i|j|; +i|j|].
@@ -179,16 +180,6 @@ class SpectralGrid:
             raise ParameterError("resonance classes do not partition the index set")
 
     # -- lookups -----------------------------------------------------------
-
-    @property
-    def diff_table(self) -> np.ndarray:
-        nc = self.n_classes
-        return self.class_table[:nc, :nc].real
-
-    @property
-    def sum_table(self) -> np.ndarray:
-        nc = self.n_classes
-        return self.class_table[:nc, nc:].real
 
     def slot(self, mode) -> int:
         """Position of a lattice point in the canonical order."""

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coupling import (
-    apply_coupling,
+    class_symbols,
     dense_jacobian_matrix,
     jac_arrays,
     linearize,
@@ -51,7 +51,7 @@ from .coupling import (
     solve_jacobian_arrays,
 )
 from .errors import ParameterError
-from .fields import ConjugatePair, conj_function, halves, lambda_power, pairing, random_field
+from .fields import ConjugatePair, halves, random_field
 from .grid import SpectralGrid
 from .kirchhoff import random_state
 from .normal_form import (
@@ -222,33 +222,40 @@ class Suite(NamedTuple):
 # -- exact identities ---------------------------------------------------------
 
 
+def _families(g: SpectralGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The diff and the sum family of (u, v) per mode, the rows of a (2, n) array:
+    the halves of the kernel's symbols of [u; 0] and [v; 0], scattered by class."""
+    zero = np.zeros_like(u)
+    _, symbols = class_symbols(g, np.concatenate((u, zero)), np.concatenate((v, zero)))
+    return symbols.reshape(2, g.n_classes)[:, g.class_of]
+
+
 def _operator_defects(g: SpectralGrid, seed, k: int) -> dict:
     """Self-adjointness, conjugation equivariance, multiplier commutation,
     block swap, and the anti-commutator with the linear rotation."""
-    m0 = g.m0
-    u = random_field(g, seed(0), 0.7, m0, "free")
-    v = random_field(g, seed(1), 0.7, m0, "free")
-    y = random_field(g, seed(2), 1.0, 0.0, "free")
-    h = random_field(g, seed(3), 1.0, 0.0, "free")
-    defects = []
-    for kind in ("diff", "sum"):
-        ay = apply_coupling(kind, u, v, y)
-        ah = apply_coupling(kind, u, v, h)
-        conj_ay = apply_coupling(kind, conj_function(u), conj_function(v), conj_function(y))
-        lambda_ay = apply_coupling(kind, u, v, lambda_power(y, 1.7))
+    m0, n = g.m0, g.n_modes
+    u, v = (random_field(g, seed(slot), 0.7, m0, "free").coeffs for slot in (0, 1))
+    y, h = (random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (2, 3))
+
+    def conj(c):  # the coefficients of the conjugate function
+        return np.conj(c[g.neg_index])
+
+    lam, defects = g.absj ** 1.7, []
+    for c, c_conj in zip(_families(g, u, v), _families(g, conj(u), conj(v))):
+        ay, ah = c * y, c * h
         defects += [
-            abs(pairing(ay, h) - pairing(y, ah)),
-            _amax(conj_function(ay).coeffs - conj_ay.coeffs),
-            _amax(lambda_ay.coeffs - lambda_power(ay, 1.7).coeffs),
+            abs(g.pairing(ay, h) - g.pairing(y, ah)),
+            _amax(conj(ay) - c_conj * conj(y)),
+            _amax(c * (lam * y) - lam * ay),
         ]
     # block swap: first block of mix(u, v) equals second block of mix(v, u)
-    n, zero = g.n_modes, np.zeros_like(y.coeffs)
-    uv = linearize(g, np.concatenate((u.coeffs, v.coeffs)))
-    a12 = mix_arrays(uv, np.concatenate((zero, y.coeffs)))[:n]
-    vu = linearize(g, np.concatenate((v.coeffs, u.coeffs)))
-    a21 = mix_arrays(vu, np.concatenate((y.coeffs, zero)))[n:]
+    zero = np.zeros_like(y)
+    uv = linearize(g, np.concatenate((u, v)))
+    a12 = mix_arrays(uv, np.concatenate((zero, y)))[:n]
+    vu = linearize(g, np.concatenate((v, u)))
+    a21 = mix_arrays(vu, np.concatenate((y, zero)))[n:]
     # anti-commutator: mix . diag_linear + diag_linear . mix = 0
-    yh = np.concatenate((y.coeffs, h.coeffs))
+    yh = np.concatenate((y, h))
     anti = mix_arrays(uv, diag_linear_arrays(g, yh)) + diag_linear_arrays(g, mix_arrays(uv, yh))
     defects += [_amax(a12 - a21), _amax(anti)]
     return {"defect": _worst(defects)}
@@ -324,14 +331,14 @@ def _coupling_defects(g: SpectralGrid, seed, k: int) -> dict:
     """Operator-norm bounds of the two coupling families:
     diff <= (3/8) ||u||_m0 ||v||_m0 ||h||_s,  sum <= (1/16) ||u||_1 ||v||_1 ||h||_s."""
     m0 = g.m0
-    u = random_field(g, seed(0), 0.8, m0, "free")
-    v = random_field(g, seed(1), 0.6, m0, "free")
-    h = random_field(g, seed(2), 1.0, 0.0, "free")
-    hd, hs = apply_coupling("diff", u, v, h), apply_coupling("sum", u, v, h)
-    cd = (3.0 / 8.0) * u.norm(m0) * v.norm(m0)
-    cs = (1.0 / 16.0) * u.norm(1.0) * v.norm(1.0)
-    rd = [hd.norm(s) / (cd * h.norm(s)) for s in BOUND_S]
-    rs = [hs.norm(s) / (cs * h.norm(s)) for s in BOUND_S]
+    u = random_field(g, seed(0), 0.8, m0, "free").coeffs
+    v = random_field(g, seed(1), 0.6, m0, "free").coeffs
+    h = random_field(g, seed(2), 1.0, 0.0, "free").coeffs
+    hd, hs = _families(g, u, v) * h
+    cd = (3.0 / 8.0) * g.coeff_norm(u, m0) * g.coeff_norm(v, m0)
+    cs = (1.0 / 16.0) * g.coeff_norm(u, 1.0) * g.coeff_norm(v, 1.0)
+    rd = [g.coeff_norm(hd, s) / (cd * g.coeff_norm(h, s)) for s in BOUND_S]
+    rs = [g.coeff_norm(hs, s) / (cs * g.coeff_norm(h, s)) for s in BOUND_S]
     excess = _worst([1.0, *rd, *rs]) - 1.0
     return {"excess": excess, "max_ratio_diff": _worst(rd), "max_ratio_sum": _worst(rs)}
 

@@ -18,8 +18,9 @@ against it.
 
 The test-only fields and helpers live here too, since the package itself
 has no use for them: the complexified system and the linear rotation as
-integrable evaluators, a unit-mode field, and the embedding of a field into
-a finer grid.
+integrable evaluators, a unit-mode field, the embedding of a field into a
+finer grid, and the diff and sum blocks of the class table, from which the
+tests build their table mutants.
 
 The wave speed's reference is Newton's iteration on its cubic in 60-digit
 decimal arithmetic, where the package takes the cubic's closed-form root in
@@ -242,6 +243,13 @@ def saba2_subflows(grid, y, h: float, m: int, c1: float, c2: float) -> np.ndarra
 
 
 # -- test-only fields and helpers ------------------------------------------------
+
+
+def class_blocks(grid):
+    """The diff table D and the sum table S, the real blocks of the grid's class
+    table [[D, S], [S, D]]; the tests build their table mutants from them."""
+    nc = grid.n_classes
+    return grid.class_table[:nc, :nc].real, grid.class_table[:nc, nc:].real
 
 
 def same_bits(a, b) -> bool:

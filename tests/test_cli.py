@@ -466,6 +466,13 @@ def test_sweep_non_finite_amplitude_is_a_config_error(tmp_path, capsys):
     assert "eps_list[1]: must be finite" in err
 
 
+@pytest.mark.parametrize("field", ["t_cap", "c1_op"])
+def test_sweep_zero_time_scale_is_a_config_error_naming_its_field(field, tmp_path, capsys):
+    # either one at 0 makes every row's end time 0; the refusal names the field
+    argv = ["sweep", "--workers", "1", "--out", str(tmp_path), "--" + field.replace("_", "-"), "0"]
+    assert f"{field}: must be >= 1e-06, got 0.0" in _config_error(capsys, argv)
+
+
 def _nan_inverse_at(column, monkeypatch):
     """cli's inverse transform, with the ``column``-th sample of a stack mapped to NaN."""
     real = cli.change_of_variables

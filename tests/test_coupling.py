@@ -11,7 +11,6 @@ from kirchhoff_spectral import (
 )
 from kirchhoff_spectral import coupling, normal_form
 from kirchhoff_spectral.coupling import (
-    apply_coupling,
     jac_arrays,
     linearize,
     mix_arrays,
@@ -20,10 +19,11 @@ from kirchhoff_spectral.coupling import (
 )
 from kirchhoff_spectral.fields import halves
 from kirchhoff_spectral.grid import stack_tables
-from kirchhoff_spectral.suites import IDENTITY_TOL
+from kirchhoff_spectral.suites import IDENTITY_TOL, _families
 from oracles import (
     brute_force_coupling,
     brute_force_small_divisor_margin,
+    class_blocks,
     coupling_coefficient,
     dense_jacobian_columns,
     dense_jacobian_solve,
@@ -42,39 +42,45 @@ def test_coefficient_values():
         coupling_coefficient("prod", 1, 1)
 
 
+def _apply(kind, g, u, v, h):
+    """One coupling family of (u, v) applied to h, as the suites take it from the
+    coupling kernel: a half of the symbols of [u; 0] and [v; 0], scattered by class."""
+    return _families(g, u, v)[("diff", "sum").index(kind)] * h
+
+
 def test_apply_single_mode(grid1):
-    u = unit_mode(grid1, 1)
-    v = unit_mode(grid1, -1)
-    h = unit_mode(grid1, 2)
-    out = apply_coupling("diff", u, v, h)
-    assert out.coeffs[grid1.slot(2)] == pytest.approx(-0.125, rel=1e-14)
-    assert np.count_nonzero(out.coeffs) == 1
+    u = unit_mode(grid1, 1).coeffs
+    v = unit_mode(grid1, -1).coeffs
+    h = unit_mode(grid1, 2).coeffs
+    out = _apply("diff", grid1, u, v, h)
+    assert out[grid1.slot(2)] == pytest.approx(-0.125, rel=1e-14)
+    assert np.count_nonzero(out) == 1
 
 
 def test_apply_zero_input(grid1):
-    z = ComplexField.zero(grid1)
-    h = random_field(grid1, 1, 1.0, 0.0, "free")
-    assert np.all(apply_coupling("diff", z, h, h).coeffs == 0.0)
+    z = ComplexField.zero(grid1).coeffs
+    h = random_field(grid1, 1, 1.0, 0.0, "free").coeffs
+    assert np.all(_apply("diff", grid1, z, h, h) == 0.0)
 
 
 def test_apply_matches_brute_force(grid1, grid2):
     for g, seed in ((grid1, 2), (grid2, 3)):
-        u = random_field(g, seed, 0.8, g.m0, "free")
-        v = random_field(g, seed + 10, 0.8, g.m0, "free")
-        h = random_field(g, seed + 20, 1.0, 0.0, "free")
+        u = random_field(g, seed, 0.8, g.m0, "free").coeffs
+        v = random_field(g, seed + 10, 0.8, g.m0, "free").coeffs
+        h = random_field(g, seed + 20, 1.0, 0.0, "free").coeffs
         for kind in ("diff", "sum"):
-            fast = apply_coupling(kind, u, v, h).coeffs
-            slow = brute_force_coupling(kind, g, u.coeffs, v.coeffs, h.coeffs)
+            fast = _apply(kind, g, u, v, h)
+            slow = brute_force_coupling(kind, g, u, v, h)
             assert np.max(np.abs(fast - slow)) <= 1e-13
 
 
 def test_apply_symmetric_in_uv(grid2):
-    u = random_field(grid2, 4, 0.8, 1.5, "free")
-    v = random_field(grid2, 5, 0.8, 1.5, "free")
-    h = random_field(grid2, 6, 1.0, 0.0, "free")
+    u = random_field(grid2, 4, 0.8, 1.5, "free").coeffs
+    v = random_field(grid2, 5, 0.8, 1.5, "free").coeffs
+    h = random_field(grid2, 6, 1.0, 0.0, "free").coeffs
     for kind in ("diff", "sum"):
-        a = apply_coupling(kind, u, v, h).coeffs
-        b = apply_coupling(kind, v, u, h).coeffs
+        a = _apply(kind, grid2, u, v, h)
+        b = _apply(kind, grid2, v, u, h)
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
@@ -176,7 +182,8 @@ class TestDenseMatrix:
         monkeypatch.setattr(coupling, "linearize", lambda *args: calls.append("linearize"))
         monkeypatch.setattr(coupling, "jac_arrays", lambda *args: calls.append("jac"))
         monkeypatch.setattr(grid2, "class_sums", lambda *args: calls.append("class_sums"))
-        scaled = stack_tables(2.0 * grid2.diff_table, 1.001 * grid2.sum_table)
+        diff, sum_ = class_blocks(grid2)
+        scaled = stack_tables(2.0 * diff, 1.001 * sum_)
         monkeypatch.setattr(grid2, "class_table", scaled)
         after = coupling.dense_jacobian_matrix(grid2, w, z)
         assert calls == [] and np.array_equal(after, before)
@@ -208,7 +215,8 @@ class TestPairwiseAction:
         monkeypatch.setattr(coupling, "linearize", lambda *args: calls.append("linearize"))
         monkeypatch.setattr(coupling, "jac_arrays", lambda *args: calls.append("jac"))
         monkeypatch.setattr(g, "class_sums", lambda *args: calls.append("class_sums"))
-        monkeypatch.setattr(g, "class_table", stack_tables(2.0 * g.diff_table, 1.001 * g.sum_table))
+        diff, sum_ = class_blocks(g)
+        monkeypatch.setattr(g, "class_table", stack_tables(2.0 * diff, 1.001 * sum_))
         after = coupling.pairwise_jacobian_action(g, w, z, x)
         assert calls == []
         assert np.array_equal(after, before)

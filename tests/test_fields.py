@@ -18,8 +18,6 @@ from kirchhoff_spectral import (
     field_to_dict,
     hermitian_defect,
     hermitian_project,
-    lambda_power,
-    pairing,
     random_field,
     sobolev_norm,
 )
@@ -53,49 +51,48 @@ def test_norm_monotone_in_order(grid1):
 
 
 def test_lambda_power(grid1):
-    f = random_field(grid1, 4, 1.0, 0.0, "free")
-    assert np.array_equal(lambda_power(f, 0.0).coeffs, f.coeffs)
-    delta = unit_mode(grid1, 2)
-    assert lambda_power(delta, 0.5).coeffs[grid1.slot(2)] == pytest.approx(math.sqrt(2.0))
-    back = lambda_power(lambda_power(f, 0.5), -0.5)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-15
+    # the Fourier multiplier |j|^sigma is grid.absj ** sigma times the coefficients
+    f = random_field(grid1, 4, 1.0, 0.0, "free").coeffs
+    assert np.array_equal(grid1.absj ** 0.0 * f, f)
+    delta = unit_mode(grid1, 2).coeffs
+    assert (grid1.absj ** 0.5 * delta)[grid1.slot(2)] == pytest.approx(math.sqrt(2.0))
+    back = grid1.absj ** -0.5 * (grid1.absj ** 0.5 * f)
+    assert np.max(np.abs(back - f)) < 1e-15
 
 
 def test_pairing_examples(grid1):
-    z = ComplexField.zero(grid1)
-    assert pairing(z, z) == 0.0
-    c = z.coeffs.copy()
+    z = ComplexField.zero(grid1).coeffs
+    assert grid1.pairing(z, z) == 0.0
+    c = z.copy()
     c[grid1.slot(1)] = 1.0
     c[grid1.slot(-1)] = 1.0
-    f = ComplexField(grid1, c)
-    assert pairing(f, f) == pytest.approx(2.0)
-    c2 = z.coeffs.copy()
+    assert grid1.pairing(c, c) == pytest.approx(2.0)
+    c2 = z.copy()
     c2[grid1.slot(1)] = 1j
     c2[grid1.slot(-1)] = -1j
-    g = ComplexField(grid1, c2)
-    assert pairing(g, g) == pytest.approx(2.0)
+    assert grid1.pairing(c2, c2) == pytest.approx(2.0)
 
 
 def test_pairing_symmetric_and_multiplier_selfadjoint(grid1):
-    f = random_field(grid1, 5, 1.0, 0.0, "free")
-    g = random_field(grid1, 6, 1.0, 0.0, "free")
-    assert pairing(f, g) == pytest.approx(pairing(g, f), rel=1e-14)
-    s = 1.7
-    lhs = pairing(lambda_power(f, s), g)
-    rhs = pairing(f, lambda_power(g, s))
+    f = random_field(grid1, 5, 1.0, 0.0, "free").coeffs
+    g = random_field(grid1, 6, 1.0, 0.0, "free").coeffs
+    assert grid1.pairing(f, g) == pytest.approx(grid1.pairing(g, f), rel=1e-14)
+    lam = grid1.absj ** 1.7
+    lhs = grid1.pairing(lam * f, g)
+    rhs = grid1.pairing(f, lam * g)
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
 def test_pairing_with_conjugate_is_l2_norm(grid1):
     f = random_field(grid1, 7, 0.8, 1.0, "free")
-    val = pairing(f, conj_function(f))
+    val = grid1.pairing(f.coeffs, conj_function(f).coeffs)
     assert val.imag == pytest.approx(0.0, abs=1e-16)
     assert val.real == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-13)
 
 
-def test_pairing_grid_mismatch(grid1, grid1_small):
+def test_real_pair_grid_mismatch(grid1, grid1_small):
     with pytest.raises(GridMismatchError):
-        pairing(ComplexField.zero(grid1), ComplexField.zero(grid1_small))
+        RealPair(ComplexField.zero(grid1), ComplexField.zero(grid1_small))
 
 
 class TestRandomField:

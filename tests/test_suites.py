@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import SpectralGrid, suites, transforms
+from kirchhoff_spectral import SpectralGrid, coupling, suites, transforms
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
+from oracles import class_blocks
 
 CFG = SuiteConfig(grids=((1, 4), (2, 4)), samples=2)
 
@@ -165,7 +166,8 @@ class _ScaledSumTable(SpectralGrid):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.class_table = stack_tables(self.diff_table, 1.001 * self.sum_table)
+        diff, sum_ = class_blocks(self)
+        self.class_table = stack_tables(diff, 1.001 * sum_)
 
 
 @pytest.mark.parametrize("grid", [(1, 8), (2, 8)])
@@ -177,3 +179,19 @@ def test_neumann_vs_dense_sees_a_sum_table_mutant(grid, monkeypatch):
     result = REGISTRY["neumann-vs-dense"](SuiteConfig(grids=(grid,), samples=3))
     assert not result.passed and result.max_defect > 1e3 * result.bound
     assert result.details["matrix_vs_action"] <= result.bound
+
+
+def _transposed_kernel(grid, x, y):
+    """The coupling kernel with its table product transposed, T @ sums for sums @ T."""
+    sums = grid.class_sums(x * y[grid.pair_neg])
+    return sums, np.dot(grid.class_table, sums)
+
+
+def test_coupling_bounds_sees_a_transposed_kernel(monkeypatch):
+    # the suite takes the two families from the kernel the flows run, so a
+    # fault in that product fails it; a transposed table keeps every identity
+    # that operator-identities checks, so only the bounds can see this one
+    for module in (coupling, suites):
+        monkeypatch.setattr(module, "class_symbols", _transposed_kernel)
+    result = REGISTRY["coupling-bounds"](SuiteConfig(grids=((1, 8), (2, 8)), samples=3))
+    assert not result.passed and result.max_defect > 1.0

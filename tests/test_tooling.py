@@ -248,6 +248,12 @@ def test_pair_tables_are_built_once_and_not_by_the_constructor(monkeypatch):
 #: guard
 CLASS_SUMS_PER_FIELD = 4
 
+#: coupling-kernel calls of one structured normal-form field: the record of its
+#: state, the class solve's right-hand side and the solve's residual guard;
+#: every class-sum product with the class table goes through the kernel, so an
+#: inline copy of the product in any of the three would drop a call
+KERNEL_CALLS_PER_FIELD = 3
+
 #: grid.pairing calls of one structured normal-form field: Q and the
 #: off-diagonal coefficient of the transformed pair (one each), and the two
 #: squared pairings of the cubic off-diagonal part
@@ -263,9 +269,8 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
 
     grid = SpectralGrid(d, 8)
     x = ConjugatePair(random_field(grid, 5, 0.05, grid.m0, "free")).doubled
-    calls = dict.fromkeys(
-        ("linearize", "solve_jacobian_arrays", "jac_arrays", "class_sums", "pairing"), 0
-    )
+    calls = dict.fromkeys(("linearize", "solve_jacobian_arrays", "jac_arrays", "class_symbols",
+                           "class_sums", "pairing"), 0)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -274,7 +279,7 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
 
         return wrapper
 
-    for name in ("linearize", "solve_jacobian_arrays", "jac_arrays"):
+    for name in ("linearize", "solve_jacobian_arrays", "jac_arrays", "class_symbols"):
         wrapper = counted(name, getattr(coupling, name))
         for module in (coupling, normal_form):
             if hasattr(module, name):
@@ -284,4 +289,6 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
     normal_form.normal_form_rhs_arrays(grid, x)
     assert calls.pop("class_sums") <= CLASS_SUMS_PER_FIELD
     assert calls.pop("pairing") == PAIRINGS_PER_FIELD
-    assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1}
+    assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1,
+                     "class_symbols": KERNEL_CALLS_PER_FIELD}
+
