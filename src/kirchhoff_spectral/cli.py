@@ -216,7 +216,8 @@ def _report_header(command: str, cfg: dict) -> dict:
 
 def _strict_json(value):
     """``value`` with every NaN or inf written as null; in a mapping, a
-    ``<key>_reason`` says so beside the number, or beside a list holding one."""
+    ``<key>_reason`` says so beside the number, or beside a list holding one,
+    unless the mapping already gives that reason (a refused sample's)."""
 
     def _non_finite(x) -> bool:
         return isinstance(x, float) and not np.isfinite(x)
@@ -228,7 +229,7 @@ def _strict_json(value):
     out = {key: _strict_json(item) for key, item in value.items()}
     for key, item in value.items():
         if any(map(_non_finite, item if isinstance(item, (list, tuple)) else [item])):
-            out[f"{key}_reason"] = "non-finite value written as null"
+            out.setdefault(f"{key}_reason", "non-finite value written as null")
     return out
 
 

@@ -35,6 +35,12 @@ of ``dense_jacobian_matrix``):
   once per grid against the matrix of (I + jac) assembled from the same
   pair tables.
 
+Like :func:`linearize` and :func:`class_symbols`, the solve and the pairwise
+action take a mode-first stack (2n, m) of samples, one per column, as well
+as one vector, on the same code path: the suite solves a grid's samples in
+one call, with one capacitance per column and one batched LU solve, and its
+residual guard judges each column against that column's scale.
+
 Each operation on a pair is one numpy call on the doubled vector, through
 the grid's index maps. The operators read the state [w; z] through a
 :class:`Linearization`, which :func:`linearize` builds once per state: its
@@ -129,6 +135,7 @@ def _class_solve(lin: Linearization, r: np.ndarray) -> np.ndarray:
     x = M^{-1} (r - L g), where K = R M^{-1} L is one 2x2 block per class:
     (2 / det) [[swz, -m12 sww], [-m21 szz, swz]] with the class sums
     sww, szz, swz of w w_{-j}, z z_{-j}, w z_{-j} and det = 1 - m12 m21.
+    A stack of m columns has one capacitance I + T' K per column.
     """
     grid = lin.grid
     n, nc, swap = grid.n_modes, grid.n_classes, grid.pair_swap
@@ -144,16 +151,23 @@ def _class_solve(lin: Linearization, r: np.ndarray) -> np.ndarray:
     # the capacitance I + T' K, transposed: K^T T scales the table's rows,
     # the top half [D, S] by (k_diag, k12) and the bottom half [S, D] by (k21, k_diag)
     top, bottom = grid.class_table.reshape(2, nc, 2 * nc)
-    u = np.concatenate((k_diag, k[:nc])).reshape(2, nc, 1)
-    v = np.concatenate((k[nc:], k_diag)).reshape(2, nc, 1)
-    cap_t = (u * top + v * bottom).reshape(2 * nc, 2 * nc)
-    cap_t.reshape(-1)[:: 2 * nc + 1] += 1.0
+    u = np.concatenate((k_diag, k[:nc]))
+    v = np.concatenate((k[nc:], k_diag))
 
     m, e_det = lin.slot_symbols, np.concatenate((det, det))[grid.pair_class_of]
     y = (r - m * r[swap]) / e_det
     _, t_r = class_symbols(grid, lin.state, y)  # T' R M^{-1} r
     try:
-        g = np.linalg.solve(cap_t.T, t_r)
+        if r.ndim == 1:
+            cap_t = u.reshape(2, nc, 1) * top + v.reshape(2, nc, 1) * bottom
+            cap_t = cap_t.reshape(2 * nc, 2 * nc)
+            cap_t.reshape(-1)[:: 2 * nc + 1] += 1.0
+            g = np.linalg.solve(cap_t.T, t_r)
+        else:  # (m, 2nc, 2nc), one batched solve; the product's layout follows u's, so the
+            # identity is added out of place rather than through a reshaped view
+            cap_t = u.T.reshape(-1, 2, nc, 1) * top + v.T.reshape(-1, 2, nc, 1) * bottom
+            cap_t = cap_t.reshape(-1, 2 * nc, 2 * nc) + np.eye(2 * nc)
+            g = np.linalg.solve(cap_t.transpose(0, 2, 1), t_r.T[..., None])[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"class-space capacitance solve failed ({exc})") from exc
     t = r - 2.0 * (g[grid.pair_class_of] * lin.state_swap)
@@ -161,20 +175,33 @@ def _class_solve(lin: Linearization, r: np.ndarray) -> np.ndarray:
 
 
 def solve_jacobian_arrays(lin: Linearization, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + jac(w, z)) x = rhs at the state of ``lin``, on doubled vectors.
+    """Solve (I + jac(w, z)) x = rhs at the state of ``lin``, on doubled vectors,
+    or column by column on a mode-first stack (2n, m) of states and right-hand sides.
 
     The exact Woodbury solve over the resonance classes (see the module
-    docstring): one LU solve of size 2 * n_classes plus O(n_modes) work. It
-    verifies its residual through ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL``
-    relative; a singular block, a failed factorization or a residual that is
-    large or not finite raises :class:`NumericalError`.
+    docstring): one LU solve of size 2 * n_classes per column, batched on a
+    stack, plus O(n_modes) work. It verifies each column's residual through
+    ``jac_arrays`` to ``SOLVE_RESIDUAL_TOL`` relative to that column's scale; a
+    singular block, a failed factorization or a residual that is large or not
+    finite raises :class:`NumericalError`; on a stack, a residual names its
+    column, the first that fails.
     """
     grid = lin.grid
     x = _class_solve(lin, rhs)
     res = grid.doubled_norm(x + jac_arrays(lin, x) - rhs, grid.m0)
-    scale = max(1.0, grid.doubled_norm(rhs, grid.m0))
-    if not res <= SOLVE_RESIDUAL_TOL * scale:  # also catches a NaN residual
-        raise NumericalError(f"jacobian solve residual {res:.3e} exceeds tolerance")
+    if rhs.ndim == 1:
+        scale = max(1.0, grid.doubled_norm(rhs, grid.m0))
+        if not res <= SOLVE_RESIDUAL_TOL * scale:  # also catches a NaN residual
+            raise NumericalError(f"jacobian solve residual {res:.3e} exceeds tolerance")
+        return x
+    # a stack: each column against its own scale
+    failing = ~(res <= SOLVE_RESIDUAL_TOL * np.maximum(1.0, grid.doubled_norm(rhs, grid.m0)))
+    if failing.any():
+        k = int(np.argmax(failing))
+        exc = NumericalError(f"jacobian solve residual {res[k]:.3e} exceeds tolerance "
+                             f"in column {k}")
+        exc.column = k
+        raise exc
     return x
 
 
@@ -188,15 +215,17 @@ def pairwise_jacobian_action(grid: SpectralGrid, w, z, x: np.ndarray) -> np.ndar
         a = x_a + (P0 + Q1) x_b + 2 z (P2 + Q3)
         b = x_b + (Q0 + P1) x_a + 2 w (Q2 + P3),
 
-    the ``dense_jacobian_matrix`` entries summed over the modes. It reads
-    ``grid.pair_tables()`` and no class sum or class table.
+    the ``dense_jacobian_matrix`` entries summed over the modes. On mode-first
+    stacks of w, z (n, m) and x (2n, m) the two products take all m columns
+    at once. It reads ``grid.pair_tables()`` and no class sum or class table.
     """
     xa, xb = halves(x)
     dp, sp = grid.pair_tables()
     wn, zn = w[grid.neg_index], z[grid.neg_index]
-    v = np.stack((w * wn, z * zn, wn * xa, zn * xb), axis=1).view(np.float64)
-    p = (dp @ v).view(np.complex128)
-    q = (sp @ v).view(np.complex128)
+    v = np.stack((w * wn, z * zn, wn * xa, zn * xb), axis=1)  # (n, 4) or (n, 4, m)
+    shape, v = v.shape, v.reshape(len(v), -1).view(np.float64)
+    p = (dp @ v).view(np.complex128).reshape(shape)
+    q = (sp @ v).view(np.complex128).reshape(shape)
     a = xa + (p[:, 0] + q[:, 1]) * xb + 2.0 * z * (p[:, 2] + q[:, 3])
     b = xb + (q[:, 0] + p[:, 1]) * xa + 2.0 * w * (q[:, 2] + p[:, 3])
     return np.concatenate((a, b))

@@ -32,7 +32,13 @@ class ConvergenceError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical operation produced an unusable result (singular matrix, failed residual)."""
+    """A numerical operation produced an unusable result (singular matrix, failed residual).
+
+    Raised by the residual guard of a solve on a stack of samples, ``column``
+    is the first failing column; None otherwise.
+    """
+
+    column = None
 
 
 class ConfigError(ValueError):

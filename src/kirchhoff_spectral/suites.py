@@ -8,17 +8,22 @@ cap. ``verify`` runs the table from the command line and the acceptance
 tests reuse it, so the two can never drift apart.
 
 Every suite but ``small-divisor`` is one check run by the driver
-:func:`_sampled`. For grid ``gi`` and sample ``k`` it calls
-``check(grid, seed, k)``, where ``seed(*slot)`` is the seed list
-``[cfg.seed, tag, gi, k, *slot]``; the check returns the sample's named
-defects. The driver keeps the largest value of each; a NaN outranks every
-number, so it is never dropped.
+:func:`_sampled`. For grid ``gi`` it calls ``check(grid, seeds)`` once with
+all of that grid's sample seeds, where ``seeds[k](*slot)`` is the seed list
+``[cfg.seed, tag, gi, k, *slot]``; the check returns, for each defect name,
+the per-sample values from sample 0. The driver keeps the largest value of
+each; a NaN outranks every number, so it is never dropped. Most checks look
+at one sample, ``check(grid, seed, k)``, and reach the driver through the
+adapter :func:`_per_sample`; ``neumann-vs-dense`` stacks a grid's samples
+mode-first and takes them in one solve and one pairwise action.
 
 Defect conventions: exact identities report the max absolute residual;
 inequalities report max(ratio - 1, 0) against the stated constant, so any
 positive defect is a violation; round trips report max coefficient error
 relative to the input scale. Checks reduce defects with :func:`_worst`,
-which keeps a NaN.
+which keeps a NaN. A sample whose (I + jac) solve its residual guard refuses
+has the infinite defect :class:`Refused`, which carries the guard's message
+into ``details`` as ``<defect>_reason``.
 
 Eleven rows are judged by :func:`_judge`: a suite passes when every bounded
 defect is within its bound. Its headline (``max_defect``, ``bound`` and
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,7 +55,7 @@ from .coupling import (
     small_divisor_check,
     solve_jacobian_arrays,
 )
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .fields import ConjugatePair, halves, random_field
 from .grid import SpectralGrid
 from .kirchhoff import random_state
@@ -146,28 +151,53 @@ def _rank(value: float) -> tuple:
 
 
 def _sampled(suite: Suite, cfg: SuiteConfig):
-    """Run the row's ``check(grid, seed, k)`` on ``cfg.samples`` samples per
-    grid; a row with a ``cap`` takes at least 1 and at most ``cap``.
+    """Run the row's ``check(grid, seeds)`` on each grid with ``cfg.samples``
+    sample seeds; a row with a ``cap`` takes at least 1 and at most ``cap``.
 
     Returns the sample count, the largest value of each named defect the
     check returned (a NaN kept) and, per name, the ``worst_at`` record of
     the first sample where that value occurred.
     """
     samples = cfg.samples if suite.cap is None else max(1, min(cfg.samples, suite.cap))
+    count = len(cfg.grids) * samples
+    if count == 0:
+        raise ParameterError("a sampled suite needs at least one grid and one sample")
     worst: dict[str, float] = {}
     at: dict[str, dict] = {}
     for gi, (d, size) in enumerate(cfg.grids):
         g = SpectralGrid(d, size, corrupt_diff_sign=cfg.corrupt_diff_sign)
-        for k in range(samples):
-            seed = partial(_seed, cfg, suite.tag, gi, k)
-            for name, value in suite.check(g, seed, k).items():
+        seeds = [partial(_seed, cfg, suite.tag, gi, k) for k in range(samples)]
+        for name, values in suite.check(g, seeds).items():
+            for k, value in enumerate(values):
                 if name not in worst or _rank(value) > _rank(worst[name]):
                     worst[name] = value
-                    at[name] = {"grid": [d, size], "sample": k, "seed": seed()}
-    count = len(cfg.grids) * samples
-    if count == 0:
-        raise ParameterError("a sampled suite needs at least one grid and one sample")
+                    at[name] = {"grid": [d, size], "sample": k, "seed": seeds[k]()}
     return count, worst, at
+
+
+def _per_sample(check: Callable) -> Callable:
+    """A check of one sample, ``check(grid, seed, k)``, as a row's check of a
+    grid's samples; every sample names the same defects."""
+
+    @wraps(check)
+    def per_grid(g: SpectralGrid, seeds: list) -> dict:
+        values: dict[str, list] = {}
+        for k, seed in enumerate(seeds):
+            for name, value in check(g, seed, k).items():
+                values.setdefault(name, []).append(value)
+        return values
+
+    return per_grid
+
+
+class Refused(float):
+    """The infinite defect of a sample whose solve its guard refused, with the
+    guard's message as ``reason``; the report writes it as null beside it."""
+
+    def __new__(cls, reason: str):
+        value = super().__new__(cls, math.inf)
+        value.reason = reason
+        return value
 
 
 def _judge(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
@@ -182,6 +212,8 @@ def _judge(suite: Suite, cfg: SuiteConfig) -> SuiteResult:
     head = max(bounds, key=lambda name: _rank(worst[name] / bounds[name]))
     passed = all(worst[name] <= bound for name, bound in bounds.items())
     details = dict(worst, worst_at=at[head], bounds=dict(bounds))
+    details.update({f"{name}_reason": value.reason
+                    for name, value in worst.items() if isinstance(value, Refused)})
     return SuiteResult(suite.name, count, worst[head], bounds[head], passed, details)
 
 
@@ -211,7 +243,7 @@ class Suite(NamedTuple):
     name: str
     tag: int | None  # the seed tag, unique per row; None for a suite that draws no seed
     bounds: dict  # pinned bound per judged defect name
-    check: Callable  # check(grid, seed, k) -> {defect name: value}, for a sampled row
+    check: Callable  # check(grid, seeds) -> {defect name: per-sample values}, for a sampled row
     cap: int | None = None  # at most this many samples per grid
     rule: Callable = _judge
 
@@ -294,7 +326,7 @@ def _rank_one_defects(g: SpectralGrid, seed, k: int) -> dict:
     }
 
 
-def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
+def _class_defects(g: SpectralGrid, seeds: list) -> dict:
     """The class-space solve of (I + jac) x = rhs meets an independent operator.
 
     The defect is |A x - r|_inf / max(1, |r|_inf), with A x applied pairwise
@@ -303,20 +335,34 @@ def _class_defects(g: SpectralGrid, seed, k: int) -> dict:
     ``dense_jacobian_matrix`` at the same bound and scale, the defect
     ``matrix_vs_action``. Both are judged, and either can be the headline.
     The solve's own guard goes through ``jac_arrays``, which shares its class
-    tables, so a fault in those shows only here. The name dates from the
-    Neumann-series solve; reports and the benchmark address it so.
+    tables, so a fault in those shows only here. A sample whose solve the
+    guard refuses has the defect :class:`Refused`. The grid's samples are
+    one mode-first stack: one solve and one pairwise action take them all.
+    The name dates from the Neumann-series solve; reports and the benchmark
+    address it so.
     """
-    state = ConjugatePair(random_field(g, seed(0), 0.4, g.m0, "free")).doubled
+    state = np.stack([ConjugatePair(random_field(g, seed(0), 0.4, g.m0, "free")).doubled
+                      for seed in seeds], axis=1)
+    r = np.stack([np.concatenate([random_field(g, seed(slot), 1.0, 0.0, "free").coeffs
+                                  for slot in (1, 2)]) for seed in seeds], axis=1)
     w, z = halves(state)
-    r = np.concatenate([random_field(g, seed(slot), 1.0, 0.0, "free").coeffs for slot in (1, 2)])
-    x = solve_jacobian_arrays(linearize(g, state), r)
+    refused = {}
+    try:
+        x = solve_jacobian_arrays(linearize(g, state), r)
+    except NumericalError:  # solve column by column to learn which samples the guard refuses
+        x = np.full_like(r, np.nan)
+        for k in range(len(seeds)):
+            try:
+                x[:, k] = solve_jacobian_arrays(linearize(g, state[:, k]), r[:, k])
+            except NumericalError as exc:
+                refused[k] = Refused(str(exc))
     ax = pairwise_jacobian_action(g, w, z, x)
-    scale = max(1.0, _amax(r))
-    defects = {"defect": _amax(ax - r) / scale}
-    if k == 0:
-        matrix_x = dense_jacobian_matrix(g, w, z) @ x
-        defects["matrix_vs_action"] = _amax(matrix_x - ax) / scale
-    return defects
+    scale = np.maximum(1.0, np.max(np.abs(r), axis=0))
+    defect = (np.max(np.abs(ax - r), axis=0) / scale).tolist()
+    matrix_x = dense_jacobian_matrix(g, w[:, 0], z[:, 0]) @ x[:, 0]
+    matrix = _amax(matrix_x - ax[:, 0]) / float(scale[0])
+    return {"defect": [refused.get(k, value) for k, value in enumerate(defect)],
+            "matrix_vs_action": [refused.get(0, matrix)]}
 
 
 def _reversibility_defects(g: SpectralGrid, seed, k: int) -> dict:
@@ -435,8 +481,11 @@ def _agreement_defects(g: SpectralGrid, seed, k: int) -> dict:
     operator-algebra regression check)."""
     m0 = g.m0
     x = ConjugatePair(random_field(g, seed(0), 0.04 + 0.16 * (k % 5) / 4.0, m0, "free")).doubled
-    direct = normal_form_direct_arrays(g, x)
-    structured = normal_form_rhs_arrays(g, x)
+    try:
+        direct = normal_form_direct_arrays(g, x)
+        structured = normal_form_rhs_arrays(g, x)
+    except NumericalError as exc:  # a solve's guard refused the sample
+        return {"defect": Refused(str(exc))}
     den = max(g.coeff_norm(direct[: g.n_modes], m0), 1e-300)
     return {"defect": g.doubled_norm(direct - structured, m0) / den}
 
@@ -470,26 +519,30 @@ def _leak_defects(g: SpectralGrid, seed, k: int) -> dict:
 
 #: every suite in report order; the rows' seed tags are unique
 REGISTRY = {suite.name: suite for suite in (
-    Suite("operator-identities", 1, {"defect": IDENTITY_TOL}, _operator_defects),
-    Suite("homological-identity", 2, {"defect": IDENTITY_TOL}, _homological_defects),
-    Suite("cubic-energy-cancellation", 3, {"defect": IDENTITY_TOL}, _cancellation_defects),
-    Suite("rank-one-inverse", 4, {"dense": DENSE_COMPARE_TOL,
-                                  "closed_form_residual": IDENTITY_TOL}, _rank_one_defects),
+    Suite("operator-identities", 1, {"defect": IDENTITY_TOL}, _per_sample(_operator_defects)),
+    Suite("homological-identity", 2, {"defect": IDENTITY_TOL},
+          _per_sample(_homological_defects)),
+    Suite("cubic-energy-cancellation", 3, {"defect": IDENTITY_TOL},
+          _per_sample(_cancellation_defects)),
+    Suite("rank-one-inverse", 4, {"dense": DENSE_COMPARE_TOL, "closed_form_residual": IDENTITY_TOL},
+          _per_sample(_rank_one_defects)),
     Suite("neumann-vs-dense", 5, {"defect": IDENTITY_TOL, "matrix_vs_action": IDENTITY_TOL},
           _class_defects),
-    Suite("reversibility", 6, {"defect": REVERSIBILITY_TOL}, _reversibility_defects),
-    Suite("coupling-bounds", 7, {"excess": INEQUALITY_SLACK}, _coupling_defects),
-    Suite("mix-jac-bounds", 8, {"defect": INEQUALITY_SLACK}, _mix_jac_defects),
+    Suite("reversibility", 6, {"defect": REVERSIBILITY_TOL}, _per_sample(_reversibility_defects)),
+    Suite("coupling-bounds", 7, {"excess": INEQUALITY_SLACK}, _per_sample(_coupling_defects)),
+    Suite("mix-jac-bounds", 8, {"defect": INEQUALITY_SLACK}, _per_sample(_mix_jac_defects)),
     Suite("decomposition", 9, {"sum_residual": IDENTITY_TOL, "inequality": INEQUALITY_SLACK},
-          _decomposition_defects),
+          _per_sample(_decomposition_defects)),
     Suite("small-divisor", None, {"violations": 0.0}, small_divisor_check, rule=_exhaustive),
     Suite("stage-round-trips", 10, {
         "linear": LINEAR_ROUND_TRIP_TOL, "diag": DIAG_ROUND_TRIP_TOL,
         "cubic": CUBIC_ROUND_TRIP_TOL, "full": FULL_ROUND_TRIP_TOL,
         "radical": DIAG_ROUND_TRIP_TOL, "inverse_ball_bound_defect": INEQUALITY_SLACK,
-    }, _round_trip_defects),
-    Suite("normal-form-agreement", 11, {"defect": AGREEMENT_TOL}, _agreement_defects, cap=100),
-    Suite("alternative-mixing-control", 12, {"leak": LEAK_FLOOR}, _leak_defects, rule=_exceeds),
+    }, _per_sample(_round_trip_defects)),
+    Suite("normal-form-agreement", 11, {"defect": AGREEMENT_TOL}, _per_sample(_agreement_defects),
+          cap=100),
+    Suite("alternative-mixing-control", 12, {"leak": LEAK_FLOOR}, _per_sample(_leak_defects),
+          rule=_exceeds),
 )}
 # the benchmark's span tracer wraps this name together with its registry entry
 suite_neumann_vs_dense = REGISTRY["neumann-vs-dense"]

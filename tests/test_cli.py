@@ -594,6 +594,34 @@ def test_a_report_holding_a_nan_is_strict_json(tmp_path, monkeypatch):
     assert details["worst_at"]["grid"] == [1, 4]
 
 
+def _no_negation_kernel(grid, x, y):
+    """The coupling kernel with its class sum taken of x y, not x y_-: a class-table fault."""
+    sums = grid.class_sums(x * y)
+    return sums, np.dot(grid.class_table.T, sums)
+
+
+@pytest.mark.parametrize("suite", ["neumann-vs-dense", "normal-form-agreement"])
+def test_a_refused_solve_fails_its_suite_with_a_report(suite, tmp_path, monkeypatch):
+    # under a class-table fault the solve's own residual guard refuses every
+    # sample; the suite fails with a report instead of stopping verify
+    from kirchhoff_spectral import coupling
+
+    monkeypatch.setattr(coupling, "class_symbols", _no_negation_kernel)
+    out = os.path.join(tmp_path, "v")
+    assert main(["verify", "--suites", suite, "--samples", "2", "--out", out]) == EXIT_FAIL
+    with open(os.path.join(out, "verify_report.json")) as fh:
+        (entry,) = _strict_load(fh.read())["suites"]
+    assert entry["pass"] is False and entry["max_defect"] is None
+    details = entry["details"]
+    # an infinite defect, null in strict JSON, with the guard's message as its reason
+    assert details["defect"] is None
+    assert re.fullmatch(r"jacobian solve residual \S+ exceeds tolerance", details["defect_reason"])
+    # on the first sample it refused
+    tag = suites.REGISTRY[suite].tag
+    seed = [suites.SuiteConfig.seed, tag, 0, 0]
+    assert details["worst_at"] == {"grid": [1, 4], "sample": 0, "seed": seed}
+
+
 def test_a_finite_report_is_written_as_the_strict_walk_writes_it(tmp_path):
     # a report with no NaN or inf skips the walk; its bytes are the walk's
     payload = {"b": [1.5, (2, -0.0)], "a": {"x": 1e-300, "y": None, "z": "s"}, "c": True}

@@ -46,8 +46,11 @@ def test_table_rows_have_unique_seed_tags_and_checks_that_name_every_bound():
     for row in rows:
         if row.tag is None:
             continue
-        defects = row.check(grid, lambda *slot, tag=row.tag: [CFG.seed, tag, 0, 0, *slot], 0)
+        seeds = [lambda *slot, tag=row.tag, k=k: [CFG.seed, tag, 0, k, *slot] for k in (0, 1)]
+        defects = row.check(grid, seeds)
         assert set(row.bounds) <= set(defects), row.name
+        # per-sample values, from sample 0; the matrix check takes sample 0 only
+        assert all(1 <= len(values) <= len(seeds) for values in defects.values()), row.name
 
 
 def _rank_one_factor_mutant(real):

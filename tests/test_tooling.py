@@ -215,11 +215,55 @@ def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
         for module in (coupling, suites):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    # the residual goes through the pairwise action; the matrix is assembled
-    # once per grid, to check that action
-    result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((1, 4),), samples=3))
-    assert result.passed
-    assert calls == {"solve_jacobian_arrays": 3, "jac_arrays": 3, "dense_jacobian_matrix": 1}
+    # a grid's samples are one stack: one solve (whose residual guard makes the
+    # one jac call) and one pairwise action take all ten, where one solve per
+    # sample made ten of each; the matrix is assembled once per grid, to check
+    # that action
+    result = suites.suite_neumann_vs_dense(suites.SuiteConfig(grids=((2, 8),), samples=10))
+    assert result.passed and result.samples == 10
+    assert calls == {"solve_jacobian_arrays": 1, "jac_arrays": 1, "dense_jacobian_matrix": 1}
+
+
+def _one_sample_at_a_time(suite, cfg):
+    """The suite driver as it ran before checks took a grid's samples at once:
+    ``check(grid, seed, k)`` per sample, the names of a sample in turn."""
+    from functools import partial
+
+    from kirchhoff_spectral import suites
+
+    samples = cfg.samples if suite.cap is None else max(1, min(cfg.samples, suite.cap))
+    worst, at = {}, {}
+    for gi, (d, size) in enumerate(cfg.grids):
+        g = suites.SpectralGrid(d, size, corrupt_diff_sign=cfg.corrupt_diff_sign)
+        for k in range(samples):
+            seed = partial(suites._seed, cfg, suite.tag, gi, k)
+            for name, value in suite.check.__wrapped__(g, seed, k).items():
+                if name not in worst or suites._rank(value) > suites._rank(worst[name]):
+                    worst[name] = value
+                    at[name] = {"grid": [d, size], "sample": k, "seed": seed()}
+    return len(cfg.grids) * samples, worst, at
+
+
+def test_per_sample_checks_report_as_they_did_one_sample_at_a_time(tmp_path, monkeypatch):
+    # every suite but neumann-vs-dense runs its one-sample check through the
+    # adapter; its entries must be the ones the one-sample driver wrote, to the
+    # bit (JSON floats read back exactly)
+    import json
+
+    from kirchhoff_spectral import cli, suites
+
+    names = [name for name, row in suites.REGISTRY.items()
+             if row.rule is not suites._exhaustive and name != "neumann-vs-dense"]
+    assert len(names) == 11
+
+    def report(out):
+        argv = ["verify", "--samples", "5", "--suites", ",".join(names), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_PASS
+        return json.loads((out / "verify_report.json").read_text())["suites"]
+
+    stacked = report(tmp_path / "stacked")
+    monkeypatch.setattr(suites, "_sampled", _one_sample_at_a_time)
+    assert report(tmp_path / "one") == stacked
 
 
 def test_pair_tables_are_built_once_and_not_by_the_constructor(monkeypatch):
