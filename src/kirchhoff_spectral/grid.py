@@ -11,7 +11,9 @@ as one doubled vector [a; b].
 The per-mode reductions here (:meth:`SpectralGrid.class_sums`, the pairing
 and the norms) read one vector or a mode-first stack of them, shape (n, m)
 or (2n, m) with one sample per column: they reduce along axis 0, so a stack
-gives one value per column where one vector gives one value. The Fourier
+gives one value per column where one vector gives one value. They refuse no
+sample; which column of a stack fails a domain check is the change of
+variables' business (:mod:`~kirchhoff_spectral.transforms`). The Fourier
 multiplier |j|^sigma is ``absj ** sigma`` times the coefficients.
 
 Equality of |j| and |k| is always decided on the integer squared norms.
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ParameterError
 
 #: operational ball radius for the composed change of variables (the analytic
 #: radius is a non-constructive universal constant; this one is measured-safe)
@@ -40,27 +42,6 @@ def regularity_threshold(d: int) -> float:
     if d == 1:
         return 1.0
     return 1.5
-
-
-def per_sample(f, value):
-    """``f`` of one sample's scalar, or of each column's scalar of a mode-first
-    stack (a length-m array), in column order, as an array; where ``f`` returns
-    a tuple, a stack gives one length-m array per entry.
-
-    This is how scalar ``math`` code (the wave speed, the mixing ratio, the
-    check of Q) meets a stack. A :class:`DomainError` or
-    :class:`ConvergenceError` raised for a column carries its index as ``column``.
-    """
-    if not isinstance(value, np.ndarray):
-        return f(value)
-    out = []
-    try:
-        for v in value.tolist():
-            out.append(f(v))
-    except (DomainError, ConvergenceError) as exc:
-        exc.column = len(out)
-        raise
-    return np.array(out, dtype=np.float64).T
 
 
 def coupling_tables(j2, k2) -> tuple[np.ndarray, np.ndarray]:

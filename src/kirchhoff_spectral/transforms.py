@@ -29,11 +29,12 @@ vector. Per-sample scalars come back as length-m arrays.
 column as it checks one state.
 
 Scalar maps: rho(x) = -x / (1 + x + sqrt(1+2x)) is the mixing ratio of the
-diagonalization. The wave speed sigma = sqrt(1 + 2P), where P sqrt(1 + 2P) = Q,
-is the root >= 1 of the cubic sigma^3 - sigma - 2Q, which :func:`wave_speed`
-takes in Viete's closed form; phi_inv, the inverse of x -> x sqrt(1+2x), is
-then Q / sigma. These maps are ``math`` code on one scalar; on a stack they
-run per column, through :func:`~kirchhoff_spectral.grid.per_sample`.
+diagonalization, numpy code on one scalar or a length-m array. The wave
+speed sigma = sqrt(1 + 2P), where P sqrt(1 + 2P) = Q, is the root >= 1 of the
+cubic sigma^3 - sigma - 2Q, which :func:`wave_speed` takes in Viete's closed
+form; P, the inverse of x -> x sqrt(1+2x) at Q, is then Q / sigma. The check
+of Q and the wave speed are ``math`` code on one scalar, run per column of a
+stack by :func:`per_sample`; the diag stage makes one such pass per call.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .fields import (
     halves,
     pair_norm,
 )
-from .grid import DEFAULT_BALL_RADIUS, SpectralGrid, per_sample
+from .grid import DEFAULT_BALL_RADIUS, SpectralGrid
 
 CUBIC_INV_BALL = 0.25
 CUBIC_INV_TOL = 1e-13
@@ -76,14 +77,33 @@ def _refuse(bad, value, message: str) -> None:
         raise exc
 
 
+def per_sample(f, value):
+    """``f`` of one sample's scalar, or of each column's scalar of a stack (a
+    length-m array) as an array, one array per entry where ``f`` returns a
+    tuple; a :class:`DomainError` for a column carries its index as ``column``."""
+    if not isinstance(value, np.ndarray):
+        return f(value)
+    out = []
+    try:
+        for v in value.tolist():
+            out.append(f(v))
+    except DomainError as exc:
+        exc.column = len(out)
+        raise
+    return np.array(out, dtype=np.float64).T
+
+
 # -- scalar maps -------------------------------------------------------------
 
 
-def rho(x: float) -> float:
-    """Mixing ratio of the order-one diagonalization; maps [0, inf) into (-1, 0]."""
-    if x < 0:
-        raise DomainError(f"rho is defined for x >= 0, got {x}")
-    return -x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+def rho(x):
+    """Mixing ratio of the order-one diagonalization; maps [0, inf) into (-1, 0].
+
+    Of a length-m array, the ratio of each entry; the first negative entry
+    raises, with its index as ``column``, and a NaN stays NaN.
+    """
+    _refuse(np.asarray(x) < 0, x, "rho is defined for x >= 0, got {}")
+    return -x / (1.0 + x + np.sqrt(1.0 + 2.0 * x))
 
 
 def wave_speed(q: float) -> float:
@@ -101,11 +121,6 @@ def wave_speed(q: float) -> float:
     if c <= 1.0:
         return 2.0 / math.sqrt(3.0) * math.cos(math.acos(c) / 3.0)
     return 2.0 / math.sqrt(3.0) * math.cosh(math.acosh(c) / 3.0)
-
-
-def phi_inv(y: float) -> float:
-    """Inverse of x -> x sqrt(1+2x) on [0, inf): y / sqrt(1 + 2x) = y / wave_speed(y)."""
-    return y / wave_speed(y)
 
 
 def q_value(grid: SpectralGrid, x: np.ndarray):
@@ -149,7 +164,8 @@ def _speeds(pairing) -> tuple[float, float, float]:
 
 
 def p_value(grid: SpectralGrid, x: np.ndarray):
-    """P = phi_inv(Q): the same functional expressed through the diagonalized pair."""
+    """P = Q / sigma, the inverse of x -> x sqrt(1+2x) at Q: the same functional
+    expressed through the diagonalized pair."""
     return _speed_scalars(grid, x)[1]
 
 
@@ -182,13 +198,8 @@ def diag_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
     the same ratio equals rho(Q(f, g)), with the sign of the ratio flipped.
     """
     _check_direction(direction)
-    q = q_value(grid, x)
-    r = per_sample(_fwd_ratio, q) if direction == "fwd" else -per_sample(rho, q)
+    r = rho(p_value(grid, x)) if direction == "fwd" else -rho(q_value(grid, x))
     return (x + r * x[grid.pair_swap]) * (1.0 / np.sqrt(1.0 - r * r))
-
-
-def _fwd_ratio(q: float) -> float:
-    return rho(phi_inv(q))
 
 
 def cubic_stage(direction: str, grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
@@ -206,34 +217,25 @@ def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndar
     The map is a contraction for ||eta||_{m0} <= CUBIC_INV_BALL = 1/4, where
     the inverse is unique and satisfies ||w||_s <= 2 ||eta||_s. The iteration
     starts at the image, the first iterate from x = 0 (mix(0) 0 = 0). A column
-    stops at the first step within CUBIC_INV_TOL and is left as it is while
-    the others go on. The first column outside the ball, or still moving at
-    the iteration cap, raises.
+    stops at the first step within CUBIC_INV_TOL and is frozen there while the
+    others go on. The first column outside the ball, or still moving at the
+    iteration cap, raises.
     """
     m0, n = grid.m0, grid.n_modes
     eta_norm = grid.coeff_norm(image[:n], m0)
     _refuse(eta_norm > CUBIC_INV_BALL, eta_norm,
             f"cubic stage inverse needs ||eta||_m0 <= {CUBIC_INV_BALL}, got {{:.4f}}")
-    # x and target hold the columns still moving; on a stack, the finished
-    # columns are set aside in out, and moving holds the indices of the rest
-    x, target, out, moving = image, image, None, None
+    x, moving = image, np.ones(np.shape(eta_norm), dtype=bool)  # one flag per column
     for _ in range(CUBIC_INV_MAX_ITER - 1):  # the image was the first iterate
-        x_new = target - mix_arrays(linearize(grid, x), x)
-        # one flag per column; a NaN step is not done
+        x_new = image - mix_arrays(linearize(grid, x), x)
+        # an array even for one vector, whose norm is a float; a NaN step is not done
         done = np.asarray(grid.doubled_norm(x_new - x, m0) <= CUBIC_INV_TOL)
-        x = x_new
-        if done.all():
-            if out is None:
-                return x
-            out[:, moving] = x
-            return out
-        if done.any():
-            if out is None:
-                out, moving = np.empty_like(image), np.arange(image.shape[1])
-            out[:, moving[done]] = x[:, done]
-            x, target, moving = x[:, ~done], target[:, ~done], moving[~done]
+        x = np.where(moving, x_new, x)
+        moving &= ~done
+        if not moving.any():
+            return x
     exc = ConvergenceError("cubic stage inversion hit the iteration cap")
-    exc.column = 0 if moving is None else int(moving[0])
+    exc.column = int(np.argmax(moving))
     raise exc
 
 

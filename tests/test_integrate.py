@@ -19,7 +19,7 @@ from kirchhoff_spectral.dynamics import (
     KirchhoffDynamics,
     NormalFormDynamics,
 )
-from kirchhoff_spectral.integrate import SCHEMES, TABLEAUS, IntegratorConfig, integrate
+from kirchhoff_spectral.integrate import DOP853, SCHEMES, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
 from oracles import LinearDiagonalDynamics, saba2_subflows
 
@@ -247,9 +247,8 @@ def test_step_preserves_state_class(grid1):
     assert np.max(np.abs(out853.u.coeffs - out.u.coeffs)) <= 1e-10
 
 
-@pytest.mark.parametrize("name", sorted(TABLEAUS))
-def test_tableau_consistency(name):
-    scheme = TABLEAUS[name]
+def test_tableau_consistency():
+    scheme = DOP853
     assert np.all(scheme.a.imag == 0.0)  # complex only to spare the stage casts
     a = scheme.a.real
     assert np.all(np.triu(a) == 0.0)  # explicit
@@ -265,7 +264,7 @@ def test_dop853_tableau_matches_scipy():
     # an independent copy of Hairer's DOP853 coefficients
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    scheme = TABLEAUS["dop853"]
+    scheme = DOP853
     s = ref.N_STAGES
     assert len(scheme.c) == s + 1 and scheme.c[s] == 1.0
     assert np.allclose(scheme.c[:s], ref.C[:s], rtol=1e-15, atol=0)
@@ -277,7 +276,7 @@ def test_dop853_tableau_matches_scipy():
 def test_dop853_dense_output_matches_scipy():
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    c, a, d = TABLEAUS["dop853"].dense
+    c, a, d = DOP853.dense
     extra = slice(ref.N_STAGES + 1, ref.N_STAGES_EXTENDED)
     assert np.allclose(c, ref.C[extra], rtol=1e-15, atol=0)
     assert np.all(a.imag == 0.0) and np.all(d.imag == 0.0)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from kirchhoff_spectral import DomainError, random_field
 from kirchhoff_spectral.fields import ConjugatePair, conj_function
-from kirchhoff_spectral.transforms import p_value, phi_inv, q_value, rho, wave_speed
-from oracles import wave_speed_minus_one
+from kirchhoff_spectral.transforms import p_value, q_value, rho, wave_speed
+from oracles import same_bits, wave_speed_minus_one
 
 
 def test_rho_values():
@@ -17,6 +17,21 @@ def test_rho_values():
     assert rho(4.0) == pytest.approx(-0.5, rel=1e-15)
     with pytest.raises(DomainError):
         rho(-1e-9)
+
+
+def test_rho_of_an_array_is_the_scalar_map_per_entry():
+    x = np.array([0.0, 1e-300, 1e-9, 0.3, 1 / 3, 4.0, 123.456, 1e8, 1e300, np.nan])
+    r = rho(x)
+    # each entry to the bit: the map on that entry alone, and its math-library form
+    assert same_bits(r[:-1], np.array([rho(float(v)) for v in x[:-1]]))
+    assert same_bits(r[:-1], np.array([-v / (1.0 + v + math.sqrt(1.0 + 2.0 * v)) for v in x[:-1]]))
+    assert np.isnan(r[-1])  # a NaN is kept, not refused
+
+
+def test_rho_of_an_array_refuses_its_first_negative_entry():
+    with pytest.raises(DomainError, match="got -0.5") as exc:
+        rho(np.array([0.2, np.nan, -0.5, 1.0, -2.0]))
+    assert exc.value.column == 2
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
@@ -49,24 +64,30 @@ def test_wave_speed_branches_meet_at_the_double_root(offset):
     assert abs(sigma - (1 + float(wave_speed_minus_one(q)))) <= 4 * math.ulp(sigma)
 
 
+def _p_of(q):
+    """P at Q = q, the inverse of x -> x sqrt(1+2x): q over the wave speed, as
+    ``transforms._speed_scalars`` returns it."""
+    return q / wave_speed(q)
+
+
 @pytest.mark.parametrize("q", [1e-15, 1e-9, 1e-4, 0.05, 0.2, 1.0, 30.0, 1e4, 1e8])
 def test_phi_inv_against_the_reference_root(q):
     p = Decimal(q) / (1 + wave_speed_minus_one(q))
-    assert abs(phi_inv(q) - float(p)) <= 4e-15 * float(p)
+    assert abs(_p_of(q) - float(p)) <= 4e-15 * float(p)
 
 
 def test_phi_inv_values():
-    assert phi_inv(0.0) == 0.0
-    assert phi_inv(math.sqrt(3.0)) == pytest.approx(1.0, rel=1e-14)
-    assert phi_inv(12.0) == pytest.approx(4.0, rel=1e-14)
+    assert _p_of(0.0) == 0.0
+    assert _p_of(math.sqrt(3.0)) == pytest.approx(1.0, rel=1e-14)
+    assert _p_of(12.0) == pytest.approx(4.0, rel=1e-14)
     with pytest.raises(DomainError):
-        phi_inv(-0.1)
+        _p_of(-0.1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1e8))
 def test_phi_inv_residual(y):
-    x = phi_inv(y)
+    x = _p_of(y)
     assert x >= 0.0
     assert abs(x * math.sqrt(1 + 2 * x) - y) <= 1e-14 * max(1.0, y)
 

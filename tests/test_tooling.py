@@ -336,3 +336,32 @@ def test_normal_form_field_linearizes_its_state_once(d, monkeypatch):
     assert calls == {"linearize": 1, "solve_jacobian_arrays": 1, "jac_arrays": 1,
                      "class_symbols": KERNEL_CALLS_PER_FIELD}
 
+
+#: per-column passes (``transforms.per_sample``) of one diag stage: fwd reads
+#: P and inv reads Q, each from one pass, and rho takes the array it returns
+PASSES_PER_DIAG_STAGE = 1
+
+
+@pytest.mark.parametrize("direction", ["fwd", "inv"])
+def test_a_diag_stage_makes_one_per_column_pass(direction, monkeypatch):
+    # the benchmark's lifespan workload maps its samples through this stage;
+    # a per-column loop costs a Python call per sample, so its count is pinned
+    import numpy as np
+
+    from kirchhoff_spectral import ConjugatePair, SpectralGrid, random_field, transforms
+
+    grid = SpectralGrid(1, 8)
+    x = np.stack([ConjugatePair(random_field(grid, k, 0.05, grid.m0, "free")).doubled
+                  for k in range(4)], axis=1)
+    passes = []
+    real = transforms.per_sample
+
+    def counted(f, value):
+        passes.append(f)
+        return real(f, value)
+
+    monkeypatch.setattr(transforms, "per_sample", counted)
+    for state in (x, x[:, 0]):
+        passes.clear()
+        transforms.diag_stage(direction, grid, state)
+        assert len(passes) == PASSES_PER_DIAG_STAGE

@@ -29,7 +29,7 @@ from kirchhoff_spectral.transforms import (
     rank_one_solve_dense,
     scale_stage,
 )
-from oracles import unit_mode
+from oracles import same_bits, unit_mode
 
 
 def _rand_pair(grid, seed, norm, s=1.0):
@@ -347,3 +347,39 @@ def test_cubic_inverse_starts_from_the_image(grid1, grid2, monkeypatch):
             assert len(calls) == reference_calls - 1
         zero = np.zeros(2 * g.n_modes, dtype=np.complex128)
         assert np.array_equal(cubic_stage("inv", g, zero), _zero_start_inverse(g, zero))
+
+
+def test_cubic_inverse_freezes_each_column_at_its_own_step(grid1, grid2, monkeypatch):
+    # amplitudes from 1e-4 to 0.2 at m0 need different iteration counts; a
+    # column that has finished keeps its value while the others go on
+    calls = []
+    real = transforms.mix_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "mix_arrays", counted)
+    for g in (grid1, grid2):
+        amplitudes = np.geomspace(1e-4, 0.2, 12)
+        image = np.stack([_conjugate(g, 300 + k, a, g.m0) for k, a in enumerate(amplitudes)], axis=1)
+        calls.clear()
+        out = cubic_stage("inv", g, image)
+        # the reference iterates every column on the whole stack and takes each
+        # at its first step within the tolerance
+        x, finished, steps = image, {}, {}
+        for step in range(1, transforms.CUBIC_INV_MAX_ITER):
+            x_new = image - real(linearize(g, x), x)
+            delta = g.doubled_norm(x_new - x, g.m0)
+            x = x_new
+            for k in np.flatnonzero(delta <= transforms.CUBIC_INV_TOL):
+                if k not in finished:
+                    finished[k], steps[k] = x[:, k].copy(), step
+            if len(finished) == len(amplitudes):
+                break
+        assert len(set(steps.values())) > 1
+        assert len(calls) == max(steps.values())  # the stack stops with its last column
+        for k in range(len(amplitudes)):
+            assert same_bits(out[:, k], finished[k])
+            # a stack's matrix products round otherwise than one vector's
+            assert _rel(out[:, k], cubic_stage("inv", g, image[:, k])) <= 1e-15
