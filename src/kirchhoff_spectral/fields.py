@@ -140,23 +140,61 @@ def random_field(
 
     Parameters
     ----------
-    seed : any integer; the same seed always returns the same field.
+    seed : anything ``np.random.default_rng`` takes, usually an int or a list
+        of ints; the same seed always returns the same field. A seed whose
+        parts all lie in [0, 2**32) is read as those uint32 words, which is
+        the pool numpy builds from the list, only cheaper.
     symmetry : "hermitian" for real-valued physical fields, "free" otherwise.
+
+    It is the one column of :func:`random_fields` for ``[seed]``.
     """
-    if target_norm < 0:
+    return ComplexField(grid, random_fields(grid, [seed], target_norm, s, symmetry)[:, 0])
+
+
+def _generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed of ints in [0, 2**32) goes in as
+    uint32 words, the entropy numpy coerces the list to, so the draws are the
+    same. Any other seed is passed on as it is, and draws or raises as it does."""
+    parts = seed if isinstance(seed, (list, tuple)) else (seed,)
+    if parts and all(type(p) is int and 0 <= p < 2 ** 32 for p in parts):
+        seed = np.random.SeedSequence(np.array(parts, dtype=np.uint32))
+    return np.random.default_rng(seed)
+
+
+def random_fields(grid: SpectralGrid, seeds, target_norm, s: float,
+                  symmetry: str = "free") -> np.ndarray:
+    """The coefficients of ``random_field(grid, seed, target, s, symmetry)`` for
+    each seed, as one mode-first stack (n, m), bit for bit.
+
+    ``target_norm`` is one norm for every column or one per seed. Each seed
+    has its own generator, whose normals fill one row of a sample-first
+    (m, n) draw; the shape factor and the Hermitian projection act
+    elementwise, and each row's norm is the 1-D dot product one draw takes.
+    """
+    target = np.empty(len(seeds))
+    target[:] = target_norm
+    targets = target.tolist()
+    if any(t < 0 for t in targets):
         raise ParameterError(f"target norm must be >= 0, got {target_norm}")
     if symmetry not in ("hermitian", "free"):
         raise ParameterError(f"symmetry must be 'hermitian' or 'free', got {symmetry!r}")
-    if target_norm == 0.0:
-        return ComplexField.zero(grid)
-    rng = np.random.default_rng(seed)
-    shape = grid.absj ** (-(float(s) + 1.0))
-    c = shape * (rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes))
-    field = ComplexField(grid, c)
+    drawn = [k for k, t in enumerate(targets) if t != 0.0]  # a zero field draws nothing
+    if drawn and s < 0:
+        raise ParameterError(f"Sobolev order must be >= 0, got {s}")
+    re, im = np.zeros((2, len(seeds), grid.n_modes))
+    for k in drawn:
+        rng = _generator(seeds[k])
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    c = grid.absj ** (-(float(s) + 1.0)) * (re + 1j * im)
     if symmetry == "hermitian":
-        field = hermitian_project(field)
-    nrm = sobolev_norm(field, s)
-    return ComplexField(grid, field.coeffs * (target_norm / nrm))
+        c = 0.5 * (c + np.conj(c[:, grid.neg_index]))
+    weight, e = grid.weight(s), c.real * c.real + c.imag * c.imag
+    squares = np.ones(len(seeds))  # a row of zeros keeps its zeros
+    for k in drawn:
+        squares[k] = np.dot(weight, e[k])  # grid.coeff_norm's dot, row by row
+    c *= (target / np.sqrt(squares))[:, None]
+    return np.ascontiguousarray(c.T)
 
 
 # -- states ----------------------------------------------------------------

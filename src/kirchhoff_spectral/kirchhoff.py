@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fields import ComplexField, PairStack, RealPair, halves
+from .fields import ComplexField, PairStack, RealPair, halves, random_fields
 from .grid import SpectralGrid
 
 #: imaginary residue above this relative size in a provably-real spectral sum
@@ -80,14 +80,20 @@ def involution(state: RealPair) -> RealPair:
     return RealPair(state.u, ComplexField(state.grid, -state.v.coeffs))
 
 
-def random_state(grid: SpectralGrid, seed, eps: float) -> RealPair:
-    """Hermitian (u, v) with ||u||_{m0+1/2} + ||v||_{m0-1/2} = eps, split evenly."""
+def random_states(grid: SpectralGrid, seeds, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian (u, v) with ||u||_{m0+1/2} + ||v||_{m0-1/2} = eps, split evenly,
+    for each seed: two mode-first stacks (n, m). The u of ``seed`` is drawn
+    from ``seed + [0]`` and its v from ``seed + [1]``."""
     if eps < 0:
         raise ParameterError(f"eps must be >= 0, got {eps}")
-    from .fields import random_field
-
-    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    bases = [list(seed) if isinstance(seed, (list, tuple)) else [int(seed)] for seed in seeds]
     m0 = grid.m0
-    u = random_field(grid, base + [0], 0.5 * eps, m0 + 0.5, symmetry="hermitian")
-    v = random_field(grid, base + [1], 0.5 * eps, m0 - 0.5, symmetry="hermitian")
-    return RealPair(u, v)
+    u = random_fields(grid, [base + [0] for base in bases], 0.5 * eps, m0 + 0.5, "hermitian")
+    v = random_fields(grid, [base + [1] for base in bases], 0.5 * eps, m0 - 0.5, "hermitian")
+    return u, v
+
+
+def random_state(grid: SpectralGrid, seed, eps: float) -> RealPair:
+    """The one column of :func:`random_states` for ``[seed]``."""
+    u, v = random_states(grid, [seed], eps)
+    return RealPair(ComplexField(grid, u[:, 0]), ComplexField(grid, v[:, 0]))

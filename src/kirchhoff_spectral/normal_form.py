@@ -40,9 +40,9 @@ import numpy as np
 
 from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
 from .errors import DomainError
-from .fields import ConjugatePair, halves
+from .fields import ConjugatePair, PairStack, halves
 from .grid import SpectralGrid
-from .transforms import _speed_scalars
+from .transforms import _refuse, _speed_scalars
 
 #: operational ball of the normal-form field: a state with ||w||_m0 at or
 #: above it is rejected with DomainError before (I + jac) is solved
@@ -53,8 +53,8 @@ JACOBIAN_BALL = 0.5
 
 
 def diag_linear_arrays(grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
-    """The linear rotation [-i Lambda a; +i Lambda b] of a doubled vector [a; b]."""
-    return grid.rotation * x
+    """The linear rotation [-i Lambda a; +i Lambda b] of a doubled vector [a; b], or per column."""
+    return grid.rotation.reshape((-1,) + (1,) * (x.ndim - 1)) * x
 
 
 def _diag_scalars(grid, x) -> tuple[float, float, float]:
@@ -84,9 +84,10 @@ def diagonalized_rhs_arrays(grid, x) -> np.ndarray:
 
 def resonant_cubic_arrays(lin: Linearization) -> np.ndarray:
     """Residual cubic field at the state [a; b] of ``lin``: class-local sums
-    sum_{|j|=|k|} a_j a_{-j} |j|^2 acting on b, and conversely."""
-    grid = lin.grid
-    sa, sb = grid.class_j2f * lin.sums.reshape(2, grid.n_classes)
+    sum_{|j|=|k|} a_j a_{-j} |j|^2 acting on b, and conversely; per column of a stack."""
+    grid, sums = lin.grid, lin.sums
+    j2f = grid.class_j2f.reshape((-1,) + (1,) * (sums.ndim - 1))
+    sa, sb = j2f * sums.reshape((2, grid.n_classes) + sums.shape[1:])
     return np.concatenate(((-0.25j) * sa, (0.25j) * sb))[grid.pair_class_of] * lin.state_swap
 
 
@@ -102,7 +103,8 @@ class RhsParts:
     p_value: float
 
 
-def decompose_rhs(pair: ConjugatePair) -> RhsParts:
+def decompose_rhs(pair: ConjugatePair | PairStack) -> RhsParts:
+    """The four parts at a conjugate pair, or per column of a stack of them."""
     g = pair.grid
     x = pair.doubled
     p, sigma, _ = _diag_scalars(g, x)
@@ -110,18 +112,23 @@ def decompose_rhs(pair: ConjugatePair) -> RhsParts:
     tail_factor = 2.0 * p / (1.0 + sigma)  # sigma - 1, without the cancellation
     # the cubic coefficient from a pairing of its own, so that the split also
     # checks the field's coefficient s = cubic / sigma^2 = cubic + tail
-    a = pair.w.coeffs
+    a = x[: g.n_modes]
     cubic = 0.5 * g.pairing(a, a, 1.0).imag
     tail = -2.0 * p / (sigma * sigma) * cubic
     swap = x[g.pair_swap]
     return RhsParts(d1, tail_factor * d1, cubic * swap, tail * swap, p)
 
 
+_BALL_MESSAGE = f"normal-form field needs ||w||_m0 < {JACOBIAN_BALL} for invertibility"
+
+
 def _check_ball(grid, w) -> None:
-    if grid.coeff_norm(w, grid.m0) >= JACOBIAN_BALL:
-        raise DomainError(
-            f"normal-form field needs ||w||_m0 < {JACOBIAN_BALL} for invertibility"
-        )
+    """Refuse a state at or above the ball, or the first such column of a stack."""
+    norm = grid.coeff_norm(w, grid.m0)
+    if w.ndim > 1:
+        _refuse(norm >= JACOBIAN_BALL, norm, _BALL_MESSAGE + ", got {:.4f}")
+    elif norm >= JACOBIAN_BALL:  # one state keeps its one comparison
+        raise DomainError(_BALL_MESSAGE)
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,11 @@ def normal_form_direct_arrays(grid, x) -> np.ndarray:
     return solve_jacobian_arrays(lin, diagonalized_rhs_arrays(grid, x + mix_arrays(lin, x)))
 
 
-def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float) -> float:
-    """d/dt of ||w||_s^2 for a real-structure field: 2 Re sum |j|^{2s} F_j conj(w_j)."""
+def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float):
+    """d/dt of ||w||_s^2 for a real-structure field: 2 Re sum |j|^{2s} F_j conj(w_j);
+    per column of mode-first stacks w and F, as a length-m array."""
+    if w.ndim > 1:
+        return 2.0 * np.dot(grid.weight(s), np.real(field_first * np.conj(w)))
     return 2.0 * float(np.real(np.dot(grid.weight(s) * field_first, np.conj(w))))
 
 

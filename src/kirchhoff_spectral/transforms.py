@@ -244,12 +244,13 @@ def cubic_stage_inverse_arrays(grid: SpectralGrid, image: np.ndarray) -> np.ndar
 # Differentiating the diag stage along the flow produces a rank-one operator
 # acting on pairs: [alpha; beta] -> [psi; eta] * F * <Lambda(eta+psi), alpha+beta>
 # at the state x = [eta; psi], with the scalar factor F below. (I + that
-# operator) has the closed-form inverse implemented here; the dense solve is
-# the independent oracle for it.
+# operator) has the closed-form inverse implemented here; its oracle, the
+# Sherman-Morrison solve of the same matrix, is the ``rank-one-inverse``
+# suite's.
 
 
-def rank_one_factor(grid: SpectralGrid, x: np.ndarray) -> float:
-    """F = -1 / (4 (1 + 3P) sigma)."""
+def rank_one_factor(grid: SpectralGrid, x: np.ndarray):
+    """F = -1 / (4 (1 + 3P) sigma), or per column of a stack."""
     _, p, sigma = _speed_scalars(grid, x)
     return -1.0 / (4.0 * (1.0 + 3.0 * p) * sigma)
 
@@ -270,16 +271,6 @@ def rank_one_solve_closed(grid: SpectralGrid, x: np.ndarray, rhs: np.ndarray) ->
     sigma = _speed_scalars(grid, x)[2]
     c = _rank_one_functional(grid, x, rhs) / (4.0 * sigma ** 3)
     return rhs + c * x[grid.pair_swap]
-
-
-def rank_one_solve_dense(grid: SpectralGrid, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    f = rank_one_factor(grid, x)
-    eta, psi = halves(x)
-    row = (grid.absj * (eta + psi))[grid.neg_index]  # l(alpha,beta) = row . alpha + row . beta
-    mat = np.eye(len(x), dtype=np.complex128) + f * np.outer(
-        x[grid.pair_swap], np.concatenate([row, row])
-    )
-    return np.linalg.solve(mat, rhs)
 
 
 # -- full composition ----------------------------------------------------------

@@ -10,7 +10,10 @@ vector at a time. It goes through the class sums and class tables, so it and the
 package's pairwise dense assembly, which reads neither, are two independent
 builds of the same matrix that must agree to rounding. The dense solve of
 (I + jac) x = rhs, a LAPACK solve with that pairwise matrix, is the
-solution-level oracle of the package's class-space solve at d <= 2. Beyond
+solution-level oracle of the package's class-space solve at d <= 2, and the
+LAPACK solve of the assembled rank-one matrix is the dense reference of the
+diag stage's closed-form rank-one inverse, beside the Sherman-Morrison solve
+the ``rank-one-inverse`` suite takes. Beyond
 that the matrix is too large to assemble in a test (284 MB at d=3 N=8), and
 the tests take the class solve's residual through the package's pairwise
 action, which reads the same pair tables as the matrix and is checked
@@ -46,6 +49,7 @@ from kirchhoff_spectral.dynamics import _ConjugateDynamics
 from kirchhoff_spectral.errors import NumericalError
 from kirchhoff_spectral.fields import conjugate_doubled, halves
 from kirchhoff_spectral.kirchhoff import REAL_RESIDUE_TOL
+from kirchhoff_spectral.transforms import rank_one_factor
 
 
 def wave_speed_minus_one(q: float) -> Decimal:
@@ -205,6 +209,39 @@ def dense_jacobian_solve(lin, rhs):
     n = lin.grid.n_modes
     w, z = lin.state[:n], lin.state[n:]
     return np.linalg.solve(coupling.dense_jacobian_matrix(lin.grid, w, z), rhs)
+
+
+def rank_one_solve_dense(grid, x, rhs):
+    """(I + F u v^T) y = rhs by LAPACK on the assembled 2n x 2n matrix, with
+    u = [psi; eta] and v = [row; row] the rank-one correction's vectors at
+    x = [eta; psi]: the dense reference of the closed-form inverse."""
+    f = rank_one_factor(grid, x)
+    eta, psi = halves(x)
+    row = (grid.absj * (eta + psi))[grid.neg_index]  # l(alpha,beta) = row . alpha + row . beta
+    mat = np.eye(len(x), dtype=np.complex128) + f * np.outer(
+        x[grid.pair_swap], np.concatenate([row, row])
+    )
+    return np.linalg.solve(mat, rhs)
+
+
+#: how far a sampled check's defect may move between a sample checked in a
+#: stack and the same sample checked alone, relative to max(1, |defect|): a
+#: stack's class-table products and norms go to BLAS gemm where one sample's
+#: go to gemv, and the two sum in different orders; measured at most 4.4e-16
+#: over every sampled suite at 5 and at 50 samples per default grid
+STACKED_DEFECT_ROUNDING = 1e-15
+
+
+def reference_random_field(grid, seed, target_norm, s, symmetry="free"):
+    """The coefficients of a random field drawn as the package drew them
+    before its stacked draw: ``np.random.default_rng(seed)`` on the seed as
+    given, real parts then imaginary parts, shaped, projected and scaled."""
+    rng = np.random.default_rng(seed)
+    c = grid.absj ** (-(float(s) + 1.0)) * (
+        rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes))
+    if symmetry == "hermitian":
+        c = 0.5 * (c + np.conj(c[grid.neg_index]))
+    return c * (target_norm / grid.coeff_norm(c, s))
 
 
 def lattice(d: int, n_cutoff: int):

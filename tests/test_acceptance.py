@@ -62,11 +62,11 @@ def test_criterion_1_exact_identities():
         results["cubic-energy-cancellation"].max_defect,
         results["rank-one-inverse"].details["closed_form_residual"],
     )
-    dense_defect = results["rank-one-inverse"].details["dense"]
+    oracle_defect = results["rank-one-inverse"].details["sherman_morrison"]
     ok = (
         all(r.passed for r in results.values())
         and worst_exact <= 1e-12
-        and dense_defect <= 1e-10
+        and oracle_defect <= 1e-10
         and elapsed <= 120.0
     )
     _report(
@@ -74,7 +74,7 @@ def test_criterion_1_exact_identities():
         "exact identities",
         ok,
         f"max_exact_defect={worst_exact:.3e} (<=1e-12), "
-        f"dense_solve_defect={dense_defect:.3e} (<=1e-10), runtime={elapsed:.1f}s (<=120s)",
+        f"sherman_morrison_defect={oracle_defect:.3e} (<=1e-10), runtime={elapsed:.1f}s (<=120s)",
     )
 
 

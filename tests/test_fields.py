@@ -21,7 +21,8 @@ from kirchhoff_spectral import (
     random_field,
     sobolev_norm,
 )
-from oracles import unit_mode
+from kirchhoff_spectral.fields import random_fields
+from oracles import reference_random_field, same_bits, unit_mode
 
 
 def test_sobolev_norm_examples(grid1):
@@ -178,3 +179,41 @@ def test_serialization_grid_mismatch(grid1, grid1_small):
     f = random_field(grid1, 17, 1.0, 1.0, "free")
     with pytest.raises(GridMismatchError):
         field_from_dict(json.loads(json.dumps(field_to_dict(f))), grid1_small)
+
+
+#: seeds of every kind random_field takes: 0, ints, lists of parts below 2**32
+#: (read as uint32 words), and parts at or above 2**32 (passed on as they are)
+SEEDS = (0, 7, 2**32 - 1, [0], [20260808, 4, 3, 17, 2], (5, 6), [2**32, 1], 2**40, [3, 2**63])
+
+
+@pytest.mark.parametrize("symmetry", ["free", "hermitian"])
+def test_each_stacked_draw_is_its_random_field_bit_for_bit(grid2, symmetry):
+    stack = random_fields(grid2, list(SEEDS), 0.7, 1.5, symmetry)
+    assert stack.shape == (grid2.n_modes, len(SEEDS)) and stack.flags.c_contiguous
+    for k, seed in enumerate(SEEDS):
+        assert same_bits(stack[:, k], random_field(grid2, seed, 0.7, 1.5, symmetry).coeffs)
+
+
+@pytest.mark.parametrize("symmetry", ["free", "hermitian"])
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_a_draw_is_the_one_default_rng_makes_of_its_seed(grid1, seed, symmetry):
+    # uint32 words in place of a list of small ints build the same pool
+    reference = reference_random_field(grid1, seed, 0.4, 1.0, symmetry)
+    assert same_bits(random_field(grid1, seed, 0.4, 1.0, symmetry).coeffs, reference)
+
+
+def test_a_stacked_draw_takes_a_norm_per_seed(grid1):
+    seeds = [[1, k] for k in range(4)]
+    targets = [0.1, 0.0, 0.3, 2.0]
+    stack = random_fields(grid1, seeds, targets, 1.0)
+    assert np.all(stack[:, 1] == 0.0) and not np.signbit(stack[:, 1].real).any()
+    for k in (0, 2, 3):
+        assert same_bits(stack[:, k], random_field(grid1, seeds[k], targets[k], 1.0).coeffs)
+
+
+@pytest.mark.parametrize("seed", [-1, [1, -2], [-(2**40)]], ids=str)
+def test_a_negative_seed_part_still_raises(grid1, seed):
+    with pytest.raises(ValueError):
+        random_field(grid1, seed, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        random_fields(grid1, [[1], seed], 1.0, 1.0)

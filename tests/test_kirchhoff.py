@@ -9,8 +9,9 @@ from kirchhoff_spectral.kirchhoff import (
     mode_momentum,
     momenta,
     random_state,
+    random_states,
 )
-from oracles import total_momentum
+from oracles import reference_random_field, same_bits, total_momentum
 
 
 def _field(state):
@@ -162,3 +163,19 @@ def test_random_state_norm_split(grid2):
     m0 = grid2.m0
     assert st.norm(m0) == pytest.approx(0.2, rel=1e-12)
     assert st.norm(m0) == st.u.norm(m0 + 0.5) + st.v.norm(m0 - 0.5)
+
+
+def test_random_states_draw_u_and_v_from_the_seed_extended_by_0_and_1(grid2):
+    # each column is random_state of its seed, and both are the Hermitian
+    # fields default_rng draws from seed + [0] and seed + [1], bit for bit
+    seeds, eps, m0 = [11, [20260808, 4, 1, 3], (5, 6)], 0.3, grid2.m0
+    u, v = random_states(grid2, seeds, eps)
+    assert u.shape == v.shape == (grid2.n_modes, len(seeds))
+    for k, seed in enumerate(seeds):
+        base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        assert same_bits(u[:, k], reference_random_field(grid2, base + [0], eps / 2, m0 + 0.5, "hermitian"))
+        assert same_bits(v[:, k], reference_random_field(grid2, base + [1], eps / 2, m0 - 0.5, "hermitian"))
+        state = random_state(grid2, seed, eps)
+        assert same_bits(state.u.coeffs, u[:, k]) and same_bits(state.v.coeffs, v[:, k])
+    with pytest.raises(ParameterError):
+        random_states(grid2, seeds, -0.1)

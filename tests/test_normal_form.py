@@ -5,7 +5,14 @@ import pytest
 
 from kirchhoff_spectral import ComplexField, ConjugatePair, DomainError, random_field
 from kirchhoff_spectral.coupling import jac_arrays, linearize, mix_arrays
-from kirchhoff_spectral.fields import conjugate_defect, halves, hermitian_project
+from kirchhoff_spectral.fields import (
+    PairStack,
+    conjugate_defect,
+    conjugate_doubled,
+    halves,
+    hermitian_project,
+    random_fields,
+)
 from kirchhoff_spectral.normal_form import (
     decompose_rhs,
     diag_linear_arrays,
@@ -18,7 +25,7 @@ from kirchhoff_spectral.normal_form import (
     resonant_cubic_arrays,
 )
 from kirchhoff_spectral.transforms import cubic_stage, q_value
-from oracles import same_bits, wave_speed_minus_one
+from oracles import STACKED_DEFECT_ROUNDING, same_bits, wave_speed_minus_one
 
 
 def _pair(grid, seed, norm):
@@ -231,3 +238,45 @@ def test_flow_field_is_the_first_half_of_the_total(layout_grid):
     flow = NormalFormDynamics(g).rhs(0.0, pair.w.coeffs)
     assert same_bits(flow, nf.total[0])
     assert all(part[0].base is part[1].base for part in (nf.total, nf.linear, nf.cubic, nf.quintic))
+
+
+def _stack(grid, norms):
+    """A mode-first stack of conjugate pairs, one per norm, and its first halves."""
+    w = random_fields(grid, [[30, k] for k in range(len(norms))], norms, grid.m0)
+    return conjugate_doubled(grid, w), w
+
+
+@pytest.mark.parametrize("field", [normal_form_rhs_arrays, normal_form_direct_arrays,
+                                   diagonalized_rhs_arrays])
+def test_the_fields_of_a_stack_are_its_columns_fields(grid2, field):
+    x, _ = _stack(grid2, [0.02, 0.1, 0.2, 0.3, 0.45])
+    out = field(grid2, x)
+    for k in range(x.shape[1]):
+        one = field(grid2, x[:, k])
+        assert np.max(np.abs(out[:, k] - one)) <= STACKED_DEFECT_ROUNDING * np.max(np.abs(one))
+
+
+def test_the_parts_and_rates_of_a_stack_are_its_columns(grid2):
+    x, w = _stack(grid2, [0.05, 0.2, 0.4])
+    parts = decompose_rhs(PairStack(grid2, x))
+    f = normal_form_rhs_arrays(grid2, x)[: grid2.n_modes]
+    rates = energy_derivative_arrays(grid2, w, f, 1.5)
+    assert rates.shape == (3,)
+    for k in range(3):
+        one = decompose_rhs(ConjugatePair(ComplexField(grid2, w[:, k])))
+        assert parts.p_value[k] == pytest.approx(one.p_value, rel=1e-15)
+        scale = np.max(np.abs(one.diag_linear))  # the field's scale; the tail is far below it
+        for name in ("diag_linear", "diag_tail", "offdiag_cubic", "offdiag_tail"):
+            a, b = getattr(parts, name)[:, k], getattr(one, name)
+            assert np.max(np.abs(a - b)) <= STACKED_DEFECT_ROUNDING * scale
+        rate = energy_derivative_arrays(grid2, w[:, k], f[:, k], 1.5)
+        assert rates[k] == pytest.approx(rate, rel=1e-13)
+
+
+def test_the_ball_check_of_a_stack_names_its_first_column_outside(grid1):
+    x, _ = _stack(grid1, [0.1, 0.3, 0.55, 0.6])
+    for field in (normal_form_rhs_arrays, normal_form_direct_arrays):
+        with pytest.raises(DomainError, match="got 0.5500") as info:
+            field(grid1, x)
+        assert info.value.column == 2
+        field(grid1, x[:, :2])  # the columns inside the ball map

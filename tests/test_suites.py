@@ -7,7 +7,7 @@ from kirchhoff_spectral import SpectralGrid, coupling, suites, transforms
 from kirchhoff_spectral.errors import ParameterError
 from kirchhoff_spectral.grid import stack_tables
 from kirchhoff_spectral.suites import REGISTRY, SuiteConfig, measure_quartic_constant
-from oracles import class_blocks
+from oracles import STACKED_DEFECT_ROUNDING, class_blocks
 
 CFG = SuiteConfig(grids=((1, 4), (2, 4)), samples=2)
 
@@ -85,19 +85,37 @@ def test_a_failing_suite_headlines_its_failing_defect(
     assert not result.passed and result.max_defect > result.bound
     assert result.bound == result.details["bounds"][defect]
     assert result.max_defect == result.details[defect]
-    # the located sample alone reproduces the failing defect
+    # the located sample alone, one call, reproduces the failing defect to
+    # rounding: in the suite it was one column of a stack of three
     at = result.details["worst_at"]
     grid = SpectralGrid(*at["grid"])
-    again = getattr(suites, check)(grid, lambda *slot: at["seed"] + list(slot), at["sample"])
-    assert again[defect] == result.max_defect
+    (again,) = getattr(suites, check)(grid, [lambda *slot: at["seed"] + list(slot)])[defect]
+    assert again == pytest.approx(result.max_defect, rel=STACKED_DEFECT_ROUNDING)
+
+
+def _closed_form_exponent_mutant(grid, x, rhs):
+    """The closed-form rank-one inverse with sigma^2.999 for sigma^3."""
+    sigma = transforms._speed_scalars(grid, x)[2]
+    c = transforms._rank_one_functional(grid, x, rhs) / (4.0 * sigma ** 2.999)
+    return rhs + c * x[grid.pair_swap]
+
+
+def test_the_sherman_morrison_oracle_sees_the_closed_form_exponent(monkeypatch):
+    # the oracle reads F and the assembled row, the closed form 1 / (4 sigma^3);
+    # they meet only through -F / (1 + F v^T u) = 1 / (4 sigma^3), so an
+    # exponent off by 1e-3 moves the closed form far above the bound
+    monkeypatch.setattr(suites, "rank_one_solve_closed", _closed_form_exponent_mutant)
+    result = REGISTRY["rank-one-inverse"](SuiteConfig(grids=((1, 4), (2, 4)), samples=3))
+    assert not result.passed
+    assert result.details["sherman_morrison"] > 1e3 * suites.DENSE_COMPARE_TOL
 
 
 @pytest.mark.parametrize("nan_at", [(2.5,), suites.CANCELLATION_S], ids=["one-s", "every-s"])
 def test_a_nan_defect_fails_its_suite(nan_at, monkeypatch):
     real = suites.energy_derivative_arrays
 
-    def rate(grid, w, field_first, s):
-        return math.nan if s in nan_at else real(grid, w, field_first, s)
+    def rate(grid, w, field_first, s):  # a NaN rate for every sample of the stack
+        return real(grid, w, field_first, s) * (math.nan if s in nan_at else 1.0)
 
     monkeypatch.setattr(suites, "energy_derivative_arrays", rate)
     result = REGISTRY["cubic-energy-cancellation"](SuiteConfig(grids=((1, 4),), samples=3))

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import STACKED_DEFECT_ROUNDING
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -224,9 +226,11 @@ def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
     assert calls == {"solve_jacobian_arrays": 1, "jac_arrays": 1, "dense_jacobian_matrix": 1}
 
 
-def _one_sample_at_a_time(suite, cfg):
-    """The suite driver as it ran before checks took a grid's samples at once:
-    ``check(grid, seed, k)`` per sample, the names of a sample in turn."""
+def _one_sample_at_a_time(suite, cfg, values=None):
+    """The suite driver with one sample per call: the row's check on a stack of
+    one, ``check(grid, [seed])``, sample by sample, the names of a sample in
+    turn; the reference of the driver that checks a grid's samples at once.
+    ``values``, if given, collects every value under (tag, name, seed)."""
     from functools import partial
 
     from kirchhoff_spectral import suites
@@ -237,33 +241,146 @@ def _one_sample_at_a_time(suite, cfg):
         g = suites.SpectralGrid(d, size, corrupt_diff_sign=cfg.corrupt_diff_sign)
         for k in range(samples):
             seed = partial(suites._seed, cfg, suite.tag, gi, k)
-            for name, value in suite.check.__wrapped__(g, seed, k).items():
+            for name, (value,) in suite.check(g, [seed]).items():
+                if values is not None:
+                    values[suite.tag, name, tuple(seed())] = value
                 if name not in worst or suites._rank(value) > suites._rank(worst[name]):
                     worst[name] = value
                     at[name] = {"grid": [d, size], "sample": k, "seed": seed()}
     return len(cfg.grids) * samples, worst, at
 
 
-def test_per_sample_checks_report_as_they_did_one_sample_at_a_time(tmp_path, monkeypatch):
-    # every suite but neumann-vs-dense runs its one-sample check through the
-    # adapter; its entries must be the ones the one-sample driver wrote, to the
-    # bit (JSON floats read back exactly)
-    import json
+def _stacked_suites():
+    from kirchhoff_spectral import suites
 
-    from kirchhoff_spectral import cli, suites
-
+    # neumann-vs-dense checks its matrix on each grid's first sample only, so
+    # one sample per call would check it on every sample
     names = [name for name, row in suites.REGISTRY.items()
              if row.rule is not suites._exhaustive and name != "neumann-vs-dense"]
     assert len(names) == 11
+    return names
 
-    def report(out):
-        argv = ["verify", "--samples", "5", "--suites", ",".join(names), "--out", str(out)]
-        assert cli.main(argv) == cli.EXIT_PASS
-        return json.loads((out / "verify_report.json").read_text())["suites"]
 
-    stacked = report(tmp_path / "stacked")
-    monkeypatch.setattr(suites, "_sampled", _one_sample_at_a_time)
-    assert report(tmp_path / "one") == stacked
+def _verify_report(out, names) -> list:
+    import json
+
+    from kirchhoff_spectral import cli
+
+    argv = ["verify", "--samples", "5", "--suites", ",".join(names), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    return json.loads((out / "verify_report.json").read_text())["suites"]
+
+
+def _near(a, b) -> bool:
+    return abs(a - b) <= STACKED_DEFECT_ROUNDING * max(1.0, abs(a))
+
+
+def _headline(entry, names) -> str:
+    """The defect name of a report entry's headline, among the row's ``names``."""
+    details = entry["details"]
+    if "bounds" not in details:  # the negative control has one defect
+        (head,) = names
+        return head
+    return next(name for name, bound in details["bounds"].items()
+                if bound == entry["bound"] and details[name] == entry["max_defect"])
+
+
+def test_per_sample_checks_report_as_they_did_one_sample_at_a_time(tmp_path, monkeypatch):
+    # a check takes a grid's samples as one stack; the same samples checked
+    # one per call must give every suite the same verdict and every defect to
+    # rounding, since a stack's products round otherwise than one sample's;
+    # where samples tie to rounding, worst_at may name either of them
+    from functools import partial
+
+    from kirchhoff_spectral import suites
+
+    names = _stacked_suites()
+    stacked = _verify_report(tmp_path / "stacked", names)
+    values = {}
+    monkeypatch.setattr(suites, "_sampled", partial(_one_sample_at_a_time, values=values))
+    one = _verify_report(tmp_path / "one", names)
+    for entry, ref in zip(stacked, one, strict=True):
+        assert (entry["suite"], entry["samples"], entry["pass"], entry["bound"]) == (
+            ref["suite"], ref["samples"], ref["pass"], ref["bound"])
+        assert _near(entry["max_defect"], ref["max_defect"]), entry["suite"]
+        assert entry["details"].keys() == ref["details"].keys()
+        for key, value in entry["details"].items():
+            if isinstance(value, float):
+                assert _near(value, ref["details"][key]), (entry["suite"], key)
+            elif key != "worst_at":  # bounds, reasons and the control's direction
+                assert value == ref["details"][key], (entry["suite"], key)
+        tag = suites.REGISTRY[entry["suite"]].tag
+        head = _headline(entry, {name for t, name, _ in values if t == tag})
+        at = entry["details"]["worst_at"]
+        assert _near(values[tag, head, tuple(at["seed"])], ref["max_defect"]), entry["suite"]
+
+
+def test_stacked_checks_draw_the_samples_their_one_sample_checks_drew(monkeypatch):
+    # the one-sample driver runs the stacked checks on a stack of one, so it
+    # cannot see a draw that changed at every stack size: pin the draws that
+    # the stacked checks no longer take from random_state or from k
+    from functools import partial
+
+    from kirchhoff_spectral import SpectralGrid, kirchhoff, suites
+    from oracles import same_bits
+
+    grid, cfg = SpectralGrid(2, 4), suites.SuiteConfig()
+    drawn = {"random_fields": [], "random_states": []}
+    for name in drawn:
+        def recorded(*args, _name=name, _real=getattr(suites, name)):
+            drawn[_name].append(_real(*args))
+            return drawn[_name][-1]
+        monkeypatch.setattr(suites, name, recorded)
+
+    def seeds(name, m=7):
+        return [partial(suites._seed, cfg, suites.REGISTRY[name].tag, 0, k) for k in range(m)]
+
+    def same_states(stacks, states):
+        return all(same_bits(stacks[0][:, k], st.u.coeffs) and same_bits(stacks[1][:, k], st.v.coeffs)
+                   for k, st in enumerate(states))
+
+    rev = seeds("reversibility")
+    suites._reversibility_defects(grid, rev)
+    assert same_states(drawn["random_states"].pop(), [kirchhoff.random_state(grid, s(), 0.3) for s in rev])
+    trip = seeds("stage-round-trips")
+    suites._round_trip_defects(grid, trip)
+    assert same_states(drawn["random_states"].pop(),
+                       [kirchhoff.random_state(grid, s(6), 0.09) for s in trip])
+    agree = seeds("normal-form-agreement")
+    drawn["random_fields"].clear()
+    suites._agreement_defects(grid, agree)
+    (x,) = drawn["random_fields"]
+    for k, s in enumerate(agree):
+        field = suites.random_field(grid, s(0), 0.04 + 0.16 * (k % 5) / 4.0, grid.m0, "free")
+        assert same_bits(x[:, k], field.coeffs), k
+
+
+def test_each_sample_of_a_stacked_check_is_that_sample_checked_alone():
+    # sample by sample, not only the worst: a check that paired a sample with
+    # another sample's draws would keep every maximum but move these values
+    from kirchhoff_spectral import SpectralGrid, suites
+
+    grid = SpectralGrid(2, 4)
+    for name in _stacked_suites():
+        row = suites.REGISTRY[name]
+        seeds = [lambda *slot, k=k: [20260808, row.tag, 0, k, *slot] for k in range(4)]
+        stacked = row.check(grid, seeds)
+        for k, seed in enumerate(seeds):
+            for defect, (value,) in row.check(grid, [seed]).items():
+                assert _near(stacked[defect][k], value), (name, defect, k)
+
+
+def test_worst_at_reruns_its_sample_with_one_call(tmp_path):
+    # the sample that a report's worst_at names, re-run alone by the row's check
+    # with that one seed, gives the headline defect to rounding
+    from kirchhoff_spectral import SpectralGrid, suites
+
+    for entry in _verify_report(tmp_path, _stacked_suites()):
+        row, at = suites.REGISTRY[entry["suite"]], entry["details"]["worst_at"]
+        assert at["seed"][3] == at["sample"]
+        values = row.check(SpectralGrid(*at["grid"]), [lambda *slot: at["seed"] + list(slot)])
+        (again,) = values[_headline(entry, values)]
+        assert _near(again, entry["max_defect"]), entry["suite"]
 
 
 def test_pair_tables_are_built_once_and_not_by_the_constructor(monkeypatch):

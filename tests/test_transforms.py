@@ -26,10 +26,9 @@ from kirchhoff_spectral.transforms import (
     q_value,
     rank_one_apply,
     rank_one_solve_closed,
-    rank_one_solve_dense,
     scale_stage,
 )
-from oracles import same_bits, unit_mode
+from oracles import rank_one_solve_dense, same_bits, unit_mode
 
 
 def _rand_pair(grid, seed, norm, s=1.0):
