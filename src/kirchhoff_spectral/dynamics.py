@@ -11,7 +11,9 @@ and :func:`reversibility_defect` checks that field. The physical evaluator
 also advances the integrator's ``saba2`` scheme: the field splits into a
 rotation and a kick whose flows are exact, and their SABA2 composition is one
 per-mode 2x2 map per step (:meth:`KirchhoffDynamics.saba2_factors` and
-:meth:`KirchhoffDynamics.saba2_steps`).
+:meth:`KirchhoffDynamics.saba2_steps`). The diagonalized and normal-form
+evaluators declare the rates -i|j| of their exact linear rotation, and DOP853
+steps them in that rotation's frame.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .fields import ComplexField, ConjugatePair, RealPair, conjugate_doubled, pair_norm
+from .fields import (
+    ComplexField, ConjugatePair, PairStack, RealPair, conjugate_doubled, halves, pair_norm,
+)
 from .grid import SpectralGrid
-from .kirchhoff import gradient_energy, involution
+from .kirchhoff import gradient_energy
 from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
 
 #: SABA2's rotation fractions of a step, c1 at both ends and c2 in between
@@ -55,11 +59,13 @@ class KirchhoffDynamics:
         )
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """The field at the packed state ``y``, or per column of a mode-first stack."""
         n = self._n
         u = y[:n]
         v = y[n:]
         a = 1.0 + gradient_energy(self._j2f, u)
-        return np.concatenate([v, (-a) * self._j2f * u])
+        j2f = self._j2f if y.ndim == 1 else self._j2f[:, None]
+        return np.concatenate([v, (-a) * j2f * u])
 
     # SABA2 in closed form. The field splits into two exactly solvable parts,
     # each acting on a mode's pair x = (u_j, v_j) as a real 2x2 matrix even in
@@ -151,14 +157,16 @@ class KirchhoffDynamics:
         return pair_norm(self.grid, y, self.grid.m0)
 
 
-def reversibility_defect(state: RealPair) -> float:
+def reversibility_defect(state: RealPair | PairStack):
     """Component-wise max L2 norm of (X o S + S o X)(state) for the physical
-    field X and the involution S; zero for this field, NaN if it is NaN."""
-    g = state.grid
+    field X and the involution S; zero for this field, NaN if it is NaN. Per
+    column of a stack of physical states, as a length-m array."""
+    g, x = state.grid, state.doubled
     dyn = KirchhoffDynamics(g)
-    xs = dyn.rhs(0.0, dyn.pack(involution(state)))
-    sx = dyn.rhs(0.0, dyn.pack(state))
-    sx[g.n_modes:] *= -1.0  # S keeps the first component and negates the second
+    u, v = halves(x)
+    xs = dyn.rhs(0.0, np.concatenate((u, -v)))  # S keeps u and negates v
+    sx = dyn.rhs(0.0, x)
+    sx[g.n_modes:] *= -1.0
     return g.doubled_norm(xs + sx, 0.0)
 
 
@@ -181,7 +189,16 @@ class _ConjugateDynamics:
         return self.grid.coeff_norm(y, self.grid.m0)
 
 
-class DiagonalizedDynamics(_ConjugateDynamics):
+class _RotatingDynamics(_ConjugateDynamics):
+    """A conjugate system whose linear part is the rotation -i |j| w: it
+    declares those ``rates``, so DOP853 steps it in the rotation's frame."""
+
+    def __init__(self, grid: SpectralGrid):
+        super().__init__(grid)
+        self.rates = grid.rotation[: grid.n_modes]
+
+
+class DiagonalizedDynamics(_RotatingDynamics):
     """The order-one-diagonalized system (state after the diag stage)."""
 
     name = "diagonalized"
@@ -190,7 +207,7 @@ class DiagonalizedDynamics(_ConjugateDynamics):
         return diagonalized_rhs_arrays(self.grid, conjugate_doubled(self.grid, y))[: len(y)]
 
 
-class NormalFormDynamics(_ConjugateDynamics):
+class NormalFormDynamics(_RotatingDynamics):
     """The normal-form system, in its structured evaluation."""
 
     name = "normal_form"

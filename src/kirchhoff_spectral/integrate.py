@@ -13,6 +13,27 @@ conjugacy levels and the quartic probe run on it: a drift measured there
 certifies the field the evaluator computes, where a scheme that keeps the
 momenta exactly would certify only itself.
 
+An evaluator may declare ``rates``, the per-entry rates L of the exact linear
+part of its field, a rotation (imaginary rates; the diagonalized and
+normal-form systems declare L = -i|j|). DOP853 then steps it in the frame of
+that rotation, Lawson's integrating-factor Runge-Kutta (Lawson, *SIAM J.
+Numer. Anal.* 4, 1967; Hochbruck & Ostermann, *Acta Numerica* 19, 2010). Each
+step integrates v(s) = e^{-L s} u(t_n + s), the frame anchored at its start:
+a stage at node c evaluates the unchanged field F at Y = e^{L c h} v and
+holds e^{-L c h} (F(Y) - L Y), zero to the bit for a field that is L Y
+alone; the new point is e^{L h} v; the last stage turned by e^{L h} is the
+next step's first, with no evaluation; and a sample inside the step is
+e^{L theta h} times the frame's interpolant. The tableau
+thus integrates only what the rotation leaves (for the conjugate systems the
+sigma - 1 tail, the cubic and the quintic terms), which is small, so its
+steps are no longer bound to the fastest rotation. A drift measured on such a
+run still certifies the field: the rotation is applied exactly and keeps
+every norm, and the tableau, which conserves nothing, integrates the whole
+remainder. Since |e^{L s}| = 1, the error norm, the step controller,
+projection, the ball check and blowup detection act as they do without the
+frame. An evaluator that declares no rates is stepped as the plain tableau
+steps it.
+
 The other, ``saba2``, composes the two exact sub-flows of an evaluator whose
 field splits into a linear rotation and a kick (the physical Kirchhoff field):
 Laskar & Robutel's SABA2, ``A(c1 h) B(h/2) A(c2 h) B(h/2) A(c1 h)`` with
@@ -229,23 +250,35 @@ def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
     return 0.0 if e5 == 0.0 else float(e5 / np.sqrt((e5 + 0.01 * e3) * err.shape[-1]))
 
 
-def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol):
-    """One attempt from ``k[0] = rhs(t, y)``: fills the stages after ``k[0]``;
-    returns the new state and its error norm."""
+def _stage(rhs, t, v, frame, i) -> tuple[np.ndarray, np.ndarray]:
+    """The state and the stage of node ``i`` at the stage input ``v``: ``v``
+    and the field there, or, in the step's ``frame`` (the rates and their
+    phases), ``Y = e^{L c_i h} v`` and ``e^{-L c_i h} (F(Y) - L Y)``."""
+    if frame is None:
+        return v, rhs(t, v)
+    rates, phases = frame
+    y = phases[i] * v
+    return y, np.conj(phases[i]) * (rhs(t, y) - rates * y)
+
+
+def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol, frame):
+    """One attempt from ``k[0] = rhs(t, y)`` (``rhs(t, y) - L y`` in the
+    ``frame``): fills the stages after ``k[0]``; returns the new state and its
+    error norm."""
     for i in range(1, len(scheme.c)):
-        y_i = y + dt * (scheme.a[i, :i] @ k[:i])
-        k[i] = rhs(t + scheme.c[i] * dt, y_i)
+        y_i, k[i] = _stage(rhs, t + scheme.c[i] * dt, y + dt * (scheme.a[i, :i] @ k[:i]),
+                           frame, i)
     return y_i, _error_norm(dt * (scheme.e @ k[: len(scheme.c)]), y, y_i, rel_tol, abs_tol)
 
 
-def _interpolant(scheme: _Tableau, rhs, t, y, dt, k) -> np.ndarray:
-    """Coefficient rows of the dense output on the accepted step from ``(t, y)``:
-    fills the extra stages of ``k`` from the step's own stages, whose last is
-    the field at the unprojected new point, before the next ``k[0]`` replaces
-    them."""
+def _interpolant(scheme: _Tableau, rhs, t, y, dt, k, frame) -> np.ndarray:
+    """Coefficient rows of the dense output on the accepted step from ``(t, y)``,
+    in the step's ``frame`` if it has one: fills the extra stages of ``k`` from
+    the step's own stages, whose last is the field at the unprojected new
+    point, before the next ``k[0]`` replaces them."""
     c_x, a_x, d = scheme.dense
     for row, (c_i, a_i) in enumerate(zip(c_x, a_x), start=len(scheme.c)):
-        k[row] = rhs(t + c_i * dt, y + dt * (a_i[:row] @ k[:row]))
+        k[row] = _stage(rhs, t + c_i * dt, y + dt * (a_i[:row] @ k[:row]), frame, row)[1]
     return dt * (d @ k)
 
 
@@ -336,9 +369,10 @@ def _blown_up(y: np.ndarray) -> bool:
     return not np.isfinite(y.view(np.float64)).all()
 
 
-def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
+def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray, rates) -> str:
     """Steps a tableau from ``(run.t, run.y)``, whose field is ``k0``, to
-    ``t_end``; returns the exit reason."""
+    ``t_end``, in the frame of the linear ``rates`` if given; returns the exit
+    reason."""
     config = run.config
     t, y = run.t, run.y
     t_end = config.t_end
@@ -347,17 +381,23 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
     new = len(scheme.c) - 1  # the stage at the new point
     k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
     k[0] = k0
+    if rates is not None:
+        k[0] -= rates * y
+    nodes = np.array(scheme.c + scheme.dense[0])
+    frame = None
 
     while t < t_end:
         if dt < _DT_MIN:
             return "dt_underflow"
         final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
         dt_try = t_end - t if final else dt
+        if rates is not None:
+            frame = rates, np.exp(np.multiply.outer(nodes * dt_try, rates))
         try:
             # overflow to inf is handled explicitly below as blowup
             with np.errstate(invalid="ignore", over="ignore"):
                 y_new, err = _rk_step(scheme, run.rhs, t, y, dt_try, k, config.rel_tol,
-                                      config.abs_tol)
+                                      config.abs_tol, frame)
         except (DomainError, ConvergenceError, NumericalError) as exc:
             return run.stopped_by(exc)
         if _blown_up(y_new):
@@ -372,17 +412,28 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray) -> str:
         t_new = t_end if final else t + dt_try
         if ahead and ahead[-1] < t_new:
             try:
-                f = _interpolant(scheme, run.rhs, t, y, dt_try, k)
+                f = _interpolant(scheme, run.rhs, t, y, dt_try, k, frame)
             except (DomainError, ConvergenceError, NumericalError) as exc:
                 return run.stopped_by(exc)
             while ahead and ahead[-1] < t_new:
                 t_s = ahead.pop()
-                y_s, _ = run.project(_interpolate(f, y, (t_s - t) / dt_try))
-                run.sample(t_s, y_s)
+                y_s = _interpolate(f, y, (t_s - t) / dt_try)
+                if frame is not None:
+                    y_s *= np.exp((t_s - t) * rates)
+                run.sample(t_s, run.project(y_s)[0])
         t = t_new
         y, defect = run.project(y_new)
-        # the field at the new point is the next step's first stage
-        k[0] = run.rhs(t, y) if defect != 0.0 else k[new]
+        # the field at the new point is the next step's first stage: in the
+        # frame, the field less L y, or the last stage turned to the frame
+        # anchored there
+        if defect != 0.0:
+            k[0] = run.rhs(t, y)
+            if frame is not None:
+                k[0] -= rates * y
+        else:
+            k[0] = k[new]
+            if frame is not None:
+                k[0] *= frame[1][new]
         run.n_steps += 1
         run.accept(t, y)
 
@@ -447,6 +498,16 @@ def _check_splitting(evaluator, dt: float) -> None:
         )
 
 
+def _rates(evaluator):
+    """The rates of the evaluator's exact linear rotation, or None if it
+    declares none."""
+    rates = getattr(evaluator, "rates", None)
+    # the frame leaves the error norm's scales alone only if |e^{L s}| = 1
+    if rates is not None and np.any(rates.real != 0.0):
+        raise ParameterError(f"{type(evaluator).__name__}.rates must be imaginary")
+    return rates
+
+
 def integrate(
     evaluator,
     state0,
@@ -459,9 +520,10 @@ def integrate(
     Samples are taken at the times in ``t_eval``, by default the endpoints
     ``(0, t_end)``. DOP853 reads a time inside a step from its dense output
     and projects it, so the samples leave the steps as they are
-    (only the final step is shortened, to end on t_end); ``saba2`` lands its
-    steps on the sample times instead. The run stops early with a distinct
-    exit reason on numerical blowup, on leaving the admissible ball
+    (only the final step is shortened, to end on t_end), and steps an
+    evaluator that declares ``rates`` in their rotation's frame; ``saba2``
+    lands its steps on the sample times instead. The run stops early with a
+    distinct exit reason on numerical blowup, on leaving the admissible ball
     (``config.ball_threshold`` against the evaluator's ball norm, or a field
     evaluation that raises a domain, convergence or numerical error, whose
     cause goes to ``notes["error"]``), or on adaptive step-size underflow; the
@@ -471,6 +533,8 @@ def integrate(
     splitting = config.scheme == "saba2"
     if splitting:
         _check_splitting(evaluator, config.dt)
+    else:
+        rates = _rates(evaluator)
     eval_times = np.unique([0.0, config.t_end]) if t_eval is None else np.asarray(t_eval, float)
     if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
         raise ParameterError("t_eval must be strictly increasing and nonnegative")
@@ -488,4 +552,4 @@ def integrate(
         return run.finish(run.stopped_by(exc))
     if splitting:
         return run.finish(_saba2(run))
-    return run.finish(_runge_kutta(run, DOP853, k0))
+    return run.finish(_runge_kutta(run, DOP853, k0, rates))

@@ -26,10 +26,12 @@ from .grid import SpectralGrid
 REAL_RESIDUE_TOL = 1e-13
 
 
-def gradient_energy(j2f: np.ndarray, c: np.ndarray) -> float:
+def gradient_energy(j2f: np.ndarray, c: np.ndarray):
     """<Lambda u, Lambda u> for Hermitian-symmetric coefficients c of u, given the
-    grid's |j|^2 weights j2f: sum of |j|^2 |u_j|^2, exactly real."""
-    return float(np.dot(j2f, c.real * c.real + c.imag * c.imag))
+    grid's |j|^2 weights j2f: sum of |j|^2 |u_j|^2, exactly real; per column
+    of a mode-first stack c, as a length-m array."""
+    energy = np.dot(j2f, c.real * c.real + c.imag * c.imag)
+    return energy if c.ndim > 1 else float(energy)
 
 
 def hamiltonian(state: RealPair | PairStack):

@@ -16,9 +16,8 @@ each; a NaN outranks every number, so it is never dropped. A check draws
 each slot of all its samples with one ``random_fields`` call, as one
 mode-first stack whose column k is bit for bit the field ``random_field``
 draws from ``seeds[k](*slot)`` (a physical state's u and v slots with one
-``random_states`` call, as ``random_state`` draws them), and evaluates the stack in one pass wherever
-what it calls takes stacks; only the physical field of ``reversibility``
-runs column by column. A stack's products and norms round otherwise than
+``random_states`` call, as ``random_state`` draws them), and evaluates the
+stack in one pass. A stack's products and norms round otherwise than
 one sample's (BLAS gemm against gemv), so checking the sample that
 ``worst_at`` names alone, ``check(grid, [seed])``, gives its defect to
 rounding, not always to the bit.
@@ -63,10 +62,8 @@ from .coupling import (
 )
 from .errors import NumericalError, ParameterError
 from .fields import (
-    ComplexField,
     ConjugatePair,
     PairStack,
-    RealPair,
     conjugate_doubled,
     halves,
     random_field,
@@ -408,10 +405,7 @@ def _class_defects(g: SpectralGrid, seeds: list) -> dict:
 def _reversibility_defects(g: SpectralGrid, seeds: list) -> dict:
     """Time-reversal anti-symmetry of the physical field on random states."""
     u, v = random_states(g, [seed() for seed in seeds], 0.3)
-    # the physical field takes one state; contiguous columns keep its sums as one draw's
-    pairs = zip(np.ascontiguousarray(u.T), np.ascontiguousarray(v.T))
-    return {"defect": [reversibility_defect(RealPair(ComplexField(g, a), ComplexField(g, b)))
-                       for a, b in pairs]}
+    return {"defect": reversibility_defect(PairStack(g, np.concatenate((u, v)))).tolist()}
 
 
 # -- inequalities ---------------------------------------------------------------
@@ -638,8 +632,11 @@ def measure_quartic_constant(
     supremum over the sample times 0, PROBE_DT, ..., t_end (evenly spaced, at
     most PROBE_DT apart) of |d/dt ||w||_m0^2| / ||w||_m0^6 (a lower bound for
     any valid universal constant), plus the same ratio at the order
-    s = m0 + 1 normalized by ||w||_1^2 ||w||_m0^2 ||w||_s^2. ``n_rhs`` counts the
-    integrator's field evaluations; each probe evaluates the field once more.
+    s = m0 + 1 normalized by ||w||_1^2 ||w||_m0^2 ||w||_s^2. The normal-form
+    field declares its rotation, so DOP853 steps the run in the rotation's
+    frame and its tolerance bounds the error of the remainder it integrates.
+    ``n_rhs`` counts the integrator's field evaluations; each probe evaluates
+    the field once more.
     A start at or above the field's ball JACOBIAN_BALL is not integrated: its
     result has exit_reason ``initial_ball_exit`` and null constants.
     """

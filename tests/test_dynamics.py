@@ -7,15 +7,17 @@ from kirchhoff_spectral.dynamics import (
     KirchhoffDynamics,
     NormalFormDynamics,
     make_dynamics,
+    reversibility_defect,
 )
+from kirchhoff_spectral.fields import PairStack
 from kirchhoff_spectral.integrate import IntegratorConfig, integrate
-from kirchhoff_spectral.kirchhoff import hamiltonian, momenta, random_state
+from kirchhoff_spectral.kirchhoff import hamiltonian, momenta, random_state, random_states
 from kirchhoff_spectral.normal_form import (
     diagonalized_rhs_arrays,
     energy_derivative_arrays,
     normal_form_rhs_arrays,
 )
-from oracles import single_mode_oracle
+from oracles import STACKED_DEFECT_ROUNDING, single_mode_oracle
 
 
 def _single_mode_state(grid, j, x0, v0):
@@ -50,6 +52,19 @@ def test_conjugate_dynamics_rhs_consistency(grid1):
     assert np.array_equal(diag.rhs(0.0, y), diagonalized_rhs_arrays(grid1, x)[:n])
     nf = NormalFormDynamics(grid1)
     assert np.array_equal(nf.rhs(0.0, y), normal_form_rhs_arrays(grid1, x)[:n])
+
+
+def test_the_physical_field_takes_a_stack(grid2):
+    # each column is that state's field, to the rounding of a stack's sums,
+    # and the reversibility defect is the field's, per column
+    x = np.concatenate(random_states(grid2, range(5), 0.3))
+    dyn = KirchhoffDynamics(grid2)
+    out = dyn.rhs(0.0, x)
+    for k in range(5):
+        one = dyn.rhs(0.0, np.ascontiguousarray(x[:, k]))
+        assert np.max(np.abs(out[:, k] - one)) <= STACKED_DEFECT_ROUNDING * np.max(np.abs(one))
+    defects = reversibility_defect(PairStack(grid2, x))
+    assert defects.shape == (5,) and np.all(defects <= 1e-14)
 
 
 def test_make_dynamics(grid1):
@@ -186,3 +201,22 @@ def test_energy_derivative_matches_finite_differences(grid1):
     mid = eds[1:-1]
     scale = max(np.max(np.abs(mid)), 1e-16)
     assert np.max(np.abs(fd - mid)) <= 0.02 * scale
+
+
+@pytest.mark.parametrize("dynamics", [NormalFormDynamics, DiagonalizedDynamics])
+def test_declared_rates_are_the_linearization_at_zero(grid1, dynamics):
+    # rhs(delta e_j) / delta -> L_j e_j: the rest of the field is cubic and
+    # higher, so the gap falls as delta^2
+    dyn = dynamics(grid1)
+    assert np.array_equal(dyn.rates, -1j * grid1.absj)
+    for delta in (1e-4, 1e-5):
+        for j in range(grid1.n_modes):
+            e = np.zeros(grid1.n_modes, dtype=np.complex128)
+            e[j] = 1.0
+            gap = dyn.rhs(0.0, delta * e) / delta - dyn.rates * e
+            assert np.max(np.abs(gap)) <= 100 * delta**2
+
+
+def test_only_the_rotating_systems_declare_rates(grid1):
+    # every other evaluator is stepped by the plain tableau
+    assert not hasattr(KirchhoffDynamics(grid1), "rates")

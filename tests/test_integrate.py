@@ -16,6 +16,7 @@ from kirchhoff_spectral import (
 from kirchhoff_spectral.dynamics import (
     _SABA2_C1,
     _SABA2_C2,
+    DiagonalizedDynamics,
     KirchhoffDynamics,
     NormalFormDynamics,
 )
@@ -320,6 +321,60 @@ def test_dop853_linear_flow_accuracy_and_steps(grid1, rel_tol):
     assert err <= 10 * rel_tol * np.max(np.abs(w0.coeffs))
 
 
+class _Rotating(LinearDiagonalDynamics):
+    """The linear test field, declaring its rotation: DOP853 steps it in the
+    rotation's frame."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.rates = grid.rotation[: grid.n_modes]
+
+
+def test_a_declared_rotation_is_stepped_exactly(grid1):
+    # in the frame every stage of the linear field is zero, so each step is the
+    # exact rotation, the error estimate is zero and each step is five times
+    # the last from dt = 0.01: 0.01, 0.05, 0.25, 1.25, 6.25 and the rest
+    dyn = _Rotating(grid1)
+    w0 = random_field(grid1, 2, 0.5, 1.0, "free")
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=10.0)
+    rec = integrate(dyn, ConjugatePair(w0), cfg, t_eval=np.linspace(0.0, 10.0, 41))
+    assert rec.exit_reason == "completed" and (rec.n_steps, rec.n_rejected) == (6, 0)
+    rounding = 16 * np.finfo(np.float64).eps * np.max(np.abs(w0.coeffs))
+    for t, st in zip(rec.times, rec.states):
+        assert np.max(np.abs(st.w.coeffs - dyn.exact(w0.coeffs, t))) <= rounding
+
+
+@pytest.mark.parametrize("dynamics", [NormalFormDynamics, DiagonalizedDynamics])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_a_framed_run_agrees_with_plain_dop853(grid1, dynamics, eps):
+    # the frame changes what the tableau integrates, not the flow: its samples,
+    # most of them inside steps, agree with plain DOP853 at rel_tol 1e-13 to
+    # the accuracy its own tolerance asks for
+    w0 = ConjugatePair(random_field(grid1, 18, eps, 1.0, "free"))
+    ts = np.linspace(0.0, 4.0, 161)
+    plain = dynamics(grid1)
+    plain.rates = None  # declares none: stepped as the parent tableau steps it
+    ref = integrate(plain, w0, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-16, t_end=4.0),
+                    t_eval=ts)
+    rel_tol = 1e-10
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol, t_end=4.0)
+    rec = integrate(dynamics(grid1), w0, cfg, t_eval=ts)
+    assert ref.exit_reason == rec.exit_reason == "completed"
+    assert rec.n_steps < ref.n_steps and rec.n_steps < len(ts) // 2
+    bound = 10 * rel_tol * np.max(np.abs(w0.w.coeffs))
+    for a, b in zip(ref.states, rec.states):
+        assert np.max(np.abs(a.w.coeffs - b.w.coeffs)) <= bound
+
+
+def test_rates_must_be_imaginary(grid1):
+    # the frame keeps the error norm's scales only if |e^{L h}| = 1
+    dyn = _Rotating(grid1)
+    dyn.rates = dyn.rates + 0.1
+    w0 = ConjugatePair(random_field(grid1, 2, 0.5, 1.0, "free"))
+    with pytest.raises(ParameterError, match="imaginary"):
+        integrate(dyn, w0, IntegratorConfig(t_end=1.0))
+
+
 class _Counting:
     """Wraps an evaluator and counts its right-hand-side and unpack calls."""
 
@@ -407,19 +462,41 @@ class _Reprojecting(_ScalarDynamics):
         return y, 1e-300
 
 
-@pytest.mark.parametrize("dynamics", ["plain", "reprojecting"])
+class _Framed(_ScalarDynamics):
+    """Declares the rate of its field's linear part, 1j y."""
+
+    rates = np.array([1j])
+
+
+class _ReprojectingFramed(_Reprojecting, _Framed):
+    pass
+
+
+_SCALAR_EVALUATORS = {
+    "plain": _ScalarDynamics,
+    "reprojecting": _Reprojecting,
+    "framed": _Framed,
+    "reprojecting-framed": _ReprojectingFramed,
+}
+
+
+@pytest.mark.parametrize("dynamics", sorted(_SCALAR_EVALUATORS))
 @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 41)])
 def test_n_rhs_counts_every_field_evaluation(dynamics, t_eval):
-    cls = _Reprojecting if dynamics == "reprojecting" else _ScalarDynamics
-    dyn = _Counting(cls(lambda t, y: 1j * y + 0.5 * y * y))
+    # in the frame too: the last stage turned to the next frame is the next
+    # step's first, with no evaluation, and a rejected attempt costs 12
+    dyn = _Counting(_SCALAR_EVALUATORS[dynamics](lambda t, y: 1j * y + 0.5 * y * y))
     cfg = IntegratorConfig(dt=10.0, rel_tol=1e-10, abs_tol=1e-12, t_end=1.0)
     rec = integrate(dyn, 0.3 - 0.4j, cfg, t_eval=t_eval)
     assert rec.exit_reason == "completed" and rec.n_rejected >= 1
     assert rec.n_rhs == dyn.calls
     attempts = 1 + 12 * (rec.n_steps + rec.n_rejected)
-    reevaluations = rec.n_steps if dynamics == "reprojecting" else 0
+    reevaluations = rec.n_steps if dynamics.startswith("reprojecting") else 0
     dense = rec.n_rhs - attempts - reevaluations
     assert dense == (0 if t_eval is None else 3 * rec.n_steps)  # a sample inside every step
+    # and the steps are right: 1 / y solves a linear equation, z' = -i z - 1/2
+    for t, y in zip(rec.times, rec.states):
+        assert abs(y - 1.0 / (0.5j + (1.0 / (0.3 - 0.4j) - 0.5j) * np.exp(-1j * t))) <= 1e-9
 
 
 # -- saba2: the splitting of the physical field into its exact sub-flows -------
