@@ -246,6 +246,15 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _write_csv(path: str, columns: list[str], rows) -> None:
+    """A header, then one line per row: floats to 17 digits, others as str; LF endings."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def _grid_meta(grid: SpectralGrid) -> dict:
     return {
         "d": grid.d,
@@ -452,7 +461,6 @@ def cmd_simulate(cfg: dict) -> int:
         abs_tol=cfg["abs_tol"],
         t_end=cfg["t_end"],
         ball_threshold=cfg["ball_threshold"] or None,
-        store_states=False,
     )
     # t_end = 0 leaves the one sample at t = 0
     ts = np.unique(np.linspace(0.0, cfg["t_end"], cfg["n_samples"] + 1))
@@ -460,9 +468,9 @@ def cmd_simulate(cfg: dict) -> int:
     rec = integrate(dyn, state0, icfg, monitors=monitors, t_eval=ts)
     runtime = time.perf_counter() - t0
 
-    os.makedirs(cfg["out"], exist_ok=True)
-    csv_path = os.path.join(cfg["out"], "trajectory.csv")
-    rec.to_csv(csv_path)
+    names = sorted(rec.channels)
+    _write_csv(os.path.join(cfg["out"], "trajectory.csv"), ["time"] + names,
+               zip(rec.times, *(rec.channels[name] for name in names)))
 
     summary = _report_header("simulate", cfg)
     summary["grid"] = _grid_meta(grid)
@@ -538,11 +546,10 @@ def conjugacy_defect(
     rec_w = integrate(make_dynamics("normal_form", grid), w0, icfg, t_eval=ts)
     if rec_uv.exit_reason != "completed" or rec_w.exit_reason != "completed":
         return {"status": "inconclusive", "reason": f"{rec_uv.exit_reason}/{rec_w.exit_reason}"}
-    w_from_uv, failure = change_of_variables("inv", PairStack.of(rec_uv.states))
+    w_from_uv, failure = change_of_variables("inv", PairStack(grid, rec_uv.samples))
     if failure is not None:
         return {"status": "inconclusive", "reason": f"transform ball exit: {failure}"}
-    w_nf = np.stack([st.w.coeffs for st in rec_w.states], axis=1)
-    defect = _worst(grid.coeff_norm(w_from_uv.doubled[: grid.n_modes] - w_nf, m0))
+    defect = _worst(grid.coeff_norm(w_from_uv.doubled[: grid.n_modes] - rec_w.samples, m0))
     n_steps, n_rhs = rec_uv.n_steps + rec_w.n_steps, rec_uv.n_rhs + rec_w.n_rhs
     return {"status": "ok", "defect": defect, "n_steps": n_steps, "n_rhs": n_rhs}
 
@@ -651,7 +658,7 @@ def _sweep_row(params: dict, grid: SpectralGrid | None = None) -> dict:
             rec = integrate(KirchhoffDynamics(grid), state0, icfg, t_eval=ts)
             # every sample, state0 included, mapped back in one pass; a
             # failing sample ends the series of mapped ones
-            samples = PairStack.of(rec.states)
+            samples = PairStack(grid, rec.samples)
             mapped, failure = change_of_variables("inv", samples)
             w = mapped.doubled[:n]
             h_vals = hamiltonian(samples)
@@ -660,10 +667,8 @@ def _sweep_row(params: dict, grid: SpectralGrid | None = None) -> dict:
             row["max_uv_norm"] = float(np.max(uv_norms))
             row["uv_ratio"] = float(np.max(uv_norms) / uv_norms[0])
         else:
-            dyn = make_dynamics("normal_form", grid)
-            rec = integrate(dyn, w0, icfg, t_eval=ts, monitors={})
-            w = np.stack([st.w.coeffs for st in rec.states], axis=1)
-            failure = None
+            rec = integrate(make_dynamics("normal_form", grid), w0, icfg, t_eval=ts)
+            w, failure = rec.samples, None
         norms = {s: grid.coeff_norm(w, s) for s in s_list}
     except (NumericalError, ConvergenceError) as exc:
         row["status"] = "numerical_error"
@@ -768,19 +773,11 @@ def cmd_sweep(cfg: dict) -> int:
     all_pass = all(r.get("pass_2x", False) for r in rows)
     report["pass"] = all_pass
 
-    os.makedirs(cfg["out"], exist_ok=True)
     _write_json(os.path.join(cfg["out"], "sweep_report.json"), report)
-    csv_path = os.path.join(cfg["out"], "sweep_rows.csv")
     if rows:
         cols = sorted({k for r in rows for k in r})
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                cells = []
-                for c in cols:
-                    v = r.get(c, "")
-                    cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-                fh.write(",".join(cells) + "\n")
+        _write_csv(os.path.join(cfg["out"], "sweep_rows.csv"), cols,
+                   ([r.get(c, "") for c in cols] for r in rows))
     for r in rows:
         print(
             f"eps={r['eps']:g} status={r.get('status')} "

@@ -17,10 +17,12 @@ vector [a; b] of length 2n, which both state classes give as ``doubled``;
 :func:`halves` views its two halves. :func:`pair_norm` and
 :func:`conjugate_defect` read a doubled vector too.
 
-A :class:`PairStack` holds many samples of a pair, such as the states of one
-run, **mode-first**: ``doubled`` has shape (2n, m), one doubled vector per
-column. Mode-first is what lets one vector and a stack share every code path:
-a gather is x[idx] and a half is x[:n] on both, and reductions over the modes
+A :class:`PairStack` holds many samples of a pair **mode-first**:
+``doubled`` has shape (2n, m), one doubled vector per column. A physical
+run's record holds its samples in this layout already (a physical state packs
+as its doubled vector), so ``PairStack(grid, rec.samples)`` is their stack.
+Mode-first is what lets one vector and a stack share every code path: a
+gather is x[idx] and a half is x[:n] on both, and reductions over the modes
 run along axis 0, so the per-sample results of a stack (its norms, Q, H) come
 back as length-m arrays where one vector gives a scalar. A sample-first layout
 would need x[..., idx] gathers, which on a 32-slot vector cost several times
@@ -265,12 +267,6 @@ class PairStack:
 
     grid: SpectralGrid
     doubled: np.ndarray
-
-    @classmethod
-    def of(cls, states) -> "PairStack":
-        """The stack of a non-empty sequence of pairs (:class:`RealPair` or
-        :class:`ConjugatePair`) on one grid, in their order."""
-        return cls(states[0].grid, np.stack([st.doubled for st in states], axis=1))
 
 
 # -- serialization ----------------------------------------------------------

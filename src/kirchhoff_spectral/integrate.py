@@ -53,6 +53,9 @@ projection defect is logged after every Runge-Kutta step and at every sample
 (for the states used here the right-hand sides preserve the symmetry exactly,
 and the SABA2 steps preserve it bit for bit, so the defect stays at rounding
 level); an interpolated sample is projected too.
+
+A run's record keeps its samples packed, as one mode-first stack that the
+stacked maps downstream read; a sample is unpacked only for the monitors.
 """
 
 from __future__ import annotations
@@ -203,11 +206,14 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     t_end: float = 1.0
     ball_threshold: float | None = None
-    store_states: bool = True
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
+        # a NaN passes every comparison below and mislabels the run instead
+        if not all(map(math.isfinite, (self.dt, self.rel_tol, self.abs_tol, self.t_end,
+                                        self.ball_threshold or 0.0))):
+            raise ParameterError("dt, tolerances, t_end and ball_threshold must be finite")
         if self.dt <= 0 or self.t_end < 0:
             raise ParameterError("dt must be > 0 and t_end >= 0")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -219,7 +225,7 @@ class TrajectoryRecord:
     """Sampled trajectory plus named monitor channels on a shared time axis."""
 
     times: np.ndarray
-    states: list
+    samples: np.ndarray  # packed, C-contiguous (size, m): column k at times[k]
     channels: dict[str, np.ndarray]
     exit_reason: str
     exit_time: float
@@ -230,15 +236,6 @@ class TrajectoryRecord:
     n_rhs: int
     max_projection_defect: float
     notes: dict = dataclass_field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        """One row per sample; floats with 17 significant digits; LF endings."""
-        names = sorted(self.channels)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(["time"] + names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.17g}"] + [f"{self.channels[n][i]:.17g}" for n in names]
-                fh.write(",".join(row) + "\n")
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol) -> float:
@@ -303,7 +300,7 @@ class _Run:
         self.monitors = monitors
         self.ahead = eval_times[::-1].tolist()  # the next one last
         self.times: list[float] = []
-        self.states: list = []
+        self.samples: list[np.ndarray] = []
         self.channels: dict[str, list[float]] = {name: [] for name in monitors}
         self.n_steps = 0
         self.n_rejected = 0
@@ -319,10 +316,9 @@ class _Run:
 
     def sample(self, t_s, y_s, state=None) -> None:
         self.times.append(t_s)
-        if state is None and (self.config.store_states or self.monitors):
-            state = self.evaluator.unpack(y_s.copy())
-        if self.config.store_states:
-            self.states.append(state)
+        self.samples.append(y_s.copy())
+        if state is None and self.monitors:
+            state = self.evaluator.unpack(self.samples[-1])
         for name, fn in self.monitors.items():
             self.channels[name].append(float(fn(t_s, state)))
 
@@ -353,7 +349,8 @@ class _Run:
             self.sample(self.t, self.y)
         return TrajectoryRecord(
             times=np.asarray(self.times),
-            states=self.states,
+            samples=np.stack(self.samples, axis=1) if self.samples
+            else np.empty((self.y.size, 0), dtype=self.y.dtype),
             channels={name: np.asarray(v) for name, v in self.channels.items()},
             exit_reason=reason,
             exit_time=self.t,
@@ -527,7 +524,9 @@ def integrate(
     (``config.ball_threshold`` against the evaluator's ball norm, or a field
     evaluation that raises a domain, convergence or numerical error, whose
     cause goes to ``notes["error"]``), or on adaptive step-size underflow; the
-    state it stopped at is then sampled too.
+    state it stopped at is then sampled too. Each sample is kept packed, a
+    column of the record's ``samples``; the monitors read it unpacked, and at
+    t = 0 they read ``state0`` itself.
     """
     config.validate()
     splitting = config.scheme == "saba2"
@@ -536,8 +535,9 @@ def integrate(
     else:
         rates = _rates(evaluator)
     eval_times = np.unique([0.0, config.t_end]) if t_eval is None else np.asarray(t_eval, float)
-    if np.any(np.diff(eval_times) <= 0) or (len(eval_times) and eval_times[0] < 0):
-        raise ParameterError("t_eval must be strictly increasing and nonnegative")
+    inside = (eval_times >= 0.0) & (eval_times <= config.t_end)  # and not NaN
+    if np.any(np.diff(eval_times) <= 0) or not inside.all():
+        raise ParameterError("t_eval must be strictly increasing and within [0, t_end]")
     run = _Run(evaluator, config, monitors or {}, eval_times)
     run.y = evaluator.pack(state0).astype(np.complex128)
     if run.ahead and run.ahead[-1] == 0.0:

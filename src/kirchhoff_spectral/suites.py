@@ -623,12 +623,13 @@ PROBE_DT = 1 / 8
 def measure_quartic_constant(
     grid: SpectralGrid,
     eps: float,
-    seed: int,
+    seed: int | list[int],
     t_end: float = 20.0,
 ) -> dict:
     """Empirical constant of the quartic energy estimate along a normal-form run.
 
-    Integrates the normal-form flow from ||w0||_m0 = eps and returns the
+    Integrates the normal-form flow from ||w0||_m0 = eps, drawn from ``seed``
+    (an int, or a list such as the sweep's [seed, 991, bits]), and returns the
     supremum over the sample times 0, PROBE_DT, ..., t_end (evenly spaced, at
     most PROBE_DT apart) of |d/dt ||w||_m0^2| / ||w||_m0^6 (a lower bound for
     any valid universal constant), plus the same ratio at the order
@@ -662,9 +663,7 @@ def measure_quartic_constant(
         ratios_s.append(abs(eds) / den)
         return ratios_m0[-1]
 
-    cfg = IntegratorConfig(
-        rel_tol=1e-10, abs_tol=1e-14, t_end=t_end, store_states=False, ball_threshold=0.5
-    )
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, t_end=t_end, ball_threshold=0.5)
     ts = np.linspace(0.0, t_end, math.ceil(t_end / PROBE_DT) + 1)
     rec = integrate(dyn, ConjugatePair(w0), cfg, monitors={"quartic_ratio": probe}, t_eval=ts)
     return {

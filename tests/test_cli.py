@@ -814,7 +814,7 @@ def test_sweep_ham_drift_is_relative_to_the_initial_energy(monkeypatch):
                            "--no-measure-constants"])
     row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
     (rec,) = records
-    h = np.array([hamiltonian(st) for st in rec.states])
+    h = hamiltonian(PairStack(SpectralGrid(cfg["d"], cfg["n_modes"]), rec.samples))
     assert 1e-4 < h[0] < 1e-2
     drift = np.max(np.abs(h - h[0]))
     assert drift > 0.0

@@ -85,9 +85,8 @@ def test_single_mode_matches_independent_oracle(grid1):
     assert rec.exit_reason == "completed"
     x_ref, v_ref = single_mode_oracle(j * j, x0, v0, ts)
     sl = grid1.slot(j)
-    err = 0.0
-    for i, st in enumerate(rec.states):
-        err = max(err, abs(st.u.coeffs[sl] - x_ref[i]), abs(st.v.coeffs[sl] - v_ref[i]))
+    err = max(np.max(np.abs(rec.samples[sl] - x_ref)),
+              np.max(np.abs(rec.samples[grid1.n_modes + sl] - v_ref)))
     assert err <= 1e-9
 
 
@@ -142,8 +141,9 @@ def test_partial_composition_conjugates_the_flows(grid1):
     rec_w = integrate(NormalFormDynamics(grid1), w0, cfg, t_eval=ts)
     assert rec_f.exit_reason == "completed" and rec_w.exit_reason == "completed"
     defect = 0.0
-    for st_f, st_w in zip(rec_f.states, rec_w.states):
-        defect = max(defect, grid1.coeff_norm(pulled_back(st_f) - st_w.w.coeffs, grid1.m0))
+    for f, w in zip(rec_f.samples.T, rec_w.samples.T):
+        f = ConjugatePair(ComplexField(grid1, f))
+        defect = max(defect, grid1.coeff_norm(pulled_back(f) - w, grid1.m0))
     assert defect <= 1e-9
 
 
@@ -162,14 +162,14 @@ def test_refinement_invariance_for_embedded_data(grid1_small, grid1):
     for g in (grid1, grid12):
         state = RealPair(embed_field(small.u, g), embed_field(small.v, g))
         rec = integrate(KirchhoffDynamics(g), state, cfg)
-        final = rec.states[-1]
+        final = KirchhoffDynamics(g).unpack(rec.samples[:, -1])
         # new modes stayed exactly zero
         supported = {tuple(m) for m in grid1_small.modes.tolist()}
         for i in range(g.n_modes):
             if tuple(g.modes[i]) not in supported:
                 assert final.u.coeffs[i] == 0.0 and final.v.coeffs[i] == 0.0
         results[g.n_cutoff] = final
-    ref = rec4.states[-1]
+    ref = KirchhoffDynamics(grid1_small).unpack(rec4.samples[:, -1])
     for n, final in results.items():
         for j in (1, -2, 4):
             sl = final.grid.slot(j)
@@ -188,14 +188,9 @@ def test_energy_derivative_matches_finite_differences(grid1):
     ts = np.arange(0.0, 0.5 + h / 2, h)
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=float(ts[-1]))
     rec = integrate(dyn, w0, cfg, t_eval=ts)
-    norms2 = np.array([st.w.norm(s) ** 2 for st in rec.states])
+    norms2 = grid1.coeff_norm(rec.samples, s) ** 2
     eds = np.array(
-        [
-            energy_derivative_arrays(
-                grid1, st.w.coeffs, dyn.rhs(0.0, st.w.coeffs), s
-            )
-            for st in rec.states
-        ]
+        [energy_derivative_arrays(grid1, w, dyn.rhs(0.0, w), s) for w in rec.samples.T]
     )
     fd = (norms2[2:] - norms2[:-2]) / (2 * h)
     mid = eds[1:-1]

@@ -56,13 +56,31 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0).validate()
 
 
+@pytest.mark.parametrize("name", ["dt", "rel_tol", "abs_tol", "t_end", "ball_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_non_finite_numbers(name, value):
+    # a NaN passes every sign check and mislabels the run: dt = nan ends in
+    # "blowup" at t = 0, rel_tol = nan in "dt_underflow", t_end = nan
+    # "completed" with one sample
+    with pytest.raises(ParameterError, match="finite"):
+        IntegratorConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, 0.5, 2.0, 3.0], [0.0, math.nan], [0.0, 1.0 + 1e-12]])
+def test_t_eval_outside_the_run_is_refused(t_eval):
+    # a time past t_end, or a NaN, would be dropped without a word
+    dyn = _ScalarDynamics(lambda t, y: -y)
+    with pytest.raises(ParameterError, match="t_end"):
+        integrate(dyn, 1.0 + 0j, IntegratorConfig(t_end=1.0), t_eval=t_eval)
+
+
 def test_t_end_zero_single_snapshot(grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 1, 0.5, 1.0, "free"))
     rec = integrate(dyn, w0, IntegratorConfig(t_end=0.0))
     assert rec.exit_reason == "completed"
     assert len(rec.times) == 1 and rec.times[0] == 0.0
-    assert np.array_equal(rec.states[0].w.coeffs, w0.w.coeffs)
+    assert np.array_equal(rec.samples[:, 0], w0.w.coeffs)
 
 
 def test_zero_state_stays_zero(grid1):
@@ -71,8 +89,7 @@ def test_zero_state_stays_zero(grid1):
 
     z = RealPair(ComplexField.zero(grid1), ComplexField.zero(grid1))
     rec = integrate(dyn, z, IntegratorConfig(t_end=1.0))
-    assert np.all(rec.states[-1].u.coeffs == 0.0)
-    assert np.all(rec.states[-1].v.coeffs == 0.0)
+    assert np.all(rec.samples[:, -1] == 0.0)  # u and v
 
 
 def test_linear_field_exact_flow(grid1):
@@ -83,7 +100,7 @@ def test_linear_field_exact_flow(grid1):
     assert rec.exit_reason == "completed"
     assert rec.notes == {}  # notes are written only when a run stops early
     exact = dyn.exact(w0.coeffs, rec.times[-1])
-    assert np.max(np.abs(rec.states[-1].w.coeffs - exact)) <= 1e-11
+    assert np.max(np.abs(rec.samples[:, -1] - exact)) <= 1e-11
 
 
 def test_adaptive_rejects_oversized_initial_step(grid1):
@@ -93,7 +110,7 @@ def test_adaptive_rejects_oversized_initial_step(grid1):
     rec = integrate(dyn, w0, cfg)
     assert rec.n_rejected >= 1
     exact = dyn.exact(w0.w.coeffs, rec.times[-1])
-    assert np.max(np.abs(rec.states[-1].w.coeffs - exact)) <= 1e-11
+    assert np.max(np.abs(rec.samples[:, -1] - exact)) <= 1e-11
 
 
 def test_determinism(grid1):
@@ -197,8 +214,8 @@ def test_t_eval_exact_landings(grid1):
     cfg = IntegratorConfig(rel_tol=1e-10, t_end=1.0)
     rec = integrate(dyn, w0, cfg, t_eval=ts)
     assert np.allclose(rec.times, ts, rtol=0, atol=1e-12)
-    for t, st in zip(rec.times, rec.states):
-        assert np.max(np.abs(st.w.coeffs - dyn.exact(w0.w.coeffs, t))) <= 1e-10
+    for t, w in zip(rec.times, rec.samples.T):
+        assert np.max(np.abs(w - dyn.exact(w0.w.coeffs, t))) <= 1e-10
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -216,13 +233,15 @@ def test_monitors_sample_at_t_eval(grid1, scheme):
 
 
 def test_csv_round_trip(tmp_path, grid1):
+    from kirchhoff_spectral.cli import _write_csv
+
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 12, 0.5, 1.0, "free"))
     cfg = IntegratorConfig(scheme="dop853", dt=0.05, t_end=0.5)
     mon = {"norm_1": lambda t, st: st.w.norm(1.0)}
     rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 0.5, 6))
-    path = os.path.join(tmp_path, "traj.csv")
-    rec.to_csv(path)
+    path = os.path.join(tmp_path, "out", "traj.csv")  # the writer makes the directory
+    _write_csv(path, ["time", "norm_1"], zip(rec.times, rec.channels["norm_1"]))
     with open(path, "rb") as fh:
         raw = fh.read()
     assert b"\r" not in raw  # LF endings
@@ -240,7 +259,7 @@ def test_step_preserves_state_class(grid1):
 
     def one_step(scheme):
         cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.01)
-        return integrate(dyn, state, cfg).states[-1]
+        return dyn.unpack(integrate(dyn, state, cfg).samples[:, -1])
 
     out = one_step("saba2")
     assert out.u.coeffs.shape == state.u.coeffs.shape
@@ -304,9 +323,8 @@ def test_dop853_interpolant_matches_scipy():
     solver.step()
     assert solver.t == h and solver.status == "finished"
     expected = solver.dense_output()(np.array(ts[1:-1]))[0]
-    got = np.array(rec.states[1:-1])
-    assert np.allclose(got, expected, rtol=1e-14, atol=0)
-    assert abs(rec.states[-1] - solver.y[0]) <= 1e-15
+    assert np.allclose(rec.samples[0, 1:-1], expected, rtol=1e-14, atol=0)
+    assert abs(rec.samples[0, -1] - solver.y[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
@@ -317,7 +335,7 @@ def test_dop853_linear_flow_accuracy_and_steps(grid1, rel_tol):
     cfg = IntegratorConfig(scheme="dop853", rel_tol=rel_tol, abs_tol=1e-14, t_end=10.0)
     rec = integrate(dyn, ConjugatePair(w0), cfg)
     assert rec.exit_reason == "completed" and rec.times[-1] == 10.0
-    err = np.max(np.abs(rec.states[-1].w.coeffs - dyn.exact(w0.coeffs, 10.0)))
+    err = np.max(np.abs(rec.samples[:, -1] - dyn.exact(w0.coeffs, 10.0)))
     assert err <= 10 * rel_tol * np.max(np.abs(w0.coeffs))
 
 
@@ -340,8 +358,8 @@ def test_a_declared_rotation_is_stepped_exactly(grid1):
     rec = integrate(dyn, ConjugatePair(w0), cfg, t_eval=np.linspace(0.0, 10.0, 41))
     assert rec.exit_reason == "completed" and (rec.n_steps, rec.n_rejected) == (6, 0)
     rounding = 16 * np.finfo(np.float64).eps * np.max(np.abs(w0.coeffs))
-    for t, st in zip(rec.times, rec.states):
-        assert np.max(np.abs(st.w.coeffs - dyn.exact(w0.coeffs, t))) <= rounding
+    for t, w in zip(rec.times, rec.samples.T):
+        assert np.max(np.abs(w - dyn.exact(w0.coeffs, t))) <= rounding
 
 
 @pytest.mark.parametrize("dynamics", [NormalFormDynamics, DiagonalizedDynamics])
@@ -362,8 +380,7 @@ def test_a_framed_run_agrees_with_plain_dop853(grid1, dynamics, eps):
     assert ref.exit_reason == rec.exit_reason == "completed"
     assert rec.n_steps < ref.n_steps and rec.n_steps < len(ts) // 2
     bound = 10 * rel_tol * np.max(np.abs(w0.w.coeffs))
-    for a, b in zip(ref.states, rec.states):
-        assert np.max(np.abs(a.w.coeffs - b.w.coeffs)) <= bound
+    assert np.max(np.abs(ref.samples - rec.samples)) <= bound
 
 
 def test_rates_must_be_imaginary(grid1):
@@ -405,15 +422,58 @@ def test_dop853_makes_twelve_rhs_calls_per_attempt(grid1):
 
 
 def test_sample_unpacks_the_state_once(grid1):
-    # stored states and monitors share one unpacked state; the first sample
-    # is state0 itself
+    # the monitors share one unpacked state per sample; the first sample is
+    # state0 itself
     dyn = _Counting(KirchhoffDynamics(grid1))
     cfg = IntegratorConfig(t_end=1.0)
     mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
     ts = np.linspace(0.0, 1.0, 11)
     rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon, t_eval=ts)
-    assert len(rec.times) == len(rec.states) == 11
+    assert len(rec.times) == rec.samples.shape[1] == 11
     assert dyn.unpacks == 10
+
+
+@pytest.mark.parametrize("scheme, dynamics", [
+    ("dop853", KirchhoffDynamics),  # no declared rotation
+    ("dop853", NormalFormDynamics),  # stepped in its rotation's frame
+    ("saba2", KirchhoffDynamics),
+])
+def test_a_run_without_monitors_unpacks_no_sample(grid1, scheme, dynamics):
+    # the record keeps the packed samples; only a monitor needs a state
+    dyn = _Counting(dynamics(grid1))
+    if dynamics is KirchhoffDynamics:
+        state0 = random_state(grid1, 17, 0.2)
+    else:
+        state0 = ConjugatePair(random_field(grid1, 17, 0.05, 1.0, "free"))
+    cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=1.0)
+    rec = integrate(dyn, state0, cfg, t_eval=np.linspace(0.0, 1.0, 11))
+    assert rec.exit_reason == "completed" and dyn.unpacks == 0
+    assert rec.samples.shape[1] == 11
+
+
+@pytest.mark.parametrize("t_eval", [np.linspace(0.0, 5.0, 11), []])
+def test_samples_are_the_packed_samples_as_columns(grid1, t_eval):
+    # a run that leaves the ball samples where it stopped, with or without
+    # requested times: every sample, the stop's included, is one column of a
+    # C-contiguous stack, bit for bit the state the monitor read
+    dyn = NormalFormDynamics(grid1)
+    w0 = ConjugatePair(random_field(grid1, 7, 0.3, 1.0, "free"))
+    read = []
+    mon = {"pack": lambda t, st: read.append(dyn.pack(st)) or 0.0}
+    cfg = IntegratorConfig(t_end=5.0, rel_tol=1e-8, ball_threshold=0.2)
+    rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=t_eval)
+    assert rec.exit_reason == "ball_exit" and 0.0 < rec.exit_time < 5.0
+    assert np.array_equal(rec.times, [t for t in t_eval if t < rec.exit_time] + [rec.exit_time])
+    assert rec.samples.shape == (grid1.n_modes, len(rec.times))
+    assert rec.samples.flags.c_contiguous
+    assert np.array_equal(rec.samples, np.stack(read, axis=1))
+
+
+def test_a_run_without_samples_has_an_empty_stack(grid1):
+    w0 = ConjugatePair(random_field(grid1, 7, 0.3, 1.0, "free"))
+    rec = integrate(LinearDiagonalDynamics(grid1), w0, IntegratorConfig(t_end=1.0), t_eval=[])
+    assert rec.exit_reason == "completed" and len(rec.times) == 0
+    assert rec.samples.shape == (grid1.n_modes, 0) and rec.samples.dtype == np.complex128
 
 
 def test_t_eval_leaves_the_steps_alone(grid1):
@@ -427,7 +487,7 @@ def test_t_eval_leaves_the_steps_alone(grid1):
     assert plain.exit_reason == sampled.exit_reason == "completed"
     assert (sampled.n_steps, sampled.n_rejected) == (plain.n_steps, plain.n_rejected)
     assert len(sampled.times) == 201 and sampled.times[-1] == plain.times[-1] == 1.0
-    assert np.array_equal(sampled.states[-1].w.coeffs, plain.states[-1].w.coeffs)
+    assert np.array_equal(sampled.samples[:, -1], plain.samples[:, -1])
 
 
 class _Ball(_ScalarDynamics):
@@ -451,7 +511,7 @@ def test_early_exit_samples_a_time_once():
     cfg = IntegratorConfig(dt=0.05, t_end=0.05, ball_threshold=1.01)
     rec = integrate(_Ball(lambda t, y: y), 1.0 + 0j, cfg, t_eval=[0.0, 0.05])
     assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("ball_exit", 0.05, 1)
-    assert np.array_equal(rec.times, [0.0, 0.05]) and len(rec.states) == 2
+    assert np.array_equal(rec.times, [0.0, 0.05]) and rec.samples.shape == (1, 2)
 
 
 class _Reprojecting(_ScalarDynamics):
@@ -495,7 +555,7 @@ def test_n_rhs_counts_every_field_evaluation(dynamics, t_eval):
     dense = rec.n_rhs - attempts - reevaluations
     assert dense == (0 if t_eval is None else 3 * rec.n_steps)  # a sample inside every step
     # and the steps are right: 1 / y solves a linear equation, z' = -i z - 1/2
-    for t, y in zip(rec.times, rec.states):
+    for t, y in zip(rec.times, rec.samples[0]):
         assert abs(y - 1.0 / (0.5j + (1.0 / (0.3 - 0.4j) - 0.5j) * np.exp(-1j * t))) <= 1e-9
 
 
@@ -517,13 +577,9 @@ def sweep_row(grid1):
 
     def dop853(rel_tol, abs_tol):
         cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_end=100.0)
-        return _packed(dyn, integrate(dyn, state0, cfg, t_eval=_ROW_TS))
+        return integrate(dyn, state0, cfg, t_eval=_ROW_TS).samples
 
     return state0, dop853(1e-12, 1e-14), dop853(1e-8, 1e-12)
-
-
-def _packed(dyn, rec):
-    return np.array([dyn.pack(st) for st in rec.states])
 
 
 def _saba2(grid, state0, dt, t_eval=_ROW_TS):
@@ -533,8 +589,7 @@ def _saba2(grid, state0, dt, t_eval=_ROW_TS):
 
 def test_saba2_at_the_sweep_step_is_as_accurate_as_dop853(grid1, sweep_row):
     state0, reference, dop853 = sweep_row
-    dyn = KirchhoffDynamics(grid1)
-    err = {dt: np.max(np.abs(_packed(dyn, _saba2(grid1, state0, dt)) - reference))
+    err = {dt: np.max(np.abs(_saba2(grid1, state0, dt).samples - reference))
            for dt in (_SWEEP_DT, _SWEEP_DT / 2)}
     assert err[_SWEEP_DT] <= np.max(np.abs(dop853 - reference))
     # second order in the kick: halving the step divides the error by about 4
@@ -547,7 +602,8 @@ def test_saba2_keeps_momenta_symmetry_and_sample_times(grid1, sweep_row):
     rec = _saba2(grid1, sweep_row[0], _SWEEP_DT)
     assert rec.exit_reason == "completed" and rec.exit_time == 100.0
     assert np.array_equal(rec.times, _ROW_TS)  # the steps land on every sample
-    drift = np.array([momenta(st) for st in rec.states]) - momenta(rec.states[0])
+    states = [KirchhoffDynamics(grid1).unpack(y) for y in rec.samples.T]
+    drift = np.array([momenta(st) for st in states]) - momenta(states[0])
     assert np.max(np.abs(drift)) <= 1e-13
     # rotation and kick act per mode with real factors even in j
     assert rec.max_projection_defect == 0.0
@@ -626,7 +682,7 @@ def test_saba2_blowup_stops_at_its_last_finite_step(grid1):
     assert rec.exit_reason == "blowup"
     assert 0.0 < rec.exit_time < 1.0 and rec.exit_time == rec.n_steps * _SWEEP_DT
     assert rec.times[-1] == rec.exit_time  # the stop is sampled
-    assert all(np.isfinite(KirchhoffDynamics(grid1).pack(st)).all() for st in rec.states)
+    assert np.isfinite(rec.samples).all()
 
 
 class _RefusingKirchhoff(KirchhoffDynamics):

@@ -177,28 +177,47 @@ def _counted_changes_of_variables(monkeypatch) -> list:
     return calls
 
 
+def _counted_unpacks(monkeypatch) -> list:
+    """The states unpacked from packed vectors, physical or conjugate."""
+    from kirchhoff_spectral import dynamics
+
+    calls = []
+    for cls in (dynamics.KirchhoffDynamics, dynamics._ConjugateDynamics):
+        def counted(self, y, real=cls.unpack):
+            calls.append(type(self).__name__)
+            return real(self, y)
+
+        monkeypatch.setattr(cls, "unpack", counted)
+    return calls
+
+
 def test_a_sweep_row_maps_its_samples_in_one_pass(monkeypatch):
     # the benchmark's lifespan workload times these rows; their saved work is
-    # pinned here: one inverse for all the samples of a row, not one per sample
+    # pinned here: one inverse for all the samples of a row, not one per
+    # sample, read from the run's packed samples without a state per sample
     from kirchhoff_spectral import cli
 
     calls = _counted_changes_of_variables(monkeypatch)
+    unpacks = _counted_unpacks(monkeypatch)
     _, cfg = cli.parse_config(["sweep", "--t-cap", "5", "--n-samples", "10",
                                "--no-measure-constants"])
     row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
     assert row["status"] == "stable-at-cap"
     assert calls == ["fwd", "inv", "inv"] and len(calls) == CHANGES_OF_VARIABLES_PER_ROW
+    assert unpacks == []
 
 
 def test_a_conjugacy_level_maps_its_samples_in_one_pass(monkeypatch):
     from kirchhoff_spectral import ConjugatePair, SpectralGrid, cli, random_field
 
     calls = _counted_changes_of_variables(monkeypatch)
+    unpacks = _counted_unpacks(monkeypatch)
     grid = SpectralGrid(1, 4)
     w0 = ConjugatePair(random_field(grid, 3, 0.05, grid.m0, "free"))
     res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=4, rel_tol=1e-10)
     assert res["status"] == "ok"
     assert {d: calls.count(d) for d in set(calls)} == CHANGES_OF_VARIABLES_PER_LEVEL
+    assert unpacks == []
 
 
 def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):

@@ -221,7 +221,7 @@ def _rel(stacked, single) -> float:
 
 def _physical_stack(grid, eps_list, seed=40):
     states = [random_state(grid, seed + k, eps) for k, eps in enumerate(eps_list)]
-    return states, PairStack.of(states)
+    return states, PairStack(grid, np.stack([st.doubled for st in states], axis=1))
 
 
 class TestStacks:
