@@ -280,23 +280,36 @@ def small_divisor_check(d: int, radius: int = 50) -> dict:
 
     Both sides depend on (j, k) only through the squared norms, so checking
     every ordered pair of representable squared norms up to radius^2 covers
-    every lattice pair with |j|, |k| <= radius exactly.
+    every lattice pair with |j|, |k| <= radius exactly. The margin
+    3|j| ||j|-|k||, taken as 3|j| |n1 - n2| / (|j| + |k|) from the squared
+    norms n1, n2, grows with the distance from |k| to |j|: its minimum over k
+    is at a neighbouring norm, and it is below 1 only within 1/(3|j|) of
+    |j|. So the worst margin is the minimum over adjacent pairs, and the
+    violations are counted on the pairs inside twice that window, with the
+    same formula, never forming all pairs.
     """
     vals = representable_square_norms(d, radius)
-    roots = np.sqrt(vals.astype(np.float64))
-    n1 = vals[:, None].astype(np.float64)
-    n2 = vals[None, :].astype(np.float64)
-    r1 = roots[:, None]
-    r2 = roots[None, :]
-    # margin = 3|j| * ||j|-|k|| = 3 sqrt(n1) |n1-n2| / (sqrt(n1)+sqrt(n2)), needs >= 1
-    margin = 3.0 * r1 * np.abs(n1 - n2) / (r1 + r2)
-    off = ~np.eye(len(vals), dtype=bool)
-    worst = float(np.min(margin[off]))
-    violations = int(np.count_nonzero(margin[off] < 1.0))
+    norms = vals.astype(np.float64)
+    roots = np.sqrt(norms)
+
+    def margin(i, k):
+        return 3.0 * roots[i] * np.abs(norms[i] - norms[k]) / (roots[i] + roots[k])
+
+    below, above = np.arange(len(vals) - 1), np.arange(1, len(vals))
+    worst = float(min(np.min(margin(above, below)), np.min(margin(below, above))))
+    # the window's pairs (i, k), k != i, with |roots[k] - roots[i]| < 2/(3|j|)
+    reach = 2.0 / (3.0 * roots)
+    lo = np.searchsorted(roots, roots - reach, side="right")
+    hi = np.searchsorted(roots, roots + reach, side="left")
+    count = hi - lo
+    i = np.repeat(np.arange(len(vals)), count)
+    k = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)  # lo[i] on
+    near = k != i
+    violations = int(np.count_nonzero(margin(i[near], k[near]) < 1.0))
     return {
         "d": d,
         "radius": radius,
-        "class_pairs": int(off.sum()),
+        "class_pairs": len(vals) * (len(vals) - 1),
         "worst_margin": worst,
         "violations": violations,
     }

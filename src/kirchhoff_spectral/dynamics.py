@@ -10,10 +10,11 @@ second is its conjugate by construction and needs no projection at all.
 and :func:`reversibility_defect` checks that field. The physical evaluator
 also advances the integrator's ``saba2`` scheme: the field splits into a
 rotation and a kick whose flows are exact, and their SABA2 composition is one
-per-mode 2x2 map per step (:meth:`KirchhoffDynamics.saba2_factors` and
-:meth:`KirchhoffDynamics.saba2_steps`). The diagonalized and normal-form
-evaluators declare the rates -i|j| of their exact linear rotation, and DOP853
-steps them in that rotation's frame.
+per-mode 2x2 map per step, blended from four fixed factors in one product
+(:meth:`KirchhoffDynamics.saba2_steps`); the factors of every step size of a
+run are built in one pass (:meth:`KirchhoffDynamics.saba2_factors`). The
+diagonalized and normal-form evaluators declare the rates -i|j| of their
+exact linear rotation, and DOP853 steps them in that rotation's frame.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ _SABA2_C2 = 1.0 - 2.0 * _SABA2_C1
 #: the rotation angles of a SABA2 step, as fractions of h: the whole step, the
 #: first rotation, the first two together, the second
 _SABA2_FRACTIONS = np.array((1.0, _SABA2_C1, _SABA2_C1 + _SABA2_C2, _SABA2_C2))[:, None]
+
+
+def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per size and mode, the outer products of two (size, 2, mode) rows."""
+    return left[:, :, None] * right[:, None]
 
 
 class KirchhoffDynamics:
@@ -90,55 +96,64 @@ class KirchhoffDynamics:
     # G2 = sum |j|^2 |P + G1 kappa U|^2 = b0 + G1 (b1 + G1 b2): G1, b0, b1 and
     # b2 are quadratic forms of the state at the start of the step, which one
     # product of a weight matrix with the state's per-mode products gives.
-    # Every factor is real and even in j, and M is blended element by element,
-    # so a step keeps every per-mode momentum and the Hermitian symmetry bit
-    # for bit.
+    # Every factor is real and even in j, and M is one product of the
+    # coefficients (1, G1, G2, G1 G2) with the stacked A0..A3, which sums the
+    # equal factors of j and -j alike (the tests pin this bit for bit), so a
+    # step keeps every per-mode momentum and the Hermitian symmetry bit for bit.
 
-    def saba2_factors(self, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """The factors of a SABA2 step of size ``h`` for :meth:`saba2_steps`:
-        A0..A3 as a (4, 2, 2, 1, n) array, and the (4, 8n) weights that turn the
-        per-mode products of a state into G1, b0, b1 and b2."""
+    def saba2_factors(self, hs) -> tuple[np.ndarray, np.ndarray]:
+        """The factors of SABA2 steps of each size in ``hs``, built in one pass
+        with the size as the leading axis; entry ``i`` of each is the factors
+        of a step of size ``hs[i]`` for :meth:`saba2_steps`: A0..A3 as a
+        (4, 2, 2, 1, n) array, and the (4, 8n) weights that turn the per-mode
+        products of a state into G1, b0, b1 and b2."""
         w, w2, n = self.grid.absj, self._j2f, self._n
-        theta = _SABA2_FRACTIONS * (h * w)
-        rows = np.empty((4, 2, n))  # r over h, c1 h, (c1 + c2) h and c2 h
-        np.cos(theta, out=rows[:, 0])
-        np.sin(theta, out=rows[:, 1])
-        rows[:, 1] /= w
-        (cos, sin_j), r1, r12, (_, sin_j2) = rows  # sin_j is sin / |j|
-        k = -0.5 * h * w2
+        hs = np.asarray(hs, dtype=np.float64)[:, None]
+        theta = _SABA2_FRACTIONS * (hs * w)[:, None]
+        rows = np.empty((len(hs), 4, 2, n))  # r over h, c1 h, (c1 + c2) h and c2 h
+        np.cos(theta, out=rows[:, :, 0])
+        np.sin(theta, out=rows[:, :, 1])
+        rows[:, :, 1] /= w
+        cos, sin_j, sin_j2 = rows[:, 0, 0], rows[:, 0, 1], rows[:, 3, 1]  # sin_j is sin / |j|
+        r1, r12 = rows[:, 1], rows[:, 2]
+        k = -0.5 * hs * w2
         kappa = k * sin_j2
-        a = np.empty((4, 2, 2, 1, n))
-        a[0, 0, 0, 0] = a[0, 1, 1, 0] = cos
-        a[0, 0, 1, 0] = sin_j
-        a[0, 1, 0, 0] = -w2 * sin_j
-        a[1, :, :, 0] = k * (r12[::-1, None] * r1)
-        a[2, :, :, 0] = k * (r1[::-1, None] * r12)
-        a[3, :, :, 0] = (k * kappa) * (r1[::-1, None] * r1)
+        a = np.empty((len(hs), 4, 2, 2, 1, n))
+        a[:, 0, 0, 0, 0] = a[:, 0, 1, 1, 0] = cos
+        a[:, 0, 0, 1, 0] = sin_j
+        a[:, 0, 1, 0, 0] = -w2 * sin_j
+        a[:, 1, :, :, 0] = k[:, None, None] * _outer(r12[:, ::-1], r1)
+        a[:, 2, :, :, 0] = k[:, None, None] * _outer(r1[:, ::-1], r12)
+        a[:, 3, :, :, 0] = (k * kappa)[:, None, None] * _outer(r1[:, ::-1], r1)
         # the form sum |j|^2 s Re((l x) conj(r x)) of a state x is the sum of
         # the products x_a x_b of its parts a, b in (u, v), weighted
         # |j|^2 s l_a r_b for the real and the imaginary parts alike
-        weights = np.empty((4, 2, 2, 2, n))
-        form_u = w2 * (r1[:, None] * r1)
-        weights[0] = form_u[:, :, None]
-        weights[1] = (w2 * (r12[:, None] * r12))[:, :, None]
-        weights[2] = ((2.0 * w2 * kappa) * (r12[:, None] * r1))[:, :, None]
-        weights[3] = ((kappa * kappa) * form_u)[:, :, None]
-        return a, weights.reshape(4, -1)
+        weights = np.empty((len(hs), 4, 2, 2, 2, n))
+        form_u = w2 * _outer(r1, r1)
+        weights[:, 0] = form_u[:, :, :, None]
+        weights[:, 1] = (w2 * _outer(r12, r12))[:, :, :, None]
+        weights[:, 2] = ((2.0 * w2 * kappa)[:, None, None] * _outer(r12, r1))[:, :, :, None]
+        weights[:, 3] = ((kappa * kappa)[:, None, None] * form_u)[:, :, :, None]
+        return a, weights.reshape(len(hs), 4, -1)
 
     def saba2_steps(self, y: np.ndarray, factors, m: int) -> tuple[np.ndarray, int]:
-        """``m`` SABA2 steps from the packed state ``y`` with the factors of
-        :meth:`saba2_factors`; returns the last finite state, packed, and the
+        """``m`` SABA2 steps from the packed state ``y`` with one size's entry
+        of :meth:`saba2_factors`; returns the last finite state, packed, and the
         number of steps that reached it, ``m`` unless the state overflowed."""
-        (a0, a1, a2, a3), weights = factors
+        a, weights = factors
+        a = a.reshape(4, -1)
         # the rows (Re u, Im u, Re v, Im v), viewed as (u or v, Re or Im, mode)
         x = y.view(np.float64).reshape(2, self._n, 2).transpose(0, 2, 1).copy()
+        step = np.empty((2, 2, 1, self._n))  # M, filled in place by each step
+        blend = step.reshape(-1)
         last, taken = x, 0
         for _ in range(m):
             g1, b0, b1, b2 = (weights @ (x[:, None] * x).ravel()).tolist()
             g2 = b0 + g1 * (b1 + g1 * b2)
             if not math.isfinite(g1 * g2):  # the state, or a kick, overflowed
                 break
-            last, x = x, np.add.reduce((a0 + g1 * a1 + g2 * (a2 + g1 * a3)) * x, axis=1)
+            np.dot((1.0, g1, g2, g1 * g2), a, out=blend)
+            last, x = x, np.add.reduce(step * x, axis=1)
             taken += 1
         if taken and not np.isfinite(x).all():  # the last step overflowed
             x, taken = last, taken - 1

@@ -43,10 +43,13 @@ keeps every per-mode momentum, and for a kick of size eps its error is
 O(eps h^4 + eps^2 h^2), so its step is not bound to the fastest rotation. The
 evaluator advances it: the physical field's step is, per mode, one 2x2 map
 whose two kick scalars are quadratic forms of the state at the start of the
-step (``KirchhoffDynamics.saba2_steps``), and its factors are built once per
-step size and run. It has no dense output: each sample interval is cut into
-``ceil(interval / dt)`` equal steps, which land on the sample times (an
-interval that is a whole number of ``dt`` up to rounding takes that number).
+step (``KirchhoffDynamics.saba2_steps``). It has no dense output: each
+sample interval is cut into ``ceil(interval / dt)`` equal steps, which land
+on the sample times (an interval that is a whole number of ``dt`` up to
+rounding takes that number). A run plans every landing first and builds the
+step factors of all its step sizes in one call. A ``dt`` below the step floor
+ends the run at t = 0 with exit reason ``dt_underflow``, as DOP853's adaptive
+step does when it falls below it.
 
 The state is projected back onto its exact structural symmetry class and the
 projection defect is logged after every Runge-Kutta step and at every sample
@@ -194,7 +197,8 @@ _STEP_SLACK = 1e-9
 
 #: DOP853's step-size exponent, one over its error estimate's order plus one
 _STEP_EXPONENT = 1 / 8
-#: an adaptive step below this ends the run with exit reason "dt_underflow"
+#: a step below this, DOP853's adaptive step or SABA2's dt, ends the run with
+#: exit reason "dt_underflow"
 _DT_MIN = 1e-12
 
 
@@ -445,32 +449,39 @@ def _saba2(run: _Run) -> str:
     """SABA2 from ``(run.t, run.y)`` to ``t_end``, its steps landing on the
     sample times; returns the exit reason."""
     evaluator, config = run.evaluator, run.config
+    if config.dt < _DT_MIN:  # as DOP853 ends a run whose step fell below it
+        return "dt_underflow"
     t, y = run.t, run.y
     landings = [t_s for t_s in run.ahead[::-1] if t < t_s < config.t_end] + [config.t_end]
-    # the step factors of each step size, for this run only: intervals of
-    # sample times that differ by an ulp give distinct sizes
-    factors: dict[float, tuple] = {}
+    # each landing, its number of steps and their size: an interval that is a
+    # whole number of dt up to the rounding of the sample times takes that
+    # number of steps, not one more
+    plan = []
+    # the index of each distinct size: intervals of sample times that differ
+    # by an ulp give distinct sizes, whose factors are built in one call
+    sizes: dict[float, int] = {}
     for t_next in landings:
-        # an interval that is a whole number of dt up to the rounding of the
-        # sample times takes that number of steps, not one more
         m = math.ceil((t_next - t) / config.dt * (1.0 - _STEP_SLACK))
         h = (t_next - t) / m
-        if h not in factors:
-            factors[h] = evaluator.saba2_factors(h)
-        # overflow to inf is handled explicitly below as blowup
-        with np.errstate(invalid="ignore", over="ignore"):
-            y_new, taken = evaluator.saba2_steps(y, factors[h], m)
-        run.n_steps += taken
-        if taken < m:
-            run.t, run.y = t + taken * h, y_new
-            return "blowup"
-        # the steps keep the symmetry bit for bit: a projection per landing
-        # only logs a defect the start state brought in
+        plan.append((t_next, m, h, sizes.setdefault(h, len(sizes))))
         t = t_next
-        y, _ = run.project(y_new)
-        run.accept(t, y)
-        if run.outside_ball():
-            return "ball_exit"
+    a, weights = evaluator.saba2_factors(list(sizes))
+    t = run.t
+    # overflow to inf is handled explicitly below as blowup
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t_next, m, h, i in plan:
+            y_new, taken = evaluator.saba2_steps(y, (a[i], weights[i]), m)
+            run.n_steps += taken
+            if taken < m:
+                run.t, run.y = t + taken * h, y_new
+                return "blowup"
+            # the steps keep the symmetry bit for bit: a projection per landing
+            # only logs a defect the start state brought in
+            t = t_next
+            y, _ = run.project(y_new)
+            run.accept(t, y)
+            if run.outside_ball():
+                return "ball_exit"
     return "completed"
 
 

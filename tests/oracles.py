@@ -34,6 +34,10 @@ the points by a Python key, where the package sorts index arrays. The SABA2
 reference composes the step's five sub-flows one at a time, the rotation and
 the kick on the packed complex state, where the package applies the step as
 one closed-form per-mode matrix.
+
+The small-divisor reference forms the margin of every ordered pair of
+representable squared norms (the package's list of them), where the package
+reads only the adjacent pairs and a window around each norm.
 """
 
 import itertools
@@ -124,6 +128,28 @@ def brute_force_small_divisor_margin(d: int, radius: int) -> float:
                 continue
             worst = min(worst, 3.0 * np.sqrt(n1) * abs(np.sqrt(n1) - np.sqrt(n2)))
     return float(worst)
+
+
+def small_divisor_matrix_check(d: int, radius: int) -> dict:
+    """``coupling.small_divisor_check`` over the full V x V matrix of margins
+    3|j| |n1 - n2| / (|j| + |k|) of the V representable squared norms: every
+    ordered pair formed, where the package reads only the adjacent pairs and
+    a window around each norm."""
+    vals = coupling.representable_square_norms(d, radius)
+    roots = np.sqrt(vals.astype(np.float64))
+    n1 = vals[:, None].astype(np.float64)
+    n2 = vals[None, :].astype(np.float64)
+    r1 = roots[:, None]
+    r2 = roots[None, :]
+    margin = 3.0 * r1 * np.abs(n1 - n2) / (r1 + r2)
+    off = ~np.eye(len(vals), dtype=bool)
+    return {
+        "d": d,
+        "radius": radius,
+        "class_pairs": int(off.sum()),
+        "worst_margin": float(np.min(margin[off])),
+        "violations": int(np.count_nonzero(margin[off] < 1.0)),
+    }
 
 
 def brute_force_coupling(kind: str, grid, u, v, h):

@@ -28,6 +28,7 @@ from oracles import (
     dense_jacobian_columns,
     dense_jacobian_solve,
     same_bits,
+    small_divisor_matrix_check,
     unit_mode,
 )
 
@@ -400,6 +401,12 @@ class TestSmallDivisor:
             fast = small_divisor_check(d, radius)["worst_margin"]
             slow = brute_force_small_divisor_margin(d, radius)
             assert fast == pytest.approx(slow, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [2, 5, 10, 30, 50])
+    def test_matches_the_full_pair_matrix(self, d, radius):
+        # the adjacent pairs and the windows give the dict of every pair formed
+        assert small_divisor_check(d, radius) == small_divisor_matrix_check(d, radius)
 
     def test_d1_trivial(self):
         r = small_divisor_check(1, 30)

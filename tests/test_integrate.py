@@ -22,7 +22,7 @@ from kirchhoff_spectral.dynamics import (
 )
 from kirchhoff_spectral.integrate import DOP853, SCHEMES, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
-from oracles import LinearDiagonalDynamics, saba2_subflows
+from oracles import LinearDiagonalDynamics, same_bits, saba2_subflows
 
 
 class _ScalarDynamics:
@@ -617,7 +617,13 @@ _CLOSED_FORM_STEPS = 150
 _CLOSED_FORM_TOL = _CLOSED_FORM_STEPS * 8 * np.finfo(np.float64).eps / 2
 
 
-@pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4)])
+def _factors(dyn, h):
+    """The SABA2 factors of the one step size ``h``."""
+    a, weights = dyn.saba2_factors([h])
+    return a[0], weights[0]
+
+
+@pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4), (3, 4), (2, 8)])
 @pytest.mark.parametrize("dt_max_freq", [1.0, 0.37, 2.5])
 def test_saba2_step_map_is_the_subflow_composition(d, n_cutoff, dt_max_freq):
     # the per-mode 2x2 map with its two kick scalars is the same method as
@@ -626,19 +632,34 @@ def test_saba2_step_map_is_the_subflow_composition(d, n_cutoff, dt_max_freq):
     dyn = KirchhoffDynamics(grid)
     h = dt_max_freq / dyn.max_frequency
     y0 = dyn.pack(random_state(grid, 40, 0.2)).astype(np.complex128)
-    y, taken = dyn.saba2_steps(y0, dyn.saba2_factors(h), _CLOSED_FORM_STEPS)
+    y, taken = dyn.saba2_steps(y0, _factors(dyn, h), _CLOSED_FORM_STEPS)
     reference = saba2_subflows(grid, y0, h, _CLOSED_FORM_STEPS, _SABA2_C1, _SABA2_C2)
     assert taken == _CLOSED_FORM_STEPS
     assert np.max(np.abs(y - reference)) <= _CLOSED_FORM_TOL * np.max(np.abs(reference))
     # the state moved by far more than the bound: the check compares flows
     assert np.max(np.abs(y - y0)) >= 1e3 * _CLOSED_FORM_TOL * np.max(np.abs(reference))
-    # every factor is even in j, so the Hermitian symmetry holds bit for bit
+    # every factor is even in j, and the product that blends them sums j and
+    # -j alike, so the Hermitian symmetry holds bit for bit
     assert np.array_equal(y, np.conj(y[grid.pair_neg]))
+
+
+@pytest.mark.parametrize("d, n_cutoff", [(1, 8), (2, 4), (3, 4)])
+def test_saba2_factors_of_many_sizes_are_each_sizes_own(d, n_cutoff):
+    # a run builds the factors of all its step sizes at once; each size's
+    # slice is the build of that size alone, bit for bit
+    dyn = KirchhoffDynamics(SpectralGrid(d, n_cutoff))
+    base = 1.0 / dyn.max_frequency
+    sizes = [base, np.nextafter(base, 0.0), 0.37 * base, 2.5 * base, 1e-3 * base]
+    a, weights = dyn.saba2_factors(sizes)
+    assert a.shape[0] == weights.shape[0] == len(sizes)
+    for i, h in enumerate(sizes):
+        one_a, one_weights = _factors(dyn, h)
+        assert same_bits(a[i], one_a) and same_bits(weights[i], one_weights)
 
 
 def test_saba2_steps_stop_at_the_last_finite_state(grid1):
     dyn = KirchhoffDynamics(grid1)
-    factors = dyn.saba2_factors(_SWEEP_DT)
+    factors = _factors(dyn, _SWEEP_DT)
     y0 = dyn.pack(random_state(grid1, 1, 10.0)).astype(np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
         y, taken = dyn.saba2_steps(y0, factors, 100)
@@ -683,6 +704,24 @@ def test_saba2_blowup_stops_at_its_last_finite_step(grid1):
     assert 0.0 < rec.exit_time < 1.0 and rec.exit_time == rec.n_steps * _SWEEP_DT
     assert rec.times[-1] == rec.exit_time  # the stop is sampled
     assert np.isfinite(rec.samples).all()
+
+
+def test_saba2_below_the_step_floor_is_a_dt_underflow(grid1, monkeypatch):
+    # as DOP853 ends a run whose step fell below the floor, a saba2 dt below it
+    # ends the run at t = 0; the spy stops a run that would take ~1e300 steps
+    real = KirchhoffDynamics.saba2_steps
+
+    def saba2_steps(self, y, factors, m):
+        if m > 10 ** 6:
+            raise AssertionError(f"{m} steps asked of saba2_steps")
+        return real(self, y, factors, m)
+
+    monkeypatch.setattr(KirchhoffDynamics, "saba2_steps", saba2_steps)
+    state0 = random_state(grid1, 33, 0.1)
+    for dt in (1e-300, 0.5e-12):
+        rec = _saba2(grid1, state0, dt, t_eval=np.array([0.0, 1.0]))
+        assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("dt_underflow", 0.0, 0)
+        assert np.array_equal(rec.times, [0.0])
 
 
 class _RefusingKirchhoff(KirchhoffDynamics):

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -28,6 +29,25 @@ def _load_perfbench(monkeypatch, name: str, as_name: str):
 
 def _load_spans(monkeypatch):
     return _load_perfbench(monkeypatch, "spans", "perfbench_spans")
+
+
+def _blas_threads(record) -> list:
+    """Every value recorded under the key OPENBLAS_NUM_THREADS, at any depth."""
+    if isinstance(record, dict):
+        found = [v for k, v in record.items() if k == "OPENBLAS_NUM_THREADS"]
+        return found + [x for v in record.values() for x in _blas_threads(v)]
+    if isinstance(record, list):
+        return [x for v in record for x in _blas_threads(v)]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SPANS.parents[1].glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_every_performance_record_pins_one_blas_thread(path):
+    # a small complex solve is about 70x slower with threaded OpenBLAS, so a
+    # performance record carries its BLAS thread count, and its figures were
+    # measured on one thread
+    assert "1" in map(str, _blas_threads(json.loads(path.read_text())))
 
 
 def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
@@ -127,8 +147,9 @@ def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
 @pytest.mark.parametrize("eps", [0.2, 0.185, 0.17])
 def test_an_original_sweep_row_builds_each_step_size_once(eps, monkeypatch):
     # the benchmark's lifespan workload times these rows; the saba2 step
-    # factors are built once per distinct step size of a row, not per landing
-    # (sample intervals that differ by an ulp give distinct sizes)
+    # factors are built in one call per row, holding each distinct step size
+    # of the row once (sample intervals that differ by an ulp give distinct
+    # sizes)
     import math
 
     import numpy as np
@@ -139,9 +160,9 @@ def test_an_original_sweep_row_builds_each_step_size_once(eps, monkeypatch):
     built = []
     real = dynamics.KirchhoffDynamics.saba2_factors
 
-    def saba2_factors(self, h):
-        built.append(h)
-        return real(self, h)
+    def saba2_factors(self, hs):
+        built.append(list(hs))
+        return real(self, hs)
 
     monkeypatch.setattr(dynamics.KirchhoffDynamics, "saba2_factors", saba2_factors)
     _, cfg = cli.parse_config(["sweep", "--c1-op", "0.02", "--n-samples", "20",
@@ -151,7 +172,8 @@ def test_an_original_sweep_row_builds_each_step_size_once(eps, monkeypatch):
     intervals = np.diff(np.linspace(0.0, row["t_end"], 21)).tolist()
     dt = 1 / 8  # one radian of the fastest rotation on d=1 N=8
     sizes = {b / math.ceil(b / dt * (1.0 - _STEP_SLACK)) for b in intervals}
-    assert len(built) == len(set(built)) == len(sizes) < len(intervals)
+    (hs,) = built
+    assert len(hs) == len(set(hs)) and set(hs) == sizes and len(sizes) < len(intervals)
 
 
 #: change_of_variables calls of one original sweep row: forward and inverse
