@@ -336,7 +336,9 @@ SIMULATE_OPTIONS = (
     Option("eps", 0.1, _NONNEGATIVE),
     Option("representation", "original", _str("original", "diagonalized", "normal_form")),
     Option("scheme", _INTEGRATOR.scheme, _str(*SCHEMES)),
-    Option("dt", _INTEGRATOR.dt, _NONNEGATIVE),
+    Option("dt", _INTEGRATOR.dt, _NONNEGATIVE,
+           "saba2's step, and dop853's first on the original representation (the "
+           "others start from Hairer's estimate)"),
     Option("rel_tol", _INTEGRATOR.rel_tol, _NONNEGATIVE),
     Option("abs_tol", _INTEGRATOR.abs_tol, _NONNEGATIVE),
     Option("t_end", 10.0, _NONNEGATIVE),

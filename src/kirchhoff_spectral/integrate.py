@@ -26,13 +26,20 @@ next step's first, with no evaluation; and a sample inside the step is
 e^{L theta h} times the frame's interpolant. The tableau
 thus integrates only what the rotation leaves (for the conjugate systems the
 sigma - 1 tail, the cubic and the quintic terms), which is small, so its
-steps are no longer bound to the fastest rotation. A drift measured on such a
-run still certifies the field: the rotation is applied exactly and keeps
-every norm, and the tableau, which conserves nothing, integrates the whole
-remainder. Since |e^{L s}| = 1, the error norm, the step controller,
+steps are no longer bound to the fastest rotation. Nor is its first step: a
+framed run starts from Hairer's starting-step estimate (Hairer, Norsett &
+Wanner, II.4; Gladwell, Shampine & Brankin, *J. Comput. Appl. Math.* 18,
+1987), for error order 7, applied to the remainder
+g(s, v) = e^{-L s} (F(e^{L s} v) - L e^{L s} v) at a cost of one field
+evaluation, where ``config.dt``, chosen for the fastest rotation, would
+waste the first steps on errors far below the tolerance. A drift measured on
+such a run still certifies the field: the rotation is applied exactly and
+keeps every norm, and the tableau, which conserves nothing, integrates the
+whole remainder. Since |e^{L s}| = 1, the error norm, the step controller,
 projection, the ball check and blowup detection act as they do without the
 frame. An evaluator that declares no rates is stepped as the plain tableau
-steps it.
+steps it, from ``config.dt``, since its time scale, the fastest rotation, is
+known in advance.
 
 The other, ``saba2``, composes the two exact sub-flows of an evaluator whose
 field splits into a linear rotation and a kick (the physical Kirchhoff field):
@@ -205,7 +212,9 @@ _DT_MIN = 1e-12
 @dataclass
 class IntegratorConfig:
     scheme: str = "dop853"  # one of SCHEMES
-    dt: float = 1e-2  # initial step (dop853) or maximum step (saba2)
+    # saba2's step, and the first step of a dop853 run without rates; a run
+    # with rates starts from Hairer's estimate in its frame instead
+    dt: float = 1e-2
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     t_end: float = 1.0
@@ -236,7 +245,8 @@ class TrajectoryRecord:
     n_steps: int
     n_rejected: int
     # field evaluations: stages, dense-output stages, re-evaluations after
-    # projection (saba2 evaluates the field once, at the start)
+    # projection, and a framed run's one for its starting step (saba2
+    # evaluates the field once, at the start)
     n_rhs: int
     max_projection_defect: float
     notes: dict = dataclass_field(default_factory=dict)
@@ -270,6 +280,28 @@ def _rk_step(scheme: _Tableau, rhs, t, y, dt, k, rel_tol, abs_tol, frame):
         y_i, k[i] = _stage(rhs, t + scheme.c[i] * dt, y + dt * (scheme.a[i, :i] @ k[:i]),
                            frame, i)
     return y_i, _error_norm(dt * (scheme.e @ k[: len(scheme.c)]), y, y_i, rel_tol, abs_tol)
+
+
+def _rms(x) -> float:
+    """The root mean square of the moduli of ``x``."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _starting_step(rhs, t, y, f0, rates, config: IntegratorConfig) -> float:
+    """Hairer's starting step for DOP853 (error order 7) on the frame's
+    remainder ``g(s, v) = e^{-L s} (F(e^{L s} v) - L e^{L s} v)``, whose value
+    at ``(t, y)`` is ``f0``: the algorithm of scipy's ``select_initial_step``,
+    at the cost of one field evaluation, at ``(t + h0, y + h0 f0)``."""
+    scale = config.abs_tol + np.abs(y) * config.rel_tol
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, config.t_end - t)
+    f1 = _stage(rhs, t + h0, y + h0 * f0, (rates, np.exp(h0 * rates)[None]), 0)[1]
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** _STEP_EXPONENT
+    return min(100 * h0, h1, config.t_end - t)
 
 
 def _interpolant(scheme: _Tableau, rhs, t, y, dt, k, frame) -> np.ndarray:
@@ -378,17 +410,25 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray, rates) -> str:
     t, y = run.t, run.y
     t_end = config.t_end
     ahead = run.ahead
-    dt = min(config.dt, t_end)
     new = len(scheme.c) - 1  # the stage at the new point
     k = np.empty((len(scheme.c) + len(scheme.dense[0]), y.size), dtype=np.complex128)
     k[0] = k0
-    if rates is not None:
-        k[0] -= rates * y
     nodes = np.array(scheme.c + scheme.dense[0])
     frame = None
+    if rates is None:
+        dt = config.dt
+    else:
+        k[0] -= rates * y
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                dt = _starting_step(run.rhs, t, y, k[0], rates, config)
+        except (DomainError, ConvergenceError, NumericalError) as exc:
+            return run.stopped_by(exc)
 
     while t < t_end:
-        if dt < _DT_MIN:
+        # a step that the controller shrank below the floor, not the last
+        # piece of a run shorter than the floor
+        if dt < min(_DT_MIN, t_end - t):
             return "dt_underflow"
         final = t + dt >= t_end - 1e-14 * max(1.0, t_end)
         dt_try = t_end - t if final else dt

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 
@@ -170,6 +171,20 @@ def test_dt_underflow_on_rough_field():
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=1.0, dt=1e-3)
     rec = integrate(dyn, 1.0 + 0j, cfg)
     assert rec.exit_reason == "dt_underflow"
+
+
+@pytest.mark.parametrize("dynamics", [KirchhoffDynamics, NormalFormDynamics])
+@pytest.mark.parametrize("t_end", [1e-13, 5e-13])
+def test_a_run_shorter_than_the_step_floor_takes_one_step(grid1, dynamics, t_end):
+    # the step floor ends a run whose adaptive step collapsed, not one whose
+    # whole interval is below it
+    if dynamics is KirchhoffDynamics:
+        state0 = random_state(grid1, 20, 0.1)
+    else:
+        state0 = ConjugatePair(random_field(grid1, 20, 0.1, 1.0, "free"))
+    rec = integrate(dynamics(grid1), state0, IntegratorConfig(t_end=t_end))
+    assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("completed", t_end, 1)
+    assert np.array_equal(rec.times, [0.0, t_end])
 
 
 def test_ball_exit(grid1):
@@ -351,12 +366,13 @@ class _Rotating(LinearDiagonalDynamics):
 def test_a_declared_rotation_is_stepped_exactly(grid1):
     # in the frame every stage of the linear field is zero, so each step is the
     # exact rotation, the error estimate is zero and each step is five times
-    # the last from dt = 0.01: 0.01, 0.05, 0.25, 1.25, 6.25 and the rest
+    # the last from the starting step of a zero remainder, 1e-6: ten steps
+    # reach 2.44, the eleventh lands on t_end
     dyn = _Rotating(grid1)
     w0 = random_field(grid1, 2, 0.5, 1.0, "free")
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, t_end=10.0)
     rec = integrate(dyn, ConjugatePair(w0), cfg, t_eval=np.linspace(0.0, 10.0, 41))
-    assert rec.exit_reason == "completed" and (rec.n_steps, rec.n_rejected) == (6, 0)
+    assert rec.exit_reason == "completed" and (rec.n_steps, rec.n_rejected) == (11, 0)
     rounding = 16 * np.finfo(np.float64).eps * np.max(np.abs(w0.coeffs))
     for t, w in zip(rec.times, rec.samples.T):
         assert np.max(np.abs(w - dyn.exact(w0.coeffs, t))) <= rounding
@@ -544,13 +560,15 @@ _SCALAR_EVALUATORS = {
 @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 41)])
 def test_n_rhs_counts_every_field_evaluation(dynamics, t_eval):
     # in the frame too: the last stage turned to the next frame is the next
-    # step's first, with no evaluation, and a rejected attempt costs 12
+    # step's first, with no evaluation, a rejected attempt costs 12, and the
+    # starting step costs one
     dyn = _Counting(_SCALAR_EVALUATORS[dynamics](lambda t, y: 1j * y + 0.5 * y * y))
     cfg = IntegratorConfig(dt=10.0, rel_tol=1e-10, abs_tol=1e-12, t_end=1.0)
     rec = integrate(dyn, 0.3 - 0.4j, cfg, t_eval=t_eval)
     assert rec.exit_reason == "completed" and rec.n_rejected >= 1
     assert rec.n_rhs == dyn.calls
-    attempts = 1 + 12 * (rec.n_steps + rec.n_rejected)
+    start = 2 if dynamics.endswith("framed") else 1
+    attempts = start + 12 * (rec.n_steps + rec.n_rejected)
     reevaluations = rec.n_steps if dynamics.startswith("reprojecting") else 0
     dense = rec.n_rhs - attempts - reevaluations
     assert dense == (0 if t_eval is None else 3 * rec.n_steps)  # a sample inside every step
@@ -735,3 +753,81 @@ def test_saba2_start_outside_the_domain_is_a_ball_exit(grid1):
     rec = integrate(_RefusingKirchhoff(grid1), random_state(grid1, 32, 0.1), cfg)
     assert (rec.exit_reason, rec.exit_time, rec.n_steps) == ("ball_exit", 0.0, 0)
     assert rec.notes["error"].startswith("DomainError")
+
+
+# -- the first step: estimated in the frame, config.dt without it -------------
+
+def _first_attempts(monkeypatch) -> list:
+    """Spies on the integrator's attempts; returns the list their steps go to."""
+    from kirchhoff_spectral import integrate as integrate_module
+
+    steps = []
+    real = integrate_module._rk_step
+
+    def rk_step(scheme, rhs, t, y, dt, *args):
+        steps.append(dt)
+        return real(scheme, rhs, t, y, dt, *args)
+
+    monkeypatch.setattr(integrate_module, "_rk_step", rk_step)
+    return steps
+
+
+@pytest.mark.parametrize("dynamics", [NormalFormDynamics, DiagonalizedDynamics])
+def test_a_framed_run_starts_from_hairers_estimate(grid1, dynamics, monkeypatch):
+    # the first attempt is Hairer's starting step (scipy's select_initial_step,
+    # error order 7) on the remainder the frame integrates, and the estimate's
+    # one field evaluation is counted
+    from scipy.integrate._ivp.common import select_initial_step
+
+    dyn = dynamics(grid1)
+    w0 = ConjugatePair(random_field(grid1, 18, 0.1, 1.0, "free"))
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, t_end=1.0)
+    steps = _first_attempts(monkeypatch)
+    rec = integrate(dyn, w0, cfg)
+    assert rec.exit_reason == "completed"
+
+    rates = dyn.rates
+
+    def remainder(s, v):
+        y = np.exp(rates * s) * v
+        return np.exp(-rates * s) * (dyn.rhs(s, y) - rates * y)
+
+    y0 = dyn.pack(w0).astype(np.complex128)
+    kwargs = dict(fun=remainder, t0=0.0, y0=y0, f0=remainder(0.0, y0), direction=1.0,
+                  order=7, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    if "t_bound" in inspect.signature(select_initial_step).parameters:
+        kwargs.update(t_bound=cfg.t_end, max_step=np.inf)
+    assert steps[0] == select_initial_step(**kwargs)
+    assert rec.n_rhs == 2 + 12 * (rec.n_steps + rec.n_rejected)
+
+
+def test_a_field_that_refuses_the_trial_point_ends_the_run_at_the_start(monkeypatch):
+    # the estimate's field evaluation is guarded as the first stage's is
+    def refuse_after_start(t, y):
+        if t > 0.0:
+            raise ConvergenceError("trial point refused")
+        return 1j * y
+
+    steps = _first_attempts(monkeypatch)
+    rec = integrate(_Framed(refuse_after_start), 1.0 + 0j, IntegratorConfig(t_end=1.0))
+    assert (rec.exit_reason, rec.exit_time, rec.n_steps, rec.n_rhs) == ("ball_exit", 0.0, 0, 2)
+    assert rec.notes == {"error": "ConvergenceError: trial point refused"} and steps == []
+    assert np.array_equal(rec.times, [0.0])
+
+
+@pytest.mark.parametrize("scheme, dt, work", [
+    ("dop853", 1e-2, (37, 0, 466)),
+    ("dop853", 1.0, (36, 3, 490)),  # an oversized start, rejected
+    ("saba2", _SWEEP_DT, (16, 0, 1)),
+])
+def test_a_run_without_rates_starts_from_its_dt(grid1, scheme, dt, work, monkeypatch):
+    # the physical field declares no rates: DOP853's first attempt is
+    # config.dt and nothing is evaluated for a starting step; the work counts
+    # are those of the fixed start
+    steps = _first_attempts(monkeypatch)
+    cfg = IntegratorConfig(scheme=scheme, dt=dt, rel_tol=1e-10, t_end=2.0)
+    dyn = _Counting(KirchhoffDynamics(grid1))
+    rec = integrate(dyn, random_state(grid1, 19, 0.1), cfg, t_eval=np.linspace(0.0, 2.0, 9))
+    assert rec.exit_reason == "completed" and rec.n_rhs == dyn.calls
+    assert (rec.n_steps, rec.n_rejected, rec.n_rhs) == work
+    assert steps[:1] == ([dt] if scheme == "dop853" else [])

@@ -119,6 +119,32 @@ def test_per_layer_call_edges():
     assert "monitors" in {kw.arg for kw in call.keywords}
 
 
+#: the normal-form field evaluations of the three probes of the benchmark's
+#: quartic workload (d=1 N=8, t_end 0.25) at seed 12345, each opening with
+#: Hairer's starting step; a fixed first step of 0.01 makes 144
+QUARTIC_PROBE_FIELD_CALLS = 123
+
+
+def test_the_quartic_probes_start_from_their_field(monkeypatch):
+    # the benchmark's quartic workload integrates these three normal-form runs
+    # in their rotation's frame; each starts with the step its field asks for
+    from kirchhoff_spectral import SpectralGrid, dynamics, suites
+
+    calls = []
+    real = dynamics.NormalFormDynamics.rhs
+
+    def rhs(self, t, y):
+        calls.append(t)
+        return real(self, t, y)
+
+    monkeypatch.setattr(dynamics.NormalFormDynamics, "rhs", rhs)
+    grid = SpectralGrid(1, 8)
+    runs = [suites.measure_quartic_constant(grid, eps, 12345, t_end=0.25)
+            for eps in (0.05, 0.1, 0.2)]
+    assert all(run["exit_reason"] == "completed" for run in runs)
+    assert sum(run["n_rhs"] for run in runs) == len(calls) <= QUARTIC_PROBE_FIELD_CALLS
+
+
 def test_original_sweep_row_reaches_the_lifespan_layers(monkeypatch):
     # the benchmark's lifespan workload expects spans from integrate and from
     # the physical field; saba2 evaluates that field once, at the start, and a
