@@ -13,11 +13,9 @@ from .fields import (
     ConjugatePair,
     PairStack,
     RealPair,
-    conj_function,
     field_from_dict,
     field_to_dict,
     hermitian_defect,
-    hermitian_project,
     random_field,
     sobolev_norm,
 )
@@ -38,11 +36,9 @@ __all__ = [
     "ParameterError",
     "RealPair",
     "SpectralGrid",
-    "conj_function",
     "field_from_dict",
     "field_to_dict",
     "hermitian_defect",
-    "hermitian_project",
     "random_field",
     "regularity_threshold",
     "sobolev_norm",

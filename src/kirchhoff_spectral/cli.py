@@ -39,10 +39,12 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .fields import ConjugatePair, PairStack, RealPair, field_from_dict, pair_norm, random_field
+from .fields import (
+    ConjugatePair, PairStack, RealPair, conjugate_doubled, field_from_dict, pair_norm, random_field,
+)
 from .grid import SpectralGrid
 from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
-from .kirchhoff import hamiltonian, momenta, random_state
+from .kirchhoff import hamiltonian, mode_momentum, momenta, random_state
 from .suites import REGISTRY, SuiteConfig, _worst, measure_quartic_constant, run_suites
 from .transforms import change_of_variables
 
@@ -345,7 +347,7 @@ SIMULATE_OPTIONS = (
     Option("n_samples", 100, _int(min=1), "samples at equal spacing after t = 0"),
     Option("s_values", [], _list(_NONNEGATIVE), "monitored orders (empty means m0, m0+1, m0+2)"),
     Option("track_modes", [], _list(_list(_int(), min_len=1)),
-           "modes j:k:... with per-mode momentum channels (original representation)"),
+           "modes j:k:... with per-mode momentum channels (original representation only)"),
     Option("initial_file", "", _str()),
     Option("ball_threshold", 0.0, _NONNEGATIVE, "stop above this ball norm (||w||_m0, or "
            "||u||_{m0+1/2} + ||v||_{m0-1/2} for original); 0 disables"),
@@ -399,40 +401,40 @@ def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
     s_values = cfg["s_values"] or [m0, m0 + 1.0, m0 + 2.0]
     monitors: dict = {}
     if rep == "original":
-        from .kirchhoff import mode_momentum
-
-        h0 = hamiltonian(state0)
-        m_0 = momenta(state0)
-        monitors["hamiltonian"] = lambda t, st: hamiltonian(st)
-        monitors["ham_drift_rel"] = lambda t, st: _relative_drift(hamiltonian(st), h0)
-        monitors["momentum_drift_max"] = lambda t, st: float(np.max(np.abs(momenta(st) - m_0)))
+        h0 = hamiltonian(grid, state0.doubled)
+        m_0 = momenta(grid, state0.doubled)
+        monitors["hamiltonian"] = lambda t, y: hamiltonian(grid, y)
+        monitors["ham_drift_rel"] = lambda t, y: _relative_drift(hamiltonian(grid, y), h0)
+        monitors["momentum_drift_max"] = lambda t, y: float(np.max(np.abs(momenta(grid, y) - m_0)))
         for mode in cfg["track_modes"]:
             mode = tuple(mode)
             grid.slot(mode)  # validate early
             label = "_".join(str(c) for c in mode)
             for axis in range(grid.d):
                 monitors[f"momentum_j{label}_{axis}"] = (
-                    lambda t, st, m=mode, a=axis: float(mode_momentum(st, m)[a])
+                    lambda t, y, m=mode, a=axis: float(mode_momentum(grid, y, m)[a])
                 )
         for s in s_values:
-            monitors[f"uv_norm_s{s:g}"] = lambda t, st, s=s: st.norm(s)
+            monitors[f"uv_norm_s{s:g}"] = lambda t, y, s=s: pair_norm(grid, y, s)
     else:
+        if cfg["track_modes"]:
+            raise ConfigError(f"track_modes: the {rep} representation has no momentum channels")
         for s in s_values:
-            monitors[f"w_norm_s{s:g}"] = lambda t, st, s=s: st.w.norm(s)
+            monitors[f"w_norm_s{s:g}"] = lambda t, y, s=s: grid.coeff_norm(y, s)
         if rep == "normal_form":
             from .normal_form import energy_derivative_arrays, normal_form_rhs
 
             last: dict = {}
 
-            def _field(st):
-                # every monitor of a sample gets the same state object
-                if last.get("state") is not st:
-                    last.update(state=st, rhs=normal_form_rhs(st))
+            def _field(y):
+                # every monitor of a sample gets the same array
+                if last.get("y") is not y:
+                    last.update(y=y, rhs=normal_form_rhs(grid, conjugate_doubled(grid, y)))
                 return last["rhs"]
 
-            monitors["speed_shift"] = lambda t, st: _field(st).speed_shift
-            monitors["energy_derivative_m0"] = lambda t, st: energy_derivative_arrays(
-                grid, st.w.coeffs, _field(st).total[0], m0
+            monitors["speed_shift"] = lambda t, y: _field(y).speed_shift
+            monitors["energy_derivative_m0"] = lambda t, y: energy_derivative_arrays(
+                grid, y, _field(y).total[0], m0
             )
     return monitors
 
@@ -481,6 +483,7 @@ def cmd_simulate(cfg: dict) -> int:
     summary["n_steps"] = rec.n_steps
     summary["n_rejected"] = rec.n_rejected
     summary["n_rhs"] = rec.n_rhs
+    summary["first_step"] = rec.first_step
     summary["max_projection_defect"] = rec.max_projection_defect
     summary["runtime_s"] = runtime
     summary.update(rec.notes)  # why the run stopped early, if it did
@@ -660,11 +663,10 @@ def _sweep_row(params: dict, grid: SpectralGrid | None = None) -> dict:
             rec = integrate(KirchhoffDynamics(grid), state0, icfg, t_eval=ts)
             # every sample, state0 included, mapped back in one pass; a
             # failing sample ends the series of mapped ones
-            samples = PairStack(grid, rec.samples)
-            mapped, failure = change_of_variables("inv", samples)
+            mapped, failure = change_of_variables("inv", PairStack(grid, rec.samples))
             w = mapped.doubled[:n]
-            h_vals = hamiltonian(samples)
-            uv_norms = pair_norm(grid, samples.doubled, m0)
+            h_vals = hamiltonian(grid, rec.samples)
+            uv_norms = pair_norm(grid, rec.samples, m0)
             row["ham_drift_rel"] = float(np.max(_relative_drift(h_vals, h_vals[0])))
             row["max_uv_norm"] = float(np.max(uv_norms))
             row["uv_ratio"] = float(np.max(uv_norms) / uv_norms[0])

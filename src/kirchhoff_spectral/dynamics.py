@@ -1,7 +1,8 @@
-"""Field evaluators: pack states into flat arrays and expose right-hand sides.
+"""Field evaluators: pack a run's start into a flat array and expose right-hand sides.
 
 Each evaluator owns a grid and adapts one vector field to the integrator
-protocol (pack / unpack / rhs / project / ball_value). The physical system
+protocol (pack / rhs / project / ball_value); past ``pack`` a state is its
+packed array, [u; v] for the physical system and w for the others, which
 integrates the pair (u, v) with Hermitian re-projection each step; the
 complex-coordinate systems integrate only the first component, since the
 second is its conjugate by construction and needs no projection at all.
@@ -24,9 +25,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .fields import (
-    ComplexField, ConjugatePair, PairStack, RealPair, conjugate_doubled, halves, pair_norm,
-)
+from .fields import ConjugatePair, RealPair, conjugate_doubled, halves, pair_norm
 from .grid import SpectralGrid
 from .kirchhoff import gradient_energy
 from .normal_form import diagonalized_rhs_arrays, normal_form_rhs_arrays
@@ -57,12 +56,6 @@ class KirchhoffDynamics:
 
     def pack(self, state: RealPair) -> np.ndarray:
         return state.doubled
-
-    def unpack(self, y: np.ndarray) -> RealPair:
-        g = self.grid
-        return RealPair(
-            ComplexField(g, y[: self._n]), ComplexField(g, y[self._n:]), check_tol=None
-        )
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """The field at the packed state ``y``, or per column of a mode-first stack."""
@@ -172,17 +165,17 @@ class KirchhoffDynamics:
         return pair_norm(self.grid, y, self.grid.m0)
 
 
-def reversibility_defect(state: RealPair | PairStack):
-    """Component-wise max L2 norm of (X o S + S o X)(state) for the physical
-    field X and the involution S; zero for this field, NaN if it is NaN. Per
-    column of a stack of physical states, as a length-m array."""
-    g, x = state.grid, state.doubled
-    dyn = KirchhoffDynamics(g)
+def reversibility_defect(grid: SpectralGrid, x: np.ndarray):
+    """Component-wise max L2 norm of (X o S + S o X)(x) at the physical state
+    x = [u; v], for the physical field X and the time-reversal involution
+    S(u, v) = (u, -v); zero for this field, NaN if it is NaN. Per column of a
+    mode-first stack, as a length-m array."""
+    dyn = KirchhoffDynamics(grid)
     u, v = halves(x)
-    xs = dyn.rhs(0.0, np.concatenate((u, -v)))  # S keeps u and negates v
+    xs = dyn.rhs(0.0, np.concatenate((u, -v)))
     sx = dyn.rhs(0.0, x)
-    sx[g.n_modes:] *= -1.0
-    return g.doubled_norm(xs + sx, 0.0)
+    sx[grid.n_modes:] *= -1.0
+    return grid.doubled_norm(xs + sx, 0.0)
 
 
 class _ConjugateDynamics:
@@ -193,9 +186,6 @@ class _ConjugateDynamics:
 
     def pack(self, state: ConjugatePair) -> np.ndarray:
         return state.w.coeffs.copy()
-
-    def unpack(self, y: np.ndarray) -> ConjugatePair:
-        return ConjugatePair(ComplexField(self.grid, y))
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return y, 0.0  # the conjugate component is derived, nothing can drift

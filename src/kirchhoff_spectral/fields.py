@@ -2,25 +2,26 @@
 
 A :class:`ComplexField` is a vector of complex Fourier coefficients over the
 canonical mode order of a :class:`~kirchhoff_spectral.grid.SpectralGrid`.
-The two state classes of the workbench are built from it, and the operations
-on fields here are the ones the states need (pairings, multipliers and the
-coupling operators act on coefficient arrays, through the grid):
+The two state classes of the workbench are built from it:
 
 * :class:`RealPair` -- a physical state (u, v) = (u, du/dt), whose coefficients
   carry the Hermitian symmetry u_{-j} = conj(u_j) of real-valued fields;
 * :class:`ConjugatePair` -- a state (w, z) with z the complex conjugate of w
   as a function, i.e. z_j = conj(w_{-j}); only w is stored.
 
-Every map on a pair -- the stages of the change of variables, the vector
-fields, the coupling operators -- reads and returns the pair as one doubled
-vector [a; b] of length 2n, which both state classes give as ``doubled``;
-:func:`halves` views its two halves. :func:`pair_norm` and
-:func:`conjugate_defect` read a doubled vector too.
+A state object is where a state enters the workbench: read from JSON, drawn
+at random, handed to ``integrate`` as a run's start. Every map past that
+point -- the stages of the change of variables, the vector fields, the
+coupling operators, the invariants and the monitors -- takes ``(grid, x)``,
+the pair as one doubled vector [a; b] of length 2n, which both state classes
+give as ``doubled``; :func:`halves` views its two halves. :func:`pair_norm`
+and :func:`conjugate_defect` read a doubled vector too.
 
 A :class:`PairStack` holds many samples of a pair **mode-first**:
 ``doubled`` has shape (2n, m), one doubled vector per column. A physical
 run's record holds its samples in this layout already (a physical state packs
-as its doubled vector), so ``PairStack(grid, rec.samples)`` is their stack.
+as its doubled vector), so ``rec.samples`` is their stack, and
+``PairStack(grid, rec.samples)`` the change of variables' stack input.
 Mode-first is what lets one vector and a stack share every code path: a
 gather is x[idx] and a half is x[:n] on both, and reductions over the modes
 run along axis 0, so the per-sample results of a stack (its norms, Q, H) come
@@ -110,21 +111,10 @@ def sobolev_norm(field: ComplexField, s: float):
     return field.grid.coeff_norm(field.coeffs, s)
 
 
-def conj_function(field: ComplexField) -> ComplexField:
-    """Coefficients of the complex conjugate of the function: j -> conj(field_{-j})."""
-    return ComplexField(field.grid, np.conj(field.coeffs[field.grid.neg_index]))
-
-
 def hermitian_defect(field: ComplexField) -> float:
     """Max deviation from the real-valued-function symmetry c_{-j} = conj(c_j)."""
     c = field.coeffs
     return float(np.max(np.abs(c - np.conj(c[field.grid.neg_index]))))
-
-
-def hermitian_project(field: ComplexField) -> ComplexField:
-    """Nearest field with exact Hermitian symmetry (average with the mirrored conjugate)."""
-    c = field.coeffs
-    return ComplexField(field.grid, 0.5 * (c + np.conj(c[field.grid.neg_index])))
 
 
 def random_field(
@@ -208,18 +198,14 @@ class RealPair:
 
     u: ComplexField
     v: ComplexField
-    check_tol: float = 1e-9
 
     def __post_init__(self):
         _same_grid(self.u, self.v)
-        if self.check_tol is not None:
-            scale = max(1.0, float(np.max(np.abs(self.u.coeffs))),
-                        float(np.max(np.abs(self.v.coeffs))))
-            defect = max(hermitian_defect(self.u), hermitian_defect(self.v))
-            if defect > self.check_tol * scale:
-                raise ParameterError(
-                    f"state is not Hermitian-symmetric (defect {defect:.3e})"
-                )
+        scale = max(1.0, float(np.max(np.abs(self.u.coeffs))),
+                    float(np.max(np.abs(self.v.coeffs))))
+        defect = max(hermitian_defect(self.u), hermitian_defect(self.v))
+        if defect > 1e-9 * scale:  # relative to the largest coefficient, or 1
+            raise ParameterError(f"state is not Hermitian-symmetric (defect {defect:.3e})")
 
     @property
     def grid(self) -> SpectralGrid:
@@ -234,21 +220,12 @@ class RealPair:
         """The physical pair norm ||u||_{s+1/2} + ||v||_{s-1/2}."""
         return pair_norm(self.grid, self.doubled, s)
 
-    @classmethod
-    def projected(cls, u: ComplexField, v: ComplexField) -> "RealPair":
-        """Build from approximate data by projecting onto exact symmetry."""
-        return cls(hermitian_project(u), hermitian_project(v))
-
 
 @dataclass(frozen=True)
 class ConjugatePair:
     """State (w, z) with z = conj(w) as a function; z is derived, never stored."""
 
     w: ComplexField
-
-    @property
-    def z(self) -> ComplexField:
-        return conj_function(self.w)
 
     @property
     def grid(self) -> SpectralGrid:

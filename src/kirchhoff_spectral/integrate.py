@@ -65,7 +65,7 @@ and the SABA2 steps preserve it bit for bit, so the defect stays at rounding
 level); an interpolated sample is projected too.
 
 A run's record keeps its samples packed, as one mode-first stack that the
-stacked maps downstream read; a sample is unpacked only for the monitors.
+stacked maps downstream read, and the monitors read each sample packed too.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ class TrajectoryRecord:
     # evaluates the field once, at the start)
     n_rhs: int
     max_projection_defect: float
+    # the first step chosen: config.dt, a framed dop853 run's estimate, or
+    # saba2's first planned step; None if the run chose none
+    first_step: float | None = None
     notes: dict = dataclass_field(default_factory=dict)
 
 
@@ -342,6 +345,7 @@ class _Run:
         self.n_rejected = 0
         self.n_rhs = 0
         self.max_defect = 0.0
+        self.first_step = None
         self.notes: dict = {}
         self.t = 0.0  # the last accepted time and state
         self.y = None
@@ -350,13 +354,11 @@ class _Run:
         self.n_rhs += 1
         return self.evaluator.rhs(t, y)
 
-    def sample(self, t_s, y_s, state=None) -> None:
+    def sample(self, t_s, y_s) -> None:
         self.times.append(t_s)
         self.samples.append(y_s.copy())
-        if state is None and self.monitors:
-            state = self.evaluator.unpack(self.samples[-1])
         for name, fn in self.monitors.items():
-            self.channels[name].append(float(fn(t_s, state)))
+            self.channels[name].append(float(fn(t_s, self.samples[-1])))
 
     def project(self, y) -> tuple[np.ndarray, float]:
         y, defect = self.evaluator.project(y)
@@ -394,6 +396,7 @@ class _Run:
             n_rejected=self.n_rejected,
             n_rhs=self.n_rhs,
             max_projection_defect=self.max_defect,
+            first_step=self.first_step,
             notes=self.notes,
         )
 
@@ -424,6 +427,7 @@ def _runge_kutta(run: _Run, scheme: _Tableau, k0: np.ndarray, rates) -> str:
                 dt = _starting_step(run.rhs, t, y, k[0], rates, config)
         except (DomainError, ConvergenceError, NumericalError) as exc:
             return run.stopped_by(exc)
+    run.first_step = dt
 
     while t < t_end:
         # a step that the controller shrank below the floor, not the last
@@ -505,6 +509,7 @@ def _saba2(run: _Run) -> str:
         h = (t_next - t) / m
         plan.append((t_next, m, h, sizes.setdefault(h, len(sizes))))
         t = t_next
+    run.first_step = plan[0][2]
     a, weights = evaluator.saba2_factors(list(sizes))
     t = run.t
     # overflow to inf is handled explicitly below as blowup
@@ -576,8 +581,9 @@ def integrate(
     evaluation that raises a domain, convergence or numerical error, whose
     cause goes to ``notes["error"]``), or on adaptive step-size underflow; the
     state it stopped at is then sampled too. Each sample is kept packed, a
-    column of the record's ``samples``; the monitors read it unpacked, and at
-    t = 0 they read ``state0`` itself.
+    column ``y`` of the record's ``samples``, and each monitor is called as
+    ``fn(t, y)`` on it: [u; v] for the physical evaluator, w for the
+    conjugate ones.
     """
     config.validate()
     splitting = config.scheme == "saba2"
@@ -592,7 +598,7 @@ def integrate(
     run = _Run(evaluator, config, monitors or {}, eval_times)
     run.y = evaluator.pack(state0).astype(np.complex128)
     if run.ahead and run.ahead[-1] == 0.0:
-        run.sample(run.ahead.pop(), run.y, state0)
+        run.sample(run.ahead.pop(), run.y)
     if config.t_end == 0.0:
         return run.finish("completed")
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .coupling import Linearization, linearize, mix_arrays, solve_jacobian_arrays
 from .errors import DomainError
-from .fields import ConjugatePair, PairStack, halves
+from .fields import halves
 from .grid import SpectralGrid
 from .transforms import _refuse, _speed_scalars
 
@@ -103,10 +103,8 @@ class RhsParts:
     p_value: float
 
 
-def decompose_rhs(pair: ConjugatePair | PairStack) -> RhsParts:
-    """The four parts at a conjugate pair, or per column of a stack of them."""
-    g = pair.grid
-    x = pair.doubled
+def decompose_rhs(g: SpectralGrid, x: np.ndarray) -> RhsParts:
+    """The four parts at the conjugate pair [a; b], or per column of a stack of them."""
     p, sigma, _ = _diag_scalars(g, x)
     d1 = diag_linear_arrays(g, x)
     tail_factor = 2.0 * p / (1.0 + sigma)  # sigma - 1, without the cancellation
@@ -186,9 +184,9 @@ def energy_derivative_arrays(grid, w, field_first: np.ndarray, s: float):
     return 2.0 * float(np.real(np.dot(grid.weight(s) * field_first, np.conj(w))))
 
 
-def normal_form_rhs(pair: ConjugatePair) -> NormalFormRhs:
-    """The normal-form field at a conjugate pair, with its parts."""
-    linear, cubic, y, p, sigma = _normal_form_field(pair.grid, pair.doubled)
+def normal_form_rhs(grid: SpectralGrid, x: np.ndarray) -> NormalFormRhs:
+    """The normal-form field at the conjugate pair [w; z], with its parts."""
+    linear, cubic, y, p, sigma = _normal_form_field(grid, x)
     return NormalFormRhs(
         total=halves(linear + y),
         linear=halves(linear),

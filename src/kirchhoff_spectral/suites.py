@@ -405,7 +405,7 @@ def _class_defects(g: SpectralGrid, seeds: list) -> dict:
 def _reversibility_defects(g: SpectralGrid, seeds: list) -> dict:
     """Time-reversal anti-symmetry of the physical field on random states."""
     u, v = random_states(g, [seed() for seed in seeds], 0.3)
-    return {"defect": reversibility_defect(PairStack(g, np.concatenate((u, v)))).tolist()}
+    return {"defect": reversibility_defect(g, np.concatenate((u, v))).tolist()}
 
 
 # -- inequalities ---------------------------------------------------------------
@@ -453,7 +453,7 @@ def _decomposition_defects(g: SpectralGrid, seeds: list) -> dict:
     n = g.n_modes
     w = _draw(g, seeds, 0, 0.4, g.m0)
     x = conjugate_doubled(g, w)
-    parts = decompose_rhs(PairStack(g, x))
+    parts = decompose_rhs(g, x)
     field = diagonalized_rhs_arrays(g, x)
     total = parts.diag_linear + parts.diag_tail + parts.offdiag_cubic + parts.offdiag_tail
     scale = np.maximum(1.0, _amax(field[:n]))
@@ -653,13 +653,13 @@ def measure_quartic_constant(
     ratios_m0: list[float] = []
     ratios_s: list[float] = []
 
-    def probe(t, state):
-        rhs = normal_form_rhs(state)
-        w = state.w
-        ed0 = energy_derivative_arrays(grid, w.coeffs, rhs.total[0], m0)
-        ratios_m0.append(abs(ed0) / max(w.norm(m0) ** 6, 1e-300))
-        eds = energy_derivative_arrays(grid, w.coeffs, rhs.total[0], s2)
-        den = max(w.norm(1.0) ** 2 * w.norm(m0) ** 2 * w.norm(s2) ** 2, 1e-300)
+    def probe(t, w):
+        rhs = normal_form_rhs(grid, conjugate_doubled(grid, w))
+        norm = partial(grid.coeff_norm, w)
+        ed0 = energy_derivative_arrays(grid, w, rhs.total[0], m0)
+        ratios_m0.append(abs(ed0) / max(norm(m0) ** 6, 1e-300))
+        eds = energy_derivative_arrays(grid, w, rhs.total[0], s2)
+        den = max(norm(1.0) ** 2 * norm(m0) ** 2 * norm(s2) ** 2, 1e-300)
         ratios_s.append(abs(eds) / den)
         return ratios_m0[-1]
 

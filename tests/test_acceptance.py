@@ -141,11 +141,11 @@ def test_criterion_5_conservation():
     t0 = time.time()
     grid = SpectralGrid(1, 8)
     state0 = random_state(grid, 42, 0.1)
-    h0 = hamiltonian(state0)
-    m0 = momenta(state0)
+    h0 = hamiltonian(grid, state0.doubled)
+    m0 = momenta(grid, state0.doubled)
     monitors = {
-        "dh": lambda t, st: abs(hamiltonian(st) - h0) / max(1.0, abs(h0)),
-        "dm": lambda t, st: float(np.max(np.abs(momenta(st) - m0))),
+        "dh": lambda t, y: abs(hamiltonian(grid, y) - h0) / max(1.0, abs(h0)),
+        "dm": lambda t, y: float(np.max(np.abs(momenta(grid, y) - m0))),
     }
     cfg = IntegratorConfig(scheme="dop853", rel_tol=1e-12, abs_tol=1e-14, t_end=100.0)
     # 101 fixed times read from the dense output, independent of the step pattern

@@ -231,9 +231,9 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     calls = []
     real = nf.normal_form_rhs
 
-    def counting(state):
-        calls.append(state)
-        return real(state)
+    def counting(grid, x):
+        calls.append(x)
+        return real(grid, x)
 
     monkeypatch.setattr(nf, "normal_form_rhs", counting)
     out = os.path.join(tmp_path, "s")
@@ -249,10 +249,11 @@ def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypa
     grid = SpectralGrid(1, 8)
     state = cli._initial_state(cfg, grid)
     monitors = cli._simulate_monitors(cfg, grid, state)
-    rhs = real(state)
-    assert monitors["speed_shift"](0.0, state) == rhs.speed_shift
-    assert monitors["energy_derivative_m0"](0.0, state) == nf.energy_derivative_arrays(
-        grid, state.w.coeffs, rhs.total[0], grid.m0
+    rhs = real(grid, state.doubled)
+    y = state.w.coeffs  # the sample as the monitors read it
+    assert monitors["speed_shift"](0.0, y) == rhs.speed_shift
+    assert monitors["energy_derivative_m0"](0.0, y) == nf.energy_derivative_arrays(
+        grid, y, rhs.total[0], grid.m0
     )
 
 
@@ -657,6 +658,35 @@ def test_simulate_tracked_mode_momentum_channels(tmp_path):
     assert "momentum_j2_0" in header
 
 
+@pytest.mark.parametrize("representation", ["diagonalized", "normal_form"])
+def test_simulate_refuses_tracked_modes_without_momenta(tmp_path, representation, capsys):
+    # only the physical state has per-mode momenta; the setting is refused,
+    # not dropped, and nothing is written
+    out = os.path.join(tmp_path, "s")
+    code = main(["simulate", "--representation", representation, "--track-modes", "1",
+                 "--t-end", "0.5", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "track_modes" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _first_step(tmp_path, *args) -> float:
+    out = os.path.join(tmp_path, "_".join(args))
+    assert main(["simulate", *args, "--t-end", "0.5", "--n-samples", "2", "--out", out]) == EXIT_PASS
+    with open(os.path.join(out, "simulate_summary.json")) as fh:
+        return json.load(fh)["first_step"]
+
+
+def test_simulate_reports_the_first_step_it_took(tmp_path):
+    # a framed dop853 run starts from Hairer's estimate whatever its dt; the
+    # physical field under dop853 starts from its dt
+    framed = [_first_step(tmp_path, "--representation", "normal_form", "--dt", dt)
+              for dt in ("1e-2", "1e-4")]
+    assert framed[0] == framed[1] and framed[0] not in (1e-2, 1e-4) and framed[0] > 0.0
+    assert _first_step(tmp_path, "--dt", "1e-3") == 1e-3
+    assert _first_step(tmp_path, "--scheme", "saba2", "--dt", "0.1") == 0.25 / 3
+
+
 def test_sweep_bad_eps_list(tmp_path):
     assert main(["sweep", "--eps-list", "a,b", "--out", str(tmp_path)]) == EXIT_CONFIG
 
@@ -814,7 +844,7 @@ def test_sweep_ham_drift_is_relative_to_the_initial_energy(monkeypatch):
                            "--no-measure-constants"])
     row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
     (rec,) = records
-    h = hamiltonian(PairStack(SpectralGrid(cfg["d"], cfg["n_modes"]), rec.samples))
+    h = hamiltonian(SpectralGrid(cfg["d"], cfg["n_modes"]), rec.samples)
     assert 1e-4 < h[0] < 1e-2
     drift = np.max(np.abs(h - h[0]))
     assert drift > 0.0

@@ -310,7 +310,7 @@ class TestSolve:
         monkeypatch.setattr(coupling, "jac_arrays", counted_jac)
         state = ConjugatePair(random_field(grid1, 5, 0.05, grid1.m0, "free"))
         if evaluation == "structured":
-            normal_form.normal_form_rhs(state)
+            normal_form.normal_form_rhs(grid1, state.doubled)
         else:
             normal_form.normal_form_direct_arrays(grid1, state.doubled)
         assert counts == {"solve": 1, "jac": 1}

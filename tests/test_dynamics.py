@@ -9,7 +9,7 @@ from kirchhoff_spectral.dynamics import (
     make_dynamics,
     reversibility_defect,
 )
-from kirchhoff_spectral.fields import PairStack
+from kirchhoff_spectral.fields import halves
 from kirchhoff_spectral.integrate import IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import hamiltonian, momenta, random_state, random_states
 from kirchhoff_spectral.normal_form import (
@@ -30,12 +30,16 @@ def _single_mode_state(grid, j, x0, v0):
     return RealPair(ComplexField(grid, cu), ComplexField(grid, cv))
 
 
-def test_pack_unpack_round_trip(grid1):
-    dyn = KirchhoffDynamics(grid1)
+def test_pack_is_the_doubled_vector_or_w(grid1):
+    # a run's samples, which the monitors read, are in this layout
+    n = grid1.n_modes
     state = random_state(grid1, 1, 0.3)
-    back = dyn.unpack(dyn.pack(state))
-    assert np.array_equal(back.u.coeffs, state.u.coeffs)
-    assert np.array_equal(back.v.coeffs, state.v.coeffs)
+    y = KirchhoffDynamics(grid1).pack(state)
+    assert np.array_equal(y[:n], state.u.coeffs)
+    assert np.array_equal(y[n:], state.v.coeffs)
+    pair = ConjugatePair(random_field(grid1, 2, 0.3, 1.0, "free"))
+    for dynamics in (DiagonalizedDynamics, NormalFormDynamics):
+        assert np.array_equal(dynamics(grid1).pack(pair), pair.w.coeffs)
 
 
 def test_ball_value_is_the_physical_pair_norm(grid1, grid2):
@@ -63,7 +67,7 @@ def test_the_physical_field_takes_a_stack(grid2):
     for k in range(5):
         one = dyn.rhs(0.0, np.ascontiguousarray(x[:, k]))
         assert np.max(np.abs(out[:, k] - one)) <= STACKED_DEFECT_ROUNDING * np.max(np.abs(one))
-    defects = reversibility_defect(PairStack(grid2, x))
+    defects = reversibility_defect(grid2, x)
     assert defects.shape == (5,) and np.all(defects <= 1e-14)
 
 
@@ -92,12 +96,12 @@ def test_single_mode_matches_independent_oracle(grid1):
 
 def test_hamiltonian_and_momenta_conserved_short(grid1):
     state0 = random_state(grid1, 4, 0.2)
-    h0 = hamiltonian(state0)
-    m0 = momenta(state0)
+    h0 = hamiltonian(grid1, state0.doubled)
+    m0 = momenta(grid1, state0.doubled)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0)
     mon = {
-        "dh": lambda t, st: abs(hamiltonian(st) - h0) / max(1.0, abs(h0)),
-        "dm": lambda t, st: float(np.max(np.abs(momenta(st) - m0))),
+        "dh": lambda t, y: abs(hamiltonian(grid1, y) - h0) / max(1.0, abs(h0)),
+        "dm": lambda t, y: float(np.max(np.abs(momenta(grid1, y) - m0))),
     }
     ts = np.linspace(0.0, 5.0, 51)
     rec = integrate(KirchhoffDynamics(grid1), state0, cfg, monitors=mon, t_eval=ts)
@@ -117,9 +121,9 @@ def test_complexified_field_real_structure_and_physical_equivalence(grid1):
     # the same dynamics as the physical system: push (f,g) to (u,v), apply the
     # physical field, pull the tangent back, compare
     uv = scale_stage("fwd", g, complex_stage("fwd", g, pair.doubled))
-    state = RealPair(ComplexField(g, uv[:n]), ComplexField(g, uv[n:]), check_tol=1e-8)
     dyn = KirchhoffDynamics(g)
-    back = complex_stage("inv", g, scale_stage("inv", g, dyn.rhs(0.0, dyn.pack(state))))
+    assert dyn.project(uv)[1] <= 1e-8 * max(1.0, np.max(np.abs(uv)))  # a physical state
+    back = complex_stage("inv", g, scale_stage("inv", g, dyn.rhs(0.0, uv)))
     assert np.max(np.abs(back[:n] - field[:n])) <= 1e-13
 
 
@@ -162,20 +166,20 @@ def test_refinement_invariance_for_embedded_data(grid1_small, grid1):
     for g in (grid1, grid12):
         state = RealPair(embed_field(small.u, g), embed_field(small.v, g))
         rec = integrate(KirchhoffDynamics(g), state, cfg)
-        final = KirchhoffDynamics(g).unpack(rec.samples[:, -1])
+        u, v = halves(rec.samples[:, -1])
         # new modes stayed exactly zero
         supported = {tuple(m) for m in grid1_small.modes.tolist()}
         for i in range(g.n_modes):
             if tuple(g.modes[i]) not in supported:
-                assert final.u.coeffs[i] == 0.0 and final.v.coeffs[i] == 0.0
-        results[g.n_cutoff] = final
-    ref = KirchhoffDynamics(grid1_small).unpack(rec4.samples[:, -1])
-    for n, final in results.items():
+                assert u[i] == 0.0 and v[i] == 0.0
+        results[g.n_cutoff] = g, u, v
+    ref_u, ref_v = halves(rec4.samples[:, -1])
+    for g, u, v in results.values():
         for j in (1, -2, 4):
-            sl = final.grid.slot(j)
+            sl = g.slot(j)
             sl4 = grid1_small.slot(j)
-            assert abs(final.u.coeffs[sl] - ref.u.coeffs[sl4]) <= 1e-12
-            assert abs(final.v.coeffs[sl] - ref.v.coeffs[sl4]) <= 1e-12
+            assert abs(u[sl] - ref_u[sl4]) <= 1e-12
+            assert abs(v[sl] - ref_v[sl4]) <= 1e-12
 
 
 def test_energy_derivative_matches_finite_differences(grid1):

@@ -13,11 +13,9 @@ from kirchhoff_spectral import (
     ParameterError,
     RealPair,
     SpectralGrid,
-    conj_function,
     field_from_dict,
     field_to_dict,
     hermitian_defect,
-    hermitian_project,
     random_field,
     sobolev_norm,
 )
@@ -86,7 +84,7 @@ def test_pairing_symmetric_and_multiplier_selfadjoint(grid1):
 
 def test_pairing_with_conjugate_is_l2_norm(grid1):
     f = random_field(grid1, 7, 0.8, 1.0, "free")
-    val = grid1.pairing(f.coeffs, conj_function(f).coeffs)
+    val = grid1.pairing(f.coeffs, ConjugatePair(f).doubled[grid1.n_modes:])
     assert val.imag == pytest.approx(0.0, abs=1e-16)
     assert val.real == pytest.approx(sobolev_norm(f, 0.0) ** 2, rel=1e-13)
 
@@ -132,14 +130,14 @@ def test_norm_monotonicity_property(seed, s, t):
 
 def test_conjugate_pair_is_pointwise_conjugate(grid1):
     w = random_field(grid1, 11, 1.0, 1.0, "free")
-    pair = ConjugatePair(w)
+    z = ConjugatePair(w).doubled[grid1.n_modes:]
     # z_j = conj(w_{-j}) in coefficients ...
     for j in (1, -3, 5):
-        assert pair.z.coeffs[grid1.slot(j)] == np.conj(w.coeffs[grid1.slot(-j)])
+        assert z[grid1.slot(j)] == np.conj(w.coeffs[grid1.slot(-j)])
     # ... which makes z(x) = conj(w(x)) at any point
     for x in (0.3, 1.1, 2.9):
         wx = sum(w.coeffs[i] * np.exp(1j * grid1.modes[i, 0] * x) for i in range(grid1.n_modes))
-        zx = sum(pair.z.coeffs[i] * np.exp(1j * grid1.modes[i, 0] * x) for i in range(grid1.n_modes))
+        zx = sum(z[i] * np.exp(1j * grid1.modes[i, 0] * x) for i in range(grid1.n_modes))
         assert zx == pytest.approx(np.conj(wx), abs=1e-12)
 
 
@@ -150,16 +148,23 @@ def test_real_pair_validates_symmetry(grid1):
     crooked = random_field(grid1, 14, 0.5, 1.5, "free")
     with pytest.raises(ParameterError):
         RealPair(crooked, v)
-    projected = RealPair.projected(crooked, v)
-    assert hermitian_defect(projected.u) == 0.0
 
 
-def test_hermitian_project_idempotent(grid2):
-    f = random_field(grid2, 15, 1.0, 1.0, "free")
-    p = hermitian_project(f)
-    assert hermitian_defect(p) <= 1e-16
-    q = hermitian_project(p)
-    assert np.max(np.abs(q.coeffs - p.coeffs)) <= 1e-16
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_real_pair_checks_symmetry_at_a_relative_1e_9(grid1, scale):
+    # always on, relative to the largest coefficient or 1
+    u = scale * random_field(grid1, 12, 0.5, 1.5, "hermitian").coeffs
+    v = ComplexField(grid1, scale * random_field(grid1, 13, 0.5, 0.5, "hermitian").coeffs)
+    size = max(1.0, float(np.max(np.abs(u))), float(np.max(np.abs(v.coeffs))))
+    for defect, refused in ((0.9e-9, False), (1.1e-9, True)):
+        bent = u.copy()
+        bent[grid1.slot(1)] += defect * size
+        assert hermitian_defect(ComplexField(grid1, bent)) == pytest.approx(defect * size)
+        if refused:
+            with pytest.raises(ParameterError):
+                RealPair(ComplexField(grid1, bent), v)
+        else:
+            RealPair(ComplexField(grid1, bent), v)
 
 
 def test_serialization_round_trip_bit_exact(grid2):

@@ -21,6 +21,7 @@ from kirchhoff_spectral.dynamics import (
     KirchhoffDynamics,
     NormalFormDynamics,
 )
+from kirchhoff_spectral.fields import halves, pair_norm
 from kirchhoff_spectral.integrate import DOP853, SCHEMES, IntegratorConfig, integrate
 from kirchhoff_spectral.kirchhoff import random_state
 from oracles import LinearDiagonalDynamics, same_bits, saba2_subflows
@@ -34,9 +35,6 @@ class _ScalarDynamics:
 
     def pack(self, state):
         return np.array([state], dtype=np.complex128)
-
-    def unpack(self, y):
-        return complex(y[0])
 
     def rhs(self, t, y):
         return self.fn(t, y)
@@ -118,7 +116,7 @@ def test_determinism(grid1):
     dyn = KirchhoffDynamics(grid1)
     state0 = random_state(grid1, 5, 0.2)
     cfg = IntegratorConfig(t_end=3.0)
-    mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
+    mon = {"h": lambda t, y: float(np.max(np.abs(y[: grid1.n_modes])))}
     ts = np.linspace(0.0, 3.0, 31)
     a = integrate(dyn, state0, cfg, monitors=mon, t_eval=ts)
     b = integrate(dyn, state0, cfg, monitors=mon, t_eval=ts)
@@ -239,7 +237,7 @@ def test_monitors_sample_at_t_eval(grid1, scheme):
     dyn = KirchhoffDynamics(grid1)  # the field that every scheme can step
     w0 = random_state(grid1, 11, 0.5)
     cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=1.0)
-    mon = {"n": lambda t, st: st.norm(1.0)}
+    mon = {"n": lambda t, y: pair_norm(grid1, y, 1.0)}
     rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 1.0, 11))
     assert np.array_equal(rec.times, np.linspace(0.0, 1.0, 11))
     assert len(rec.channels["n"]) == 11
@@ -253,7 +251,7 @@ def test_csv_round_trip(tmp_path, grid1):
     dyn = LinearDiagonalDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 12, 0.5, 1.0, "free"))
     cfg = IntegratorConfig(scheme="dop853", dt=0.05, t_end=0.5)
-    mon = {"norm_1": lambda t, st: st.w.norm(1.0)}
+    mon = {"norm_1": lambda t, y: grid1.coeff_norm(y, 1.0)}
     rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=np.linspace(0.0, 0.5, 6))
     path = os.path.join(tmp_path, "out", "traj.csv")  # the writer makes the directory
     _write_csv(path, ["time", "norm_1"], zip(rec.times, rec.channels["norm_1"]))
@@ -274,12 +272,12 @@ def test_step_preserves_state_class(grid1):
 
     def one_step(scheme):
         cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.01)
-        return dyn.unpack(integrate(dyn, state, cfg).samples[:, -1])
+        return halves(integrate(dyn, state, cfg).samples[:, -1])[0]
 
     out = one_step("saba2")
-    assert out.u.coeffs.shape == state.u.coeffs.shape
+    assert out.shape == state.u.coeffs.shape
     out853 = one_step("dop853")
-    assert np.max(np.abs(out853.u.coeffs - out.u.coeffs)) <= 1e-10
+    assert np.max(np.abs(out853 - out)) <= 1e-10
 
 
 def test_tableau_consistency():
@@ -409,12 +407,11 @@ def test_rates_must_be_imaginary(grid1):
 
 
 class _Counting:
-    """Wraps an evaluator and counts its right-hand-side and unpack calls."""
+    """Wraps an evaluator and counts its right-hand-side calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
-        self.unpacks = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -422,10 +419,6 @@ class _Counting:
     def rhs(self, t, y):
         self.calls += 1
         return self.inner.rhs(t, y)
-
-    def unpack(self, y):
-        self.unpacks += 1
-        return self.inner.unpack(y)
 
 
 def test_dop853_makes_twelve_rhs_calls_per_attempt(grid1):
@@ -437,34 +430,30 @@ def test_dop853_makes_twelve_rhs_calls_per_attempt(grid1):
     assert dyn.calls == 1 + 12 * (rec.n_steps + rec.n_rejected)
 
 
-def test_sample_unpacks_the_state_once(grid1):
-    # the monitors share one unpacked state per sample; the first sample is
-    # state0 itself
-    dyn = _Counting(KirchhoffDynamics(grid1))
-    cfg = IntegratorConfig(t_end=1.0)
-    mon = {"h": lambda t, st: float(np.max(np.abs(st.u.coeffs)))}
-    ts = np.linspace(0.0, 1.0, 11)
-    rec = integrate(dyn, random_state(grid1, 17, 0.2), cfg, monitors=mon, t_eval=ts)
-    assert len(rec.times) == rec.samples.shape[1] == 11
-    assert dyn.unpacks == 10
-
-
 @pytest.mark.parametrize("scheme, dynamics", [
     ("dop853", KirchhoffDynamics),  # no declared rotation
     ("dop853", NormalFormDynamics),  # stepped in its rotation's frame
     ("saba2", KirchhoffDynamics),
 ])
-def test_a_run_without_monitors_unpacks_no_sample(grid1, scheme, dynamics):
-    # the record keeps the packed samples; only a monitor needs a state
-    dyn = _Counting(dynamics(grid1))
+def test_each_monitor_reads_the_packed_sample(grid1, scheme, dynamics):
+    # every monitor of sample k gets the record's column k, bit for bit, as
+    # one array that they share; at t = 0 it is the packed start
+    dyn = dynamics(grid1)
     if dynamics is KirchhoffDynamics:
         state0 = random_state(grid1, 17, 0.2)
     else:
         state0 = ConjugatePair(random_field(grid1, 17, 0.05, 1.0, "free"))
+    read = {"a": [], "b": []}
+    mon = {name: lambda t, y, name=name: read[name].append((y, y.copy())) or 0.0
+           for name in read}
     cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=1.0)
-    rec = integrate(dyn, state0, cfg, t_eval=np.linspace(0.0, 1.0, 11))
-    assert rec.exit_reason == "completed" and dyn.unpacks == 0
-    assert rec.samples.shape[1] == 11
+    rec = integrate(dyn, state0, cfg, monitors=mon, t_eval=np.linspace(0.0, 1.0, 11))
+    assert rec.exit_reason == "completed" and rec.samples.shape[1] == 11
+    assert len(read["a"]) == len(read["b"]) == 11
+    for k, ((y, copy), (other, _)) in enumerate(zip(read["a"], read["b"])):
+        assert y is other
+        assert same_bits(copy, rec.samples[:, k])
+    assert same_bits(read["a"][0][1], dyn.pack(state0))
 
 
 @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 5.0, 11), []])
@@ -475,7 +464,7 @@ def test_samples_are_the_packed_samples_as_columns(grid1, t_eval):
     dyn = NormalFormDynamics(grid1)
     w0 = ConjugatePair(random_field(grid1, 7, 0.3, 1.0, "free"))
     read = []
-    mon = {"pack": lambda t, st: read.append(dyn.pack(st)) or 0.0}
+    mon = {"pack": lambda t, y: read.append(y.copy()) or 0.0}
     cfg = IntegratorConfig(t_end=5.0, rel_tol=1e-8, ball_threshold=0.2)
     rec = integrate(dyn, w0, cfg, monitors=mon, t_eval=t_eval)
     assert rec.exit_reason == "ball_exit" and 0.0 < rec.exit_time < 5.0
@@ -620,8 +609,8 @@ def test_saba2_keeps_momenta_symmetry_and_sample_times(grid1, sweep_row):
     rec = _saba2(grid1, sweep_row[0], _SWEEP_DT)
     assert rec.exit_reason == "completed" and rec.exit_time == 100.0
     assert np.array_equal(rec.times, _ROW_TS)  # the steps land on every sample
-    states = [KirchhoffDynamics(grid1).unpack(y) for y in rec.samples.T]
-    drift = np.array([momenta(st) for st in states]) - momenta(states[0])
+    moms = np.array([momenta(grid1, y) for y in rec.samples.T])
+    drift = moms - moms[0]
     assert np.max(np.abs(drift)) <= 1e-13
     # rotation and kick act per mode with real factors even in j
     assert rec.max_projection_defect == 0.0
@@ -797,7 +786,7 @@ def test_a_framed_run_starts_from_hairers_estimate(grid1, dynamics, monkeypatch)
                   order=7, rtol=cfg.rel_tol, atol=cfg.abs_tol)
     if "t_bound" in inspect.signature(select_initial_step).parameters:
         kwargs.update(t_bound=cfg.t_end, max_step=np.inf)
-    assert steps[0] == select_initial_step(**kwargs)
+    assert steps[0] == select_initial_step(**kwargs) == rec.first_step
     assert rec.n_rhs == 2 + 12 * (rec.n_steps + rec.n_rejected)
 
 
@@ -812,6 +801,7 @@ def test_a_field_that_refuses_the_trial_point_ends_the_run_at_the_start(monkeypa
     rec = integrate(_Framed(refuse_after_start), 1.0 + 0j, IntegratorConfig(t_end=1.0))
     assert (rec.exit_reason, rec.exit_time, rec.n_steps, rec.n_rhs) == ("ball_exit", 0.0, 0, 2)
     assert rec.notes == {"error": "ConvergenceError: trial point refused"} and steps == []
+    assert rec.first_step is None  # the run chose no step
     assert np.array_equal(rec.times, [0.0])
 
 
@@ -831,3 +821,5 @@ def test_a_run_without_rates_starts_from_its_dt(grid1, scheme, dt, work, monkeyp
     assert rec.exit_reason == "completed" and rec.n_rhs == dyn.calls
     assert (rec.n_steps, rec.n_rejected, rec.n_rhs) == work
     assert steps[:1] == ([dt] if scheme == "dop853" else [])
+    # saba2's first planned step lands on the first sample time, 0.25
+    assert rec.first_step == (dt if scheme == "dop853" else 0.25 / math.ceil(0.25 / dt))

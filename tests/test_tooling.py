@@ -225,18 +225,20 @@ def _counted_changes_of_variables(monkeypatch) -> list:
     return calls
 
 
-def _counted_unpacks(monkeypatch) -> list:
-    """The states unpacked from packed vectors, physical or conjugate."""
-    from kirchhoff_spectral import dynamics
+def _counted_fields(monkeypatch) -> list:
+    """The ComplexFields built, each state object's parts: a RealPair holds
+    two and a ConjugatePair one."""
+    from kirchhoff_spectral.fields import ComplexField
 
-    calls = []
-    for cls in (dynamics.KirchhoffDynamics, dynamics._ConjugateDynamics):
-        def counted(self, y, real=cls.unpack):
-            calls.append(type(self).__name__)
-            return real(self, y)
+    built = []
+    real = ComplexField.__post_init__
 
-        monkeypatch.setattr(cls, "unpack", counted)
-    return calls
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(ComplexField, "__post_init__", counted)
+    return built
 
 
 def test_a_sweep_row_maps_its_samples_in_one_pass(monkeypatch):
@@ -246,26 +248,33 @@ def test_a_sweep_row_maps_its_samples_in_one_pass(monkeypatch):
     from kirchhoff_spectral import cli
 
     calls = _counted_changes_of_variables(monkeypatch)
-    unpacks = _counted_unpacks(monkeypatch)
-    _, cfg = cli.parse_config(["sweep", "--t-cap", "5", "--n-samples", "10",
-                               "--no-measure-constants"])
-    row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
-    assert row["status"] == "stable-at-cap"
-    assert calls == ["fwd", "inv", "inv"] and len(calls) == CHANGES_OF_VARIABLES_PER_ROW
-    assert unpacks == []
+    built = _counted_fields(monkeypatch)
+    for n_samples in (10, 40):
+        calls.clear()
+        built.clear()
+        _, cfg = cli.parse_config(["sweep", "--t-cap", "5", "--n-samples", str(n_samples),
+                                   "--no-measure-constants"])
+        row = cli._sweep_row(dict(cfg, eps=0.2, row_seed=100))
+        assert row["status"] == "stable-at-cap"
+        assert calls == ["fwd", "inv", "inv"] and len(calls) == CHANGES_OF_VARIABLES_PER_ROW
+        # the drawn w0, the physical start and the one-state inverse's result
+        assert len(built) == 1 + 2 + 1
 
 
 def test_a_conjugacy_level_maps_its_samples_in_one_pass(monkeypatch):
     from kirchhoff_spectral import ConjugatePair, SpectralGrid, cli, random_field
 
     calls = _counted_changes_of_variables(monkeypatch)
-    unpacks = _counted_unpacks(monkeypatch)
+    built = _counted_fields(monkeypatch)
     grid = SpectralGrid(1, 4)
     w0 = ConjugatePair(random_field(grid, 3, 0.05, grid.m0, "free"))
-    res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=4, rel_tol=1e-10)
-    assert res["status"] == "ok"
-    assert {d: calls.count(d) for d in set(calls)} == CHANGES_OF_VARIABLES_PER_LEVEL
-    assert unpacks == []
+    for n_samples in (4, 40):
+        calls.clear()
+        built.clear()
+        res = cli.conjugacy_defect(grid, w0, t_end=0.2, n_samples=n_samples, rel_tol=1e-10)
+        assert res["status"] == "ok"
+        assert {d: calls.count(d) for d in set(calls)} == CHANGES_OF_VARIABLES_PER_LEVEL
+        assert len(built) == 2  # the physical start, whatever the number of samples
 
 
 def test_oracle_suite_reaches_the_oracle_layers(monkeypatch):
