@@ -3,7 +3,8 @@
 Subcommands: ``verify`` (property suites), ``simulate`` (trajectory + summary),
 ``conjugacy`` (push the physical flow through the inverse change of variables
 and compare with the normal-form flow), ``sweep`` (lifespan surrogate over a
-list of amplitudes).
+list of amplitudes). The last three read what they report off their runs'
+packed samples after the run, with one stacked call per quantity.
 
 Configuration is a single JSON document; command-line flags override JSON
 fields. Every run is deterministic given its config, and every report embeds
@@ -43,8 +44,9 @@ from .fields import (
     ConjugatePair, PairStack, RealPair, conjugate_doubled, field_from_dict, pair_norm, random_field,
 )
 from .grid import SpectralGrid
-from .integrate import SCHEMES, IntegratorConfig, TrajectoryRecord, integrate
-from .kirchhoff import hamiltonian, mode_momentum, momenta, random_state
+from .integrate import SCHEMES, IntegratorConfig, integrate
+from .kirchhoff import hamiltonian, momenta, random_state
+from .normal_form import energy_derivative_arrays, normal_form_rhs
 from .suites import REGISTRY, SuiteConfig, _worst, measure_quartic_constant, run_suites
 from .transforms import change_of_variables
 
@@ -395,69 +397,49 @@ def _relative_drift(h, h0):
     return abs(h - h0) / (abs(h0) if h0 else 1.0)
 
 
-def _simulate_monitors(cfg: dict, grid: SpectralGrid, state0) -> dict:
-    rep = cfg["representation"]
+def _tracked_slots(cfg: dict, grid: SpectralGrid) -> dict:
+    """The slot of each ``track_modes`` entry under its channel label, checked
+    before the run: only the physical state has per-mode momenta."""
+    if cfg["track_modes"] and cfg["representation"] != "original":
+        raise ConfigError(
+            f"track_modes: the {cfg['representation']} representation has no momentum channels"
+        )
+    return {"_".join(map(str, mode)): grid.slot(mode) for mode in cfg["track_modes"]}
+
+
+def _simulate_channels(cfg: dict, grid: SpectralGrid, x: np.ndarray, tracked: dict) -> dict:
+    """Every channel of ``simulate``, one value per sample, read off the run's
+    samples ``x`` (mode-first, the start in column 0) with one stacked call
+    per quantity."""
     m0 = grid.m0
     s_values = cfg["s_values"] or [m0, m0 + 1.0, m0 + 2.0]
-    monitors: dict = {}
-    if rep == "original":
-        h0 = hamiltonian(grid, state0.doubled)
-        m_0 = momenta(grid, state0.doubled)
-        monitors["hamiltonian"] = lambda t, y: hamiltonian(grid, y)
-        monitors["ham_drift_rel"] = lambda t, y: _relative_drift(hamiltonian(grid, y), h0)
-        monitors["momentum_drift_max"] = lambda t, y: float(np.max(np.abs(momenta(grid, y) - m_0)))
-        for mode in cfg["track_modes"]:
-            mode = tuple(mode)
-            grid.slot(mode)  # validate early
-            label = "_".join(str(c) for c in mode)
-            for axis in range(grid.d):
-                monitors[f"momentum_j{label}_{axis}"] = (
-                    lambda t, y, m=mode, a=axis: float(mode_momentum(grid, y, m)[a])
-                )
-        for s in s_values:
-            monitors[f"uv_norm_s{s:g}"] = lambda t, y, s=s: pair_norm(grid, y, s)
-    else:
-        if cfg["track_modes"]:
-            raise ConfigError(f"track_modes: the {rep} representation has no momentum channels")
-        for s in s_values:
-            monitors[f"w_norm_s{s:g}"] = lambda t, y, s=s: grid.coeff_norm(y, s)
-        if rep == "normal_form":
-            from .normal_form import energy_derivative_arrays, normal_form_rhs
-
-            last: dict = {}
-
-            def _field(y):
-                # every monitor of a sample gets the same array
-                if last.get("y") is not y:
-                    last.update(y=y, rhs=normal_form_rhs(grid, conjugate_doubled(grid, y)))
-                return last["rhs"]
-
-            monitors["speed_shift"] = lambda t, y: _field(y).speed_shift
-            monitors["energy_derivative_m0"] = lambda t, y: energy_derivative_arrays(
-                grid, y, _field(y).total[0], m0
-            )
-    return monitors
-
-
-def _channel_summary(rec: TrajectoryRecord) -> dict:
-    out = {}
-    for name, series in rec.channels.items():
-        if len(series) == 0:
-            continue
-        out[name] = {
-            "first": float(series[0]),
-            "last": float(series[-1]),
-            "min": float(series.min()),
-            "max": float(series.max()),
-        }
-    return out
+    if cfg["representation"] != "original":
+        channels = {f"w_norm_s{s:g}": grid.coeff_norm(x, s) for s in s_values}
+        if cfg["representation"] == "normal_form":
+            rhs = normal_form_rhs(grid, conjugate_doubled(grid, x))
+            channels["speed_shift"] = rhs.speed_shift
+            channels["energy_derivative_m0"] = energy_derivative_arrays(grid, x, rhs.total[0], m0)
+        return channels
+    h = hamiltonian(grid, x)
+    p = momenta(grid, x)  # (n, d, m)
+    channels = {
+        "hamiltonian": h,
+        "ham_drift_rel": _relative_drift(h, h[0]),
+        "momentum_drift_max": np.max(np.abs(p - p[..., :1]), axis=(0, 1)),
+    }
+    for label, i in tracked.items():
+        for axis in range(grid.d):
+            channels[f"momentum_j{label}_{axis}"] = p[i, axis]
+    for s in s_values:
+        channels[f"uv_norm_s{s:g}"] = pair_norm(grid, x, s)
+    return channels
 
 
 def cmd_simulate(cfg: dict) -> int:
     grid = SpectralGrid(cfg["d"], cfg["n_modes"])
     state0 = _initial_state(cfg, grid)
     dyn = make_dynamics(cfg["representation"], grid)
-    monitors = _simulate_monitors(cfg, grid, state0)
+    tracked = _tracked_slots(cfg, grid)
     icfg = IntegratorConfig(
         scheme=cfg["scheme"],
         dt=cfg["dt"],
@@ -469,32 +451,30 @@ def cmd_simulate(cfg: dict) -> int:
     # t_end = 0 leaves the one sample at t = 0
     ts = np.unique(np.linspace(0.0, cfg["t_end"], cfg["n_samples"] + 1))
     t0 = time.perf_counter()
-    rec = integrate(dyn, state0, icfg, monitors=monitors, t_eval=ts)
+    rec = integrate(dyn, state0, icfg, t_eval=ts)
+    channels = _simulate_channels(cfg, grid, rec.samples, tracked)
     runtime = time.perf_counter() - t0
 
-    names = sorted(rec.channels)
+    names = sorted(channels)
     _write_csv(os.path.join(cfg["out"], "trajectory.csv"), ["time"] + names,
-               zip(rec.times, *(rec.channels[name] for name in names)))
+               zip(rec.times, *(channels[name] for name in names)))
 
     summary = _report_header("simulate", cfg)
-    summary["grid"] = _grid_meta(grid)
-    summary["exit_reason"] = rec.exit_reason
-    summary["exit_time"] = rec.exit_time
-    summary["n_steps"] = rec.n_steps
-    summary["n_rejected"] = rec.n_rejected
-    summary["n_rhs"] = rec.n_rhs
-    summary["first_step"] = rec.first_step
-    summary["max_projection_defect"] = rec.max_projection_defect
-    summary["runtime_s"] = runtime
+    summary.update(grid=_grid_meta(grid), exit_reason=rec.exit_reason, exit_time=rec.exit_time,
+                   n_steps=rec.n_steps, n_rejected=rec.n_rejected, n_rhs=rec.n_rhs,
+                   first_step=rec.first_step, max_projection_defect=rec.max_projection_defect,
+                   runtime_s=runtime)
     summary.update(rec.notes)  # why the run stopped early, if it did
-    summary["channels"] = _channel_summary(rec)
+    summary["channels"] = {
+        name: dict(first=float(v[0]), last=float(v[-1]), min=float(v.min()), max=float(v.max()))
+        for name, v in channels.items()
+    }
     # growth ratio per monitored norm; for the physical system the max/initial
     # ratio should be essentially independent of the order s
-    ratios = {}
-    for name, stats in summary["channels"].items():
-        if name.startswith(("uv_norm_s", "w_norm_s")) and stats["first"] > 0:
-            ratios[name] = stats["max"] / stats["first"]
-    summary["norm_growth_ratios"] = ratios
+    summary["norm_growth_ratios"] = ratios = {
+        name: float(v.max() / v[0]) for name, v in channels.items()
+        if name.startswith(("uv_norm_s", "w_norm_s")) and v[0] > 0
+    }
     if len(ratios) >= 2:
         vals = sorted(ratios.values())
         summary["norm_growth_spread"] = (vals[-1] - vals[0]) / vals[0]
@@ -807,10 +787,11 @@ COMMANDS = {
         cmd_simulate,
         SIMULATE_OPTIONS,
         "integrate one trajectory and summarize",
-        "trajectory.csv columns: time, then the monitor channels in "
+        "trajectory.csv columns: time, then the channels in "
         "alphabetical order. original: ham_drift_rel (|H - H0| / |H0|, the "
         "absolute drift when H0 = 0), hamiltonian, "
-        "momentum_drift_max, uv_norm_s<order> (the physical pair norm per "
+        "momentum_drift_max, momentum_j<mode>_<axis> per tracked mode, "
+        "uv_norm_s<order> (the physical pair norm per "
         "monitored order); diagonalized/normal_form: w_norm_s<order>, plus "
         "speed_shift and energy_derivative_m0 for normal_form. Floats carry "
         "17 significant digits.",

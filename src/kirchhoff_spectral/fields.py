@@ -201,6 +201,9 @@ class RealPair:
 
     def __post_init__(self):
         _same_grid(self.u, self.v)
+        # a NaN passes the comparison below, and an inf sets its own scale
+        if not (np.isfinite(self.u.coeffs).all() and np.isfinite(self.v.coeffs).all()):
+            raise ParameterError("state coefficients must be finite")
         scale = max(1.0, float(np.max(np.abs(self.u.coeffs))),
                     float(np.max(np.abs(self.v.coeffs))))
         defect = max(hermitian_defect(self.u), hermitian_defect(self.v))

@@ -7,8 +7,8 @@ Wave-speed functional, Hamiltonian and per-mode momentum integrals of
 on the zero-mean lattice. The nonlinearity is the single scalar
 a(t) - 1 = <Lambda u, Lambda u>, so the right-hand side is diagonal per mode
 and every quantity here is evaluated exactly at truncation level (pure
-spectral sums, no quadrature), on the doubled vector x = [u; v] that a run's
-samples hold. The right-hand side itself is
+spectral sums, no quadrature), on the doubled vector x = [u; v], or on a
+mode-first stack of them, one sample per column. The right-hand side itself is
 :meth:`~kirchhoff_spectral.dynamics.KirchhoffDynamics.rhs`, the one field
 every flow integrates; its reversibility check lives beside it.
 """
@@ -47,31 +47,25 @@ def hamiltonian(grid: SpectralGrid, x: np.ndarray):
     return 0.5 * pv.real + 0.5 * pu.real + 0.25 * pu.real ** 2
 
 
-def mode_momentum(grid: SpectralGrid, x: np.ndarray, mode) -> np.ndarray:
-    """Conserved per-mode momentum at x = [u; v], as the real d-vector -j Im(u_j conj(v_j)).
+def momenta(grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
+    """The conserved per-mode momenta -j Im(u_j conj(v_j)) of the physical state
+    x = [u; v], shape (n_modes, d), or (n_modes, d, m) per column of a mode-first stack.
 
     Each Fourier amplitude obeys the same scalar oscillator equation, so
     (i j / 2)(u_j v_{-j} - u_{-j} v_j) is a constant of motion for every j;
     for Hermitian-symmetric states it equals the returned real form (verified
-    here against the complex expression on every call). It is even in j.
+    here against the complex expression, per column, on every call). They are
+    even in j.
     """
-    i = grid.slot(mode)
-    j_vec = grid.modes[i].astype(np.float64)
     u, v = halves(x)
-    uj, vj = u[i], v[i]
-    real_form = -j_vec * float(np.imag(uj * np.conj(vj)))
-    u_neg, v_neg = u[grid.neg_index[i]], v[grid.neg_index[i]]
-    complex_form = 0.5j * j_vec * (uj * v_neg - u_neg * vj)
-    if np.max(np.abs(complex_form - real_form)) > 1e-13 * max(1.0, float(np.max(np.abs(real_form)))):
+    real_form = -np.imag(u * np.conj(v))[:, None]
+    complex_form = 0.5j * (u * v[grid.neg_index] - u[grid.neg_index] * v)[:, None]
+    j = grid.modes.astype(np.float64).reshape(grid.modes.shape + (1,) * (x.ndim - 1))
+    moms = j * real_form
+    defect = np.max(np.abs(j * (complex_form - real_form)), axis=(0, 1))
+    if np.any(defect > 1e-13 * np.maximum(1.0, np.max(np.abs(moms), axis=(0, 1)))):
         raise NumericalError("momentum formulas disagree; state symmetry is corrupted")
-    return real_form
-
-
-def momenta(grid: SpectralGrid, x: np.ndarray) -> np.ndarray:
-    """All per-mode momenta of the physical state x = [u; v] at once, shape (n_modes, d)."""
-    u, v = halves(x)
-    m = -np.imag(u * np.conj(v))
-    return grid.modes.astype(np.float64) * m[:, None]
+    return moms
 
 
 def random_states(grid: SpectralGrid, seeds, eps: float) -> tuple[np.ndarray, np.ndarray]:

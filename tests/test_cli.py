@@ -225,36 +225,79 @@ def test_simulate_normal_form(tmp_path):
     assert rep["n_rhs"] >= 1 + 12 * (rep["n_steps"] + rep["n_rejected"])
 
 
-def test_simulate_normal_form_evaluates_field_once_per_sample(tmp_path, monkeypatch):
-    import kirchhoff_spectral.normal_form as nf
-
+def _spy(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name`` for this test."""
     calls = []
-    real = nf.normal_form_rhs
+    real = getattr(module, name)
 
-    def counting(grid, x):
-        calls.append(x)
-        return real(grid, x)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(nf, "normal_form_rhs", counting)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("args", [[], ["--scheme", "saba2"], ["--track-modes", "2"]])
+def test_simulate_evaluates_the_hamiltonian_once(tmp_path, monkeypatch, args):
+    # every sample's H, and the start's H for the drift, in one stacked call
+    calls = _spy(monkeypatch, cli, "hamiltonian")
+    out = os.path.join(tmp_path, "s")
+    assert main(["simulate", *args, "--t-end", "1", "--n-samples", "10", "--out", out]) == EXIT_PASS
+    ((grid, x),) = calls
+    assert x.shape == (2 * grid.n_modes, 11)
+
+
+def test_simulate_evaluates_the_normal_form_field_once(tmp_path, monkeypatch):
+    # speed_shift and energy_derivative_m0 read one field call on the doubled stack
+    calls = _spy(monkeypatch, cli, "normal_form_rhs")
     out = os.path.join(tmp_path, "s")
     code = main(["simulate", "--representation", "normal_form", "--eps", "0.05",
                  "--t-end", "0.5", "--n-samples", "5", "--out", out])
     assert code == EXIT_PASS
-    with open(os.path.join(out, "trajectory.csv")) as fh:
-        n_samples = len(fh.read().strip().split("\n")) - 1
-    assert n_samples == 6 and len(calls) == n_samples
+    ((grid, x),) = calls
+    assert x.shape == (2 * grid.n_modes, 6)
 
-    # the shared evaluation gives both channels exactly their own values
-    _, cfg = parse_config(["simulate", "--representation", "normal_form"])
+
+@pytest.mark.parametrize("representation, args", [
+    ("original", ["--track-modes", "2"]), ("diagonalized", []), ("normal_form", []),
+])
+def test_simulate_channels_are_each_samples_own_values(representation, args):
+    # the stacked reader gives each sample the values its one-state functions
+    # give it, up to the rounding of a stacked sum
+    from kirchhoff_spectral.fields import conjugate_doubled, pair_norm
+    from kirchhoff_spectral.kirchhoff import hamiltonian, momenta
+    from kirchhoff_spectral.normal_form import energy_derivative_arrays, normal_form_rhs
+
+    _, cfg = parse_config(["simulate", "--representation", representation, "--eps", "0.05",
+                           *args])
     grid = SpectralGrid(1, 8)
-    state = cli._initial_state(cfg, grid)
-    monitors = cli._simulate_monitors(cfg, grid, state)
-    rhs = real(grid, state.doubled)
-    y = state.w.coeffs  # the sample as the monitors read it
-    assert monitors["speed_shift"](0.0, y) == rhs.speed_shift
-    assert monitors["energy_derivative_m0"](0.0, y) == nf.energy_derivative_arrays(
-        grid, y, rhs.total[0], grid.m0
-    )
+    rec = cli.integrate(cli.make_dynamics(representation, grid), cli._initial_state(cfg, grid),
+                        IntegratorConfig(t_end=0.5), t_eval=np.linspace(0.0, 0.5, 6))
+    x = rec.samples
+    channels = cli._simulate_channels(cfg, grid, x, cli._tracked_slots(cfg, grid))
+    orders = (1.0, 2.0, 3.0)  # m0, m0 + 1, m0 + 2
+    for k, y in enumerate(x.T):
+        if representation == "original":
+            h = hamiltonian(grid, y)
+            one = {
+                "hamiltonian": h,
+                "ham_drift_rel": cli._relative_drift(h, hamiltonian(grid, x[:, 0])),
+                "momentum_drift_max": np.max(np.abs(momenta(grid, y) - momenta(grid, x[:, 0]))),
+                "momentum_j2_0": momenta(grid, y)[grid.slot(2), 0],
+                **{f"uv_norm_s{s:g}": pair_norm(grid, y, s) for s in orders},
+            }
+        else:
+            one = {f"w_norm_s{s:g}": grid.coeff_norm(y, s) for s in orders}
+            if representation == "normal_form":
+                rhs = normal_form_rhs(grid, conjugate_doubled(grid, y))
+                one["speed_shift"] = rhs.speed_shift
+                one["energy_derivative_m0"] = energy_derivative_arrays(
+                    grid, y, rhs.total[0], grid.m0
+                )
+        assert set(channels) == set(one)
+        for name, value in one.items():
+            assert channels[name][k] == pytest.approx(value, rel=1e-13, abs=1e-15), name
 
 
 def test_simulate_norm_ratio_spread_small(tmp_path):
@@ -371,6 +414,32 @@ def test_sweep_normal_form_samples_do_not_cap_the_step(monkeypatch):
     assert row["status"] == "stable-at-cap" and row["pass_2x"] is True
     assert len(calls) < 2401
     assert row["n_rhs"] == len(calls)
+
+
+#: the largest |ratio_s - reference| that an original sweep row at d=1 N=8, eps
+#: 0.2, c1_op 0.02 and 20 samples may show; its saba2 run at dt = 1/max|j|
+#: measured 1.3e-7 (seed 11) and 1.1e-6 (seed 12), and at twice that dt
+#: 1.9e-6 and 2.5e-5
+SWEEP_RATIO_RESOLUTION = 4e-6
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sweep_row_ratios_resolve_to_the_splitting_error(monkeypatch, seed):
+    # the reference runs the same start under DOP853 at rel_tol 1e-13, whose
+    # ratios agree with rel_tol 1e-12 to 6e-12; the default sweep's ratio - 1
+    # (1e-8 to 6e-7) lies at or below the splitting error measured here
+    _, cfg = parse_config(["sweep", "--eps-list", "0.2", "--c1-op", "0.02", "--n-samples", "20",
+                           "--no-measure-constants"])
+    params = dict(cfg, eps=0.2, row_seed=seed)
+    row = cli._sweep_row(params)
+    monkeypatch.setattr(cli, "_sweep_integrator", lambda cfg, grid: {
+        "scheme": "dop853", "rel_tol": 1e-13, "abs_tol": 1e-15})
+    reference = cli._sweep_row(params)
+    assert row["status"] == reference["status"] == "reached-target"
+    orders = [k for k in row if k.startswith("ratio_s")]
+    assert len(orders) == 3
+    for order in orders:
+        assert abs(row[order] - reference[order]) <= SWEEP_RATIO_RESOLUTION, order
 
 
 def test_conjugacy_initial_ball_violation_is_inconclusive(tmp_path, capsys):
@@ -656,6 +725,16 @@ def test_simulate_tracked_mode_momentum_channels(tmp_path):
     assert code == EXIT_PASS
     header = open(os.path.join(out, "trajectory.csv")).readline().strip().split(",")
     assert "momentum_j2_0" in header
+
+
+@pytest.mark.parametrize("mode", ["0", "99", "1:1"])
+def test_simulate_refuses_a_tracked_mode_off_the_grid_before_its_run(tmp_path, monkeypatch,
+                                                                    mode, capsys):
+    runs = _spy(monkeypatch, cli, "integrate")
+    out = os.path.join(tmp_path, "s")
+    assert main(["simulate", "--track-modes", mode, "--out", out]) == EXIT_CONFIG
+    assert "mode" in capsys.readouterr().err
+    assert runs == [] and not os.path.exists(out)
 
 
 @pytest.mark.parametrize("representation", ["diagonalized", "normal_form"])

@@ -167,6 +167,21 @@ def test_real_pair_checks_symmetry_at_a_relative_1e_9(grid1, scale):
             RealPair(ComplexField(grid1, bent), v)
 
 
+@pytest.mark.parametrize("half, value", [("v", math.nan), ("u", math.inf),
+                                         ("u", complex(0.0, math.nan)), ("v", -math.inf)])
+@pytest.mark.parametrize("both_signs", [False, True], ids=["one_slot", "j_and_minus_j"])
+def test_real_pair_refuses_non_finite_coefficients(grid1_small, half, value, both_signs):
+    # a NaN defect passes a `defect > bound` comparison, and an inf coefficient
+    # makes the bound itself inf
+    g = grid1_small
+    c = {h: random_field(g, seed, 0.5, 1.0, "hermitian").coeffs for h, seed in (("u", 3), ("v", 4))}
+    c[half][g.slot(1)] = value
+    if both_signs:
+        c[half][g.slot(-1)] = np.conj(value)
+    with pytest.raises(ParameterError, match="finite"):
+        RealPair(ComplexField(g, c["u"]), ComplexField(g, c["v"]))
+
+
 def test_serialization_round_trip_bit_exact(grid2):
     f = random_field(grid2, 16, 0.7, 1.5, "free")
     text = json.dumps(field_to_dict(f))

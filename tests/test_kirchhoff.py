@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from kirchhoff_spectral import ComplexField, ParameterError, RealPair
+from kirchhoff_spectral import ComplexField, NumericalError, ParameterError, RealPair
 from kirchhoff_spectral.dynamics import KirchhoffDynamics, reversibility_defect
 from kirchhoff_spectral.kirchhoff import (
     hamiltonian,
-    mode_momentum,
     momenta,
     random_state,
     random_states,
@@ -104,8 +103,10 @@ def test_hamiltonian_reflection_invariance(grid1):
 
 
 def test_momentum_examples(grid1):
-    state = _two_mode_state(grid1)
-    assert mode_momentum(grid1, state.doubled, 1) == pytest.approx(np.zeros(1))
+    zero = RealPair(ComplexField.zero(grid1), ComplexField.zero(grid1))
+    assert np.array_equal(momenta(grid1, zero.doubled), np.zeros((grid1.n_modes, 1)))
+    at_rest = _two_mode_state(grid1)  # v = 0
+    assert np.array_equal(momenta(grid1, at_rest.doubled), np.zeros((grid1.n_modes, 1)))
     c_u = np.zeros(grid1.n_modes, dtype=np.complex128)
     c_v = np.zeros(grid1.n_modes, dtype=np.complex128)
     c_u[grid1.slot(1)] = 0.1
@@ -113,16 +114,50 @@ def test_momentum_examples(grid1):
     c_v[grid1.slot(1)] = 0.2j
     c_v[grid1.slot(-1)] = -0.2j
     st = RealPair(ComplexField(grid1, c_u), ComplexField(grid1, c_v))
-    assert mode_momentum(grid1, st.doubled, 1)[0] == pytest.approx(0.02, rel=1e-14)
-    assert np.array_equal(mode_momentum(grid1, st.doubled, 1), mode_momentum(grid1, st.doubled, -1))
+    table = momenta(grid1, st.doubled)
+    assert table.shape == (grid1.n_modes, 1)
+    assert table[grid1.slot(1)][0] == pytest.approx(0.02, rel=1e-14)
+    assert np.array_equal(table[grid1.slot(1)], table[grid1.slot(-1)])
+
+
+def test_momenta_are_even_in_j(grid1, grid2):
+    for g, seed in ((grid1, 4), (grid2, 5)):
+        table = momenta(g, random_state(g, seed, 0.5).doubled)
+        assert np.any(table != 0.0) and np.array_equal(table, table[g.neg_index])
+
+
+def test_momenta_of_a_stack_are_each_columns(grid2):
+    u, v = random_states(grid2, [1, 2, 3], 0.4)
+    x = np.concatenate((u, v))
+    table = momenta(grid2, x)
+    assert table.shape == (grid2.n_modes, 2, 3)
+    for k in range(3):
+        assert same_bits(table[..., k], momenta(grid2, x[:, k]))
+
+
+def test_momenta_refuse_a_corrupted_symmetry(grid1):
+    # the complex form (i j / 2)(u_j v_{-j} - u_{-j} v_j) equals the real form
+    # only on Hermitian-symmetric states; v_{-1} != conj(v_1) here
+    u = np.zeros(grid1.n_modes, dtype=np.complex128)
+    v = np.zeros(grid1.n_modes, dtype=np.complex128)
+    u[grid1.slot(1)] = u[grid1.slot(-1)] = 0.1
+    v[grid1.slot(1)], v[grid1.slot(-1)] = 0.2j, 0.3j
+    bent = np.concatenate((u, v))
+    with pytest.raises(NumericalError, match="symmetry"):
+        momenta(grid1, bent)
+    # one corrupted column of a stack is enough
+    good = random_state(grid1, 6, 0.3).doubled
+    momenta(grid1, np.stack([good, good], axis=1))
+    with pytest.raises(NumericalError, match="symmetry"):
+        momenta(grid1, np.stack([good, bent], axis=1))
 
 
 def test_momentum_errors(grid1):
-    state = _two_mode_state(grid1)
-    with pytest.raises(ParameterError):
-        mode_momentum(grid1, state.doubled, 0)
-    with pytest.raises(ParameterError):
-        mode_momentum(grid1, state.doubled, 99)
+    # a tracked mode is looked up by grid.slot, which refuses a mode off the
+    # grid or of the wrong dimension (simulate checks track_modes before its run)
+    for mode in (0, 99, (1, 1)):
+        with pytest.raises(ParameterError):
+            grid1.slot(mode)
 
 
 def test_momentum_sum_matches_gradient_pairing(grid1, grid2):
@@ -133,13 +168,6 @@ def test_momentum_sum_matches_gradient_pairing(grid1, grid2):
         total = momenta(g, state.doubled).sum(axis=0)
         oracle = total_momentum(state)
         assert np.max(np.abs(total - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
-
-
-def test_momenta_matches_mode_momentum(grid1):
-    state = random_state(grid1, 3, 0.5)
-    table = momenta(grid1, state.doubled)
-    for j in (1, -2, 5):
-        assert np.allclose(table[grid1.slot(j)], mode_momentum(grid1, state.doubled, j), atol=1e-16)
 
 
 def test_reversibility(grid1):

@@ -119,6 +119,15 @@ def test_per_layer_call_edges():
     assert "monitors" in {kw.arg for kw in call.keywords}
 
 
+def test_simulate_hands_integrate_no_monitors():
+    # simulate reads its channels off the run's samples after the run; the
+    # monitor hook serves the quartic probe (pinned above)
+    from kirchhoff_spectral import cli
+
+    (call,) = _calls(cli.cmd_simulate, "integrate")
+    assert len(call.args) <= 3 and "monitors" not in {kw.arg for kw in call.keywords}
+
+
 #: the normal-form field evaluations of the three probes of the benchmark's
 #: quartic workload (d=1 N=8, t_end 0.25) at seed 12345, each opening with
 #: Hairer's starting step; a fixed first step of 0.01 makes 144
